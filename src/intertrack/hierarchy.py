@@ -11,6 +11,12 @@ feeds the detection-only camera-movement estimate that stabilizes all later
 levels.  A window-scheduled variant (non-overlapping temporal windows per
 level) is included as the ablation baseline.
 
+One engine serves both entry modes: `track` starts it from detections,
+`refine` from pre-formed tracklets.  Both share one camera step, one stage
+loop and one merge-to-fixpoint loop, which the two schedule strategies
+differ in only by how they group candidate tracklets; both frame-adjacent
+passes share one frame-linking loop and differ only in their score matrix.
+
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
 """
@@ -29,6 +35,7 @@ from .assignment import solve
 from .geometry import SimilarityKernel, stack_boxes
 from .model import (
     Detection,
+    Stage,
     Strategy,
     Tracklet,
     TrackerConfig,
@@ -40,6 +47,9 @@ from .refine import Provenance, Trajectory, from_tracklet, resolve_overlap
 log = logging.getLogger(__name__)
 
 Similarity = Callable[[Tracklet, Tracklet], float]
+# Candidate grouping: tracklets -> index groups; pairs are only scored
+# (and matched) inside one group.
+Grouping = Callable[[Sequence[Tracklet]], Sequence[Sequence[int]]]
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +157,37 @@ def _interval_admissible(dt_bound: int, overlap_allowance: int,
     return overlap_allowance > 0 and -overlap_allowance <= gap <= 0
 
 
-def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
-                   similarity: Similarity, gate: float) -> HierarchyState:
-    """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
-    (plus a bounded overlap on the final level) and merge until fixpoint."""
+def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
+                       overlap_allowance: int, similarity: Similarity,
+                       gate: float) -> HierarchyState:
+    """Solve each candidate group's admissible pairs, merge the matches, and
+    repeat until a round matches nothing; the result is one level further."""
     tracklets = list(state.tracklets)
     next_tid = state.next_tid
     while True:
-        count = len(tracklets)
-        scores = None
-        pairs = []
-        for i in range(count):
-            for j in range(count):
-                if i != j and _interval_admissible(dt_bound, overlap_allowance,
-                                                   tracklets[i], tracklets[j]):
-                    pairs.append((i, j))
-        if pairs:
-            scores = np.full((count, count), -np.inf)
-            for i, j in pairs:
-                scores[i, j] = similarity(tracklets[i], tracklets[j])
-            matches = solve(scores, gate)
-        else:
-            matches = []
+        matches: list[tuple[int, int]] = []
+        for group in groups(tracklets):
+            members = [tracklets[k] for k in group]
+            pairs = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
+                     if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
+            if not pairs:
+                continue
+            scores = np.full((len(members), len(members)), -np.inf)
+            for a, b in pairs:
+                scores[a, b] = similarity(members[a], members[b])
+            matches += [(group[a], group[b]) for a, b in solve(scores, gate)]
         if not matches:
             return state.advanced(tracklets, next_tid)
         tracklets, next_tid = _merge_round(tracklets, matches, next_tid,
                                            overlap_allowance)
+
+
+def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
+                   similarity: Similarity, gate: float) -> HierarchyState:
+    """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
+    (plus a bounded overlap on the final level) and merge until fixpoint."""
+    return _merge_to_fixpoint(state, lambda ts: [range(len(ts))], dt_bound,
+                              overlap_allowance, similarity, gate)
 
 
 def _window_groups(tracklets: Sequence[Tracklet], window_size: int) -> list[list[int]]:
@@ -189,28 +204,8 @@ def window_strategy_pass(state: HierarchyState, window_size: int,
                          similarity: Similarity, gate: float) -> HierarchyState:
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
-    tracklets = list(state.tracklets)
-    next_tid = state.next_tid
-    while True:
-        all_matches: list[tuple[int, int]] = []
-        for group in _window_groups(tracklets, window_size):
-            if len(group) < 2:
-                continue
-            scores = np.full((len(group), len(group)), -np.inf)
-            any_pair = False
-            for a_pos, i in enumerate(group):
-                for b_pos, j in enumerate(group):
-                    if i != j and _interval_admissible(window_size, 0,
-                                                       tracklets[i], tracklets[j]):
-                        scores[a_pos, b_pos] = similarity(tracklets[i], tracklets[j])
-                        any_pair = True
-            if not any_pair:
-                continue
-            for a_pos, b_pos in solve(scores, gate):
-                all_matches.append((group[a_pos], group[b_pos]))
-        if not all_matches:
-            return state.advanced(tracklets, next_tid)
-        tracklets, next_tid = _merge_round(tracklets, all_matches, next_tid, 0)
+    return _merge_to_fixpoint(state, lambda ts: _window_groups(ts, window_size),
+                              window_size, 0, similarity, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +222,27 @@ def _by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]]:
     return grouped
 
 
-def _links_to_chains(detections_in_order: Sequence[Detection],
-                     link: dict[int, Detection],
-                     has_pred: set[int]) -> list[list[Detection]]:
+def _boxes(detections: Sequence[Detection]) -> np.ndarray:
+    return stack_boxes([d.box for d in detections])
+
+
+def _link_frames(detections: Sequence[Detection],
+                 score: Callable[[int, list[Detection], list[Detection]], np.ndarray],
+                 gate: float) -> list[list[Detection]]:
+    """Match every frame t against frame t+1 with `score(t, rows, cols)` and
+    chain the Hungarian links; every chain covers a run of consecutive frames."""
+    grouped = _by_frame(detections)
+    link: dict[int, Detection] = {}
+    has_pred: set[int] = set()
+    for t in sorted(grouped):
+        rows, cols = grouped[t], grouped.get(t + 1)
+        if not cols:
+            continue
+        for i, j in solve(score(t, rows, cols), gate):
+            link[rows[i].det_id] = cols[j]
+            has_pred.add(cols[j].det_id)
     chains = []
-    for det in detections_in_order:
+    for det in sorted(detections, key=lambda d: (d.frame, d.det_id)):
         if det.det_id in has_pred:
             continue
         chain = [det]
@@ -249,21 +260,8 @@ def adjacent_pass(detections: Sequence[Detection], kernel: SimilarityKernel,
     and links the Hungarian matches into chains; every chain covers a run of
     consecutive frames.
     """
-    grouped = _by_frame(detections)
-    link: dict[int, Detection] = {}
-    has_pred: set[int] = set()
-    for t in sorted(grouped):
-        rows = grouped.get(t)
-        cols = grouped.get(t + 1)
-        if not rows or not cols:
-            continue
-        scores = kernel.matrix(stack_boxes([d.box for d in rows]),
-                               stack_boxes([d.box for d in cols]))
-        for i, j in solve(scores, gate):
-            link[rows[i].det_id] = cols[j]
-            has_pred.add(cols[j].det_id)
-    ordered = sorted(detections, key=lambda d: (d.frame, d.det_id))
-    return _links_to_chains(ordered, link, has_pred)
+    return _link_frames(
+        detections, lambda t, rows, cols: kernel.matrix(_boxes(rows), _boxes(cols)), gate)
 
 
 def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
@@ -286,25 +284,13 @@ def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
             fwd[det.det_id] = pred
         for det, pred in zip(chain, chain_predictors(chain, cfg, Direction.BACKWARD)):
             bwd[det.det_id] = pred
-    grouped = _by_frame(detections)
-    link: dict[int, Detection] = {}
-    has_pred: set[int] = set()
-    for t in sorted(grouped):
-        rows = grouped.get(t)
-        cols = grouped.get(t + 1)
-        if not rows or not cols:
-            continue
+
+    def score(t, rows, cols):
         fwd_boxes = stack_boxes([fwd[d.det_id].at(t + 1) for d in rows])
         bwd_boxes = stack_boxes([bwd[d.det_id].at(t) for d in cols])
-        row_boxes = stack_boxes([d.box for d in rows])
-        col_boxes = stack_boxes([d.box for d in cols])
-        scores = 0.5 * (kernel.matrix(fwd_boxes, col_boxes)
-                        + kernel.matrix(row_boxes, bwd_boxes))
-        for i, j in solve(scores, gate=cfg.match_threshold):
-            link[rows[i].det_id] = cols[j]
-            has_pred.add(cols[j].det_id)
-    ordered = sorted(detections, key=lambda d: (d.frame, d.det_id))
-    return _links_to_chains(ordered, link, has_pred)
+        return 0.5 * (kernel.matrix(fwd_boxes, _boxes(cols))
+                      + kernel.matrix(_boxes(rows), bwd_boxes))
+    return _link_frames(detections, score, cfg.match_threshold)
 
 
 def byte_recovery(state: HierarchyState, low_score_detections: Sequence[Detection],
@@ -328,8 +314,7 @@ def byte_recovery(state: HierarchyState, low_score_detections: Sequence[Detectio
                       if tracklets[k].class_id == lows[0].class_id]
         if not candidates:
             continue
-        scores = kernel.matrix(stack_boxes([e.box for _, e in candidates]),
-                               stack_boxes([d.box for d in lows]))
+        scores = kernel.matrix(_boxes([e for _, e in candidates]), _boxes(lows))
         for i, j in solve(scores, gate):
             k = candidates[i][0]
             extended = list(tracklets[k].entries) + [lows[j]]
@@ -351,42 +336,37 @@ def _renumber(detections: Iterable[Detection]) -> list[Detection]:
     return [dataclasses.replace(d, det_id=k + 1) for k, d in enumerate(ordered)]
 
 
-def _chain_matches(chains: Sequence[Sequence[Detection]]
-                   ) -> dict[int, list[tuple[Detection, Detection]]]:
-    """Frame-adjacent matched pairs implied by the chains, keyed by frame."""
+def _adjacent_pairs(runs: Iterable[Sequence[Detection]]
+                    ) -> dict[int, list[tuple[Detection, Detection]]]:
+    """Frame-adjacent (t, t+1) detection pairs inside each run, keyed by t."""
     pairs: dict[int, list[tuple[Detection, Detection]]] = {}
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            pairs.setdefault(a.frame, []).append((a, b))
-    return pairs
-
-
-def _intra_tracklet_matches(tracklets: Sequence[Tracklet]
-                            ) -> dict[int, list[tuple[Detection, Detection]]]:
-    pairs: dict[int, list[tuple[Detection, Detection]]] = {}
-    for trk in tracklets:
-        for a, b in zip(trk.entries, trk.entries[1:]):
+    for run in runs:
+        for a, b in zip(run, run[1:]):
             if b.frame == a.frame + 1:
                 pairs.setdefault(a.frame, []).append((a, b))
     return pairs
 
 
-def _stage_label(index: int, bound: int, overlap: int, strategy: Strategy) -> str:
-    if strategy is Strategy.WINDOW:
-        return f"level-{index} (window {bound})"
-    if overlap:
-        return f"level-{index} (gap {bound}, overlap {overlap})"
-    return f"level-{index} (gap {bound})"
+def _stage_label(index: int, stage: Stage, window: bool) -> str:
+    if window:
+        return f"level-{index} (window {stage.bound})"
+    if stage.overlap:
+        return f"level-{index} (gap {stage.bound}, overlap {stage.overlap})"
+    return f"level-{index} (gap {stage.bound})"
 
 
 class _ClassEngine:
-    """Runs the full pipeline for the detections of a single class."""
+    """Runs the full pipeline for the detections or tracklets of one class."""
 
     def __init__(self, cfg: TrackerConfig, class_id: int):
         self.cfg = cfg
         self.class_id = class_id
         self.kernel = SimilarityKernel(cfg)
+        self.window = cfg.schedule.strategy is Strategy.WINDOW
         self.levels: list[LevelTrace] = []
+        cache = FitCache(cfg)
+        self.similarity: Similarity = lambda a, b: pair_similarity(
+            a, b, self.kernel, cfg, cache)
 
     def run_detections(self, detections: Sequence[Detection]) -> ClassRunResult:
         cfg = self.cfg
@@ -394,136 +374,105 @@ class _ClassEngine:
         low = [d for d in detections
                if cfg.score_low <= d.score < cfg.score_high]
         if not high:
-            return ClassRunResult(self.class_id, (), (0,), tuple(self.levels), None)
+            return self._result(HierarchyState.initial((), 1), None)
         frames = [d.frame for d in detections]
-        frame_range = (min(frames), max(frames))
 
         chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
-        profile = None
-        if cfg.enable_cc:
-            profile = camera_mod.estimate(_chain_matches(chains),
-                                          cfg.cc_threshold, frame_range)
-            if profile.moving:
-                high = camera_mod.stabilize(high, profile)
-                low = camera_mod.stabilize(low, profile)
-                chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
-        if cfg.enable_cm and cfg.schedule.strategy is Strategy.INTERVAL:
+        profile, (high, low) = self._camera(chains, (min(frames), max(frames)),
+                                            [high, low])
+        if profile is not None and profile.moving:
+            chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
+        if self.window:
+            chains = [[d] for d in high]
+        elif cfg.enable_cm:
             chains = consistent_motion_pass(chains, high, cfg, self.kernel)
 
-        singleton_count = len(high)
-        if cfg.schedule.strategy is Strategy.WINDOW:
-            state = self._window_levels(high, low, singleton_count)
-        else:
-            state = self._interval_levels(chains, low, singleton_count)
-
-        tracklets = state.tracklets
-        if profile is not None and profile.moving:
-            tracklets = tuple(self._destabilized(t, profile) for t in tracklets)
-        return ClassRunResult(self.class_id, tracklets, state.counts,
-                              tuple(self.levels), profile)
-
-    def _interval_levels(self, chains, low, singleton_count) -> HierarchyState:
-        cfg = self.cfg
-        tracklets = [Tracklet.build(tid, chain)
-                     for tid, chain in enumerate(chains, start=1)]
-        state = HierarchyState(level=1, tracklets=tuple(_ordered(tracklets)),
-                               counts=(singleton_count, len(tracklets)),
-                               next_tid=len(chains) + 1)
-        singles = sorted((d for chain in chains for d in chain),
-                         key=lambda d: (d.frame, d.det_id))
-        self.levels.append(LevelTrace(
-            "singletons", singleton_count,
-            tuple(((d.frame, d.det_id),) for d in singles)))
-        stage0 = cfg.schedule.stages[0]
-        self.levels.append(_snapshot(
-            _stage_label(1, stage0.bound, stage0.overlap, Strategy.INTERVAL),
-            state.tracklets))
+        # `high` is in (frame, det_id) order, which is also the singletons'
+        # (t_min, t_max, tid) order.
+        self.levels.append(LevelTrace("singletons", len(high),
+                                      tuple(((d.frame, d.det_id),) for d in high)))
+        state = HierarchyState.initial(
+            [Tracklet.build(tid, chain) for tid, chain in enumerate(chains, start=1)],
+            next_tid=len(chains) + 1)
+        if self.window:
+            return self._result(self._stages(state, 0, low), profile)
+        # Interval level 1 is the frame-adjacent chaining itself.
+        state = dataclasses.replace(state, counts=(len(high),) + state.counts)
+        self.levels.append(_snapshot(_stage_label(1, cfg.schedule.stages[0], False),
+                                     state.tracklets))
         state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
         if low:
             self.levels.append(_snapshot("low-score recovery", state.tracklets))
-        return self._remaining_stages(state)
-
-    def _window_levels(self, high, low, singleton_count) -> HierarchyState:
-        cfg = self.cfg
-        singletons = [Tracklet.build(tid, [d]) for tid, d in enumerate(high, start=1)]
-        state = HierarchyState.initial(singletons, next_tid=len(singletons) + 1)
-        self.levels.append(_snapshot("singletons", state.tracklets))
-        cache = FitCache(cfg)
-        sim = lambda a, b: pair_similarity(a, b, self.kernel, cfg, cache)
-        for k, stage in enumerate(cfg.schedule.stages, start=1):
-            state = window_strategy_pass(state, stage.bound, sim, cfg.match_threshold)
-            if k == 1:
-                state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
-            self.levels.append(_snapshot(
-                _stage_label(k, stage.bound, 0, Strategy.WINDOW), state.tracklets))
-        return state
-
-    def _remaining_stages(self, state: HierarchyState) -> HierarchyState:
-        cfg = self.cfg
-        cache = FitCache(cfg)
-        sim = lambda a, b: pair_similarity(a, b, self.kernel, cfg, cache)
-        for k, stage in enumerate(cfg.schedule.stages[1:], start=2):
-            state = hierarchy_pass(state, stage.bound, stage.overlap, sim,
-                                   cfg.match_threshold)
-            self.levels.append(_snapshot(
-                _stage_label(k, stage.bound, stage.overlap, Strategy.INTERVAL),
-                state.tracklets))
-        return state
+        return self._result(self._stages(state, 1), profile)
 
     def run_tracklets(self, tracklets: Sequence[Tracklet]) -> ClassRunResult:
         """Associate pre-formed tracklets (the recombination mode)."""
-        cfg = self.cfg
-        if not tracklets:
-            return ClassRunResult(self.class_id, (), (0,), tuple(self.levels), None)
-        profile = None
-        work = list(tracklets)
-        frames = [f for t in work for f in (t.t_min, t.t_max)]
-        frame_range = (min(frames), max(frames))
-        if cfg.enable_cc:
-            profile = camera_mod.estimate(_intra_tracklet_matches(work),
-                                          cfg.cc_threshold, frame_range)
-            if profile.moving:
-                work = [Tracklet.build(t.tid, camera_mod.stabilize(t.entries, profile))
-                        for t in work]
+        frames = [f for t in tracklets for f in (t.t_min, t.t_max)]
+        profile, runs = self._camera([t.entries for t in tracklets],
+                                     (min(frames), max(frames)),
+                                     [t.entries for t in tracklets])
+        work = [Tracklet.build(t.tid, run) for t, run in zip(tracklets, runs)]
         state = HierarchyState.initial(work, next_tid=max(t.tid for t in work) + 1)
         self.levels.append(_snapshot("input tracklets", state.tracklets))
-        cache = FitCache(cfg)
-        sim = lambda a, b: pair_similarity(a, b, self.kernel, cfg, cache)
-        if cfg.schedule.strategy is Strategy.WINDOW:
-            for k, stage in enumerate(cfg.schedule.stages, start=1):
-                state = window_strategy_pass(state, stage.bound, sim,
-                                             cfg.match_threshold)
-                self.levels.append(_snapshot(
-                    _stage_label(k, stage.bound, 0, Strategy.WINDOW),
-                    state.tracklets))
-        else:
-            for k, stage in enumerate(cfg.schedule.stages, start=1):
-                state = hierarchy_pass(state, stage.bound, stage.overlap, sim,
-                                       cfg.match_threshold)
-                self.levels.append(_snapshot(
-                    _stage_label(k, stage.bound, stage.overlap, Strategy.INTERVAL),
-                    state.tracklets))
-        out = state.tracklets
+        return self._result(self._stages(state, 0), profile)
+
+    def _camera(self, runs, frame_range, groups):
+        """Estimate camera movement from the frame-adjacent pairs inside
+        `runs`; returns the profile (None when disabled) and `groups` of
+        detections, stabilized when the camera moves."""
+        if not self.cfg.enable_cc:
+            return None, groups
+        profile = camera_mod.estimate(_adjacent_pairs(runs), self.cfg.cc_threshold,
+                                      frame_range)
+        if profile.moving:
+            groups = [camera_mod.stabilize(g, profile) for g in groups]
+        return profile, groups
+
+    def _stages(self, state: HierarchyState, first: int,
+                low: Sequence[Detection] = ()) -> HierarchyState:
+        """Run the schedule from stage index `first` on, tracing each level;
+        `low` detections are absorbed right after the first stage."""
+        gate = self.cfg.match_threshold
+        for k, stage in enumerate(self.cfg.schedule.stages[first:], start=first + 1):
+            if self.window:
+                state = window_strategy_pass(state, stage.bound, self.similarity, gate)
+            else:
+                state = hierarchy_pass(state, stage.bound, stage.overlap,
+                                       self.similarity, gate)
+            if k == 1 and low:
+                state = byte_recovery(state, low, self.kernel, gate)
+            self.levels.append(_snapshot(_stage_label(k, stage, self.window),
+                                         state.tracklets))
+        return state
+
+    def _result(self, state: HierarchyState, profile) -> ClassRunResult:
+        tracklets = state.tracklets
         if profile is not None and profile.moving:
-            out = tuple(self._destabilized(t, profile) for t in out)
-        return ClassRunResult(self.class_id, out, state.counts,
+            tracklets = tuple(
+                Tracklet.build(t.tid, camera_mod.destabilize(t.entries, profile))
+                for t in tracklets)
+        return ClassRunResult(self.class_id, tracklets, state.counts,
                               tuple(self.levels), profile)
 
-    @staticmethod
-    def _destabilized(tracklet: Tracklet, profile) -> Tracklet:
-        return Tracklet.build(tracklet.tid,
-                              camera_mod.destabilize(tracklet.entries, profile))
 
-
-def _results_to_trajectories(results: Sequence[ClassRunResult],
-                             provenance: Provenance) -> list[Trajectory]:
-    ranked = []
-    for res in results:
-        for t in res.tracklets:
-            ranked.append((t.t_min, t.t_max, res.class_id, t.tid, t))
-    ranked.sort(key=lambda r: r[:4])
-    return [from_tracklet(t, track_id=k + 1, provenance=provenance)
-            for k, (_, _, _, _, t) in enumerate(ranked)]
+def _run_per_class(items: Sequence, cfg: TrackerConfig,
+                   run: Callable[[_ClassEngine, list], ClassRunResult],
+                   provenance: Provenance) -> RunResult:
+    """Partition detections or tracklets by class, run one engine per class,
+    and number the combined tracks in (t_min, t_max, class) order."""
+    by_class: dict[int, list] = {}
+    for item in items:
+        by_class.setdefault(item.class_id, []).append(item)
+    results = []
+    for class_id in sorted(by_class):
+        result = run(_ClassEngine(cfg, class_id), by_class[class_id])
+        log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
+        results.append(result)
+    ranked = sorted([((t.t_min, t.t_max, res.class_id, t.tid), t)
+                     for res in results for t in res.tracklets], key=lambda r: r[0])
+    trajectories = [from_tracklet(t, track_id=k + 1, provenance=provenance)
+                    for k, (_, t) in enumerate(ranked)]
+    return RunResult(trajectories=trajectories, per_class=tuple(results))
 
 
 def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResult:
@@ -533,21 +482,8 @@ def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResu
     are assigned over the combined result in (t_min, t_max, class) order.
     """
     validate_config(cfg)
-    dets = _renumber(detections)
-    if not dets:
-        return RunResult(trajectories=[], per_class=())
-    by_class: dict[int, list[Detection]] = {}
-    for d in dets:
-        by_class.setdefault(d.class_id, []).append(d)
-    results = []
-    for class_id in sorted(by_class):
-        engine = _ClassEngine(cfg, class_id)
-        result = engine.run_detections(by_class[class_id])
-        log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
-        results.append(result)
-    return RunResult(
-        trajectories=_results_to_trajectories(results, Provenance.NATIVE),
-        per_class=tuple(results))
+    return _run_per_class(_renumber(detections), cfg, _ClassEngine.run_detections,
+                          Provenance.NATIVE)
 
 
 def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
@@ -562,18 +498,6 @@ def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> Ru
     kept.
     """
     validate_config(cfg)
-    if not tracklets:
-        return RunResult(trajectories=[], per_class=())
     # Fitting is memoized by tracklet id, so ids must be unique here.
-    fresh = [Tracklet.build(k + 1, list(t.entries)) for k, t in
-             enumerate(sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid)))]
-    by_class: dict[int, list[Tracklet]] = {}
-    for t in fresh:
-        by_class.setdefault(t.class_id, []).append(t)
-    results = []
-    for class_id in sorted(by_class):
-        engine = _ClassEngine(cfg, class_id)
-        results.append(engine.run_tracklets(by_class[class_id]))
-    return RunResult(
-        trajectories=_results_to_trajectories(results, Provenance.RECOMBINED),
-        per_class=tuple(results))
+    fresh = [Tracklet.build(k + 1, list(t.entries)) for k, t in enumerate(_ordered(tracklets))]
+    return _run_per_class(fresh, cfg, _ClassEngine.run_tracklets, Provenance.RECOMBINED)

@@ -314,6 +314,18 @@ class TestWindowScheduleRun:
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert len(res.trajectories) >= 4
 
+    def test_low_scores_absorbed_inside_level_one(self):
+        cfg = dataclasses.replace(TrackerConfig(),
+                                  schedule=HierarchySchedule.default_window())
+        dets = [det(f, 100.0, det_id=f) for f in range(1, 5)]
+        dets.append(det(5, 100.0, score=0.3, det_id=5))
+        info = run_detailed(dets, cfg).per_class[0]
+        labels = [lv.label for lv in info.levels]
+        assert labels[:2] == ["singletons", "level-1 (window 2)"]
+        assert "low-score recovery" not in labels
+        frames = sorted(tuple(f for f, _ in m) for m in info.levels[1].members)
+        assert frames == [(1, 2), (3, 4, 5)]
+
 
 class TestRecombination:
     def test_fragments_rejoin_with_recombined_provenance(self):
@@ -340,3 +352,22 @@ class TestRecombination:
     def test_empty_input(self):
         res = associate_tracklets([], TrackerConfig())
         assert res.trajectories == []
+
+    def test_panning_scene_is_stabilized_and_restored(self):
+        gt, _ = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=3, max_speed=0.0,
+                                      box_size=(48.0, 48.0), camera_pan=(20.0, 0.0)))
+        pieces = []
+        for k, traj in enumerate(gt):
+            entries = [dataclasses.replace(e, det_id=100 * k + i)
+                       for i, e in enumerate(traj.entries)]
+            pieces += [Tracklet.build(2 * k + 1, entries[:25]),
+                       Tracklet.build(2 * k + 2, entries[30:])]
+        boxes_in = {e.det_id: e.box for t in pieces for e in t.entries}
+        res = associate_tracklets(pieces, TrackerConfig())
+        assert res.per_class[0].camera.moving
+        assert sum(len(t.entries) for t in res.trajectories) == len(boxes_in)
+        for traj in res.trajectories:
+            for e in traj.entries:
+                b = boxes_in[e.det_id]
+                assert (e.box.cx, e.box.cy, e.box.w, e.box.h) == pytest.approx(
+                    (b.cx, b.cy, b.w, b.h), abs=1e-6)
