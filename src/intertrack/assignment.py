@@ -53,19 +53,14 @@ def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def solve(scores: np.ndarray, gate: float, pre_gate: bool = False) -> list[tuple[int, int]]:
+def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     """Match rows to columns, keeping only pairs with similarity >= gate.
 
-    By default the gate acts after optimization (a matched pair below the
-    gate is simply dropped).  With pre_gate=True sub-gate entries are made
-    inadmissible before solving instead, which can change which pairs the
-    optimum selects.
+    The gate acts after optimization: a matched pair below the gate is
+    simply dropped, it does not steer which pairs the optimum selects.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         return []
-    work = scores
-    if pre_gate:
-        work = np.where(scores >= gate, scores, -np.inf)
-    matches = max_weight_matching(work)
+    matches = max_weight_matching(scores)
     return [(i, j) for i, j in matches if scores[i, j] >= gate]

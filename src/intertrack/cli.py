@@ -137,17 +137,24 @@ def _schedule_from(overrides: dict) -> Optional[HierarchySchedule]:
     return HierarchySchedule.from_bounds(bounds, overlap, strategy)
 
 
+def _env_int(name: str) -> Optional[int]:
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError([f"{name} must be an integer, got {raw!r}"]) from None
+
+
 def build_config(args: argparse.Namespace) -> TrackerConfig:
     """Merge defaults, config file, environment, and flags into a config."""
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
-    env_seed = os.environ.get(ENV_SEED)
+    env_seed = _env_int(ENV_SEED)
     if env_seed is not None:
-        try:
-            overrides["rng_seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError([f"{ENV_SEED} must be an integer, got {env_seed!r}"])
+        overrides["rng_seed"] = env_seed
     flag_map = [
         ("match_threshold", "match_threshold"),
         ("score_high", "score_high"),
@@ -184,16 +191,11 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
 
 
 def _resolve_workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None) is not None:
-        value = args.workers
-    else:
-        raw = os.environ.get(ENV_WORKERS)
-        if raw is None:
+    value = getattr(args, "workers", None)
+    if value is None:
+        value = _env_int(ENV_WORKERS)
+        if value is None:
             return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError([f"{ENV_WORKERS} must be an integer, got {raw!r}"])
     if value < 1:
         raise ConfigError([f"worker count must be >= 1, got {value}"])
     return value
@@ -220,19 +222,9 @@ def read_detections(path: Path, fmt: str,
 
 def read_tracks(path: Path, fmt: str,
                 class_filter: Optional[Sequence[str]] = None) -> list[Trajectory]:
-    if fmt == "mot":
-        return mot_io.read_mot_tracks(path)
-    grouped: dict[int, list] = {}
-    for tid, det in mot_io.read_kitti_tracking(path, class_filter):
-        grouped.setdefault(tid, []).append(det)
-    tracks = []
-    for tid in sorted(grouped):
-        entries = sorted(grouped[tid], key=lambda d: d.frame)
-        frames = [d.frame for d in entries]
-        if len(set(frames)) != len(frames):
-            raise ValueError(f"{path}: track {tid} repeats a frame")
-        tracks.append(Trajectory(track_id=tid, entries=tuple(entries)))
-    return tracks
+    if fmt == "kitti":
+        return mot_io.read_kitti_tracks(path, class_filter)
+    return mot_io.read_mot_tracks(path)
 
 
 def write_tracks(trajectories, path: Path, fmt: str) -> None:
@@ -406,14 +398,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = synth.spec_from_json(args.spec)
-    seed = args.seed
-    if seed is None:
-        env_seed = os.environ.get(ENV_SEED)
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError([f"{ENV_SEED} must be an integer, got {env_seed!r}"])
+    seed = args.seed if args.seed is not None else _env_int(ENV_SEED)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
     gt_path, det_path = synth.write_scenario(spec, args.out_dir)

@@ -12,7 +12,6 @@ is byte-identical.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -25,33 +24,6 @@ PathLike = Union[str, Path]
 
 KITTI_CLASSES = ("Car", "Van", "Truck", "Pedestrian", "Person_sitting",
                  "Cyclist", "Tram", "Misc")
-
-
-@dataclass
-class SequenceBundle:
-    """One sequence's worth of input: detections plus optional ground truth."""
-    name: str
-    frame_count: int
-    detections: list[Detection]
-    ground_truth: Optional[list[Trajectory]] = None
-    frame_rate: Optional[float] = None
-
-    def __post_init__(self):
-        for det in self.detections:
-            if not 1 <= det.frame <= self.frame_count:
-                raise ValueError(
-                    f"{self.name}: detection frame {det.frame} outside "
-                    f"[1, {self.frame_count}]")
-
-
-def make_bundle(name: str, detections: list[Detection],
-                ground_truth: Optional[list[Trajectory]] = None,
-                frame_rate: Optional[float] = None) -> SequenceBundle:
-    frames = [d.frame for d in detections]
-    frames += [e.frame for t in (ground_truth or []) for e in t.entries]
-    return SequenceBundle(name=name, frame_count=max(frames, default=0),
-                          detections=detections, ground_truth=ground_truth,
-                          frame_rate=frame_rate)
 
 
 def _clamp_score(value: float) -> float:
@@ -101,7 +73,7 @@ def read_mot_detections(path: PathLike) -> list[Detection]:
 
 def read_mot_tracks(path: PathLike) -> list[Trajectory]:
     """Read a MOT result/ground-truth file into per-identity trajectories."""
-    by_id: dict[int, list[Detection]] = {}
+    rows: list[tuple[int, Detection]] = []
     rejected = 0
     next_id = 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -119,9 +91,18 @@ def read_mot_tracks(path: PathLike) -> list[Trajectory]:
             det = Detection(frame=frame, box=BoundingBox.from_ltwh(left, top, w, h),
                             score=_clamp_score(conf), det_id=next_id)
             next_id += 1
-            by_id.setdefault(track_id, []).append(det)
+            rows.append((track_id, det))
     if rejected:
         log.warning("%s: rejected %d records with non-positive size", path, rejected)
+    return _group_tracks(path, rows)
+
+
+def _group_tracks(path: PathLike,
+                  rows: Iterable[tuple[int, Detection]]) -> list[Trajectory]:
+    """Group (track_id, detection) rows into trajectories in id order."""
+    by_id: dict[int, list[Detection]] = {}
+    for track_id, det in rows:
+        by_id.setdefault(track_id, []).append(det)
     out = []
     for track_id in sorted(by_id):
         entries = sorted(by_id[track_id], key=lambda d: d.frame)
@@ -205,6 +186,13 @@ def read_kitti_tracking(path: PathLike,
     if unknown:
         log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
     return out
+
+
+def read_kitti_tracks(path: PathLike,
+                      class_filter: Union[str, Sequence[str], None] = None
+                      ) -> list[Trajectory]:
+    """Read KITTI tracking labels into per-identity trajectories."""
+    return _group_tracks(path, read_kitti_tracking(path, class_filter))
 
 
 def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike,

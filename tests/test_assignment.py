@@ -46,10 +46,10 @@ def test_empty_matrices():
 
 def test_post_gate_differs_from_pre_gate():
     # Ungated optimum pairs (0,1)+(1,0); post-gating drops the 0.19 leg.
-    # Pre-gating removes the 0.19 cell up front, so the optimum shifts to (0,0).
+    # Gating before the solve would have removed that cell up front and
+    # shifted the optimum to (0,0).
     scores = np.array([[0.5, 0.45], [0.19, 0.0]])
     assert solve(scores, gate=0.2) == [(0, 1)]
-    assert solve(scores, gate=0.2, pre_gate=True) == [(0, 0)]
 
 
 def test_sentinel_pairs_never_matched():

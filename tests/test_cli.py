@@ -3,7 +3,7 @@ import json
 import pytest
 
 from intertrack import cli
-from intertrack.model import BoundingBox, Detection, Strategy
+from intertrack.model import BoundingBox, ConfigError, Detection, Strategy
 from intertrack.mot_io import (
     read_mot_tracks,
     write_mot_detections,
@@ -286,3 +286,6 @@ class TestConfigAssembly:
         monkeypatch.setenv(cli.ENV_WORKERS, "3")
         assert cli._resolve_workers(self.parse()) == 3
         assert cli._resolve_workers(self.parse("--workers", "1")) == 1
+        monkeypatch.setenv(cli.ENV_WORKERS, "three")
+        with pytest.raises(ConfigError, match=f"{cli.ENV_WORKERS} must be an integer"):
+            cli._resolve_workers(self.parse())

@@ -3,8 +3,8 @@ import pytest
 from intertrack.model import BoundingBox, Detection
 from intertrack.mot_io import (
     KITTI_CLASSES,
-    make_bundle,
     read_kitti_tracking,
+    read_kitti_tracks,
     read_mot_detections,
     read_mot_tracks,
     write_kitti_tracking,
@@ -180,14 +180,17 @@ class TestKitti:
         with pytest.raises(ValueError, match=r":1"):
             read_kitti_tracking(p)
 
+    def test_tracks_grouped_by_id_in_frame_order(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        lines = [self.kitti_line(frame=1, tid=4), self.kitti_line(frame=0, tid=4),
+                 self.kitti_line(frame=0, tid=2)]
+        p.write_text("\n".join(lines) + "\n")
+        tracks = read_kitti_tracks(p)
+        assert [t.track_id for t in tracks] == [2, 4]
+        assert [e.frame for e in tracks[1].entries] == [1, 2]
 
-class TestBundle:
-    def test_frame_bound_validated(self):
-        from intertrack.mot_io import SequenceBundle
-        with pytest.raises(ValueError):
-            SequenceBundle(name="seq", frame_count=2,
-                           detections=[det(3, 0, 0, 5, 5)])
-
-    def test_make_bundle(self):
-        b = make_bundle("seq", [det(1, 0, 0, 5, 5), det(9, 0, 0, 5, 5)])
-        assert b.frame_count == 9
+    def test_track_with_repeated_frame_rejected(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text(self.kitti_line(tid=3) + "\n" + self.kitti_line(tid=3) + "\n")
+        with pytest.raises(ValueError, match="track 3 has two boxes at frame 1"):
+            read_kitti_tracks(p)
