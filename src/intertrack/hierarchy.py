@@ -154,7 +154,8 @@ def _interval_admissible(dt_bound: int, overlap_allowance: int,
     gap = b.t_min - a.t_max
     if 0 < gap <= dt_bound:
         return True
-    return overlap_allowance > 0 and -overlap_allowance <= gap <= 0
+    # Shared frames, counted as resolve_overlap counts them.
+    return 0 < a.t_max - b.t_min + 1 <= overlap_allowance
 
 
 def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,

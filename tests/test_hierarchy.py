@@ -101,6 +101,15 @@ class TestHierarchyPassAdmissibility:
         out = hierarchy_pass(self.make_state([a, b]), 5, 5, constant_sim, 0.2)
         assert len(out.tracklets) == 2
 
+    def test_overlap_allowance_counts_shared_frames(self):
+        a = track(1, range(1, 11), 100.0)
+        six = track(2, range(5, 13), 100.0, det_id=50)   # shares frames 5..10
+        five = track(2, range(6, 13), 100.0, det_id=50)  # shares frames 6..10
+        out = hierarchy_pass(self.make_state([a, six]), 30, 5, constant_sim, 0.2)
+        assert spans(out.tracklets) == [(1, 10), (5, 12)]
+        out = hierarchy_pass(self.make_state([a, five]), 30, 5, constant_sim, 0.2)
+        assert spans(out.tracklets) == [(1, 12)]
+
     def test_classes_never_mix(self):
         a = track(1, range(1, 5), 100.0, class_id=0)
         b = track(2, range(6, 10), 100.0, class_id=1)
