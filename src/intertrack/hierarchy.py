@@ -341,8 +341,8 @@ def _adjacent_pairs(runs: Iterable[Sequence[Detection]]
                     ) -> dict[int, list[tuple[Detection, Detection]]]:
     """Frame-adjacent (t, t+1) detection pairs inside each run, keyed by t."""
     pairs: dict[int, list[tuple[Detection, Detection]]] = {}
-    for run in runs:
-        for a, b in zip(run, run[1:]):
+    for dets in runs:
+        for a, b in zip(dets, dets[1:]):
             if b.frame == a.frame + 1:
                 pairs.setdefault(a.frame, []).append((a, b))
     return pairs
@@ -409,15 +409,15 @@ class _ClassEngine:
     def run_tracklets(self, tracklets: Sequence[Tracklet]) -> ClassRunResult:
         """Associate pre-formed tracklets (the recombination mode)."""
         frames = [f for t in tracklets for f in (t.t_min, t.t_max)]
-        profile, runs = self._camera([t.entries for t in tracklets],
-                                     (min(frames), max(frames)),
-                                     [t.entries for t in tracklets])
-        work = [Tracklet.build(t.tid, run) for t, run in zip(tracklets, runs)]
+        runs = [t.entries for t in tracklets]
+        profile, runs = self._camera(runs, (min(frames), max(frames)), runs)
+        work = [Tracklet.build(t.tid, dets) for t, dets in zip(tracklets, runs)]
         state = HierarchyState.initial(work, next_tid=max(t.tid for t in work) + 1)
         self.levels.append(_snapshot("input tracklets", state.tracklets))
         return self._result(self._stages(state, 0), profile)
 
-    def _camera(self, runs, frame_range, groups):
+    def _camera(self, runs: Sequence[Sequence[Detection]], frame_range: tuple[int, int],
+                groups: list) -> tuple[Optional[camera_mod.CameraProfile], list]:
         """Estimate camera movement from the frame-adjacent pairs inside
         `runs`; returns the profile (None when disabled) and `groups` of
         detections, stabilized when the camera moves."""
@@ -446,7 +446,8 @@ class _ClassEngine:
                                          state.tracklets))
         return state
 
-    def _result(self, state: HierarchyState, profile) -> ClassRunResult:
+    def _result(self, state: HierarchyState,
+                profile: Optional[camera_mod.CameraProfile]) -> ClassRunResult:
         tracklets = state.tracklets
         if profile is not None and profile.moving:
             tracklets = tuple(
@@ -457,7 +458,7 @@ class _ClassEngine:
 
 
 def _run_per_class(items: Sequence, cfg: TrackerConfig,
-                   run: Callable[[_ClassEngine, list], ClassRunResult],
+                   run_class: Callable[[_ClassEngine, list], ClassRunResult],
                    provenance: Provenance) -> RunResult:
     """Partition detections or tracklets by class, run one engine per class,
     and number the combined tracks in (t_min, t_max, class) order."""
@@ -466,7 +467,7 @@ def _run_per_class(items: Sequence, cfg: TrackerConfig,
         by_class.setdefault(item.class_id, []).append(item)
     results = []
     for class_id in sorted(by_class):
-        result = run(_ClassEngine(cfg, class_id), by_class[class_id])
+        result = run_class(_ClassEngine(cfg, class_id), by_class[class_id])
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
     ranked = sorted([((t.t_min, t.t_max, res.class_id, t.tid), t)
