@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import iou
+from .geometry import iou_kernel, stack_boxes
 from .model import Detection
 
 log = logging.getLogger(__name__)
@@ -68,8 +68,9 @@ def estimate(adjacent_matches: MatchPairs, threshold: float,
     zero displacement rather than an extrapolated one.
     """
     lo, hi = frame_range
-    ious = [iou(a.box, b.box)
-            for pairs in adjacent_matches.values() for a, b in pairs]
+    matched = [pair for pairs in adjacent_matches.values() for pair in pairs]
+    ious = iou_kernel(stack_boxes([a.box for a, _ in matched]),
+                      stack_boxes([b.box for _, b in matched])).tolist()
     if not ious:
         log.warning("no adjacent matches in [%d, %d]; assuming static camera", lo, hi)
         return static_profile(frame_range)

@@ -59,18 +59,20 @@ _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
 # ---------------------------------------------------------------------------
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    try:
-        return _BOOLS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError([f"{key}: expected a boolean, got {raw!r}"]) from None
+_EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number",
+             "bounds": "comma-separated integers"}
 
 
-def _parse_bounds(raw: str, key: str) -> tuple[int, ...]:
+def _parse_value(raw: str, key: str, kind: str):
+    """One config value of a kind named in _EXPECTED."""
     try:
-        return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise ConfigError([f"{key}: expected comma-separated integers, got {raw!r}"]) from None
+        if kind == "bool":
+            return _BOOLS[raw.strip().lower()]
+        if kind == "bounds":
+            return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
+        return int(raw) if kind == "int" else float(raw)
+    except (KeyError, ValueError):
+        raise ConfigError([f"{key}: expected {_EXPECTED[kind]}, got {raw!r}"]) from None
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrackerConfig)}
@@ -82,7 +84,8 @@ def read_config_file(path: Path) -> dict:
     """Parse `key = value` lines (# comments allowed) into override values.
 
     Keys are TrackerConfig field names plus strategy / stage_bounds /
-    final_overlap for the hierarchy schedule.
+    final_overlap for the hierarchy schedule.  Every bad line is reported
+    as `file:line: problem` in one ConfigError.
     """
     overrides: dict = {}
     problems = []
@@ -94,25 +97,18 @@ def read_config_file(path: Path) -> dict:
             problems.append(f"{path}:{lineno}: expected key = value, got {line!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "strategy":
-            if value not in ("interval", "window"):
-                problems.append(f"{path}:{lineno}: strategy must be interval or window")
-            else:
+        kind = {"stage_bounds": "bounds", "final_overlap": "int"}.get(key, _FIELD_TYPES.get(key))
+        try:
+            if key == "strategy":
+                if value not in ("interval", "window"):
+                    raise ConfigError(["strategy must be interval or window"])
                 overrides["strategy"] = Strategy(value)
-        elif key == "stage_bounds":
-            overrides["stage_bounds"] = _parse_bounds(value, key)
-        elif key == "final_overlap":
-            overrides["final_overlap"] = int(value)
-        elif key in _FIELD_TYPES and key != "schedule":
-            kind = _FIELD_TYPES[key]
-            if kind == "bool":
-                overrides[key] = _parse_bool(value, key)
-            elif kind == "int":
-                overrides[key] = int(value)
+            elif kind in _EXPECTED:
+                overrides[key] = _parse_value(value, key, kind)
             else:
-                overrides[key] = float(value)
-        else:
-            problems.append(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ConfigError([f"unknown config key {key!r}"])
+        except ConfigError as exc:
+            problems += [f"{path}:{lineno}: {problem}" for problem in exc.problems]
     if problems:
         raise ConfigError(problems)
     return overrides
@@ -179,7 +175,7 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
     if getattr(args, "strategy", None):
         overrides["strategy"] = Strategy(args.strategy)
     if getattr(args, "stage_bounds", None):
-        overrides["stage_bounds"] = _parse_bounds(args.stage_bounds, "--stage-bounds")
+        overrides["stage_bounds"] = _parse_value(args.stage_bounds, "--stage-bounds", "bounds")
     if getattr(args, "final_overlap", None) is not None:
         overrides["final_overlap"] = args.final_overlap
     schedule = _schedule_from(overrides)

@@ -2,167 +2,129 @@
 small-box expansion variant that equalizes IoU sensitivity across target
 sizes.
 
-Scalar functions operate on BoundingBox values; the *_matrix functions are
-broadcasting equivalents over (n, 4) arrays of [cx, cy, w, h] rows and
-must agree with the scalar path pointwise.
+Each kernel is written once, elementwise over float arrays of [cx, cy, w, h]
+rows that broadcast like any numpy operands: `k(a[:, None], b[None, :])` is
+the all-pairs matrix of two (n, 4) and (m, 4) stacks, `k(a, b)` scores
+aligned pairs of two (n, 4) stacks, and a scalar call is a one-row call.
+Every form runs the same operations, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .model import BoundingBox, TrackerConfig
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    if iw <= 0:
-        return 0.0
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
-def height_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """1-D IoU of the vertical extents [top, bottom] of the two boxes."""
-    inter = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if inter <= 0:
-        return 0.0
-    union = max(a.bottom, b.bottom) - min(a.top, b.top)
-    return inter / union
-
-
-def hm_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Height-modulated IoU: 2-D IoU damped by the vertical-interval IoU."""
-    return iou(a, b) * height_iou(a, b)
-
-
-def expansion_ratio(w_i: float, w_j: float, width_threshold: float, scaling: float) -> float:
-    """Shared expansion ratio for a pair of small boxes.
-
-    Geometric mean of per-box factors exp(scaling * threshold / width); the
-    ratio is 1 at scaling 0 and grows as either box narrows.
-    """
-    return math.exp(0.5 * scaling * (width_threshold / w_i + width_threshold / w_j))
-
-
-def consistent_iou(a: BoundingBox, b: BoundingBox, cfg: TrackerConfig) -> float:
-    """Base kernel on concentrically expanded copies of two small boxes.
-
-    Both widths must fall below cfg.ci_width_threshold for the expansion to
-    apply; otherwise the raw base kernel is used. The base kernel is plain
-    IoU, or height-modulated IoU when cfg.use_hm_iou is set.
-    """
-    base = hm_iou if cfg.use_hm_iou else iou
-    thr = cfg.ci_width_threshold
-    if a.w < thr and b.w < thr:
-        r = expansion_ratio(a.w, b.w, thr, cfg.ci_scaling_factor)
-        return base(a.expanded(r), b.expanded(r))
-    return base(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Array forms. Boxes are float arrays of shape (n, 4) = [cx, cy, w, h].
-# ---------------------------------------------------------------------------
-
-
 def stack_boxes(boxes: Iterable[BoundingBox]) -> np.ndarray:
     return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    half_w = boxes[:, 2] / 2
-    half_h = boxes[:, 3] / 2
-    return (boxes[:, 0] - half_w, boxes[:, 1] - half_h,
-            boxes[:, 0] + half_w, boxes[:, 1] + half_h)
+# Internally a box array travels as its four (cx, cy, w, h) component arrays,
+# so the expansion can rescale sizes per pair without building new boxes.
+
+def _cols(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(boxes[..., k] for k in range(4))
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b))."""
-    al, at, ar, ab = _corners(a)
-    bl, bt, br, bb = _corners(b)
-    iw = np.minimum(ar[:, None], br[None, :]) - np.maximum(al[:, None], bl[None, :])
-    ih = np.minimum(ab[:, None], bb[None, :]) - np.maximum(at[:, None], bt[None, :])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area_a = (a[:, 2] * a[:, 3])[:, None]
-    area_b = (b[:, 2] * b[:, 3])[None, :]
-    return inter / (area_a + area_b - inter)
+def _overlap(c_a, s_a, c_b, s_b) -> np.ndarray:
+    """Shared length of 1-D intervals given by center and size; 0 if disjoint."""
+    h_a, h_b = s_a / 2, s_b / 2
+    return np.maximum(np.minimum(c_a + h_a, c_b + h_b) - np.maximum(c_a - h_a, c_b - h_b), 0.0)
 
 
-def height_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    at = a[:, 1] - a[:, 3] / 2
-    ab = a[:, 1] + a[:, 3] / 2
-    bt = b[:, 1] - b[:, 3] / 2
-    bb = b[:, 1] + b[:, 3] / 2
-    inter = np.minimum(ab[:, None], bb[None, :]) - np.maximum(at[:, None], bt[None, :])
-    union = np.maximum(ab[:, None], bb[None, :]) - np.minimum(at[:, None], bt[None, :])
-    return np.clip(inter, 0, None) / union
+def _iou(a, b) -> np.ndarray:
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    inter = _overlap(ax, aw, bx, bw) * _overlap(ay, ah, by, bh)
+    return inter / (aw * ah + bw * bh - inter)
 
 
-def hm_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return iou_matrix(a, b) * height_iou_matrix(a, b)
+def _height_iou(a, b) -> np.ndarray:
+    (_, ay, _, ah), (_, by, _, bh) = a, b
+    union = np.maximum(ay + ah / 2, by + bh / 2) - np.minimum(ay - ah / 2, by - bh / 2)
+    return _overlap(ay, ah, by, bh) / union
 
 
-def consistent_iou_matrix(a: np.ndarray, b: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    """Pairwise consistent-IoU; expansion applied only where both widths are
-    below the threshold, raw kernel elsewhere."""
-    base = hm_iou_matrix if cfg.use_hm_iou else iou_matrix
-    raw = base(a, b)
+def _hm_iou(a, b) -> np.ndarray:
+    return _iou(a, b) * _height_iou(a, b)
+
+
+def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union; 0 when disjoint."""
+    return _iou(_cols(a), _cols(b))
+
+
+def height_iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1-D IoU of the vertical extents [top, bottom] of the two boxes."""
+    return _height_iou(_cols(a), _cols(b))
+
+
+def hm_iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Height-modulated IoU: 2-D IoU damped by the vertical-interval IoU."""
+    return _hm_iou(_cols(a), _cols(b))
+
+
+def expansion_ratio(w_i, w_j, width_threshold: float, scaling: float):
+    """Shared expansion ratio for a pair of small boxes (arrays broadcast).
+
+    Geometric mean of per-box factors exp(scaling * threshold / width); the
+    ratio is 1 at scaling 0 and grows as either box narrows.
+    """
+    return np.exp(0.5 * scaling * (width_threshold / w_i + width_threshold / w_j))
+
+
+def consistent_iou_kernel(a: np.ndarray, b: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Base kernel on concentrically expanded copies of two small boxes.
+
+    Both widths must fall below cfg.ci_width_threshold for the expansion to
+    apply; otherwise the raw base kernel is used (a ratio of exactly 1). The
+    base kernel is plain IoU, or height-modulated IoU when cfg.use_hm_iou is
+    set.
+    """
+    base = _hm_iou if cfg.use_hm_iou else _iou
+    a, b = _cols(a), _cols(b)
     thr = cfg.ci_width_threshold
-    small = (a[:, 2][:, None] < thr) & (b[:, 2][None, :] < thr)
+    small = (a[2] < thr) & (b[2] < thr)
     if not small.any():
-        return raw
-    ratio = np.exp(0.5 * cfg.ci_scaling_factor
-                   * (thr / a[:, 2][:, None] + thr / b[:, 2][None, :]))
-    # Expanded boxes share centers, so only sizes change per pair; evaluate
-    # the kernel on per-pair expanded corner coordinates.
-    a_hw = (a[:, 2][:, None] * ratio) / 2
-    a_hh = (a[:, 3][:, None] * ratio) / 2
-    b_hw = (b[:, 2][None, :] * ratio) / 2
-    b_hh = (b[:, 3][None, :] * ratio) / 2
-    acx, acy = a[:, 0][:, None], a[:, 1][:, None]
-    bcx, bcy = b[:, 0][None, :], b[:, 1][None, :]
-    iw = np.minimum(acx + a_hw, bcx + b_hw) - np.maximum(acx - a_hw, bcx - b_hw)
-    ih = np.minimum(acy + a_hh, bcy + b_hh) - np.maximum(acy - a_hh, bcy - b_hh)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    expanded = inter / (4 * a_hw * a_hh + 4 * b_hw * b_hh - inter)
-    if cfg.use_hm_iou:
-        vi = np.minimum(acy + a_hh, bcy + b_hh) - np.maximum(acy - a_hh, bcy - b_hh)
-        vu = np.maximum(acy + a_hh, bcy + b_hh) - np.minimum(acy - a_hh, bcy - b_hh)
-        expanded = expanded * (np.clip(vi, 0, None) / vu)
-    return np.where(small, expanded, raw)
+        return base(a, b)
+    ratio = np.where(small, expansion_ratio(a[2], b[2], thr, cfg.ci_scaling_factor), 1.0)
+    return base(*((cx, cy, w * ratio, h * ratio) for cx, cy, w, h in (a, b)))
+
+
+# Scalar forms on BoundingBox values: one-row calls of the kernels above.
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    return float(iou_kernel(*stack_boxes([a, b])))
+
+
+def hm_iou(a: BoundingBox, b: BoundingBox) -> float:
+    return float(hm_iou_kernel(*stack_boxes([a, b])))
+
+
+def consistent_iou(a: BoundingBox, b: BoundingBox, cfg: TrackerConfig) -> float:
+    return float(consistent_iou_kernel(*stack_boxes([a, b]), cfg))
 
 
 class SimilarityKernel:
-    """The configured box-similarity function, in scalar and matrix form.
+    """The configured box-similarity kernel.
 
     Wraps the choice of base kernel (IoU vs height-modulated IoU) and
     whether small-box expansion is active, so callers never re-read config.
+    Calling it scores aligned (or broadcasting) box arrays; `matrix` scores
+    every row of `a` against every row of `b`.
     """
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         if cfg.enable_ci:
-            self._pair: Callable[[BoundingBox, BoundingBox], float] = (
-                lambda a, b: consistent_iou(a, b, cfg))
-            self._matrix = lambda a, b: consistent_iou_matrix(a, b, cfg)
-        elif cfg.use_hm_iou:
-            self._pair = hm_iou
-            self._matrix = hm_iou_matrix
+            self._kernel = lambda a, b: consistent_iou_kernel(a, b, cfg)
         else:
-            self._pair = iou
-            self._matrix = iou_matrix
+            self._kernel = hm_iou_kernel if cfg.use_hm_iou else iou_kernel
 
-    def pair(self, a: BoundingBox, b: BoundingBox) -> float:
-        return self._pair(a, b)
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._kernel(a, b)
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if len(a) == 0 or len(b) == 0:
-            return np.zeros((len(a), len(b)))
-        return self._matrix(a, b)
+        return self._kernel(a[:, None], b[None, :])

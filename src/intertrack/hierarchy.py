@@ -17,12 +17,21 @@ loop and one merge-to-fixpoint loop, which the two schedule strategies
 differ in only by how they group candidate tracklets; both frame-adjacent
 passes share one frame-linking loop and differ only in their score matrix.
 
+Tracklet intervals are the priors that bound each level's candidates.  The
+merge loop never scans all pairs: tracklets are sorted by t_min, so a
+bisect finds, for each tracklet, the few whose first frame lies in its
+admissible window (a gap of at most the level's bound, or a bounded
+overlap).  All pairs a round admits in one candidate group are then scored
+in one batched call, which extrapolates the cached motion states together
+and evaluates the box kernel once over the aligned predictions.
+
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 from dataclasses import dataclass
@@ -41,12 +50,13 @@ from .model import (
     TrackerConfig,
     validate_config,
 )
-from .motion import Direction, FitCache, chain_predictors, pair_similarity
+from .motion import Direction, FitCache, chain_predictors, pair_scores
 from .refine import Provenance, Trajectory, from_tracklet, resolve_overlap
 
 log = logging.getLogger(__name__)
 
-Similarity = Callable[[Tracklet, Tracklet], float]
+# Batched pair scorer: (earlier, later) tracklet pairs -> similarity per pair.
+PairScorer = Callable[[Sequence[tuple[Tracklet, Tracklet]]], np.ndarray]
 # Candidate grouping: tracklets -> index groups; pairs are only scored
 # (and matched) inside one group.
 Grouping = Callable[[Sequence[Tracklet]], Sequence[Sequence[int]]]
@@ -158,24 +168,44 @@ def _interval_admissible(dt_bound: int, overlap_allowance: int,
     return 0 < a.t_max - b.t_min + 1 <= overlap_allowance
 
 
+def _admissible_pairs(members: Sequence[Tracklet], dt_bound: int,
+                      overlap_allowance: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b) of `members`, which are in (t_min, t_max, tid)
+    order, that `_interval_admissible` admits, in sorted order.
+
+    Only b with t_min in [a.t_max - overlap_allowance + 1, a.t_max + dt_bound]
+    can be admitted, so a bisect over the members' t_min bounds the scan."""
+    starts = [t.t_min for t in members]
+    pairs = []
+    for a, x in enumerate(members):
+        lo = bisect.bisect_left(starts, x.t_max - overlap_allowance + 1)
+        hi = bisect.bisect_right(starts, x.t_max + dt_bound)
+        pairs += [(a, b) for b in range(lo, hi)
+                  if _interval_admissible(dt_bound, overlap_allowance, x, members[b])]
+    return pairs
+
+
 def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
-                       overlap_allowance: int, similarity: Similarity,
+                       overlap_allowance: int, score: PairScorer,
                        gate: float) -> HierarchyState:
     """Solve each candidate group's admissible pairs, merge the matches, and
-    repeat until a round matches nothing; the result is one level further."""
+    repeat until a round matches nothing; the result is one level further.
+
+    Each round sweeps every group's time-ordered members for the pairs whose
+    intervals are admissible and scores all of a group's pairs in one batched
+    `score` call."""
     tracklets = list(state.tracklets)
     next_tid = state.next_tid
     while True:
         matches: list[tuple[int, int]] = []
         for group in groups(tracklets):
             members = [tracklets[k] for k in group]
-            pairs = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
-                     if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
+            pairs = _admissible_pairs(members, dt_bound, overlap_allowance)
             if not pairs:
                 continue
             scores = np.full((len(members), len(members)), -np.inf)
-            for a, b in pairs:
-                scores[a, b] = similarity(members[a], members[b])
+            rows, cols = zip(*pairs)
+            scores[rows, cols] = score([(members[a], members[b]) for a, b in pairs])
             matches += [(group[a], group[b]) for a, b in solve(scores, gate)]
         if not matches:
             return state.advanced(tracklets, next_tid)
@@ -184,11 +214,11 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
 
 
 def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
-                   similarity: Similarity, gate: float) -> HierarchyState:
+                   score: PairScorer, gate: float) -> HierarchyState:
     """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
     (plus a bounded overlap on the final level) and merge until fixpoint."""
     return _merge_to_fixpoint(state, lambda ts: [range(len(ts))], dt_bound,
-                              overlap_allowance, similarity, gate)
+                              overlap_allowance, score, gate)
 
 
 def _window_groups(tracklets: Sequence[Tracklet], window_size: int) -> list[list[int]]:
@@ -202,11 +232,11 @@ def _window_groups(tracklets: Sequence[Tracklet], window_size: int) -> list[list
 
 
 def window_strategy_pass(state: HierarchyState, window_size: int,
-                         similarity: Similarity, gate: float) -> HierarchyState:
+                         score: PairScorer, gate: float) -> HierarchyState:
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
     return _merge_to_fixpoint(state, lambda ts: _window_groups(ts, window_size),
-                              window_size, 0, similarity, gate)
+                              window_size, 0, score, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +396,7 @@ class _ClassEngine:
         self.window = cfg.schedule.strategy is Strategy.WINDOW
         self.levels: list[LevelTrace] = []
         cache = FitCache(cfg)
-        self.similarity: Similarity = lambda a, b: pair_similarity(
-            a, b, self.kernel, cfg, cache)
+        self.score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
 
     def run_detections(self, detections: Sequence[Detection]) -> ClassRunResult:
         cfg = self.cfg
@@ -381,12 +410,13 @@ class _ClassEngine:
         chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
         profile, (high, low) = self._camera(chains, (min(frames), max(frames)),
                                             [high, low])
-        if profile is not None and profile.moving:
-            chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
-        if self.window:
+        if self.window:  # the window schedule starts from singletons
             chains = [[d] for d in high]
-        elif cfg.enable_cm:
-            chains = consistent_motion_pass(chains, high, cfg, self.kernel)
+        else:
+            if profile is not None and profile.moving:
+                chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
+            if cfg.enable_cm:
+                chains = consistent_motion_pass(chains, high, cfg, self.kernel)
 
         # `high` is in (frame, det_id) order, which is also the singletons'
         # (t_min, t_max, tid) order.
@@ -436,10 +466,10 @@ class _ClassEngine:
         gate = self.cfg.match_threshold
         for k, stage in enumerate(self.cfg.schedule.stages[first:], start=first + 1):
             if self.window:
-                state = window_strategy_pass(state, stage.bound, self.similarity, gate)
+                state = window_strategy_pass(state, stage.bound, self.score, gate)
             else:
                 state = hierarchy_pass(state, stage.bound, stage.overlap,
-                                       self.similarity, gate)
+                                       self.score, gate)
             if k == 1 and low:
                 state = byte_recovery(state, low, self.kernel, gate)
             self.levels.append(_snapshot(_stage_label(k, stage, self.window),

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .assignment import max_weight_matching
-from .geometry import iou, iou_matrix, stack_boxes
+from .geometry import iou_kernel, stack_boxes
 from .refine import Trajectory
 
 
@@ -70,19 +70,20 @@ def _clear_counts(gt, pred, iou_threshold):
         taken_p: set[int] = set()
         matches: list[tuple[int, int]] = []
         # Keep alive any correspondence that still overlaps.
-        for gid, box in gts:
-            pid = last_hyp.get(gid)
-            if pid is None or pid not in pred_boxes or pid in taken_p:
-                continue
-            if iou(box, pred_boxes[pid]) >= iou_threshold:
+        alive = [(gid, box, last_hyp[gid]) for gid, box in gts
+                 if last_hyp.get(gid) in pred_boxes]
+        overlaps = iou_kernel(stack_boxes([box for _, box, _ in alive]),
+                              stack_boxes([pred_boxes[pid] for _, _, pid in alive]))
+        for (gid, _, pid), overlap in zip(alive, overlaps):
+            if pid not in taken_p and overlap >= iou_threshold:
                 matches.append((gid, pid))
                 taken_g.add(gid)
                 taken_p.add(pid)
         rest_g = [(gid, box) for gid, box in gts if gid not in taken_g]
         rest_p = [(pid, box) for pid, box in preds if pid not in taken_p]
         if rest_g and rest_p:
-            overlaps = iou_matrix(stack_boxes([b for _, b in rest_g]),
-                                  stack_boxes([b for _, b in rest_p]))
+            overlaps = iou_kernel(stack_boxes([b for _, b in rest_g])[:, None],
+                                  stack_boxes([b for _, b in rest_p])[None, :])
             admissible = np.where(overlaps >= iou_threshold, overlaps, -np.inf)
             for i, j in max_weight_matching(admissible):
                 gid, pid = rest_g[i][0], rest_p[j][0]
@@ -123,9 +124,9 @@ def _id_counts(gt, pred, iou_threshold):
             both = [(e.box, frames[e.frame]) for e in t.entries if e.frame in frames]
             if not both:
                 continue
-            overlaps = iou_matrix(stack_boxes([a for a, _ in both]),
+            overlaps = iou_kernel(stack_boxes([a for a, _ in both]),
                                   stack_boxes([b for _, b in both]))
-            potential[i, j] = int((np.diag(overlaps) >= iou_threshold).sum())
+            potential[i, j] = int((overlaps >= iou_threshold).sum())
     admissible = np.where(potential > 0, potential, -np.inf)
     idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
     return idtp, len_gt, len_pred

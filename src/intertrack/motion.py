@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .geometry import stack_boxes
 from .model import BoundingBox, Detection, Tracklet, TrackerConfig
 
 
@@ -127,9 +128,13 @@ def fit(tracklet: Tracklet, direction: Direction, cfg: TrackerConfig) -> MotionS
     return flt.export(entries[-1].frame, direction)
 
 
-def _extrapolate(state: MotionState, steps: int) -> BoundingBox:
-    cx, cy, w, h = state.mean[:4] + steps * state.mean[4:]
-    return BoundingBox(cx, cy, max(w, 1.0), max(h, 1.0))
+def _advance(mean: np.ndarray, steps) -> np.ndarray:
+    """[cx, cy, w, h] of states moved `steps` frames along their velocities;
+    broadcasts over stacked (n, 8) means with (n, 1) steps.  Sizes are
+    clamped at 1 pixel."""
+    box = mean[..., :4] + steps * mean[..., 4:]
+    box[..., 2:] = np.maximum(box[..., 2:], 1.0)
+    return box
 
 
 def predict(state: MotionState, target_frame: int) -> BoundingBox:
@@ -146,7 +151,7 @@ def predict(state: MotionState, target_frame: int) -> BoundingBox:
             raise ValueError(
                 f"backward state at frame {state.anchor_frame} cannot predict "
                 f"later frame {target_frame}")
-    return _extrapolate(state, steps)
+    return BoundingBox(*_advance(state.mean, steps))
 
 
 class FitCache:
@@ -165,40 +170,44 @@ class FitCache:
         return state
 
 
-def pair_similarity(earlier: Tracklet, later: Tracklet, kernel,
-                    cfg: TrackerConfig, cache: Optional[FitCache] = None) -> float:
-    """Similarity in [0, 1] between two tracklets in canonical time order.
+def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,
+                cache: FitCache) -> np.ndarray:
+    """Similarities in [0, 1] of (earlier, later) tracklet pairs, each in
+    canonical time order, scored in one batch.
 
     Disjoint tracklets are scored by cross prediction: forward-predict the
     earlier one to the later's first frame and backward-predict the later one
     to the earlier's last frame, averaging the two kernel values.  Tracklets
     that share frames are scored by the mean kernel over co-occurring actual
     boxes; overlapping spans without any shared frame fall back to the
-    prediction form (extrapolating backward over the short overlap).
+    prediction form (extrapolating backward over the short overlap).  Each
+    form evaluates the kernel once, over the aligned boxes of all its pairs.
     """
-    if earlier.t_min > later.t_min:
+    if any(e.t_min > l.t_min for e, l in pairs):
         raise ValueError("tracklets must be given in canonical time order")
-    if cache is None:
-        cache = FitCache(cfg)
-    if later.t_min > earlier.t_max:
-        fwd = cache.get(earlier, Direction.FORWARD)
-        bwd = cache.get(later, Direction.BACKWARD)
-        s_fwd = kernel.pair(predict(fwd, later.t_min), later.first.box)
-        s_bwd = kernel.pair(earlier.last.box, predict(bwd, earlier.t_max))
-        return 0.5 * (s_fwd + s_bwd)
-    shared = sorted(set(earlier.by_frame) & set(later.by_frame))
+    shared = {k: sorted(set(e.by_frame) & set(l.by_frame))
+              for k, (e, l) in enumerate(pairs) if l.t_min <= e.t_max}
+    shared = {k: frames for k, frames in shared.items() if frames}
+    scores = np.empty(len(pairs))
+    cross = [k for k in range(len(pairs)) if k not in shared]
+    if cross:
+        earlier = [pairs[k][0] for k in cross]
+        later = [pairs[k][1] for k in cross]
+        fwd = np.array([cache.get(t, Direction.FORWARD).mean for t in earlier])
+        bwd = np.array([cache.get(t, Direction.BACKWARD).mean for t in later])
+        # Forward states are anchored at t_max, backward ones at t_min.
+        steps = np.array([[l.t_min - e.t_max] for e, l in zip(earlier, later)], float)
+        s_fwd = kernel(_advance(fwd, steps), stack_boxes([t.first.box for t in later]))
+        s_bwd = kernel(stack_boxes([t.last.box for t in earlier]), _advance(bwd, steps))
+        scores[cross] = 0.5 * (s_fwd + s_bwd)
     if shared:
-        vals = [kernel.pair(earlier.by_frame[f].box, later.by_frame[f].box)
-                for f in shared]
-        return float(np.mean(vals))
-    # Interleaved spans with no common frame: extrapolate through the overlap.
-    fwd = cache.get(earlier, Direction.FORWARD)
-    bwd = cache.get(later, Direction.BACKWARD)
-    s_fwd = kernel.pair(_extrapolate(fwd, later.t_min - fwd.anchor_frame),
-                        later.first.box)
-    s_bwd = kernel.pair(earlier.last.box,
-                        _extrapolate(bwd, bwd.anchor_frame - earlier.t_max))
-    return 0.5 * (s_fwd + s_bwd)
+        boxes = [stack_boxes([pairs[k][side].by_frame[f].box
+                              for k, frames in shared.items() for f in frames])
+                 for side in (0, 1)]
+        sizes = [len(frames) for frames in shared.values()]
+        for k, vals in zip(shared, np.split(kernel(*boxes), np.cumsum(sizes)[:-1])):
+            scores[k] = np.mean(vals)
+    return scores
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ import pytest
 from intertrack import cli
 from intertrack.assignment import solve
 from intertrack.geometry import (
-    consistent_iou_matrix,
+    consistent_iou_kernel,
     expansion_ratio,
     iou,
-    iou_matrix,
+    iou_kernel,
 )
 from intertrack.hierarchy import run, run_detailed
 from intertrack.metrics import evaluate
@@ -258,8 +258,8 @@ def test_consistent_iou_dominates_raw_iou():
         h = rng.uniform(1.0, 120.0, size=n)
         return np.stack([cx, cy, w, h], axis=1)
     a, b = boxes(), boxes()
-    raw = iou_matrix(a, b)
-    adjusted = consistent_iou_matrix(a, b, cfg)
+    raw = iou_kernel(a[:, None], b[None, :])
+    adjusted = consistent_iou_kernel(a[:, None], b[None, :], cfg)
     assert raw.size >= 10 ** 5
     assert np.all(adjusted >= raw - 1e-9)
     assert time.perf_counter() - start < 5.0

@@ -110,6 +110,18 @@ class TestTrack:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["final_overlap = abc", "match_threshold = x",
+                                      "interpolation_max_gap = 2.5"])
+    def test_non_numeric_config_value_fails_with_2(self, tmp_path, capsys, line):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text(f"# tuned\n{line}\n")
+        rc = cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
+                       "--config", str(cfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{cfile}:2: {line.split()[0]}:" in err
+
     def test_kitti_format_roundtrip(self, tmp_path):
         src = tmp_path / "labels.txt"
         rows = []

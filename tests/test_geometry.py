@@ -3,21 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from intertrack.geometry import (
     SimilarityKernel,
     consistent_iou,
-    consistent_iou_matrix,
+    consistent_iou_kernel,
     expansion_ratio,
-    height_iou,
-    height_iou_matrix,
+    height_iou_kernel,
     hm_iou,
-    hm_iou_matrix,
+    hm_iou_kernel,
     iou,
-    iou_matrix,
+    iou_kernel,
     stack_boxes,
 )
 from intertrack.model import BoundingBox, TrackerConfig
+
+
+def height_iou(a, b):
+    return float(height_iou_kernel(*stack_boxes([a, b])))
 
 
 def box_ltwh(left, top, w, h):
@@ -122,7 +128,11 @@ def test_consistent_iou_threshold_is_strict():
     assert consistent_iou(a, b, cfg) == pytest.approx(iou(a, b), abs=1e-12)
 
 
-# --- matrix forms vs scalar forms -------------------------------------------
+def all_pairs(kernel, a, b, *args):
+    return kernel(a[:, None], b[None, :], *args)
+
+
+# --- all-pairs forms vs scalar forms ----------------------------------------
 
 def test_matrix_kernels_match_scalar():
     rng = np.random.RandomState(7)
@@ -131,14 +141,14 @@ def test_matrix_kernels_match_scalar():
     boxes_a = [BoundingBox(*row) for row in a]
     boxes_b = [BoundingBox(*row) for row in b]
 
-    got = iou_matrix(a, b)
-    got_h = height_iou_matrix(a, b)
-    got_hm = hm_iou_matrix(a, b)
+    got = all_pairs(iou_kernel, a, b)
+    got_h = all_pairs(height_iou_kernel, a, b)
+    got_hm = all_pairs(hm_iou_kernel, a, b)
     for i, ba in enumerate(boxes_a):
         for j, bb in enumerate(boxes_b):
-            assert got[i, j] == pytest.approx(iou(ba, bb), abs=1e-10)
-            assert got_h[i, j] == pytest.approx(height_iou(ba, bb), abs=1e-10)
-            assert got_hm[i, j] == pytest.approx(hm_iou(ba, bb), abs=1e-10)
+            assert got[i, j] == iou(ba, bb)
+            assert got_h[i, j] == height_iou(ba, bb)
+            assert got_hm[i, j] == hm_iou(ba, bb)
 
 
 @pytest.mark.parametrize("use_hm", [False, True])
@@ -148,11 +158,36 @@ def test_consistent_matrix_matches_scalar(use_hm):
     # Width range straddles the 64px threshold so the mask path is exercised.
     a = random_boxes(rng, 19, w_lo=10, w_hi=110)
     b = random_boxes(rng, 21, w_lo=10, w_hi=110)
-    got = consistent_iou_matrix(a, b, cfg)
+    got = all_pairs(consistent_iou_kernel, a, b, cfg)
     for i, ra in enumerate(a):
         for j, rb in enumerate(b):
             want = consistent_iou(BoundingBox(*ra), BoundingBox(*rb), cfg)
             assert got[i, j] == pytest.approx(want, abs=1e-10)
+
+
+# Rows of [cx, cy, w, h]; widths straddle the 64 px expansion threshold.
+_box_rows = st.integers(1, 12).flatmap(lambda n: st.tuples(*[
+    arrays(np.float64, n, elements=st.floats(lo, hi))
+    for lo, hi in ((0, 300), (0, 300), (1, 130), (1, 130))]).map(
+        lambda cols: np.stack(cols, axis=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_box_rows, shift=st.floats(-40, 40), scale=st.floats(0.5, 2.0),
+       use_hm=st.booleans())
+def test_all_pairs_diagonal_is_aligned_bit_for_bit(a, shift, scale, use_hm):
+    b = a.copy()
+    b[:, :2] += shift
+    b[:, 2:] *= scale
+    cfg = dataclasses.replace(TrackerConfig(), use_hm_iou=use_hm)
+    kernels = [iou_kernel, hm_iou_kernel,
+               lambda x, y: consistent_iou_kernel(x, y, cfg)]
+    for kernel in kernels:
+        aligned = kernel(a, b)
+        assert np.diag(all_pairs(kernel, a, b)).tobytes() == aligned.tobytes()
+    cons = kernels[2](a, b)
+    assert [consistent_iou(BoundingBox(*x), BoundingBox(*y), cfg)
+            for x, y in zip(a, b)] == cons.tolist()
 
 
 def test_stack_boxes_round_trip():
@@ -201,8 +236,8 @@ def test_consistent_never_below_raw():
     b = a + rng.uniform(-30, 30, a.shape)
     b[:, 2:] = np.abs(b[:, 2:]) + 1.0
     b[:, 2] = np.clip(b[:, 2], 5, 63)
-    raw = iou_matrix(a, b)
-    cons = consistent_iou_matrix(a, b, cfg)
+    raw = all_pairs(iou_kernel, a, b)
+    cons = all_pairs(consistent_iou_kernel, a, b, cfg)
     assert (cons >= raw - 1e-9).all()
 
 
@@ -221,17 +256,20 @@ def test_kernel_respects_flags():
     b = box_ltwh(15, 15, 40, 25)
     base = TrackerConfig()
 
-    plain = SimilarityKernel(dataclasses.replace(base, enable_ci=False))
-    assert plain.pair(a, b) == pytest.approx(iou(a, b), abs=1e-12)
+    def pair(cfg):
+        return float(SimilarityKernel(cfg)(stack_boxes([a]), stack_boxes([b]))[0])
 
-    hm = SimilarityKernel(dataclasses.replace(base, enable_ci=False, use_hm_iou=True))
-    assert hm.pair(a, b) == pytest.approx(hm_iou(a, b), abs=1e-12)
+    plain = pair(dataclasses.replace(base, enable_ci=False))
+    assert plain == pytest.approx(iou(a, b), abs=1e-12)
 
-    ci = SimilarityKernel(base)
-    assert ci.pair(a, b) == pytest.approx(consistent_iou(a, b, base), abs=1e-12)
+    hm = pair(dataclasses.replace(base, enable_ci=False, use_hm_iou=True))
+    assert hm == pytest.approx(hm_iou(a, b), abs=1e-12)
 
-    ci_hm = SimilarityKernel(dataclasses.replace(base, use_hm_iou=True))
-    assert ci_hm.pair(a, b) < ci.pair(a, b)
+    ci = pair(base)
+    assert ci == pytest.approx(consistent_iou(a, b, base), abs=1e-12)
+
+    ci_hm = pair(dataclasses.replace(base, use_hm_iou=True))
+    assert ci_hm < ci
 
 
 def test_kernel_matrix_empty():

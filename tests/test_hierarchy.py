@@ -2,10 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intertrack import hierarchy
 from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
     HierarchyState,
+    _admissible_pairs,
+    _interval_admissible,
+    _ordered,
+    _window_groups,
     adjacent_pass,
     associate_tracklets,
     byte_recovery,
@@ -22,7 +29,7 @@ from intertrack.model import (
     Tracklet,
     TrackerConfig,
 )
-from intertrack.refine import Provenance
+from intertrack.refine import Provenance, resolve_overlap
 from intertrack.synth import Motion, ScenarioSpec, generate
 
 
@@ -37,8 +44,8 @@ def track(tid, frames, x, dx=0.0, **kw):
     return Tracklet.build(tid, [det(f, x + dx * (f - frames[0]), **kw) for f in frames])
 
 
-def constant_sim(a, b):
-    return 1.0
+def constant_sim(pairs):
+    return np.ones(len(pairs))
 
 
 def spans(tracklets):
@@ -127,6 +134,32 @@ class TestHierarchyPassAdmissibility:
         out = hierarchy_pass(self.make_state(frags), 5, 0, constant_sim, 0.2)
         assert out.counts == (3, 1)
         assert out.level == 2
+
+
+# A tracklet population: per tracklet a first frame and the frame steps to
+# its later entries.  Narrow start ranges give many equal t_min ties.
+_populations = st.lists(st.tuples(st.integers(1, 30), st.lists(st.integers(1, 3), max_size=6)),
+                        min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(population=_populations, dt_bound=st.integers(1, 30),
+       overlap_allowance=st.integers(0, 5))
+def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_allowance):
+    tracklets = []
+    for tid, (start, steps) in enumerate(population, start=1):
+        frames = np.cumsum([start, *steps]).tolist()
+        tracklets.append(Tracklet.build(tid, [det(f, 100.0, det_id=100 * tid + k)
+                                              for k, f in enumerate(frames)]))
+    ordered = _ordered(tracklets)
+    groups = [list(range(len(ordered))), *_window_groups(ordered, dt_bound)]
+    for group in groups:
+        members = [ordered[k] for k in group]
+        scan = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
+                if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
+        assert _admissible_pairs(members, dt_bound, overlap_allowance) == scan
+        for a, b in scan:
+            resolve_overlap(members[a], members[b], 999, overlap_allowance)
 
 
 class TestWindowPass:
@@ -312,6 +345,20 @@ class TestFullRun:
 
 
 class TestWindowScheduleRun:
+    def test_panning_scene_chains_detections_once(self, monkeypatch):
+        calls = []
+        adjacent = hierarchy.adjacent_pass
+        monkeypatch.setattr(hierarchy, "adjacent_pass",
+                            lambda *args: calls.append(1) or adjacent(*args))
+        _, dets = generate(ScenarioSpec(n_targets=4, n_frames=40, seed=3, max_speed=0.0,
+                                        box_size=(48.0, 48.0), camera_pan=(20.0, 0.0)))
+        cfg = dataclasses.replace(TrackerConfig(),
+                                  schedule=HierarchySchedule.default_window())
+        res = run_detailed(dets, cfg)
+        assert res.per_class[0].camera.moving
+        assert len(calls) == 1
+
+
     def test_window_schedule_end_to_end(self):
         cfg = dataclasses.replace(TrackerConfig(),
                                   schedule=HierarchySchedule.default_window())

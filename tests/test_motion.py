@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from intertrack.geometry import SimilarityKernel
+from intertrack.geometry import SimilarityKernel, consistent_iou
 from intertrack.model import BoundingBox, Detection, Tracklet, TrackerConfig
 from intertrack.motion import (
     ChainPredictor,
@@ -9,7 +9,7 @@ from intertrack.motion import (
     FitCache,
     chain_predictors,
     fit,
-    pair_similarity,
+    pair_scores,
     predict,
 )
 
@@ -117,8 +117,8 @@ class TestPredict:
 
 
 class TestPairSimilarity:
-    def kernel(self):
-        return SimilarityKernel(CFG)
+    def sim(self, a, b):
+        return float(pair_scores([(a, b)], SimilarityKernel(CFG), FitCache(CFG))[0])
 
     def test_stationary_gap_one_is_perfect(self):
         dets = [Detection(frame=f, box=BoundingBox(50, 60, 80, 80), score=0.9)
@@ -126,35 +126,35 @@ class TestPairSimilarity:
         a = Tracklet.build(1, dets)
         b = Tracklet.build(2, [Detection(frame=4, box=BoundingBox(50, 60, 80, 80),
                                          score=0.9)])
-        assert pair_similarity(a, b, self.kernel(), CFG) == pytest.approx(1.0, abs=1e-9)
+        assert self.sim(a, b) == pytest.approx(1.0, abs=1e-9)
 
     def test_far_apart_is_zero(self):
         a = Tracklet.build(1, [Detection(frame=1, box=BoundingBox(0, 0, 10, 10),
                                          score=0.9)])
         b = Tracklet.build(2, [Detection(frame=2, box=BoundingBox(900, 900, 10, 10),
                                          score=0.9)])
-        assert pair_similarity(a, b, self.kernel(), CFG) == 0.0
+        assert self.sim(a, b) == 0.0
 
     def test_linear_bridge_over_gap(self):
         a = linear_tracklet(1, range(1, 11), w=80, h=80)
         b = linear_tracklet(2, range(21, 31), w=80, h=80)
-        sim = pair_similarity(a, b, self.kernel(), CFG)
+        sim = self.sim(a, b)
         assert sim > CFG.match_threshold
         assert sim > 0.9  # noise-free linear: predictions land on target
 
     def test_translation_invariance(self):
         a = linear_tracklet(1, range(1, 8))
         b = linear_tracklet(2, range(12, 19))
-        base = pair_similarity(a, b, self.kernel(), CFG)
+        base = self.sim(a, b)
         shift = lambda t, tid: Tracklet.build(tid, [
             d.with_box(d.box.translated(37.0, -12.0)) for d in t.entries])
-        moved = pair_similarity(shift(a, 3), shift(b, 4), self.kernel(), CFG)
+        moved = self.sim(shift(a, 3), shift(b, 4))
         assert moved == pytest.approx(base, abs=1e-9)
 
     def test_overlap_uses_shared_frames(self):
         a = linear_tracklet(1, range(1, 10))
         b = linear_tracklet(2, range(7, 15))  # shares frames 7..9 with a
-        sim = pair_similarity(a, b, self.kernel(), CFG)
+        sim = self.sim(a, b)
         assert sim == pytest.approx(1.0, abs=1e-9)  # identical boxes on shared frames
 
     def test_overlap_conflicting_boxes(self):
@@ -162,19 +162,55 @@ class TestPairSimilarity:
         conflict = [Detection(frame=f, box=BoundingBox(1000, 1000, 10, 10), score=0.9)
                     for f in range(8, 12)]
         b = Tracklet.build(2, conflict)
-        assert pair_similarity(a, b, self.kernel(), CFG) == 0.0
+        assert self.sim(a, b) == 0.0
 
     def test_interleaved_overlap_falls_back_to_prediction(self):
         a = linear_tracklet(1, [1, 3, 5, 7])
         b = linear_tracklet(2, [6, 8, 10])  # spans overlap, no shared frame
-        sim = pair_similarity(a, b, self.kernel(), CFG)
+        sim = self.sim(a, b)
         assert sim > 0.9
 
     def test_rejects_wrong_order(self):
         a = linear_tracklet(1, range(5, 10))
         b = linear_tracklet(2, range(1, 4))
         with pytest.raises(ValueError):
-            pair_similarity(a, b, self.kernel(), CFG)
+            self.sim(a, b)
+
+    def test_batch_scores_each_pair_as_alone(self):
+        a = linear_tracklet(1, range(1, 10))
+        pairs = [(a, linear_tracklet(2, range(12, 19))),     # gap: cross prediction
+                 (a, linear_tracklet(3, range(7, 15))),      # shares frames 7..9
+                 (linear_tracklet(4, [1, 3, 5, 7]), linear_tracklet(5, [6, 8, 10])),
+                 (a, Tracklet.build(6, [Detection(frame=f, box=BoundingBox(900, 900, 10, 10),
+                                                  score=0.9) for f in (8, 9)]))]
+        kernel = SimilarityKernel(CFG)
+        batch = pair_scores(pairs, kernel, FitCache(CFG))
+        alone = [pair_scores([p], kernel, FitCache(CFG))[0] for p in pairs]
+        assert batch.tolist() == alone
+        assert batch[1] == pytest.approx(1.0, abs=1e-9) and batch[3] == 0.0
+
+    def test_batch_matches_per_pair_loop(self):
+        # Reference: one pair at a time through predict() and the scalar
+        # kernel, for small boxes (expansion active) across gaps of 1..8 frames.
+        rng = np.random.RandomState(4)
+        tracks = []
+        for tid in range(1, 17):
+            start = int(rng.randint(1, 30))
+            frames = range(start, start + int(rng.randint(1, 6)))
+            tracks.append(linear_tracklet(tid, frames, x0=rng.uniform(50, 90),
+                                          vx=rng.uniform(-2, 2), w=rng.uniform(8, 30),
+                                          h=rng.uniform(8, 30)))
+        pairs = [(e, l) for e in tracks for l in tracks if 0 < l.t_min - e.t_max <= 8]
+        cache = FitCache(CFG)
+
+        def one(e, l):
+            fwd = predict(cache.get(e, Direction.FORWARD), l.t_min)
+            bwd = predict(cache.get(l, Direction.BACKWARD), e.t_max)
+            return 0.5 * (consistent_iou(fwd, l.first.box, CFG)
+                          + consistent_iou(e.last.box, bwd, CFG))
+        got = pair_scores(pairs, SimilarityKernel(CFG), FitCache(CFG))
+        assert len(pairs) > 10 and got.max() > CFG.match_threshold
+        assert got.tolist() == [one(e, l) for e, l in pairs]
 
     def test_fit_cache_reuses_states(self):
         cache = FitCache(CFG)
