@@ -8,11 +8,11 @@ Subcommands:
     synth    scenario description (JSON) -> ground-truth and detection files
 
 Configuration precedence, lowest to highest: built-in defaults, a key=value
-config file (--config), the INTERTRACK_SEED / INTERTRACK_WORKERS environment
-variables, explicit flags.  When the input path is a directory every *.txt
-inside is treated as one sequence and sequences are processed in parallel
-worker processes; results are written by the parent so output stays
-deterministic.
+config file (--config), the INTERTRACK_WORKERS environment variable,
+explicit flags.  INTERTRACK_SEED sets the scenario seed of `synth` only.
+When the input path is a directory every *.txt inside is treated as one
+sequence and sequences are processed in parallel worker processes; results
+are written by the parent so output stays deterministic.
 
 Exit codes: 0 success, 1 runtime failure (I/O, malformed data), 2 bad usage
 or configuration.
@@ -148,9 +148,6 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
-    env_seed = _env_int(ENV_SEED)
-    if env_seed is not None:
-        overrides["rng_seed"] = env_seed
     flag_map = [
         ("match_threshold", "match_threshold"),
         ("score_high", "score_high"),
@@ -160,7 +157,6 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
         ("ci_scaling_factor", "ci_scaling_factor"),
         ("interp_max_gap", "interpolation_max_gap"),
         ("smoothing_sigma", "smoothing_sigma"),
-        ("seed", "rng_seed"),
     ]
     for attr, field_name in flag_map:
         value = getattr(args, attr, None)
@@ -434,7 +430,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                      help="disable the motion-consistent second pass")
     grp.add_argument("--interp-max-gap", dest="interp_max_gap", type=int)
     grp.add_argument("--smoothing-sigma", dest="smoothing_sigma", type=float)
-    grp.add_argument("--seed", type=int, help=f"overrides ${ENV_SEED}")
     grp.add_argument("--workers", type=int,
                      help=f"parallel sequence workers; overrides ${ENV_WORKERS}")
 

@@ -22,8 +22,10 @@ merge loop never scans all pairs: tracklets are sorted by t_min, so a
 bisect finds, for each tracklet, the few whose first frame lies in its
 admissible window (a gap of at most the level's bound, or a bounded
 overlap).  All pairs a round admits in one candidate group are then scored
-in one batched call, which extrapolates the cached motion states together
-and evaluates the box kernel once over the aligned predictions.
+in one batched call, which fits the missing motion states in one Kalman
+batch, extrapolates the cached states together and evaluates the box kernel
+once over the aligned predictions.  The motion-informed first level filters
+all its preliminary chains in one Kalman batch as well.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
@@ -50,7 +52,7 @@ from .model import (
     TrackerConfig,
     validate_config,
 )
-from .motion import Direction, FitCache, chain_predictors, pair_scores
+from .motion import FitCache, _advance, kalman_states, pair_scores
 from .refine import Provenance, Trajectory, from_tracklet, resolve_overlap
 
 log = logging.getLogger(__name__)
@@ -300,25 +302,26 @@ def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
                            kernel: SimilarityKernel) -> list[list[Detection]]:
     """Re-run the frame-adjacent association with motion-informed similarity.
 
-    Each detection carries the Kalman state accumulated along its
-    preliminary chain: candidates in the next frame are compared against the
-    forward prediction of the earlier detection, and the earlier box against
-    the backward prediction of the candidate, averaging the two kernel
-    values.  Detections with single-entry histories predict their own box,
-    which reduces to the static similarity.  Preliminary links are
-    discarded; only the second-pass links survive.
+    Every preliminary chain is Kalman-filtered forward and backward in one
+    `kalman_states` batch, so each detection carries the state accumulated
+    along its chain up to it from either side.  Candidates in the next frame
+    are compared against the forward prediction of the earlier detection,
+    and the earlier box against the backward prediction of the candidate,
+    averaging the two kernel values.  Detections with single-entry histories
+    predict their own box, which reduces to the static similarity.
+    Preliminary links are discarded; only the second-pass links survive.
     """
-    fwd: dict[int, object] = {}
-    bwd: dict[int, object] = {}
-    for chain in preliminary_chains:
-        for det, pred in zip(chain, chain_predictors(chain, cfg, Direction.FORWARD)):
-            fwd[det.det_id] = pred
-        for det, pred in zip(chain, chain_predictors(chain, cfg, Direction.BACKWARD)):
-            bwd[det.det_id] = pred
+    runs = [*preliminary_chains, *(chain[::-1] for chain in preliminary_chains)]
+    states = kalman_states(runs, cfg)
+    entries = [det for run in runs for det in run]
+    half = len(entries) // 2
+    fwd = {det.det_id: k for k, det in enumerate(entries[:half])}
+    bwd = {det.det_id: k for k, det in enumerate(entries[half:], half)}
 
     def score(t, rows, cols):
-        fwd_boxes = stack_boxes([fwd[d.det_id].at(t + 1) for d in rows])
-        bwd_boxes = stack_boxes([bwd[d.det_id].at(t) for d in cols])
+        # Both predictions step one frame in their filter's own direction.
+        fwd_boxes = _advance(states[[fwd[d.det_id] for d in rows]], 1)
+        bwd_boxes = _advance(states[[bwd[d.det_id] for d in cols]], 1)
         return 0.5 * (kernel.matrix(fwd_boxes, _boxes(cols))
                       + kernel.matrix(_boxes(rows), bwd_boxes))
     return _link_frames(detections, score, cfg.match_threshold)

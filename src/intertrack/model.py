@@ -236,7 +236,6 @@ class TrackerConfig:
     smoothing_sigma: float = 5.0
     kf_position_weight: float = 1.0 / 20.0
     kf_velocity_weight: float = 1.0 / 160.0
-    rng_seed: int = 0
 
 
 def validate_config(cfg: TrackerConfig) -> TrackerConfig:

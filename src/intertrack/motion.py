@@ -2,12 +2,12 @@
 prediction similarity used when linking tracklets across a temporal gap.
 
 The state tracks (cx, cy, w, h) plus per-frame velocities.  The four
-components are independent under the constant-velocity model, so the filter
-runs four identical 2-state (value, velocity) filters side by side; the full
-8-vector mean and block-structured 8x8 covariance are materialized only when
-a MotionState is exported.  Noise scales with box height (position terms
-~ h/20, velocity terms ~ h/160), the usual convention for this family of
-trackers.
+components are independent under the constant-velocity model and start with
+the same uncertainty and receive the same noise, so they share one 2x2
+(value, velocity) covariance, kept as three scalars (p00, p01, p11).  One
+function, `kalman_states`, filters many runs of detections in lockstep.
+Noise scales with box height (position terms ~ h/20, velocity terms
+~ h/160), the usual convention for this family of trackers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class MotionState:
     motion toward earlier frames).
     """
     mean: np.ndarray
-    covariance: np.ndarray
     anchor_frame: int
     direction: Direction
 
@@ -53,86 +52,93 @@ _INIT_POS_FACTOR = 2.0
 _INIT_VEL_FACTOR = 1000.0
 
 
-class _ComponentFilter:
-    """Four parallel scalar constant-velocity Kalman filters.
+def _predict(st: np.ndarray, wp: float, wv: float) -> np.ndarray:
+    """One constant-velocity step of stacked states (see `kalman_states`)."""
+    h = np.maximum(st[:, 3], 1.0)
+    p00, p01, p11 = st[:, 8], st[:, 9], st[:, 10]
+    return np.column_stack([st[:, :4] + st[:, 4:8], st[:, 4:8],
+                            p00 + 2 * p01 + p11 + (wp * h) ** 2, p01 + p11,
+                            p11 + (wv * h) ** 2])
 
-    Arrays of shape (4,) hold the value, velocity, and the three distinct
-    covariance entries per component.
+
+def _update(st: np.ndarray, z: np.ndarray, wp: float) -> np.ndarray:
+    """Correct stacked states with measured boxes z (n, 4)."""
+    h = np.maximum(st[:, 3], 1.0)
+    p00, p01, p11 = st[:, 8], st[:, 9], st[:, 10]
+    gain_den = p00 + (wp * h) ** 2
+    k0, k1 = p00 / gain_den, p01 / gain_den
+    innov = z - st[:, :4]
+    return np.column_stack([st[:, :4] + k0[:, None] * innov, st[:, 4:8] + k1[:, None] * innov,
+                            (1 - k0) * p00, (1 - k0) * p01, p11 - k1 * p01])
+
+
+def kalman_states(runs: Sequence[Sequence[Detection]], cfg: TrackerConfig) -> np.ndarray:
+    """Filter every run of detections in the order given, all in one batch.
+
+    Returns one row per entry, the runs' entries concatenated in input
+    order: the state after filtering the run up to and including that entry,
+    as (cx, cy, w, h, v_cx, v_cy, v_w, v_h, p00, p01, p11).  Velocities are
+    per frame in the run's own time direction.  Missing intermediate frames
+    cost one predict step each, inflating the covariance across gaps.
+
+    The runs advance in lockstep by entry index, longest first, so the runs
+    still active at step s are a prefix of the batch; a row whose gap is
+    shorter than the step's longest one keeps its state through the extra
+    predict steps.  Every row goes through the same floating-point operations
+    as when it is filtered alone, so its states do not depend on the batch.
     """
+    wp, wv = cfg.kf_position_weight, cfg.kf_velocity_weight
+    lengths = np.array([len(run) for run in runs])
+    order = np.argsort(-lengths, kind="stable")
+    # Step-major layout: step s holds entry s of the `active[s]` longest runs.
+    active = len(runs) - np.cumsum(np.bincount(lengths))[:-1]
+    offset = np.concatenate([[0], np.cumsum(active)])
+    rank = np.empty(len(runs), dtype=np.intp)
+    rank[order] = np.arange(len(runs))
+    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slot = offset[step] + np.repeat(rank, lengths)
+    entries = [d for run in runs for d in run]
+    z = np.empty((len(entries), 4))
+    z[slot] = stack_boxes([d.box for d in entries])
+    frames = np.empty(len(entries), dtype=np.int64)
+    frames[slot] = [d.frame for d in entries]
 
-    def __init__(self, box: BoundingBox, cfg: TrackerConfig):
-        self.wp = cfg.kf_position_weight
-        self.wv = cfg.kf_velocity_weight
-        self.x = np.array([box.cx, box.cy, box.w, box.h], dtype=np.float64)
-        self.v = np.zeros(4)
-        h = box.h
-        self.p00 = np.full(4, (_INIT_POS_FACTOR * self.wp * h) ** 2)
-        self.p01 = np.zeros(4)
-        self.p11 = np.full(4, (_INIT_VEL_FACTOR * self.wv * h) ** 2)
-
-    def predict(self) -> None:
-        h = max(self.x[3], 1.0)
-        q00 = (self.wp * h) ** 2
-        q11 = (self.wv * h) ** 2
-        self.x = self.x + self.v
-        self.p00 = self.p00 + 2 * self.p01 + self.p11 + q00
-        self.p01 = self.p01 + self.p11
-        self.p11 = self.p11 + q11
-
-    def update(self, box: BoundingBox) -> None:
-        z = np.array([box.cx, box.cy, box.w, box.h], dtype=np.float64)
-        h = max(self.x[3], 1.0)
-        r = (self.wp * h) ** 2
-        gain_den = self.p00 + r
-        k0 = self.p00 / gain_den
-        k1 = self.p01 / gain_den
-        innov = z - self.x
-        self.x = self.x + k0 * innov
-        self.v = self.v + k1 * innov
-        p01_old = self.p01
-        self.p00 = (1 - k0) * self.p00
-        self.p01 = (1 - k0) * p01_old
-        self.p11 = self.p11 - k1 * p01_old
-
-    def export(self, anchor_frame: int, direction: Direction) -> MotionState:
-        mean = np.concatenate([self.x, self.v])
-        cov = np.zeros((8, 8))
-        for i in range(4):
-            cov[i, i] = self.p00[i]
-            cov[i, 4 + i] = cov[4 + i, i] = self.p01[i]
-            cov[4 + i, 4 + i] = self.p11[i]
-        return MotionState(mean=mean, covariance=cov,
-                           anchor_frame=anchor_frame, direction=direction)
+    first = z[:len(runs)]
+    state = np.column_stack([first, np.zeros((len(runs), 4)),
+                             (_INIT_POS_FACTOR * wp * first[:, 3]) ** 2, np.zeros(len(runs)),
+                             (_INIT_VEL_FACTOR * wv * first[:, 3]) ** 2])
+    out = np.empty((len(entries), 11))
+    out[:len(runs)] = state
+    for s in range(1, len(active)):
+        m, lo, prev = active[s], offset[s], offset[s - 1]
+        st = state[:m]
+        gaps = np.abs(frames[lo:lo + m] - frames[prev:prev + m])
+        for k in range(int(gaps.max())):
+            moved = _predict(st, wp, wv)
+            st = np.where((gaps > k)[:, None], moved, st)
+        state[:m] = out[lo:lo + m] = _update(st, z[lo:lo + m], wp)
+    return out[slot]
 
 
-def _run_filter(entries: Sequence[Detection], cfg: TrackerConfig) -> _ComponentFilter:
-    flt = _ComponentFilter(entries[0].box, cfg)
-    prev_frame = entries[0].frame
-    for det in entries[1:]:
-        for _ in range(abs(det.frame - prev_frame)):
-            flt.predict()
-        flt.update(det.box)
-        prev_frame = det.frame
-    return flt
+def _directed(tracklet: Tracklet, direction: Direction) -> Sequence[Detection]:
+    return tracklet.entries if direction is Direction.FORWARD else tracklet.entries[::-1]
 
 
 def fit(tracklet: Tracklet, direction: Direction, cfg: TrackerConfig) -> MotionState:
     """Filter the tracklet in frame order (Forward) or reverse (Backward).
 
-    Missing intermediate frames cost extra predict steps, inflating the
-    covariance across gaps.  The returned state is anchored at t_max for
-    Forward and t_min for Backward.
+    The returned state is anchored at t_max for Forward and t_min for
+    Backward.
     """
-    entries = tracklet.entries if direction is Direction.FORWARD else tracklet.entries[::-1]
-    flt = _run_filter(entries, cfg)
-    return flt.export(entries[-1].frame, direction)
+    entries = _directed(tracklet, direction)
+    return MotionState(kalman_states([entries], cfg)[-1, :8], entries[-1].frame, direction)
 
 
-def _advance(mean: np.ndarray, steps) -> np.ndarray:
+def _advance(states: np.ndarray, steps) -> np.ndarray:
     """[cx, cy, w, h] of states moved `steps` frames along their velocities;
-    broadcasts over stacked (n, 8) means with (n, 1) steps.  Sizes are
+    broadcasts over stacked (n, 8+) states with (n, 1) steps.  Sizes are
     clamped at 1 pixel."""
-    box = mean[..., :4] + steps * mean[..., 4:]
+    box = states[..., :4] + steps * states[..., 4:8]
     box[..., 2:] = np.maximum(box[..., 2:], 1.0)
     return box
 
@@ -155,19 +161,27 @@ def predict(state: MotionState, target_frame: int) -> BoundingBox:
 
 
 class FitCache:
-    """Memoizes directional fits by tracklet id (ids are never reused)."""
+    """Final filter states by (tracklet id, direction); ids are never reused.
+
+    `states` fits every (tracklet, direction) of a request that is not yet
+    cached in one `kalman_states` batch.  A state does not depend on the
+    batch it was fitted in, so the cache is deterministic whatever the
+    requests.
+    """
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self._states: dict[tuple[int, Direction], MotionState] = {}
+        self._states: dict[tuple[int, Direction], np.ndarray] = {}
 
-    def get(self, tracklet: Tracklet, direction: Direction) -> MotionState:
-        key = (tracklet.tid, direction)
-        state = self._states.get(key)
-        if state is None:
-            state = fit(tracklet, direction, self.cfg)
-            self._states[key] = state
-        return state
+    def states(self, requests: Sequence[tuple[Tracklet, Direction]]) -> np.ndarray:
+        """Stacked (cx, cy, w, h, velocities, p00, p01, p11) per request."""
+        missing = {(t.tid, d): _directed(t, d) for t, d in requests
+                   if (t.tid, d) not in self._states}
+        if missing:
+            runs = list(missing.values())
+            last = np.cumsum([len(run) for run in runs]) - 1
+            self._states.update(zip(missing, kalman_states(runs, self.cfg)[last]))
+        return np.array([self._states[t.tid, d] for t, d in requests])
 
 
 def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,
@@ -181,7 +195,8 @@ def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,
     that share frames are scored by the mean kernel over co-occurring actual
     boxes; overlapping spans without any shared frame fall back to the
     prediction form (extrapolating backward over the short overlap).  Each
-    form evaluates the kernel once, over the aligned boxes of all its pairs.
+    form evaluates the kernel once, over the aligned boxes of all its pairs,
+    and the states the cross form still lacks are fitted in one batch.
     """
     if any(e.t_min > l.t_min for e, l in pairs):
         raise ValueError("tracklets must be given in canonical time order")
@@ -193,8 +208,9 @@ def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,
     if cross:
         earlier = [pairs[k][0] for k in cross]
         later = [pairs[k][1] for k in cross]
-        fwd = np.array([cache.get(t, Direction.FORWARD).mean for t in earlier])
-        bwd = np.array([cache.get(t, Direction.BACKWARD).mean for t in later])
+        states = cache.states([(t, Direction.FORWARD) for t in earlier]
+                              + [(t, Direction.BACKWARD) for t in later])
+        fwd, bwd = states[:len(cross)], states[len(cross):]
         # Forward states are anchored at t_max, backward ones at t_min.
         steps = np.array([[l.t_min - e.t_max] for e, l in zip(earlier, later)], float)
         s_fwd = kernel(_advance(fwd, steps), stack_boxes([t.first.box for t in later]))
@@ -208,45 +224,3 @@ def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,
         for k, vals in zip(shared, np.split(kernel(*boxes), np.cumsum(sizes)[:-1])):
             scores[k] = np.mean(vals)
     return scores
-
-
-@dataclass(frozen=True)
-class ChainPredictor:
-    """Lightweight per-detection predictor extracted from a running filter.
-
-    Velocity is stored per real-time frame regardless of the direction the
-    filter ran in, so `at()` can step to any nearby frame directly.
-    """
-    anchor_frame: int
-    pos: np.ndarray
-    vel: np.ndarray
-
-    def at(self, target_frame: int) -> BoundingBox:
-        steps = target_frame - self.anchor_frame
-        cx, cy, w, h = self.pos + steps * self.vel
-        return BoundingBox(cx, cy, max(w, 1.0), max(h, 1.0))
-
-
-def chain_predictors(chain: Sequence[Detection], cfg: TrackerConfig,
-                     direction: Direction) -> list[ChainPredictor]:
-    """One predictor per chain entry, filtered up to (and including) it.
-
-    Forward predictors at entry k use entries [0..k]; Backward predictors use
-    entries [k..end] filtered in reverse.  The list is indexed like `chain`
-    regardless of direction.  A predictor whose history is a single entry has
-    zero velocity, so its prediction degenerates to the entry's own box.
-    """
-    sign = 1.0 if direction is Direction.FORWARD else -1.0
-    order = chain if direction is Direction.FORWARD else chain[::-1]
-    flt = _ComponentFilter(order[0].box, cfg)
-    snapshots = [ChainPredictor(order[0].frame, flt.x.copy(), sign * flt.v)]
-    prev_frame = order[0].frame
-    for det in order[1:]:
-        for _ in range(abs(det.frame - prev_frame)):
-            flt.predict()
-        flt.update(det.box)
-        prev_frame = det.frame
-        snapshots.append(ChainPredictor(det.frame, flt.x.copy(), sign * flt.v))
-    if direction is Direction.BACKWARD:
-        snapshots.reverse()
-    return snapshots

@@ -236,6 +236,19 @@ class TestSynth:
                          "--seed", "77"]) == 0
         assert (out1 / "det.txt").read_bytes() != (out2 / "det.txt").read_bytes()
 
+    def test_env_seed_below_seed_flag(self, tmp_path, monkeypatch):
+        spec = self.spec_file(tmp_path)
+        outs = {name: tmp_path / name for name in ("flag", "env", "both")}
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["flag"]),
+                         "--seed", "77"]) == 0
+        monkeypatch.setenv(cli.ENV_SEED, "77")
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["env"])]) == 0
+        monkeypatch.setenv(cli.ENV_SEED, "5")
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["both"]),
+                         "--seed", "77"]) == 0
+        flag = (outs["flag"] / "det.txt").read_bytes()
+        assert (outs["env"] / "det.txt").read_bytes() == flag
+        assert (outs["both"] / "det.txt").read_bytes() == flag
 
 class TestConfigAssembly:
     def parse(self, *argv):
@@ -265,14 +278,15 @@ class TestConfigAssembly:
                                           "--match-threshold", "0.3"))
         assert cfg.match_threshold == pytest.approx(0.3)
 
-    def test_env_seed_between_file_and_flags(self, tmp_path, monkeypatch):
+    def test_rng_seed_key_is_unknown(self, tmp_path, capsys):
+        # The pipeline has no seed; a leftover rng_seed line is a config error.
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
         cfile = tmp_path / "cfg.txt"
-        cfile.write_text("rng_seed = 5\n")
-        monkeypatch.setenv(cli.ENV_SEED, "9")
-        cfg = cli.build_config(self.parse("--config", str(cfile)))
-        assert cfg.rng_seed == 9
-        cfg = cli.build_config(self.parse("--config", str(cfile), "--seed", "2"))
-        assert cfg.rng_seed == 2
+        cfile.write_text("match_threshold = 0.3\nrng_seed = 5\n")
+        rc = cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
+                       "--config", str(cfile)])
+        assert rc == 2
+        assert f"{cfile}:2: unknown config key 'rng_seed'" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfile = tmp_path / "cfg.txt"

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -26,6 +27,7 @@ from intertrack.model import (
     BoundingBox,
     Detection,
     HierarchySchedule,
+    Strategy,
     Tracklet,
     TrackerConfig,
 )
@@ -160,6 +162,52 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
         assert _admissible_pairs(members, dt_bound, overlap_allowance) == scan
         for a, b in scan:
             resolve_overlap(members[a], members[b], 999, overlap_allowance)
+
+
+@st.composite
+def _scenes(draw):
+    """Small synthetic scenes: a few targets that may meet, dropout, noise,
+    score dips below score_high and score_low, and sometimes a panning camera."""
+    n_targets = draw(st.integers(1, 5))
+    n_frames = draw(st.integers(2, 40))
+    dips = {}
+    for k in range(n_targets):
+        if draw(st.booleans()):
+            lo = draw(st.integers(1, n_frames))
+            dips[k] = [(lo, lo + draw(st.integers(0, 8)), draw(st.sampled_from([0.05, 0.3, 0.5])))]
+    return ScenarioSpec(n_targets=n_targets, n_frames=n_frames, seed=draw(st.integers(0, 999)),
+                        arena=(400.0, 300.0), box_size=(10.0, 50.0),
+                        max_speed=draw(st.sampled_from([0.5, 2.0, 5.0])),
+                        miss_prob=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                        noise_sigma=draw(st.sampled_from([0.0, 1.0])), score_dips=dips,
+                        camera_pan=(draw(st.sampled_from([0.0, 10.0])), 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=_scenes(), strategy=st.sampled_from(list(Strategy)))
+def test_engine_invariants_on_synth_scenes(scene, strategy):
+    cfg = TrackerConfig()
+    if strategy is Strategy.WINDOW:
+        cfg = dataclasses.replace(cfg, schedule=HierarchySchedule.default_window())
+    _, dets = generate(scene)
+    inputs = hierarchy._renumber(dets)  # the detections with the engine's det_ids
+    tracks = run(dets, cfg)
+    placed = collections.Counter(e.det_id for t in tracks for e in t.entries)
+    for t in tracks:
+        frames = [e.frame for e in t.entries]
+        assert len(set(frames)) == len(frames)
+        assert any(e.score >= cfg.score_high for e in t.entries)
+    final_overlap = cfg.schedule.stages[-1].overlap
+    for d in inputs:
+        if d.score < cfg.score_high:
+            assert placed[d.det_id] <= 1
+        elif placed[d.det_id] == 0 and final_overlap:
+            # Only the final overlap level drops a high-score detection: for
+            # a frame two merged tracklets share it keeps the higher score.
+            assert any(e.frame == d.frame and e.score >= d.score
+                       for t in tracks for e in t.entries)
+        else:
+            assert placed[d.det_id] == 1
 
 
 class TestWindowPass:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intertrack import motion
 from intertrack.geometry import SimilarityKernel, consistent_iou
 from intertrack.model import BoundingBox, Detection, Tracklet, TrackerConfig
 from intertrack.motion import (
-    ChainPredictor,
     Direction,
     FitCache,
-    chain_predictors,
+    _advance,
     fit,
+    kalman_states,
     pair_scores,
     predict,
 )
@@ -22,9 +25,10 @@ def linear_tracklet(tid, frames, x0=100.0, y0=200.0, vx=3.0, vy=-2.0, w=40.0, h=
     return Tracklet.build(tid, dets)
 
 
-def assert_psd(cov):
-    assert np.allclose(cov, cov.T)
-    assert np.linalg.eigvalsh(cov).min() >= -1e-9
+def assert_psd(state):
+    # The (value, velocity) covariance every box component shares.
+    p00, p01, p11 = state[8:]
+    assert np.linalg.eigvalsh(np.array([[p00, p01], [p01, p11]])).min() >= -1e-9
 
 
 class TestFit:
@@ -34,9 +38,11 @@ class TestFit:
         assert st.anchor_frame == 4
         np.testing.assert_allclose(st.mean[4:], 0.0)
         np.testing.assert_allclose(st.mean[:4], [112, 192, 40, 50])
-        assert_psd(st.covariance)
+        (state,) = kalman_states([t.entries], CFG)
+        assert_psd(state)
         # No velocity evidence yet: velocity variance dwarfs position variance.
-        assert st.covariance[4, 4] > st.covariance[0, 0]
+        p00, _, p11 = state[8:]
+        assert p11 > p00
 
     def test_linear_velocity_recovered(self):
         t = linear_tracklet(1, range(1, 6))
@@ -44,7 +50,7 @@ class TestFit:
         assert abs(st.mean[4] - 3.0) < 1e-3
         assert abs(st.mean[5] - (-2.0)) < 1e-3
         assert st.anchor_frame == 5
-        assert_psd(st.covariance)
+        assert_psd(kalman_states([t.entries], CFG)[-1])
 
     def test_backward_negates_velocity(self):
         t = linear_tracklet(1, range(1, 9))
@@ -59,11 +65,11 @@ class TestFit:
         assert abs(st.mean[4] - 3.0) < 1e-3
 
     def test_covariance_psd_along_the_run(self):
-        # Exported states at every prefix length stay PSD.
-        frames = list(range(1, 15))
-        for k in range(1, len(frames) + 1):
-            st = fit(linear_tracklet(1, frames[:k]), Direction.FORWARD, CFG)
-            assert_psd(st.covariance)
+        # The state after every entry (each prefix's fit) stays PSD, with a
+        # gap in the run included.
+        t = linear_tracklet(1, list(range(1, 9)) + list(range(15, 21)))
+        for state in kalman_states([t.entries], CFG):
+            assert_psd(state)
 
 
 class TestPredict:
@@ -201,24 +207,39 @@ class TestPairSimilarity:
                                           vx=rng.uniform(-2, 2), w=rng.uniform(8, 30),
                                           h=rng.uniform(8, 30)))
         pairs = [(e, l) for e in tracks for l in tracks if 0 < l.t_min - e.t_max <= 8]
-        cache = FitCache(CFG)
 
         def one(e, l):
-            fwd = predict(cache.get(e, Direction.FORWARD), l.t_min)
-            bwd = predict(cache.get(l, Direction.BACKWARD), e.t_max)
+            fwd = predict(fit(e, Direction.FORWARD, CFG), l.t_min)
+            bwd = predict(fit(l, Direction.BACKWARD, CFG), e.t_max)
             return 0.5 * (consistent_iou(fwd, l.first.box, CFG)
                           + consistent_iou(e.last.box, bwd, CFG))
         got = pair_scores(pairs, SimilarityKernel(CFG), FitCache(CFG))
         assert len(pairs) > 10 and got.max() > CFG.match_threshold
         assert got.tolist() == [one(e, l) for e, l in pairs]
 
-    def test_fit_cache_reuses_states(self):
+    def test_fit_cache_reuses_states(self, monkeypatch):
+        batches = []
+
+        def counted(runs, cfg):
+            batches.append(len(runs))
+            return kalman_states(runs, cfg)
+        monkeypatch.setattr(motion, "kalman_states", counted)
         cache = FitCache(CFG)
         t = linear_tracklet(9, range(1, 6))
-        s1 = cache.get(t, Direction.FORWARD)
-        s2 = cache.get(t, Direction.FORWARD)
-        assert s1 is s2
-        assert cache.get(t, Direction.BACKWARD) is not s1
+        s1 = cache.states([(t, Direction.FORWARD)])
+        s2 = cache.states([(t, Direction.FORWARD), (t, Direction.BACKWARD),
+                           (t, Direction.FORWARD)])
+        # The second request fits only the missing backward state.
+        assert batches == [1, 1]
+        assert s2[0].tobytes() == s2[2].tobytes() == s1[0].tobytes()
+        assert s2[1].tobytes() != s1[0].tobytes()
+
+
+def chain_states(chain, direction):
+    """Per-entry states of a chain filtered in `direction`, indexed like the chain."""
+    if direction is Direction.FORWARD:
+        return kalman_states([chain], CFG)
+    return kalman_states([chain[::-1]], CFG)[::-1]
 
 
 class TestChainPredictors:
@@ -228,35 +249,92 @@ class TestChainPredictors:
 
     def test_forward_histories_are_prefixes(self):
         chain = self.chain(range(1, 8))
-        preds = chain_predictors(chain, CFG, Direction.FORWARD)
-        assert len(preds) == len(chain)
-        assert [p.anchor_frame for p in preds] == [d.frame for d in chain]
-        # First predictor has no velocity evidence.
-        np.testing.assert_allclose(preds[0].vel, 0.0)
-        # A converged predictor lands on the true next position.
-        nxt = preds[-1].at(8)
-        assert abs(nxt.cx - (10 + 2.0 * 8)) < 1e-2
+        states = chain_states(chain, Direction.FORWARD)
+        assert len(states) == len(chain)
+        for k in range(len(chain)):
+            assert states[k].tobytes() == kalman_states([chain[:k + 1]], CFG)[-1].tobytes()
+        # First entry has no velocity evidence.
+        np.testing.assert_allclose(states[0, 4:8], 0.0)
+        # A converged state lands on the true next position.
+        nxt = _advance(states[-1], 1)
+        assert abs(nxt[0] - (10 + 2.0 * 8)) < 1e-2
 
     def test_backward_predictors_step_in_real_time(self):
         chain = self.chain(range(1, 8))
-        preds = chain_predictors(chain, CFG, Direction.BACKWARD)
-        assert [p.anchor_frame for p in preds] == [d.frame for d in chain]
-        # Predicting one frame before the chain start from the first entry's
-        # suffix history must move against the motion direction.
-        prev = preds[0].at(0)
-        assert abs(prev.cx - 10.0) < 1e-2
-        # Velocity is stored per real-time frame even for backward filters.
-        assert preds[0].vel[0] == pytest.approx(2.0, abs=1e-2)
+        states = chain_states(chain, Direction.BACKWARD)
+        for k in range(len(chain)):
+            suffix = chain[k:][::-1]
+            assert states[k].tobytes() == kalman_states([suffix], CFG)[-1].tobytes()
+        # One step from the first entry's suffix history predicts the frame
+        # before the chain start, against the motion direction.
+        prev = _advance(states[0], 1)
+        assert abs(prev[0] - 10.0) < 1e-2
+        # Backward velocities point toward earlier frames: negated, they are
+        # the real-time velocity per frame.
+        assert -states[0, 4] == pytest.approx(2.0, abs=1e-2)
 
     def test_single_entry_chain_predicts_own_box(self):
         chain = self.chain([5])
         for direction in Direction:
-            (p,) = chain_predictors(chain, CFG, direction)
-            b = p.at(6)
-            assert (b.cx, b.cy) == (chain[0].box.cx, chain[0].box.cy)
+            (state,) = chain_states(chain, direction)
+            b = _advance(state, 1)
+            assert (b[0], b[1]) == (chain[0].box.cx, chain[0].box.cy)
 
-    def test_predictor_at_is_linear(self):
-        p = ChainPredictor(anchor_frame=10, pos=np.array([100.0, 50.0, 20.0, 30.0]),
-                           vel=np.array([2.0, -1.0, 0.0, 0.0]))
-        b = p.at(15)
-        assert (b.cx, b.cy) == (110.0, 45.0)
+    def test_advance_is_linear(self):
+        state = np.array([100.0, 50.0, 20.0, 30.0, 2.0, -1.0, 0.0, -40.0])
+        assert _advance(state, 5).tolist() == [110.0, 45.0, 20.0, 1.0]
+
+
+def reference_states(run, cfg):
+    """The filter written one row and one frame at a time: the same
+    operations in the same order as `kalman_states`, on scalars."""
+    wp, wv = cfg.kf_position_weight, cfg.kf_velocity_weight
+    x = np.array([run[0].box.cx, run[0].box.cy, run[0].box.w, run[0].box.h])
+    v = np.zeros(4)
+    sd_pos, sd_vel = 2.0 * wp * x[3], 1000.0 * wv * x[3]
+    p00, p01, p11 = sd_pos * sd_pos, 0.0, sd_vel * sd_vel
+    out = [np.concatenate([x, v, [p00, p01, p11]])]
+    for prev, det in zip(run, run[1:]):
+        for _ in range(abs(det.frame - prev.frame)):
+            h = max(x[3], 1.0)
+            p00 = p00 + 2 * p01 + p11 + (wp * h) * (wp * h)
+            p01 = p01 + p11
+            p11 = p11 + (wv * h) * (wv * h)
+            x = x + v
+        h = max(x[3], 1.0)
+        gain_den = p00 + (wp * h) * (wp * h)
+        k0, k1 = p00 / gain_den, p01 / gain_den
+        innov = np.array([det.box.cx, det.box.cy, det.box.w, det.box.h]) - x
+        x, v = x + k0 * innov, v + k1 * innov
+        p00, p01, p11 = (1 - k0) * p00, (1 - k0) * p01, p11 - k1 * p01
+        out.append(np.concatenate([x, v, [p00, p01, p11]]))
+    return np.array(out)
+
+
+@st.composite
+def runs(draw):
+    """1-40 entries, gaps of 1-30 frames, in either time direction; heights
+    and widths reach below 1 px so the size clamp is hit."""
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(1, 30), min_size=n - 1, max_size=n - 1))
+    frames = np.cumsum([draw(st.integers(1, 500))] + gaps)
+    size = st.one_of(st.floats(0.05, 2.0), st.floats(2.0, 300.0))
+    pos = st.floats(-2000.0, 2000.0)
+    run = [Detection(frame=int(f), box=BoundingBox(draw(pos), draw(pos), draw(size), draw(size)),
+                     score=0.9) for f in frames]
+    return run[::-1] if draw(st.booleans()) else run
+
+
+class TestKalmanStates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(runs(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_batch_invariance(self, batch, rnd):
+        # A row's states are bit-identical alone, in any batch and in any
+        # row order, and equal the one-frame-at-a-time reference.
+        alone = [kalman_states([run], CFG) for run in batch]
+        for run, states in zip(batch, alone):
+            assert states.tobytes() == reference_states(run, CFG).tobytes()
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        got = kalman_states([batch[k] for k in order], CFG)
+        assert got.tobytes() == np.concatenate([alone[k] for k in order]).tobytes()
