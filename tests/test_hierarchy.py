@@ -166,8 +166,9 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
 
 @st.composite
 def _scenes(draw):
-    """Small synthetic scenes: a few targets that may meet, dropout, noise,
-    score dips below score_high and score_low, and sometimes a panning camera."""
+    """Small synthetic scenes: a few targets, crowded in the small arena,
+    dropout, noise, score dips below score_high and score_low, and sometimes
+    a panning camera."""
     n_targets = draw(st.integers(1, 5))
     n_frames = draw(st.integers(2, 40))
     dips = {}
@@ -176,7 +177,8 @@ def _scenes(draw):
             lo = draw(st.integers(1, n_frames))
             dips[k] = [(lo, lo + draw(st.integers(0, 8)), draw(st.sampled_from([0.05, 0.3, 0.5])))]
     return ScenarioSpec(n_targets=n_targets, n_frames=n_frames, seed=draw(st.integers(0, 999)),
-                        arena=(400.0, 300.0), box_size=(10.0, 50.0),
+                        arena=draw(st.sampled_from([(150.0, 120.0), (400.0, 300.0)])),
+                        box_size=(10.0, 50.0),
                         max_speed=draw(st.sampled_from([0.5, 2.0, 5.0])),
                         miss_prob=draw(st.sampled_from([0.0, 0.1, 0.3])),
                         noise_sigma=draw(st.sampled_from([0.0, 1.0])), score_dips=dips,
