@@ -21,7 +21,6 @@ from .geometry import consistent_iou, expansion_ratio, hm_iou, iou
 from .hierarchy import RunResult, associate_tracklets, run, run_detailed
 from .metrics import EvalReport, clear_mot, evaluate, id_metrics
 from .refine import (
-    Provenance,
     Trajectory,
     gaussian_smooth,
     interpolate,
@@ -38,7 +37,6 @@ __all__ = [
     "EvalReport",
     "HierarchySchedule",
     "Motion",
-    "Provenance",
     "RunResult",
     "ScenarioSpec",
     "Stage",

@@ -15,8 +15,10 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .geometry import iou_kernel, stack_boxes
-from .model import Detection
+from .model import BoundingBox, Detection
 
 log = logging.getLogger(__name__)
 
@@ -106,14 +108,16 @@ def estimate(adjacent_matches: MatchPairs, threshold: float,
 
 def _shift(detections: Iterable[Detection], profile: CameraProfile,
            sign: float) -> list[Detection]:
-    out = []
-    for det in detections:
-        dx, dy = profile.offset_at(det.frame)
-        if dx == 0.0 and dy == 0.0:
-            out.append(det)
-        else:
-            out.append(det.with_box(det.box.translated(sign * dx, sign * dy)))
-    return out
+    """Move every detection's centre by sign times its frame's offset, all in
+    one array operation; detections at a zero offset are returned as is."""
+    dets = list(detections)
+    offsets = np.array([profile.offset_at(d.frame) for d in dets]).reshape(-1, 2)
+    centres = np.array([(d.box.cx, d.box.cy) for d in dets]).reshape(-1, 2)
+    moved = (centres + sign * offsets).tolist()
+    still = (offsets == 0.0).all(axis=1).tolist()
+    return [d if keep else Detection(d.frame, BoundingBox(cx, cy, d.box.w, d.box.h), d.score,
+                                     d.class_id, d.det_id, d.interpolated)
+            for d, (cx, cy), keep in zip(dets, moved, still)]
 
 
 def stabilize(detections: Iterable[Detection], profile: CameraProfile) -> list[Detection]:

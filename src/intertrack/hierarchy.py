@@ -27,6 +27,14 @@ batch, extrapolates the cached states together and evaluates the box kernel
 once over the aligned predictions.  The motion-informed first level filters
 all its preliminary chains in one Kalman batch as well.
 
+The first level scores its frame pairs in chunks, not one pair at a time:
+the (t, t+1) blocks are sorted by shape and cut into chunks of at most
+`_CHUNK_CELLS` padded cells, so the kernel's temporaries stay bounded on long
+or crowded sequences.  Each chunk is one kernel call over boxes gathered by
+index; a block smaller than its chunk's largest is padded by repeating one of
+its own frame's detections, so padded cells are finite, and they are never
+read.  Only the assignment still runs once per frame pair.
+
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
 """
@@ -53,7 +61,7 @@ from .model import (
     validate_config,
 )
 from .motion import FitCache, _advance, kalman_states, pair_scores
-from .refine import Provenance, Trajectory, from_tracklet, resolve_overlap
+from .refine import Trajectory, from_tracklet, resolve_overlap
 
 log = logging.getLogger(__name__)
 
@@ -259,23 +267,79 @@ def _boxes(detections: Sequence[Detection]) -> np.ndarray:
     return stack_boxes([d.box for d in detections])
 
 
-def _link_frames(detections: Sequence[Detection],
-                 score: Callable[[int, list[Detection], list[Detection]], np.ndarray],
+def _frame_order(detections: Iterable[Detection]) -> list[Detection]:
+    return sorted(detections, key=lambda d: (d.frame, d.det_id))
+
+
+# Upper bound on the padded (pairs, n_max, m_max) cells of one block-scorer
+# call of the first level: the kernel's temporaries scale with it, so it
+# bounds memory on long or crowded sequences.  At 1 << 16 the temporaries
+# raised peak RSS by about 2 MB on a 6,200-detection sequence; at 1 << 14
+# they stay within noise and a call still holds hundreds of small blocks.
+_CHUNK_CELLS = 1 << 14
+
+# Block scorer: padded (pairs, n) row and (pairs, m) column indices into the
+# detections, in (frame, det_id) order -> (pairs, n, m) similarities.
+BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of every row of each (pairs, n, 4) block of `a` against every
+    row of the same block of `b` (pairs, m, 4): (pairs, n, m)."""
+    return kernel(a[:, :, None], b[:, None, :])
+
+
+def _chunks(shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Indices of blocks of the given (n, m) shapes, sorted by shape and cut
+    into chunks whose padded cell count stays within `_CHUNK_CELLS`; a block
+    larger than that by itself is a chunk of its own."""
+    chunks: list[list[int]] = []
+    n_max = m_max = 0
+    for k in sorted(range(len(shapes)), key=lambda k: shapes[k]):
+        n, m = shapes[k]
+        if chunks and (len(chunks[-1]) + 1) * max(n_max, n) * max(m_max, m) <= _CHUNK_CELLS:
+            chunks[-1].append(k)
+            n_max, m_max = max(n_max, n), max(m_max, m)
+        else:
+            chunks.append([k])
+            n_max, m_max = n, m
+    return chunks
+
+
+def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(blocks, max size) indices start + i; slots past a block's size repeat
+    its last index, so every padded cell scores real boxes."""
+    return starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+
+
+def _link_frames(ordered: Sequence[Detection], score: BlockScorer,
                  gate: float) -> list[list[Detection]]:
-    """Match every frame t against frame t+1 with `score(t, rows, cols)` and
-    chain the Hungarian links; every chain covers a run of consecutive frames."""
-    grouped = _by_frame(detections)
+    """Match every frame t against frame t+1 and chain the Hungarian links;
+    every chain covers a run of consecutive frames.
+
+    `ordered` is in (frame, det_id) order, so each frame is one index range.
+    The (t, t+1) blocks are sorted by shape and scored a chunk at a time:
+    `score` gets a chunk's row and column index ranges padded to its largest
+    block, and `solve` reads only each block's real [k, :n, :m] cells.
+    Links are keyed by det_id, so the order of the solves does not matter.
+    """
+    frames = np.array([d.frame for d in ordered], dtype=np.int64)
+    ts, first, size = np.unique(frames, return_index=True, return_counts=True)
+    # Index into ts of the earlier frame of each (t, t+1) pair.
+    lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
+    shapes = list(zip(size[lead].tolist(), size[lead + 1].tolist()))
     link: dict[int, Detection] = {}
     has_pred: set[int] = set()
-    for t in sorted(grouped):
-        rows, cols = grouped[t], grouped.get(t + 1)
-        if not cols:
-            continue
-        for i, j in solve(score(t, rows, cols), gate):
-            link[rows[i].det_id] = cols[j]
-            has_pred.add(cols[j].det_id)
+    for chunk in _chunks(shapes):
+        b = lead[chunk]
+        r0, n, c0, m = first[b], size[b], first[b + 1], size[b + 1]
+        scores = score(_padded(r0, n), _padded(c0, m))
+        for k in range(len(chunk)):
+            for i, j in solve(scores[k, :n[k], :m[k]], gate):
+                link[ordered[r0[k] + i].det_id] = ordered[c0[k] + j]
+                has_pred.add(ordered[c0[k] + j].det_id)
     chains = []
-    for det in sorted(detections, key=lambda d: (d.frame, d.det_id)):
+    for det in ordered:
         if det.det_id in has_pred:
             continue
         chain = [det]
@@ -291,10 +355,13 @@ def adjacent_pass(detections: Sequence[Detection], kernel: SimilarityKernel,
 
     Matches each frame against the following one with the configured kernel
     and links the Hungarian matches into chains; every chain covers a run of
-    consecutive frames.
+    consecutive frames.  The boxes are stacked once per pass; each chunk of
+    frame pairs is one kernel call over boxes gathered by index.
     """
+    ordered = _frame_order(detections)
+    boxes = _boxes(ordered)
     return _link_frames(
-        detections, lambda t, rows, cols: kernel.matrix(_boxes(rows), _boxes(cols)), gate)
+        ordered, lambda rows, cols: _block_scores(kernel, boxes[rows], boxes[cols]), gate)
 
 
 def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
@@ -308,8 +375,10 @@ def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
     are compared against the forward prediction of the earlier detection,
     and the earlier box against the backward prediction of the candidate,
     averaging the two kernel values.  Detections with single-entry histories
-    predict their own box, which reduces to the static similarity.
-    Preliminary links are discarded; only the second-pass links survive.
+    predict their own box, which reduces to the static similarity.  Both
+    one-frame predictions of every detection are made once per pass; each
+    chunk of frame pairs gathers them by index.  Preliminary links are
+    discarded; only the second-pass links survive.
     """
     runs = [*preliminary_chains, *(chain[::-1] for chain in preliminary_chains)]
     states = kalman_states(runs, cfg)
@@ -317,14 +386,16 @@ def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
     half = len(entries) // 2
     fwd = {det.det_id: k for k, det in enumerate(entries[:half])}
     bwd = {det.det_id: k for k, det in enumerate(entries[half:], half)}
+    ordered = _frame_order(detections)
+    boxes = _boxes(ordered)
+    # Both predictions step one frame in their filter's own direction.
+    ahead = _advance(states[[fwd[d.det_id] for d in ordered]], 1)
+    behind = _advance(states[[bwd[d.det_id] for d in ordered]], 1)
 
-    def score(t, rows, cols):
-        # Both predictions step one frame in their filter's own direction.
-        fwd_boxes = _advance(states[[fwd[d.det_id] for d in rows]], 1)
-        bwd_boxes = _advance(states[[bwd[d.det_id] for d in cols]], 1)
-        return 0.5 * (kernel.matrix(fwd_boxes, _boxes(cols))
-                      + kernel.matrix(_boxes(rows), bwd_boxes))
-    return _link_frames(detections, score, cfg.match_threshold)
+    def score(rows, cols):
+        return 0.5 * (_block_scores(kernel, ahead[rows], boxes[cols])
+                      + _block_scores(kernel, boxes[rows], behind[cols]))
+    return _link_frames(ordered, score, cfg.match_threshold)
 
 
 def byte_recovery(state: HierarchyState, low_score_detections: Sequence[Detection],
@@ -367,7 +438,8 @@ def _renumber(detections: Iterable[Detection]) -> list[Detection]:
     """Internal copies with unique sequential det_ids in stable input order."""
     ordered = sorted(detections,
                      key=lambda d: (d.frame, d.det_id, d.box.cx, d.box.cy, d.score))
-    return [dataclasses.replace(d, det_id=k + 1) for k, d in enumerate(ordered)]
+    return [Detection(d.frame, d.box, d.score, d.class_id, k + 1, d.interpolated)
+            for k, d in enumerate(ordered)]
 
 
 def _adjacent_pairs(runs: Iterable[Sequence[Detection]]
@@ -491,8 +563,7 @@ class _ClassEngine:
 
 
 def _run_per_class(items: Sequence, cfg: TrackerConfig,
-                   run_class: Callable[[_ClassEngine, list], ClassRunResult],
-                   provenance: Provenance) -> RunResult:
+                   run_class: Callable[[_ClassEngine, list], ClassRunResult]) -> RunResult:
     """Partition detections or tracklets by class, run one engine per class,
     and number the combined tracks in (t_min, t_max, class) order."""
     by_class: dict[int, list] = {}
@@ -505,7 +576,7 @@ def _run_per_class(items: Sequence, cfg: TrackerConfig,
         results.append(result)
     ranked = sorted([((t.t_min, t.t_max, res.class_id, t.tid), t)
                      for res in results for t in res.tracklets], key=lambda r: r[0])
-    trajectories = [from_tracklet(t, track_id=k + 1, provenance=provenance)
+    trajectories = [from_tracklet(t, track_id=k + 1)
                     for k, (_, t) in enumerate(ranked)]
     return RunResult(trajectories=trajectories, per_class=tuple(results))
 
@@ -517,8 +588,7 @@ def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResu
     are assigned over the combined result in (t_min, t_max, class) order.
     """
     validate_config(cfg)
-    return _run_per_class(_renumber(detections), cfg, _ClassEngine.run_detections,
-                          Provenance.NATIVE)
+    return _run_per_class(_renumber(detections), cfg, _ClassEngine.run_detections)
 
 
 def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
@@ -535,4 +605,4 @@ def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> Ru
     validate_config(cfg)
     # Fitting is memoized by tracklet id, so ids must be unique here.
     fresh = [Tracklet.build(k + 1, list(t.entries)) for k, t in enumerate(_ordered(tracklets))]
-    return _run_per_class(fresh, cfg, _ClassEngine.run_tracklets, Provenance.RECOMBINED)
+    return _run_per_class(fresh, cfg, _ClassEngine.run_tracklets)

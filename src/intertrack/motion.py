@@ -161,27 +161,29 @@ def predict(state: MotionState, target_frame: int) -> BoundingBox:
 
 
 class FitCache:
-    """Final filter states by (tracklet id, direction); ids are never reused.
+    """Final filter states by (tracklet id, is forward); ids are never reused.
 
     `states` fits every (tracklet, direction) of a request that is not yet
     cached in one `kalman_states` batch.  A state does not depend on the
     batch it was fitted in, so the cache is deterministic whatever the
-    requests.
+    requests.  The key holds a bool, not the Direction: hashing an Enum
+    runs Python code, and every request looks its key up twice.
     """
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
-        self._states: dict[tuple[int, Direction], np.ndarray] = {}
+        self._states: dict[tuple[int, bool], np.ndarray] = {}
 
     def states(self, requests: Sequence[tuple[Tracklet, Direction]]) -> np.ndarray:
         """Stacked (cx, cy, w, h, velocities, p00, p01, p11) per request."""
-        missing = {(t.tid, d): _directed(t, d) for t, d in requests
-                   if (t.tid, d) not in self._states}
+        keys = [(t.tid, d is Direction.FORWARD) for t, d in requests]
+        missing = {key: _directed(t, d) for key, (t, d) in zip(keys, requests)
+                   if key not in self._states}
         if missing:
             runs = list(missing.values())
             last = np.cumsum([len(run) for run in runs]) - 1
             self._states.update(zip(missing, kalman_states(runs, self.cfg)[last]))
-        return np.array([self._states[t.tid, d] for t, d in requests])
+        return np.array([self._states[key] for key in keys])
 
 
 def pair_scores(pairs: Sequence[tuple[Tracklet, Tracklet]], kernel,

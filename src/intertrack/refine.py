@@ -8,7 +8,6 @@ interpolation and smoothing the box sequence with a Gaussian kernel.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,17 +16,11 @@ import numpy as np
 from .model import BoundingBox, Detection, Tracklet
 
 
-class Provenance(enum.Enum):
-    NATIVE = "native"
-    RECOMBINED = "recombined"
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Final per-identity sequence of boxes over frames."""
     track_id: int
     entries: tuple[Detection, ...]
-    provenance: Provenance = Provenance.NATIVE
 
     def __post_init__(self):
         if not self.entries:
@@ -52,10 +45,8 @@ class Trajectory:
         return len(self.entries)
 
 
-def from_tracklet(tracklet: Tracklet, track_id: int,
-                  provenance: Provenance = Provenance.NATIVE) -> Trajectory:
-    return Trajectory(track_id=track_id, entries=tracklet.entries,
-                      provenance=provenance)
+def from_tracklet(tracklet: Tracklet, track_id: int) -> Trajectory:
+    return Trajectory(track_id=track_id, entries=tracklet.entries)
 
 
 def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Tracklet]:
@@ -138,8 +129,7 @@ def interpolate(trajectory: Trajectory, max_gap: int) -> Trajectory:
                     score=0.5 * (prev.score + nxt.score),
                     class_id=prev.class_id, det_id=-1, interpolated=True))
         out.append(nxt)
-    return Trajectory(track_id=trajectory.track_id, entries=tuple(out),
-                      provenance=trajectory.provenance)
+    return Trajectory(track_id=trajectory.track_id, entries=tuple(out))
 
 
 def gaussian_smooth(trajectory: Trajectory, sigma: float) -> Trajectory:
@@ -168,5 +158,4 @@ def gaussian_smooth(trajectory: Trajectory, sigma: float) -> Trajectory:
     for e, row in zip(trajectory.entries, smoothed):
         box = BoundingBox(row[0], row[1], max(row[2], 1.0), max(row[3], 1.0))
         entries.append(e.with_box(box))
-    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries),
-                      provenance=trajectory.provenance)
+    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))

@@ -1,8 +1,13 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intertrack.camera import destabilize, estimate, stabilize, static_profile
 from intertrack.geometry import iou
 from intertrack.model import BoundingBox, Detection
+from intertrack.synth import ScenarioSpec, generate
 
 
 def det(frame, cx, cy, w=40.0, h=40.0):
@@ -131,3 +136,33 @@ class TestStabilize:
             for a, b in zip(per_frame[t], per_frame[t + 1]):
                 stab_ious.append(iou(a.box, b.box))
         assert sum(stab_ious) / len(stab_ious) >= raw_iou
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 999), n_frames=st.integers(2, 60),
+       pan=st.tuples(st.sampled_from([-25.0, -3.3, 0.0, 7.5, 40.0]),
+                     st.sampled_from([-6.1, 0.0, 2.0])),
+       reversal=st.sampled_from([None, 10, 30]))
+def test_stabilization_round_trips_on_panned_synth_scenes(seed, n_frames, pan, reversal):
+    gt, dets = generate(ScenarioSpec(n_targets=4, n_frames=n_frames, seed=seed,
+                                     camera_pan=pan, pan_reversal_frame=reversal,
+                                     miss_prob=0.1, noise_sigma=1.0, size_jitter=0.05))
+    # Ground-truth frame-adjacent pairs; a threshold of 1 flags any motion.
+    matches = {}
+    for traj in gt:
+        for a, b in zip(traj.entries, traj.entries[1:]):
+            matches.setdefault(a.frame, []).append((a, b))
+    profile = estimate(matches, threshold=1.0, frame_range=(1, n_frames))
+    stable = stabilize(dets, profile)
+    back = destabilize(stable, profile)
+    assert len(stable) == len(back) == len(dets)
+    for a, s, b in zip(dets, stable, back):
+        for d in (s, b):  # only the centre moves
+            assert (d.frame, d.score, d.class_id, d.det_id, d.box.w, d.box.h) == \
+                (a.frame, a.score, a.class_id, a.det_id, a.box.w, a.box.h)
+        assert math.isclose(b.box.cx, a.box.cx, rel_tol=1e-9)
+        assert math.isclose(b.box.cy, a.box.cy, rel_tol=1e-9)
+    static = static_profile((1, n_frames))
+    for shift in (stabilize, destabilize):
+        out = shift(dets, static)
+        assert len(out) == len(dets) and all(x is y for x, y in zip(out, dets))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertrack import hierarchy
-from intertrack.geometry import SimilarityKernel
+from intertrack.assignment import solve
+from intertrack.geometry import SimilarityKernel, stack_boxes
 from intertrack.hierarchy import (
     HierarchyState,
     _admissible_pairs,
@@ -31,7 +33,8 @@ from intertrack.model import (
     Tracklet,
     TrackerConfig,
 )
-from intertrack.refine import Provenance, resolve_overlap
+from intertrack.motion import _advance, kalman_states
+from intertrack.refine import resolve_overlap
 from intertrack.synth import Motion, ScenarioSpec, generate
 
 
@@ -308,6 +311,100 @@ class TestConsistentMotionPass:
             assert frames == list(range(frames[0], frames[0] + len(frames)))
 
 
+def _per_frame_link(detections, score, gate):
+    """Reference first level: one `solve(score(rows, cols))` per frame pair."""
+    grouped = hierarchy._by_frame(detections)
+    link, has_pred = {}, set()
+    for t in sorted(grouped):
+        rows, cols = grouped[t], grouped.get(t + 1)
+        if not cols:
+            continue
+        for i, j in solve(score(rows, cols), gate):
+            link[rows[i].det_id] = cols[j]
+            has_pred.add(cols[j].det_id)
+    chains = []
+    for d in sorted(detections, key=lambda d: (d.frame, d.det_id)):
+        if d.det_id not in has_pred:
+            chain = [d]
+            while chain[-1].det_id in link:
+                chain.append(link[chain[-1].det_id])
+            chains.append(chain)
+    return chains
+
+
+def _per_frame_motion_score(chains, cfg, kernel):
+    """Reference motion-consistent frame-pair score, one pair at a time."""
+    runs = [*chains, *(chain[::-1] for chain in chains)]
+    states = kalman_states(runs, cfg)
+    entries = [d for run in runs for d in run]
+    half = len(entries) // 2
+    fwd = {d.det_id: k for k, d in enumerate(entries[:half])}
+    bwd = {d.det_id: k for k, d in enumerate(entries[half:], half)}
+
+    def score(rows, cols):
+        ahead = _advance(states[[fwd[d.det_id] for d in rows]], 1)
+        behind = _advance(states[[bwd[d.det_id] for d in cols]], 1)
+        return 0.5 * (kernel.matrix(ahead, stack_boxes([d.box for d in cols]))
+                      + kernel.matrix(stack_boxes([d.box for d in rows]), behind))
+    return score
+
+
+@st.composite
+def _frame_sets(draw):
+    """Detections on ragged frames: gaps leave frames missing and others
+    without a successor, some frames hold one detection, and sometimes one
+    frame holds far more than the rest.  det_ids do not follow input order."""
+    frames, t = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        t += draw(st.sampled_from([1, 1, 1, 2, 3]))
+        frames.append(t)
+    sizes = [draw(st.integers(1, 6)) for _ in frames]
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(20, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    ids = rng.permutation(sum(sizes)) + 1
+    dets = []
+    for f, n in zip(frames, sizes):
+        for cx, cy, w, h in zip(rng.uniform(0, 200, n), rng.uniform(0, 150, n),
+                                rng.uniform(8, 80, n), rng.uniform(8, 80, n)):
+            dets.append(Detection(frame=f, box=BoundingBox(cx, cy, w, h), score=0.9,
+                                  det_id=int(ids[len(dets)])))
+    return dets
+
+
+@settings(max_examples=100, deadline=None)
+@given(dets=_frame_sets(),
+       cfg=st.sampled_from([TrackerConfig(), TrackerConfig(use_hm_iou=True),
+                            TrackerConfig(enable_ci=False)]))
+def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
+    kernel = SimilarityKernel(cfg)
+    gate = cfg.match_threshold
+    ids = lambda chains: [[d.det_id for d in chain] for chain in chains]
+    static = _per_frame_link(
+        dets, lambda rows, cols: kernel.matrix(stack_boxes([d.box for d in rows]),
+                                               stack_boxes([d.box for d in cols])), gate)
+    motion = _per_frame_link(dets, _per_frame_motion_score(static, cfg, kernel), gate)
+    link_frames = hierarchy._link_frames
+    for budget in (1, 7, 64):
+        calls = []
+
+        def recording(ordered, score, gate):
+            def scored(rows, cols):
+                out = score(rows, cols)
+                assert out.shape == (len(rows), rows.shape[1], cols.shape[1])
+                assert np.isfinite(out).all()
+                calls.append((out.size, len(rows)))
+                return out
+            return link_frames(ordered, scored, gate)
+
+        with mock.patch.object(hierarchy, "_CHUNK_CELLS", budget), \
+                mock.patch.object(hierarchy, "_link_frames", recording):
+            assert ids(adjacent_pass(dets, kernel, gate)) == ids(static)
+            assert ids(consistent_motion_pass(static, dets, cfg, kernel)) == ids(motion)
+        # Only a block larger than the budget by itself exceeds it.
+        assert all(cells <= budget or pairs == 1 for cells, pairs in calls)
+
+
 class TestFullRun:
     def three_targets_one_gap(self):
         # 3 targets over 4 frames; the middle one is missed at frame 3.
@@ -434,13 +531,12 @@ class TestWindowScheduleRun:
 
 
 class TestRecombination:
-    def test_fragments_rejoin_with_recombined_provenance(self):
+    def test_fragments_rejoin(self):
         a = track(1, range(1, 5), 100.0, dx=2.0)
         b = track(2, range(9, 14), 100.0 + 2.0 * 8, dx=2.0, det_id=50)
         res = associate_tracklets([a, b], TrackerConfig())
         assert len(res.trajectories) == 1
         traj = res.trajectories[0]
-        assert traj.provenance is Provenance.RECOMBINED
         assert traj.t_min == 1 and traj.t_max == 13
 
     def test_distinct_targets_stay_apart(self):

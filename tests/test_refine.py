@@ -3,7 +3,6 @@ import pytest
 
 from intertrack.model import BoundingBox, Detection, Tracklet
 from intertrack.refine import (
-    Provenance,
     Trajectory,
     from_tracklet,
     gaussian_smooth,
@@ -183,7 +182,6 @@ class TestTrajectoryType:
 
     def test_from_tracklet(self):
         t = Tracklet.build(4, [det(1), det(2)])
-        out = from_tracklet(t, track_id=9, provenance=Provenance.RECOMBINED)
+        out = from_tracklet(t, track_id=9)
         assert out.track_id == 9
-        assert out.provenance is Provenance.RECOMBINED
         assert out.entries == t.entries
