@@ -301,24 +301,28 @@ def _dump_payload(result: hierarchy.RunResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _track_job(job) -> tuple[str, list[Trajectory], list[str], dict, int]:
-    name, src, cfg, fmt, class_filter, interp, smooth = job
+# A job returns (name, trajectories, summary lines, dump payload or None when
+# no dump was asked for, input count); the payload is pickled back from a
+# pool worker only when it is needed.
+
+def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict], int]:
+    name, src, cfg, fmt, class_filter, interp, smooth, dump = job
     dets = read_detections(src, fmt, class_filter)
     result = hierarchy.run_detailed(dets, cfg)
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
     return (name, trajs, _summary_lines(name, result, len(dets)),
-            _dump_payload(result), len(dets))
+            _dump_payload(result) if dump else None, len(dets))
 
 
-def _refine_job(job) -> tuple[str, list[Trajectory], list[str], dict, int]:
-    name, src, cfg, fmt, class_filter, interp, smooth = job
+def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict], int]:
+    name, src, cfg, fmt, class_filter, interp, smooth, dump = job
     tracks = read_tracks(src, fmt, class_filter)
     tracklets = split_at_discontinuities(tracks) if tracks else []
     result = hierarchy.associate_tracklets(tracklets, cfg)
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
     n_input = sum(len(t.entries) for t in tracks)
     return (name, trajs, _summary_lines(name, result, n_input),
-            _dump_payload(result), n_input)
+            _dump_payload(result) if dump else None, n_input)
 
 
 def _run_jobs(worker, jobs, workers: int):
@@ -332,10 +336,11 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
     cfg = build_config(args)
     workers = _resolve_workers(args)
     class_filter = _class_filter(args)
+    dump_path = getattr(args, "dump_hierarchy", None)
     jobs = []
     for name, src, dst in _sequence_jobs(in_path, out_path):
         jobs.append(((name, src, cfg, args.format, class_filter,
-                      args.interp, args.smooth), dst))
+                      args.interp, args.smooth, dump_path is not None), dst))
     results = _run_jobs(worker, [job for job, _ in jobs], workers)
     dump: dict = {}
     for (job, dst), (name, trajs, summary, payload, _) in zip(jobs, results):
@@ -344,9 +349,9 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
         for line in summary:
             print(line)
         dump[name] = payload
-    if getattr(args, "dump_hierarchy", None):
-        args.dump_hierarchy.parent.mkdir(parents=True, exist_ok=True)
-        args.dump_hierarchy.write_text(
+    if dump_path is not None:
+        dump_path.parent.mkdir(parents=True, exist_ok=True)
+        dump_path.write_text(
             json.dumps(dump, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
@@ -360,7 +365,14 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 < args.iou_threshold <= 1.0:
+        raise ConfigError([f"--iou-threshold must be in (0, 1], got {args.iou_threshold}"])
     class_filter = _class_filter(args)
+
+    def read(path: Path):  # KITTI tracks reach the metrics as Trajectory lists
+        return (read_tracks(path, args.format, class_filter) if args.format == "kitti"
+                else mot_io.read_mot_columns(path))
+
     gt_jobs = _sequence_jobs(args.gt, None)
     pred_jobs = _sequence_jobs(args.pred, None)
     if args.gt.is_dir() != args.pred.is_dir():
@@ -371,15 +383,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         names = sorted(set(gt_by_name) & set(pred_by_name))
         if not names:
             raise ValueError("no sequence names shared between --gt and --pred")
-        pairs = {name: (read_tracks(gt_by_name[name], args.format, class_filter),
-                        read_tracks(pred_by_name[name], args.format, class_filter))
-                 for name in names}
+        one_sided = [f"{name} ({'gt' if name in gt_by_name else 'pred'} only)"
+                     for name in sorted(set(gt_by_name) ^ set(pred_by_name))]
+        if one_sided:
+            log.warning("not evaluated, found under only one of --gt/--pred: %s",
+                        ", ".join(one_sided))
+        pairs = {name: (read(gt_by_name[name]), read(pred_by_name[name])) for name in names}
         report = metrics.evaluate_sequences(pairs, args.iou_threshold)
     else:
-        report = metrics.evaluate(
-            read_tracks(args.gt, args.format, class_filter),
-            read_tracks(args.pred, args.format, class_filter),
-            args.iou_threshold)
+        report = metrics.evaluate(read(args.gt), read(args.pred), args.iou_threshold)
     if args.kv:
         for line in metrics.report_kv_lines(report):
             print(line)
@@ -478,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=["mot", "kitti"], default="mot")
     p_eval.add_argument("--class-filter", dest="class_filter", metavar="NAME,...")
     p_eval.add_argument("--iou-threshold", dest="iou_threshold", type=float,
-                        default=0.5)
+                        default=0.5, help="overlap a match needs, in (0, 1]")
     p_eval.add_argument("--kv", action="store_true",
                         help="print machine-readable key=value lines")
     p_eval.set_defaults(func=cmd_eval)

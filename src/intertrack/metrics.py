@@ -1,23 +1,30 @@
-"""Desk-scale tracking evaluation: CLEAR accuracy and identity metrics.
+"""Tracking evaluation on columns: CLEAR accuracy and identity metrics.
 
-clear_mot follows the CLEAR protocol: correspondences persist while both
-sides keep overlapping, the remainder is matched optimally per frame, and an
-identity switch is counted whenever a ground-truth track's hypothesis
-differs from its last known one.  id_metrics performs the global
-identity assignment (one hypothesis per ground-truth track for the whole
-sequence) behind IDF1/IDP/IDR.
+`eval_counts` walks the frames of two `TrackColumns` (ground truth and
+prediction) once and scores each frame's gt x pred IoU block with one kernel
+call; a pair overlaps when its IoU reaches the threshold.  The block serves
+both metrics.  CLEAR: a correspondence persists while it still overlaps
+(gt tracks in id order, each prediction kept once), the rest is matched
+optimally, and a gt track whose hypothesis changes counts an identity
+switch.  Identity: each overlapping pair adds one to its (gt, pred) track
+pair's potential; one global one-to-one assignment on it gives IDTP, behind
+IDF1/IDP/IDR.  The public functions also take Trajectory lists, turned into
+columns, and sequences pool by summing their counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from .assignment import max_weight_matching
-from .geometry import iou_kernel, stack_boxes
+from .geometry import iou_kernel
+from .mot_io import TrackColumns
 from .refine import Trajectory
+
+Tracks = Union[TrackColumns, Iterable[Trajectory]]
 
 
 class ClearMot(NamedTuple):
@@ -33,6 +40,16 @@ class IdMetrics(NamedTuple):
     idr: float
 
 
+class EvalCounts(NamedTuple):
+    """What one sequence contributes to the pooled metrics."""
+    fp: int = 0
+    fn: int = 0
+    idsw: int = 0
+    idtp: int = 0
+    len_gt: int = 0
+    len_pred: int = 0
+
+
 @dataclass(frozen=True)
 class EvalReport:
     mota: float
@@ -46,134 +63,88 @@ class EvalReport:
     per_sequence: dict = field(default_factory=dict)
 
 
-def _frame_index(tracks: Iterable[Trajectory]) -> dict[int, list[tuple[int, object]]]:
-    index: dict[int, list[tuple[int, object]]] = {}
-    for t in tracks:
-        for e in t.entries:
-            index.setdefault(e.frame, []).append((t.track_id, e.box))
-    for frame in index:
-        index[frame].sort(key=lambda pair: pair[0])
-    return index
-
-
-def _clear_counts(gt, pred, iou_threshold):
-    gt_idx = _frame_index(gt)
-    pred_idx = _frame_index(pred)
+def eval_counts(gt: TrackColumns, pred: TrackColumns, iou_threshold: float) -> EvalCounts:
+    """CLEAR and identity counts of one sequence, in one walk over its frames."""
+    gt_ids, gt_of = np.unique(gt.track_id, return_inverse=True)
+    pred_ids, pred_of = np.unique(pred.track_id, return_inverse=True)
+    potential = np.zeros((gt_ids.size, pred_ids.size))
+    last_hyp = np.full(gt_ids.size, -1)
+    frames = np.union1d(gt.frame, pred.frame)
+    # Row ranges of each frame: [g0, g1) in gt, [p0, p1) in pred.
+    bounds = [np.searchsorted(tracks.frame, frames, side).tolist()
+              for tracks in (gt, pred) for side in ("left", "right")]
     fp = fn = idsw = 0
-    gt_count = sum(len(entries) for entries in gt_idx.values())
-    last_hyp: dict[int, int] = {}
-    for frame in sorted(set(gt_idx) | set(pred_idx)):
-        gts = gt_idx.get(frame, [])
-        preds = pred_idx.get(frame, [])
-        pred_boxes = {pid: box for pid, box in preds}
-        taken_g: set[int] = set()
-        taken_p: set[int] = set()
-        matches: list[tuple[int, int]] = []
-        # Keep alive any correspondence that still overlaps.
-        alive = [(gid, box, last_hyp[gid]) for gid, box in gts
-                 if last_hyp.get(gid) in pred_boxes]
-        overlaps = iou_kernel(stack_boxes([box for _, box, _ in alive]),
-                              stack_boxes([pred_boxes[pid] for _, _, pid in alive]))
-        for (gid, _, pid), overlap in zip(alive, overlaps):
-            if pid not in taken_p and overlap >= iou_threshold:
-                matches.append((gid, pid))
-                taken_g.add(gid)
-                taken_p.add(pid)
-        rest_g = [(gid, box) for gid, box in gts if gid not in taken_g]
-        rest_p = [(pid, box) for pid, box in preds if pid not in taken_p]
-        if rest_g and rest_p:
-            overlaps = iou_kernel(stack_boxes([b for _, b in rest_g])[:, None],
-                                  stack_boxes([b for _, b in rest_p])[None, :])
-            admissible = np.where(overlaps >= iou_threshold, overlaps, -np.inf)
-            for i, j in max_weight_matching(admissible):
-                gid, pid = rest_g[i][0], rest_p[j][0]
-                matches.append((gid, pid))
-                taken_g.add(gid)
-                taken_p.add(pid)
-        for gid, pid in matches:
-            prev = last_hyp.get(gid)
-            if prev is not None and prev != pid:
-                idsw += 1
-            last_hyp[gid] = pid
-        fn += len(gts) - len(matches)
-        fp += len(preds) - len(matches)
-    return fp, fn, idsw, gt_count
-
-
-def clear_mot(gt: Iterable[Trajectory], pred: Iterable[Trajectory],
-              iou_threshold: float = 0.5) -> ClearMot:
-    gt, pred = list(gt), list(pred)
-    fp, fn, idsw, gt_count = _clear_counts(gt, pred, iou_threshold)
-    mota = 1.0 - (fp + fn + idsw) / max(gt_count, 1)
-    return ClearMot(mota=mota, fp=fp, fn=fn, idsw=idsw)
-
-
-def _id_counts(gt, pred, iou_threshold):
-    """(IDTP, total gt boxes, total predicted boxes) under the best global
-    one-to-one identity assignment."""
-    gt, pred = list(gt), list(pred)
-    len_gt = sum(len(t) for t in gt)
-    len_pred = sum(len(t) for t in pred)
-    if not gt or not pred:
-        return 0, len_gt, len_pred
-    # Per-pair IDTP potential: frames where both are present and overlap.
-    potential = np.zeros((len(gt), len(pred)))
-    pred_frames = [{e.frame: e.box for e in t.entries} for t in pred]
-    for i, t in enumerate(gt):
-        for j, frames in enumerate(pred_frames):
-            both = [(e.box, frames[e.frame]) for e in t.entries if e.frame in frames]
-            if not both:
-                continue
-            overlaps = iou_kernel(stack_boxes([a for a, _ in both]),
-                                  stack_boxes([b for _, b in both]))
-            potential[i, j] = int((overlaps >= iou_threshold).sum())
+    for g0, g1, p0, p1 in zip(*bounds):
+        n, m = g1 - g0, p1 - p0
+        matched = 0
+        if n and m:
+            gi, pj = gt_of[g0:g1], pred_of[p0:p1]
+            overlap = iou_kernel(gt.boxes[g0:g1, None], pred.boxes[None, p0:p1])
+            hit = overlap >= iou_threshold
+            np.add.at(potential, (gi[:, None], pj), hit)
+            # Keep alive each correspondence that still overlaps; a prediction
+            # claimed by several gt tracks stays with the lowest gt id.
+            hyp = last_hyp[gi]
+            col = np.minimum(np.searchsorted(pj, hyp), m - 1)
+            alive = np.flatnonzero((pj[col] == hyp) & hit[np.arange(n), col])
+            owner = np.full(m, n)  # per prediction: the gt row keeping it, n if none
+            np.minimum.at(owner, col[alive], alive)
+            kept = owner < n
+            # The optimal step matches the gt rows and predictions left over.
+            rows = np.flatnonzero(np.bincount(owner[kept], minlength=n) == 0)
+            cols = np.flatnonzero(~kept)
+            matched = int(kept.sum())
+            block = np.where(hit, overlap, -np.inf)[np.ix_(rows, cols)]
+            for i, j in max_weight_matching(block) if np.isfinite(block).any() else ():
+                g, p = gi[rows[i]], pj[cols[j]]
+                idsw += bool(last_hyp[g] >= 0 and last_hyp[g] != p)
+                last_hyp[g] = p
+                matched += 1
+        fn += n - matched
+        fp += m - matched
     admissible = np.where(potential > 0, potential, -np.inf)
     idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
-    return idtp, len_gt, len_pred
+    return EvalCounts(fp=fp, fn=fn, idsw=idsw, idtp=idtp,
+                      len_gt=gt.frame.size, len_pred=pred.frame.size)
 
 
-def id_metrics(gt: Iterable[Trajectory], pred: Iterable[Trajectory],
-               iou_threshold: float = 0.5) -> IdMetrics:
-    idtp, len_gt, len_pred = _id_counts(gt, pred, iou_threshold)
-    idp = idtp / len_pred if len_pred else 0.0
-    idr = idtp / len_gt if len_gt else 0.0
-    denom = len_gt + len_pred
-    idf1 = 2 * idtp / denom if denom else 1.0
-    return IdMetrics(idf1=idf1, idp=idp, idr=idr)
+def _columns(tracks: Tracks) -> TrackColumns:
+    return tracks if isinstance(tracks, TrackColumns) else TrackColumns.from_trajectories(tracks)
 
 
-def evaluate(gt: Iterable[Trajectory], pred: Iterable[Trajectory],
-             iou_threshold: float = 0.5) -> EvalReport:
-    gt, pred = list(gt), list(pred)
-    fp, fn, idsw, gt_count = _clear_counts(gt, pred, iou_threshold)
-    mota = 1.0 - (fp + fn + idsw) / max(gt_count, 1)
-    ids = id_metrics(gt, pred, iou_threshold)
-    return EvalReport(mota=mota, idf1=ids.idf1, idp=ids.idp, idr=ids.idr,
-                      fp=fp, fn=fn, idsw=idsw, gt_count=gt_count)
-
-
-def evaluate_sequences(pairs: Mapping[str, tuple[Iterable[Trajectory], Iterable[Trajectory]]],
-                       iou_threshold: float = 0.5) -> EvalReport:
-    """Aggregate evaluation over named sequences (counts pooled, not averaged)."""
-    fp = fn = idsw = gt_count = 0
-    idtp = len_gt = len_pred = 0
-    per_sequence = {}
-    for name, (gt, pred) in pairs.items():
-        gt, pred = list(gt), list(pred)
-        per_sequence[name] = evaluate(gt, pred, iou_threshold)
-        f, n, s, g = _clear_counts(gt, pred, iou_threshold)
-        fp, fn, idsw, gt_count = fp + f, fn + n, idsw + s, gt_count + g
-        tp, lg, lp = _id_counts(gt, pred, iou_threshold)
-        idtp, len_gt, len_pred = idtp + tp, len_gt + lg, len_pred + lp
-    mota = 1.0 - (fp + fn + idsw) / max(gt_count, 1)
+def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
+    fp, fn, idsw, idtp, len_gt, len_pred = counts
     denom = len_gt + len_pred
     return EvalReport(
-        mota=mota,
+        mota=1.0 - (fp + fn + idsw) / max(len_gt, 1),
         idf1=2 * idtp / denom if denom else 1.0,
         idp=idtp / len_pred if len_pred else 0.0,
         idr=idtp / len_gt if len_gt else 0.0,
-        fp=fp, fn=fn, idsw=idsw, gt_count=gt_count,
-        per_sequence=per_sequence)
+        fp=fp, fn=fn, idsw=idsw, gt_count=len_gt,
+        per_sequence=per_sequence or {})
+
+
+def evaluate(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> EvalReport:
+    return _report(eval_counts(_columns(gt), _columns(pred), iou_threshold))
+
+
+def clear_mot(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> ClearMot:
+    report = evaluate(gt, pred, iou_threshold)
+    return ClearMot(mota=report.mota, fp=report.fp, fn=report.fn, idsw=report.idsw)
+
+
+def id_metrics(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> IdMetrics:
+    report = evaluate(gt, pred, iou_threshold)
+    return IdMetrics(idf1=report.idf1, idp=report.idp, idr=report.idr)
+
+
+def evaluate_sequences(pairs: Mapping[str, tuple[Tracks, Tracks]],
+                       iou_threshold: float = 0.5) -> EvalReport:
+    """Aggregate evaluation over named sequences (counts pooled, not averaged)."""
+    counts = {name: eval_counts(_columns(gt), _columns(pred), iou_threshold)
+              for name, (gt, pred) in pairs.items()}
+    pooled = EvalCounts(*map(sum, zip(*counts.values())))
+    return _report(pooled, {name: _report(c) for name, c in counts.items()})
 
 
 def format_report(report: EvalReport) -> str:

@@ -3,18 +3,26 @@
 MOTChallenge lines: ``frame,id,bb_left,bb_top,w,h,conf[,x,y,z]`` with 1-based
 frames.  KITTI tracking label lines: 17 (18 with score) space-separated
 fields with 0-based frames, mapped to the internal 1-based convention on
-read and back on write.  Readers fail with file/line context on malformed
-input and drop degenerate boxes with a logged count; writers sort rows by
-(frame, id) and emit a fixed six-decimal format so a write→read→write cycle
-is byte-identical.
+read and back on write.
+
+A MOT file is parsed once into frame, id, [cx, cy, w, h] box and score
+columns.  `read_mot_columns` sorts a track file's columns into
+`TrackColumns` for `eval`; `read_mot_tracks` and `read_mot_detections` build
+their objects from the same columns.  Readers fail with `file:line` context
+on malformed input and on a track with two boxes in one frame, and drop
+degenerate boxes with a logged count; writers sort rows by (frame, id) and
+emit a fixed six-decimal format so write→read→write is byte-identical.
 """
 
 from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
+import numpy as np
+
+from .geometry import stack_boxes
 from .model import BoundingBox, Detection
 from .refine import Trajectory
 
@@ -24,10 +32,6 @@ PathLike = Union[str, Path]
 
 KITTI_CLASSES = ("Car", "Van", "Truck", "Pedestrian", "Person_sitting",
                  "Cyclist", "Tram", "Misc")
-
-
-def _clamp_score(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
 
 
 def _parse_mot_line(line: str, path: PathLike, lineno: int):
@@ -45,73 +49,109 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     if frame < 1:
         raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 1")
+    if w != w or h != h or conf != conf:  # NaN, the one value unequal to itself
+        raise ValueError(f"{path}:{lineno}: box size and confidence must be numbers")
     return frame, track_id, left, top, w, h, conf
+
+
+class TrackColumns(NamedTuple):
+    """The boxes of a track file as columns, rows sorted by (frame, track_id).
+
+    `boxes` rows are [cx, cy, w, h], derived with the operations of
+    `BoundingBox.from_ltwh`, so a row's overlaps equal its BoundingBox's.
+    """
+
+    frame: np.ndarray
+    track_id: np.ndarray
+    boxes: np.ndarray
+
+    @classmethod
+    def of(cls, frame: np.ndarray, track_id: np.ndarray, boxes: np.ndarray) -> "TrackColumns":
+        order = np.lexsort((track_id, frame))
+        return cls(frame[order], track_id[order], boxes[order])
+
+    @classmethod
+    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> "TrackColumns":
+        """Columns of trajectories; trajectories sharing a track_id are one identity."""
+        rows = [(t.track_id, e) for t in trajectories for e in t.entries]
+        return cls.of(np.array([e.frame for _, e in rows], dtype=np.int64),
+                      np.array([tid for tid, _ in rows], dtype=np.int64),
+                      stack_boxes(e.box for _, e in rows))
+
+
+def _read_mot_rows(path: PathLike, track_file: bool) -> tuple[np.ndarray, ...]:
+    """Parse a MOT file once into frame, id, [cx, cy, w, h] box and clamped
+    score columns in file order, dropping rows of non-positive size.  A
+    negative id is an error in a track file."""
+    rows = []
+    rejected = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            row = frame, track_id, left, top, w, h, conf = _parse_mot_line(line, path, lineno)
+            if w <= 0 or h <= 0:
+                rejected += 1
+            elif track_file and track_id < 0:
+                raise ValueError(
+                    f"{path}:{lineno}: track id {track_id} invalid in a track file")
+            else:
+                rows.append(row)
+    if rejected:
+        log.warning("%s: rejected %d records with non-positive size", path, rejected)
+    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    left, top, w, h = table[:, 2:6].T
+    boxes = np.stack([left + w / 2, top + h / 2, w, h], axis=1)
+    return (table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), boxes,
+            np.clip(table[:, 6], 0.0, 1.0))
+
+
+def _detections(frame: np.ndarray, boxes: np.ndarray, score: np.ndarray) -> list[Detection]:
+    """One Detection per row; det_id numbers the rows in file order from 1."""
+    return [Detection(frame=f, box=BoundingBox(*box), score=s, det_id=det_id)
+            for det_id, (f, box, s)
+            in enumerate(zip(frame.tolist(), boxes.tolist(), score.tolist()), 1)]
 
 
 def read_mot_detections(path: PathLike) -> list[Detection]:
     """Read a MOT detection file; the id column is ignored (-1 convention)."""
-    detections = []
-    rejected = 0
-    next_id = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            frame, _, left, top, w, h, conf = _parse_mot_line(line, path, lineno)
-            if w <= 0 or h <= 0:
-                rejected += 1
-                continue
-            detections.append(Detection(
-                frame=frame, box=BoundingBox.from_ltwh(left, top, w, h),
-                score=_clamp_score(conf), det_id=next_id))
-            next_id += 1
-    if rejected:
-        log.warning("%s: rejected %d records with non-positive size", path, rejected)
-    return detections
+    frame, _, boxes, score = _read_mot_rows(path, track_file=False)
+    return _detections(frame, boxes, score)
+
+
+def read_mot_columns(path: PathLike) -> TrackColumns:
+    """Read a MOT result/ground-truth file as TrackColumns."""
+    frame, track_id, boxes, _ = _read_mot_rows(path, track_file=True)
+    _track_order(path, frame, track_id)
+    return TrackColumns.of(frame, track_id, boxes)
 
 
 def read_mot_tracks(path: PathLike) -> list[Trajectory]:
     """Read a MOT result/ground-truth file into per-identity trajectories."""
-    rows: list[tuple[int, Detection]] = []
-    rejected = 0
-    next_id = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            frame, track_id, left, top, w, h, conf = _parse_mot_line(line, path, lineno)
-            if w <= 0 or h <= 0:
-                rejected += 1
-                continue
-            if track_id < 0:
-                raise ValueError(
-                    f"{path}:{lineno}: track id {track_id} invalid in a track file")
-            det = Detection(frame=frame, box=BoundingBox.from_ltwh(left, top, w, h),
-                            score=_clamp_score(conf), det_id=next_id)
-            next_id += 1
-            rows.append((track_id, det))
-    if rejected:
-        log.warning("%s: rejected %d records with non-positive size", path, rejected)
-    return _group_tracks(path, rows)
+    frame, track_id, boxes, score = _read_mot_rows(path, track_file=True)
+    return _group_tracks(path, track_id, _detections(frame, boxes, score))
 
 
-def _group_tracks(path: PathLike,
-                  rows: Iterable[tuple[int, Detection]]) -> list[Trajectory]:
-    """Group (track_id, detection) rows into trajectories in id order."""
-    by_id: dict[int, list[Detection]] = {}
-    for track_id, det in rows:
-        by_id.setdefault(track_id, []).append(det)
-    out = []
-    for track_id in sorted(by_id):
-        entries = sorted(by_id[track_id], key=lambda d: d.frame)
-        for a, b in zip(entries, entries[1:]):
-            if a.frame == b.frame:
-                raise ValueError(
-                    f"{path}: track {track_id} has two boxes at frame {a.frame}")
-        out.append(Trajectory(track_id=track_id, entries=tuple(entries)))
-    return out
+def _track_order(path: PathLike, frame: np.ndarray, track_id: np.ndarray) -> np.ndarray:
+    """Row order by (track_id, frame); the first repeated (track, frame) is an error."""
+    order = np.lexsort((frame, track_id))
+    f, t = frame[order], track_id[order]
+    repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
+    if repeats.size:
+        raise ValueError(f"{path}: track {t[repeats[0]]} has two boxes at frame {f[repeats[0]]}")
+    return order
+
+
+def _group_tracks(path: PathLike, track_id: Sequence[int],
+                  entries: Sequence[Detection]) -> list[Trajectory]:
+    """Group rows into trajectories in id order, each in frame order."""
+    track_id = np.asarray(track_id, dtype=np.int64)
+    order = _track_order(path, np.array([d.frame for d in entries], dtype=np.int64), track_id)
+    runs = np.split(order, np.flatnonzero(np.diff(track_id[order])) + 1) if entries else []
+    return [Trajectory(track_id=int(track_id[run[0]]),
+                       entries=tuple(entries[k] for k in run.tolist()))
+            for run in runs]
 
 
 def _mot_row(frame: int, track_id: int, box: BoundingBox, score: float) -> str:
@@ -180,7 +220,7 @@ def read_kitti_tracking(path: PathLike,
                 continue
             out.append((track_id, Detection(
                 frame=frame, box=BoundingBox.from_corners(x1, y1, x2, y2),
-                score=_clamp_score(score), class_id=KITTI_CLASSES.index(cls),
+                score=min(max(score, 0.0), 1.0), class_id=KITTI_CLASSES.index(cls),
                 det_id=next_id)))
             next_id += 1
     if unknown:
@@ -192,7 +232,8 @@ def read_kitti_tracks(path: PathLike,
                       class_filter: Union[str, Sequence[str], None] = None
                       ) -> list[Trajectory]:
     """Read KITTI tracking labels into per-identity trajectories."""
-    return _group_tracks(path, read_kitti_tracking(path, class_filter))
+    rows = read_kitti_tracking(path, class_filter)
+    return _group_tracks(path, [tid for tid, _ in rows], [d for _, d in rows])
 
 
 def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike,

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -96,6 +97,31 @@ class TestTrack:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
         stdout = capsys.readouterr().out
         assert "alpha:" in stdout and "beta:" in stdout
+
+    @pytest.mark.parametrize("command", ["track", "refine"])
+    def test_dump_identical_with_one_and_two_workers(self, tmp_path, command):
+        src = tmp_path / "seqs"
+        src.mkdir()
+        if command == "track":
+            write_dets(src / "alpha.txt", linear_dets(gap_frames={(0, 7), (0, 8)}))
+            write_dets(src / "beta.txt", linear_dets(xs=(250.0,)))
+        else:
+            write_mot_results([traj(1, [1, 2, 4, 5, 6], 100.0)], src / "alpha.txt")
+            write_mot_results([traj(1, range(1, 11), 100.0),
+                               traj(2, range(13, 21), 100.0)], src / "beta.txt")
+        flag = "--det" if command == "track" else "--in"
+        dumps = []
+        for workers in ("1", "2"):
+            dumps.append(tmp_path / f"dump{workers}.json")
+            assert cli.main([command, flag, str(src), "--out", str(tmp_path / f"out{workers}"),
+                             "--workers", workers, "--dump-hierarchy", str(dumps[-1])]) == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+        assert set(json.loads(dumps[0].read_text())) == {"alpha", "beta"}
+
+    def test_no_dump_payload_without_dump_flag(self, tmp_path):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=5))
+        with mock.patch.object(cli, "_dump_payload", side_effect=AssertionError):
+            assert cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt")]) == 0
 
     def test_missing_input_fails_with_1(self, tmp_path, capsys):
         rc = cli.main(["track", "--det", str(tmp_path / "nope.txt"),
@@ -211,6 +237,36 @@ class TestEval:
         stdout = capsys.readouterr().out
         assert "s1" in stdout and "s2" in stdout
         assert "MOTA  1.0000" in stdout
+
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "1.5", "0"])
+    def test_iou_threshold_outside_unit_interval_fails_with_2(self, tmp_path, capsys, value):
+        gt = tmp_path / "gt.txt"
+        write_mot_results([traj(1, range(1, 6), 100.0)], gt)
+        rc = cli.main(["eval", "--gt", str(gt), "--pred", str(gt), "--iou-threshold", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "--iou-threshold" in captured.err
+
+    def test_directory_mode_warns_about_one_sided_sequences(self, tmp_path, capsys, caplog):
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        for name in ("s1.txt", "s2.txt"):
+            write_mot_results([traj(1, range(1, 6), 100.0)], gt_dir / name)
+            write_mot_results([traj(9, range(1, 4), 100.0)], pred_dir / name)
+        argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred_dir), "--kv"]
+        assert cli.main(argv) == 0
+        shared_only = capsys.readouterr().out
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        write_mot_results([traj(1, range(1, 6), 100.0)], gt_dir / "gt_extra.txt")
+        write_mot_results([traj(1, range(1, 6), 100.0)], pred_dir / "pred_extra.txt")
+        with caplog.at_level("WARNING"):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == shared_only
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert "gt_extra (gt only)" in warning and "pred_extra (pred only)" in warning
 
 
 class TestSynth:

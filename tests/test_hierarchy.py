@@ -33,7 +33,9 @@ from intertrack.model import (
     Tracklet,
     TrackerConfig,
 )
+from intertrack.metrics import evaluate
 from intertrack.motion import _advance, kalman_states
+from intertrack.mot_io import read_mot_detections, write_mot_detections
 from intertrack.refine import resolve_overlap
 from intertrack.synth import Motion, ScenarioSpec, generate
 
@@ -213,6 +215,31 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
                        for t in tracks for e in t.entries)
         else:
             assert placed[d.det_id] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=_scenes(), strategy=st.sampled_from(list(Strategy)), data=st.data())
+def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, data):
+    """Shuffling a detection file's rows keeps every track as a set of
+    (frame, box) and the MOTA/IDF1 against ground truth.  Track ids and
+    output row order may differ: det_id follows file order."""
+    cfg = TrackerConfig()
+    if strategy is Strategy.WINDOW:
+        cfg = dataclasses.replace(cfg, schedule=HierarchySchedule.default_window())
+    gt, dets = generate(scene)
+    path = tmp_path_factory.mktemp("rows") / "det.txt"
+    write_mot_detections(dets, path)
+    rows = path.read_text().splitlines(keepends=True)
+    ordered = run(read_mot_detections(path), cfg)
+    path.write_text("".join(data.draw(st.permutations(rows))))
+    shuffled = run(read_mot_detections(path), cfg)
+
+    def partition(tracks):
+        return {frozenset((e.frame, e.box) for e in t.entries) for t in tracks}
+
+    assert partition(shuffled) == partition(ordered)
+    a, b = evaluate(gt, ordered), evaluate(gt, shuffled)
+    assert (a.mota, a.idf1) == (b.mota, b.idf1)
 
 
 class TestWindowPass:

@@ -2,16 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from intertrack.assignment import max_weight_matching
+from intertrack.geometry import iou_kernel, stack_boxes
 from intertrack.model import BoundingBox, Detection
 from intertrack.metrics import (
     clear_mot,
+    eval_counts,
     evaluate,
     evaluate_sequences,
     format_report,
     id_metrics,
     report_kv_lines,
 )
+from intertrack.mot_io import TrackColumns
 from intertrack.refine import Trajectory
 
 
@@ -182,3 +188,134 @@ class TestEvaluate:
         kv = report_kv_lines(r)
         assert "mota=1.000000" in kv
         assert "idsw=0" in kv
+
+
+# Per-track-pair reference for the column counts: the CLEAR and identity
+# counting that scored Trajectory lists before `eval_counts`, kept verbatim.
+
+def _frame_index(tracks):
+    index = {}
+    for t in tracks:
+        for e in t.entries:
+            index.setdefault(e.frame, []).append((t.track_id, e.box))
+    for frame in index:
+        index[frame].sort(key=lambda pair: pair[0])
+    return index
+
+
+def reference_clear_counts(gt, pred, iou_threshold):
+    gt_idx = _frame_index(gt)
+    pred_idx = _frame_index(pred)
+    fp = fn = idsw = 0
+    gt_count = sum(len(entries) for entries in gt_idx.values())
+    last_hyp = {}
+    for frame in sorted(set(gt_idx) | set(pred_idx)):
+        gts = gt_idx.get(frame, [])
+        preds = pred_idx.get(frame, [])
+        pred_boxes = {pid: box for pid, box in preds}
+        taken_g, taken_p = set(), set()
+        matches = []
+        alive = [(gid, box, last_hyp[gid]) for gid, box in gts
+                 if last_hyp.get(gid) in pred_boxes]
+        overlaps = iou_kernel(stack_boxes([box for _, box, _ in alive]),
+                              stack_boxes([pred_boxes[pid] for _, _, pid in alive]))
+        for (gid, _, pid), overlap in zip(alive, overlaps):
+            if pid not in taken_p and overlap >= iou_threshold:
+                matches.append((gid, pid))
+                taken_g.add(gid)
+                taken_p.add(pid)
+        rest_g = [(gid, box) for gid, box in gts if gid not in taken_g]
+        rest_p = [(pid, box) for pid, box in preds if pid not in taken_p]
+        if rest_g and rest_p:
+            overlaps = iou_kernel(stack_boxes([b for _, b in rest_g])[:, None],
+                                  stack_boxes([b for _, b in rest_p])[None, :])
+            admissible = np.where(overlaps >= iou_threshold, overlaps, -np.inf)
+            for i, j in max_weight_matching(admissible):
+                gid, pid = rest_g[i][0], rest_p[j][0]
+                matches.append((gid, pid))
+                taken_g.add(gid)
+                taken_p.add(pid)
+        for gid, pid in matches:
+            prev = last_hyp.get(gid)
+            if prev is not None and prev != pid:
+                idsw += 1
+            last_hyp[gid] = pid
+        fn += len(gts) - len(matches)
+        fp += len(preds) - len(matches)
+    return fp, fn, idsw, gt_count
+
+
+def reference_id_counts(gt, pred, iou_threshold):
+    len_gt = sum(len(t) for t in gt)
+    len_pred = sum(len(t) for t in pred)
+    if not gt or not pred:
+        return 0, len_gt, len_pred
+    potential = np.zeros((len(gt), len(pred)))
+    pred_frames = [{e.frame: e.box for e in t.entries} for t in pred]
+    for i, t in enumerate(gt):
+        for j, frames in enumerate(pred_frames):
+            both = [(e.box, frames[e.frame]) for e in t.entries if e.frame in frames]
+            if not both:
+                continue
+            overlaps = iou_kernel(stack_boxes([a for a, _ in both]),
+                                  stack_boxes([b for _, b in both]))
+            potential[i, j] = int((overlaps >= iou_threshold).sum())
+    admissible = np.where(potential > 0, potential, -np.inf)
+    idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
+    return idtp, len_gt, len_pred
+
+
+# Boxes on a coarse integer grid (4 x 4 px, centres 0-6 px apart) make IoU
+# ties common and give IoUs of exactly 1, 0.6, 1/3, 1/7 and 0, so thresholds
+# drawn from those values sit exactly on an attainable IoU.
+_GRID_THRESHOLDS = [1.0, 0.6, 0.5, 1 / 3, 1 / 7, 0.05]
+
+
+@st.composite
+def _grid_tracks(draw, ids):
+    chosen = draw(st.lists(ids, unique=True, max_size=5))
+    tracks = []
+    for tid in chosen:
+        frames = draw(st.lists(st.integers(1, 8), unique=True, min_size=1, max_size=8))
+        entries = tuple(Detection(frame=f, box=BoundingBox(float(draw(st.integers(0, 6))),
+                                                           float(draw(st.integers(0, 2))),
+                                                           4.0, 4.0), score=1.0)
+                        for f in sorted(frames))
+        tracks.append(Trajectory(tid, entries))
+    return draw(st.permutations(tracks))
+
+
+def _line(tid, placed):
+    """A track at (frame, cx) positions on the grid's first row."""
+    return Trajectory(tid, tuple(Detection(frame=f, box=BoundingBox(float(x), 0.0, 4.0, 4.0),
+                                           score=1.0) for f, x in placed))
+
+
+# gt 1 and gt 2 both last matched pred 5 when they meet it at frame 3; gt 1,
+# first in id order, keeps it alive (IoU 0.6) although pred 6 covers it
+# exactly, and gt 2 goes to the optimal step and switches to pred 6.
+_SHARED_HYPOTHESIS = ([_line(1, [(1, 0), (3, 0), (4, 0)]), _line(2, [(2, 0), (3, 1), (4, 1)])],
+                      [_line(5, [(1, 0), (2, 0), (3, 1), (4, 0)]), _line(6, [(3, 0), (4, 1)])])
+
+
+class TestColumnCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(gt=_grid_tracks(st.integers(1, 6)), pred=_grid_tracks(st.integers(3, 9)),
+           iou_threshold=st.sampled_from(_GRID_THRESHOLDS))
+    @example(gt=_SHARED_HYPOTHESIS[0], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5)
+    @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5)
+    @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5)
+    def test_matches_per_track_pair_reference(self, gt, pred, iou_threshold):
+        counts = eval_counts(TrackColumns.from_trajectories(gt),
+                             TrackColumns.from_trajectories(pred), iou_threshold)
+        fp, fn, idsw, gt_count = reference_clear_counts(gt, pred, iou_threshold)
+        idtp, len_gt, len_pred = reference_id_counts(gt, pred, iou_threshold)
+        assert (counts.fp, counts.fn, counts.idsw) == (fp, fn, idsw)
+        assert (counts.idtp, counts.len_gt, counts.len_pred) == (idtp, len_gt, len_pred)
+        assert counts.len_gt == gt_count
+
+    def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
+        counts = eval_counts(*map(TrackColumns.from_trajectories, _SHARED_HYPOTHESIS), 0.5)
+        # One switch (gt 2 at frame 3); both pairs then persist.  Matching
+        # frame 3 optimally instead would switch gt 1 there and both at frame 4.
+        assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 1)

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intertrack.model import BoundingBox, Detection
 from intertrack.mot_io import (
     KITTI_CLASSES,
+    TrackColumns,
     read_kitti_tracking,
     read_kitti_tracks,
+    read_mot_columns,
     read_mot_detections,
     read_mot_tracks,
     write_kitti_tracking,
@@ -117,6 +121,63 @@ class TestMotTracks:
         p = tmp_path / "res.txt"
         write_mot_results([], p)
         assert p.read_text() == ""
+
+
+def _first_repeat(rows):
+    """The (track, frame) a per-track grouping reports first: tracks in id
+    order, each sorted by frame."""
+    by_id = {}
+    for tid, frame in rows:
+        by_id.setdefault(tid, []).append(frame)
+    for tid in sorted(by_id):
+        frames = sorted(by_id[tid])
+        for a, b in zip(frames, frames[1:]):
+            if a == b:
+                return tid, a
+    return None
+
+
+_coords = st.sampled_from(["0", "-3.5", "12.25", "101.123456", "7e1", "0.1", "1e-3"])
+_sizes = st.sampled_from(["10", "0.3", "33.333333", "1e2", "0", "-2"])
+
+
+class TestMotColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6), _coords, _coords,
+                                   _sizes, _sizes, st.sampled_from(["1", "0.5", "-1", "2"])),
+                         max_size=25))
+    # Two repeats whose (frame, track) order differs from their (track, frame) order.
+    @example(rows=[(0, 5, "0", "0", "10", "10", "1")] * 2 + [(1, 2, "0", "0", "10", "10", "1")] * 2)
+    def test_columns_equal_those_of_the_tracks(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cols") / "res.txt"
+        path.write_text("".join(f"{f},{tid},{left},{top},{w},{h},{c}\n"
+                                for tid, f, left, top, w, h, c in rows))
+        kept = [(tid, f) for tid, f, _, _, w, h, _ in rows if float(w) > 0 and float(h) > 0]
+        repeat = _first_repeat(kept)
+        if repeat is not None:
+            message = f"track {repeat[0]} has two boxes at frame {repeat[1]}"
+            for reader in (read_mot_columns, read_mot_tracks):
+                with pytest.raises(ValueError, match=message):
+                    reader(path)
+            return
+        boxes = sorted((f, tid, BoundingBox.from_ltwh(*map(float, ltwh)))
+                       for tid, f, *ltwh, _ in rows if float(ltwh[2]) > 0 and float(ltwh[3]) > 0)
+        got = read_mot_columns(path)
+        want = TrackColumns.from_trajectories(read_mot_tracks(path))
+        assert got.frame.tolist() == want.frame.tolist() == sorted(f for _, f in kept)
+        assert got.track_id.tolist() == want.track_id.tolist()
+        assert got.boxes.tobytes() == want.boxes.tobytes()
+        assert got.boxes.tolist() == [[b.cx, b.cy, b.w, b.h] for _, _, b in boxes]
+        assert [(f, tid) for f, tid in zip(got.frame.tolist(), got.track_id.tolist())] \
+            == sorted((f, tid) for tid, f in kept)
+
+    def test_nan_size_or_confidence_names_the_line(self, tmp_path):
+        p = tmp_path / "res.txt"
+        for row in ("1,1,0,0,nan,10,1", "1,1,0,0,10,10,nan"):
+            p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
+            for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+                with pytest.raises(ValueError, match=r":2: box size and confidence"):
+                    reader(p)
 
 
 class TestKitti:
