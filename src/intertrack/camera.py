@@ -4,26 +4,24 @@ A sequence is flagged as moving-camera when the mean IoU of frame-adjacent
 matched detection pairs falls below a threshold: a shaking or panning camera
 drags every box, so even correct matches overlap poorly.  The per-frame
 camera shift is then estimated as the mean center displacement of matched
-pairs, accumulated into a running offset, and all detections are shifted
-into a stabilized coordinate frame where association runs; final results are
-shifted back.  No pixels or visual features are involved.
+pairs, accumulated into a running offset, and subtracted from the box column
+of the engine's detection table: association runs on the stabilized boxes,
+while the results keep the caller's own boxes, so nothing is shifted back.
+No pixels or visual features are involved.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import iou_kernel, stack_boxes
-from .model import BoundingBox, Detection
+from .geometry import iou_kernel
 
 log = logging.getLogger(__name__)
 
 Offset = tuple[float, float]
-MatchPairs = Mapping[int, Sequence[tuple[Detection, Detection]]]
 
 
 @dataclass(frozen=True)
@@ -40,12 +38,6 @@ class CameraProfile:
     cumulative_offset: dict[int, Offset]
     frame_range: tuple[int, int]
 
-    def offset_at(self, frame: int) -> Offset:
-        lo, hi = self.frame_range
-        if not lo <= frame <= hi:
-            raise ValueError(f"frame {frame} outside profile range [{lo}, {hi}]")
-        return self.cumulative_offset[frame]
-
 
 def static_profile(frame_range: tuple[int, int], mean_match_iou: float = 1.0) -> CameraProfile:
     lo, hi = frame_range
@@ -59,43 +51,43 @@ def static_profile(frame_range: tuple[int, int], mean_match_iou: float = 1.0) ->
     )
 
 
-def estimate(adjacent_matches: MatchPairs, threshold: float,
+def estimate(frame: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float,
              frame_range: tuple[int, int]) -> CameraProfile:
-    """Build a CameraProfile from frame-adjacent matched detection pairs.
+    """Build a CameraProfile from frame-adjacent matched box pairs.
 
-    adjacent_matches maps frame t to pairs (detection at t, detection at
-    t+1).  The movement statistic is the mean raw IoU over every pair, kept
-    deliberately free of the small-box expansion so it is comparable across
-    sequences with different target sizes.  Frames without matches get a
-    zero displacement rather than an extrapolated one.
+    Pair k matches box a[k] at frame[k] with box b[k] at frame[k] + 1 (boxes
+    are [cx, cy, w, h] rows).  The movement statistic is the mean raw IoU
+    over every pair, kept deliberately free of the small-box expansion so it
+    is comparable across sequences with different target sizes; it sums the
+    pairs frame by frame, frames in order of first appearance.  A frame's
+    displacement is the mean over its pairs, summed in the given order.
+    Frames without matches get a zero displacement rather than an
+    extrapolated one.
     """
     lo, hi = frame_range
-    matched = [pair for pairs in adjacent_matches.values() for pair in pairs]
-    ious = iou_kernel(stack_boxes([a.box for a, _ in matched]),
-                      stack_boxes([b.box for _, b in matched])).tolist()
-    if not ious:
+    if not len(frame):
         log.warning("no adjacent matches in [%d, %d]; assuming static camera", lo, hi)
         return static_profile(frame_range)
+    _, first, inverse = np.unique(frame, return_index=True, return_inverse=True)
+    in_appearance = np.argsort(first[inverse], kind="stable")
+    ious = iou_kernel(a[in_appearance], b[in_appearance]).tolist()
     mean_iou = float(sum(ious) / len(ious))
     if mean_iou >= threshold:
         return static_profile(frame_range, mean_match_iou=mean_iou)
 
-    per_frame: dict[int, Offset] = {}
-    for t in range(lo, hi):
-        pairs = adjacent_matches.get(t, ())
-        if pairs:
-            dx = sum(b.box.cx - a.box.cx for a, b in pairs) / len(pairs)
-            dy = sum(b.box.cy - a.box.cy for a, b in pairs) / len(pairs)
-            per_frame[t] = (dx, dy)
-        else:
-            per_frame[t] = (0.0, 0.0)
+    by_frame = np.argsort(frame, kind="stable")
+    dx, dy = (b[by_frame, :2] - a[by_frame, :2]).T.tolist()
+    frames, counts = np.unique(frame, return_counts=True)
+    per_frame: dict[int, Offset] = {t: (0.0, 0.0) for t in range(lo, hi)}
+    for t, end, n in zip(frames.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
+        per_frame[t] = (sum(dx[end - n:end]) / n, sum(dy[end - n:end]) / n)
 
     cumulative: dict[int, Offset] = {lo: (0.0, 0.0)}
     cx = cy = 0.0
     for t in range(lo, hi):
-        dx, dy = per_frame[t]
-        cx += dx
-        cy += dy
+        dx_t, dy_t = per_frame[t]
+        cx += dx_t
+        cy += dy_t
         cumulative[t + 1] = (cx, cy)
     return CameraProfile(
         mean_match_iou=mean_iou,
@@ -106,25 +98,14 @@ def estimate(adjacent_matches: MatchPairs, threshold: float,
     )
 
 
-def _shift(detections: Iterable[Detection], profile: CameraProfile,
-           sign: float) -> list[Detection]:
-    """Move every detection's centre by sign times its frame's offset, all in
-    one array operation; detections at a zero offset are returned as is."""
-    dets = list(detections)
-    offsets = np.array([profile.offset_at(d.frame) for d in dets]).reshape(-1, 2)
-    centres = np.array([(d.box.cx, d.box.cy) for d in dets]).reshape(-1, 2)
-    moved = (centres + sign * offsets).tolist()
-    still = (offsets == 0.0).all(axis=1).tolist()
-    return [d if keep else Detection(d.frame, BoundingBox(cx, cy, d.box.w, d.box.h), d.score,
-                                     d.class_id, d.det_id, d.interpolated)
-            for d, (cx, cy), keep in zip(dets, moved, still)]
-
-
-def stabilize(detections: Iterable[Detection], profile: CameraProfile) -> list[Detection]:
-    """Shift detections into the stabilized frame (camera motion removed)."""
-    return _shift(detections, profile, -1.0)
-
-
-def destabilize(detections: Iterable[Detection], profile: CameraProfile) -> list[Detection]:
-    """Inverse of stabilize: restore original image coordinates."""
-    return _shift(detections, profile, 1.0)
+def stabilize(frame: np.ndarray, boxes: np.ndarray, profile: CameraProfile) -> np.ndarray:
+    """[cx, cy, w, h] rows at the given frames with the camera motion removed:
+    each centre minus its frame's cumulative offset."""
+    lo, hi = profile.frame_range
+    outside = (frame < lo) | (frame > hi)
+    if outside.any():
+        raise ValueError(f"frame {frame[outside][0]} outside profile range [{lo}, {hi}]")
+    offsets = np.array([profile.cumulative_offset[t] for t in range(lo, hi + 1)])
+    out = boxes.copy()
+    out[:, :2] -= offsets[frame - lo]
+    return out

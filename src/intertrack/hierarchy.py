@@ -31,9 +31,19 @@ The first level scores its frame pairs in chunks, not one pair at a time:
 the (t, t+1) blocks are sorted by shape and cut into chunks of at most
 `_CHUNK_CELLS` padded cells, so the kernel's temporaries stay bounded on long
 or crowded sequences.  Each chunk is one kernel call over boxes gathered by
-index; a block smaller than its chunk's largest is padded by repeating one of
+row; a block smaller than its chunk's largest is padded by repeating one of
 its own frame's detections, so padded cells are finite, and they are never
 read.  Only the assignment still runs once per frame pair.
+
+The engine of one class runs on one detection table: `frame`, `det_id` and
+`score` columns of shape (N,) and an (N, 4) `boxes` column of [cx, cy, w, h]
+rows, with rows in (frame, det_id) order, so each frame is one row range.
+`run_detailed` and `associate_tracklets` build it once from the input
+objects.  Inside the engine a tracklet is a `TrackletRows`: its id, the
+frame-sorted array of its rows, and its t_min/t_max; every pass gathers
+boxes, frames and scores by row.  Camera stabilization replaces the box
+column once, and the output trajectories are built, at the end, from the
+caller's own detections, so their boxes are exactly the input boxes.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
@@ -45,13 +55,13 @@ import bisect
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import camera as camera_mod
 from .assignment import solve
-from .geometry import SimilarityKernel, stack_boxes
+from .geometry import SimilarityKernel
 from .model import (
     Detection,
     Stage,
@@ -61,41 +71,82 @@ from .model import (
     validate_config,
 )
 from .motion import FitCache, _advance, kalman_states, pair_scores
-from .refine import Trajectory, from_tracklet, resolve_overlap
+from .refine import Trajectory
 
 log = logging.getLogger(__name__)
 
+
+# ---------------------------------------------------------------------------
+# The table, engine tracklets, state and trace types
+# ---------------------------------------------------------------------------
+
+
+class DetectionTable(NamedTuple):
+    """Detections as columns, rows in (frame, det_id) order."""
+    frame: np.ndarray   # (N,) int64
+    det_id: np.ndarray  # (N,) int64
+    score: np.ndarray   # (N,) float64
+    boxes: np.ndarray   # (N, 4) float64, rows [cx, cy, w, h]
+
+    def take(self, rows: np.ndarray) -> "DetectionTable":
+        return DetectionTable(*(column[rows] for column in self))
+
+
+def detection_table(detections: Sequence[Detection]) -> tuple[DetectionTable, np.ndarray]:
+    """The table of `detections` and, per row, the index of its detection.
+
+    Rows are sorted stably by (frame, det_id, cx, cy, score), so detections
+    that share a det_id still get a deterministic order."""
+    n = len(detections)
+    frame = np.fromiter((d.frame for d in detections), np.int64, n)
+    det_id = np.fromiter((d.det_id for d in detections), np.int64, n)
+    score = np.fromiter((d.score for d in detections), np.float64, n)
+    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in detections],
+                     dtype=np.float64).reshape(-1, 4)
+    order = np.lexsort((score, boxes[:, 1], boxes[:, 0], det_id, frame))
+    return DetectionTable(frame, det_id, score, boxes).take(order), order
+
+
+class TrackletRows(NamedTuple):
+    """A tracklet inside the engine: frame-sorted rows of its table."""
+    tid: int
+    rows: np.ndarray
+    t_min: int
+    t_max: int
+
+
+def _tracklet(frame: np.ndarray, tid: int, rows: np.ndarray) -> TrackletRows:
+    return TrackletRows(tid, rows, int(frame[rows[0]]), int(frame[rows[-1]]))
+
+
 # Batched pair scorer: (earlier, later) tracklet pairs -> similarity per pair.
-PairScorer = Callable[[Sequence[tuple[Tracklet, Tracklet]]], np.ndarray]
+PairScorer = Callable[[Sequence[tuple[TrackletRows, TrackletRows]]], np.ndarray]
 # Candidate grouping: tracklets -> index groups; pairs are only scored
 # (and matched) inside one group.
-Grouping = Callable[[Sequence[Tracklet]], Sequence[Sequence[int]]]
-
-
-# ---------------------------------------------------------------------------
-# State and trace types
-# ---------------------------------------------------------------------------
+Grouping = Callable[[Sequence[TrackletRows]], Sequence[Sequence[int]]]
 
 
 @dataclass(frozen=True)
 class HierarchyState:
-    """Tracklet population between levels, with the count history N_1..N_l."""
+    """Tracklet population over one table between levels, with the count
+    history N_1..N_l."""
+    table: DetectionTable
     level: int
-    tracklets: tuple[Tracklet, ...]
+    tracklets: tuple[TrackletRows, ...]
     counts: tuple[int, ...]
     next_tid: int
 
     @staticmethod
-    def initial(tracklets: Sequence[Tracklet], next_tid: int) -> "HierarchyState":
+    def initial(table: DetectionTable, tracklets: Sequence[TrackletRows],
+                next_tid: int) -> "HierarchyState":
         ordered = _ordered(tracklets)
-        return HierarchyState(level=1, tracklets=tuple(ordered),
+        return HierarchyState(table=table, level=1, tracklets=tuple(ordered),
                               counts=(len(ordered),), next_tid=next_tid)
 
-    def advanced(self, tracklets: Sequence[Tracklet], next_tid: int) -> "HierarchyState":
-        return HierarchyState(level=self.level + 1,
-                              tracklets=tuple(_ordered(tracklets)),
-                              counts=self.counts + (len(tracklets),),
-                              next_tid=next_tid)
+    def advanced(self, tracklets: Sequence[TrackletRows], next_tid: int) -> "HierarchyState":
+        return dataclasses.replace(self, level=self.level + 1,
+                                   tracklets=tuple(_ordered(tracklets)),
+                                   counts=self.counts + (len(tracklets),), next_tid=next_tid)
 
 
 @dataclass(frozen=True)
@@ -108,7 +159,6 @@ class LevelTrace:
 @dataclass(frozen=True)
 class ClassRunResult:
     class_id: int
-    tracklets: tuple[Tracklet, ...]
     counts: tuple[int, ...]
     levels: tuple[LevelTrace, ...]
     camera: Optional[camera_mod.CameraProfile]
@@ -120,18 +170,57 @@ class RunResult:
     per_class: tuple[ClassRunResult, ...]
 
 
-def _ordered(tracklets: Iterable[Tracklet]) -> list[Tracklet]:
+def _ordered(tracklets: Iterable[TrackletRows]) -> list[TrackletRows]:
     return sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
 
 
-def _snapshot(label: str, tracklets: Sequence[Tracklet]) -> LevelTrace:
-    members = tuple(tuple((e.frame, e.det_id) for e in t.entries) for t in tracklets)
-    return LevelTrace(label=label, tracklet_count=len(tracklets), members=members)
+def _snapshot(label: str, state: HierarchyState) -> LevelTrace:
+    frame, det_id = state.table.frame, state.table.det_id
+    members = tuple(tuple(zip(frame[t.rows].tolist(), det_id[t.rows].tolist()))
+                    for t in state.tracklets)
+    return LevelTrace(label=label, tracklet_count=len(members), members=members)
 
 
 # ---------------------------------------------------------------------------
 # Generic association machinery
 # ---------------------------------------------------------------------------
+
+
+def resolve_overlap(table: DetectionTable, a: TrackletRows, b: TrackletRows, new_tid: int,
+                    max_overlap: int = 5) -> TrackletRows:
+    """Merge two matched tracklets whose spans may overlap by a few frames.
+
+    For a frame claimed by both, the higher-confidence detection wins; ties
+    go to the tracklet that starts earlier, then to the box that is smaller
+    in (cx, cy, w, h) order, then to the smaller det_id, so that the input
+    row order only decides between equal boxes.  An overlap beyond
+    max_overlap means the engine admitted an illegal pair and is treated as
+    a bug, not a data condition.
+    """
+    if b.t_min < a.t_min:
+        a, b = b, a
+    overlap = a.t_max - b.t_min + 1
+    if overlap > max_overlap:
+        raise ValueError(
+            f"tracklets overlap by {overlap} frames (allowed {max_overlap})")
+    if overlap <= 0:
+        return TrackletRows(new_tid, np.concatenate([a.rows, b.rows]), a.t_min, b.t_max)
+    chosen = dict(zip(table.frame[a.rows].tolist(), a.rows.tolist()))
+    score = table.score
+    same_start = a.t_min == b.t_min
+
+    def tie_key(row: int) -> tuple:
+        return (*table.boxes[row].tolist(), table.det_id[row])
+    for frame, row in zip(table.frame[b.rows].tolist(), b.rows.tolist()):
+        rival = chosen.get(frame)
+        # Equal scores normally fall to the earlier-starting tracklet (`a`
+        # after the swap above); when both start together the box decides.
+        if (rival is None or score[row] > score[rival]
+                or (score[row] == score[rival] and same_start
+                    and tie_key(row) < tie_key(rival))):
+            chosen[frame] = row
+    # Within one table, frame-sorted rows are ascending rows.
+    return _tracklet(table.frame, new_tid, np.array(sorted(chosen.values())))
 
 
 def _matches_to_paths(matches: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -151,24 +240,23 @@ def _matches_to_paths(matches: Sequence[tuple[int, int]]) -> list[list[int]]:
     return paths
 
 
-def _merge_round(tracklets: list[Tracklet], matches: Sequence[tuple[int, int]],
-                 next_tid: int, max_overlap: int) -> tuple[list[Tracklet], int]:
+def _merge_round(table: DetectionTable, tracklets: list[TrackletRows],
+                 matches: Sequence[tuple[int, int]], next_tid: int,
+                 max_overlap: int) -> tuple[list[TrackletRows], int]:
     paths = _matches_to_paths(matches)
     consumed = {idx for path in paths for idx in path}
     merged = [t for k, t in enumerate(tracklets) if k not in consumed]
     for path in paths:
         acc = tracklets[path[0]]
         for idx in path[1:]:
-            acc = resolve_overlap(acc, tracklets[idx], next_tid, max_overlap)
+            acc = resolve_overlap(table, acc, tracklets[idx], next_tid, max_overlap)
         merged.append(acc)
         next_tid += 1
     return _ordered(merged), next_tid
 
 
 def _interval_admissible(dt_bound: int, overlap_allowance: int,
-                         a: Tracklet, b: Tracklet) -> bool:
-    if a.class_id != b.class_id:
-        return False
+                         a: TrackletRows, b: TrackletRows) -> bool:
     if (a.t_min, a.t_max, a.tid) >= (b.t_min, b.t_max, b.tid):
         return False
     gap = b.t_min - a.t_max
@@ -178,7 +266,7 @@ def _interval_admissible(dt_bound: int, overlap_allowance: int,
     return 0 < a.t_max - b.t_min + 1 <= overlap_allowance
 
 
-def _admissible_pairs(members: Sequence[Tracklet], dt_bound: int,
+def _admissible_pairs(members: Sequence[TrackletRows], dt_bound: int,
                       overlap_allowance: int) -> list[tuple[int, int]]:
     """Index pairs (a, b) of `members`, which are in (t_min, t_max, tid)
     order, that `_interval_admissible` admits, in sorted order.
@@ -219,7 +307,7 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
             matches += [(group[a], group[b]) for a, b in solve(scores, gate)]
         if not matches:
             return state.advanced(tracklets, next_tid)
-        tracklets, next_tid = _merge_round(tracklets, matches, next_tid,
+        tracklets, next_tid = _merge_round(state.table, tracklets, matches, next_tid,
                                            overlap_allowance)
 
 
@@ -231,7 +319,7 @@ def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
                               overlap_allowance, score, gate)
 
 
-def _window_groups(tracklets: Sequence[Tracklet], window_size: int) -> list[list[int]]:
+def _window_groups(tracklets: Sequence[TrackletRows], window_size: int) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for k, t in enumerate(tracklets):
         w_lo = (t.t_min - 1) // window_size
@@ -254,23 +342,6 @@ def window_strategy_pass(state: HierarchyState, window_size: int,
 # ---------------------------------------------------------------------------
 
 
-def _by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.frame, []).append(det)
-    for frame in grouped:
-        grouped[frame].sort(key=lambda d: d.det_id)
-    return grouped
-
-
-def _boxes(detections: Sequence[Detection]) -> np.ndarray:
-    return stack_boxes([d.box for d in detections])
-
-
-def _frame_order(detections: Iterable[Detection]) -> list[Detection]:
-    return sorted(detections, key=lambda d: (d.frame, d.det_id))
-
-
 # Upper bound on the padded (pairs, n_max, m_max) cells of one block-scorer
 # call of the first level: the kernel's temporaries scale with it, so it
 # bounds memory on long or crowded sequences.  At 1 << 16 the temporaries
@@ -278,8 +349,8 @@ def _frame_order(detections: Iterable[Detection]) -> list[Detection]:
 # they stay within noise and a call still holds hundreds of small blocks.
 _CHUNK_CELLS = 1 << 14
 
-# Block scorer: padded (pairs, n) row and (pairs, m) column indices into the
-# detections, in (frame, det_id) order -> (pairs, n, m) similarities.
+# Block scorer: padded (pairs, n) row and (pairs, m) column positions into
+# the frame-sorted rows being linked -> (pairs, n, m) similarities.
 BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -312,121 +383,115 @@ def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
 
 
-def _link_frames(ordered: Sequence[Detection], score: BlockScorer,
-                 gate: float) -> list[list[Detection]]:
+def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[list[int]]:
     """Match every frame t against frame t+1 and chain the Hungarian links;
-    every chain covers a run of consecutive frames.
+    returns chains of positions into `frame`, each covering a run of
+    consecutive frames, in the order of their first position.
 
-    `ordered` is in (frame, det_id) order, so each frame is one index range.
-    The (t, t+1) blocks are sorted by shape and scored a chunk at a time:
-    `score` gets a chunk's row and column index ranges padded to its largest
-    block, and `solve` reads only each block's real [k, :n, :m] cells.
-    Links are keyed by det_id, so the order of the solves does not matter.
+    `frame` is sorted, so each frame is one position range.  The (t, t+1)
+    blocks are sorted by shape and scored a chunk at a time: `score` gets a
+    chunk's row and column position ranges padded to its largest block, and
+    `solve` reads only each block's real [k, :n, :m] cells.
     """
-    frames = np.array([d.frame for d in ordered], dtype=np.int64)
-    ts, first, size = np.unique(frames, return_index=True, return_counts=True)
+    ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
     shapes = list(zip(size[lead].tolist(), size[lead + 1].tolist()))
-    link: dict[int, Detection] = {}
-    has_pred: set[int] = set()
+    link: dict[int, int] = {}
     for chunk in _chunks(shapes):
         b = lead[chunk]
         r0, n, c0, m = first[b], size[b], first[b + 1], size[b + 1]
         scores = score(_padded(r0, n), _padded(c0, m))
-        for k in range(len(chunk)):
+        for k, (r, c) in enumerate(zip(r0.tolist(), c0.tolist())):
             for i, j in solve(scores[k, :n[k], :m[k]], gate):
-                link[ordered[r0[k] + i].det_id] = ordered[c0[k] + j]
-                has_pred.add(ordered[c0[k] + j].det_id)
+                link[r + i] = c + j
+    has_pred = set(link.values())
     chains = []
-    for det in ordered:
-        if det.det_id in has_pred:
+    for start in range(len(frame)):
+        if start in has_pred:
             continue
-        chain = [det]
-        while chain[-1].det_id in link:
-            chain.append(link[chain[-1].det_id])
+        chain = [start]
+        while chain[-1] in link:
+            chain.append(link[chain[-1]])
         chains.append(chain)
     return chains
 
 
-def adjacent_pass(detections: Sequence[Detection], kernel: SimilarityKernel,
-                  gate: float) -> list[list[Detection]]:
-    """Static frame-to-next-frame chaining of detections.
+def adjacent_pass(table: DetectionTable, rows: np.ndarray, kernel: SimilarityKernel,
+                  gate: float) -> list[np.ndarray]:
+    """Static frame-to-next-frame chaining of the given rows (in table order).
 
     Matches each frame against the following one with the configured kernel
-    and links the Hungarian matches into chains; every chain covers a run of
-    consecutive frames.  The boxes are stacked once per pass; each chunk of
-    frame pairs is one kernel call over boxes gathered by index.
+    and links the Hungarian matches into chains of rows; every chain covers
+    a run of consecutive frames.  Each chunk of frame pairs is one kernel
+    call over boxes gathered by row.
     """
-    ordered = _frame_order(detections)
-    boxes = _boxes(ordered)
-    return _link_frames(
-        ordered, lambda rows, cols: _block_scores(kernel, boxes[rows], boxes[cols]), gate)
+    boxes = table.boxes[rows]
+    chains = _link_frames(table.frame[rows],
+                          lambda r, c: _block_scores(kernel, boxes[r], boxes[c]), gate)
+    return [rows[chain] for chain in chains]
 
 
-def consistent_motion_pass(preliminary_chains: Sequence[Sequence[Detection]],
-                           detections: Sequence[Detection], cfg: TrackerConfig,
-                           kernel: SimilarityKernel) -> list[list[Detection]]:
-    """Re-run the frame-adjacent association with motion-informed similarity.
+def consistent_motion_pass(table: DetectionTable, rows: np.ndarray,
+                           preliminary_chains: Sequence[np.ndarray], cfg: TrackerConfig,
+                           kernel: SimilarityKernel) -> list[np.ndarray]:
+    """Re-run the frame-adjacent association of `rows` (in table order) with
+    motion-informed similarity.
 
-    Every preliminary chain is Kalman-filtered forward and backward in one
-    `kalman_states` batch, so each detection carries the state accumulated
-    along its chain up to it from either side.  Candidates in the next frame
-    are compared against the forward prediction of the earlier detection,
-    and the earlier box against the backward prediction of the candidate,
-    averaging the two kernel values.  Detections with single-entry histories
-    predict their own box, which reduces to the static similarity.  Both
-    one-frame predictions of every detection are made once per pass; each
-    chunk of frame pairs gathers them by index.  Preliminary links are
-    discarded; only the second-pass links survive.
+    The preliminary chains partition `rows`.  Every chain is Kalman-filtered
+    forward and backward in one `kalman_states` batch, so each row carries
+    the state accumulated along its chain up to it from either side.
+    Candidates in the next frame are compared against the forward prediction
+    of the earlier row, and the earlier box against the backward prediction
+    of the candidate, averaging the two kernel values.  Rows with
+    single-entry histories predict their own box, which reduces to the
+    static similarity.  Both one-frame predictions of every row are made
+    once per pass; each chunk of frame pairs gathers them by position.
+    Preliminary links are discarded; only the second-pass links survive.
     """
     runs = [*preliminary_chains, *(chain[::-1] for chain in preliminary_chains)]
-    states = kalman_states(runs, cfg)
-    entries = [det for run in runs for det in run]
-    half = len(entries) // 2
-    fwd = {det.det_id: k for k, det in enumerate(entries[:half])}
-    bwd = {det.det_id: k for k, det in enumerate(entries[half:], half)}
-    ordered = _frame_order(detections)
-    boxes = _boxes(ordered)
+    states = kalman_states(table.frame, table.boxes, runs, cfg)
+    # entry[0, row] and entry[1, row]: the row's forward and backward state.
+    entry = np.empty((2, len(table.frame)), np.intp)
+    entry[np.repeat([0, 1], len(states) // 2), np.concatenate(runs)] = np.arange(len(states))
+    boxes = table.boxes[rows]
     # Both predictions step one frame in their filter's own direction.
-    ahead = _advance(states[[fwd[d.det_id] for d in ordered]], 1)
-    behind = _advance(states[[bwd[d.det_id] for d in ordered]], 1)
+    ahead = _advance(states[entry[0, rows]], 1)
+    behind = _advance(states[entry[1, rows]], 1)
 
-    def score(rows, cols):
-        return 0.5 * (_block_scores(kernel, ahead[rows], boxes[cols])
-                      + _block_scores(kernel, boxes[rows], behind[cols]))
-    return _link_frames(ordered, score, cfg.match_threshold)
+    def score(r, c):
+        return 0.5 * (_block_scores(kernel, ahead[r], boxes[c])
+                      + _block_scores(kernel, boxes[r], behind[c]))
+    return [rows[chain] for chain in _link_frames(table.frame[rows], score, cfg.match_threshold)]
 
 
-def byte_recovery(state: HierarchyState, low_score_detections: Sequence[Detection],
-                  kernel: SimilarityKernel, gate: float) -> HierarchyState:
-    """Absorb low-confidence detections into temporally adjacent tracklet
-    endpoints; leftovers are dropped and never start a trajectory."""
-    if not low_score_detections:
+def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKernel,
+                  gate: float) -> HierarchyState:
+    """Absorb low-confidence rows (in table order) into temporally adjacent
+    tracklet endpoints; leftovers are dropped and never start a trajectory."""
+    if not len(low):
         return state
+    table = state.table
     tracklets = list(state.tracklets)
     next_tid = state.next_tid
-    low_by_frame = _by_frame(low_score_detections)
-    for t in sorted(low_by_frame):
-        lows = low_by_frame[t]
-        candidates: list[tuple[int, Detection]] = []  # (tracklet index, endpoint)
+    ts, first, size = np.unique(table.frame[low], return_index=True, return_counts=True)
+    for t, start, n in zip(ts.tolist(), first.tolist(), size.tolist()):
+        lows = low[start:start + n]
+        candidates: list[tuple[int, int]] = []  # (tracklet index, endpoint row)
         for k, trk in enumerate(tracklets):
             if trk.t_max == t - 1:
-                candidates.append((k, trk.last))
+                candidates.append((k, trk.rows[-1]))
             elif trk.t_min == t + 1:
-                candidates.append((k, trk.first))
-        candidates = [(k, e) for k, e in candidates
-                      if tracklets[k].class_id == lows[0].class_id]
+                candidates.append((k, trk.rows[0]))
         if not candidates:
             continue
-        scores = kernel.matrix(_boxes([e for _, e in candidates]), _boxes(lows))
+        scores = kernel.matrix(table.boxes[[row for _, row in candidates]], table.boxes[lows])
         for i, j in solve(scores, gate):
             k = candidates[i][0]
-            extended = list(tracklets[k].entries) + [lows[j]]
-            tracklets[k] = Tracklet.build(next_tid, extended)
+            rows = np.sort(np.append(tracklets[k].rows, lows[j]))  # ascending rows: frame order
+            tracklets[k] = _tracklet(table.frame, next_tid, rows)
             next_tid += 1
-    return HierarchyState(level=state.level, tracklets=tuple(_ordered(tracklets)),
-                          counts=state.counts, next_tid=next_tid)
+    return dataclasses.replace(state, tracklets=tuple(_ordered(tracklets)), next_tid=next_tid)
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +499,16 @@ def byte_recovery(state: HierarchyState, low_score_detections: Sequence[Detectio
 # ---------------------------------------------------------------------------
 
 
-def _renumber(detections: Iterable[Detection]) -> list[Detection]:
-    """Internal copies with unique sequential det_ids in stable input order."""
-    ordered = sorted(detections,
-                     key=lambda d: (d.frame, d.det_id, d.box.cx, d.box.cy, d.score))
-    return [Detection(d.frame, d.box, d.score, d.class_id, k + 1, d.interpolated)
-            for k, d in enumerate(ordered)]
-
-
-def _adjacent_pairs(runs: Iterable[Sequence[Detection]]
-                    ) -> dict[int, list[tuple[Detection, Detection]]]:
-    """Frame-adjacent (t, t+1) detection pairs inside each run, keyed by t."""
-    pairs: dict[int, list[tuple[Detection, Detection]]] = {}
-    for dets in runs:
-        for a, b in zip(dets, dets[1:]):
-            if b.frame == a.frame + 1:
-                pairs.setdefault(a.frame, []).append((a, b))
-    return pairs
+def _adjacent_pairs(frame: np.ndarray, runs: Sequence[np.ndarray]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(earlier, later) rows of the frame-adjacent entries inside each run,
+    in run order."""
+    rows = np.concatenate(runs)
+    inside = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    inside[np.cumsum([len(run) for run in runs])[:-1] - 1] = False
+    a, b = rows[:-1], rows[1:]
+    keep = inside & (frame[b] == frame[a] + 1)
+    return a[keep], b[keep]
 
 
 def _stage_label(index: int, stage: Stage, window: bool) -> str:
@@ -462,122 +520,132 @@ def _stage_label(index: int, stage: Stage, window: bool) -> str:
 
 
 class _ClassEngine:
-    """Runs the full pipeline for the detections or tracklets of one class."""
+    """Runs the full pipeline on the table of one class's detections."""
 
-    def __init__(self, cfg: TrackerConfig, class_id: int):
+    def __init__(self, cfg: TrackerConfig, class_id: int, table: DetectionTable):
         self.cfg = cfg
         self.class_id = class_id
+        self.table = table
         self.kernel = SimilarityKernel(cfg)
         self.window = cfg.schedule.strategy is Strategy.WINDOW
         self.levels: list[LevelTrace] = []
-        cache = FitCache(cfg)
-        self.score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
 
-    def run_detections(self, detections: Sequence[Detection]) -> ClassRunResult:
+    def run_detections(self) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
         cfg = self.cfg
-        high = [d for d in detections if d.score >= cfg.score_high]
-        low = [d for d in detections
-               if cfg.score_low <= d.score < cfg.score_high]
-        if not high:
-            return self._result(HierarchyState.initial((), 1), None)
-        frames = [d.frame for d in detections]
+        score = self.table.score
+        high = np.flatnonzero(score >= cfg.score_high)
+        low = np.flatnonzero((cfg.score_low <= score) & (score < cfg.score_high))
+        if not high.size:
+            return self._result(HierarchyState.initial(self.table, (), 1), None)
 
-        chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
-        profile, (high, low) = self._camera(chains, (min(frames), max(frames)),
-                                            [high, low])
+        chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
+        profile = self._camera(chains)
         if self.window:  # the window schedule starts from singletons
-            chains = [[d] for d in high]
+            chains = [high[k:k + 1] for k in range(len(high))]
         else:
             if profile is not None and profile.moving:
-                chains = adjacent_pass(high, self.kernel, cfg.match_threshold)
+                chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
             if cfg.enable_cm:
-                chains = consistent_motion_pass(chains, high, cfg, self.kernel)
+                chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
 
         # `high` is in (frame, det_id) order, which is also the singletons'
         # (t_min, t_max, tid) order.
+        frame = self.table.frame
+        singletons = zip(frame[high].tolist(), self.table.det_id[high].tolist())
         self.levels.append(LevelTrace("singletons", len(high),
-                                      tuple(((d.frame, d.det_id),) for d in high)))
+                                      tuple((pair,) for pair in singletons)))
         state = HierarchyState.initial(
-            [Tracklet.build(tid, chain) for tid, chain in enumerate(chains, start=1)],
+            self.table, [_tracklet(frame, tid, chain) for tid, chain in enumerate(chains, 1)],
             next_tid=len(chains) + 1)
         if self.window:
             return self._result(self._stages(state, 0, low), profile)
         # Interval level 1 is the frame-adjacent chaining itself.
         state = dataclasses.replace(state, counts=(len(high),) + state.counts)
-        self.levels.append(_snapshot(_stage_label(1, cfg.schedule.stages[0], False),
-                                     state.tracklets))
+        self.levels.append(_snapshot(_stage_label(1, cfg.schedule.stages[0], False), state))
         state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
-        if low:
-            self.levels.append(_snapshot("low-score recovery", state.tracklets))
+        if len(low):
+            self.levels.append(_snapshot("low-score recovery", state))
         return self._result(self._stages(state, 1), profile)
 
-    def run_tracklets(self, tracklets: Sequence[Tracklet]) -> ClassRunResult:
+    def run_tracklets(self, tracklets: Sequence[TrackletRows]
+                      ) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
         """Associate pre-formed tracklets (the recombination mode)."""
-        frames = [f for t in tracklets for f in (t.t_min, t.t_max)]
-        runs = [t.entries for t in tracklets]
-        profile, runs = self._camera(runs, (min(frames), max(frames)), runs)
-        work = [Tracklet.build(t.tid, dets) for t, dets in zip(tracklets, runs)]
-        state = HierarchyState.initial(work, next_tid=max(t.tid for t in work) + 1)
-        self.levels.append(_snapshot("input tracklets", state.tracklets))
+        profile = self._camera([t.rows for t in tracklets])
+        state = HierarchyState.initial(self.table, tracklets,
+                                       next_tid=max(t.tid for t in tracklets) + 1)
+        self.levels.append(_snapshot("input tracklets", state))
         return self._result(self._stages(state, 0), profile)
 
-    def _camera(self, runs: Sequence[Sequence[Detection]], frame_range: tuple[int, int],
-                groups: list) -> tuple[Optional[camera_mod.CameraProfile], list]:
+    def _camera(self, runs: Sequence[np.ndarray]) -> Optional[camera_mod.CameraProfile]:
         """Estimate camera movement from the frame-adjacent pairs inside
-        `runs`; returns the profile (None when disabled) and `groups` of
-        detections, stabilized when the camera moves."""
+        `runs`, and stabilize the table's boxes when the camera moves;
+        returns the profile, None when disabled."""
         if not self.cfg.enable_cc:
-            return None, groups
-        profile = camera_mod.estimate(_adjacent_pairs(runs), self.cfg.cc_threshold,
-                                      frame_range)
+            return None
+        frame, boxes = self.table.frame, self.table.boxes
+        a, b = _adjacent_pairs(frame, runs)
+        profile = camera_mod.estimate(frame[a], boxes[a], boxes[b], self.cfg.cc_threshold,
+                                      (int(frame.min()), int(frame.max())))
         if profile.moving:
-            groups = [camera_mod.stabilize(g, profile) for g in groups]
-        return profile, groups
+            self.table = self.table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
+        return profile
 
     def _stages(self, state: HierarchyState, first: int,
-                low: Sequence[Detection] = ()) -> HierarchyState:
+                low: Sequence[int] = ()) -> HierarchyState:
         """Run the schedule from stage index `first` on, tracing each level;
-        `low` detections are absorbed right after the first stage."""
+        `low` rows are absorbed right after the first stage."""
         gate = self.cfg.match_threshold
+        cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
+        score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
         for k, stage in enumerate(self.cfg.schedule.stages[first:], start=first + 1):
             if self.window:
-                state = window_strategy_pass(state, stage.bound, self.score, gate)
+                state = window_strategy_pass(state, stage.bound, score, gate)
             else:
-                state = hierarchy_pass(state, stage.bound, stage.overlap,
-                                       self.score, gate)
-            if k == 1 and low:
+                state = hierarchy_pass(state, stage.bound, stage.overlap, score, gate)
+            if k == 1 and len(low):
                 state = byte_recovery(state, low, self.kernel, gate)
-            self.levels.append(_snapshot(_stage_label(k, stage, self.window),
-                                         state.tracklets))
+            self.levels.append(_snapshot(_stage_label(k, stage, self.window), state))
         return state
 
-    def _result(self, state: HierarchyState,
-                profile: Optional[camera_mod.CameraProfile]) -> ClassRunResult:
-        tracklets = state.tracklets
-        if profile is not None and profile.moving:
-            tracklets = tuple(
-                Tracklet.build(t.tid, camera_mod.destabilize(t.entries, profile))
-                for t in tracklets)
-        return ClassRunResult(self.class_id, tracklets, state.counts,
-                              tuple(self.levels), profile)
+    def _result(self, state: HierarchyState, profile: Optional[camera_mod.CameraProfile]
+                ) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
+        return (ClassRunResult(self.class_id, state.counts, tuple(self.levels), profile),
+                state.tracklets)
 
 
-def _run_per_class(items: Sequence, cfg: TrackerConfig,
-                   run_class: Callable[[_ClassEngine, list], ClassRunResult]) -> RunResult:
-    """Partition detections or tracklets by class, run one engine per class,
-    and number the combined tracks in (t_min, t_max, class) order."""
-    by_class: dict[int, list] = {}
-    for item in items:
-        by_class.setdefault(item.class_id, []).append(item)
+def _run_per_class(entries: Sequence[Detection], cfg: TrackerConfig, renumber: bool,
+                   start: Callable) -> RunResult:
+    """Put `entries` in one table, run one engine per class on its rows, and
+    number the combined tracks in (t_min, t_max, class) order.
+
+    `start(engine, rows, row_of)` runs a class's engine, given its rows of
+    the full table and the row of each entry.  With `renumber` the table
+    numbers the detections 1..N in row order and the output entries are
+    copies carrying these det_ids; otherwise they are `entries` themselves.
+    Either way they keep the caller's own boxes.
+    """
+    table, order = detection_table(entries)
+    if renumber:
+        table = table._replace(det_id=np.arange(1, len(entries) + 1))
+    source = [entries[k] for k in order.tolist()]
+    class_of = np.fromiter((d.class_id for d in source), np.int64, len(source))
+    row_of = np.argsort(order)
     results = []
-    for class_id in sorted(by_class):
-        result = run_class(_ClassEngine(cfg, class_id), by_class[class_id])
+    ranked = []
+    for class_id in np.unique(class_of).tolist():
+        rows = np.flatnonzero(class_of == class_id)
+        result, tracklets = start(_ClassEngine(cfg, class_id, table.take(rows)), rows, row_of)
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
-    ranked = sorted([((t.t_min, t.t_max, res.class_id, t.tid), t)
-                     for res in results for t in res.tracklets], key=lambda r: r[0])
-    trajectories = [from_tracklet(t, track_id=k + 1)
-                    for k, (_, t) in enumerate(ranked)]
+        ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in tracklets]
+    ranked.sort(key=lambda r: r[0])
+
+    def entry(row: int) -> Detection:
+        d = source[row]
+        return Detection(d.frame, d.box, d.score, d.class_id, row + 1,
+                         d.interpolated) if renumber else d
+    trajectories = [Trajectory(k + 1, tuple(entry(row) for row in rows.tolist()))
+                    for k, (_, rows) in enumerate(ranked)]
     return RunResult(trajectories=trajectories, per_class=tuple(results))
 
 
@@ -586,9 +654,12 @@ def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResu
 
     Multi-class input is partitioned and tracked per class; output track ids
     are assigned over the combined result in (t_min, t_max, class) order.
+    The engine numbers the detections 1..N in table order, and the output
+    entries carry these det_ids with the caller's own boxes.
     """
     validate_config(cfg)
-    return _run_per_class(_renumber(detections), cfg, _ClassEngine.run_detections)
+    return _run_per_class(list(detections), cfg, True,
+                          lambda engine, rows, row_of: engine.run_detections())
 
 
 def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
@@ -600,9 +671,18 @@ def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> Ru
 
     Camera estimation uses the frame-adjacent pairs inside the input
     tracklets; there is no score partition here — every input detection is
-    kept.
+    kept.  The output entries are the input tracklets' own detections.
     """
     validate_config(cfg)
-    # Fitting is memoized by tracklet id, so ids must be unique here.
-    fresh = [Tracklet.build(k + 1, list(t.entries)) for k, t in enumerate(_ordered(tracklets))]
-    return _run_per_class(fresh, cfg, _ClassEngine.run_tracklets)
+    # Fitting is memoized by tracklet id, so the ids are made unique here.
+    ordered = sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
+    ends = np.cumsum([len(t) for t in ordered], dtype=np.intp).tolist()
+
+    def start(engine: _ClassEngine, rows: np.ndarray, row_of: np.ndarray):
+        local = np.empty(len(row_of), np.intp)  # row of the full table -> class row
+        local[rows] = np.arange(len(rows))
+        return engine.run_tracklets([
+            _tracklet(engine.table.frame, tid, local[row_of[end - len(t):end]])
+            for tid, (t, end) in enumerate(zip(ordered, ends), 1)
+            if t.class_id == engine.class_id])
+    return _run_per_class([e for t in ordered for e in t.entries], cfg, False, start)

@@ -64,7 +64,11 @@ class EvalReport:
 
 
 def eval_counts(gt: TrackColumns, pred: TrackColumns, iou_threshold: float) -> EvalCounts:
-    """CLEAR and identity counts of one sequence, in one walk over its frames."""
+    """CLEAR and identity counts of one sequence, in one walk over its frames.
+
+    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included)."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_ids, gt_of = np.unique(gt.track_id, return_inverse=True)
     pred_ids, pred_of = np.unique(pred.track_id, return_inverse=True)
     potential = np.zeros((gt_ids.size, pred_ids.size))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -94,7 +93,8 @@ class Detection:
 
 @dataclass(frozen=True)
 class Tracklet:
-    """A frame-sorted run of detections of one target; the association unit.
+    """A frame-sorted run of detections of one target: the input unit of
+    `associate_tracklets` and the output of `split_at_discontinuities`.
 
     Entries are strictly increasing in frame and share one class id. Use
     Tracklet.build() to construct from unordered detections.
@@ -128,20 +128,8 @@ class Tracklet:
         return self.entries[-1].frame
 
     @property
-    def first(self) -> Detection:
-        return self.entries[0]
-
-    @property
-    def last(self) -> Detection:
-        return self.entries[-1]
-
-    @property
     def class_id(self) -> int:
         return self.entries[0].class_id
-
-    @cached_property
-    def by_frame(self) -> dict[int, Detection]:
-        return {d.frame: d for d in self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)

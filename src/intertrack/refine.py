@@ -1,9 +1,10 @@
 """Trajectory post-processing and the split step of the recombination mode.
 
 An external tracker's output (or this engine's own) is refined by splitting
-every trajectory at frame discontinuities, re-associating the pieces with
-the hierarchical engine, then optionally filling small gaps by linear
-interpolation and smoothing the box sequence with a Gaussian kernel.
+every trajectory at frame discontinuities and class changes, re-associating
+the pieces with the hierarchical engine, then optionally filling small gaps
+by linear interpolation and smoothing the box sequence with a Gaussian
+kernel.
 """
 
 from __future__ import annotations
@@ -45,23 +46,21 @@ class Trajectory:
         return len(self.entries)
 
 
-def from_tracklet(tracklet: Tracklet, track_id: int) -> Trajectory:
-    return Trajectory(track_id=track_id, entries=tracklet.entries)
-
-
 def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Tracklet]:
-    """Cut each trajectory into maximal runs of consecutive frames.
+    """Cut each trajectory into maximal runs of consecutive frames of one class.
 
-    Frame list [1,2,4,5,6] becomes the runs [1,2] and [4,5,6].  Tracklet ids
-    are reassigned sequentially in (track_id, time) order, so the result is
-    deterministic and ids carry no history.
+    Frame list [1,2,4,5,6] becomes the runs [1,2] and [4,5,6]; a class change
+    between two consecutive frames cuts as well, since every class is
+    associated by an engine of its own.  Tracklet ids are reassigned
+    sequentially in (track_id, time) order, so the result is deterministic
+    and ids carry no history.
     """
     tracklets = []
     next_id = 1
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         run: list[Detection] = []
         for det in traj.entries:
-            if run and det.frame != run[-1].frame + 1:
+            if run and (det.frame != run[-1].frame + 1 or det.class_id != run[-1].class_id):
                 tracklets.append(Tracklet.build(next_id, run))
                 next_id += 1
                 run = []
@@ -69,37 +68,6 @@ def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Trackle
         tracklets.append(Tracklet.build(next_id, run))
         next_id += 1
     return tracklets
-
-
-def resolve_overlap(a: Tracklet, b: Tracklet, new_tid: int,
-                    max_overlap: int = 5) -> Tracklet:
-    """Merge two matched tracklets whose spans may overlap by a few frames.
-
-    For a frame claimed by both, the higher-confidence detection wins; ties
-    go to the tracklet that starts earlier, then to the smaller det_id.  An
-    overlap beyond max_overlap means the engine admitted an illegal pair and
-    is treated as a bug, not a data condition.
-    """
-    if b.t_min < a.t_min:
-        a, b = b, a
-    overlap = a.t_max - b.t_min + 1
-    if overlap > max_overlap:
-        raise ValueError(
-            f"tracklets overlap by {overlap} frames (allowed {max_overlap})")
-    chosen: dict[int, Detection] = {det.frame: det for det in a.entries}
-    same_start = a.t_min == b.t_min
-    for det in b.entries:
-        rival = chosen.get(det.frame)
-        if rival is None:
-            chosen[det.frame] = det
-        elif det.score > rival.score:
-            chosen[det.frame] = det
-        elif det.score == rival.score and same_start and det.det_id < rival.det_id:
-            # Equal scores normally fall to the earlier-starting tracklet
-            # (`a` after the swap above); when both start together the
-            # smaller det_id decides.
-            chosen[det.frame] = det
-    return Tracklet.build(new_tid, list(chosen.values()))
 
 
 def interpolate(trajectory: Trajectory, max_gap: int) -> Trajectory:

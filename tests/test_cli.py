@@ -194,6 +194,33 @@ class TestRefine:
         tracks = read_mot_tracks(out)
         assert [e.frame for e in tracks[0].entries] == [1, 2, 3, 4, 5, 6]
 
+    def test_kitti_track_holding_two_classes_is_split_by_class(self, tmp_path):
+        # Tracks 1 and 2 swap their tails at frame 10: each holds a Car run
+        # and a Pedestrian run.
+        def row(f, tid, cls):
+            x1, y1, w, h = ((100.0 + 2 * f, 180.0, 40.0, 80.0) if cls == "Car"
+                            else (600.0 + f, 150.0, 30.0, 100.0))
+            return (f"{f} {tid} {cls} -1 -1 -10 {x1:.2f} {y1:.2f} {x1 + w:.2f} {y1 + h:.2f} "
+                    "-1000 -1000 -1000 -1000 -1000 -1000 -10 0.9")
+        rows = [row(f, 1 if f < 10 else 2, "Car") for f in range(20)]
+        rows += [row(f, 2 if f < 10 else 1, "Pedestrian") for f in range(20)]
+        src = tmp_path / "labels.txt"
+        src.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        assert cli.main(["refine", "--in", str(src), "--out", str(out),
+                         "--format", "kitti"]) == 0
+        classes_of = {}
+        boxes = set()
+        for line in out.read_text().splitlines():
+            tok = line.split()
+            classes_of.setdefault(tok[1], set()).add(tok[2])
+            boxes.add((int(tok[0]), tok[2], *(round(float(v), 2) for v in tok[6:10])))
+        assert all(len(classes) == 1 for classes in classes_of.values())
+        assert sorted(c for classes in classes_of.values() for c in classes) == \
+            ["Car", "Pedestrian"]
+        assert boxes == {(int(tok[0]), tok[2], *(float(v) for v in tok[6:10]))
+                         for tok in (r.split() for r in rows)}
+
 
 class TestEval:
     def test_perfect_prediction(self, tmp_path, capsys):

@@ -12,15 +12,17 @@ from intertrack.assignment import solve
 from intertrack.geometry import SimilarityKernel, stack_boxes
 from intertrack.hierarchy import (
     HierarchyState,
+    TrackletRows,
     _admissible_pairs,
     _interval_admissible,
-    _ordered,
     _window_groups,
     adjacent_pass,
     associate_tracklets,
     byte_recovery,
     consistent_motion_pass,
+    detection_table,
     hierarchy_pass,
+    resolve_overlap,
     run,
     run_detailed,
     window_strategy_pass,
@@ -36,7 +38,6 @@ from intertrack.model import (
 from intertrack.metrics import evaluate
 from intertrack.motion import _advance, kalman_states
 from intertrack.mot_io import read_mot_detections, write_mot_detections
-from intertrack.refine import resolve_overlap
 from intertrack.synth import Motion, ScenarioSpec, generate
 
 
@@ -59,33 +60,53 @@ def spans(tracklets):
     return sorted((t.t_min, t.t_max) for t in tracklets)
 
 
+def state_of(tracklets, next_tid, low=()):
+    """The engine state of Tracklets over one table of their entries and the
+    `low` detections; also returns the low detections' rows, in table order."""
+    entries = [e for t in tracklets for e in t.entries] + list(low)
+    table, order = detection_table(entries)
+    row_of = np.argsort(order)
+    ends = np.cumsum([len(t) for t in tracklets], dtype=int)
+    rows = [TrackletRows(t.tid, row_of[end - len(t):end], t.t_min, t.t_max)
+            for t, end in zip(tracklets, ends)]
+    low_rows = np.sort(row_of[len(entries) - len(low):])
+    return HierarchyState.initial(table, rows, next_tid), low_rows
+
+
+def table_rows(dets):
+    """The table of `dets` and all its rows."""
+    table, _ = detection_table(dets)
+    return table, np.arange(len(dets))
+
+
 class TestAdjacentPass:
     def test_obvious_targets_chain_fully(self):
         cfg = TrackerConfig()
         dets = [det(f, x, det_id=f * 10 + k)
                 for f in range(1, 6) for k, x in enumerate([100.0, 400.0])]
-        chains = adjacent_pass(dets, SimilarityKernel(cfg), cfg.match_threshold)
+        table, rows = table_rows(dets)
+        chains = adjacent_pass(table, rows, SimilarityKernel(cfg), cfg.match_threshold)
         assert len(chains) == 2
         for chain in chains:
-            frames = [d.frame for d in chain]
+            frames = table.frame[chain].tolist()
             assert frames == list(range(1, 6))
 
     def test_gap_breaks_chain(self):
         cfg = TrackerConfig()
         dets = [det(f, 100.0) for f in (1, 2, 4, 5)]
-        chains = adjacent_pass(dets, SimilarityKernel(cfg), cfg.match_threshold)
+        chains = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
         assert sorted(len(c) for c in chains) == [2, 2]
 
     def test_non_overlapping_boxes_stay_apart(self):
         cfg = TrackerConfig()
         dets = [det(1, 100.0), det(2, 900.0)]
-        chains = adjacent_pass(dets, SimilarityKernel(cfg), cfg.match_threshold)
+        chains = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
         assert len(chains) == 2
 
 
 class TestHierarchyPassAdmissibility:
     def make_state(self, tracklets):
-        return HierarchyState.initial(tracklets, next_tid=100)
+        return state_of(tracklets, next_tid=100)[0]
 
     def test_gap_equal_to_bound_merges(self):
         a = track(1, range(1, 5), 100.0)
@@ -125,16 +146,17 @@ class TestHierarchyPassAdmissibility:
         assert spans(out.tracklets) == [(1, 12)]
 
     def test_classes_never_mix(self):
+        # Each class runs an engine of its own, on its own table.
         a = track(1, range(1, 5), 100.0, class_id=0)
         b = track(2, range(6, 10), 100.0, class_id=1)
-        out = hierarchy_pass(self.make_state([a, b]), 10, 0, constant_sim, 0.2)
-        assert len(out.tracklets) == 2
+        out = associate_tracklets([a, b], TrackerConfig())
+        assert len(out.trajectories) == 2
 
     def test_fixpoint_chains_fragments_within_one_level(self):
         frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
         out = hierarchy_pass(self.make_state(frags), 5, 0, constant_sim, 0.2)
         assert len(out.tracklets) == 1
-        assert len(out.tracklets[0]) == 12
+        assert len(out.tracklets[0].rows) == 12
 
     def test_count_history_grows_monotonically_down(self):
         frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
@@ -158,7 +180,8 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
         frames = np.cumsum([start, *steps]).tolist()
         tracklets.append(Tracklet.build(tid, [det(f, 100.0, det_id=100 * tid + k)
                                               for k, f in enumerate(frames)]))
-    ordered = _ordered(tracklets)
+    state, _ = state_of(tracklets, next_tid=999)
+    ordered = state.tracklets
     groups = [list(range(len(ordered))), *_window_groups(ordered, dt_bound)]
     for group in groups:
         members = [ordered[k] for k in group]
@@ -166,7 +189,7 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
                 if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
         assert _admissible_pairs(members, dt_bound, overlap_allowance) == scan
         for a, b in scan:
-            resolve_overlap(members[a], members[b], 999, overlap_allowance)
+            resolve_overlap(state.table, members[a], members[b], 999, overlap_allowance)
 
 
 @st.composite
@@ -197,7 +220,9 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
     if strategy is Strategy.WINDOW:
         cfg = dataclasses.replace(cfg, schedule=HierarchySchedule.default_window())
     _, dets = generate(scene)
-    inputs = hierarchy._renumber(dets)  # the detections with the engine's det_ids
+    # The detections with the engine's det_ids: 1..N in table order.
+    _, order = detection_table(dets)
+    inputs = [dataclasses.replace(dets[k], det_id=row + 1) for row, k in enumerate(order)]
     tracks = run(dets, cfg)
     placed = collections.Counter(e.det_id for t in tracks for e in t.entries)
     for t in tracks:
@@ -247,7 +272,7 @@ class TestWindowPass:
         a = track(1, [7], 100.0)
         b = track(2, [8], 100.0)   # frames 7,8 share window (8,...) of size 8
         c = track(3, [9], 100.0)   # next window
-        state = HierarchyState.initial([a, b, c], next_tid=10)
+        state, _ = state_of([a, b, c], next_tid=10)
         out = window_strategy_pass(state, 8, constant_sim, 0.2)
         assert spans(out.tracklets) == [(7, 8), (9, 9)]
 
@@ -255,14 +280,14 @@ class TestWindowPass:
         straddler = track(1, [8, 9], 100.0)   # crosses the window-8 boundary
         a = track(2, [2], 100.0)
         b = track(3, [4], 100.0)
-        state = HierarchyState.initial([straddler, a, b], next_tid=10)
+        state, _ = state_of([straddler, a, b], next_tid=10)
         out = window_strategy_pass(state, 8, constant_sim, 0.2)
         assert spans(out.tracklets) == [(2, 4), (8, 9)]
 
     def test_adjacent_windows_not_bridged(self):
         a = track(1, [1, 2], 100.0)
         b = track(2, [3, 4], 100.0)
-        state = HierarchyState.initial([a, b], next_tid=10)
+        state, _ = state_of([a, b], next_tid=10)
         out = window_strategy_pass(state, 2, constant_sim, 0.2)
         assert len(out.tracklets) == 2
 
@@ -271,26 +296,23 @@ class TestByteRecovery:
     def test_low_extends_tracklet_forward(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state = HierarchyState.initial([trk], next_tid=5)
-        low = [det(4, 100.0, score=0.3)]
+        state, low = state_of([trk], 5, low=[det(4, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
         assert len(out.tracklets) == 1
         assert out.tracklets[0].t_max == 4
-        assert out.tracklets[0].last.score == pytest.approx(0.3)
+        assert out.table.score[out.tracklets[0].rows[-1]] == pytest.approx(0.3)
 
     def test_low_extends_tracklet_backward(self):
         cfg = TrackerConfig()
         trk = track(1, range(5, 8), 100.0)
-        state = HierarchyState.initial([trk], next_tid=5)
-        low = [det(4, 100.0, score=0.3)]
+        state, low = state_of([trk], 5, low=[det(4, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
         assert out.tracklets[0].t_min == 4
 
     def test_non_adjacent_low_is_dropped(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state = HierarchyState.initial([trk], next_tid=5)
-        low = [det(9, 100.0, score=0.3)]
+        state, low = state_of([trk], 5, low=[det(9, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
         assert len(out.tracklets) == 1
         assert out.tracklets[0].t_max == 3
@@ -298,16 +320,15 @@ class TestByteRecovery:
     def test_far_away_low_is_dropped(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state = HierarchyState.initial([trk], next_tid=5)
-        low = [det(4, 1500.0, score=0.3)]
+        state, low = state_of([trk], 5, low=[det(4, 1500.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
         assert out.tracklets[0].t_max == 3
 
     def test_chained_absorption_across_frames(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state = HierarchyState.initial([trk], next_tid=5)
-        low = [det(4, 100.0, score=0.3), det(5, 100.0, score=0.3)]
+        state, low = state_of([trk], 5,
+                              low=[det(4, 100.0, score=0.3), det(5, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
         assert out.tracklets[0].t_max == 5
 
@@ -318,9 +339,10 @@ class TestConsistentMotionPass:
         kernel = SimilarityKernel(cfg)
         dets = [det(f, x, det_id=f * 10 + k)
                 for f in range(1, 8) for k, x in enumerate([100.0, 500.0])]
-        static = adjacent_pass(dets, kernel, cfg.match_threshold)
-        refined = consistent_motion_pass(static, dets, cfg, kernel)
-        key = lambda chains: sorted(tuple(d.det_id for d in c) for c in chains)
+        table, rows = table_rows(dets)
+        static = adjacent_pass(table, rows, kernel, cfg.match_threshold)
+        refined = consistent_motion_pass(table, rows, static, cfg, kernel)
+        key = lambda chains: sorted(tuple(table.det_id[c].tolist()) for c in chains)
         assert key(refined) == key(static)
 
     def test_chains_stay_frame_consecutive(self):
@@ -331,16 +353,19 @@ class TestConsistentMotionPass:
         for f in range(1, 10):
             for k, x in enumerate([100.0, 240.0, 380.0]):
                 dets.append(det(f, x + rng.uniform(-2, 2), det_id=f * 10 + k))
-        static = adjacent_pass(dets, kernel, cfg.match_threshold)
-        refined = consistent_motion_pass(static, dets, cfg, kernel)
+        table, rows = table_rows(dets)
+        static = adjacent_pass(table, rows, kernel, cfg.match_threshold)
+        refined = consistent_motion_pass(table, rows, static, cfg, kernel)
         for chain in refined:
-            frames = [d.frame for d in chain]
+            frames = table.frame[chain].tolist()
             assert frames == list(range(frames[0], frames[0] + len(frames)))
 
 
 def _per_frame_link(detections, score, gate):
     """Reference first level: one `solve(score(rows, cols))` per frame pair."""
-    grouped = hierarchy._by_frame(detections)
+    grouped = {}
+    for d in sorted(detections, key=lambda d: (d.frame, d.det_id)):
+        grouped.setdefault(d.frame, []).append(d)
     link, has_pred = {}, set()
     for t in sorted(grouped):
         rows, cols = grouped[t], grouped.get(t + 1)
@@ -362,8 +387,11 @@ def _per_frame_link(detections, score, gate):
 def _per_frame_motion_score(chains, cfg, kernel):
     """Reference motion-consistent frame-pair score, one pair at a time."""
     runs = [*chains, *(chain[::-1] for chain in chains)]
-    states = kalman_states(runs, cfg)
     entries = [d for run in runs for d in run]
+    ends = np.cumsum([len(run) for run in runs])
+    states = kalman_states(np.array([d.frame for d in entries]),
+                           stack_boxes([d.box for d in entries]),
+                           [np.arange(end - len(run), end) for run, end in zip(runs, ends)], cfg)
     half = len(entries) // 2
     fwd = {d.det_id: k for k, d in enumerate(entries[:half])}
     bwd = {d.det_id: k for k, d in enumerate(entries[half:], half)}
@@ -407,6 +435,8 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     kernel = SimilarityKernel(cfg)
     gate = cfg.match_threshold
     ids = lambda chains: [[d.det_id for d in chain] for chain in chains]
+    table, rows = table_rows(dets)
+    row_ids = lambda chains: [table.det_id[chain].tolist() for chain in chains]
     static = _per_frame_link(
         dets, lambda rows, cols: kernel.matrix(stack_boxes([d.box for d in rows]),
                                                stack_boxes([d.box for d in cols])), gate)
@@ -415,19 +445,20 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     for budget in (1, 7, 64):
         calls = []
 
-        def recording(ordered, score, gate):
+        def recording(frame, score, gate):
             def scored(rows, cols):
                 out = score(rows, cols)
                 assert out.shape == (len(rows), rows.shape[1], cols.shape[1])
                 assert np.isfinite(out).all()
                 calls.append((out.size, len(rows)))
                 return out
-            return link_frames(ordered, scored, gate)
+            return link_frames(frame, scored, gate)
 
         with mock.patch.object(hierarchy, "_CHUNK_CELLS", budget), \
                 mock.patch.object(hierarchy, "_link_frames", recording):
-            assert ids(adjacent_pass(dets, kernel, gate)) == ids(static)
-            assert ids(consistent_motion_pass(static, dets, cfg, kernel)) == ids(motion)
+            chains = adjacent_pass(table, rows, kernel, gate)
+            assert row_ids(chains) == ids(static)
+            assert row_ids(consistent_motion_pass(table, rows, chains, cfg, kernel)) == ids(motion)
         # Only a block larger than the budget by itself exceeds it.
         assert all(cells <= budget or pairs == 1 for cells, pairs in calls)
 
@@ -510,6 +541,21 @@ class TestFullRun:
         profile = res.per_class[0].camera
         assert profile is not None and not profile.moving
 
+    def test_panning_scene_keeps_input_boxes_exactly(self):
+        # Association runs on stabilized boxes; the output keeps the input's.
+        for seed in range(1, 9):
+            _, dets = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=seed,
+                                            camera_pan=(20.3, 1.7)))
+            res = run_detailed(dets, TrackerConfig())
+            assert res.per_class[0].camera.moving
+            _, order = detection_table(dets)  # engine det_id k + 1 is dets[order[k]]
+            entries = [e for t in res.trajectories for e in t.entries]
+            assert len(entries) == len(dets)
+            for e in entries:
+                b = dets[order[e.det_id - 1]].box
+                assert (e.frame, e.box.cx, e.box.cy, e.box.w, e.box.h) == \
+                    (dets[order[e.det_id - 1]].frame, b.cx, b.cy, b.w, b.h)
+
     def test_low_score_detections_never_start_tracks(self):
         dets = [det(f, 100.0, score=0.9, det_id=f) for f in range(1, 5)]
         dets += [det(f, 900.0, score=0.3, det_id=100 + f) for f in range(1, 5)]
@@ -583,20 +629,21 @@ class TestRecombination:
         assert res.trajectories == []
 
     def test_panning_scene_is_stabilized_and_restored(self):
-        gt, _ = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=3, max_speed=0.0,
-                                      box_size=(48.0, 48.0), camera_pan=(20.0, 0.0)))
-        pieces = []
-        for k, traj in enumerate(gt):
-            entries = [dataclasses.replace(e, det_id=100 * k + i)
-                       for i, e in enumerate(traj.entries)]
-            pieces += [Tracklet.build(2 * k + 1, entries[:25]),
-                       Tracklet.build(2 * k + 2, entries[30:])]
-        boxes_in = {e.det_id: e.box for t in pieces for e in t.entries}
-        res = associate_tracklets(pieces, TrackerConfig())
-        assert res.per_class[0].camera.moving
-        assert sum(len(t.entries) for t in res.trajectories) == len(boxes_in)
-        for traj in res.trajectories:
-            for e in traj.entries:
-                b = boxes_in[e.det_id]
-                assert (e.box.cx, e.box.cy, e.box.w, e.box.h) == pytest.approx(
-                    (b.cx, b.cy, b.w, b.h), abs=1e-6)
+        # Association runs on stabilized boxes; the output keeps the input's.
+        for pan in ((20.0, 0.0), (20.3, 1.7)):
+            gt, _ = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=3, max_speed=0.0,
+                                          box_size=(48.0, 48.0), camera_pan=pan))
+            pieces = []
+            for k, traj in enumerate(gt):
+                entries = [dataclasses.replace(e, det_id=100 * k + i)
+                           for i, e in enumerate(traj.entries)]
+                pieces += [Tracklet.build(2 * k + 1, entries[:25]),
+                           Tracklet.build(2 * k + 2, entries[30:])]
+            boxes_in = {e.det_id: e.box for t in pieces for e in t.entries}
+            res = associate_tracklets(pieces, TrackerConfig())
+            assert res.per_class[0].camera.moving
+            assert sum(len(t.entries) for t in res.trajectories) == len(boxes_in)
+            for traj in res.trajectories:
+                for e in traj.entries:
+                    b = boxes_in[e.det_id]
+                    assert (e.box.cx, e.box.cy, e.box.w, e.box.h) == (b.cx, b.cy, b.w, b.h)

@@ -189,6 +189,21 @@ class TestEvaluate:
         assert "mota=1.000000" in kv
         assert "idsw=0" in kv
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, 1.5])
+    @pytest.mark.parametrize("score", [
+        lambda c, t: evaluate(c, c, t), lambda c, t: clear_mot(c, c, t),
+        lambda c, t: id_metrics(c, c, t), lambda c, t: evaluate_sequences({"a": (c, c)}, t),
+        lambda c, t: eval_counts(TrackColumns.from_trajectories(c),
+                                 TrackColumns.from_trajectories(c), t)],
+        ids=["evaluate", "clear_mot", "id_metrics", "evaluate_sequences", "eval_counts"])
+    def test_threshold_outside_unit_interval_rejected(self, score, threshold):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            score([track(1, range(1, 6), 100.0)], threshold)
+
+    def test_threshold_one_accepted(self):
+        gt = [track(1, range(1, 6), 100.0)]
+        assert evaluate(gt, gt, 1.0).mota == 1.0
+
 
 # Per-track-pair reference for the column counts: the CLEAR and identity
 # counting that scored Trajectory lists before `eval_counts`, kept verbatim.

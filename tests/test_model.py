@@ -59,7 +59,6 @@ class TestTracklet:
         assert [e.frame for e in t.entries] == [2, 5, 9]
         assert (t.t_min, t.t_max) == (2, 9)
         assert len(t) == 3
-        assert t.by_frame[5].frame == 5
 
     def test_rejects_duplicate_frames(self):
         with pytest.raises(ValueError):

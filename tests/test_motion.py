@@ -4,17 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertrack import motion
-from intertrack.geometry import SimilarityKernel, consistent_iou
+from intertrack.geometry import SimilarityKernel, consistent_iou, stack_boxes
+from intertrack.hierarchy import TrackletRows
 from intertrack.model import BoundingBox, Detection, Tracklet, TrackerConfig
-from intertrack.motion import (
-    Direction,
-    FitCache,
-    _advance,
-    fit,
-    kalman_states,
-    pair_scores,
-    predict,
-)
+from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
 
 CFG = TrackerConfig()
 
@@ -23,6 +16,35 @@ def linear_tracklet(tid, frames, x0=100.0, y0=200.0, vx=3.0, vy=-2.0, w=40.0, h=
     dets = [Detection(frame=f, box=BoundingBox(x0 + vx * f, y0 + vy * f, w, h), score=0.9)
             for f in frames]
     return Tracklet.build(tid, dets)
+
+
+def columns(entries):
+    """The frame and box columns of a table holding `entries` in order."""
+    return (np.array([e.frame for e in entries], dtype=np.int64),
+            stack_boxes([e.box for e in entries]))
+
+
+def table_of(*tracklets):
+    """One table of the tracklets' entries, in order, and their TrackletRows."""
+    frame, boxes = columns([e for t in tracklets for e in t.entries])
+    ends = np.cumsum([len(t) for t in tracklets])
+    return frame, boxes, [TrackletRows(t.tid, np.arange(end - len(t), end), t.t_min, t.t_max)
+                          for t, end in zip(tracklets, ends)]
+
+
+def states_of(runs):
+    """`kalman_states` of runs of detections, each run filtered in its order."""
+    frame, boxes = columns([d for run in runs for d in run])
+    ends = np.cumsum([len(run) for run in runs])
+    return kalman_states(frame, boxes, [np.arange(end - len(run), end)
+                                        for run, end in zip(runs, ends)], CFG)
+
+
+def final_state(tracklet, forward=True):
+    """The tracklet filtered in frame order (forward) or reverse: a forward
+    state is anchored at t_max, a backward one at t_min."""
+    entries = tracklet.entries if forward else tracklet.entries[::-1]
+    return states_of([entries])[-1]
 
 
 def assert_psd(state):
@@ -34,11 +56,11 @@ def assert_psd(state):
 class TestFit:
     def test_single_entry_state(self):
         t = linear_tracklet(1, [4])
-        st = fit(t, Direction.FORWARD, CFG)
-        assert st.anchor_frame == 4
-        np.testing.assert_allclose(st.mean[4:], 0.0)
-        np.testing.assert_allclose(st.mean[:4], [112, 192, 40, 50])
-        (state,) = kalman_states([t.entries], CFG)
+        state = final_state(t)
+        np.testing.assert_allclose(state[4:8], 0.0)
+        np.testing.assert_allclose(state[:4], [112, 192, 40, 50])
+        # Anchored at the entry's own frame: a zero step is its box.
+        np.testing.assert_allclose(_advance(state, 0), [112, 192, 40, 50])
         assert_psd(state)
         # No velocity evidence yet: velocity variance dwarfs position variance.
         p00, _, p11 = state[8:]
@@ -46,85 +68,77 @@ class TestFit:
 
     def test_linear_velocity_recovered(self):
         t = linear_tracklet(1, range(1, 6))
-        st = fit(t, Direction.FORWARD, CFG)
-        assert abs(st.mean[4] - 3.0) < 1e-3
-        assert abs(st.mean[5] - (-2.0)) < 1e-3
-        assert st.anchor_frame == 5
-        assert_psd(kalman_states([t.entries], CFG)[-1])
+        state = final_state(t)
+        assert abs(state[4] - 3.0) < 1e-3
+        assert abs(state[5] - (-2.0)) < 1e-3
+        # Anchored at t_max = 5: one step lands on frame 6.
+        assert _advance(state, 1)[0] == pytest.approx(100 + 3.0 * 6, abs=1e-2)
+        assert_psd(state)
 
     def test_backward_negates_velocity(self):
         t = linear_tracklet(1, range(1, 9))
-        fwd = fit(t, Direction.FORWARD, CFG)
-        bwd = fit(t, Direction.BACKWARD, CFG)
-        assert bwd.anchor_frame == 1
-        np.testing.assert_allclose(bwd.mean[4:6], -fwd.mean[4:6], atol=1e-6)
+        fwd = final_state(t, forward=True)
+        bwd = final_state(t, forward=False)
+        # Anchored at t_min = 1: one backward step lands on frame 0.
+        assert _advance(bwd, 1)[0] == pytest.approx(100.0, abs=1e-2)
+        np.testing.assert_allclose(bwd[4:6], -fwd[4:6], atol=1e-6)
 
     def test_gap_in_frames_handled(self):
         t = linear_tracklet(1, [1, 2, 3, 7, 8, 9, 10])
-        st = fit(t, Direction.FORWARD, CFG)
-        assert abs(st.mean[4] - 3.0) < 1e-3
+        assert abs(final_state(t)[4] - 3.0) < 1e-3
 
     def test_covariance_psd_along_the_run(self):
         # The state after every entry (each prefix's fit) stays PSD, with a
         # gap in the run included.
         t = linear_tracklet(1, list(range(1, 9)) + list(range(15, 21)))
-        for state in kalman_states([t.entries], CFG):
+        for state in states_of([t.entries]):
             assert_psd(state)
 
 
 class TestPredict:
+    # A forward state predicts frame f by moving f - t_max steps.
+
     def test_zero_step_returns_own_box(self):
-        st = fit(linear_tracklet(1, range(1, 6)), Direction.FORWARD, CFG)
-        b = predict(st, 5)
-        np.testing.assert_allclose([b.cx, b.cy, b.w, b.h], st.mean[:4])
+        state = final_state(linear_tracklet(1, range(1, 6)))
+        np.testing.assert_allclose(_advance(state, 0), state[:4])
 
     def test_linear_prediction_accuracy(self):
-        st = fit(linear_tracklet(1, range(1, 11)), Direction.FORWARD, CFG)
-        b = predict(st, 20)
-        assert abs(b.cx - (100 + 3.0 * 20)) < 1e-2
-        assert abs(b.cy - (200 - 2.0 * 20)) < 1e-2
+        state = final_state(linear_tracklet(1, range(1, 11)))
+        cx, cy, _, _ = _advance(state, 20 - 10)
+        assert abs(cx - (100 + 3.0 * 20)) < 1e-2
+        assert abs(cy - (200 - 2.0 * 20)) < 1e-2
 
     def test_stationary_prediction_is_identity(self):
         dets = [Detection(frame=f, box=BoundingBox(50, 60, 20, 30), score=0.9)
                 for f in range(1, 8)]
-        st = fit(Tracklet.build(1, dets), Direction.FORWARD, CFG)
+        state = final_state(Tracklet.build(1, dets))
         for horizon in (7, 10, 50):
-            b = predict(st, horizon)
-            np.testing.assert_allclose([b.cx, b.cy, b.w, b.h], [50, 60, 20, 30],
+            np.testing.assert_allclose(_advance(state, horizon - 7), [50, 60, 20, 30],
                                        atol=1e-9)
-
-    def test_direction_violations_rejected(self):
-        t = linear_tracklet(1, range(1, 6))
-        fwd = fit(t, Direction.FORWARD, CFG)
-        bwd = fit(t, Direction.BACKWARD, CFG)
-        with pytest.raises(ValueError):
-            predict(fwd, 4)
-        with pytest.raises(ValueError):
-            predict(bwd, 2)
 
     def test_size_clamped_positive(self):
         # Shrinking boxes extrapolated far enough would go negative.
         dets = [Detection(frame=f, box=BoundingBox(100, 100, 50 - 4 * f, 50 - 4 * f),
                           score=0.9) for f in range(1, 8)]
-        st = fit(Tracklet.build(1, dets), Direction.FORWARD, CFG)
-        b = predict(st, 40)
-        assert b.w >= 1.0 and b.h >= 1.0
+        _, _, w, h = _advance(final_state(Tracklet.build(1, dets)), 40 - 7)
+        assert w >= 1.0 and h >= 1.0
 
     def test_more_updates_never_hurt(self):
         # Prediction error at a fixed target frame shrinks with history.
         target = 30
         errs = []
         for n in (3, 8):
-            st = fit(linear_tracklet(1, range(1, n + 1)), Direction.FORWARD, CFG)
-            b = predict(st, target)
+            state = final_state(linear_tracklet(1, range(1, n + 1)))
             true_cx = 100 + 3.0 * target
-            errs.append(abs(b.cx - true_cx))
+            errs.append(abs(_advance(state, target - n)[0] - true_cx))
         assert errs[1] <= errs[0]
 
 
 class TestPairSimilarity:
     def sim(self, a, b):
-        return float(pair_scores([(a, b)], SimilarityKernel(CFG), FitCache(CFG))[0])
+        frame, boxes, (ra, rb) = table_of(a, b)
+        return float(pair_scores([(ra, rb)], SimilarityKernel(CFG),
+                                 FitCache(CFG, frame, boxes))[0])
 
     def test_stationary_gap_one_is_perfect(self):
         dets = [Detection(frame=f, box=BoundingBox(50, 60, 80, 80), score=0.9)
@@ -190,13 +204,15 @@ class TestPairSimilarity:
                  (a, Tracklet.build(6, [Detection(frame=f, box=BoundingBox(900, 900, 10, 10),
                                                   score=0.9) for f in (8, 9)]))]
         kernel = SimilarityKernel(CFG)
-        batch = pair_scores(pairs, kernel, FitCache(CFG))
-        alone = [pair_scores([p], kernel, FitCache(CFG))[0] for p in pairs]
+        frame, boxes, rows = table_of(*(t for pair in pairs for t in pair))
+        row_pairs = list(zip(rows[::2], rows[1::2]))
+        batch = pair_scores(row_pairs, kernel, FitCache(CFG, frame, boxes))
+        alone = [pair_scores([p], kernel, FitCache(CFG, frame, boxes))[0] for p in row_pairs]
         assert batch.tolist() == alone
         assert batch[1] == pytest.approx(1.0, abs=1e-9) and batch[3] == 0.0
 
     def test_batch_matches_per_pair_loop(self):
-        # Reference: one pair at a time through predict() and the scalar
+        # Reference: one pair at a time through one-run filters and the scalar
         # kernel, for small boxes (expansion active) across gaps of 1..8 frames.
         rng = np.random.RandomState(4)
         tracks = []
@@ -209,37 +225,39 @@ class TestPairSimilarity:
         pairs = [(e, l) for e in tracks for l in tracks if 0 < l.t_min - e.t_max <= 8]
 
         def one(e, l):
-            fwd = predict(fit(e, Direction.FORWARD, CFG), l.t_min)
-            bwd = predict(fit(l, Direction.BACKWARD, CFG), e.t_max)
-            return 0.5 * (consistent_iou(fwd, l.first.box, CFG)
-                          + consistent_iou(e.last.box, bwd, CFG))
-        got = pair_scores(pairs, SimilarityKernel(CFG), FitCache(CFG))
+            fwd = BoundingBox(*_advance(final_state(e, True), l.t_min - e.t_max))
+            bwd = BoundingBox(*_advance(final_state(l, False), l.t_min - e.t_max))
+            return 0.5 * (consistent_iou(fwd, l.entries[0].box, CFG)
+                          + consistent_iou(e.entries[-1].box, bwd, CFG))
+        frame, boxes, rows = table_of(*tracks)
+        by_tid = {r.tid: r for r in rows}
+        got = pair_scores([(by_tid[e.tid], by_tid[l.tid]) for e, l in pairs],
+                          SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
         assert len(pairs) > 10 and got.max() > CFG.match_threshold
         assert got.tolist() == [one(e, l) for e, l in pairs]
 
     def test_fit_cache_reuses_states(self, monkeypatch):
         batches = []
 
-        def counted(runs, cfg):
+        def counted(frame, boxes, runs, cfg):
             batches.append(len(runs))
-            return kalman_states(runs, cfg)
+            return kalman_states(frame, boxes, runs, cfg)
         monkeypatch.setattr(motion, "kalman_states", counted)
-        cache = FitCache(CFG)
-        t = linear_tracklet(9, range(1, 6))
-        s1 = cache.states([(t, Direction.FORWARD)])
-        s2 = cache.states([(t, Direction.FORWARD), (t, Direction.BACKWARD),
-                           (t, Direction.FORWARD)])
+        frame, boxes, (t,) = table_of(linear_tracklet(9, range(1, 6)))
+        cache = FitCache(CFG, frame, boxes)
+        s1 = cache.states([(t, True)])
+        s2 = cache.states([(t, True), (t, False), (t, True)])
         # The second request fits only the missing backward state.
         assert batches == [1, 1]
         assert s2[0].tobytes() == s2[2].tobytes() == s1[0].tobytes()
         assert s2[1].tobytes() != s1[0].tobytes()
 
 
-def chain_states(chain, direction):
-    """Per-entry states of a chain filtered in `direction`, indexed like the chain."""
-    if direction is Direction.FORWARD:
-        return kalman_states([chain], CFG)
-    return kalman_states([chain[::-1]], CFG)[::-1]
+def chain_states(chain, forward):
+    """Per-entry states of a chain filtered forward or backward, indexed like the chain."""
+    if forward:
+        return states_of([chain])
+    return states_of([chain[::-1]])[::-1]
 
 
 class TestChainPredictors:
@@ -249,10 +267,10 @@ class TestChainPredictors:
 
     def test_forward_histories_are_prefixes(self):
         chain = self.chain(range(1, 8))
-        states = chain_states(chain, Direction.FORWARD)
+        states = chain_states(chain, True)
         assert len(states) == len(chain)
         for k in range(len(chain)):
-            assert states[k].tobytes() == kalman_states([chain[:k + 1]], CFG)[-1].tobytes()
+            assert states[k].tobytes() == states_of([chain[:k + 1]])[-1].tobytes()
         # First entry has no velocity evidence.
         np.testing.assert_allclose(states[0, 4:8], 0.0)
         # A converged state lands on the true next position.
@@ -261,10 +279,10 @@ class TestChainPredictors:
 
     def test_backward_predictors_step_in_real_time(self):
         chain = self.chain(range(1, 8))
-        states = chain_states(chain, Direction.BACKWARD)
+        states = chain_states(chain, False)
         for k in range(len(chain)):
             suffix = chain[k:][::-1]
-            assert states[k].tobytes() == kalman_states([suffix], CFG)[-1].tobytes()
+            assert states[k].tobytes() == states_of([suffix])[-1].tobytes()
         # One step from the first entry's suffix history predicts the frame
         # before the chain start, against the motion direction.
         prev = _advance(states[0], 1)
@@ -275,8 +293,8 @@ class TestChainPredictors:
 
     def test_single_entry_chain_predicts_own_box(self):
         chain = self.chain([5])
-        for direction in Direction:
-            (state,) = chain_states(chain, direction)
+        for forward in (True, False):
+            (state,) = chain_states(chain, forward)
             b = _advance(state, 1)
             assert (b[0], b[1]) == (chain[0].box.cx, chain[0].box.cy)
 
@@ -331,10 +349,10 @@ class TestKalmanStates:
     def test_batch_invariance(self, batch, rnd):
         # A row's states are bit-identical alone, in any batch and in any
         # row order, and equal the one-frame-at-a-time reference.
-        alone = [kalman_states([run], CFG) for run in batch]
+        alone = [states_of([run]) for run in batch]
         for run, states in zip(batch, alone):
             assert states.tobytes() == reference_states(run, CFG).tobytes()
         order = list(range(len(batch)))
         rnd.shuffle(order)
-        got = kalman_states([batch[k] for k in order], CFG)
+        got = states_of([batch[k] for k in order])
         assert got.tobytes() == np.concatenate([alone[k] for k in order]).tobytes()

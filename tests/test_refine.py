@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from intertrack import hierarchy
+from intertrack.hierarchy import TrackletRows, detection_table
 from intertrack.model import BoundingBox, Detection, Tracklet
 from intertrack.refine import (
     Trajectory,
-    from_tracklet,
     gaussian_smooth,
     interpolate,
-    resolve_overlap,
     split_at_discontinuities,
 )
 
@@ -19,6 +21,18 @@ def det(frame, cx=50.0, cy=50.0, w=20.0, h=30.0, score=0.9, det_id=-1):
 
 def traj(track_id, frames, **kw):
     return Trajectory(track_id=track_id, entries=tuple(det(f, **kw) for f in frames))
+
+
+def resolve_overlap(a, b, new_tid, **kw):
+    """`hierarchy.resolve_overlap` on one table of both tracklets' entries;
+    the merged rows come back as a Tracklet of those entries."""
+    entries = [*a.entries, *b.entries]
+    table, order = detection_table(entries)
+    row_of = np.argsort(order)
+    rows = [TrackletRows(t.tid, row_of[lo:lo + len(t)], t.t_min, t.t_max)
+            for t, lo in ((a, 0), (b, len(a)))]
+    out = hierarchy.resolve_overlap(table, *rows, new_tid, **kw)
+    return Tracklet(out.tid, tuple(entries[k] for k in order[out.rows]))
 
 
 class TestSplit:
@@ -46,6 +60,12 @@ class TestSplit:
         pieces = split_at_discontinuities(trajectories)
         total = sum(len(t) for t in pieces)
         assert total == sum(len(t.entries) for t in trajectories)
+
+    def test_class_change_splits(self):
+        entries = [dataclasses.replace(det(f), class_id=0 if f < 4 else 3) for f in range(1, 7)]
+        pieces = split_at_discontinuities([Trajectory(1, tuple(entries))])
+        assert [[e.frame for e in t.entries] for t in pieces] == [[1, 2, 3], [4, 5, 6]]
+        assert [t.class_id for t in pieces] == [0, 3]
 
 
 class TestResolveOverlap:
@@ -179,9 +199,3 @@ class TestTrajectoryType:
             Trajectory(1, ())
         with pytest.raises(ValueError):
             Trajectory(1, (det(3), det(3)))
-
-    def test_from_tracklet(self):
-        t = Tracklet.build(4, [det(1), det(2)])
-        out = from_tracklet(t, track_id=9)
-        assert out.track_id == 9
-        assert out.entries == t.entries
