@@ -613,38 +613,25 @@ class _ClassEngine:
                 state.tracklets)
 
 
-def _run_per_class(entries: Sequence[Detection], cfg: TrackerConfig, renumber: bool,
-                   start: Callable) -> RunResult:
-    """Put `entries` in one table, run one engine per class on its rows, and
-    number the combined tracks in (t_min, t_max, class) order.
-
-    `start(engine, rows, row_of)` runs a class's engine, given its rows of
-    the full table and the row of each entry.  With `renumber` the table
-    numbers the detections 1..N in row order and the output entries are
-    copies carrying these det_ids; otherwise they are `entries` themselves.
-    Either way they keep the caller's own boxes.
+def _run_per_class(table: DetectionTable, source: Sequence[Detection], cfg: TrackerConfig,
+                   start: Callable[[_ClassEngine], tuple[ClassRunResult, tuple[TrackletRows, ...]]]
+                   ) -> RunResult:
+    """Run one engine per class on its rows of `table`, whose row k holds
+    `source[k]`, and number the combined tracks in (t_min, t_max, class)
+    order.  `start` runs a class's engine; the output entries are the
+    detections of `source`, so they keep the caller's own boxes.
     """
-    table, order = detection_table(entries)
-    if renumber:
-        table = table._replace(det_id=np.arange(1, len(entries) + 1))
-    source = [entries[k] for k in order.tolist()]
     class_of = np.fromiter((d.class_id for d in source), np.int64, len(source))
-    row_of = np.argsort(order)
     results = []
     ranked = []
     for class_id in np.unique(class_of).tolist():
         rows = np.flatnonzero(class_of == class_id)
-        result, tracklets = start(_ClassEngine(cfg, class_id, table.take(rows)), rows, row_of)
+        result, tracklets = start(_ClassEngine(cfg, class_id, table.take(rows)))
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
         ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in tracklets]
     ranked.sort(key=lambda r: r[0])
-
-    def entry(row: int) -> Detection:
-        d = source[row]
-        return Detection(d.frame, d.box, d.score, d.class_id, row + 1,
-                         d.interpolated) if renumber else d
-    trajectories = [Trajectory(k + 1, tuple(entry(row) for row in rows.tolist()))
+    trajectories = [Trajectory(k + 1, tuple(source[row] for row in rows.tolist()))
                     for k, (_, rows) in enumerate(ranked)]
     return RunResult(trajectories=trajectories, per_class=tuple(results))
 
@@ -655,11 +642,15 @@ def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResu
     Multi-class input is partitioned and tracked per class; output track ids
     are assigned over the combined result in (t_min, t_max, class) order.
     The engine numbers the detections 1..N in table order, and the output
-    entries carry these det_ids with the caller's own boxes.
+    entries are copies carrying these det_ids with the caller's own boxes.
     """
     validate_config(cfg)
-    return _run_per_class(list(detections), cfg, True,
-                          lambda engine, rows, row_of: engine.run_detections())
+    detections = list(detections)
+    table, order = detection_table(detections)
+    source = [Detection(d.frame, d.box, d.score, d.class_id, row + 1, d.interpolated)
+              for row, d in enumerate(detections[k] for k in order.tolist())]
+    return _run_per_class(table._replace(det_id=np.arange(1, len(source) + 1)), source, cfg,
+                          _ClassEngine.run_detections)
 
 
 def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
@@ -676,13 +667,19 @@ def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> Ru
     validate_config(cfg)
     # Fitting is memoized by tracklet id, so the ids are made unique here.
     ordered = sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
+    entries = [e for t in ordered for e in t.entries]
+    table, order = detection_table(entries)
+    row_of = np.argsort(order)
     ends = np.cumsum([len(t) for t in ordered], dtype=np.intp).tolist()
+    # Per input tracklet: its new id, class and rows of the full table.
+    runs = [(tid, t.class_id, row_of[end - len(t):end])
+            for tid, (t, end) in enumerate(zip(ordered, ends), 1)]
 
-    def start(engine: _ClassEngine, rows: np.ndarray, row_of: np.ndarray):
-        local = np.empty(len(row_of), np.intp)  # row of the full table -> class row
-        local[rows] = np.arange(len(rows))
-        return engine.run_tracklets([
-            _tracklet(engine.table.frame, tid, local[row_of[end - len(t):end]])
-            for tid, (t, end) in enumerate(zip(ordered, ends), 1)
-            if t.class_id == engine.class_id])
-    return _run_per_class([e for t in ordered for e in t.entries], cfg, False, start)
+    def start(engine: _ClassEngine):
+        own = [(tid, rows) for tid, class_id, rows in runs if class_id == engine.class_id]
+        # The engine's table holds the class's rows of the full table in order.
+        class_rows = np.sort(np.concatenate([rows for _, rows in own]))
+        return engine.run_tracklets([_tracklet(engine.table.frame, tid,
+                                               np.searchsorted(class_rows, rows))
+                                     for tid, rows in own])
+    return _run_per_class(table, [entries[k] for k in order.tolist()], cfg, start)

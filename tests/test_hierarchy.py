@@ -1,10 +1,11 @@
 import collections
 import dataclasses
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertrack import hierarchy
@@ -243,8 +244,16 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scene=_scenes(), strategy=st.sampled_from(list(Strategy)), data=st.data())
-def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, data):
+@given(scene=_scenes(), strategy=st.sampled_from(list(Strategy)),
+       shuffler=st.randoms(use_true_random=False))
+# Two targets whose equal-score boxes share their first frames meet at the
+# final overlap level; with the tie decided by det_id, file order picked the
+# surviving box.
+@example(scene=ScenarioSpec(n_targets=4, n_frames=35, seed=999, arena=(150.0, 120.0),
+                            box_size=(10.0, 50.0), max_speed=0.5, miss_prob=0.3,
+                            camera_pan=(10.0, 0.0)),
+         strategy=Strategy.INTERVAL, shuffler=random.Random(0))
+def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, shuffler):
     """Shuffling a detection file's rows keeps every track as a set of
     (frame, box) and the MOTA/IDF1 against ground truth.  Track ids and
     output row order may differ: det_id follows file order."""
@@ -256,7 +265,7 @@ def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, data):
     write_mot_detections(dets, path)
     rows = path.read_text().splitlines(keepends=True)
     ordered = run(read_mot_detections(path), cfg)
-    path.write_text("".join(data.draw(st.permutations(rows))))
+    path.write_text("".join(shuffler.sample(rows, len(rows))))
     shuffled = run(read_mot_detections(path), cfg)
 
     def partition(tracks):

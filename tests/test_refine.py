@@ -98,6 +98,19 @@ class TestResolveOverlap:
         m2 = resolve_overlap(b, a, new_tid=5)
         assert [e.box.cx for e in m1.entries] == [e.box.cx for e in m2.entries]
 
+    @pytest.mark.parametrize("small, large", [(dict(cx=10.0), dict(cx=90.0)),
+                                              (dict(w=20.0), dict(w=24.0))])
+    def test_same_start_equal_scores_smaller_box_wins(self, small, large):
+        # Whichever det_ids the boxes carry and in whichever argument order.
+        for small_ids, large_ids in (((1, 2), (3, 4)), ((3, 4), (1, 2))):
+            a = Tracklet.build(1, [det(f, det_id=k, **small)
+                                   for f, k in zip((3, 4), small_ids)])
+            b = Tracklet.build(2, [det(f, det_id=k, **large)
+                                   for f, k in zip((3, 4, 5), (*large_ids, 5))])
+            for merged in (resolve_overlap(a, b, new_tid=3), resolve_overlap(b, a, new_tid=3)):
+                assert [e.box for e in merged.entries] == [
+                    a.entries[0].box, a.entries[1].box, b.entries[2].box]
+
     def test_overlap_beyond_allowance_is_an_error(self):
         a = Tracklet.build(1, [det(f) for f in range(1, 10)])
         b = Tracklet.build(2, [det(f, cx=51.0) for f in range(2, 11)])

@@ -1,7 +1,7 @@
 """Write every observable result of a fixed set of CLI cases into a directory,
 so that two source trees can be compared with `diff -r`.
 
-    python3 tools/identity_cases.py OUT_DIR [--root CHECKOUT] [--only SUBSTRING]
+    python3 tools/identity_cases.py OUT_DIR [--root CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is the source tree whose
 `src/intertrack` runs the cases; the inputs are always generated by this
@@ -146,7 +146,6 @@ def main(argv=None) -> int:
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--root", type=Path, default=REPO,
                         help="source checkout whose src/ runs the cases")
-    parser.add_argument("--only", default="", help="run only cases whose name contains this")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "intertrack" / "__init__.py").is_file():
@@ -154,8 +153,6 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases()]:
-        if args.only not in name:
-            continue
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
