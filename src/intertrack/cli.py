@@ -88,6 +88,7 @@ def read_config_file(path: Path) -> dict:
     as `file:line: problem` in one ConfigError.
     """
     overrides: dict = {}
+    lines: dict[str, int] = {}
     problems = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -107,29 +108,31 @@ def read_config_file(path: Path) -> dict:
                 overrides[key] = _parse_value(value, key, kind)
             else:
                 raise ConfigError([f"unknown config key {key!r}"])
+            lines[key] = lineno
         except ConfigError as exc:
             problems += [f"{path}:{lineno}: {problem}" for problem in exc.problems]
+    # A schedule value is judged with the file's own strategy, so that its
+    # problems are reported at its line.
+    for key in ("stage_bounds", "final_overlap"):
+        if key in lines:
+            own = {k: overrides[k] for k in ("strategy", key) if k in overrides}
+            problems += [f"{path}:{lines[key]}: {problem}"
+                         for problem in _schedule_from(own).problems()]
     if problems:
         raise ConfigError(problems)
     return overrides
 
 
 def _schedule_from(overrides: dict) -> Optional[HierarchySchedule]:
-    strategy = overrides.get("strategy")
-    bounds = overrides.get("stage_bounds")
-    final_overlap = overrides.get("final_overlap")
-    if strategy is None and bounds is None and final_overlap is None:
+    """The schedule of the schedule keys in `overrides`, the strategy's
+    default filling in the others; None when no key is set."""
+    if not any(key in overrides for key in _SCHEDULE_KEYS):
         return None
-    strategy = strategy or Strategy.INTERVAL
-    if bounds is None:
-        if strategy is Strategy.WINDOW:
-            return HierarchySchedule.default_window()
-        if final_overlap is None:
-            return HierarchySchedule.default_interval()
-        bounds = tuple(s.bound for s in HierarchySchedule.default_interval().stages[:-1])
-    overlap = final_overlap
-    if overlap is None:
-        overlap = 5 if strategy is Strategy.INTERVAL else 0
+    strategy = overrides.get("strategy", Strategy.INTERVAL)
+    default = (HierarchySchedule.default_window() if strategy is Strategy.WINDOW
+               else HierarchySchedule.default_interval())
+    bounds = overrides.get("stage_bounds", [s.bound for s in default.stages if not s.overlap])
+    overlap = overrides.get("final_overlap", default.stages[-1].overlap)
     return HierarchySchedule.from_bounds(bounds, overlap, strategy)
 
 
@@ -148,26 +151,10 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
-    flag_map = [
-        ("match_threshold", "match_threshold"),
-        ("score_high", "score_high"),
-        ("score_low", "score_low"),
-        ("cc_threshold", "cc_threshold"),
-        ("ci_width_threshold", "ci_width_threshold"),
-        ("ci_scaling_factor", "ci_scaling_factor"),
-        ("interp_max_gap", "interpolation_max_gap"),
-        ("smoothing_sigma", "smoothing_sigma"),
-    ]
-    for attr, field_name in flag_map:
-        value = getattr(args, attr, None)
+    for field_name in _FIELD_TYPES:  # a config flag's dest is its field
+        value = getattr(args, field_name, None)
         if value is not None:
             overrides[field_name] = value
-    if getattr(args, "use_hm_iou", None):
-        overrides["use_hm_iou"] = True
-    for flag, field_name in [("no_ci", "enable_ci"), ("no_cc", "enable_cc"),
-                             ("no_cm", "enable_cm")]:
-        if getattr(args, flag, None):
-            overrides[field_name] = False
     if getattr(args, "strategy", None):
         overrides["strategy"] = Strategy(args.strategy)
     if getattr(args, "stage_bounds", None):
@@ -302,19 +289,19 @@ def _dump_payload(result: hierarchy.RunResult) -> dict:
 
 
 # A job returns (name, trajectories, summary lines, dump payload or None when
-# no dump was asked for, input count); the payload is pickled back from a
-# pool worker only when it is needed.
+# no dump was asked for); the payload is pickled back from a pool worker only
+# when it is needed.
 
-def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict], int]:
+def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
     name, src, cfg, fmt, class_filter, interp, smooth, dump = job
     dets = read_detections(src, fmt, class_filter)
     result = hierarchy.run_detailed(dets, cfg)
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
     return (name, trajs, _summary_lines(name, result, len(dets)),
-            _dump_payload(result) if dump else None, len(dets))
+            _dump_payload(result) if dump else None)
 
 
-def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict], int]:
+def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
     name, src, cfg, fmt, class_filter, interp, smooth, dump = job
     tracks = read_tracks(src, fmt, class_filter)
     tracklets = split_at_discontinuities(tracks) if tracks else []
@@ -322,7 +309,7 @@ def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict], 
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
     n_input = sum(len(t.entries) for t in tracks)
     return (name, trajs, _summary_lines(name, result, n_input),
-            _dump_payload(result) if dump else None, n_input)
+            _dump_payload(result) if dump else None)
 
 
 def _run_jobs(worker, jobs, workers: int):
@@ -343,7 +330,7 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
                       args.interp, args.smooth, dump_path is not None), dst))
     results = _run_jobs(worker, [job for job, _ in jobs], workers)
     dump: dict = {}
-    for (job, dst), (name, trajs, summary, payload, _) in zip(jobs, results):
+    for (job, dst), (name, trajs, summary, payload) in zip(jobs, results):
         if dst is not None:
             write_tracks(trajs, dst, args.format)
         for line in summary:
@@ -434,13 +421,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--ci-scaling-factor", dest="ci_scaling_factor", type=float)
     grp.add_argument("--use-hm-iou", dest="use_hm_iou", action="store_true",
                      default=None, help="multiply in the vertical-interval IoU")
-    grp.add_argument("--no-ci", dest="no_ci", action="store_true", default=None,
+    grp.add_argument("--no-ci", dest="enable_ci", action="store_false", default=None,
                      help="disable small-box expansion")
-    grp.add_argument("--no-cc", dest="no_cc", action="store_true", default=None,
+    grp.add_argument("--no-cc", dest="enable_cc", action="store_false", default=None,
                      help="disable camera-movement compensation")
-    grp.add_argument("--no-cm", dest="no_cm", action="store_true", default=None,
+    grp.add_argument("--no-cm", dest="enable_cm", action="store_false", default=None,
                      help="disable the motion-consistent second pass")
-    grp.add_argument("--interp-max-gap", dest="interp_max_gap", type=int)
+    grp.add_argument("--interp-max-gap", dest="interpolation_max_gap", type=int)
     grp.add_argument("--smoothing-sigma", dest="smoothing_sigma", type=float)
     grp.add_argument("--workers", type=int,
                      help=f"parallel sequence workers; overrides ${ENV_WORKERS}")

@@ -45,6 +45,14 @@ boxes, frames and scores by row.  Camera stabilization replaces the box
 column once, and the output trajectories are built, at the end, from the
 caller's own detections, so their boxes are exactly the input boxes.
 
+Each class engine keeps one record of its levels: a list of `LevelTrace`s,
+each holding the level's `TrackletRows` and the table's frame and det_id
+columns.  A level's tracklet count and its (frame, det_id) members, which
+only `--dump-hierarchy` and library callers read, are computed when read, and
+`ClassRunResult.counts` (N_1..N_l) is derived from the same list: every
+trace but the interval schedule's low-score recovery, which only grows the
+first level's tracklets.
+
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
 """
@@ -52,7 +60,6 @@ ids are never reused, and matching ties are broken toward low indices.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -128,40 +135,50 @@ Grouping = Callable[[Sequence[TrackletRows]], Sequence[Sequence[int]]]
 
 @dataclass(frozen=True)
 class HierarchyState:
-    """Tracklet population over one table between levels, with the count
-    history N_1..N_l."""
+    """Tracklet population over one table between levels, in (t_min, t_max,
+    tid) order."""
     table: DetectionTable
-    level: int
     tracklets: tuple[TrackletRows, ...]
-    counts: tuple[int, ...]
     next_tid: int
-
-    @staticmethod
-    def initial(table: DetectionTable, tracklets: Sequence[TrackletRows],
-                next_tid: int) -> "HierarchyState":
-        ordered = _ordered(tracklets)
-        return HierarchyState(table=table, level=1, tracklets=tuple(ordered),
-                              counts=(len(ordered),), next_tid=next_tid)
-
-    def advanced(self, tracklets: Sequence[TrackletRows], next_tid: int) -> "HierarchyState":
-        return dataclasses.replace(self, level=self.level + 1,
-                                   tracklets=tuple(_ordered(tracklets)),
-                                   counts=self.counts + (len(tracklets),), next_tid=next_tid)
 
 
 @dataclass(frozen=True)
 class LevelTrace:
+    """A class's tracklets after one level, as rows of the engine's table;
+    its (frame, det_id) members are built only when read."""
     label: str
-    tracklet_count: int
-    members: tuple[tuple[tuple[int, int], ...], ...]  # per tracklet: (frame, det_id)
+    tracklets: tuple[TrackletRows, ...]
+    frame: np.ndarray
+    det_id: np.ndarray
+
+    @property
+    def tracklet_count(self) -> int:
+        return len(self.tracklets)
+
+    @property
+    def members(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per tracklet, its (frame, det_id) pairs in frame order."""
+        return tuple(tuple(zip(self.frame[t.rows].tolist(), self.det_id[t.rows].tolist()))
+                     for t in self.tracklets)
+
+
+# The label of the trace taken after low-score rows are absorbed into the
+# interval schedule's first level; it is no level of its own.
+_RECOVERY = "low-score recovery"
 
 
 @dataclass(frozen=True)
 class ClassRunResult:
     class_id: int
-    counts: tuple[int, ...]
     levels: tuple[LevelTrace, ...]
     camera: Optional[camera_mod.CameraProfile]
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """The tracklet counts N_1..N_l of the levels; (0,) for a class
+        without high-score rows, which has no levels."""
+        return tuple(lv.tracklet_count for lv in self.levels
+                     if lv.label != _RECOVERY) or (0,)
 
 
 @dataclass(frozen=True)
@@ -170,15 +187,8 @@ class RunResult:
     per_class: tuple[ClassRunResult, ...]
 
 
-def _ordered(tracklets: Iterable[TrackletRows]) -> list[TrackletRows]:
-    return sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
-
-
-def _snapshot(label: str, state: HierarchyState) -> LevelTrace:
-    frame, det_id = state.table.frame, state.table.det_id
-    members = tuple(tuple(zip(frame[t.rows].tolist(), det_id[t.rows].tolist()))
-                    for t in state.tracklets)
-    return LevelTrace(label=label, tracklet_count=len(members), members=members)
+def _ordered(tracklets: Iterable[TrackletRows]) -> tuple[TrackletRows, ...]:
+    return tuple(sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +233,26 @@ def resolve_overlap(table: DetectionTable, a: TrackletRows, b: TrackletRows, new
     return _tracklet(table.frame, new_tid, np.array(sorted(chosen.values())))
 
 
-def _matches_to_paths(matches: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Chain up matching links (i earlier -> j later) into merge paths."""
-    succ = dict(matches)
-    has_pred = {j for _, j in matches}
-    paths = []
-    for start in sorted(succ):
+def _chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:
+    """Follow the links (earlier -> later) from each of `nodes` that no link
+    points to; one chain per such node, in the order of `nodes`."""
+    has_pred = set(link.values())
+    chains = []
+    for start in nodes:
         if start in has_pred:
             continue
-        path = [start]
-        node = start
-        while node in succ:
-            node = succ[node]
-            path.append(node)
-        paths.append(path)
-    return paths
+        chain = [start]
+        while chain[-1] in link:
+            chain.append(link[chain[-1]])
+        chains.append(chain)
+    return chains
 
 
-def _merge_round(table: DetectionTable, tracklets: list[TrackletRows],
+def _merge_round(table: DetectionTable, tracklets: Sequence[TrackletRows],
                  matches: Sequence[tuple[int, int]], next_tid: int,
-                 max_overlap: int) -> tuple[list[TrackletRows], int]:
-    paths = _matches_to_paths(matches)
+                 max_overlap: int) -> tuple[tuple[TrackletRows, ...], int]:
+    link = dict(matches)
+    paths = _chains(link, sorted(link))
     consumed = {idx for path in paths for idx in path}
     merged = [t for k, t in enumerate(tracklets) if k not in consumed]
     for path in paths:
@@ -287,12 +296,12 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
                        overlap_allowance: int, score: PairScorer,
                        gate: float) -> HierarchyState:
     """Solve each candidate group's admissible pairs, merge the matches, and
-    repeat until a round matches nothing; the result is one level further.
+    repeat until a round matches nothing.
 
     Each round sweeps every group's time-ordered members for the pairs whose
     intervals are admissible and scores all of a group's pairs in one batched
     `score` call."""
-    tracklets = list(state.tracklets)
+    tracklets = state.tracklets
     next_tid = state.next_tid
     while True:
         matches: list[tuple[int, int]] = []
@@ -306,7 +315,7 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
             scores[rows, cols] = score([(members[a], members[b]) for a, b in pairs])
             matches += [(group[a], group[b]) for a, b in solve(scores, gate)]
         if not matches:
-            return state.advanced(tracklets, next_tid)
+            return HierarchyState(state.table, tracklets, next_tid)
         tracklets, next_tid = _merge_round(state.table, tracklets, matches, next_tid,
                                            overlap_allowance)
 
@@ -405,16 +414,7 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
         for k, (r, c) in enumerate(zip(r0.tolist(), c0.tolist())):
             for i, j in solve(scores[k, :n[k], :m[k]], gate):
                 link[r + i] = c + j
-    has_pred = set(link.values())
-    chains = []
-    for start in range(len(frame)):
-        if start in has_pred:
-            continue
-        chain = [start]
-        while chain[-1] in link:
-            chain.append(link[chain[-1]])
-        chains.append(chain)
-    return chains
+    return _chains(link, range(len(frame)))
 
 
 def adjacent_pass(table: DetectionTable, rows: np.ndarray, kernel: SimilarityKernel,
@@ -491,7 +491,7 @@ def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKern
             rows = np.sort(np.append(tracklets[k].rows, lows[j]))  # ascending rows: frame order
             tracklets[k] = _tracklet(table.frame, next_tid, rows)
             next_tid += 1
-    return dataclasses.replace(state, tracklets=tuple(_ordered(tracklets)), next_tid=next_tid)
+    return HierarchyState(table, _ordered(tracklets), next_tid)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,8 @@ def _stage_label(index: int, stage: Stage, window: bool) -> str:
 
 
 class _ClassEngine:
-    """Runs the full pipeline on the table of one class's detections."""
+    """Runs the full pipeline on the table of one class's detections and
+    keeps the log of its levels."""
 
     def __init__(self, cfg: TrackerConfig, class_id: int, table: DetectionTable):
         self.cfg = cfg
@@ -530,51 +531,45 @@ class _ClassEngine:
         self.window = cfg.schedule.strategy is Strategy.WINDOW
         self.levels: list[LevelTrace] = []
 
-    def run_detections(self) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
+    def run_detections(self) -> ClassRunResult:
         cfg = self.cfg
         score = self.table.score
         high = np.flatnonzero(score >= cfg.score_high)
         low = np.flatnonzero((cfg.score_low <= score) & (score < cfg.score_high))
         if not high.size:
-            return self._result(HierarchyState.initial(self.table, (), 1), None)
+            return ClassRunResult(self.class_id, (), None)
 
         chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
         profile = self._camera(chains)
-        if self.window:  # the window schedule starts from singletons
-            chains = [high[k:k + 1] for k in range(len(high))]
-        else:
-            if profile is not None and profile.moving:
-                chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
-            if cfg.enable_cm:
-                chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
-
         # `high` is in (frame, det_id) order, which is also the singletons'
         # (t_min, t_max, tid) order.
         frame = self.table.frame
-        singletons = zip(frame[high].tolist(), self.table.det_id[high].tolist())
-        self.levels.append(LevelTrace("singletons", len(high),
-                                      tuple((pair,) for pair in singletons)))
-        state = HierarchyState.initial(
-            self.table, [_tracklet(frame, tid, chain) for tid, chain in enumerate(chains, 1)],
-            next_tid=len(chains) + 1)
-        if self.window:
-            return self._result(self._stages(state, 0, low), profile)
+        state = HierarchyState(self.table, tuple(
+            TrackletRows(tid, high[tid - 1:tid], t, t)
+            for tid, t in enumerate(frame[high].tolist(), 1)), len(high) + 1)
+        self._record("singletons", state)
+        if self.window:  # the window schedule starts from singletons
+            return self._stages(state, 0, profile, low)
+        if profile is not None and profile.moving:
+            chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
+        if cfg.enable_cm:
+            chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
         # Interval level 1 is the frame-adjacent chaining itself.
-        state = dataclasses.replace(state, counts=(len(high),) + state.counts)
-        self.levels.append(_snapshot(_stage_label(1, cfg.schedule.stages[0], False), state))
-        state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
+        state = HierarchyState(self.table, _ordered(
+            _tracklet(frame, tid, chain) for tid, chain in enumerate(chains, 1)), len(chains) + 1)
+        self._record(_stage_label(1, cfg.schedule.stages[0], False), state)
         if len(low):
-            self.levels.append(_snapshot("low-score recovery", state))
-        return self._result(self._stages(state, 1), profile)
+            state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
+            self._record(_RECOVERY, state)
+        return self._stages(state, 1, profile)
 
-    def run_tracklets(self, tracklets: Sequence[TrackletRows]
-                      ) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
+    def run_tracklets(self, tracklets: Sequence[TrackletRows]) -> ClassRunResult:
         """Associate pre-formed tracklets (the recombination mode)."""
         profile = self._camera([t.rows for t in tracklets])
-        state = HierarchyState.initial(self.table, tracklets,
-                                       next_tid=max(t.tid for t in tracklets) + 1)
-        self.levels.append(_snapshot("input tracklets", state))
-        return self._result(self._stages(state, 0), profile)
+        state = HierarchyState(self.table, _ordered(tracklets),
+                               max(t.tid for t in tracklets) + 1)
+        self._record("input tracklets", state)
+        return self._stages(state, 0, profile)
 
     def _camera(self, runs: Sequence[np.ndarray]) -> Optional[camera_mod.CameraProfile]:
         """Estimate camera movement from the frame-adjacent pairs inside
@@ -590,10 +585,16 @@ class _ClassEngine:
             self.table = self.table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
         return profile
 
+    def _record(self, label: str, state: HierarchyState) -> None:
+        self.levels.append(LevelTrace(label, state.tracklets, state.table.frame,
+                                      state.table.det_id))
+
     def _stages(self, state: HierarchyState, first: int,
-                low: Sequence[int] = ()) -> HierarchyState:
-        """Run the schedule from stage index `first` on, tracing each level;
-        `low` rows are absorbed right after the first stage."""
+                profile: Optional[camera_mod.CameraProfile],
+                low: Sequence[int] = ()) -> ClassRunResult:
+        """Run the schedule from stage index `first` on, recording each level,
+        and return the class's result with its camera `profile`; `low` rows
+        are absorbed right after the first stage."""
         gate = self.cfg.match_threshold
         cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
         score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
@@ -604,32 +605,28 @@ class _ClassEngine:
                 state = hierarchy_pass(state, stage.bound, stage.overlap, score, gate)
             if k == 1 and len(low):
                 state = byte_recovery(state, low, self.kernel, gate)
-            self.levels.append(_snapshot(_stage_label(k, stage, self.window), state))
-        return state
-
-    def _result(self, state: HierarchyState, profile: Optional[camera_mod.CameraProfile]
-                ) -> tuple[ClassRunResult, tuple[TrackletRows, ...]]:
-        return (ClassRunResult(self.class_id, state.counts, tuple(self.levels), profile),
-                state.tracklets)
+            self._record(_stage_label(k, stage, self.window), state)
+        return ClassRunResult(self.class_id, tuple(self.levels), profile)
 
 
 def _run_per_class(table: DetectionTable, source: Sequence[Detection], cfg: TrackerConfig,
-                   start: Callable[[_ClassEngine], tuple[ClassRunResult, tuple[TrackletRows, ...]]]
-                   ) -> RunResult:
+                   start: Callable[[_ClassEngine], ClassRunResult]) -> RunResult:
     """Run one engine per class on its rows of `table`, whose row k holds
-    `source[k]`, and number the combined tracks in (t_min, t_max, class)
-    order.  `start` runs a class's engine; the output entries are the
-    detections of `source`, so they keep the caller's own boxes.
+    `source[k]`, and number the combined tracks of the classes' last levels
+    in (t_min, t_max, class) order.  `start` runs a class's engine; the
+    output entries are the detections of `source`, so they keep the caller's
+    own boxes.
     """
     class_of = np.fromiter((d.class_id for d in source), np.int64, len(source))
     results = []
     ranked = []
     for class_id in np.unique(class_of).tolist():
         rows = np.flatnonzero(class_of == class_id)
-        result, tracklets = start(_ClassEngine(cfg, class_id, table.take(rows)))
+        result = start(_ClassEngine(cfg, class_id, table.take(rows)))
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
-        ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in tracklets]
+        final = result.levels[-1].tracklets if result.levels else ()
+        ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in final]
     ranked.sort(key=lambda r: r[0])
     trajectories = [Trajectory(k + 1, tuple(source[row] for row in rows.tolist()))
                     for k, (_, rows) in enumerate(ranked)]

@@ -163,13 +163,11 @@ class HierarchySchedule:
     def default_interval(cls) -> "HierarchySchedule":
         # Gap bounds 1..30 plus a final stage that re-admits the 30-frame
         # bound while tolerating up to 5 frames of tracklet overlap.
-        bounds = (1, 5, 10, 15, 20, 30)
-        stages = tuple(Stage(b, 0) for b in bounds) + (Stage(30, 5),)
-        return cls(stages, Strategy.INTERVAL)
+        return cls.from_bounds((1, 5, 10, 15, 20, 30), 5)
 
     @classmethod
     def default_window(cls) -> "HierarchySchedule":
-        return cls(tuple(Stage(2 ** k, 0) for k in range(1, 8)), Strategy.WINDOW)
+        return cls.from_bounds(tuple(2 ** k for k in range(1, 8)), 0, Strategy.WINDOW)
 
     @classmethod
     def from_bounds(
@@ -178,9 +176,12 @@ class HierarchySchedule:
         final_overlap: int = 0,
         strategy: Strategy = Strategy.INTERVAL,
     ) -> "HierarchySchedule":
+        """One stage per bound; a nonzero `final_overlap` adds a final stage
+        that re-admits the last bound with that overlap.  `problems` judges
+        the result."""
         stages = [Stage(int(b), 0) for b in bounds]
-        if final_overlap > 0:
-            stages.append(Stage(int(bounds[-1]), int(final_overlap)))
+        if final_overlap and stages:
+            stages.append(Stage(stages[-1].bound, int(final_overlap)))
         return cls(tuple(stages), strategy)
 
     def problems(self) -> list[str]:
@@ -196,6 +197,8 @@ class HierarchySchedule:
             out.append("overlap allowances must be >= 0")
         if any(s.overlap > 0 for s in self.stages[:-1]):
             out.append("only the final stage may allow overlap")
+        if self.strategy is Strategy.WINDOW and any(s.overlap > 0 for s in self.stages):
+            out.append("the window strategy admits no overlap")
         return out
 
 

@@ -9,9 +9,11 @@ A MOT file is parsed once into frame, id, [cx, cy, w, h] box and score
 columns.  `read_mot_columns` sorts a track file's columns into
 `TrackColumns` for `eval`; `read_mot_tracks` and `read_mot_detections` build
 their objects from the same columns.  Readers fail with `file:line` context
-on malformed input and on a track with two boxes in one frame, and drop
-degenerate boxes with a logged count; writers sort rows by (frame, id) and
-emit a fixed six-decimal format so write→read→write is byte-identical.
+on malformed input, on a NaN or infinite frame, box or score (one
+`np.isfinite` check over the parsed columns) and on a track with two boxes in
+one frame, and drop degenerate boxes with a logged count; writers sort rows
+by (frame, id) and emit a fixed six-decimal format so write→read→write is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,15 +45,20 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
     try:
         frame = int(float(fields[0]))
         track_id = int(float(fields[1]))
-        left, top, w, h = (float(v) for v in fields[2:6])
-        conf = float(fields[6])
-    except ValueError as exc:
+        left, top, w, h, conf = (float(v) for v in fields[2:7])
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     if frame < 1:
         raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 1")
-    if w != w or h != h or conf != conf:  # NaN, the one value unequal to itself
-        raise ValueError(f"{path}:{lineno}: box size and confidence must be numbers")
-    return frame, track_id, left, top, w, h, conf
+    return frame, track_id, left, top, w, h, conf, lineno
+
+
+def _require_finite(path: PathLike, values: np.ndarray, lineno: Sequence[float]) -> None:
+    """Fail at the line of the first row of `values` holding NaN or ±inf."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{int(lineno[bad[0]])}: box size and confidence must be "
+                         "finite numbers, as must the box position")
 
 
 class TrackColumns(NamedTuple):
@@ -82,29 +89,26 @@ class TrackColumns(NamedTuple):
 def _read_mot_rows(path: PathLike, track_file: bool) -> tuple[np.ndarray, ...]:
     """Parse a MOT file once into frame, id, [cx, cy, w, h] box and clamped
     score columns in file order, dropping rows of non-positive size.  A
-    negative id is an error in a track file."""
-    rows = []
-    rejected = 0
+    non-finite box or score value is an error, and so is a negative id in a
+    track file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            row = frame, track_id, left, top, w, h, conf = _parse_mot_line(line, path, lineno)
-            if w <= 0 or h <= 0:
-                rejected += 1
-            elif track_file and track_id < 0:
-                raise ValueError(
-                    f"{path}:{lineno}: track id {track_id} invalid in a track file")
-            else:
-                rows.append(row)
-    if rejected:
-        log.warning("%s: rejected %d records with non-positive size", path, rejected)
-    table = np.array(rows, dtype=np.float64).reshape(-1, 7)
-    left, top, w, h = table[:, 2:6].T
-    boxes = np.stack([left + w / 2, top + h / 2, w, h], axis=1)
-    return (table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), boxes,
-            np.clip(table[:, 6], 0.0, 1.0))
+        rows = [_parse_mot_line(line, path, lineno)
+                for lineno, line in enumerate(map(str.strip, fh), 1) if line]
+    table = np.array(rows, dtype=np.float64).reshape(-1, 8)
+    lineno = table[:, 7]
+    _require_finite(path, table[:, 2:7], lineno)
+    frame, track_id, left, top, w, h, conf = table[:, :7].T
+    kept = (w > 0) & (h > 0)
+    negative = np.flatnonzero(kept & (track_id < 0))
+    if track_file and negative.size:
+        raise ValueError(f"{path}:{int(lineno[negative[0]])}: track id "
+                         f"{int(track_id[negative[0]])} invalid in a track file")
+    if not kept.all():
+        log.warning("%s: rejected %d records with non-positive size", path,
+                    np.count_nonzero(~kept))
+    boxes = np.stack([left + w / 2, top + h / 2, w, h], axis=1)[kept]
+    return (frame[kept].astype(np.int64), track_id[kept].astype(np.int64), boxes,
+            np.clip(conf[kept], 0.0, 1.0))
 
 
 def _detections(frame: np.ndarray, boxes: np.ndarray, score: np.ndarray) -> list[Detection]:
@@ -188,9 +192,8 @@ def read_kitti_tracking(path: PathLike,
     if isinstance(class_filter, str):
         class_filter = (class_filter,)
     keep = set(class_filter) if class_filter else None
-    out = []
+    rows = []  # (lineno, frame, track_id, class index, x1, y1, x2, y2, score)
     unknown = 0
-    next_id = 1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -209,20 +212,21 @@ def read_kitti_tracking(path: PathLike,
             if keep is not None and cls not in keep:
                 continue
             try:
-                frame = int(tok[0]) + 1
-                track_id = int(tok[1])
-                x1, y1, x2, y2 = (float(v) for v in tok[6:10])
-                score = float(tok[17]) if len(tok) == 18 else 1.0
+                rows.append((lineno, int(tok[0]) + 1, int(tok[1]), KITTI_CLASSES.index(cls),
+                             *(float(v) for v in tok[6:10]),
+                             float(tok[17]) if len(tok) == 18 else 1.0))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if x2 <= x1 or y2 <= y1:
-                log.warning("%s:%d: degenerate box skipped", path, lineno)
-                continue
-            out.append((track_id, Detection(
-                frame=frame, box=BoundingBox.from_corners(x1, y1, x2, y2),
-                score=min(max(score, 0.0), 1.0), class_id=KITTI_CLASSES.index(cls),
-                det_id=next_id)))
-            next_id += 1
+    _require_finite(path, np.array([row[4:] for row in rows], dtype=np.float64).reshape(-1, 5),
+                    [row[0] for row in rows])
+    out = []
+    for lineno, frame, track_id, class_id, x1, y1, x2, y2, score in rows:
+        if x2 <= x1 or y2 <= y1:
+            log.warning("%s:%d: degenerate box skipped", path, lineno)
+            continue
+        out.append((track_id, Detection(
+            frame=frame, box=BoundingBox.from_corners(x1, y1, x2, y2),
+            score=min(max(score, 0.0), 1.0), class_id=class_id, det_id=len(out) + 1)))
     if unknown:
         log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
     return out

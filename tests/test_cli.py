@@ -148,6 +148,38 @@ class TestTrack:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{cfile}:2: {line.split()[0]}:" in err
 
+    @pytest.mark.parametrize("flags, problem", [
+        (["--stage-bounds", ","], "schedule must contain at least one stage"),
+        (["--final-overlap", "-1"], "overlap allowances must be >= 0"),
+        (["--strategy", "window", "--final-overlap", "5"], "window strategy admits no overlap"),
+        (["--strategy", "window", "--stage-bounds", "2,4,8", "--final-overlap", "5"],
+         "window strategy admits no overlap"),
+    ])
+    def test_flags_that_build_no_schedule_fail_with_2(self, tmp_path, capsys, flags, problem):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        rc = cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and problem in captured.err
+
+    @pytest.mark.parametrize("lines, lineno, problem", [
+        (["stage_bounds ="], 2, "schedule must contain at least one stage"),
+        (["final_overlap = -1"], 2, "overlap allowances must be >= 0"),
+        (["strategy = window", "final_overlap = 5"], 3, "the window strategy admits no overlap"),
+        (["final_overlap = 5", "strategy = window", "stage_bounds = 2,4,8"], 2,
+         "the window strategy admits no overlap"),
+    ])
+    def test_config_lines_that_build_no_schedule_name_the_line(self, tmp_path, capsys,
+                                                               lines, lineno, problem):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text("# schedule\n" + "\n".join(lines) + "\n")
+        rc = cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
+                       "--config", str(cfile)])
+        assert rc == 2
+        assert f"{cfile}:{lineno}: {problem}" in capsys.readouterr().err
+
     def test_kitti_format_roundtrip(self, tmp_path):
         src = tmp_path / "labels.txt"
         rows = []

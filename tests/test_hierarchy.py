@@ -71,7 +71,7 @@ def state_of(tracklets, next_tid, low=()):
     rows = [TrackletRows(t.tid, row_of[end - len(t):end], t.t_min, t.t_max)
             for t, end in zip(tracklets, ends)]
     low_rows = np.sort(row_of[len(entries) - len(low):])
-    return HierarchyState.initial(table, rows, next_tid), low_rows
+    return HierarchyState(table, hierarchy._ordered(rows), next_tid), low_rows
 
 
 def table_rows(dets):
@@ -159,11 +159,13 @@ class TestHierarchyPassAdmissibility:
         assert len(out.tracklets) == 1
         assert len(out.tracklets[0].rows) == 12
 
-    def test_count_history_grows_monotonically_down(self):
+    def test_pass_returns_a_new_state_three_to_one(self):
         frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
-        out = hierarchy_pass(self.make_state(frags), 5, 0, constant_sim, 0.2)
-        assert out.counts == (3, 1)
-        assert out.level == 2
+        state = self.make_state(frags)
+        out = hierarchy_pass(state, 5, 0, constant_sim, 0.2)
+        assert [t.tid for t in state.tracklets] == [1, 2, 3]
+        assert [t.tid for t in out.tracklets] == [100]
+        assert out.next_tid == 101
 
 
 # A tracklet population: per tracklet a first frame and the frame steps to
@@ -656,3 +658,59 @@ class TestRecombination:
                 for e in traj.entries:
                     b = boxes_in[e.det_id]
                     assert (e.box.cx, e.box.cy, e.box.w, e.box.h) == (b.cx, b.cy, b.w, b.h)
+
+
+class TestLevelRecord:
+    """`ClassRunResult.counts` read against the class's level log."""
+
+    RECOVERY = "low-score recovery"
+
+    def dets(self):
+        # Class 0: one target over frames 1-8 plus a low-score box at frame 9,
+        # and a second target over frames 12-15; class 1: low-score boxes only.
+        dets = [det(f, 100.0, det_id=f) for f in range(1, 9)]
+        dets.append(det(9, 100.0, score=0.3, det_id=9))
+        dets += [det(f, 600.0, det_id=f) for f in range(12, 16)]
+        dets += [det(f, 300.0, score=0.3, det_id=100 + f, class_id=1) for f in range(1, 5)]
+        return dets
+
+    @staticmethod
+    def check_log(info, n_stages):
+        assert len(info.levels) == n_stages + 1
+        for lv in info.levels:
+            assert lv.tracklet_count == len(lv.members)
+
+    def test_interval_records_recovery_but_leaves_it_out_of_counts(self):
+        cfg = TrackerConfig()
+        cls0, cls1 = run_detailed(self.dets(), cfg).per_class
+        labels = [lv.label for lv in cls0.levels]
+        assert labels[:3] == ["singletons", "level-1 (gap 1)", self.RECOVERY]
+        assert len(cls0.levels) == len(cfg.schedule.stages) + 2
+        assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels
+                                    if lv.label != self.RECOVERY)
+        assert cls0.counts[:2] == (12, 2)
+        recovery = cls0.levels[2]
+        assert recovery.tracklet_count == 2
+        assert sorted(sorted(f for f, _ in m) for m in recovery.members) == \
+            [list(range(1, 10)), list(range(12, 16))]
+        # A class with only low-score rows never reaches the engine's levels.
+        assert (cls1.class_id, cls1.counts, cls1.levels, cls1.camera) == (1, (0,), (), None)
+
+    def test_window_has_no_recovery_level(self):
+        cfg = dataclasses.replace(TrackerConfig(), schedule=HierarchySchedule.default_window())
+        cls0, cls1 = run_detailed(self.dets(), cfg).per_class
+        self.check_log(cls0, len(cfg.schedule.stages))
+        assert self.RECOVERY not in [lv.label for lv in cls0.levels]
+        assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels)
+        assert cls0.counts[0] == 12
+        assert (cls1.counts, cls1.levels, cls1.camera) == ((0,), (), None)
+
+    def test_refine_counts_start_at_the_input_tracklets(self):
+        cfg = TrackerConfig()
+        pieces = [track(1, range(1, 5), 100.0), track(2, range(7, 11), 100.0, det_id=50),
+                  track(3, range(1, 11), 600.0, det_id=80)]
+        (info,) = associate_tracklets(pieces, cfg).per_class
+        self.check_log(info, len(cfg.schedule.stages))
+        assert info.levels[0].label == "input tracklets"
+        assert info.counts == tuple(lv.tracklet_count for lv in info.levels)
+        assert info.counts[0] == 3 and info.counts[-1] == 2

@@ -179,6 +179,20 @@ class TestMotColumns:
                 with pytest.raises(ValueError, match=r":2: box size and confidence"):
                     reader(p)
 
+    # Infinite frames overflow int(); infinite or NaN positions and infinite
+    # sizes or confidences must not reach the boxes (or the output) either.
+    @pytest.mark.parametrize("row", ["inf,1,0,0,10,10,1", "-inf,1,0,0,10,10,1",
+                                     "1,1,nan,0,10,10,1", "1,1,0,inf,10,10,1",
+                                     "1,1,-inf,0,10,10,1", "1,1,0,0,inf,10,1",
+                                     "1,1,0,0,10,-inf,1", "1,1,0,0,10,10,inf",
+                                     "1,1,0,0,10,10,-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, row):
+        p = tmp_path / "res.txt"
+        p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
+        for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+            with pytest.raises(ValueError, match=r"res\.txt:2: "):
+                reader(p)
+
 
 class TestKitti:
     def kitti_line(self, frame=0, tid=1, cls="Car", x1=0.0, y1=0.0, x2=100.0, y2=50.0,
@@ -234,6 +248,16 @@ class TestKitti:
         # 3-D placeholders present on every row.
         for line in p.read_text().splitlines():
             assert " -1000 " in line
+
+    @pytest.mark.parametrize("field, value", [("x1", "nan"), ("y1", "-inf"), ("x2", "inf"),
+                                              ("y2", "inf"), ("x1", "-inf"),
+                                              ("score", "nan"), ("score", "inf")])
+    def test_non_finite_value_names_the_line(self, tmp_path, field, value):
+        p = tmp_path / "labels.txt"
+        row = self.kitti_line(frame=1, **{"score": 0.9, field: value})
+        p.write_text(self.kitti_line(score=0.9) + "\n" + row + "\n")
+        with pytest.raises(ValueError, match=r"labels\.txt:2: box size and confidence"):
+            read_kitti_tracking(p)
 
     def test_bad_token_count(self, tmp_path):
         p = tmp_path / "labels.txt"

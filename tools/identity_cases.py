@@ -13,12 +13,14 @@ checkout, so two runs with different `--root` see the same input bytes:
 
 The cases:
 
-- 44 CLI cases on three generated scenes: a panning scene with score dips
+- 46 CLI cases on four generated scenes: a panning scene with score dips
   (the camera is judged moving), a static crowd-like scene, and a two-class
-  KITTI file.  Each scene runs `track` and `refine` (on another tracker's
+  KITTI file.  Each of these runs `track` and `refine` (on another tracker's
   fragmented output, made by `perfbench/foreign.py`) under
   `--strategy interval|window` with the default config, `--no-cc`, `--no-cm`
-  (not on KITTI) and `--interp --smooth`.
+  (not on KITTI) and `--interp --smooth`.  The fourth scene is the KITTI
+  file with its Pedestrian class at score 0.3, below the high-score gate,
+  run by `track` under both strategies with the default config.
 - The four `perfbench/workloads.py` workloads on seeds 1-3, with their own
   pass arguments (`multiseq` with `--workers 2`).
 
@@ -65,6 +67,8 @@ KITTI = (ScenarioSpec(n_targets=4, n_frames=60, seed=11, arena=(1242.0, 375.0),
          ScenarioSpec(n_targets=4, n_frames=60, seed=12, arena=(1242.0, 375.0),
                       box_size=(20.0, 50.0), max_speed=1.0, miss_prob=0.05,
                       noise_sigma=0.5, class_id=3))
+# The same file with every Pedestrian detection below the high-score gate.
+KITTI_LOW = (KITTI[0], dataclasses.replace(KITTI[1], base_score=0.3))
 FOREIGN = ForeignStyle(run_length=(8, 25), swaps=2)
 OPTIONS = {"default": [], "no-cc": ["--no-cc"], "no-cm": ["--no-cm"],
            "interp-smooth": ["--interp", "--smooth"]}
@@ -83,9 +87,9 @@ def _write_mot_scene(spec: ScenarioSpec) -> None:
     mot_io.write_mot_results(foreign_output(gt, spec.seed, FOREIGN)[0], "theirs.txt")
 
 
-def _write_kitti_scene() -> None:
+def _write_kitti_scene(specs=KITTI) -> None:
     gt, dets, theirs = [], [], []
-    for spec in KITTI:
+    for spec in specs:
         g, d = synth.generate(spec)
         gt += _renumbered(g, len(gt) + 1)
         dets += [Trajectory(len(dets) + k + 1, (det,)) for k, det in enumerate(d)]
@@ -104,7 +108,7 @@ def _cli_case(write, pass_args: list[str], eval_args: list[str]):
 
 
 def _cli_cases():
-    """(name, prepare) of the 44 CLI cases; `prepare()` writes the case's
+    """(name, prepare) of the 46 CLI cases; `prepare()` writes the case's
     inputs into the working directory and returns its pass and eval args."""
     scenes = [("pan", lambda: _write_mot_scene(PAN), []),
               ("crowd", lambda: _write_mot_scene(CROWD), []),
@@ -120,6 +124,13 @@ def _cli_cases():
                             "--strategy", strategy, *fmt, *flags]
                     evals = ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv", *fmt]
                     yield f"{scene}-{command}-{strategy}-{option}", _cli_case(write, args, evals)
+    fmt = ["--format", "kitti"]
+    for strategy in ("interval", "window"):
+        yield (f"kitti-lowped-track-{strategy}-default",
+               _cli_case(lambda: _write_kitti_scene(KITTI_LOW),
+                         ["track", "--det", "det.txt", "--out", "out.txt", "--strategy", strategy,
+                          *fmt],
+                         ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv", *fmt]))
 
 
 def _workload_cases():
