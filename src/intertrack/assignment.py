@@ -4,9 +4,24 @@ Similarity matrices use -inf as the sentinel for inadmissible pairs (class
 mismatch, interval violation).  The solver finds the maximum-total-similarity
 partial matching over the admissible entries — rows and columns may stay
 unmatched at zero cost — and then applies the acceptance gate.
+
+`solve_blocks` solves many small blocks of a padded chunk at once, and
+`solve` is its one-block case.  Most blocks need no Hungarian solve: subtract
+`max_weight_matching`'s own tie bias and take each row's best cell.  Call a
+block certified when every row whose best biased score is above 0 has one
+unique best cell and those cells lie in distinct columns.  No matching can
+give a row more than max(0, best), since an unmatched row gains 0; the
+argmax gives every row exactly that, and any other matching gives some row
+less, so the argmax is the unique optimum.  A row whose best is below 0
+stays unmatched.  A row whose best is exactly 0 may be matched either way,
+but only at a cell whose score equals its bias, below `_TIE_EPS`, so the
+gate drops it unless the gate is that small too.  Only the blocks that are
+not certified go to `max_weight_matching`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,6 +34,13 @@ _BIG = 1.0e6
 # a real similarity difference, large enough to steer float-equal optima
 # toward low-index pairs.
 _TIE_EPS = 1.0e-10
+
+
+def _tie_bias(n: int, m: int, size: int | np.ndarray) -> np.ndarray:
+    """The bias subtracted from cell (i, j) of a block whose padded square
+    has side `size` (n + m); `size` may be a (k, 1, 1) array of sides."""
+    idx = np.arange(n)[:, None] * size + np.arange(m)[None, :]
+    return _TIE_EPS * idx / (size * size)
 
 
 def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
@@ -42,8 +64,7 @@ def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
     padded[n:, m:] = 0.0
     # Nudge real entries toward lexicographically small (row, col) choices
     # among equal-total optima.
-    idx = np.arange(n)[:, None] * size + np.arange(m)[None, :]
-    padded[:n, :m] -= _TIE_EPS * idx / (size * size)
+    padded[:n, :m] -= _tie_bias(n, m, size)
     rows, cols = linear_sum_assignment(padded, maximize=True)
     out = []
     for i, j in zip(rows, cols):
@@ -53,6 +74,42 @@ def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
+def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
+                 gate: float) -> tuple[np.ndarray, int]:
+    """`solve` of every block scores[k, :n[k], :m[k]] of a padded
+    (blocks, n_max, m_max) chunk; the padded cells are never read.
+
+    Returns the matches as a (matches, 3) array of (block, row, col) in
+    (block, row) order, and the number of blocks that were not certified
+    (see the module docstring) and so went to `max_weight_matching`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n, m = np.asarray(n, dtype=np.intp), np.asarray(m, dtype=np.intp)
+    k, n_max, m_max = scores.shape
+    if not scores.size:
+        return np.zeros((0, 3), np.intp), 0
+    real = (np.arange(n_max)[:, None] < n[:, None, None]) & (np.arange(m_max) < m[:, None, None])
+    # An empty block (n + m = 0) has no cells; its side of 1 only avoids 0 / 0.
+    size = np.maximum(n + m, 1)[:, None, None]
+    biased = np.where(real & np.isfinite(scores), scores - _tie_bias(n_max, m_max, size), -np.inf)
+    col, best = biased.argmax(axis=2), biased.max(axis=2)
+    unique = (biased == best[..., None]).sum(axis=2) == 1
+    del biased  # the fallback of a large block needs the memory
+    blk, row = np.nonzero(best > 0)
+    taken = np.bincount(blk * m_max + col[blk, row], minlength=k * m_max).reshape(k, m_max)
+    # A row above 0 needs a unique best; a row at exactly 0 needs a gate that
+    # drops whatever it matches.
+    certified = (np.where(best > 0, unique, (best < 0) | (gate > _TIE_EPS)).all(axis=1)
+                 & (taken <= 1).all(axis=1))
+    found = [np.stack([blk, row, col[blk, row]], axis=1)[certified[blk]]]
+    fallback = np.flatnonzero(~certified).tolist()
+    for b in fallback:
+        found.append(np.array([(b, i, j) for i, j in max_weight_matching(scores[b, :n[b], :m[b]])],
+                              np.intp).reshape(-1, 3))
+    found = np.concatenate(found)
+    found = found[np.lexsort((found[:, 1], found[:, 0]))]
+    return found[scores[tuple(found.T)] >= gate], len(fallback)
+
+
 def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     """Match rows to columns, keeping only pairs with similarity >= gate.
 
@@ -60,7 +117,5 @@ def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     simply dropped, it does not steer which pairs the optimum selects.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        return []
-    matches = max_weight_matching(scores)
-    return [(i, j) for i, j in matches if scores[i, j] >= gate]
+    found, _ = solve_blocks(scores[None], [scores.shape[0]], [scores.shape[1]], gate)
+    return [(i, j) for _, i, j in found.tolist()]

@@ -33,7 +33,10 @@ the (t, t+1) blocks are sorted by shape and cut into chunks of at most
 or crowded sequences.  Each chunk is one kernel call over boxes gathered by
 row; a block smaller than its chunk's largest is padded by repeating one of
 its own frame's detections, so padded cells are finite, and they are never
-read.  Only the assignment still runs once per frame pair.
+read.  Each chunk is also one `solve_blocks` call: a block whose rows' best
+cells are unique and in distinct columns is matched by that row-wise argmax,
+which the `assignment` module shows is the Hungarian optimum, and only the
+other blocks run the Hungarian solve.
 
 The engine of one class runs on one detection table: `frame`, `det_id` and
 `score` columns of shape (N,) and an (N, 4) `boxes` column of [cx, cy, w, h]
@@ -67,7 +70,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import solve
+from .assignment import solve, solve_blocks
 from .geometry import SimilarityKernel
 from .model import (
     Detection,
@@ -398,22 +401,28 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
     consecutive frames, in the order of their first position.
 
     `frame` is sorted, so each frame is one position range.  The (t, t+1)
-    blocks are sorted by shape and scored a chunk at a time: `score` gets a
-    chunk's row and column position ranges padded to its largest block, and
-    `solve` reads only each block's real [k, :n, :m] cells.
+    blocks are sorted by shape and scored and matched a chunk at a time:
+    `score` gets a chunk's row and column position ranges padded to its
+    largest block, and one `solve_blocks` call reads only each block's real
+    [k, :n, :m] cells.  Logs, at INFO, the pass's frame pairs, chunks and
+    blocks certified or sent to the Hungarian fallback.
     """
     ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
     shapes = list(zip(size[lead].tolist(), size[lead + 1].tolist()))
+    chunks = _chunks(shapes)
     link: dict[int, int] = {}
-    for chunk in _chunks(shapes):
+    fallback = 0
+    for chunk in chunks:
         b = lead[chunk]
         r0, n, c0, m = first[b], size[b], first[b + 1], size[b + 1]
-        scores = score(_padded(r0, n), _padded(c0, m))
-        for k, (r, c) in enumerate(zip(r0.tolist(), c0.tolist())):
-            for i, j in solve(scores[k, :n[k], :m[k]], gate):
-                link[r + i] = c + j
+        found, failed = solve_blocks(score(_padded(r0, n), _padded(c0, m)), n, m, gate)
+        blk, i, j = found.T
+        link.update(zip((r0[blk] + i).tolist(), (c0[blk] + j).tolist()))
+        fallback += failed
+    log.info("first level: %d frame pairs in %d chunks, %d blocks certified, %d solved "
+             "by Hungarian fallback", len(shapes), len(chunks), len(shapes) - fallback, fallback)
     return _chains(link, range(len(frame)))
 
 

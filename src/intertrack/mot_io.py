@@ -10,10 +10,11 @@ columns.  `read_mot_columns` sorts a track file's columns into
 `TrackColumns` for `eval`; `read_mot_tracks` and `read_mot_detections` build
 their objects from the same columns.  Readers fail with `file:line` context
 on malformed input, on a NaN or infinite frame, box or score (one
-`np.isfinite` check over the parsed columns) and on a track with two boxes in
-one frame, and drop degenerate boxes with a logged count; writers sort rows
-by (frame, id) and emit a fixed six-decimal format so write→read→write is
-byte-identical.
+`np.isfinite` check over the parsed columns), on a frame or id of magnitude
+2**53 or more, on a frame before the format's first and on a track with two
+boxes in one frame, and drop degenerate boxes with a logged count; writers
+sort rows by (frame, id) and emit a fixed six-decimal format so
+write→read→write is byte-identical.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
     if frame < 1:
         raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 1")
     return frame, track_id, left, top, w, h, conf, lineno
+
+
+# Frames and ids pass through float64 and int64 columns.  float64 holds every
+# integer only below 2**53: past it distinct ids collide, and the int64 cast
+# can wrap.
+_INDEX_LIMIT = 2 ** 53
+_INDEX_RANGE = "frame and id must be below 2**53 in magnitude"
 
 
 def _require_finite(path: PathLike, values: np.ndarray, lineno: Sequence[float]) -> None:
@@ -97,6 +105,9 @@ def _read_mot_rows(path: PathLike, track_file: bool) -> tuple[np.ndarray, ...]:
     table = np.array(rows, dtype=np.float64).reshape(-1, 8)
     lineno = table[:, 7]
     _require_finite(path, table[:, 2:7], lineno)
+    huge = np.flatnonzero((np.abs(table[:, :2]) >= _INDEX_LIMIT).any(axis=1))
+    if huge.size:
+        raise ValueError(f"{path}:{int(lineno[huge[0]])}: {_INDEX_RANGE}")
     frame, track_id, left, top, w, h, conf = table[:, :7].T
     kept = (w > 0) & (h > 0)
     negative = np.flatnonzero(kept & (track_id < 0))
@@ -212,11 +223,16 @@ def read_kitti_tracking(path: PathLike,
             if keep is not None and cls not in keep:
                 continue
             try:
-                rows.append((lineno, int(tok[0]) + 1, int(tok[1]), KITTI_CLASSES.index(cls),
+                frame, track_id = int(tok[0]), int(tok[1])
+                rows.append((lineno, frame + 1, track_id, KITTI_CLASSES.index(cls),
                              *(float(v) for v in tok[6:10]),
                              float(tok[17]) if len(tok) == 18 else 1.0))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if max(abs(frame), abs(track_id)) >= _INDEX_LIMIT:
+                raise ValueError(f"{path}:{lineno}: {_INDEX_RANGE}")
+            if frame < 0:
+                raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 0")
     _require_finite(path, np.array([row[4:] for row in rows], dtype=np.float64).reshape(-1, 5),
                     [row[0] for row in rows])
     out = []

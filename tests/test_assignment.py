@@ -1,8 +1,10 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intertrack.assignment import max_weight_matching, solve
+from intertrack.assignment import _tie_bias, max_weight_matching, solve, solve_blocks
 
 _PERM_CACHE = {}
 
@@ -112,3 +114,99 @@ def test_deterministic():
     first = solve(scores, gate=0.1)
     for _ in range(5):
         assert solve(scores, gate=0.1) == first
+
+
+# Cell values of the property test: zeros, repeated values (float ties),
+# the gates themselves and non-finite sentinels.
+_CELLS = [0.0, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, -np.inf, np.nan, np.inf]
+_GATES = [1e-12, 0.2, 0.3, 0.75]
+# Padded cells must never be read, however attractive they look.
+_GARBAGE = [-1.0, 2.0, 1e6, 1e300, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _block(draw, n, m):
+    # A few values per block, so that sparse blocks of zeros and -inf occur.
+    palette = draw(st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3))
+    cells = st.one_of(st.sampled_from(palette), st.floats(0.0, 1.0))
+    block = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m)),
+                     dtype=float).reshape(n, m)
+    if not n or not m:
+        return block
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        block[i] = draw(st.sampled_from([-np.inf, np.nan, 0.0]))
+    if draw(st.booleans()):
+        block[0, 0] = 0.0  # the one cell whose tie bias is 0
+    for _ in range(draw(st.integers(0, 2)) if m > 1 else 0):
+        # Cells of one row at base + c * bias: c = 1 ties them exactly after
+        # the tie bias, c = 0.5 makes the bias decide against the raw score,
+        # and base 0 with c = 1 puts the biased score at exactly 0, which a
+        # matching may take or leave at no cost.
+        i = draw(st.integers(0, n - 1))
+        base = draw(st.sampled_from([0.0, 0.75]))
+        c = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        bias = _tie_bias(n, m, n + m)
+        for j in draw(st.sets(st.integers(0, m - 1), min_size=2)):
+            block[i, j] = base + c * bias[i, j]
+    return block
+
+
+@st.composite
+def _chunks(draw):
+    """(scores, n, m, gate): ragged blocks padded with garbage to one
+    (blocks, n_max, m_max) array."""
+    k = draw(st.integers(1, 5))
+    n_max, m_max = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    n = draw(st.lists(st.integers(0, n_max), min_size=k, max_size=k))
+    m = draw(st.lists(st.integers(0, m_max), min_size=k, max_size=k))
+    garbage = draw(st.lists(st.sampled_from(_GARBAGE), min_size=k * n_max * m_max,
+                            max_size=k * n_max * m_max))
+    scores = np.array(garbage, dtype=float).reshape(k, n_max, m_max)
+    for b in range(k):
+        scores[b, :n[b], :m[b]] = draw(_block(n[b], m[b]))
+    return scores, n, m, draw(st.sampled_from(_GATES))
+
+
+def _hungarian(block, gate):
+    """The reference: the Hungarian matching of the whole block, then the gate."""
+    return [(i, j) for i, j in max_weight_matching(block) if block[i, j] >= gate]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_chunks())
+def test_solve_blocks_matches_hungarian_block_by_block(chunk):
+    scores, n, m, gate = chunk
+    found, fallback = solve_blocks(scores, n, m, gate)
+    assert found.shape == (len(found), 3)
+    assert 0 <= fallback <= len(n)
+    # In (block, row) order, each block's matches as `solve` lists them.
+    assert [[k, i, j] for k in range(len(n))
+            for i, j in _hungarian(scores[k, :n[k], :m[k]], gate)] == found.tolist()
+    for k in range(len(n)):
+        block = scores[k, :n[k], :m[k]]
+        assert solve(block, gate) == _hungarian(block, gate)
+
+
+def test_zero_score_at_first_cell_is_never_matched():
+    # The tie bias of cell (0, 0) is 0, so its biased score is exactly 0.
+    scores = np.array([[0.0, -np.inf], [0.0, 0.6]])
+    assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(1, 1)]
+    assert solve(np.zeros((1, 1)), gate=0.2) == []
+
+
+def test_tied_row_best_goes_to_the_fallback():
+    # Row 1's two cells tie after the bias.  The Hungarian solve spends
+    # column 0 on row 0's zero, which costs nothing, and gives row 1 column
+    # 2; taking row 1's first best would give it column 0.
+    bias = _tie_bias(2, 3, 5)
+    scores = np.array([[0.0, -np.inf, -np.inf], [0.75 + bias[1, 0], -np.inf, 0.75 + bias[1, 2]]])
+    assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(1, 2)]
+    assert solve_blocks(scores[None], [2], [3], 0.2)[1] == 1
+
+
+def test_certified_blocks_skip_the_fallback():
+    # Block 0: distinct unique row bests.  Block 1: both rows want column 0.
+    scores = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.5], [0.8, 0.1]]])
+    found, fallback = solve_blocks(scores, [2, 2], [2, 2], 0.3)
+    assert fallback == 1
+    assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]

@@ -83,6 +83,20 @@ class TestTrack:
         assert labels[0] == "singletons"
         assert any(label.startswith("level-2") for label in labels)
 
+    def test_verbose_logs_first_level_certificates_outside_the_dump(self, tmp_path, caplog):
+        det = write_dets(tmp_path / "det.txt", linear_dets(gap_frames={(1, 5)}))
+        dumps = [tmp_path / "quiet.json", tmp_path / "verbose.json"]
+        assert cli.main(["track", "--det", str(det), "--out", str(tmp_path / "q.txt"),
+                         "--dump-hierarchy", str(dumps[0])]) == 0
+        with caplog.at_level("INFO"):
+            assert cli.main(["--verbose", "track", "--det", str(det), "--out",
+                             str(tmp_path / "v.txt"), "--dump-hierarchy", str(dumps[1])]) == 0
+        assert dumps[0].read_bytes() == dumps[1].read_bytes()
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("first level")]
+        # The static pass and the motion pass, each over the 19 frame pairs.
+        assert lines == ["first level: 19 frame pairs in 1 chunks, 19 blocks certified, "
+                         "0 solved by Hungarian fallback"] * 2
+
     def test_directory_input_with_workers(self, tmp_path, capsys):
         src = tmp_path / "seqs"
         src.mkdir()
@@ -128,6 +142,19 @@ class TestTrack:
                        "--out", str(tmp_path / "out.txt")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_eval_of_frame_beyond_2_53_fails_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("1,1,0,0,10,10,1\n1e300,1,0,0,10,10,1\n")
+        assert cli.main(["eval", "--gt", str(path), "--pred", str(path), "--kv"]) == 1
+        assert "m.txt:2: frame and id must be below 2**53" in capsys.readouterr().err
+
+    def test_negative_kitti_frame_fails_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "k.txt"
+        path.write_text("-3 1 Car 0 0 -10 0 0 100 50 1.5 1.6 3.8 1 1 1 0.1\n")
+        assert cli.main(["track", "--det", str(path), "--format", "kitti",
+                         "--out", str(tmp_path / "o.txt")]) == 1
+        assert "k.txt:1: frame index -3 must be >= 0" in capsys.readouterr().err
 
     def test_bad_config_value_fails_with_2(self, tmp_path, capsys):
         det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))

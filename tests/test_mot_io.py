@@ -193,6 +193,24 @@ class TestMotColumns:
             with pytest.raises(ValueError, match=r"res\.txt:2: "):
                 reader(p)
 
+    # float64 holds every integer only below 2**53: past it ids collide, and
+    # 1e300 would wrap to -2**63 in the int64 columns.
+    @pytest.mark.parametrize("row", ["1e300,1,0,0,10,10,1", "1,-1e300,0,0,10,10,1",
+                                     "1,1e300,0,0,10,10,1", "9007199254740992,1,0,0,10,10,1",
+                                     "1,-9007199254740993,0,0,10,10,1"])
+    def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, row):
+        p = tmp_path / "res.txt"
+        p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
+        for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+            with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be below 2\*\*53"):
+                reader(p)
+
+    def test_largest_exact_frame_and_id_kept(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("9007199254740991,-9007199254740991,0,0,10,10,1\n")
+        (d,) = read_mot_detections(p)
+        assert d.frame == 2 ** 53 - 1
+
 
 class TestKitti:
     def kitti_line(self, frame=0, tid=1, cls="Car", x1=0.0, y1=0.0, x2=100.0, y2=50.0,
@@ -257,6 +275,19 @@ class TestKitti:
         row = self.kitti_line(frame=1, **{"score": 0.9, field: value})
         p.write_text(self.kitti_line(score=0.9) + "\n" + row + "\n")
         with pytest.raises(ValueError, match=r"labels\.txt:2: box size and confidence"):
+            read_kitti_tracking(p)
+
+    def test_negative_frame_names_the_line(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text(self.kitti_line() + "\n" + self.kitti_line(frame=-2) + "\n")
+        with pytest.raises(ValueError, match=r"labels\.txt:2: frame index -2 must be >= 0"):
+            read_kitti_tracking(p)
+
+    @pytest.mark.parametrize("frame, tid", [(2 ** 53, 1), (0, -2 ** 60)])
+    def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, frame, tid):
+        p = tmp_path / "labels.txt"
+        p.write_text(self.kitti_line(frame=frame, tid=tid) + "\n")
+        with pytest.raises(ValueError, match=r"labels\.txt:1: frame and id must be below"):
             read_kitti_tracking(p)
 
     def test_bad_token_count(self, tmp_path):
