@@ -192,27 +192,6 @@ def _class_filter(args) -> Optional[tuple[str, ...]]:
     return tuple(tok for tok in raw.split(",") if tok)
 
 
-def read_detections(path: Path, fmt: str,
-                    class_filter: Optional[Sequence[str]] = None):
-    if fmt == "kitti":
-        return [det for _, det in mot_io.read_kitti_tracking(path, class_filter)]
-    return mot_io.read_mot_detections(path)
-
-
-def read_tracks(path: Path, fmt: str,
-                class_filter: Optional[Sequence[str]] = None) -> list[Trajectory]:
-    if fmt == "kitti":
-        return mot_io.read_kitti_tracks(path, class_filter)
-    return mot_io.read_mot_tracks(path)
-
-
-def write_tracks(trajectories, path: Path, fmt: str) -> None:
-    if fmt == "kitti":
-        mot_io.write_kitti_tracking(trajectories, path)
-    else:
-        mot_io.write_mot_results(trajectories, path)
-
-
 def _sequence_jobs(in_path: Path, out_path: Optional[Path]) -> list[tuple[str, Path, Optional[Path]]]:
     """Expand (input, output) paths into per-sequence jobs.
 
@@ -294,7 +273,7 @@ def _dump_payload(result: hierarchy.RunResult) -> dict:
 
 def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
     name, src, cfg, fmt, class_filter, interp, smooth, dump = job
-    dets = read_detections(src, fmt, class_filter)
+    dets = mot_io.read_detections(src, fmt, class_filter)
     result = hierarchy.run_detailed(dets, cfg)
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
     return (name, trajs, _summary_lines(name, result, len(dets)),
@@ -303,7 +282,7 @@ def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
 
 def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
     name, src, cfg, fmt, class_filter, interp, smooth, dump = job
-    tracks = read_tracks(src, fmt, class_filter)
+    tracks = mot_io.read_tracks(src, fmt, class_filter)
     tracklets = split_at_discontinuities(tracks) if tracks else []
     result = hierarchy.associate_tracklets(tracklets, cfg)
     trajs = _postprocess(result.trajectories, cfg, interp, smooth)
@@ -332,7 +311,7 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
     dump: dict = {}
     for (job, dst), (name, trajs, summary, payload) in zip(jobs, results):
         if dst is not None:
-            write_tracks(trajs, dst, args.format)
+            mot_io.write_tracks(trajs, dst, args.format)
         for line in summary:
             print(line)
         dump[name] = payload
@@ -356,9 +335,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError([f"--iou-threshold must be in (0, 1], got {args.iou_threshold}"])
     class_filter = _class_filter(args)
 
-    def read(path: Path):  # KITTI tracks reach the metrics as Trajectory lists
-        return (read_tracks(path, args.format, class_filter) if args.format == "kitti"
-                else mot_io.read_mot_columns(path))
+    def read(path: Path) -> mot_io.TrackColumns:
+        return mot_io.read_columns(path, args.format, class_filter)
 
     gt_jobs = _sequence_jobs(args.gt, None)
     pred_jobs = _sequence_jobs(args.pred, None)

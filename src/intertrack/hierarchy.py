@@ -71,7 +71,7 @@ import numpy as np
 
 from . import camera as camera_mod
 from .assignment import solve, solve_blocks
-from .geometry import SimilarityKernel
+from .geometry import SimilarityKernel, stack_boxes
 from .model import (
     Detection,
     Stage,
@@ -111,8 +111,7 @@ def detection_table(detections: Sequence[Detection]) -> tuple[DetectionTable, np
     frame = np.fromiter((d.frame for d in detections), np.int64, n)
     det_id = np.fromiter((d.det_id for d in detections), np.int64, n)
     score = np.fromiter((d.score for d in detections), np.float64, n)
-    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in detections],
-                     dtype=np.float64).reshape(-1, 4)
+    boxes = stack_boxes(d.box for d in detections)
     order = np.lexsort((score, boxes[:, 1], boxes[:, 0], det_id, frame))
     return DetectionTable(frame, det_id, score, boxes).take(order), order
 

@@ -15,6 +15,18 @@ class ConfigError(ValueError):
         super().__init__("invalid config: " + "; ".join(self.problems))
 
 
+# The two box conventions of the interchange formats, as (cx, cy, w, h).  They
+# run elementwise on floats and on numpy columns alike, so a box read as a
+# column equals its BoundingBox bit for bit.
+
+def ltwh_to_center(left, top, w, h):
+    return left + w / 2, top + h / 2, w, h
+
+
+def corners_to_center(x1, y1, x2, y2):
+    return (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in center+size form (pixels)."""
@@ -44,17 +56,13 @@ class BoundingBox:
     def bottom(self) -> float:
         return self.cy + self.h / 2
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     @classmethod
     def from_ltwh(cls, left: float, top: float, w: float, h: float) -> "BoundingBox":
-        return cls(left + w / 2, top + h / 2, w, h)
+        return cls(*ltwh_to_center(left, top, w, h))
 
     @classmethod
     def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "BoundingBox":
-        return cls((x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1)
+        return cls(*corners_to_center(x1, y1, x2, y2))
 
     def as_ltwh(self) -> tuple[float, float, float, float]:
         return (self.left, self.top, self.w, self.h)

@@ -1,32 +1,35 @@
-"""Text I/O for the two tracking interchange formats.
+"""Text I/O for the two tracking interchange formats; no other module knows
+either one.  `read_detections`, `read_tracks`, `read_columns` and
+`write_tracks` take the format's name, "mot" or "kitti".
 
 MOTChallenge lines: ``frame,id,bb_left,bb_top,w,h,conf[,x,y,z]`` with 1-based
 frames.  KITTI tracking label lines: 17 (18 with score) space-separated
 fields with 0-based frames, mapped to the internal 1-based convention on
 read and back on write.
 
-A MOT file is parsed once into frame, id, [cx, cy, w, h] box and score
-columns.  `read_mot_columns` sorts a track file's columns into
-`TrackColumns` for `eval`; `read_mot_tracks` and `read_mot_detections` build
-their objects from the same columns.  Readers fail with `file:line` context
-on malformed input, on a NaN or infinite frame, box or score (one
-`np.isfinite` check over the parsed columns), on a frame or id of magnitude
-2**53 or more, on a frame before the format's first and on a track with two
-boxes in one frame, and drop degenerate boxes with a logged count; writers
-sort rows by (frame, id) and emit a fixed six-decimal format so
-write→read→write is byte-identical.
+A format supplies only its line parser (field count, number conversions and
+the rows it skips), its box convention and its first frame.  Both parse into
+the same columns, checked once with the line numbers alongside: each check
+fails at the `file:line` of its first faulty row, in this order: a NaN or
+infinite box or score, a frame or id of magnitude 2**53 or more, a frame
+before the format's first, a negative id in a track file.  Rows of
+non-positive size are then dropped with one counted warning per file and
+scores clamped to [0, 1]; a track with two boxes in one frame fails at the
+line of the later one.  Writers sort rows by (frame, id) and emit a fixed
+six-decimal format so write→read→write is byte-identical.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .geometry import stack_boxes
-from .model import BoundingBox, Detection
+from .model import BoundingBox, Detection, corners_to_center, ltwh_to_center
 from .refine import Trajectory
 
 log = logging.getLogger(__name__)
@@ -35,6 +38,12 @@ PathLike = Union[str, Path]
 
 KITTI_CLASSES = ("Car", "Van", "Truck", "Pedestrian", "Person_sitting",
                  "Cyclist", "Tram", "Misc")
+
+# A parsed line is one table row: frame, id, the four box numbers of the
+# format's convention, score, class index and line number.  A skipped line
+# keeps a row whose class index is _SKIPPED, or _UNKNOWN for a class name
+# outside KITTI_CLASSES.
+_SKIPPED, _UNKNOWN = -1, -2
 
 
 def _parse_mot_line(line: str, path: PathLike, lineno: int):
@@ -49,31 +58,139 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
         left, top, w, h, conf = (float(v) for v in fields[2:7])
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if frame < 1:
-        raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 1")
-    return frame, track_id, left, top, w, h, conf, lineno
+    return frame, track_id, left, top, w, h, conf, 0, lineno
+
+
+def _parse_kitti_line(line: str, path: PathLike, lineno: int,
+                      keep: Optional[frozenset[str]]):
+    tok = line.split()
+    if len(tok) not in (17, 18):
+        raise ValueError(f"{path}:{lineno}: expected 17 or 18 fields, got {len(tok)}")
+    cls = tok[2]
+    if cls not in KITTI_CLASSES:
+        return (0.0,) * 7 + (_SKIPPED if cls == "DontCare" else _UNKNOWN, lineno)
+    if keep is not None and cls not in keep:
+        return (0.0,) * 7 + (_SKIPPED, lineno)
+    try:
+        # int() rejects a fractional frame or id; float() of the same text
+        # keeps a huge one within the range check, as inf at worst.
+        int(tok[0]), int(tok[1])
+        return (float(tok[0]), float(tok[1]), *(float(v) for v in tok[6:10]),
+                float(tok[17]) if len(tok) == 18 else 1.0, KITTI_CLASSES.index(cls), lineno)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+class _Format(NamedTuple):
+    """What a file format decides; everything else is shared."""
+    parse: Callable[[str, PathLike, int], tuple]
+    to_center: Callable  # the four box columns -> cx, cy, w, h
+    first_frame: int
+
+
+_MOT = _Format(_parse_mot_line, ltwh_to_center, 1)
+
+
+def _format(fmt: str, class_filter: Optional[Sequence[str]] = None) -> _Format:
+    if fmt == "mot":
+        return _MOT
+    if fmt == "kitti":
+        keep = frozenset(class_filter) if class_filter else None
+        return _Format(partial(_parse_kitti_line, keep=keep), corners_to_center, 0)
+    raise ValueError(f"unknown format {fmt!r}, expected mot or kitti")
 
 
 # Frames and ids pass through float64 and int64 columns.  float64 holds every
 # integer only below 2**53: past it distinct ids collide, and the int64 cast
 # can wrap.
 _INDEX_LIMIT = 2 ** 53
-_INDEX_RANGE = "frame and id must be below 2**53 in magnitude"
 
 
-def _require_finite(path: PathLike, values: np.ndarray, lineno: Sequence[float]) -> None:
-    """Fail at the line of the first row of `values` holding NaN or ±inf."""
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{int(lineno[bad[0]])}: box size and confidence must be "
-                         "finite numbers, as must the box position")
+class _Rows(NamedTuple):
+    """The kept rows of a file in file order; frames are 1-based."""
+    frame: np.ndarray
+    track_id: np.ndarray
+    boxes: np.ndarray  # [cx, cy, w, h]
+    score: np.ndarray
+    class_id: np.ndarray
+    lineno: np.ndarray
+
+
+def _read_rows(path: PathLike, fmt: _Format, track_file: bool) -> _Rows:
+    """Parse a file once into columns and check them (see the module notes)."""
+    parse = fmt.parse
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [parse(line, path, lineno)
+                for lineno, line in enumerate(map(str.strip, fh), 1) if line]
+    table = np.array(rows, dtype=np.float64).reshape(-1, 9)
+    unknown = np.count_nonzero(table[:, 7] == _UNKNOWN)
+    if (table[:, 7] < 0).any():
+        table = table[table[:, 7] >= 0]
+    frame, track_id, *box, score, class_id, lineno = table.T
+
+    def fail_at(bad: np.ndarray, message: Callable[[int], str]) -> None:
+        first = np.flatnonzero(bad)
+        if first.size:
+            raise ValueError(f"{path}:{int(lineno[first[0]])}: {message(first[0])}")
+
+    fail_at(~np.isfinite(table[:, 2:7]).all(axis=1),
+            lambda k: "box size and confidence must be finite numbers, as must the box position")
+    fail_at((np.abs(table[:, :2]) >= _INDEX_LIMIT).any(axis=1),
+            lambda k: "frame and id must be below 2**53 in magnitude")
+    fail_at(frame < fmt.first_frame,
+            lambda k: f"frame index {int(frame[k])} must be >= {fmt.first_frame}")
+    boxes = np.stack(fmt.to_center(*box), axis=1)
+    kept = (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    if track_file:
+        fail_at(kept & (track_id < 0),
+                lambda k: f"track id {int(track_id[k])} invalid in a track file")
+    if not kept.all():
+        log.warning("%s: rejected %d records with non-positive size", path,
+                    np.count_nonzero(~kept))
+    if unknown:
+        log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
+    return _Rows((frame[kept] + (1 - fmt.first_frame)).astype(np.int64),
+                 track_id[kept].astype(np.int64), boxes[kept],
+                 np.clip(score[kept], 0.0, 1.0), class_id[kept].astype(np.int64),
+                 lineno[kept].astype(np.int64))
+
+
+def _detections(rows: _Rows) -> list[Detection]:
+    """One Detection per row; det_id numbers the rows in file order from 1."""
+    return [Detection(f, BoundingBox(*box), s, c, det_id)  # positional: the fastest call
+            for det_id, (f, box, s, c)
+            in enumerate(zip(rows.frame.tolist(), rows.boxes.tolist(), rows.score.tolist(),
+                             rows.class_id.tolist()), 1)]
+
+
+def _track_order(path: PathLike, rows: _Rows) -> np.ndarray:
+    """Row order by (track_id, frame); the first repeated (track, frame) is an
+    error at the line of its later row."""
+    order = np.lexsort((rows.frame, rows.track_id))  # stable: ties keep file order
+    f, t = rows.frame[order], rows.track_id[order]
+    repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
+    if repeats.size:
+        k = repeats[0]
+        raise ValueError(f"{path}:{rows.lineno[order[k + 1]]}: "
+                         f"track {t[k]} has two boxes at frame {f[k]}")
+    return order
+
+
+def _group_tracks(path: PathLike, rows: _Rows) -> list[Trajectory]:
+    """Group rows into trajectories in id order, each in frame order."""
+    order = _track_order(path, rows)
+    entries = _detections(rows)
+    runs = np.split(order, np.flatnonzero(np.diff(rows.track_id[order])) + 1) if entries else []
+    return [Trajectory(track_id=int(rows.track_id[run[0]]),
+                       entries=tuple(entries[k] for k in run.tolist()))
+            for run in runs]
 
 
 class TrackColumns(NamedTuple):
     """The boxes of a track file as columns, rows sorted by (frame, track_id).
 
-    `boxes` rows are [cx, cy, w, h], derived with the operations of
-    `BoundingBox.from_ltwh`, so a row's overlaps equal its BoundingBox's.
+    `boxes` rows are [cx, cy, w, h], derived with the operations of the
+    format's BoundingBox constructor, so a row's overlaps equal its box's.
     """
 
     frame: np.ndarray
@@ -94,79 +211,47 @@ class TrackColumns(NamedTuple):
                       stack_boxes(e.box for _, e in rows))
 
 
-def _read_mot_rows(path: PathLike, track_file: bool) -> tuple[np.ndarray, ...]:
-    """Parse a MOT file once into frame, id, [cx, cy, w, h] box and clamped
-    score columns in file order, dropping rows of non-positive size.  A
-    non-finite box or score value is an error, and so is a negative id in a
-    track file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [_parse_mot_line(line, path, lineno)
-                for lineno, line in enumerate(map(str.strip, fh), 1) if line]
-    table = np.array(rows, dtype=np.float64).reshape(-1, 8)
-    lineno = table[:, 7]
-    _require_finite(path, table[:, 2:7], lineno)
-    huge = np.flatnonzero((np.abs(table[:, :2]) >= _INDEX_LIMIT).any(axis=1))
-    if huge.size:
-        raise ValueError(f"{path}:{int(lineno[huge[0]])}: {_INDEX_RANGE}")
-    frame, track_id, left, top, w, h, conf = table[:, :7].T
-    kept = (w > 0) & (h > 0)
-    negative = np.flatnonzero(kept & (track_id < 0))
-    if track_file and negative.size:
-        raise ValueError(f"{path}:{int(lineno[negative[0]])}: track id "
-                         f"{int(track_id[negative[0]])} invalid in a track file")
-    if not kept.all():
-        log.warning("%s: rejected %d records with non-positive size", path,
-                    np.count_nonzero(~kept))
-    boxes = np.stack([left + w / 2, top + h / 2, w, h], axis=1)[kept]
-    return (frame[kept].astype(np.int64), track_id[kept].astype(np.int64), boxes,
-            np.clip(conf[kept], 0.0, 1.0))
-
-
-def _detections(frame: np.ndarray, boxes: np.ndarray, score: np.ndarray) -> list[Detection]:
-    """One Detection per row; det_id numbers the rows in file order from 1."""
-    return [Detection(frame=f, box=BoundingBox(*box), score=s, det_id=det_id)
-            for det_id, (f, box, s)
-            in enumerate(zip(frame.tolist(), boxes.tolist(), score.tolist()), 1)]
-
+# The MOT readers are module globals that the format readers below look up at
+# call time, so a wrapper installed on one of them sees every MOT read.
 
 def read_mot_detections(path: PathLike) -> list[Detection]:
     """Read a MOT detection file; the id column is ignored (-1 convention)."""
-    frame, _, boxes, score = _read_mot_rows(path, track_file=False)
-    return _detections(frame, boxes, score)
-
-
-def read_mot_columns(path: PathLike) -> TrackColumns:
-    """Read a MOT result/ground-truth file as TrackColumns."""
-    frame, track_id, boxes, _ = _read_mot_rows(path, track_file=True)
-    _track_order(path, frame, track_id)
-    return TrackColumns.of(frame, track_id, boxes)
+    return _detections(_read_rows(path, _MOT, track_file=False))
 
 
 def read_mot_tracks(path: PathLike) -> list[Trajectory]:
     """Read a MOT result/ground-truth file into per-identity trajectories."""
-    frame, track_id, boxes, score = _read_mot_rows(path, track_file=True)
-    return _group_tracks(path, track_id, _detections(frame, boxes, score))
+    return _group_tracks(path, _read_rows(path, _MOT, track_file=True))
 
 
-def _track_order(path: PathLike, frame: np.ndarray, track_id: np.ndarray) -> np.ndarray:
-    """Row order by (track_id, frame); the first repeated (track, frame) is an error."""
-    order = np.lexsort((frame, track_id))
-    f, t = frame[order], track_id[order]
-    repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
-    if repeats.size:
-        raise ValueError(f"{path}: track {t[repeats[0]]} has two boxes at frame {f[repeats[0]]}")
-    return order
+def read_detections(path: PathLike, fmt: str = "mot",
+                    class_filter: Optional[Sequence[str]] = None) -> list[Detection]:
+    """Read a detection file; a track id column is ignored.  `class_filter`
+    keeps only the named KITTI classes."""
+    if fmt == "mot":
+        return read_mot_detections(path)
+    return _detections(_read_rows(path, _format(fmt, class_filter), track_file=False))
 
 
-def _group_tracks(path: PathLike, track_id: Sequence[int],
-                  entries: Sequence[Detection]) -> list[Trajectory]:
-    """Group rows into trajectories in id order, each in frame order."""
-    track_id = np.asarray(track_id, dtype=np.int64)
-    order = _track_order(path, np.array([d.frame for d in entries], dtype=np.int64), track_id)
-    runs = np.split(order, np.flatnonzero(np.diff(track_id[order])) + 1) if entries else []
-    return [Trajectory(track_id=int(track_id[run[0]]),
-                       entries=tuple(entries[k] for k in run.tolist()))
-            for run in runs]
+def read_tracks(path: PathLike, fmt: str = "mot",
+                class_filter: Optional[Sequence[str]] = None) -> list[Trajectory]:
+    """Read a result/ground-truth file into per-identity trajectories."""
+    if fmt == "mot":
+        return read_mot_tracks(path)
+    return _group_tracks(path, _read_rows(path, _format(fmt, class_filter), track_file=True))
+
+
+def read_columns(path: PathLike, fmt: str = "mot",
+                 class_filter: Optional[Sequence[str]] = None) -> TrackColumns:
+    """Read a result/ground-truth file as TrackColumns."""
+    rows = _read_rows(path, _format(fmt, class_filter), track_file=True)
+    _track_order(path, rows)
+    return TrackColumns.of(rows.frame, rows.track_id, rows.boxes)
+
+
+def write_tracks(trajectories: Iterable[Trajectory], path: PathLike, fmt: str = "mot") -> None:
+    writer = write_mot_results if _format(fmt) is _MOT else write_kitti_tracking
+    writer(trajectories, path)
 
 
 def _mot_row(frame: int, track_id: int, box: BoundingBox, score: float) -> str:
@@ -189,71 +274,6 @@ def write_mot_detections(detections: Iterable[Detection], path: PathLike) -> Non
     with open(path, "w", encoding="utf-8") as fh:
         for det in rows:
             fh.write(_mot_row(det.frame, -1, det.box, det.score))
-
-
-def read_kitti_tracking(path: PathLike,
-                        class_filter: Union[str, Sequence[str], None] = None
-                        ) -> list[tuple[int, Detection]]:
-    """Read KITTI tracking labels as (track_id, detection) pairs.
-
-    Frames are converted from KITTI's 0-based to the internal 1-based
-    convention.  DontCare rows and unknown class strings are skipped (the
-    latter with a warning); class_filter keeps only the named classes.
-    """
-    if isinstance(class_filter, str):
-        class_filter = (class_filter,)
-    keep = set(class_filter) if class_filter else None
-    rows = []  # (lineno, frame, track_id, class index, x1, y1, x2, y2, score)
-    unknown = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            tok = line.split()
-            if len(tok) not in (17, 18):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 17 or 18 fields, got {len(tok)}")
-            cls = tok[2]
-            if cls == "DontCare":
-                continue
-            if cls not in KITTI_CLASSES:
-                unknown += 1
-                continue
-            if keep is not None and cls not in keep:
-                continue
-            try:
-                frame, track_id = int(tok[0]), int(tok[1])
-                rows.append((lineno, frame + 1, track_id, KITTI_CLASSES.index(cls),
-                             *(float(v) for v in tok[6:10]),
-                             float(tok[17]) if len(tok) == 18 else 1.0))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if max(abs(frame), abs(track_id)) >= _INDEX_LIMIT:
-                raise ValueError(f"{path}:{lineno}: {_INDEX_RANGE}")
-            if frame < 0:
-                raise ValueError(f"{path}:{lineno}: frame index {frame} must be >= 0")
-    _require_finite(path, np.array([row[4:] for row in rows], dtype=np.float64).reshape(-1, 5),
-                    [row[0] for row in rows])
-    out = []
-    for lineno, frame, track_id, class_id, x1, y1, x2, y2, score in rows:
-        if x2 <= x1 or y2 <= y1:
-            log.warning("%s:%d: degenerate box skipped", path, lineno)
-            continue
-        out.append((track_id, Detection(
-            frame=frame, box=BoundingBox.from_corners(x1, y1, x2, y2),
-            score=min(max(score, 0.0), 1.0), class_id=class_id, det_id=len(out) + 1)))
-    if unknown:
-        log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
-    return out
-
-
-def read_kitti_tracks(path: PathLike,
-                      class_filter: Union[str, Sequence[str], None] = None
-                      ) -> list[Trajectory]:
-    """Read KITTI tracking labels into per-identity trajectories."""
-    rows = read_kitti_tracking(path, class_filter)
-    return _group_tracks(path, [tid for tid, _ in rows], [d for _, d in rows])
 
 
 def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike,

@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .geometry import stack_boxes
 from .model import BoundingBox, Detection, Tracklet
 
 
@@ -112,8 +113,7 @@ def gaussian_smooth(trajectory: Trajectory, sigma: float) -> Trajectory:
     n = len(trajectory)
     if sigma <= 0 or radius == 0 or n < 2:
         return trajectory
-    values = np.array([[e.box.cx, e.box.cy, e.box.w, e.box.h]
-                       for e in trajectory.entries])
+    values = stack_boxes(e.box for e in trajectory.entries)
     offsets = np.arange(-radius, radius + 1)
     base = np.exp(-0.5 * (offsets / sigma) ** 2)
     smoothed = np.empty_like(values)

@@ -6,11 +6,11 @@ from intertrack.model import BoundingBox, Detection
 from intertrack.mot_io import (
     KITTI_CLASSES,
     TrackColumns,
-    read_kitti_tracking,
-    read_kitti_tracks,
-    read_mot_columns,
+    read_columns,
+    read_detections,
     read_mot_detections,
     read_mot_tracks,
+    read_tracks,
     write_kitti_tracking,
     write_mot_detections,
     write_mot_results,
@@ -48,14 +48,6 @@ class TestMotDetections:
         p.write_text("1,-1,10,20,30,40,0.9\n1,2,3,4,5\n")
         with pytest.raises(ValueError, match=r":2"):
             read_mot_detections(p)
-
-    def test_nonpositive_boxes_rejected_with_warning(self, tmp_path, caplog):
-        p = tmp_path / "det.txt"
-        p.write_text("1,-1,0,0,0,40,0.9\n1,-1,0,0,10,10,0.9\n")
-        with caplog.at_level("WARNING"):
-            dets = read_mot_detections(p)
-        assert len(dets) == 1
-        assert any("rejected 1" in r.message for r in caplog.records)
 
     def test_scores_clamped(self, tmp_path):
         p = tmp_path / "det.txt"
@@ -108,7 +100,7 @@ class TestMotTracks:
     def test_duplicate_frame_in_track_rejected(self, tmp_path):
         p = tmp_path / "res.txt"
         p.write_text("1,5,0,0,10,10,1\n1,5,2,2,10,10,1\n")
-        with pytest.raises(ValueError, match="frame 1"):
+        with pytest.raises(ValueError, match=":2: track 5 has two boxes at frame 1"):
             read_mot_tracks(p)
 
     def test_negative_id_rejected(self, tmp_path):
@@ -156,13 +148,13 @@ class TestMotColumns:
         repeat = _first_repeat(kept)
         if repeat is not None:
             message = f"track {repeat[0]} has two boxes at frame {repeat[1]}"
-            for reader in (read_mot_columns, read_mot_tracks):
+            for reader in (read_columns, read_mot_tracks):
                 with pytest.raises(ValueError, match=message):
                     reader(path)
             return
         boxes = sorted((f, tid, BoundingBox.from_ltwh(*map(float, ltwh)))
                        for tid, f, *ltwh, _ in rows if float(ltwh[2]) > 0 and float(ltwh[3]) > 0)
-        got = read_mot_columns(path)
+        got = read_columns(path)
         want = TrackColumns.from_trajectories(read_mot_tracks(path))
         assert got.frame.tolist() == want.frame.tolist() == sorted(f for _, f in kept)
         assert got.track_id.tolist() == want.track_id.tolist()
@@ -175,7 +167,7 @@ class TestMotColumns:
         p = tmp_path / "res.txt"
         for row in ("1,1,0,0,nan,10,1", "1,1,0,0,10,10,nan"):
             p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-            for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+            for reader in (read_columns, read_mot_tracks, read_mot_detections):
                 with pytest.raises(ValueError, match=r":2: box size and confidence"):
                     reader(p)
 
@@ -189,19 +181,20 @@ class TestMotColumns:
     def test_non_finite_value_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+        for reader in (read_columns, read_mot_tracks, read_mot_detections):
             with pytest.raises(ValueError, match=r"res\.txt:2: "):
                 reader(p)
 
     # float64 holds every integer only below 2**53: past it ids collide, and
     # 1e300 would wrap to -2**63 in the int64 columns.
-    @pytest.mark.parametrize("row", ["1e300,1,0,0,10,10,1", "1,-1e300,0,0,10,10,1",
+    @pytest.mark.parametrize("row", ["1e300,1,0,0,10,10,1", "-1e300,1,0,0,10,10,1",
+                                     "1,-1e300,0,0,10,10,1",
                                      "1,1e300,0,0,10,10,1", "9007199254740992,1,0,0,10,10,1",
                                      "1,-9007199254740993,0,0,10,10,1"])
     def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_mot_columns, read_mot_tracks, read_mot_detections):
+        for reader in (read_columns, read_mot_tracks, read_mot_detections):
             with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be below 2\*\*53"):
                 reader(p)
 
@@ -222,8 +215,9 @@ class TestKitti:
     def test_corner_parse_and_frame_shift(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line() + "\n")
-        ((tid, d),) = read_kitti_tracking(p)
-        assert tid == 1
+        (track,) = read_tracks(p, "kitti")
+        (d,) = track.entries
+        assert track.track_id == 1
         assert d.frame == 1  # KITTI frame 0 -> internal 1
         assert (d.box.cx, d.box.cy, d.box.w, d.box.h) == (50, 25, 100, 50)
         assert d.class_id == KITTI_CLASSES.index("Car")
@@ -232,25 +226,25 @@ class TestKitti:
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="Car") + "\n"
                      + self.kitti_line(frame=1, tid=2, cls="Pedestrian") + "\n")
-        assert read_kitti_tracking(p, class_filter="Pedestrian")[0][0] == 2
-        assert read_kitti_tracking(p, class_filter="Cyclist") == []
+        assert [t.track_id for t in read_tracks(p, "kitti", ("Pedestrian",))] == [2]
+        assert read_detections(p, "kitti", ("Cyclist",)) == []
 
     def test_dontcare_ignored(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="DontCare") + "\n")
-        assert read_kitti_tracking(p) == []
+        assert read_detections(p, "kitti") == []
 
     def test_unknown_class_warns(self, tmp_path, caplog):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="Unicycle") + "\n")
         with caplog.at_level("WARNING"):
-            assert read_kitti_tracking(p) == []
+            assert read_detections(p, "kitti") == []
         assert any("unknown class" in r.message for r in caplog.records)
 
     def test_score_column_optional(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(score=0.75) + "\n")
-        ((_, d),) = read_kitti_tracking(p)
+        (d,) = read_detections(p, "kitti")
         assert d.score == 0.75
 
     def test_write_read_round_trip(self, tmp_path):
@@ -258,9 +252,9 @@ class TestKitti:
                            det(2, 12, 21, 30, 40, score=0.6, det_id=2)))
         p = tmp_path / "out.txt"
         write_kitti_tracking([t], p, class_name="Car")
-        pairs = read_kitti_tracking(p, class_filter="Car")
-        assert [tid for tid, _ in pairs] == [3, 3]
-        for (_, b), ea in zip(pairs, t.entries):
+        (back,) = read_tracks(p, "kitti", ("Car",))
+        assert back.track_id == 3
+        for b, ea in zip(back.entries, t.entries, strict=True):
             assert b.frame == ea.frame
             assert b.box.cx == pytest.approx(ea.box.cx, abs=1e-6)
         # 3-D placeholders present on every row.
@@ -275,38 +269,75 @@ class TestKitti:
         row = self.kitti_line(frame=1, **{"score": 0.9, field: value})
         p.write_text(self.kitti_line(score=0.9) + "\n" + row + "\n")
         with pytest.raises(ValueError, match=r"labels\.txt:2: box size and confidence"):
-            read_kitti_tracking(p)
+            read_detections(p, "kitti")
 
-    def test_negative_frame_names_the_line(self, tmp_path):
-        p = tmp_path / "labels.txt"
-        p.write_text(self.kitti_line() + "\n" + self.kitti_line(frame=-2) + "\n")
-        with pytest.raises(ValueError, match=r"labels\.txt:2: frame index -2 must be >= 0"):
-            read_kitti_tracking(p)
-
-    @pytest.mark.parametrize("frame, tid", [(2 ** 53, 1), (0, -2 ** 60)])
+    # 10**400 is past float range: it must fail the range check, not overflow.
+    @pytest.mark.parametrize("frame, tid", [(2 ** 53, 1), (0, -2 ** 60), (10 ** 400, 1)])
     def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, frame, tid):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(frame=frame, tid=tid) + "\n")
         with pytest.raises(ValueError, match=r"labels\.txt:1: frame and id must be below"):
-            read_kitti_tracking(p)
+            read_detections(p, "kitti")
 
     def test_bad_token_count(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text("0 1 Car 0 0\n")
         with pytest.raises(ValueError, match=r":1"):
-            read_kitti_tracking(p)
+            read_detections(p, "kitti")
 
     def test_tracks_grouped_by_id_in_frame_order(self, tmp_path):
         p = tmp_path / "labels.txt"
         lines = [self.kitti_line(frame=1, tid=4), self.kitti_line(frame=0, tid=4),
                  self.kitti_line(frame=0, tid=2)]
         p.write_text("\n".join(lines) + "\n")
-        tracks = read_kitti_tracks(p)
+        tracks = read_tracks(p, "kitti")
         assert [t.track_id for t in tracks] == [2, 4]
         assert [e.frame for e in tracks[1].entries] == [1, 2]
 
     def test_track_with_repeated_frame_rejected(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(tid=3) + "\n" + self.kitti_line(tid=3) + "\n")
-        with pytest.raises(ValueError, match="track 3 has two boxes at frame 1"):
-            read_kitti_tracks(p)
+        with pytest.raises(ValueError, match=":2: track 3 has two boxes at frame 1"):
+            read_tracks(p, "kitti")
+
+
+def _line(fmt, frame, tid=1, left=0.0, top=0.0, w=10.0, h=10.0):
+    """One row of `fmt` with a box given in ltwh."""
+    if fmt == "mot":
+        return f"{frame},{tid},{left},{top},{w},{h},0.9\n"
+    return f"{frame} {tid} Car 0 0 -10 {left} {top} {left + w} {top + h} 1.5 1.6 3.8 1 1 1 0.1\n"
+
+
+FIRST_FRAME = {"mot": 1, "kitti": 0}
+
+
+@pytest.mark.parametrize("fmt", ["mot", "kitti"])
+class TestEitherFormat:
+    """Reader rules that hold for both formats."""
+
+    def test_nonpositive_boxes_rejected_with_warning(self, tmp_path, caplog, fmt):
+        p = tmp_path / "det.txt"
+        first = FIRST_FRAME[fmt]
+        p.write_text(_line(fmt, first, w=0.0) + _line(fmt, first, h=-1.0) + _line(fmt, first))
+        with caplog.at_level("WARNING"):
+            dets = read_detections(p, fmt)
+        assert len(dets) == 1
+        assert [r.message for r in caplog.records] == [
+            f"{p}: rejected 2 records with non-positive size"]
+
+    def test_frame_before_the_first_names_the_line(self, tmp_path, fmt):
+        p = tmp_path / "labels.txt"
+        first = FIRST_FRAME[fmt]
+        p.write_text(_line(fmt, first) + _line(fmt, first - 1))
+        with pytest.raises(ValueError, match=rf"labels\.txt:2: frame index {first - 1} must be "
+                                             rf">= {first}"):
+            read_detections(p, fmt)
+
+    def test_negative_id_rejected_in_track_files(self, tmp_path, fmt):
+        p = tmp_path / "res.txt"
+        first = FIRST_FRAME[fmt]
+        p.write_text(_line(fmt, first) + _line(fmt, first + 1, tid=-1))
+        for reader in (read_tracks, read_columns):
+            with pytest.raises(ValueError, match=r"res\.txt:2: track id -1 invalid in a track file"):
+                reader(p, fmt)
+        assert len(read_detections(p, fmt)) == 2

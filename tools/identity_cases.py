@@ -23,6 +23,13 @@ The cases:
   run by `track` under both strategies with the default config.
 - The four `perfbench/workloads.py` workloads on seeds 1-3, with their own
   pass arguments (`multiseq` with `--workers 2`).
+- 12 fault cases, six per format, that pin the exit codes and stderr of the
+  readers' error paths: a file of two valid rows and one faulty third row
+  (wrong field count, NaN box, frame >= 2**53, frame below the format's
+  first, a repeated (track, frame), a non-positive box) run through `track`
+  (`refine` for the repeated frame) and through `eval` against itself.
+
+70 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -72,6 +79,25 @@ KITTI_LOW = (KITTI[0], dataclasses.replace(KITTI[1], base_score=0.3))
 FOREIGN = ForeignStyle(run_length=(8, 25), swaps=2)
 OPTIONS = {"default": [], "no-cc": ["--no-cc"], "no-cm": ["--no-cm"],
            "interp-smooth": ["--interp", "--smooth"]}
+# Per format: two valid rows of track 1, then one faulty row per fault.
+_KITTI_TAIL = "1.5 1.6 3.8 1 1 1 0.1 0.9"
+FAULT_FILES = {
+    "mot": (["1,1,10,20,30,40,0.9", "2,1,11,20,30,40,0.9"], {
+        "field-count": "3,1,10,20,30,40",
+        "nan-box": "3,1,nan,20,30,40,0.9",
+        "huge-frame": "9007199254740992,1,10,20,30,40,0.9",
+        "early-frame": "0,1,10,20,30,40,0.9",
+        "repeated-frame": "2,1,12,20,30,40,0.9",
+        "nonpositive-box": "3,1,10,20,0,40,0.9"}),
+    "kitti": ([f"0 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
+               f"1 1 Car 0 0 -10 11 20 41 60 {_KITTI_TAIL}"], {
+        "field-count": "2 1 Car 0 0 -10 10 20 40 60",
+        "nan-box": f"2 1 Car 0 0 -10 nan 20 40 60 {_KITTI_TAIL}",
+        "huge-frame": f"9007199254740992 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
+        "early-frame": f"-1 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
+        "repeated-frame": f"1 1 Car 0 0 -10 12 20 42 60 {_KITTI_TAIL}",
+        "nonpositive-box": f"2 1 Car 0 0 -10 40 20 40 60 {_KITTI_TAIL}"}),
+}
 
 
 def _renumbered(trajectories, first_id: int) -> list[Trajectory]:
@@ -144,6 +170,21 @@ def _workload_cases():
             yield f"{name}-seed{seed}", prepare
 
 
+def _fault_cases():
+    """(name, prepare) of the 12 fault cases."""
+    for fmt, (valid, faults) in FAULT_FILES.items():
+        for fault, row in faults.items():
+            text = "".join(f"{line}\n" for line in (*valid, row))
+            command, src_flag = (("refine", "--in") if fault == "repeated-frame"
+                                 else ("track", "--det"))
+            yield (f"fault-{fmt}-{fault}",
+                   _cli_case(lambda text=text: Path("bad.txt").write_text(text, encoding="utf-8"),
+                             [command, src_flag, "bad.txt", "--out", "out.txt",
+                              "--format", fmt],
+                             ["eval", "--gt", "bad.txt", "--pred", "bad.txt", "--kv",
+                              "--format", fmt]))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -163,7 +204,7 @@ def main(argv=None) -> int:
         parser.error(f"no intertrack source tree under {root}")
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
-    for name, prepare in [*_cli_cases(), *_workload_cases()]:
+    for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
