@@ -15,17 +15,13 @@ from .model import (
     Strategy,
     Tracklet,
     TrackerConfig,
+    Trajectory,
     validate_config,
 )
 from .geometry import consistent_iou, expansion_ratio, hm_iou, iou
 from .hierarchy import RunResult, associate_tracklets, run, run_detailed
 from .metrics import EvalReport, clear_mot, evaluate, id_metrics
-from .refine import (
-    Trajectory,
-    gaussian_smooth,
-    interpolate,
-    split_at_discontinuities,
-)
+from .refine import gaussian_smooth, interpolate, split_at_discontinuities
 from .synth import Motion, ScenarioSpec, generate
 
 __version__ = "0.1.0"

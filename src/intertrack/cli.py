@@ -12,7 +12,8 @@ config file (--config), the INTERTRACK_WORKERS environment variable,
 explicit flags.  INTERTRACK_SEED sets the scenario seed of `synth` only.
 When the input path is a directory every *.txt inside is treated as one
 sequence and sequences are processed in parallel worker processes; results
-are written by the parent so output stays deterministic.
+are written by the parent so output stays deterministic.  A sequence runs on
+columns (`BoxTable`) from its input file to its output file.
 
 Exit codes: 0 success, 1 runtime failure (I/O, malformed data), 2 bad usage
 or configuration.
@@ -31,19 +32,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import hierarchy, metrics, mot_io, synth
-from .model import (
-    ConfigError,
-    HierarchySchedule,
-    Strategy,
-    TrackerConfig,
-    validate_config,
-)
-from .refine import (
-    Trajectory,
-    gaussian_smooth,
-    interpolate,
-    split_at_discontinuities,
-)
+from .model import (BoxTable, ConfigError, HierarchySchedule, Strategy, TrackerConfig,
+                    validate_config)
+from .refine import interpolate_rows, smooth_rows, split_rows
 
 log = logging.getLogger(__name__)
 
@@ -187,9 +178,9 @@ def _resolve_workers(args: argparse.Namespace) -> int:
 
 def _class_filter(args) -> Optional[tuple[str, ...]]:
     raw = getattr(args, "class_filter", None)
-    if not raw:
-        return None
-    return tuple(tok for tok in raw.split(",") if tok)
+    names = tuple(tok for tok in raw.split(",") if tok) if raw else None
+    mot_io.check_class_filter(args.format, names)
+    return names
 
 
 def _sequence_jobs(in_path: Path, out_path: Optional[Path]) -> list[tuple[str, Path, Optional[Path]]]:
@@ -216,14 +207,13 @@ def _sequence_jobs(in_path: Path, out_path: Optional[Path]) -> list[tuple[str, P
     return [(in_path.stem, in_path, out_path)]
 
 
-def _postprocess(trajectories, cfg: TrackerConfig, interp: bool, smooth: bool):
-    out = []
-    for traj in trajectories:
-        if interp:
-            traj = interpolate(traj, cfg.interpolation_max_gap)
-        if smooth:
-            traj = gaussian_smooth(traj, cfg.smoothing_sigma)
-        out.append(traj)
+def _postprocess(run: hierarchy.TableRun, cfg: TrackerConfig, interp: bool,
+                 smooth: bool) -> BoxTable:
+    out = run.output()
+    if interp:
+        out = interpolate_rows(out, cfg.interpolation_max_gap)
+    if smooth:
+        out = smooth_rows(out, cfg.smoothing_sigma)
     return out
 
 
@@ -234,8 +224,8 @@ def _camera_text(profile) -> str:
     return f"{kind} (mean adjacent IoU {profile.mean_match_iou:.3f})"
 
 
-def _summary_lines(name: str, result: hierarchy.RunResult, n_input: int) -> list[str]:
-    lines = [f"{name}: {len(result.trajectories)} trajectories"
+def _summary_lines(name: str, result: hierarchy.TableRun, n_input: int) -> list[str]:
+    lines = [f"{name}: {result.track.max(initial=0)} trajectories"  # ids 1..K
              f" from {n_input} detections"]
     for cls in result.per_class:
         chain = " -> ".join(str(c) for c in cls.counts)
@@ -244,7 +234,7 @@ def _summary_lines(name: str, result: hierarchy.RunResult, n_input: int) -> list
     return lines
 
 
-def _dump_payload(result: hierarchy.RunResult) -> dict:
+def _dump_payload(result: hierarchy.TableRun) -> dict:
     classes = {}
     for cls in result.per_class:
         camera = None
@@ -267,28 +257,28 @@ def _dump_payload(result: hierarchy.RunResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# A job returns (name, trajectories, summary lines, dump payload or None when
+# A job returns (name, output table, summary lines, dump payload or None when
 # no dump was asked for); the payload is pickled back from a pool worker only
 # when it is needed.
 
-def _track_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
-    name, src, cfg, fmt, class_filter, interp, smooth, dump = job
-    dets = mot_io.read_detections(src, fmt, class_filter)
-    result = hierarchy.run_detailed(dets, cfg)
-    trajs = _postprocess(result.trajectories, cfg, interp, smooth)
-    return (name, trajs, _summary_lines(name, result, len(dets)),
-            _dump_payload(result) if dump else None)
+def _job_result(job, result: hierarchy.TableRun, n_input: int):
+    name, _, cfg, _, _, interp, smooth, dump = job
+    return (name, _postprocess(result, cfg, interp, smooth),
+            _summary_lines(name, result, n_input), _dump_payload(result) if dump else None)
 
 
-def _refine_job(job) -> tuple[str, list[Trajectory], list[str], Optional[dict]]:
-    name, src, cfg, fmt, class_filter, interp, smooth, dump = job
-    tracks = mot_io.read_tracks(src, fmt, class_filter)
-    tracklets = split_at_discontinuities(tracks) if tracks else []
-    result = hierarchy.associate_tracklets(tracklets, cfg)
-    trajs = _postprocess(result.trajectories, cfg, interp, smooth)
-    n_input = sum(len(t.entries) for t in tracks)
-    return (name, trajs, _summary_lines(name, result, n_input),
-            _dump_payload(result) if dump else None)
+def _track_job(job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
+    _, src, cfg, fmt, class_filter, *_ = job
+    dets = mot_io.read_detection_table(src, fmt, class_filter)
+    return _job_result(job, hierarchy.run_table(dets, cfg), dets.frame.size)
+
+
+def _refine_job(job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
+    _, src, cfg, fmt, class_filter, *_ = job
+    tracks = mot_io.read_track_table(src, fmt, class_filter)
+    # The engine's det_ids number the rows in file order.
+    result = hierarchy.associate_table(mot_io.numbered(tracks), split_rows(tracks), cfg)
+    return _job_result(job, result, tracks.frame.size)
 
 
 def _run_jobs(worker, jobs, workers: int):
@@ -309,9 +299,9 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
                       args.interp, args.smooth, dump_path is not None), dst))
     results = _run_jobs(worker, [job for job, _ in jobs], workers)
     dump: dict = {}
-    for (job, dst), (name, trajs, summary, payload) in zip(jobs, results):
+    for (job, dst), (name, out, summary, payload) in zip(jobs, results):
         if dst is not None:
-            mot_io.write_tracks(trajs, dst, args.format)
+            mot_io.write_table(out, dst, args.format)
         for line in summary:
             print(line)
         dump[name] = payload
@@ -335,8 +325,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError([f"--iou-threshold must be in (0, 1], got {args.iou_threshold}"])
     class_filter = _class_filter(args)
 
-    def read(path: Path) -> mot_io.TrackColumns:
-        return mot_io.read_columns(path, args.format, class_filter)
+    def read(path: Path) -> BoxTable:
+        return mot_io.read_track_table(path, args.format, class_filter)
 
     gt_jobs = _sequence_jobs(args.gt, None)
     pred_jobs = _sequence_jobs(args.pred, None)
@@ -414,7 +404,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["mot", "kitti"], default="mot")
     p.add_argument("--class-filter", dest="class_filter", metavar="NAME,...",
-                   help="keep only these class names (kitti input)")
+                   help="keep only these KITTI class names (kitti input only)")
     p.add_argument("--interp", action="store_true",
                    help="fill trajectory gaps by linear interpolation")
     p.add_argument("--smooth", action="store_true",
@@ -453,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gt", type=Path, required=True)
     p_eval.add_argument("--pred", type=Path, required=True)
     p_eval.add_argument("--format", choices=["mot", "kitti"], default="mot")
-    p_eval.add_argument("--class-filter", dest="class_filter", metavar="NAME,...")
+    p_eval.add_argument("--class-filter", dest="class_filter", metavar="NAME,...",
+                        help="keep only these KITTI class names (kitti input only)")
     p_eval.add_argument("--iou-threshold", dest="iou_threshold", type=float,
                         default=0.5, help="overlap a match needs, in (0, 1]")
     p_eval.add_argument("--kv", action="store_true",

@@ -11,15 +11,9 @@ Every form runs the same operations, so they agree bit for bit.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .model import BoundingBox, TrackerConfig
-
-
-def stack_boxes(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64).reshape(-1, 4)
+from .model import BoundingBox, TrackerConfig, stack_boxes
 
 
 # Internally a box array travels as its four (cx, cy, w, h) component arrays,

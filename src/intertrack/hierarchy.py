@@ -38,15 +38,14 @@ cells are unique and in distinct columns is matched by that row-wise argmax,
 which the `assignment` module shows is the Hungarian optimum, and only the
 other blocks run the Hungarian solve.
 
-The engine of one class runs on one detection table: `frame`, `det_id` and
-`score` columns of shape (N,) and an (N, 4) `boxes` column of [cx, cy, w, h]
-rows, with rows in (frame, det_id) order, so each frame is one row range.
-`run_detailed` and `associate_tracklets` build it once from the input
-objects.  Inside the engine a tracklet is a `TrackletRows`: its id, the
-frame-sorted array of its rows, and its t_min/t_max; every pass gathers
-boxes, frames and scores by row.  Camera stabilization replaces the box
-column once, and the output trajectories are built, at the end, from the
-caller's own detections, so their boxes are exactly the input boxes.
+The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
+det_id) order, so each frame is one row range.  `run_table` and
+`associate_table` return the output track id of each row kept, and
+`run_detailed` and `associate_tracklets` wrap them in objects.  Inside the
+engine a tracklet is a `TrackletRows`: its id, the frame-sorted array of its
+rows, and its t_min/t_max; every pass gathers boxes, frames and scores by
+row.  Camera stabilization replaces the box column of a class engine's own
+table, so the results keep the input boxes exactly.
 
 Each class engine keeps one record of its levels: a list of `LevelTrace`s,
 each holding the level's `TrackletRows` and the table's frame and det_id
@@ -71,17 +70,10 @@ import numpy as np
 
 from . import camera as camera_mod
 from .assignment import solve, solve_blocks
-from .geometry import SimilarityKernel, stack_boxes
-from .model import (
-    Detection,
-    Stage,
-    Strategy,
-    Tracklet,
-    TrackerConfig,
-    validate_config,
-)
+from .geometry import SimilarityKernel
+from .model import (BoxTable, Detection, Stage, Strategy, Tracklet, TrackerConfig, Trajectory,
+                    table_of, trajectories_of, validate_config)
 from .motion import FitCache, _advance, kalman_states, pair_scores
-from .refine import Trajectory
 
 log = logging.getLogger(__name__)
 
@@ -91,29 +83,11 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-class DetectionTable(NamedTuple):
-    """Detections as columns, rows in (frame, det_id) order."""
-    frame: np.ndarray   # (N,) int64
-    det_id: np.ndarray  # (N,) int64
-    score: np.ndarray   # (N,) float64
-    boxes: np.ndarray   # (N, 4) float64, rows [cx, cy, w, h]
-
-    def take(self, rows: np.ndarray) -> "DetectionTable":
-        return DetectionTable(*(column[rows] for column in self))
-
-
-def detection_table(detections: Sequence[Detection]) -> tuple[DetectionTable, np.ndarray]:
-    """The table of `detections` and, per row, the index of its detection.
-
-    Rows are sorted stably by (frame, det_id, cx, cy, score), so detections
-    that share a det_id still get a deterministic order."""
-    n = len(detections)
-    frame = np.fromiter((d.frame for d in detections), np.int64, n)
-    det_id = np.fromiter((d.det_id for d in detections), np.int64, n)
-    score = np.fromiter((d.score for d in detections), np.float64, n)
-    boxes = stack_boxes(d.box for d in detections)
-    order = np.lexsort((score, boxes[:, 1], boxes[:, 0], det_id, frame))
-    return DetectionTable(frame, det_id, score, boxes).take(order), order
+def engine_order(table: BoxTable) -> np.ndarray:
+    """Rows sorted stably by (frame, det_id, cx, cy, score), so rows that
+    share a det_id still get a deterministic order."""
+    return np.lexsort((table.score, table.boxes[:, 1], table.boxes[:, 0], table.id,
+                       table.frame))
 
 
 class TrackletRows(NamedTuple):
@@ -139,7 +113,7 @@ Grouping = Callable[[Sequence[TrackletRows]], Sequence[Sequence[int]]]
 class HierarchyState:
     """Tracklet population over one table between levels, in (t_min, t_max,
     tid) order."""
-    table: DetectionTable
+    table: BoxTable
     tracklets: tuple[TrackletRows, ...]
     next_tid: int
 
@@ -189,6 +163,23 @@ class RunResult:
     per_class: tuple[ClassRunResult, ...]
 
 
+class TableRun(NamedTuple):
+    """The engine's table, the rows it keeps in (track, frame) order, and
+    each kept row's output track id 1..K."""
+    table: BoxTable
+    rows: np.ndarray
+    track: np.ndarray
+    per_class: tuple[ClassRunResult, ...]
+
+    def output(self) -> BoxTable:
+        """The kept rows, `id` their track id."""
+        return self.table.take(self.rows)._replace(id=self.track)
+
+    def result(self) -> RunResult:
+        return RunResult(trajectories_of(self.table.take(self.rows), self.track),
+                         self.per_class)
+
+
 def _ordered(tracklets: Iterable[TrackletRows]) -> tuple[TrackletRows, ...]:
     return tuple(sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid)))
 
@@ -198,7 +189,7 @@ def _ordered(tracklets: Iterable[TrackletRows]) -> tuple[TrackletRows, ...]:
 # ---------------------------------------------------------------------------
 
 
-def resolve_overlap(table: DetectionTable, a: TrackletRows, b: TrackletRows, new_tid: int,
+def resolve_overlap(table: BoxTable, a: TrackletRows, b: TrackletRows, new_tid: int,
                     max_overlap: int = 5) -> TrackletRows:
     """Merge two matched tracklets whose spans may overlap by a few frames.
 
@@ -222,7 +213,7 @@ def resolve_overlap(table: DetectionTable, a: TrackletRows, b: TrackletRows, new
     same_start = a.t_min == b.t_min
 
     def tie_key(row: int) -> tuple:
-        return (*table.boxes[row].tolist(), table.det_id[row])
+        return (*table.boxes[row].tolist(), table.id[row])
     for frame, row in zip(table.frame[b.rows].tolist(), b.rows.tolist()):
         rival = chosen.get(frame)
         # Equal scores normally fall to the earlier-starting tracklet (`a`
@@ -250,7 +241,7 @@ def _chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:
     return chains
 
 
-def _merge_round(table: DetectionTable, tracklets: Sequence[TrackletRows],
+def _merge_round(table: BoxTable, tracklets: Sequence[TrackletRows],
                  matches: Sequence[tuple[int, int]], next_tid: int,
                  max_overlap: int) -> tuple[tuple[TrackletRows, ...], int]:
     link = dict(matches)
@@ -425,7 +416,7 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
     return _chains(link, range(len(frame)))
 
 
-def adjacent_pass(table: DetectionTable, rows: np.ndarray, kernel: SimilarityKernel,
+def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
                   gate: float) -> list[np.ndarray]:
     """Static frame-to-next-frame chaining of the given rows (in table order).
 
@@ -440,7 +431,7 @@ def adjacent_pass(table: DetectionTable, rows: np.ndarray, kernel: SimilarityKer
     return [rows[chain] for chain in chains]
 
 
-def consistent_motion_pass(table: DetectionTable, rows: np.ndarray,
+def consistent_motion_pass(table: BoxTable, rows: np.ndarray,
                            preliminary_chains: Sequence[np.ndarray], cfg: TrackerConfig,
                            kernel: SimilarityKernel) -> list[np.ndarray]:
     """Re-run the frame-adjacent association of `rows` (in table order) with
@@ -531,7 +522,7 @@ class _ClassEngine:
     """Runs the full pipeline on the table of one class's detections and
     keeps the log of its levels."""
 
-    def __init__(self, cfg: TrackerConfig, class_id: int, table: DetectionTable):
+    def __init__(self, cfg: TrackerConfig, class_id: int, table: BoxTable):
         self.cfg = cfg
         self.class_id = class_id
         self.table = table
@@ -595,7 +586,7 @@ class _ClassEngine:
 
     def _record(self, label: str, state: HierarchyState) -> None:
         self.levels.append(LevelTrace(label, state.tracklets, state.table.frame,
-                                      state.table.det_id))
+                                      state.table.id))
 
     def _stages(self, state: HierarchyState, first: int,
                 profile: Optional[camera_mod.CameraProfile],
@@ -617,74 +608,76 @@ class _ClassEngine:
         return ClassRunResult(self.class_id, tuple(self.levels), profile)
 
 
-def _run_per_class(table: DetectionTable, source: Sequence[Detection], cfg: TrackerConfig,
-                   start: Callable[[_ClassEngine], ClassRunResult]) -> RunResult:
-    """Run one engine per class on its rows of `table`, whose row k holds
-    `source[k]`, and number the combined tracks of the classes' last levels
-    in (t_min, t_max, class) order.  `start` runs a class's engine; the
-    output entries are the detections of `source`, so they keep the caller's
-    own boxes.
-    """
-    class_of = np.fromiter((d.class_id for d in source), np.int64, len(source))
+def _run_per_class(table: BoxTable, cfg: TrackerConfig,
+                   start: Callable[[_ClassEngine, np.ndarray], ClassRunResult]) -> TableRun:
+    """Run one engine per class on its rows of `table`, and number the
+    combined tracks of the classes' last levels in (t_min, t_max, class)
+    order.  `start(engine, rows)` runs the engine of the class's `rows`."""
     results = []
     ranked = []
-    for class_id in np.unique(class_of).tolist():
-        rows = np.flatnonzero(class_of == class_id)
-        result = start(_ClassEngine(cfg, class_id, table.take(rows)))
+    for class_id in np.unique(table.class_id).tolist():
+        rows = np.flatnonzero(table.class_id == class_id)
+        result = start(_ClassEngine(cfg, class_id, table.take(rows)), rows)
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
         final = result.levels[-1].tracklets if result.levels else ()
         ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in final]
     ranked.sort(key=lambda r: r[0])
-    trajectories = [Trajectory(k + 1, tuple(source[row] for row in rows.tolist()))
-                    for k, (_, rows) in enumerate(ranked)]
-    return RunResult(trajectories=trajectories, per_class=tuple(results))
+    sizes = [len(rows) for _, rows in ranked]
+    kept = np.concatenate([rows for _, rows in ranked]) if ranked else np.zeros(0, np.intp)
+    return TableRun(table, kept, np.repeat(np.arange(1, len(sizes) + 1), sizes),
+                    tuple(results))
+
+
+def run_table(table: BoxTable, cfg: TrackerConfig) -> TableRun:
+    """Track one sequence, `id` the det_id: BYTE split, camera handling, all
+    hierarchy levels, each class on its own.  The engine numbers the rows
+    1..N in its order."""
+    validate_config(cfg)
+    table = table.take(engine_order(table))
+    return _run_per_class(table._replace(id=np.arange(1, table.frame.size + 1)), cfg,
+                          lambda engine, rows: engine.run_detections())
 
 
 def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResult:
-    """Track one sequence: BYTE split, camera handling, all hierarchy levels.
-
-    Multi-class input is partitioned and tracked per class; output track ids
-    are assigned over the combined result in (t_min, t_max, class) order.
-    The engine numbers the detections 1..N in table order, and the output
-    entries are copies carrying these det_ids with the caller's own boxes.
-    """
-    validate_config(cfg)
-    detections = list(detections)
-    table, order = detection_table(detections)
-    source = [Detection(d.frame, d.box, d.score, d.class_id, row + 1, d.interpolated)
-              for row, d in enumerate(detections[k] for k in order.tolist())]
-    return _run_per_class(table._replace(det_id=np.arange(1, len(source) + 1)), source, cfg,
-                          _ClassEngine.run_detections)
+    """`run_table` on the table of `detections`; the output entries carry the
+    engine's det_ids with the caller's own boxes."""
+    return run_table(table_of(list(detections)), cfg).result()
 
 
 def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
     return run_detailed(detections, cfg).trajectories
 
 
-def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> RunResult:
-    """Hierarchically associate pre-formed tracklets (recombination mode).
+def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
+                    cfg: TrackerConfig) -> TableRun:
+    """Hierarchically associate pre-formed tracklets (recombination mode):
+    frame-sorted row arrays of `table`, in tid order, that hold every row
+    once; `id` is the det_id.
 
-    Camera estimation uses the frame-adjacent pairs inside the input
-    tracklets; there is no score partition here — every input detection is
-    kept.  The output entries are the input tracklets' own detections.
+    Fitting is memoized by tracklet id, so the tracklets are renumbered 1..K
+    in (t_min, t_max, tid) order.  Camera estimation uses the frame-adjacent
+    pairs inside them; every row is kept.
     """
     validate_config(cfg)
-    # Fitting is memoized by tracklet id, so the ids are made unique here.
-    ordered = sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
-    entries = [e for t in ordered for e in t.entries]
-    table, order = detection_table(entries)
-    row_of = np.argsort(order)
-    ends = np.cumsum([len(t) for t in ordered], dtype=np.intp).tolist()
-    # Per input tracklet: its new id, class and rows of the full table.
-    runs = [(tid, t.class_id, row_of[end - len(t):end])
-            for tid, (t, end) in enumerate(zip(ordered, ends), 1)]
+    order = engine_order(table)
+    table, row_of = table.take(order), np.argsort(order)
+    runs = sorted((row_of[rows] for rows in tracklets),  # stable: ties keep tid order
+                  key=lambda rows: (table.frame[rows[0]], table.frame[rows[-1]]))
 
-    def start(engine: _ClassEngine):
-        own = [(tid, rows) for tid, class_id, rows in runs if class_id == engine.class_id]
-        # The engine's table holds the class's rows of the full table in order.
-        class_rows = np.sort(np.concatenate([rows for _, rows in own]))
+    def start(engine: _ClassEngine, class_rows: np.ndarray) -> ClassRunResult:
         return engine.run_tracklets([_tracklet(engine.table.frame, tid,
                                                np.searchsorted(class_rows, rows))
-                                     for tid, rows in own])
-    return _run_per_class(table, [entries[k] for k in order.tolist()], cfg, start)
+                                     for tid, rows in enumerate(runs, 1)
+                                     if table.class_id[rows[0]] == engine.class_id])
+    return _run_per_class(table, cfg, start)
+
+
+def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> RunResult:
+    """`associate_table` on the table of the tracklets' entries; the output
+    entries carry the input detections' det_ids and boxes."""
+    ordered = sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
+    ends = np.cumsum([len(t) for t in ordered], dtype=np.intp).tolist()
+    return associate_table(table_of([e for t in ordered for e in t.entries]),
+                           [np.arange(end - len(t), end) for t, end in zip(ordered, ends)],
+                           cfg).result()

@@ -1,15 +1,16 @@
 """Tracking evaluation on columns: CLEAR accuracy and identity metrics.
 
-`eval_counts` walks the frames of two `TrackColumns` (ground truth and
-prediction) once and scores each frame's gt x pred IoU block with one kernel
-call; a pair overlaps when its IoU reaches the threshold.  The block serves
-both metrics.  CLEAR: a correspondence persists while it still overlaps
-(gt tracks in id order, each prediction kept once), the rest is matched
-optimally, and a gt track whose hypothesis changes counts an identity
-switch.  Identity: each overlapping pair adds one to its (gt, pred) track
-pair's potential; one global one-to-one assignment on it gives IDTP, behind
-IDF1/IDP/IDR.  The public functions also take Trajectory lists, turned into
-columns, and sequences pool by summing their counts.
+`eval_counts` walks the frames of two (frame, id)-sorted `BoxTable`s (ground
+truth and prediction, `id` the track id) once and scores each frame's gt x
+pred IoU block with one kernel call; a pair overlaps when its IoU reaches
+the threshold.  The block serves both metrics.  CLEAR: a correspondence
+persists while it still overlaps (gt tracks in id order, each prediction
+kept once), the rest is matched optimally, and a gt track whose hypothesis
+changes counts an identity switch.  Identity: each overlapping pair adds one
+to its (gt, pred) track pair's potential; one global one-to-one assignment
+on it gives IDTP, behind IDF1/IDP/IDR.  The public functions take tables in
+any row order, or Trajectory lists, and sort them; sequences pool by summing
+their counts.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import numpy as np
 
 from .assignment import max_weight_matching
 from .geometry import iou_kernel
-from .mot_io import TrackColumns
-from .refine import Trajectory
+from .model import BoxTable, Trajectory, tracks_table
 
-Tracks = Union[TrackColumns, Iterable[Trajectory]]
+Tracks = Union[BoxTable, Iterable[Trajectory]]
 
 
 class ClearMot(NamedTuple):
@@ -63,14 +63,14 @@ class EvalReport:
     per_sequence: dict = field(default_factory=dict)
 
 
-def eval_counts(gt: TrackColumns, pred: TrackColumns, iou_threshold: float) -> EvalCounts:
+def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
     """CLEAR and identity counts of one sequence, in one walk over its frames.
 
     Raises ValueError unless 0 < iou_threshold <= 1 (NaN included)."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_ids, gt_of = np.unique(gt.track_id, return_inverse=True)
-    pred_ids, pred_of = np.unique(pred.track_id, return_inverse=True)
+    gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
+    pred_ids, pred_of = np.unique(pred.id, return_inverse=True)
     potential = np.zeros((gt_ids.size, pred_ids.size))
     last_hyp = np.full(gt_ids.size, -1)
     frames = np.union1d(gt.frame, pred.frame)
@@ -112,8 +112,11 @@ def eval_counts(gt: TrackColumns, pred: TrackColumns, iou_threshold: float) -> E
                       len_gt=gt.frame.size, len_pred=pred.frame.size)
 
 
-def _columns(tracks: Tracks) -> TrackColumns:
-    return tracks if isinstance(tracks, TrackColumns) else TrackColumns.from_trajectories(tracks)
+def frame_sorted(tracks: Tracks) -> BoxTable:
+    """The table of `tracks` with its rows sorted stably by (frame, id);
+    trajectories sharing a track_id are one identity."""
+    table = tracks if isinstance(tracks, BoxTable) else tracks_table(tracks)
+    return table.take(np.lexsort((table.id, table.frame)))
 
 
 def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
@@ -129,7 +132,7 @@ def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
 
 
 def evaluate(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> EvalReport:
-    return _report(eval_counts(_columns(gt), _columns(pred), iou_threshold))
+    return _report(eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold))
 
 
 def clear_mot(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> ClearMot:
@@ -145,7 +148,7 @@ def id_metrics(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> IdMetric
 def evaluate_sequences(pairs: Mapping[str, tuple[Tracks, Tracks]],
                        iou_threshold: float = 0.5) -> EvalReport:
     """Aggregate evaluation over named sequences (counts pooled, not averaged)."""
-    counts = {name: eval_counts(_columns(gt), _columns(pred), iou_threshold)
+    counts = {name: eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold)
               for name, (gt, pred) in pairs.items()}
     pooled = EvalCounts(*map(sum, zip(*counts.values())))
     return _report(pooled, {name: _report(c) for name, c in counts.items()})

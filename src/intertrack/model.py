@@ -1,10 +1,16 @@
-"""Core value types shared by the whole tracker, plus the run configuration."""
+"""Core value types shared by the whole tracker, plus the run configuration.
+
+The program works on `BoxTable` columns; `table_of`/`tracks_table` and
+`detections_of`/`trajectories_of` alone convert to and from the objects.
+"""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -87,7 +93,6 @@ class Detection:
     score: float
     class_id: int = 0
     det_id: int = -1
-    interpolated: bool = False
 
     def __post_init__(self):
         if self.frame < 1:
@@ -99,33 +104,16 @@ class Detection:
         return replace(self, box=box)
 
 
-@dataclass(frozen=True)
-class Tracklet:
-    """A frame-sorted run of detections of one target: the input unit of
-    `associate_tracklets` and the output of `split_at_discontinuities`.
-
-    Entries are strictly increasing in frame and share one class id. Use
-    Tracklet.build() to construct from unordered detections.
-    """
-
-    tid: int
-    entries: tuple[Detection, ...]
+class _FrameRun:
+    """Entries strictly increasing in frame: what Tracklet and Trajectory share."""
 
     def __post_init__(self):
+        name = type(self).__name__.lower()
         if not self.entries:
-            raise ValueError("tracklet must contain at least one detection")
+            raise ValueError(f"{name} needs at least one entry")
         frames = [d.frame for d in self.entries]
         if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("tracklet entries must be strictly increasing in frame")
-        cls = self.entries[0].class_id
-        if any(d.class_id != cls for d in self.entries):
-            raise ValueError("tracklet entries must share one class id")
-
-    @classmethod
-    def build(cls, tid: int, detections: Iterable[Detection]) -> "Tracklet":
-        """Sort detections by frame and wrap them; duplicate frames rejected."""
-        ordered = sorted(detections, key=lambda d: d.frame)
-        return cls(tid, tuple(ordered))
+            raise ValueError(f"{name} entries must be strictly increasing in frame")
 
     @property
     def t_min(self) -> int:
@@ -141,6 +129,90 @@ class Tracklet:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+@dataclass(frozen=True)
+class Tracklet(_FrameRun):
+    """A frame-sorted run of detections of one target: the input unit of
+    `associate_tracklets` and the output of `split_at_discontinuities`.
+
+    Entries are strictly increasing in frame and share one class id. Use
+    Tracklet.build() to construct from unordered detections.
+    """
+
+    tid: int
+    entries: tuple[Detection, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if any(d.class_id != self.class_id for d in self.entries):
+            raise ValueError("tracklet entries must share one class id")
+
+    @classmethod
+    def build(cls, tid: int, detections: Iterable[Detection]) -> "Tracklet":
+        """Sort detections by frame and wrap them; duplicate frames rejected."""
+        return cls(tid, tuple(sorted(detections, key=lambda d: d.frame)))
+
+
+@dataclass(frozen=True)
+class Trajectory(_FrameRun):
+    """Final per-identity sequence of boxes over frames."""
+    track_id: int
+    entries: tuple[Detection, ...]
+
+
+class BoxTable(NamedTuple):
+    """Boxes as columns, one row per box; `id` is a file's track id, the
+    engine's det_id or an output track id, as its holder says."""
+    frame: np.ndarray     # (N,) int64, 1-based
+    id: np.ndarray        # (N,) int64
+    score: np.ndarray     # (N,) float64
+    class_id: np.ndarray  # (N,) int64
+    boxes: np.ndarray     # (N, 4) float64, rows [cx, cy, w, h]
+
+    def take(self, rows) -> "BoxTable":
+        return BoxTable(*(column[rows] for column in self))
+
+
+def stack_boxes(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def table_of(detections: Sequence[Detection], ids: Optional[np.ndarray] = None) -> BoxTable:
+    """Objects -> table: one row per detection, in the given order; `id` is
+    the det_id unless `ids` gives the column."""
+    n = len(detections)
+    return BoxTable(np.fromiter((d.frame for d in detections), np.int64, n),
+                    np.fromiter((d.det_id for d in detections), np.int64, n) if ids is None
+                    else np.asarray(ids, dtype=np.int64),
+                    np.fromiter((d.score for d in detections), np.float64, n),
+                    np.fromiter((d.class_id for d in detections), np.int64, n),
+                    stack_boxes(d.box for d in detections))
+
+
+def tracks_table(trajectories: Iterable[Trajectory]) -> BoxTable:
+    """The entries of trajectories in order, `id` their track_id."""
+    trajectories = list(trajectories)
+    return table_of([e for t in trajectories for e in t.entries],
+                    np.repeat([t.track_id for t in trajectories],
+                              [len(t) for t in trajectories]))
+
+
+def detections_of(table: BoxTable) -> list[Detection]:
+    """Table -> objects: one Detection per row, det_id from `id`."""
+    return [Detection(f, BoundingBox(*box), s, c, d)  # positional: the fastest call
+            for f, d, s, c, box in zip(*(column.tolist() for column in table))]
+
+
+def trajectories_of(table: BoxTable, track: np.ndarray) -> list[Trajectory]:
+    """Table -> objects: the rows grouped into one Trajectory per value of
+    `track`, in track order, each in frame order; det_id from `id`."""
+    order = np.lexsort((table.frame, track))  # stable: ties keep row order
+    entries = detections_of(table.take(order))
+    track = track[order]
+    starts = np.flatnonzero(np.diff(track, prepend=track[:1] - 1)).tolist()
+    return [Trajectory(int(track[a]), tuple(entries[a:b]))
+            for a, b in zip(starts, starts[1:] + [len(entries)])]
 
 
 class Strategy(enum.Enum):

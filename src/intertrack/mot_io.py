@@ -1,6 +1,5 @@
 """Text I/O for the two tracking interchange formats; no other module knows
-either one.  `read_detections`, `read_tracks`, `read_columns` and
-`write_tracks` take the format's name, "mot" or "kitti".
+either one.  Readers and writers take the format's name, "mot" or "kitti".
 
 MOTChallenge lines: ``frame,id,bb_left,bb_top,w,h,conf[,x,y,z]`` with 1-based
 frames.  KITTI tracking label lines: 17 (18 with score) space-separated
@@ -8,15 +7,17 @@ fields with 0-based frames, mapped to the internal 1-based convention on
 read and back on write.
 
 A format supplies only its line parser (field count, number conversions and
-the rows it skips), its box convention and its first frame.  Both parse into
-the same columns, checked once with the line numbers alongside: each check
-fails at the `file:line` of its first faulty row, in this order: a NaN or
-infinite box or score, a frame or id of magnitude 2**53 or more, a frame
-before the format's first, a negative id in a track file.  Rows of
-non-positive size are then dropped with one counted warning per file and
-scores clamped to [0, 1]; a track with two boxes in one frame fails at the
-line of the later one.  Writers sort rows by (frame, id) and emit a fixed
-six-decimal format so write→read→write is byte-identical.
+the rows it skips), its box convention, its first frame and its row writer.
+Both parse into one `BoxTable` in file order, checked once with the line
+numbers alongside: after a line whose fields do not parse (or whose frame or
+id is not whole) has failed, each check fails at the `file:line` of its
+first faulty row, in this order: a NaN or infinite box or score, a frame or
+id of magnitude 2**53 or more, a frame before the format's first, a negative
+id in a track file.  Rows of non-positive size are then dropped with one
+counted warning per file and scores clamped to [0, 1]; a track with two
+boxes in one frame fails at the line of the later one.  The kept rows are
+numbered 1..N in file order as det_ids.  Writers sort rows by (frame, id)
+and emit a fixed six-decimal format so write→read→write is byte-identical.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 import logging
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import stack_boxes
-from .model import BoundingBox, Detection, corners_to_center, ltwh_to_center
-from .refine import Trajectory
+from .model import (BoxTable, ConfigError, Detection, Trajectory, corners_to_center,
+                    detections_of, ltwh_to_center, table_of, trajectories_of, tracks_table)
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +53,13 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
             f"{path}:{lineno}: expected 7-10 comma-separated fields, "
             f"got {len(fields)}")
     try:
-        frame = int(float(fields[0]))
-        track_id = int(float(fields[1]))
-        left, top, w, h, conf = (float(v) for v in fields[2:7])
+        frame_value, id_value, left, top, w, h, conf = map(float, fields[:7])
+        frame, track_id = int(frame_value), int(id_value)
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if frame != frame_value or track_id != id_value:
+        raise ValueError(f"{path}:{lineno}: frame and id must be whole numbers, "
+                         f"got {fields[0]} and {fields[1]}")
     return frame, track_id, left, top, w, h, conf, 0, lineno
 
 
@@ -81,23 +83,54 @@ def _parse_kitti_line(line: str, path: PathLike, lineno: int,
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
+def _mot_rows(table: BoxTable) -> Iterator[str]:
+    cx, cy, w, h = table.boxes.T
+    return map("{},{},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},-1,-1,-1\n".format,
+               table.frame.tolist(), table.id.tolist(), (cx - w / 2).tolist(),
+               (cy - h / 2).tolist(), w.tolist(), h.tolist(), table.score.tolist())
+
+
+def _kitti_rows(table: BoxTable) -> Iterator[str]:
+    cx, cy, w, h = table.boxes.T
+    return map("{} {} {} -1 -1 -10 {:.6f} {:.6f} {:.6f} {:.6f} "
+               "-1000 -1000 -1000 -1000 -1000 -1000 -10 {:.6f}\n".format,
+               (table.frame - 1).tolist(), table.id.tolist(),
+               np.array(KITTI_CLASSES)[table.class_id].tolist(),
+               (cx - w / 2).tolist(), (cy - h / 2).tolist(), (cx + w / 2).tolist(),
+               (cy + h / 2).tolist(), table.score.tolist())
+
+
 class _Format(NamedTuple):
     """What a file format decides; everything else is shared."""
     parse: Callable[[str, PathLike, int], tuple]
     to_center: Callable  # the four box columns -> cx, cy, w, h
     first_frame: int
+    rows: Callable[[BoxTable], Iterator[str]]  # one output line per table row
 
 
-_MOT = _Format(_parse_mot_line, ltwh_to_center, 1)
+_MOT = _Format(_parse_mot_line, ltwh_to_center, 1, _mot_rows)
+
+
+def check_class_filter(fmt: str, class_filter: Optional[Sequence[str]]) -> None:
+    """Raise ConfigError unless `class_filter` is empty or names KITTI classes."""
+    if not class_filter:
+        return
+    if fmt != "kitti":
+        raise ConfigError([f"a class filter applies to kitti input only, not {fmt}"])
+    unknown = [name for name in class_filter if name not in KITTI_CLASSES]
+    if unknown:
+        raise ConfigError([f"unknown class name {', '.join(map(repr, unknown))}; "
+                           f"the KITTI classes are {', '.join(KITTI_CLASSES)}"])
 
 
 def _format(fmt: str, class_filter: Optional[Sequence[str]] = None) -> _Format:
+    if fmt not in ("mot", "kitti"):
+        raise ValueError(f"unknown format {fmt!r}, expected mot or kitti")
+    check_class_filter(fmt, class_filter)
     if fmt == "mot":
         return _MOT
-    if fmt == "kitti":
-        keep = frozenset(class_filter) if class_filter else None
-        return _Format(partial(_parse_kitti_line, keep=keep), corners_to_center, 0)
-    raise ValueError(f"unknown format {fmt!r}, expected mot or kitti")
+    keep = frozenset(class_filter) if class_filter else None
+    return _Format(partial(_parse_kitti_line, keep=keep), corners_to_center, 0, _kitti_rows)
 
 
 # Frames and ids pass through float64 and int64 columns.  float64 holds every
@@ -106,18 +139,8 @@ def _format(fmt: str, class_filter: Optional[Sequence[str]] = None) -> _Format:
 _INDEX_LIMIT = 2 ** 53
 
 
-class _Rows(NamedTuple):
-    """The kept rows of a file in file order; frames are 1-based."""
-    frame: np.ndarray
-    track_id: np.ndarray
-    boxes: np.ndarray  # [cx, cy, w, h]
-    score: np.ndarray
-    class_id: np.ndarray
-    lineno: np.ndarray
-
-
-def _read_rows(path: PathLike, fmt: _Format, track_file: bool) -> _Rows:
-    """Parse a file once into columns and check them (see the module notes)."""
+def _read(path: PathLike, fmt: _Format, track_file: bool) -> BoxTable:
+    """Parse and check a file (see the module notes); `id` is its id column."""
     parse = fmt.parse
     with open(path, "r", encoding="utf-8") as fh:
         rows = [parse(line, path, lineno)
@@ -149,145 +172,80 @@ def _read_rows(path: PathLike, fmt: _Format, track_file: bool) -> _Rows:
                     np.count_nonzero(~kept))
     if unknown:
         log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
-    return _Rows((frame[kept] + (1 - fmt.first_frame)).astype(np.int64),
-                 track_id[kept].astype(np.int64), boxes[kept],
-                 np.clip(score[kept], 0.0, 1.0), class_id[kept].astype(np.int64),
-                 lineno[kept].astype(np.int64))
+    out = BoxTable((frame[kept] + (1 - fmt.first_frame)).astype(np.int64),
+                   track_id[kept].astype(np.int64), np.clip(score[kept], 0.0, 1.0),
+                   class_id[kept].astype(np.int64), boxes[kept])
+    if track_file:
+        # In (track, frame) order the first repeat fails at its later row.
+        order = np.lexsort((out.frame, out.id))  # stable: ties keep file order
+        f, t = out.frame[order], out.id[order]
+        repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
+        if repeats.size:
+            k = repeats[0]
+            raise ValueError(f"{path}:{int(lineno[kept][order[k + 1]])}: "
+                             f"track {t[k]} has two boxes at frame {f[k]}")
+    return out
 
 
-def _detections(rows: _Rows) -> list[Detection]:
-    """One Detection per row; det_id numbers the rows in file order from 1."""
-    return [Detection(f, BoundingBox(*box), s, c, det_id)  # positional: the fastest call
-            for det_id, (f, box, s, c)
-            in enumerate(zip(rows.frame.tolist(), rows.boxes.tolist(), rows.score.tolist(),
-                             rows.class_id.tolist()), 1)]
+def numbered(table: BoxTable) -> BoxTable:
+    """`table` with `id` numbering its rows 1..N: the det_ids of a file's rows."""
+    return table._replace(id=np.arange(1, table.frame.size + 1))
 
 
-def _track_order(path: PathLike, rows: _Rows) -> np.ndarray:
-    """Row order by (track_id, frame); the first repeated (track, frame) is an
-    error at the line of its later row."""
-    order = np.lexsort((rows.frame, rows.track_id))  # stable: ties keep file order
-    f, t = rows.frame[order], rows.track_id[order]
-    repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
-    if repeats.size:
-        k = repeats[0]
-        raise ValueError(f"{path}:{rows.lineno[order[k + 1]]}: "
-                         f"track {t[k]} has two boxes at frame {f[k]}")
-    return order
+def read_detection_table(path: PathLike, fmt: str = "mot",
+                         class_filter: Optional[Sequence[str]] = None) -> BoxTable:
+    """Read a detection file, `id` its det_ids; `class_filter` keeps only the
+    named KITTI classes."""
+    return numbered(_read(path, _format(fmt, class_filter), track_file=False))
 
 
-def _group_tracks(path: PathLike, rows: _Rows) -> list[Trajectory]:
-    """Group rows into trajectories in id order, each in frame order."""
-    order = _track_order(path, rows)
-    entries = _detections(rows)
-    runs = np.split(order, np.flatnonzero(np.diff(rows.track_id[order])) + 1) if entries else []
-    return [Trajectory(track_id=int(rows.track_id[run[0]]),
-                       entries=tuple(entries[k] for k in run.tolist()))
-            for run in runs]
-
-
-class TrackColumns(NamedTuple):
-    """The boxes of a track file as columns, rows sorted by (frame, track_id).
-
-    `boxes` rows are [cx, cy, w, h], derived with the operations of the
-    format's BoundingBox constructor, so a row's overlaps equal its box's.
-    """
-
-    frame: np.ndarray
-    track_id: np.ndarray
-    boxes: np.ndarray
-
-    @classmethod
-    def of(cls, frame: np.ndarray, track_id: np.ndarray, boxes: np.ndarray) -> "TrackColumns":
-        order = np.lexsort((track_id, frame))
-        return cls(frame[order], track_id[order], boxes[order])
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Iterable[Trajectory]) -> "TrackColumns":
-        """Columns of trajectories; trajectories sharing a track_id are one identity."""
-        rows = [(t.track_id, e) for t in trajectories for e in t.entries]
-        return cls.of(np.array([e.frame for _, e in rows], dtype=np.int64),
-                      np.array([tid for tid, _ in rows], dtype=np.int64),
-                      stack_boxes(e.box for _, e in rows))
-
-
-# The MOT readers are module globals that the format readers below look up at
-# call time, so a wrapper installed on one of them sees every MOT read.
-
-def read_mot_detections(path: PathLike) -> list[Detection]:
-    """Read a MOT detection file; the id column is ignored (-1 convention)."""
-    return _detections(_read_rows(path, _MOT, track_file=False))
-
-
-def read_mot_tracks(path: PathLike) -> list[Trajectory]:
-    """Read a MOT result/ground-truth file into per-identity trajectories."""
-    return _group_tracks(path, _read_rows(path, _MOT, track_file=True))
+def read_track_table(path: PathLike, fmt: str = "mot",
+                     class_filter: Optional[Sequence[str]] = None) -> BoxTable:
+    """Read a result/ground-truth file in file order; `id` is the track id."""
+    return _read(path, _format(fmt, class_filter), track_file=True)
 
 
 def read_detections(path: PathLike, fmt: str = "mot",
                     class_filter: Optional[Sequence[str]] = None) -> list[Detection]:
-    """Read a detection file; a track id column is ignored.  `class_filter`
-    keeps only the named KITTI classes."""
-    if fmt == "mot":
-        return read_mot_detections(path)
-    return _detections(_read_rows(path, _format(fmt, class_filter), track_file=False))
+    """Read a detection file; a track id column is ignored."""
+    return detections_of(read_detection_table(path, fmt, class_filter))
 
 
 def read_tracks(path: PathLike, fmt: str = "mot",
                 class_filter: Optional[Sequence[str]] = None) -> list[Trajectory]:
     """Read a result/ground-truth file into per-identity trajectories."""
-    if fmt == "mot":
-        return read_mot_tracks(path)
-    return _group_tracks(path, _read_rows(path, _format(fmt, class_filter), track_file=True))
+    table = read_track_table(path, fmt, class_filter)
+    return trajectories_of(numbered(table), table.id)
 
 
-def read_columns(path: PathLike, fmt: str = "mot",
-                 class_filter: Optional[Sequence[str]] = None) -> TrackColumns:
-    """Read a result/ground-truth file as TrackColumns."""
-    rows = _read_rows(path, _format(fmt, class_filter), track_file=True)
-    _track_order(path, rows)
-    return TrackColumns.of(rows.frame, rows.track_id, rows.boxes)
+def read_mot_detections(path: PathLike) -> list[Detection]:
+    """Read a MOT detection file; the id column is ignored (-1 convention)."""
+    return read_detections(path, "mot")
 
 
-def write_tracks(trajectories: Iterable[Trajectory], path: PathLike, fmt: str = "mot") -> None:
-    writer = write_mot_results if _format(fmt) is _MOT else write_kitti_tracking
-    writer(trajectories, path)
+def read_mot_tracks(path: PathLike) -> list[Trajectory]:
+    """Read a MOT result/ground-truth file into per-identity trajectories."""
+    return read_tracks(path, "mot")
 
 
-def _mot_row(frame: int, track_id: int, box: BoundingBox, score: float) -> str:
-    left, top, w, h = box.as_ltwh()
-    return (f"{frame},{track_id},{left:.6f},{top:.6f},{w:.6f},{h:.6f},"
-            f"{score:.6f},-1,-1,-1\n")
+def write_table(table: BoxTable, path: PathLike, fmt: str = "mot") -> None:
+    """Write `table`, whose `id` is the track id, sorted by (frame, id)."""
+    rows = _format(fmt).rows(table.take(np.lexsort((table.id, table.frame))))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(rows)
 
 
 def write_mot_results(trajectories: Iterable[Trajectory], path: PathLike) -> None:
-    rows = [(e.frame, t.track_id, e.box, e.score)
-            for t in trajectories for e in t.entries]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame, tid, box, score in rows:
-            fh.write(_mot_row(frame, tid, box, score))
+    write_table(tracks_table(trajectories), path, "mot")
 
 
 def write_mot_detections(detections: Iterable[Detection], path: PathLike) -> None:
-    rows = sorted(detections, key=lambda d: (d.frame, d.det_id))
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in rows:
-            fh.write(_mot_row(det.frame, -1, det.box, det.score))
+    """Write detections sorted by (frame, det_id), with track id -1."""
+    table = table_of(list(detections))
+    table = table.take(np.lexsort((table.id, table.frame)))
+    write_table(table._replace(id=np.full_like(table.id, -1)), path, "mot")
 
 
-def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike,
-                         class_name: Optional[str] = None) -> None:
+def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike) -> None:
     """Write trajectories as KITTI tracking rows with placeholder 3-D fields."""
-    rows = []
-    for t in trajectories:
-        for e in t.entries:
-            cls = class_name or KITTI_CLASSES[e.class_id]
-            rows.append((e.frame - 1, t.track_id, cls, e.box, e.score))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame, tid, cls, box, score in rows:
-            x1, y1, x2, y2 = box.as_corners()
-            fh.write(f"{frame} {tid} {cls} -1 -1 -10 "
-                     f"{x1:.6f} {y1:.6f} {x2:.6f} {y2:.6f} "
-                     f"-1000 -1000 -1000 -1000 -1000 -1000 -10 {score:.6f}\n")
+    write_table(tracks_table(trajectories), path, "kitti")

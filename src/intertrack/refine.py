@@ -5,46 +5,29 @@ every trajectory at frame discontinuities and class changes, re-associating
 the pieces with the hierarchical engine, then optionally filling small gaps
 by linear interpolation and smoothing the box sequence with a Gaussian
 kernel.
+
+Each step runs on all tracks at once, over a `BoxTable` whose `id` is the
+track id; the object functions wrap the table functions for the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import stack_boxes
-from .model import BoundingBox, Detection, Tracklet
+from .model import BoxTable, Tracklet, Trajectory, detections_of, table_of, tracks_table
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Final per-identity sequence of boxes over frames."""
-    track_id: int
-    entries: tuple[Detection, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("trajectory needs at least one entry")
-        frames = [e.frame for e in self.entries]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("trajectory frames must be strictly increasing")
-
-    @property
-    def t_min(self) -> int:
-        return self.entries[0].frame
-
-    @property
-    def t_max(self) -> int:
-        return self.entries[-1].frame
-
-    @property
-    def class_id(self) -> int:
-        return self.entries[0].class_id
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def split_rows(table: BoxTable) -> list[np.ndarray]:
+    """Cut each track (`id`) into maximal runs of consecutive frames of one
+    class: the runs' rows in (track id, time) order, each in frame order.
+    A track holds one row per frame."""
+    order = np.lexsort((table.frame, table.id))
+    frame, track, cls = table.frame[order], table.id[order], table.class_id[order]
+    cuts = np.flatnonzero((track[1:] != track[:-1]) | (frame[1:] != frame[:-1] + 1)
+                          | (cls[1:] != cls[:-1])) + 1
+    return np.split(order, cuts) if order.size else []
 
 
 def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Tracklet]:
@@ -56,74 +39,95 @@ def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Trackle
     sequentially in (track_id, time) order, so the result is deterministic
     and ids carry no history.
     """
-    tracklets = []
-    next_id = 1
-    for traj in sorted(trajectories, key=lambda t: t.track_id):
-        run: list[Detection] = []
-        for det in traj.entries:
-            if run and (det.frame != run[-1].frame + 1 or det.class_id != run[-1].class_id):
-                tracklets.append(Tracklet.build(next_id, run))
-                next_id += 1
-                run = []
-            run.append(det)
-        tracklets.append(Tracklet.build(next_id, run))
-        next_id += 1
-    return tracklets
+    ordered = sorted(trajectories, key=lambda t: t.track_id)
+    entries = [e for t in ordered for e in t.entries]
+    # Trajectories that share a track_id are split apart, in input order.
+    rank = np.repeat(np.arange(len(ordered)), [len(t) for t in ordered])
+    runs = split_rows(table_of(entries, rank))
+    return [Tracklet(k, tuple(entries[i] for i in run.tolist()))
+            for k, run in enumerate(runs, 1)]
+
+
+def interpolate_rows(table: BoxTable, max_gap: int) -> BoxTable:
+    """Fill each track's internal frame gaps of up to max_gap missing frames
+    linearly, in a table sorted by (id, frame): boxes p + (k/span)(n - p),
+    the mean of the bracketing scores and the earlier row's class.  Returns
+    `table` itself when nothing is inserted."""
+    frame, track = table.frame, table.id
+    gap = frame[1:] - frame[:-1] - 1
+    after = np.flatnonzero((track[1:] == track[:-1]) & (gap >= 1) & (gap <= max_gap))
+    if not after.size:
+        return table
+    count = gap[after]
+    prev = np.repeat(after, count)  # the earlier row of each inserted row
+    k = np.arange(prev.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    a = (k / (frame[prev + 1] - frame[prev]))[:, None]
+    p, n = table.boxes[prev], table.boxes[prev + 1]
+    inserted = BoxTable(frame[prev] + k, track[prev],
+                        0.5 * (table.score[prev] + table.score[prev + 1]),
+                        table.class_id[prev], p + a * (n - p))
+    both = BoxTable(*(np.concatenate(pair) for pair in zip(table, inserted)))
+    # Stable: each row, then the rows inserted after it in frame order.
+    return both.take(np.argsort(np.concatenate([np.arange(frame.size), prev]),
+                                kind="stable"))
+
+
+def smooth_rows(table: BoxTable, sigma: float) -> BoxTable:
+    """Smooth each track's cx, cy, w, h with a normalized Gaussian kernel of
+    radius 2*sigma, truncated and renormalized near the track's ends, in a
+    table sorted by (id, frame) on a uniform frame grid (interpolate first).
+    Sizes are clamped to stay >= 1; frames, scores and one-row tracks are
+    untouched.  Returns `table` itself when nothing is smoothed.
+
+    The weighted rows of a window are added in ascending offset order, as
+    numpy's axis-0 `sum` adds them, and divided by the 1-D `sum` of its
+    weights, which is not a sequential sum."""
+    radius = int(np.ceil(2 * sigma))
+    if sigma <= 0 or radius == 0:
+        return table
+    track = table.id
+    starts = np.flatnonzero(np.diff(track, prepend=track[:1] - 1))
+    lengths = np.diff(np.append(starts, track.size))
+    length = np.repeat(lengths, lengths)
+    if not (length >= 2).any():
+        return table
+    pos = np.arange(track.size) - np.repeat(starts, lengths)  # row within its track
+    base = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    values = table.boxes
+    total = np.zeros_like(values)
+    reach = min(radius, int(lengths.max()) - 1)  # offsets past it reach no row
+    for o in range(-reach, reach + 1):
+        inside = np.flatnonzero((pos + o >= 0) & (pos + o < length))
+        total[inside] = total[inside] + base[o + radius] * values[inside + o]
+    # The window of a row is base[lo:hi]; rows share the few distinct windows.
+    lo = np.maximum(radius - pos, 0)
+    hi = np.minimum(length - pos + radius, 2 * radius + 1)
+    windows, which = np.unique(lo * (2 * radius + 2) + hi, return_inverse=True)
+    norm = np.array([base[w // (2 * radius + 2):w % (2 * radius + 2)].sum()
+                     for w in windows.tolist()])[which.reshape(-1)]
+    smoothed = total / norm[:, None]
+    smoothed[:, 2:] = np.maximum(smoothed[:, 2:], 1.0)
+    return table._replace(boxes=np.where((length >= 2)[:, None], smoothed, values))
 
 
 def interpolate(trajectory: Trajectory, max_gap: int) -> Trajectory:
-    """Fill internal frame gaps of up to max_gap missing frames linearly.
-
-    Inserted detections carry the mean of the bracketing scores, are flagged
-    as interpolated, and never extend the trajectory beyond its ends.
-    """
-    if max_gap <= 0 or len(trajectory) < 2:
+    """Fill internal frame gaps of up to max_gap missing frames linearly
+    (`interpolate_rows`); inserted detections carry det_id -1."""
+    table = tracks_table([trajectory])
+    out = interpolate_rows(table, max_gap)
+    if out is table:
         return trajectory
-    out: list[Detection] = [trajectory.entries[0]]
-    for prev, nxt in zip(trajectory.entries, trajectory.entries[1:]):
-        missing = nxt.frame - prev.frame - 1
-        if 1 <= missing <= max_gap:
-            pb, nb = prev.box, nxt.box
-            span = nxt.frame - prev.frame
-            for k in range(1, missing + 1):
-                a = k / span
-                box = BoundingBox(
-                    pb.cx + a * (nb.cx - pb.cx),
-                    pb.cy + a * (nb.cy - pb.cy),
-                    pb.w + a * (nb.w - pb.w),
-                    pb.h + a * (nb.h - pb.h),
-                )
-                out.append(Detection(
-                    frame=prev.frame + k, box=box,
-                    score=0.5 * (prev.score + nxt.score),
-                    class_id=prev.class_id, det_id=-1, interpolated=True))
-        out.append(nxt)
-    return Trajectory(track_id=trajectory.track_id, entries=tuple(out))
+    kept = {e.frame: e for e in trajectory.entries}
+    rows = detections_of(out._replace(id=np.full_like(out.id, -1)))
+    return Trajectory(trajectory.track_id, tuple(kept.get(d.frame, d) for d in rows))
 
 
 def gaussian_smooth(trajectory: Trajectory, sigma: float) -> Trajectory:
-    """Smooth cx, cy, w, h with a normalized Gaussian kernel of radius 2*sigma.
-
-    The kernel is truncated and renormalized near the ends, so a constant
-    signal passes through unchanged.  Assumes a uniform frame grid (run
-    interpolate first); frames and scores are untouched, sizes are clamped to
-    stay positive.
-    """
-    radius = int(np.ceil(2 * sigma))
-    n = len(trajectory)
-    if sigma <= 0 or radius == 0 or n < 2:
+    """Smooth cx, cy, w, h with a normalized Gaussian kernel of radius
+    2*sigma (`smooth_rows`); frames, scores and det_ids are untouched."""
+    table = tracks_table([trajectory])
+    out = smooth_rows(table, sigma)
+    if out is table:
         return trajectory
-    values = stack_boxes(e.box for e in trajectory.entries)
-    offsets = np.arange(-radius, radius + 1)
-    base = np.exp(-0.5 * (offsets / sigma) ** 2)
-    smoothed = np.empty_like(values)
-    for i in range(n):
-        lo = max(0, i - radius)
-        hi = min(n, i + radius + 1)
-        w = base[lo - i + radius:hi - i + radius]
-        smoothed[i] = (w[:, None] * values[lo:hi]).sum(axis=0) / w.sum()
-    entries = []
-    for e, row in zip(trajectory.entries, smoothed):
-        box = BoundingBox(row[0], row[1], max(row[2], 1.0), max(row[3], 1.0))
-        entries.append(e.with_box(box))
-    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
+    det_ids = np.array([e.det_id for e in trajectory.entries], dtype=np.int64)
+    return Trajectory(trajectory.track_id, tuple(detections_of(out._replace(id=det_ids))))

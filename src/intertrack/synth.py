@@ -20,7 +20,7 @@ import numpy as np
 from . import mot_io
 from .geometry import iou
 from .model import BoundingBox, Detection
-from .refine import Trajectory
+from .model import Trajectory
 
 
 class Motion(enum.Enum):

@@ -1,0 +1,139 @@
+"""Per-entry reference versions of the column steps of `refine` and of the
+`mot_io` writers: one loop per trajectory entry or output row.  The tests
+require the column code to match them bit for bit, on the trajectories that
+`trajectories()` draws."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from intertrack.model import BoundingBox, Detection, Tracklet, Trajectory, stack_boxes
+from intertrack.mot_io import KITTI_CLASSES
+
+
+def split_at_discontinuities(trajectories):
+    tracklets = []
+    next_id = 1
+    for traj in sorted(trajectories, key=lambda t: t.track_id):
+        run = []
+        for det in traj.entries:
+            if run and (det.frame != run[-1].frame + 1 or det.class_id != run[-1].class_id):
+                tracklets.append(Tracklet.build(next_id, run))
+                next_id += 1
+                run = []
+            run.append(det)
+        tracklets.append(Tracklet.build(next_id, run))
+        next_id += 1
+    return tracklets
+
+
+def interpolate(trajectory, max_gap):
+    if max_gap <= 0 or len(trajectory) < 2:
+        return trajectory
+    out = [trajectory.entries[0]]
+    for prev, nxt in zip(trajectory.entries, trajectory.entries[1:]):
+        missing = nxt.frame - prev.frame - 1
+        if 1 <= missing <= max_gap:
+            pb, nb = prev.box, nxt.box
+            span = nxt.frame - prev.frame
+            for k in range(1, missing + 1):
+                a = k / span
+                box = BoundingBox(
+                    pb.cx + a * (nb.cx - pb.cx),
+                    pb.cy + a * (nb.cy - pb.cy),
+                    pb.w + a * (nb.w - pb.w),
+                    pb.h + a * (nb.h - pb.h),
+                )
+                out.append(Detection(
+                    frame=prev.frame + k, box=box,
+                    score=0.5 * (prev.score + nxt.score),
+                    class_id=prev.class_id, det_id=-1))
+        out.append(nxt)
+    return Trajectory(track_id=trajectory.track_id, entries=tuple(out))
+
+
+def gaussian_smooth(trajectory, sigma):
+    radius = int(np.ceil(2 * sigma))
+    n = len(trajectory)
+    if sigma <= 0 or radius == 0 or n < 2:
+        return trajectory
+    values = stack_boxes(e.box for e in trajectory.entries)
+    offsets = np.arange(-radius, radius + 1)
+    base = np.exp(-0.5 * (offsets / sigma) ** 2)
+    smoothed = np.empty_like(values)
+    for i in range(n):
+        lo = max(0, i - radius)
+        hi = min(n, i + radius + 1)
+        w = base[lo - i + radius:hi - i + radius]
+        smoothed[i] = (w[:, None] * values[lo:hi]).sum(axis=0) / w.sum()
+    entries = []
+    for e, row in zip(trajectory.entries, smoothed):
+        box = BoundingBox(row[0], row[1], max(row[2], 1.0), max(row[3], 1.0))
+        entries.append(e.with_box(box))
+    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
+
+
+def _mot_row(frame, track_id, box, score):
+    left, top, w, h = box.as_ltwh()
+    return (f"{frame},{track_id},{left:.6f},{top:.6f},{w:.6f},{h:.6f},"
+            f"{score:.6f},-1,-1,-1\n")
+
+
+def write_mot_results(trajectories, path):
+    rows = [(e.frame, t.track_id, e.box, e.score)
+            for t in trajectories for e in t.entries]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for frame, tid, box, score in rows:
+            fh.write(_mot_row(frame, tid, box, score))
+
+
+def write_mot_detections(detections, path):
+    rows = sorted(detections, key=lambda d: (d.frame, d.det_id))
+    with open(path, "w", encoding="utf-8") as fh:
+        for det in rows:
+            fh.write(_mot_row(det.frame, -1, det.box, det.score))
+
+
+def write_kitti_tracking(trajectories, path):
+    rows = []
+    for t in trajectories:
+        for e in t.entries:
+            rows.append((e.frame - 1, t.track_id, KITTI_CLASSES[e.class_id], e.box, e.score))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for frame, tid, cls, box, score in rows:
+            x1, y1, x2, y2 = box.as_corners()
+            fh.write(f"{frame} {tid} {cls} -1 -1 -10 "
+                     f"{x1:.6f} {y1:.6f} {x2:.6f} {y2:.6f} "
+                     f"-1000 -1000 -1000 -1000 -1000 -1000 -10 {score:.6f}\n")
+
+
+# Frame steps of 1 (no gap) up to 8 (7 missing frames), so that gaps fall on
+# both sides of a drawn max_gap; boxes reach negative lefts and tops.
+_STEPS = st.sampled_from([1, 1, 1, 2, 3, 4, 8])
+_COORDS = st.floats(-60.0, 400.0, allow_nan=False)
+_SIZES = st.floats(0.25, 120.0)
+
+
+@st.composite
+def trajectories(draw, classes=(0,), max_tracks=4, unique_ids=True):
+    """Trajectories with ids in increasing order when `unique_ids`, else ids
+    drawn from 1..3; one to 12 entries each, of the given classes, det_ids
+    1..N over all entries."""
+    out = []
+    det_id = 0
+    for k in range(draw(st.integers(0, max_tracks))):
+        n = draw(st.integers(1, 12))
+        frame = draw(st.integers(1, 5))
+        entries = []
+        for i in range(n):
+            frame += draw(_STEPS) if i else 0
+            det_id += 1
+            box = BoundingBox(draw(_COORDS), draw(_COORDS), draw(_SIZES), draw(_SIZES))
+            entries.append(Detection(frame, box, draw(st.floats(0.0, 1.0)),
+                                     draw(st.sampled_from(classes)), det_id))
+        out.append(Trajectory(k + 1 if unique_ids else draw(st.integers(1, 3)),
+                              tuple(entries)))
+    return out

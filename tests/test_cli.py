@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from intertrack import cli
+from intertrack import cli, synth
 from intertrack.model import BoundingBox, ConfigError, Detection, Strategy
 from intertrack.mot_io import (
     read_mot_tracks,
@@ -11,6 +11,7 @@ from intertrack.mot_io import (
     write_mot_results,
 )
 from intertrack.refine import Trajectory
+from intertrack.synth import ScenarioSpec
 
 
 def linear_dets(n_frames=20, xs=(100.0, 400.0), gap_frames=(), start_id=1):
@@ -155,6 +156,33 @@ class TestTrack:
         assert cli.main(["track", "--det", str(path), "--format", "kitti",
                          "--out", str(tmp_path / "o.txt")]) == 1
         assert "k.txt:1: frame index -3 must be >= 0" in capsys.readouterr().err
+
+    def test_fractional_frame_fails_at_its_line(self, tmp_path, capsys):
+        # Read as frame 1 twice, this track used to fail as a repeated frame.
+        path = tmp_path / "m.txt"
+        path.write_text("1.9,1,0,0,10,10,1\n1.2,1,0,0,10,10,1\n")
+        assert cli.main(["eval", "--gt", str(path), "--pred", str(path), "--kv"]) == 1
+        assert "m.txt:1: frame and id must be whole numbers" in capsys.readouterr().err
+        assert cli.main(["track", "--det", str(path), "--out", str(tmp_path / "o.txt")]) == 1
+        assert "m.txt:1: frame and id must be whole numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "eval"])
+    @pytest.mark.parametrize("fmt, names, problem", [
+        ("mot", "Car", "a class filter applies to kitti input only, not mot"),
+        ("kitti", "Car,Bus", "unknown class name 'Bus'"),
+    ])
+    def test_misused_class_filter_fails_with_2(self, tmp_path, capsys, command, fmt, names,
+                                               problem):
+        path = tmp_path / "in.txt"
+        path.write_text("1,1,0,0,10,10,1\n" if fmt == "mot" else
+                        "0 1 Car 0 0 -10 0 0 100 50 1.5 1.6 3.8 1 1 1 0.1\n")
+        out = tmp_path / "o.txt"
+        argv = (["track", "--det", str(path), "--out", str(out)] if command == "track"
+                else ["eval", "--gt", str(path), "--pred", str(path)])
+        assert cli.main([*argv, "--format", fmt, "--class-filter", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "configuration error" in captured.err and problem in captured.err
 
     def test_bad_config_value_fails_with_2(self, tmp_path, capsys):
         det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
@@ -457,3 +485,20 @@ class TestConfigAssembly:
         monkeypatch.setenv(cli.ENV_WORKERS, "three")
         with pytest.raises(ConfigError, match=f"{cli.ENV_WORKERS} must be an integer"):
             cli._resolve_workers(self.parse())
+
+
+def test_cli_builds_no_per_row_objects(tmp_path, capsys):
+    """track, refine --interp --smooth and eval run on columns from file to
+    file: building a Detection or a BoundingBox fails the run."""
+    gt_path, det_path = synth.write_scenario(
+        ScenarioSpec(n_targets=4, n_frames=40, seed=3, miss_prob=0.2), tmp_path)
+    runs = [["track", "--det", str(det_path), "--out", str(tmp_path / "tracks.txt")],
+            ["refine", "--in", str(tmp_path / "tracks.txt"), "--out",
+             str(tmp_path / "refined.txt"), "--interp", "--smooth"],
+            ["eval", "--gt", str(gt_path), "--pred", str(tmp_path / "refined.txt"), "--kv"]]
+    built = AssertionError("a per-row object was built")
+    with mock.patch.object(Detection, "__post_init__", side_effect=built), \
+            mock.patch.object(BoundingBox, "__post_init__", side_effect=built):
+        for argv in runs:
+            assert cli.main(argv) == 0
+    assert "mota=" in capsys.readouterr().out

@@ -21,7 +21,7 @@ from intertrack.hierarchy import (
     associate_tracklets,
     byte_recovery,
     consistent_motion_pass,
-    detection_table,
+    engine_order,
     hierarchy_pass,
     resolve_overlap,
     run,
@@ -35,6 +35,7 @@ from intertrack.model import (
     Strategy,
     Tracklet,
     TrackerConfig,
+    table_of,
 )
 from intertrack.metrics import evaluate
 from intertrack.motion import _advance, kalman_states
@@ -59,6 +60,13 @@ def constant_sim(pairs):
 
 def spans(tracklets):
     return sorted((t.t_min, t.t_max) for t in tracklets)
+
+
+def detection_table(dets):
+    """The engine's table of `dets` and, per row, the index of its detection."""
+    table = table_of(dets)
+    order = engine_order(table)
+    return table.take(order), order
 
 
 def state_of(tracklets, next_tid, low=()):
@@ -353,7 +361,7 @@ class TestConsistentMotionPass:
         table, rows = table_rows(dets)
         static = adjacent_pass(table, rows, kernel, cfg.match_threshold)
         refined = consistent_motion_pass(table, rows, static, cfg, kernel)
-        key = lambda chains: sorted(tuple(table.det_id[c].tolist()) for c in chains)
+        key = lambda chains: sorted(tuple(table.id[c].tolist()) for c in chains)
         assert key(refined) == key(static)
 
     def test_chains_stay_frame_consecutive(self):
@@ -447,7 +455,7 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     gate = cfg.match_threshold
     ids = lambda chains: [[d.det_id for d in chain] for chain in chains]
     table, rows = table_rows(dets)
-    row_ids = lambda chains: [table.det_id[chain].tolist() for chain in chains]
+    row_ids = lambda chains: [table.id[chain].tolist() for chain in chains]
     static = _per_frame_link(
         dets, lambda rows, cols: kernel.matrix(stack_boxes([d.box for d in rows]),
                                                stack_boxes([d.box for d in cols])), gate)

@@ -14,10 +14,10 @@ from intertrack.metrics import (
     evaluate,
     evaluate_sequences,
     format_report,
+    frame_sorted,
     id_metrics,
     report_kv_lines,
 )
-from intertrack.mot_io import TrackColumns
 from intertrack.refine import Trajectory
 
 
@@ -193,8 +193,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("score", [
         lambda c, t: evaluate(c, c, t), lambda c, t: clear_mot(c, c, t),
         lambda c, t: id_metrics(c, c, t), lambda c, t: evaluate_sequences({"a": (c, c)}, t),
-        lambda c, t: eval_counts(TrackColumns.from_trajectories(c),
-                                 TrackColumns.from_trajectories(c), t)],
+        lambda c, t: eval_counts(frame_sorted(c), frame_sorted(c), t)],
         ids=["evaluate", "clear_mot", "id_metrics", "evaluate_sequences", "eval_counts"])
     def test_threshold_outside_unit_interval_rejected(self, score, threshold):
         with pytest.raises(ValueError, match="iou_threshold"):
@@ -321,8 +320,7 @@ class TestColumnCounts:
     @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5)
     @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5)
     def test_matches_per_track_pair_reference(self, gt, pred, iou_threshold):
-        counts = eval_counts(TrackColumns.from_trajectories(gt),
-                             TrackColumns.from_trajectories(pred), iou_threshold)
+        counts = eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold)
         fp, fn, idsw, gt_count = reference_clear_counts(gt, pred, iou_threshold)
         idtp, len_gt, len_pred = reference_id_counts(gt, pred, iou_threshold)
         assert (counts.fp, counts.fn, counts.idsw) == (fp, fn, idsw)
@@ -330,7 +328,7 @@ class TestColumnCounts:
         assert counts.len_gt == gt_count
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
-        counts = eval_counts(*map(TrackColumns.from_trajectories, _SHARED_HYPOTHESIS), 0.5)
+        counts = eval_counts(*map(frame_sorted, _SHARED_HYPOTHESIS), 0.5)
         # One switch (gt 2 at frame 3); both pairs then persist.  Matching
         # frame 3 optimally instead would switch gt 1 there and both at frame 4.
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 1)

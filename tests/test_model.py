@@ -45,7 +45,7 @@ class TestDetection:
         with pytest.raises(ValueError):
             det(1, score=1.5)
         d = det(1, score=0.0)
-        assert not d.interpolated
+        assert d.det_id == -1
 
     def test_with_box(self):
         d = det(4)

@@ -2,14 +2,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from intertrack import mot_io
+from intertrack.metrics import frame_sorted
 from intertrack.model import BoundingBox, Detection
 from intertrack.mot_io import (
     KITTI_CLASSES,
-    TrackColumns,
-    read_columns,
     read_detections,
     read_mot_detections,
     read_mot_tracks,
+    read_track_table,
     read_tracks,
     write_kitti_tracking,
     write_mot_detections,
@@ -148,26 +150,26 @@ class TestMotColumns:
         repeat = _first_repeat(kept)
         if repeat is not None:
             message = f"track {repeat[0]} has two boxes at frame {repeat[1]}"
-            for reader in (read_columns, read_mot_tracks):
+            for reader in (read_track_table, read_mot_tracks):
                 with pytest.raises(ValueError, match=message):
                     reader(path)
             return
         boxes = sorted((f, tid, BoundingBox.from_ltwh(*map(float, ltwh)))
                        for tid, f, *ltwh, _ in rows if float(ltwh[2]) > 0 and float(ltwh[3]) > 0)
-        got = read_columns(path)
-        want = TrackColumns.from_trajectories(read_mot_tracks(path))
+        got = frame_sorted(read_track_table(path))
+        want = frame_sorted(read_mot_tracks(path))
         assert got.frame.tolist() == want.frame.tolist() == sorted(f for _, f in kept)
-        assert got.track_id.tolist() == want.track_id.tolist()
+        assert got.id.tolist() == want.id.tolist()
         assert got.boxes.tobytes() == want.boxes.tobytes()
         assert got.boxes.tolist() == [[b.cx, b.cy, b.w, b.h] for _, _, b in boxes]
-        assert [(f, tid) for f, tid in zip(got.frame.tolist(), got.track_id.tolist())] \
+        assert [(f, tid) for f, tid in zip(got.frame.tolist(), got.id.tolist())] \
             == sorted((f, tid) for tid, f in kept)
 
     def test_nan_size_or_confidence_names_the_line(self, tmp_path):
         p = tmp_path / "res.txt"
         for row in ("1,1,0,0,nan,10,1", "1,1,0,0,10,10,nan"):
             p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-            for reader in (read_columns, read_mot_tracks, read_mot_detections):
+            for reader in (read_track_table, read_mot_tracks, read_mot_detections):
                 with pytest.raises(ValueError, match=r":2: box size and confidence"):
                     reader(p)
 
@@ -181,7 +183,7 @@ class TestMotColumns:
     def test_non_finite_value_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_columns, read_mot_tracks, read_mot_detections):
+        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
             with pytest.raises(ValueError, match=r"res\.txt:2: "):
                 reader(p)
 
@@ -194,7 +196,7 @@ class TestMotColumns:
     def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_columns, read_mot_tracks, read_mot_detections):
+        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
             with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be below 2\*\*53"):
                 reader(p)
 
@@ -251,7 +253,7 @@ class TestKitti:
         t = Trajectory(3, (det(1, 10, 20, 30, 40, score=0.5, det_id=1),
                            det(2, 12, 21, 30, 40, score=0.6, det_id=2)))
         p = tmp_path / "out.txt"
-        write_kitti_tracking([t], p, class_name="Car")
+        write_kitti_tracking([t], p)
         (back,) = read_tracks(p, "kitti", ("Car",))
         assert back.track_id == 3
         for b, ea in zip(back.entries, t.entries, strict=True):
@@ -337,7 +339,39 @@ class TestEitherFormat:
         p = tmp_path / "res.txt"
         first = FIRST_FRAME[fmt]
         p.write_text(_line(fmt, first) + _line(fmt, first + 1, tid=-1))
-        for reader in (read_tracks, read_columns):
+        for reader in (read_tracks, read_track_table):
             with pytest.raises(ValueError, match=r"res\.txt:2: track id -1 invalid in a track file"):
                 reader(p, fmt)
         assert len(read_detections(p, fmt)) == 2
+
+
+class TestWritersMatchPerRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(trajs=reference.trajectories(classes=tuple(range(len(KITTI_CLASSES))),
+                                        unique_ids=False))
+    def test_bytes_equal(self, tmp_path_factory, trajs):
+        dirs = [tmp_path_factory.mktemp("new"), tmp_path_factory.mktemp("ref")]
+        dets = [e for t in trajs for e in t.entries][::-1]
+        for module, out in zip((mot_io, reference), dirs):
+            module.write_mot_results(trajs, out / "mot.txt")
+            module.write_mot_detections(dets, out / "det.txt")
+            module.write_kitti_tracking(trajs, out / "kitti.txt")
+        for name in ("mot.txt", "det.txt", "kitti.txt"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+class TestFractionalFrameOrId:
+    @pytest.mark.parametrize("row", ["1.9,1,0,0,10,10,1", "1,1.5,0,0,10,10,1",
+                                     "1e-3,1,0,0,10,10,1"])
+    def test_fractional_frame_or_id_names_the_line(self, tmp_path, row):
+        p = tmp_path / "res.txt"
+        p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
+        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
+            with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be whole"):
+                reader(p)
+
+    def test_whole_numbers_written_as_floats_are_kept(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("2.0,7.000,0,0,10,10,1\n1e1,7,0,0,10,10,1\n")
+        (track,) = read_mot_tracks(p)
+        assert (track.track_id, [e.frame for e in track.entries]) == (7, [2, 10])

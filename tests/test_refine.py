@@ -2,14 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from intertrack import hierarchy
-from intertrack.hierarchy import TrackletRows, detection_table
-from intertrack.model import BoundingBox, Detection, Tracklet
+from intertrack.hierarchy import TrackletRows, engine_order
+from intertrack.model import BoundingBox, Detection, Tracklet, table_of, tracks_table
 from intertrack.refine import (
     Trajectory,
     gaussian_smooth,
     interpolate,
+    interpolate_rows,
+    smooth_rows,
     split_at_discontinuities,
 )
 
@@ -27,7 +32,8 @@ def resolve_overlap(a, b, new_tid, **kw):
     """`hierarchy.resolve_overlap` on one table of both tracklets' entries;
     the merged rows come back as a Tracklet of those entries."""
     entries = [*a.entries, *b.entries]
-    table, order = detection_table(entries)
+    order = engine_order(table_of(entries))
+    table = table_of(entries).take(order)
     row_of = np.argsort(order)
     rows = [TrackletRows(t.tid, row_of[lo:lo + len(t)], t.t_min, t.t_max)
             for t, lo in ((a, 0), (b, len(a)))]
@@ -127,17 +133,17 @@ class TestResolveOverlap:
 
 class TestInterpolate:
     def test_midpoint_single_gap(self):
-        t = Trajectory(1, (det(1, cx=0.0), det(3, cx=10.0)))
+        t = Trajectory(1, (det(1, cx=0.0, det_id=1), det(3, cx=10.0, det_id=2)))
         out = interpolate(t, max_gap=5)
         assert [e.frame for e in out.entries] == [1, 2, 3]
         mid = out.entries[1]
         assert mid.box.cx == pytest.approx(5.0)
-        assert mid.interpolated
+        assert mid.det_id == -1
 
     def test_three_frame_gap_values(self):
-        t = Trajectory(1, (det(10, cx=0.0), det(14, cx=8.0)))
+        t = Trajectory(1, (det(10, cx=0.0, det_id=1), det(14, cx=8.0, det_id=2)))
         out = interpolate(t, max_gap=20)
-        inserted = [e for e in out.entries if e.interpolated]
+        inserted = [e for e in out.entries if e.det_id == -1]
         assert [e.frame for e in inserted] == [11, 12, 13]
         assert [e.box.cx for e in inserted] == pytest.approx([2.0, 4.0, 6.0])
 
@@ -212,3 +218,45 @@ class TestTrajectoryType:
             Trajectory(1, ())
         with pytest.raises(ValueError):
             Trajectory(1, (det(3), det(3)))
+
+
+def _bits(table):
+    """Every column of a table as bytes, so that -0.0 differs from 0.0."""
+    return [np.ascontiguousarray(column).tobytes() for column in table]
+
+
+class TestColumnsMatchPerEntryReference:
+    """The column steps, run on one table of all tracks, against the
+    per-entry reference run on each trajectory."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajs=reference.trajectories(classes=(0, 0, 3), unique_ids=False))
+    def test_split(self, trajs):
+        assert split_at_discontinuities(trajs) == reference.split_at_discontinuities(trajs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trajs=reference.trajectories(classes=(0, 3)), max_gap=st.integers(0, 6),
+           sigma=st.one_of(st.just(0.0), st.floats(0.05, 6.0)))
+    def test_interpolate_then_smooth(self, trajs, max_gap, sigma):
+        filled = [reference.interpolate(t, max_gap) for t in trajs]
+        smoothed = [reference.gaussian_smooth(t, sigma) for t in filled]
+        table = interpolate_rows(tracks_table(trajs), max_gap)
+        assert _bits(table) == _bits(tracks_table(filled))
+        assert _bits(smooth_rows(table, sigma)) == _bits(tracks_table(smoothed))
+        # The object wrappers keep the entries' det_ids; inserted entries get -1.
+        for t, want in zip(trajs, filled):
+            assert interpolate(t, max_gap) == want
+        for t, want in zip(filled, smoothed):
+            got = gaussian_smooth(t, sigma)
+            assert got == want
+            assert _bits(tracks_table([got])) == _bits(tracks_table([want]))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 1.0, 2.5])
+    def test_single_row_tracks_are_left_as_they_are(self, sigma):
+        # A one-row track of width 0.5 keeps it; longer tracks clamp to 1.
+        trajs = [traj(1, [4], w=0.5), traj(2, [1, 2, 3], w=0.5)]
+        table = tracks_table(trajs)
+        out = smooth_rows(table, sigma)
+        want = [reference.gaussian_smooth(t, sigma) for t in trajs]
+        assert _bits(out) == _bits(tracks_table(want))
+        assert out.boxes[0, 2] == 0.5

@@ -23,13 +23,17 @@ The cases:
   run by `track` under both strategies with the default config.
 - The four `perfbench/workloads.py` workloads on seeds 1-3, with their own
   pass arguments (`multiseq` with `--workers 2`).
-- 12 fault cases, six per format, that pin the exit codes and stderr of the
+- 14 fault cases, seven per format, that pin the exit codes and stderr of the
   readers' error paths: a file of two valid rows and one faulty third row
   (wrong field count, NaN box, frame >= 2**53, frame below the format's
-  first, a repeated (track, frame), a non-positive box) run through `track`
-  (`refine` for the repeated frame) and through `eval` against itself.
+  first, a fractional frame, a repeated (track, frame), a non-positive box)
+  run through `track` (`refine` for the repeated frame) and through `eval`
+  against itself.
+- 2 misused-flag cases on the file of the two valid rows, run the same way:
+  `--class-filter Car` on MOT input, and a KITTI `--class-filter` naming a
+  class KITTI does not have.
 
-70 cases in all.
+74 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -54,7 +58,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from intertrack import mot_io, synth  # noqa: E402
-from intertrack.refine import Trajectory  # noqa: E402
+from intertrack.model import Trajectory  # noqa: E402
 from intertrack.synth import ScenarioSpec  # noqa: E402
 
 from foreign import ForeignStyle, foreign_output  # noqa: E402
@@ -87,6 +91,7 @@ FAULT_FILES = {
         "nan-box": "3,1,nan,20,30,40,0.9",
         "huge-frame": "9007199254740992,1,10,20,30,40,0.9",
         "early-frame": "0,1,10,20,30,40,0.9",
+        "fractional-frame": "2.5,1,10,20,30,40,0.9",
         "repeated-frame": "2,1,12,20,30,40,0.9",
         "nonpositive-box": "3,1,10,20,0,40,0.9"}),
     "kitti": ([f"0 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
@@ -95,9 +100,13 @@ FAULT_FILES = {
         "nan-box": f"2 1 Car 0 0 -10 nan 20 40 60 {_KITTI_TAIL}",
         "huge-frame": f"9007199254740992 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
         "early-frame": f"-1 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
+        "fractional-frame": f"1.5 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
         "repeated-frame": f"1 1 Car 0 0 -10 12 20 42 60 {_KITTI_TAIL}",
         "nonpositive-box": f"2 1 Car 0 0 -10 40 20 40 60 {_KITTI_TAIL}"}),
 }
+# Per format: a misused flag, run on the two valid rows.
+FLAG_FAULTS = {"mot": ("class-filter", ["--class-filter", "Car"]),
+               "kitti": ("unknown-class-filter", ["--class-filter", "Bus"])}
 
 
 def _renumbered(trajectories, first_id: int) -> list[Trajectory]:
@@ -171,18 +180,20 @@ def _workload_cases():
 
 
 def _fault_cases():
-    """(name, prepare) of the 12 fault cases."""
+    """(name, prepare) of the 14 fault cases and the 2 misused-flag cases."""
     for fmt, (valid, faults) in FAULT_FILES.items():
-        for fault, row in faults.items():
-            text = "".join(f"{line}\n" for line in (*valid, row))
+        flag_fault, flags = FLAG_FAULTS[fmt]
+        for fault, rows, extra in [*((f, (*valid, row), []) for f, row in faults.items()),
+                                   (flag_fault, valid, flags)]:
+            text = "".join(f"{line}\n" for line in rows)
             command, src_flag = (("refine", "--in") if fault == "repeated-frame"
                                  else ("track", "--det"))
             yield (f"fault-{fmt}-{fault}",
                    _cli_case(lambda text=text: Path("bad.txt").write_text(text, encoding="utf-8"),
                              [command, src_flag, "bad.txt", "--out", "out.txt",
-                              "--format", fmt],
+                              "--format", fmt, *extra],
                              ["eval", "--gt", "bad.txt", "--pred", "bad.txt", "--kv",
-                              "--format", fmt]))
+                              "--format", fmt, *extra]))
 
 
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
