@@ -10,7 +10,6 @@ from .model import (
     BoundingBox,
     ConfigError,
     Detection,
-    HierarchySchedule,
     Stage,
     Strategy,
     Tracklet,
@@ -31,7 +30,6 @@ __all__ = [
     "ConfigError",
     "Detection",
     "EvalReport",
-    "HierarchySchedule",
     "Motion",
     "RunResult",
     "ScenarioSpec",

@@ -4,9 +4,10 @@ A sequence is flagged as moving-camera when the mean IoU of frame-adjacent
 matched detection pairs falls below a threshold: a shaking or panning camera
 drags every box, so even correct matches overlap poorly.  The per-frame
 camera shift is then estimated as the mean center displacement of matched
-pairs, accumulated into a running offset, and subtracted from the box column
-of the engine's detection table: association runs on the stabilized boxes,
-while the results keep the caller's own boxes, so nothing is shifted back.
+pairs, accumulated into one array of running offsets (a row per frame), and
+subtracted from the box column of the engine's detection table: association
+runs on the stabilized boxes, while the results keep the caller's own boxes,
+so nothing is shifted back.
 No pixels or visual features are involved.
 """
 
@@ -21,34 +22,24 @@ from .geometry import iou_kernel
 
 log = logging.getLogger(__name__)
 
-Offset = tuple[float, float]
-
 
 @dataclass(frozen=True)
 class CameraProfile:
     """Estimated camera behaviour over one sequence.
 
-    per_frame_offset[t] is the camera displacement between frames t and t+1;
-    cumulative_offset[t] is the total shift since the first frame (zero
-    there).  Both are all-zero when the camera is judged static.
+    offsets[k] is the camera's total (x, y) shift from `first_frame` to
+    frame first_frame + k, zero at k = 0 and everywhere when the camera is
+    judged static; its np.diff is the per-frame displacement.
     """
     mean_match_iou: float
     moving: bool
-    per_frame_offset: dict[int, Offset]
-    cumulative_offset: dict[int, Offset]
-    frame_range: tuple[int, int]
+    first_frame: int
+    offsets: np.ndarray  # (frames, 2) float64
 
 
 def static_profile(frame_range: tuple[int, int], mean_match_iou: float = 1.0) -> CameraProfile:
     lo, hi = frame_range
-    zero: Offset = (0.0, 0.0)
-    return CameraProfile(
-        mean_match_iou=mean_match_iou,
-        moving=False,
-        per_frame_offset={t: zero for t in range(lo, hi)},
-        cumulative_offset={t: zero for t in range(lo, hi + 1)},
-        frame_range=frame_range,
-    )
+    return CameraProfile(mean_match_iou, False, lo, np.zeros((hi - lo + 1, 2)))
 
 
 def estimate(frame: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float,
@@ -75,37 +66,24 @@ def estimate(frame: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float,
     if mean_iou >= threshold:
         return static_profile(frame_range, mean_match_iou=mean_iou)
 
-    by_frame = np.argsort(frame, kind="stable")
-    dx, dy = (b[by_frame, :2] - a[by_frame, :2]).T.tolist()
-    frames, counts = np.unique(frame, return_counts=True)
-    per_frame: dict[int, Offset] = {t: (0.0, 0.0) for t in range(lo, hi)}
-    for t, end, n in zip(frames.tolist(), np.cumsum(counts).tolist(), counts.tolist()):
-        per_frame[t] = (sum(dx[end - n:end]) / n, sum(dy[end - n:end]) / n)
-
-    cumulative: dict[int, Offset] = {lo: (0.0, 0.0)}
-    cx = cy = 0.0
-    for t in range(lo, hi):
-        dx_t, dy_t = per_frame[t]
-        cx += dx_t
-        cy += dy_t
-        cumulative[t + 1] = (cx, cy)
-    return CameraProfile(
-        mean_match_iou=mean_iou,
-        moving=True,
-        per_frame_offset=per_frame,
-        cumulative_offset=cumulative,
-        frame_range=frame_range,
-    )
+    # bincount adds each frame's pairs one by one in the given order.
+    t, n = frame - lo, hi - lo
+    counts = np.bincount(t, minlength=n)[:n, None]
+    step = b[:, :2] - a[:, :2]
+    sums = np.stack([np.bincount(t, weights=step[:, k], minlength=n)[:n] for k in (0, 1)],
+                    axis=1)
+    steps = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return CameraProfile(mean_iou, True, lo, np.cumsum(np.vstack([np.zeros(2), steps]), axis=0))
 
 
 def stabilize(frame: np.ndarray, boxes: np.ndarray, profile: CameraProfile) -> np.ndarray:
     """[cx, cy, w, h] rows at the given frames with the camera motion removed:
     each centre minus its frame's cumulative offset."""
-    lo, hi = profile.frame_range
+    lo = profile.first_frame
+    hi = lo + len(profile.offsets) - 1
     outside = (frame < lo) | (frame > hi)
     if outside.any():
         raise ValueError(f"frame {frame[outside][0]} outside profile range [{lo}, {hi}]")
-    offsets = np.array([profile.cumulative_offset[t] for t in range(lo, hi + 1)])
     out = boxes.copy()
-    out[:, :2] -= offsets[frame - lo]
+    out[:, :2] -= profile.offsets[frame - lo]
     return out

@@ -8,8 +8,9 @@ Subcommands:
     synth    scenario description (JSON) -> ground-truth and detection files
 
 Configuration precedence, lowest to highest: built-in defaults, a key=value
-config file (--config), the INTERTRACK_WORKERS environment variable,
-explicit flags.  INTERTRACK_SEED sets the scenario seed of `synth` only.
+config file (--config), explicit flags.  Each setting has one name: a config
+key is a TrackerConfig field, and so is the dest of the flag that sets it;
+a file value and a flag's string go through one parser.
 When the input path is a directory every *.txt inside is treated as one
 sequence and sequences are processed in parallel worker processes; results
 are written by the parent so output stays deterministic.  A sequence runs on
@@ -25,21 +26,16 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import hierarchy, metrics, mot_io, synth
-from .model import (BoxTable, ConfigError, HierarchySchedule, Strategy, TrackerConfig,
-                    validate_config)
+from .model import BoxTable, ConfigError, Strategy, TrackerConfig, validate_config
 from .refine import interpolate_rows, smooth_rows, split_rows
 
 log = logging.getLogger(__name__)
-
-ENV_SEED = "INTERTRACK_SEED"
-ENV_WORKERS = "INTERTRACK_WORKERS"
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
           "false": False, "no": False, "off": False, "0": False}
@@ -51,32 +47,34 @@ _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
 
 
 _EXPECTED = {"bool": "a boolean", "int": "an integer", "float": "a number",
-             "bounds": "comma-separated integers"}
+             "bounds": "comma-separated integers", "strategy": "interval or window"}
+# The kind of value each TrackerConfig field takes, read off its annotation.
+_KINDS = {f.name: {"Strategy": "strategy", "Optional[tuple[int, ...]]": "bounds",
+                   "Optional[int]": "int"}.get(f.type, f.type)
+          for f in dataclasses.fields(TrackerConfig)}
 
 
 def _parse_value(raw: str, key: str, kind: str):
-    """One config value of a kind named in _EXPECTED."""
+    """One config value of a kind named in _EXPECTED; `key` names it in the
+    error."""
     try:
         if kind == "bool":
             return _BOOLS[raw.strip().lower()]
         if kind == "bounds":
             return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
+        if kind == "strategy":
+            return Strategy(raw.strip())
         return int(raw) if kind == "int" else float(raw)
     except (KeyError, ValueError):
         raise ConfigError([f"{key}: expected {_EXPECTED[kind]}, got {raw!r}"]) from None
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrackerConfig)}
-# The schedule is configured through three scalar keys instead of the field.
-_SCHEDULE_KEYS = ("strategy", "stage_bounds", "final_overlap")
-
-
 def read_config_file(path: Path) -> dict:
     """Parse `key = value` lines (# comments allowed) into override values.
 
-    Keys are TrackerConfig field names plus strategy / stage_bounds /
-    final_overlap for the hierarchy schedule.  Every bad line is reported
-    as `file:line: problem` in one ConfigError.
+    Keys are TrackerConfig field names.  Every bad line is reported as
+    `file:line: problem` in one ConfigError; a stage_bounds or final_overlap
+    line is judged with the file's own strategy, at its line.
     """
     overrides: dict = {}
     lines: dict[str, int] = {}
@@ -89,83 +87,50 @@ def read_config_file(path: Path) -> dict:
             problems.append(f"{path}:{lineno}: expected key = value, got {line!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        kind = {"stage_bounds": "bounds", "final_overlap": "int"}.get(key, _FIELD_TYPES.get(key))
         try:
-            if key == "strategy":
-                if value not in ("interval", "window"):
-                    raise ConfigError(["strategy must be interval or window"])
-                overrides["strategy"] = Strategy(value)
-            elif kind in _EXPECTED:
-                overrides[key] = _parse_value(value, key, kind)
-            else:
+            if key not in _KINDS:
                 raise ConfigError([f"unknown config key {key!r}"])
+            overrides[key] = _parse_value(value, key, _KINDS[key])
             lines[key] = lineno
         except ConfigError as exc:
             problems += [f"{path}:{lineno}: {problem}" for problem in exc.problems]
-    # A schedule value is judged with the file's own strategy, so that its
-    # problems are reported at its line.
     for key in ("stage_bounds", "final_overlap"):
         if key in lines:
             own = {k: overrides[k] for k in ("strategy", key) if k in overrides}
-            problems += [f"{path}:{lines[key]}: {problem}"
-                         for problem in _schedule_from(own).problems()]
+            try:
+                validate_config(TrackerConfig(**own))  # the other fields are defaults
+            except ConfigError as exc:
+                problems += [f"{path}:{lines[key]}: {problem}" for problem in exc.problems]
     if problems:
         raise ConfigError(problems)
     return overrides
 
 
-def _schedule_from(overrides: dict) -> Optional[HierarchySchedule]:
-    """The schedule of the schedule keys in `overrides`, the strategy's
-    default filling in the others; None when no key is set."""
-    if not any(key in overrides for key in _SCHEDULE_KEYS):
-        return None
-    strategy = overrides.get("strategy", Strategy.INTERVAL)
-    default = (HierarchySchedule.default_window() if strategy is Strategy.WINDOW
-               else HierarchySchedule.default_interval())
-    bounds = overrides.get("stage_bounds", [s.bound for s in default.stages if not s.overlap])
-    overlap = overrides.get("final_overlap", default.stages[-1].overlap)
-    return HierarchySchedule.from_bounds(bounds, overlap, strategy)
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError([f"{name} must be an integer, got {raw!r}"]) from None
-
-
 def build_config(args: argparse.Namespace) -> TrackerConfig:
-    """Merge defaults, config file, environment, and flags into a config."""
-    overrides: dict = {}
-    if getattr(args, "config", None):
-        overrides.update(read_config_file(args.config))
-    for field_name in _FIELD_TYPES:  # a config flag's dest is its field
-        value = getattr(args, field_name, None)
-        if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = Strategy(args.strategy)
-    if getattr(args, "stage_bounds", None):
-        overrides["stage_bounds"] = _parse_value(args.stage_bounds, "--stage-bounds", "bounds")
-    if getattr(args, "final_overlap", None) is not None:
-        overrides["final_overlap"] = args.final_overlap
-    schedule = _schedule_from(overrides)
-    field_values = {k: v for k, v in overrides.items() if k not in _SCHEDULE_KEYS}
-    if schedule is not None:
-        field_values["schedule"] = schedule
-    cfg = dataclasses.replace(TrackerConfig(), **field_values)
-    return validate_config(cfg)
+    """Merge defaults, the config file and flags, in rising precedence, into
+    a validated config.  A flag's raw string is parsed as a file value is,
+    and a bad one is reported under the flag's own name."""
+    flags: dict = {}
+    problems = []
+    for flag, (name, _) in _VALUE_FLAGS.items():
+        raw = getattr(args, name, None)
+        if raw is not None:
+            try:
+                flags[name] = _parse_value(raw, flag, _KINDS[name])
+            except ConfigError as exc:
+                problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    flags.update((name, getattr(args, name)) for name, _, _ in _SWITCHES.values()
+                 if getattr(args, name, None) is not None)
+    overrides = read_config_file(args.config) if getattr(args, "config", None) else {}
+    return validate_config(TrackerConfig(**{**overrides, **flags}))
 
 
 def _resolve_workers(args: argparse.Namespace) -> int:
     value = getattr(args, "workers", None)
     if value is None:
-        value = _env_int(ENV_WORKERS)
-        if value is None:
-            return 1
+        return 1
     if value < 1:
         raise ConfigError([f"worker count must be >= 1, got {value}"])
     return value
@@ -357,9 +322,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = synth.spec_from_json(args.spec)
-    seed = args.seed if args.seed is not None else _env_int(ENV_SEED)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
     gt_path, det_path = synth.write_scenario(spec, args.out_dir)
     print(f"wrote {gt_path}")
     print(f"wrote {det_path}")
@@ -371,34 +335,39 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The config flags that take a value: the TrackerConfig field each sets and
+# its help.  Each stores its raw string, which build_config parses.
+_VALUE_FLAGS = {
+    "--strategy": ("strategy", "hierarchy scheduling strategy: interval or window"),
+    "--stage-bounds": ("stage_bounds", "per-level gap bounds (interval) or window sizes"),
+    "--final-overlap": ("final_overlap", "overlap frames admitted by an extra final level"),
+    "--match-threshold": ("match_threshold", None),
+    "--score-high": ("score_high", None),
+    "--score-low": ("score_low", None),
+    "--cc-threshold": ("cc_threshold", None),
+    "--ci-width-threshold": ("ci_width_threshold", None),
+    "--ci-scaling-factor": ("ci_scaling_factor", None),
+    "--interp-max-gap": ("interpolation_max_gap", None),
+    "--smoothing-sigma": ("smoothing_sigma", None),
+}
+# The switches: the field each sets, the value it stores and its help.
+_SWITCHES = {
+    "--use-hm-iou": ("use_hm_iou", True, "multiply in the vertical-interval IoU"),
+    "--no-ci": ("enable_ci", False, "disable small-box expansion"),
+    "--no-cc": ("enable_cc", False, "disable camera-movement compensation"),
+    "--no-cm": ("enable_cm", False, "disable the motion-consistent second pass"),
+}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     grp = p.add_argument_group("tracker configuration")
     grp.add_argument("--config", type=Path, metavar="FILE",
                      help="key = value config file (TrackerConfig fields)")
-    grp.add_argument("--strategy", choices=["interval", "window"],
-                     help="hierarchy scheduling strategy")
-    grp.add_argument("--stage-bounds", dest="stage_bounds", metavar="N,N,...",
-                     help="per-level gap bounds (interval) or window sizes")
-    grp.add_argument("--final-overlap", dest="final_overlap", type=int,
-                     help="overlap frames admitted by an extra final level")
-    grp.add_argument("--match-threshold", dest="match_threshold", type=float)
-    grp.add_argument("--score-high", dest="score_high", type=float)
-    grp.add_argument("--score-low", dest="score_low", type=float)
-    grp.add_argument("--cc-threshold", dest="cc_threshold", type=float)
-    grp.add_argument("--ci-width-threshold", dest="ci_width_threshold", type=float)
-    grp.add_argument("--ci-scaling-factor", dest="ci_scaling_factor", type=float)
-    grp.add_argument("--use-hm-iou", dest="use_hm_iou", action="store_true",
-                     default=None, help="multiply in the vertical-interval IoU")
-    grp.add_argument("--no-ci", dest="enable_ci", action="store_false", default=None,
-                     help="disable small-box expansion")
-    grp.add_argument("--no-cc", dest="enable_cc", action="store_false", default=None,
-                     help="disable camera-movement compensation")
-    grp.add_argument("--no-cm", dest="enable_cm", action="store_false", default=None,
-                     help="disable the motion-consistent second pass")
-    grp.add_argument("--interp-max-gap", dest="interpolation_max_gap", type=int)
-    grp.add_argument("--smoothing-sigma", dest="smoothing_sigma", type=float)
-    grp.add_argument("--workers", type=int,
-                     help=f"parallel sequence workers; overrides ${ENV_WORKERS}")
+    for flag, (name, help_text) in _VALUE_FLAGS.items():
+        grp.add_argument(flag, dest=name, help=help_text)
+    for flag, (name, value, help_text) in _SWITCHES.items():
+        grp.add_argument(flag, dest=name, action="store_const", const=value, help=help_text)
+    grp.add_argument("--workers", type=int, help="parallel sequence workers")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -455,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--spec", type=Path, required=True,
                          help="scenario description (JSON)")
     p_synth.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
-    p_synth.add_argument("--seed", type=int, help=f"overrides ${ENV_SEED}")
+    p_synth.add_argument("--seed", type=int, help="overrides the spec's seed")
     p_synth.set_defaults(func=cmd_synth)
     return parser
 

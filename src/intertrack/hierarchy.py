@@ -527,7 +527,7 @@ class _ClassEngine:
         self.class_id = class_id
         self.table = table
         self.kernel = SimilarityKernel(cfg)
-        self.window = cfg.schedule.strategy is Strategy.WINDOW
+        self.window = cfg.strategy is Strategy.WINDOW
         self.levels: list[LevelTrace] = []
 
     def run_detections(self) -> ClassRunResult:
@@ -556,7 +556,7 @@ class _ClassEngine:
         # Interval level 1 is the frame-adjacent chaining itself.
         state = HierarchyState(self.table, _ordered(
             _tracklet(frame, tid, chain) for tid, chain in enumerate(chains, 1)), len(chains) + 1)
-        self._record(_stage_label(1, cfg.schedule.stages[0], False), state)
+        self._record(_stage_label(1, cfg.stages[0], False), state)
         if len(low):
             state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
             self._record(_RECOVERY, state)
@@ -597,7 +597,7 @@ class _ClassEngine:
         gate = self.cfg.match_threshold
         cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
         score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
-        for k, stage in enumerate(self.cfg.schedule.stages[first:], start=first + 1):
+        for k, stage in enumerate(self.cfg.stages[first:], start=first + 1):
             if self.window:
                 state = window_strategy_pass(state, stage.bound, score, gate)
             else:

@@ -7,7 +7,8 @@ The program works on `BoxTable` columns; `table_of`/`tracks_table` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -234,52 +235,9 @@ class Stage(NamedTuple):
     overlap: int = 0
 
 
-@dataclass(frozen=True)
-class HierarchySchedule:
-    stages: tuple[Stage, ...]
-    strategy: Strategy = Strategy.INTERVAL
-
-    @classmethod
-    def default_interval(cls) -> "HierarchySchedule":
-        # Gap bounds 1..30 plus a final stage that re-admits the 30-frame
-        # bound while tolerating up to 5 frames of tracklet overlap.
-        return cls.from_bounds((1, 5, 10, 15, 20, 30), 5)
-
-    @classmethod
-    def default_window(cls) -> "HierarchySchedule":
-        return cls.from_bounds(tuple(2 ** k for k in range(1, 8)), 0, Strategy.WINDOW)
-
-    @classmethod
-    def from_bounds(
-        cls,
-        bounds: Sequence[int],
-        final_overlap: int = 0,
-        strategy: Strategy = Strategy.INTERVAL,
-    ) -> "HierarchySchedule":
-        """One stage per bound; a nonzero `final_overlap` adds a final stage
-        that re-admits the last bound with that overlap.  `problems` judges
-        the result."""
-        stages = [Stage(int(b), 0) for b in bounds]
-        if final_overlap and stages:
-            stages.append(Stage(stages[-1].bound, int(final_overlap)))
-        return cls(tuple(stages), strategy)
-
-    def problems(self) -> list[str]:
-        out = []
-        if not self.stages:
-            out.append("schedule must contain at least one stage")
-            return out
-        if any(s.bound < 1 for s in self.stages):
-            out.append("stage bounds must be >= 1")
-        if any(b.bound < a.bound for a, b in zip(self.stages, self.stages[1:])):
-            out.append("stage bounds must be non-decreasing")
-        if any(s.overlap < 0 for s in self.stages):
-            out.append("overlap allowances must be >= 0")
-        if any(s.overlap > 0 for s in self.stages[:-1]):
-            out.append("only the final stage may allow overlap")
-        if self.strategy is Strategy.WINDOW and any(s.overlap > 0 for s in self.stages):
-            out.append("the window strategy admits no overlap")
-        return out
+# Each strategy's default gap bounds (window sizes) and final overlap.
+_DEFAULT_SCHEDULE = {Strategy.INTERVAL: ((1, 5, 10, 15, 20, 30), 5),
+                     Strategy.WINDOW: (tuple(2 ** k for k in range(1, 8)), 0)}
 
 
 @dataclass(frozen=True)
@@ -289,7 +247,9 @@ class TrackerConfig:
     Defaults follow the reference operating point: match gate 0.2, small-box
     expansion below width 64 with scaling factor 0.2, camera-movement gate
     0.65, and the 7-stage interval schedule ending in a 5-frame-overlap merge
-    pass.
+    pass.  The schedule is three fields, `strategy`, `stage_bounds` and
+    `final_overlap`, a None taking the strategy's default; `stages` builds
+    its levels.  The field names are the config-file keys.
     """
 
     match_threshold: float = 0.2
@@ -302,39 +262,76 @@ class TrackerConfig:
     enable_ci: bool = True
     enable_cc: bool = True
     enable_cm: bool = True
-    schedule: HierarchySchedule = field(default_factory=HierarchySchedule.default_interval)
+    strategy: Strategy = Strategy.INTERVAL
+    stage_bounds: Optional[tuple[int, ...]] = None
+    final_overlap: Optional[int] = None
     interpolation_max_gap: int = 20
     smoothing_sigma: float = 5.0
     kf_position_weight: float = 1.0 / 20.0
     kf_velocity_weight: float = 1.0 / 160.0
 
+    @property
+    def stages(self) -> tuple[Stage, ...]:
+        """One stage per bound; a nonzero final overlap adds a final stage
+        that re-admits the last bound with that overlap."""
+        bounds, overlap = _schedule(self)
+        stages = [Stage(int(b), 0) for b in bounds]
+        if overlap and stages:
+            stages.append(Stage(stages[-1].bound, int(overlap)))
+        return tuple(stages)
+
+
+def _schedule(cfg: TrackerConfig) -> tuple[Sequence[int], int]:
+    """The gap bounds and the final overlap, the strategy's defaults filling in."""
+    bounds, overlap = _DEFAULT_SCHEDULE[cfg.strategy]
+    return (bounds if cfg.stage_bounds is None else cfg.stage_bounds,
+            overlap if cfg.final_overlap is None else cfg.final_overlap)
+
 
 def validate_config(cfg: TrackerConfig) -> TrackerConfig:
     """Return cfg unchanged if every invariant holds, else raise ConfigError.
 
-    All violations are collected so the error lists every bad field at once.
+    All violations are collected so the error lists every bad field at once,
+    one problem per field: a number that is not finite is reported as such,
+    and no range check reads it.
     """
-    problems = []
-    if not (0.0 < cfg.match_threshold < 1.0):
-        problems.append(f"match_threshold must be in (0, 1), got {cfg.match_threshold}")
-    if not cfg.ci_width_threshold > 0:
-        problems.append(f"ci_width_threshold must be > 0, got {cfg.ci_width_threshold}")
-    if not cfg.ci_scaling_factor > 0:
-        problems.append(f"ci_scaling_factor must be > 0, got {cfg.ci_scaling_factor}")
-    if not (0.0 <= cfg.cc_threshold <= 1.0):
-        problems.append(f"cc_threshold must be in [0, 1], got {cfg.cc_threshold}")
-    if not (0.0 <= cfg.score_low <= cfg.score_high <= 1.0):
-        problems.append(
-            "scores must satisfy 0 <= score_low <= score_high <= 1, got "
-            f"low={cfg.score_low}, high={cfg.score_high}"
-        )
-    if cfg.interpolation_max_gap < 0:
-        problems.append(f"interpolation_max_gap must be >= 0, got {cfg.interpolation_max_gap}")
-    if cfg.smoothing_sigma < 0:
-        problems.append(f"smoothing_sigma must be >= 0, got {cfg.smoothing_sigma}")
-    if not cfg.kf_position_weight > 0 or not cfg.kf_velocity_weight > 0:
-        problems.append("Kalman noise weights must be > 0")
-    problems.extend(cfg.schedule.problems())
+    nonfinite = [f.name for f in fields(cfg)
+                 if f.type == "float" and not math.isfinite(getattr(cfg, f.name))]
+    problems = [f"{name} must be finite, got {getattr(cfg, name)}" for name in nonfinite]
+    checks = [  # (the fields read, whether they pass, the problem)
+        (("match_threshold",), 0.0 < cfg.match_threshold < 1.0,
+         f"match_threshold must be in (0, 1), got {cfg.match_threshold}"),
+        (("ci_width_threshold",), cfg.ci_width_threshold > 0,
+         f"ci_width_threshold must be > 0, got {cfg.ci_width_threshold}"),
+        (("ci_scaling_factor",), cfg.ci_scaling_factor > 0,
+         f"ci_scaling_factor must be > 0, got {cfg.ci_scaling_factor}"),
+        (("cc_threshold",), 0.0 <= cfg.cc_threshold <= 1.0,
+         f"cc_threshold must be in [0, 1], got {cfg.cc_threshold}"),
+        (("score_low", "score_high"), 0.0 <= cfg.score_low <= cfg.score_high <= 1.0,
+         "scores must satisfy 0 <= score_low <= score_high <= 1, got "
+         f"low={cfg.score_low}, high={cfg.score_high}"),
+        ((), cfg.interpolation_max_gap >= 0,
+         f"interpolation_max_gap must be >= 0, got {cfg.interpolation_max_gap}"),
+        (("smoothing_sigma",), cfg.smoothing_sigma >= 0,
+         f"smoothing_sigma must be >= 0, got {cfg.smoothing_sigma}"),
+        (("kf_position_weight", "kf_velocity_weight"),
+         cfg.kf_position_weight > 0 and cfg.kf_velocity_weight > 0,
+         "Kalman noise weights must be > 0"),
+    ]
+    problems += [problem for names, ok, problem in checks
+                 if not ok and not any(name in nonfinite for name in names)]
+    bounds, overlap = _schedule(cfg)
+    if not bounds:
+        problems.append("schedule must contain at least one stage")
+    else:
+        if any(b < 1 for b in bounds):
+            problems.append("stage bounds must be >= 1")
+        if any(b < a for a, b in zip(bounds, bounds[1:])):
+            problems.append("stage bounds must be non-decreasing")
+        if overlap < 0:
+            problems.append("overlap allowances must be >= 0")
+        if cfg.strategy is Strategy.WINDOW and overlap > 0:
+            problems.append("the window strategy admits no overlap")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -28,7 +28,7 @@ from intertrack.metrics import evaluate
 from intertrack.model import (
     BoundingBox,
     Detection,
-    HierarchySchedule,
+    Strategy,
     TrackerConfig,
 )
 from intertrack.mot_io import read_mot_tracks, write_mot_detections, write_mot_results
@@ -111,8 +111,8 @@ def _gap_scene():
 def _gap_config():
     # The widest injected hole spans 30 frames, i.e. a tracklet interval of
     # 31, so the last level's bound is raised accordingly.
-    schedule = HierarchySchedule.from_bounds((1, 5, 10, 15, 20, 31), 5)
-    return dataclasses.replace(TrackerConfig(), schedule=schedule)
+    return dataclasses.replace(TrackerConfig(), stage_bounds=(1, 5, 10, 15, 20, 31),
+                               final_overlap=5)
 
 
 def _pan_scene():
@@ -162,7 +162,7 @@ def test_level_counts_monotone_and_detections_conserved():
         assert_monotone_and_conserved(result, len(dets))
     _, dets = scenes[3]
     windowed = dataclasses.replace(TrackerConfig(),
-                                   schedule=HierarchySchedule.default_window())
+                                   strategy=Strategy.WINDOW)
     for cls in run_detailed(dets, windowed).per_class:
         assert all(b <= a for a, b in zip(cls.counts, cls.counts[1:]))
 
@@ -225,10 +225,11 @@ def test_camera_compensation_repairs_pan_switches_and_recovers_offsets():
     profile = result.per_class[0].camera
     assert profile is not None and profile.moving
     reference = gt[0].entries  # static target: displacement == pan delta
+    steps = np.diff(profile.offsets, axis=0)
     for t in range(1, len(reference)):
         expect_dx = reference[t].box.cx - reference[t - 1].box.cx
         expect_dy = reference[t].box.cy - reference[t - 1].box.cy
-        dx, dy = profile.per_frame_offset[reference[t - 1].frame]
+        dx, dy = steps[reference[t - 1].frame - profile.first_frame]
         assert dx == pytest.approx(expect_dx, abs=1e-9)
         assert dy == pytest.approx(expect_dy, abs=1e-9)
     assert time.perf_counter() - start < 5.0
@@ -309,7 +310,7 @@ def test_interval_schedule_beats_window_on_straddling_gap():
             for f in range(1, 301) if not 126 <= f <= 130]
     interval_count = len(run(dets, TrackerConfig()))
     windowed = dataclasses.replace(TrackerConfig(),
-                                   schedule=HierarchySchedule.default_window())
+                                   strategy=Strategy.WINDOW)
     window_count = len(run(dets, windowed))
     assert interval_count == 1
     assert interval_count < window_count

@@ -26,6 +26,12 @@ def pairs_of(matches):
             stack_boxes([a.box for a, _ in pairs]), stack_boxes([b.box for _, b in pairs]))
 
 
+def steps(profile):
+    """The per-frame displacements: row k is the shift from the profile's
+    k-th frame to the next."""
+    return np.diff(profile.offsets, axis=0)
+
+
 def pan_scene(n_frames, pan=(20.0, 0.0), targets=((100.0, 100.0), (400.0, 300.0))):
     """World-static targets observed under a constant camera pan.
 
@@ -46,8 +52,8 @@ class TestEstimate:
         profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 10))
         assert profile.mean_match_iou == pytest.approx(1.0)
         assert not profile.moving
-        assert all(v == (0.0, 0.0) for v in profile.per_frame_offset.values())
-        assert all(v == (0.0, 0.0) for v in profile.cumulative_offset.values())
+        assert profile.first_frame == 1 and profile.offsets.shape == (10, 2)
+        assert not profile.offsets.any()
 
     def test_pan_detected_and_measured(self):
         dets, matches = pan_scene(10, pan=(20.0, 0.0))
@@ -55,17 +61,18 @@ class TestEstimate:
         # 20px shift on 40px boxes: IoU = (20*40)/(2*1600-800) = 1/3 < 0.65.
         assert profile.mean_match_iou == pytest.approx(1 / 3, abs=1e-9)
         assert profile.moving
-        for t in range(1, 10):
-            assert profile.per_frame_offset[t] == pytest.approx((20.0, 0.0), abs=1e-9)
-        assert profile.cumulative_offset[1] == (0.0, 0.0)
-        assert profile.cumulative_offset[10] == pytest.approx((180.0, 0.0), abs=1e-9)
+        for step in steps(profile):
+            assert step == pytest.approx((20.0, 0.0), abs=1e-9)
+        assert profile.offsets[0].tolist() == [0.0, 0.0]
+        assert profile.offsets[9] == pytest.approx((180.0, 0.0), abs=1e-9)
 
     def test_single_pair_per_frame_mean(self):
         matches = {t: [(det(t, 10.0 + 5 * t, 50.0), det(t + 1, 15.0 + 5 * t, 50.0))]
                    for t in range(1, 5)}
         profile = estimate(*pairs_of(matches), threshold=0.99, frame_range=(1, 5))
-        for t in range(1, 5):
-            assert profile.per_frame_offset[t] == pytest.approx((5.0, 0.0))
+        assert len(steps(profile)) == 4
+        for step in steps(profile):
+            assert step == pytest.approx((5.0, 0.0))
 
     def test_two_pair_displacement_mean(self):
         a1, b1 = det(1, 100, 100), det(2, 104, 102)   # (+4, +2)
@@ -73,18 +80,16 @@ class TestEstimate:
         profile = estimate(*pairs_of({1: [(a1, b1), (a2, b2)]}), threshold=0.999,
                            frame_range=(1, 2))
         assert profile.moving
-        assert profile.per_frame_offset[1] == pytest.approx((5.0, 0.0), abs=1e-12)
+        assert steps(profile)[0] == pytest.approx((5.0, 0.0), abs=1e-12)
 
     def test_frames_without_matches_get_zero(self):
         _, matches = pan_scene(6, pan=(20.0, 0.0))
         del matches[3]
         profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 6))
-        assert profile.per_frame_offset[3] == (0.0, 0.0)
-        assert profile.per_frame_offset[2] == pytest.approx((20.0, 0.0))
-        # Prefix-sum relation still holds around the hole.
-        c3 = profile.cumulative_offset[3]
-        c4 = profile.cumulative_offset[4]
-        assert (c4[0] - c3[0], c4[1] - c3[1]) == (0.0, 0.0)
+        # Frame 3 is row 2; the running offset stays put across the hole.
+        assert steps(profile)[2].tolist() == [0.0, 0.0]
+        assert steps(profile)[1] == pytest.approx((20.0, 0.0))
+        assert profile.offsets[3].tolist() == profile.offsets[2].tolist()
 
     def test_empty_matches_log_and_stay_static(self, caplog):
         with caplog.at_level("WARNING"):
@@ -96,11 +101,9 @@ class TestEstimate:
     def test_cumulative_is_prefix_sum(self):
         _, matches = pan_scene(8, pan=(20.0, -10.0))
         profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 8))
-        for t in range(1, 8):
-            ct = profile.cumulative_offset[t]
-            cn = profile.cumulative_offset[t + 1]
-            dt = profile.per_frame_offset[t]
-            assert (cn[0] - ct[0], cn[1] - ct[1]) == pytest.approx(dt, abs=1e-12)
+        assert profile.offsets[0].tolist() == [0.0, 0.0]
+        for k in range(8):
+            assert profile.offsets[k] == pytest.approx((20.0 * k, -10.0 * k), abs=1e-9)
 
 
 class TestStabilize:
@@ -165,7 +168,7 @@ def test_stabilization_moves_only_centres_on_panned_synth_scenes(seed, n_frames,
     assert stable[:, 2:].tobytes() == boxes[:, 2:].tobytes()
     for t, (cx, cy), (x, y) in zip(frame.tolist(), stable[:, :2].tolist(),
                                    boxes[:, :2].tolist()):
-        ox, oy = profile.cumulative_offset[t]
+        ox, oy = profile.offsets[t - profile.first_frame].tolist()
         assert (cx, cy) == (x - ox, y - oy)
     static = static_profile((1, n_frames))
     assert stabilize(frame, boxes, static).tobytes() == boxes.tobytes()

@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 from unittest import mock
 
 import pytest
 
 from intertrack import cli, synth
-from intertrack.model import BoundingBox, ConfigError, Detection, Strategy
+from intertrack.model import BoundingBox, ConfigError, Detection, Strategy, TrackerConfig
 from intertrack.mot_io import (
     read_mot_tracks,
     write_mot_detections,
@@ -190,6 +192,33 @@ class TestTrack:
                        "--match-threshold", "1.5"])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_flag_value_fails_with_2(self, tmp_path, capsys):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        out = tmp_path / "o.txt"
+        assert cli.main(["track", "--det", str(det), "--out", str(out),
+                         "--ci-scaling-factor", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "ci_scaling_factor must be finite, got inf" in captured.err
+
+    def test_nan_smoothing_sigma_fails_with_2(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        write_mot_results([traj(1, [1, 2, 4, 5, 6], 100.0)], src)
+        out = tmp_path / "o.txt"
+        assert cli.main(["refine", "--in", str(src), "--out", str(out), "--smooth",
+                         "--smoothing-sigma", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "smoothing_sigma must be finite, got nan" in captured.err
+
+    def test_infinite_config_line_fails_with_2(self, tmp_path, capsys):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text("kf_position_weight = inf\n")
+        assert cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
+                         "--config", str(cfile)]) == 2
+        assert "kf_position_weight must be finite, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["final_overlap = abc", "match_threshold = x",
                                       "interpolation_max_gap = 2.5"])
@@ -406,19 +435,14 @@ class TestSynth:
                          "--seed", "77"]) == 0
         assert (out1 / "det.txt").read_bytes() != (out2 / "det.txt").read_bytes()
 
-    def test_env_seed_below_seed_flag(self, tmp_path, monkeypatch):
+    def test_environment_sets_no_seed(self, tmp_path, monkeypatch):
         spec = self.spec_file(tmp_path)
-        outs = {name: tmp_path / name for name in ("flag", "env", "both")}
-        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["flag"]),
-                         "--seed", "77"]) == 0
-        monkeypatch.setenv(cli.ENV_SEED, "77")
-        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["env"])]) == 0
-        monkeypatch.setenv(cli.ENV_SEED, "5")
-        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs["both"]),
-                         "--seed", "77"]) == 0
-        flag = (outs["flag"] / "det.txt").read_bytes()
-        assert (outs["env"] / "det.txt").read_bytes() == flag
-        assert (outs["both"] / "det.txt").read_bytes() == flag
+        outs = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs[0])]) == 0
+        monkeypatch.setenv("INTERTRACK_SEED", "77")
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs[1])]) == 0
+        assert (outs[0] / "det.txt").read_bytes() == (outs[1] / "det.txt").read_bytes()
+
 
 class TestConfigAssembly:
     def parse(self, *argv):
@@ -428,7 +452,7 @@ class TestConfigAssembly:
     def test_defaults(self):
         cfg = cli.build_config(self.parse())
         assert cfg.match_threshold == pytest.approx(0.2)
-        assert cfg.schedule.strategy is Strategy.INTERVAL
+        assert cfg.strategy is Strategy.INTERVAL
 
     def test_config_file_applies(self, tmp_path):
         cfile = tmp_path / "cfg.txt"
@@ -439,7 +463,7 @@ class TestConfigAssembly:
         cfg = cli.build_config(self.parse("--config", str(cfile)))
         assert cfg.match_threshold == pytest.approx(0.4)
         assert cfg.use_hm_iou is True
-        assert cfg.schedule.strategy is Strategy.WINDOW
+        assert cfg.strategy is Strategy.WINDOW
 
     def test_flags_beat_config_file(self, tmp_path):
         cfile = tmp_path / "cfg.txt"
@@ -468,9 +492,9 @@ class TestConfigAssembly:
     def test_stage_bounds_flag(self):
         cfg = cli.build_config(self.parse("--stage-bounds", "1,4,9",
                                           "--final-overlap", "3"))
-        bounds = [s.bound for s in cfg.schedule.stages]
+        bounds = [s.bound for s in cfg.stages]
         assert bounds == [1, 4, 9, 9]
-        assert cfg.schedule.stages[-1].overlap == 3
+        assert cfg.stages[-1].overlap == 3
 
     def test_toggles(self):
         cfg = cli.build_config(self.parse("--no-ci", "--no-cc", "--no-cm",
@@ -478,13 +502,109 @@ class TestConfigAssembly:
         assert not cfg.enable_ci and not cfg.enable_cc and not cfg.enable_cm
         assert cfg.use_hm_iou
 
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv(cli.ENV_WORKERS, "3")
-        assert cli._resolve_workers(self.parse()) == 3
-        assert cli._resolve_workers(self.parse("--workers", "1")) == 1
-        monkeypatch.setenv(cli.ENV_WORKERS, "three")
-        with pytest.raises(ConfigError, match=f"{cli.ENV_WORKERS} must be an integer"):
-            cli._resolve_workers(self.parse())
+    def test_environment_sets_no_workers(self, monkeypatch):
+        monkeypatch.setenv("INTERTRACK_WORKERS", "three")
+        assert cli._resolve_workers(self.parse()) == 1
+        assert cli.build_config(self.parse()) == TrackerConfig()
+
+
+# A valid raw value, other than the default, for every TrackerConfig field.
+RAW = {"match_threshold": "0.3", "ci_width_threshold": "48", "ci_scaling_factor": "0.25",
+       "cc_threshold": "0.5", "score_high": "0.7", "score_low": "0.2", "use_hm_iou": "true",
+       "enable_ci": "false", "enable_cc": "false", "enable_cm": "false",
+       "strategy": "window", "stage_bounds": "2,4,8", "final_overlap": "0",
+       "interpolation_max_gap": "12", "smoothing_sigma": "2.5",
+       "kf_position_weight": "0.1", "kf_velocity_weight": "0.01"}
+FIELDS = {f.name for f in dataclasses.fields(TrackerConfig)}
+
+
+def config_flags(command="track"):
+    """{option string: argparse action} of a subcommand's config flags."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    group = next(g for g in sub.choices[command]._action_groups
+                 if g.title == "tracker configuration")
+    return {a.option_strings[0]: a for a in group._group_actions
+            if a.dest not in ("config", "workers")}
+
+
+class TestOneNamespace:
+    """A TrackerConfig field is the config-file key and the flag dest of its
+    setting, and a file value and a flag's string parse alike."""
+
+    def from_file(self, tmp_path, lines):
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text("".join(f"{line}\n" for line in lines))
+        return cli.build_config(cli.build_parser().parse_args(
+            ["track", "--det", "d", "--out", "o", "--config", str(cfile)]))
+
+    def from_flags(self, *flags):
+        return cli.build_config(cli.build_parser().parse_args(
+            ["track", "--det", "d", "--out", "o", *flags]))
+
+    def test_fields_keys_and_flag_dests_are_one_set(self, tmp_path):
+        assert set(RAW) == FIELDS
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text("".join(f"{name} = {raw}\n" for name, raw in RAW.items()))
+        assert set(cli.read_config_file(cfile)) == FIELDS
+        cfg = self.from_file(tmp_path, [f"{name} = {raw}" for name, raw in RAW.items()])
+        assert all(getattr(cfg, name) != getattr(TrackerConfig(), name) for name in FIELDS)
+        dests = {action.dest for action in config_flags().values()}
+        assert dests <= FIELDS
+        assert FIELDS - dests == {"kf_position_weight", "kf_velocity_weight"}
+        assert {a.dest for a in config_flags("refine").values()} == dests
+
+    @pytest.mark.parametrize("flag", sorted(config_flags()))
+    def test_file_line_and_flag_give_equal_configs(self, tmp_path, flag):
+        action = config_flags()[flag]
+        if action.nargs == 0:  # a switch stores its constant
+            line, flags = f"{action.dest} = {action.const}", [flag]
+        else:
+            line, flags = f"{action.dest} = {RAW[action.dest]}", [flag, RAW[action.dest]]
+        cfg = self.from_flags(*flags)
+        assert cfg == self.from_file(tmp_path, [line])
+        assert cfg != TrackerConfig()
+
+    @pytest.mark.parametrize("lines, flags, stages", [
+        (["strategy = window"], ["--strategy", "window"], [2, 4, 8, 16, 32, 64, 128]),
+        (["strategy = window", "stage_bounds = 2,4,8"],
+         ["--strategy", "window", "--stage-bounds", "2,4,8"], [2, 4, 8]),
+        (["final_overlap = 0"], ["--final-overlap", "0"], [1, 5, 10, 15, 20, 30]),
+        (["stage_bounds = 1,4,9", "final_overlap = 3"],
+         ["--stage-bounds", "1,4,9", "--final-overlap", "3"], [1, 4, 9, 9]),
+    ])
+    def test_schedules_from_file_and_flags(self, tmp_path, lines, flags, stages):
+        cfg = self.from_flags(*flags)
+        assert cfg == self.from_file(tmp_path, lines)
+        assert [s.bound for s in cfg.stages] == stages
+
+    def test_flag_beats_file_per_schedule_value(self, tmp_path):
+        cfile = tmp_path / "cfg.txt"
+        cfile.write_text("strategy = window\nstage_bounds = 2,4\n")
+        cfg = self.from_flags("--config", str(cfile), "--stage-bounds", "4,8,16")
+        assert cfg.strategy is Strategy.WINDOW and cfg.stage_bounds == (4, 8, 16)
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--match-threshold", "abc"], "--match-threshold: expected a number, got 'abc'"),
+        (["--final-overlap", "1.5"], "--final-overlap: expected an integer, got '1.5'"),
+        (["--interp-max-gap", "z"], "--interp-max-gap: expected an integer, got 'z'"),
+        (["--strategy", "diagonal"], "--strategy: expected interval or window, got 'diagonal'"),
+        (["--stage-bounds", "1,x"], "--stage-bounds: expected comma-separated integers, "
+                                    "got '1,x'"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flags, problem):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        out = tmp_path / "o.txt"
+        assert cli.main(["track", "--det", str(det), "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"configuration error: invalid config: {problem}\n"
+
+    def test_bad_strategy_line(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            self.from_file(tmp_path, ["strategy = diagonal"])
+        assert err.value.problems == [
+            f"{tmp_path / 'cfg.txt'}:1: strategy: expected interval or window, got 'diagonal'"]
 
 
 def test_cli_builds_no_per_row_objects(tmp_path, capsys):

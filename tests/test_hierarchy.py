@@ -31,7 +31,6 @@ from intertrack.hierarchy import (
 from intertrack.model import (
     BoundingBox,
     Detection,
-    HierarchySchedule,
     Strategy,
     Tracklet,
     TrackerConfig,
@@ -229,7 +228,7 @@ def _scenes(draw):
 def test_engine_invariants_on_synth_scenes(scene, strategy):
     cfg = TrackerConfig()
     if strategy is Strategy.WINDOW:
-        cfg = dataclasses.replace(cfg, schedule=HierarchySchedule.default_window())
+        cfg = dataclasses.replace(cfg, strategy=Strategy.WINDOW)
     _, dets = generate(scene)
     # The detections with the engine's det_ids: 1..N in table order.
     _, order = detection_table(dets)
@@ -240,7 +239,7 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
         frames = [e.frame for e in t.entries]
         assert len(set(frames)) == len(frames)
         assert any(e.score >= cfg.score_high for e in t.entries)
-    final_overlap = cfg.schedule.stages[-1].overlap
+    final_overlap = cfg.stages[-1].overlap
     for d in inputs:
         if d.score < cfg.score_high:
             assert placed[d.det_id] <= 1
@@ -269,7 +268,7 @@ def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, shuffl
     output row order may differ: det_id follows file order."""
     cfg = TrackerConfig()
     if strategy is Strategy.WINDOW:
-        cfg = dataclasses.replace(cfg, schedule=HierarchySchedule.default_window())
+        cfg = dataclasses.replace(cfg, strategy=Strategy.WINDOW)
     gt, dets = generate(scene)
     path = tmp_path_factory.mktemp("rows") / "det.txt"
     write_mot_detections(dets, path)
@@ -592,7 +591,7 @@ class TestWindowScheduleRun:
         _, dets = generate(ScenarioSpec(n_targets=4, n_frames=40, seed=3, max_speed=0.0,
                                         box_size=(48.0, 48.0), camera_pan=(20.0, 0.0)))
         cfg = dataclasses.replace(TrackerConfig(),
-                                  schedule=HierarchySchedule.default_window())
+                                  strategy=Strategy.WINDOW)
         res = run_detailed(dets, cfg)
         assert res.per_class[0].camera.moving
         assert len(calls) == 1
@@ -600,7 +599,7 @@ class TestWindowScheduleRun:
 
     def test_window_schedule_end_to_end(self):
         cfg = dataclasses.replace(TrackerConfig(),
-                                  schedule=HierarchySchedule.default_window())
+                                  strategy=Strategy.WINDOW)
         _, dets = generate(ScenarioSpec(n_targets=4, n_frames=50,
                                         motion=Motion.LINEAR, seed=2))
         res = run_detailed(dets, cfg)
@@ -611,7 +610,7 @@ class TestWindowScheduleRun:
 
     def test_low_scores_absorbed_inside_level_one(self):
         cfg = dataclasses.replace(TrackerConfig(),
-                                  schedule=HierarchySchedule.default_window())
+                                  strategy=Strategy.WINDOW)
         dets = [det(f, 100.0, det_id=f) for f in range(1, 5)]
         dets.append(det(5, 100.0, score=0.3, det_id=5))
         info = run_detailed(dets, cfg).per_class[0]
@@ -693,7 +692,7 @@ class TestLevelRecord:
         cls0, cls1 = run_detailed(self.dets(), cfg).per_class
         labels = [lv.label for lv in cls0.levels]
         assert labels[:3] == ["singletons", "level-1 (gap 1)", self.RECOVERY]
-        assert len(cls0.levels) == len(cfg.schedule.stages) + 2
+        assert len(cls0.levels) == len(cfg.stages) + 2
         assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels
                                     if lv.label != self.RECOVERY)
         assert cls0.counts[:2] == (12, 2)
@@ -705,9 +704,9 @@ class TestLevelRecord:
         assert (cls1.class_id, cls1.counts, cls1.levels, cls1.camera) == (1, (0,), (), None)
 
     def test_window_has_no_recovery_level(self):
-        cfg = dataclasses.replace(TrackerConfig(), schedule=HierarchySchedule.default_window())
+        cfg = dataclasses.replace(TrackerConfig(), strategy=Strategy.WINDOW)
         cls0, cls1 = run_detailed(self.dets(), cfg).per_class
-        self.check_log(cls0, len(cfg.schedule.stages))
+        self.check_log(cls0, len(cfg.stages))
         assert self.RECOVERY not in [lv.label for lv in cls0.levels]
         assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels)
         assert cls0.counts[0] == 12
@@ -718,7 +717,7 @@ class TestLevelRecord:
         pieces = [track(1, range(1, 5), 100.0), track(2, range(7, 11), 100.0, det_id=50),
                   track(3, range(1, 11), 600.0, det_id=80)]
         (info,) = associate_tracklets(pieces, cfg).per_class
-        self.check_log(info, len(cfg.schedule.stages))
+        self.check_log(info, len(cfg.stages))
         assert info.levels[0].label == "input tracklets"
         assert info.counts == tuple(lv.tracklet_count for lv in info.levels)
         assert info.counts[0] == 3 and info.counts[-1] == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -6,7 +7,6 @@ from intertrack.model import (
     BoundingBox,
     ConfigError,
     Detection,
-    HierarchySchedule,
     Stage,
     Strategy,
     Tracklet,
@@ -77,30 +77,40 @@ class TestTracklet:
 
 class TestSchedule:
     def test_default_interval_stages(self):
-        sched = HierarchySchedule.default_interval()
-        assert sched.strategy is Strategy.INTERVAL
-        assert [s.bound for s in sched.stages] == [1, 5, 10, 15, 20, 30, 30]
-        assert [s.overlap for s in sched.stages] == [0, 0, 0, 0, 0, 0, 5]
+        cfg = TrackerConfig()
+        assert cfg.strategy is Strategy.INTERVAL
+        assert [s.bound for s in cfg.stages] == [1, 5, 10, 15, 20, 30, 30]
+        assert [s.overlap for s in cfg.stages] == [0, 0, 0, 0, 0, 0, 5]
 
     def test_default_window_doubles(self):
-        sched = HierarchySchedule.default_window()
-        assert sched.strategy is Strategy.WINDOW
-        assert [s.bound for s in sched.stages] == [2, 4, 8, 16, 32, 64, 128]
+        cfg = TrackerConfig(strategy=Strategy.WINDOW)
+        assert [s.bound for s in cfg.stages] == [2, 4, 8, 16, 32, 64, 128]
+        assert all(s.overlap == 0 for s in cfg.stages)
 
     def test_from_bounds(self):
-        sched = HierarchySchedule.from_bounds([1, 5, 15, 30])
-        assert [s.bound for s in sched.stages] == [1, 5, 15, 30]
-        assert all(s.overlap == 0 for s in sched.stages)
+        cfg = TrackerConfig(stage_bounds=(1, 5, 15, 30), final_overlap=0)
+        assert cfg.stages == (Stage(1), Stage(5), Stage(15), Stage(30))
+        # A final overlap re-admits the last bound in one more stage.
+        cfg = TrackerConfig(stage_bounds=(1, 4, 9), final_overlap=3)
+        assert cfg.stages == (Stage(1), Stage(4), Stage(9), Stage(9, 3))
 
     def test_problems_flag_bad_schedules(self):
-        empty = HierarchySchedule(stages=(), strategy=Strategy.INTERVAL)
-        assert empty.problems()
-        decreasing = HierarchySchedule(
-            stages=(Stage(5), Stage(1)), strategy=Strategy.INTERVAL)
-        assert decreasing.problems()
-        nonpositive = HierarchySchedule(
-            stages=(Stage(0),), strategy=Strategy.INTERVAL)
-        assert nonpositive.problems()
+        for bounds, problem in [((), "schedule must contain at least one stage"),
+                                ((5, 1), "stage bounds must be non-decreasing"),
+                                ((0, 5), "stage bounds must be >= 1")]:
+            with pytest.raises(ConfigError) as err:
+                validate_config(TrackerConfig(stage_bounds=bounds))
+            assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("changes, problem", [
+        ({"final_overlap": -1}, "overlap allowances must be >= 0"),
+        ({"strategy": Strategy.WINDOW, "final_overlap": 2},
+         "the window strategy admits no overlap"),
+    ])
+    def test_bad_overlaps_rejected(self, changes, problem):
+        with pytest.raises(ConfigError) as err:
+            validate_config(TrackerConfig(**changes))
+        assert err.value.problems == [problem]
 
 
 class TestConfig:
@@ -132,3 +142,20 @@ class TestConfig:
         bad = dataclasses.replace(TrackerConfig(), score_low=0.7)
         with pytest.raises(ConfigError):
             validate_config(bad)
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrackerConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_finite_float_field_rejected(name, value):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dataclasses.replace(TrackerConfig(), **{name: value}))
+    assert err.value.problems == [f"{name} must be finite, got {value}"]
+
+
+def test_float_fields_are_found():
+    # The fields whose one-sided range checks alone let infinities through.
+    assert {"ci_width_threshold", "ci_scaling_factor", "smoothing_sigma",
+            "kf_position_weight", "kf_velocity_weight"} <= set(_FLOAT_FIELDS)

@@ -32,8 +32,13 @@ The cases:
 - 2 misused-flag cases on the file of the two valid rows, run the same way:
   `--class-filter Car` on MOT input, and a KITTI `--class-filter` naming a
   class KITTI does not have.
+- 10 configuration cases, run by `track --interp --smooth` on the panning
+  scene: a `--config` file that sets every key (window with its default
+  bounds; interval with its own bounds and final overlap), four files with
+  a schedule fault (decreasing bounds, window with a final overlap, a
+  negative final overlap, an unknown strategy) and four bad flag values.
 
-74 cases in all.
+84 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -107,6 +112,25 @@ FAULT_FILES = {
 # Per format: a misused flag, run on the two valid rows.
 FLAG_FAULTS = {"mot": ("class-filter", ["--class-filter", "Car"]),
                "kitti": ("unknown-class-filter", ["--class-filter", "Bus"])}
+_EVERY_KEY = ("match_threshold = 0.3\nci_width_threshold = 48\nci_scaling_factor = 0.25\n"
+              "cc_threshold = 0.6\nscore_high = 0.5\nscore_low = 0.15\n"
+              "interpolation_max_gap = 15\nsmoothing_sigma = 3\n"
+              "kf_position_weight = 0.06\nkf_velocity_weight = 0.007\n")
+CONFIG_FILES = {
+    "window-every-key": _EVERY_KEY + ("use_hm_iou = true\nenable_ci = yes\nenable_cc = on\n"
+                                      "enable_cm = 1\nstrategy = window\nfinal_overlap = 0\n"),
+    "interval-every-key": _EVERY_KEY + ("use_hm_iou = false\nenable_ci = no\nenable_cc = on\n"
+                                        "enable_cm = off\nstrategy = interval\n"
+                                        "stage_bounds = 1, 3, 8, 16, 32\nfinal_overlap = 4\n"),
+    "decreasing-bounds": "stage_bounds = 1,10,5\n",
+    "window-final-overlap": "strategy = window\nfinal_overlap = 3\n",
+    "negative-final-overlap": "final_overlap = -2\n",
+    "bad-strategy": "strategy = diagonal\n",
+}
+BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
+             "final-overlap-fraction": ["--final-overlap", "1.5"],
+             "interp-max-gap-z": ["--interp-max-gap", "z"],
+             "ci-scaling-factor-inf": ["--ci-scaling-factor", "inf"]}
 
 
 def _renumbered(trajectories, first_id: int) -> list[Trajectory]:
@@ -196,6 +220,19 @@ def _fault_cases():
                               "--format", fmt, *extra]))
 
 
+def _config_cases():
+    """(name, prepare) of the 6 config-file cases and the 4 bad-flag cases."""
+    track = ["track", "--det", "det.txt", "--out", "out.txt", "--interp", "--smooth"]
+    evals = ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv"]
+    for name, text in CONFIG_FILES.items():
+        def write(text=text):
+            _write_mot_scene(PAN)
+            Path("cfg.txt").write_text(text, encoding="utf-8")
+        yield f"config-{name}", _cli_case(write, [*track, "--config", "cfg.txt"], evals)
+    for name, flags in BAD_FLAGS.items():
+        yield f"flag-{name}", _cli_case(lambda: _write_mot_scene(PAN), [*track, *flags], evals)
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -215,7 +252,8 @@ def main(argv=None) -> int:
         parser.error(f"no intertrack source tree under {root}")
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
-    for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases()]:
+    for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
+                          *_config_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
