@@ -27,16 +27,17 @@ batch, extrapolates the cached states together and evaluates the box kernel
 once over the aligned predictions.  The motion-informed first level filters
 all its preliminary chains in one Kalman batch as well.
 
-The first level scores its frame pairs in chunks, not one pair at a time:
-the (t, t+1) blocks are sorted by shape and cut into chunks of at most
-`_CHUNK_CELLS` padded cells, so the kernel's temporaries stay bounded on long
-or crowded sequences.  Each chunk is one kernel call over boxes gathered by
-row; a block smaller than its chunk's largest is padded by repeating one of
-its own frame's detections, so padded cells are finite, and they are never
-read.  Each chunk is also one `solve_blocks` call: a block whose rows' best
-cells are unique and in distinct columns is matched by that row-wise argmax,
-which the `assignment` module shows is the Hungarian optimum, and only the
-other blocks run the Hungarian solve.
+The first level scores its frame pairs in chunks, not one pair at a time,
+on the chunker it shares with `eval`, `assignment.padded_chunks`: the
+(t, t+1) blocks are sorted by shape and cut into chunks of at most
+`assignment._CHUNK_CELLS` padded cells, so the kernel's temporaries stay
+bounded on long or crowded sequences.  Each chunk is one kernel call over
+boxes gathered by row; a block smaller than its chunk's largest is padded by
+repeating one of its own frame's detections, so padded cells are finite, and
+they are never read.  Each chunk is also one `solve_blocks` call: a block
+whose rows' best cells are unique and in distinct columns is matched by that
+row-wise argmax, which the `assignment` module shows is the Hungarian
+optimum, and only the other blocks run the Hungarian solve.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` and
@@ -69,7 +70,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import solve, solve_blocks
+from .assignment import padded_chunks, solve, solve_blocks
 from .geometry import SimilarityKernel
 from .model import (BoxTable, Detection, Stage, Strategy, Tracklet, TrackerConfig, Trajectory,
                     table_of, trajectories_of, validate_config)
@@ -344,13 +345,6 @@ def window_strategy_pass(state: HierarchyState, window_size: int,
 # ---------------------------------------------------------------------------
 
 
-# Upper bound on the padded (pairs, n_max, m_max) cells of one block-scorer
-# call of the first level: the kernel's temporaries scale with it, so it
-# bounds memory on long or crowded sequences.  At 1 << 16 the temporaries
-# raised peak RSS by about 2 MB on a 6,200-detection sequence; at 1 << 14
-# they stay within noise and a call still holds hundreds of small blocks.
-_CHUNK_CELLS = 1 << 14
-
 # Block scorer: padded (pairs, n) row and (pairs, m) column positions into
 # the frame-sorted rows being linked -> (pairs, n, m) similarities.
 BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -362,36 +356,13 @@ def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.
     return kernel(a[:, :, None], b[:, None, :])
 
 
-def _chunks(shapes: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Indices of blocks of the given (n, m) shapes, sorted by shape and cut
-    into chunks whose padded cell count stays within `_CHUNK_CELLS`; a block
-    larger than that by itself is a chunk of its own."""
-    chunks: list[list[int]] = []
-    n_max = m_max = 0
-    for k in sorted(range(len(shapes)), key=lambda k: shapes[k]):
-        n, m = shapes[k]
-        if chunks and (len(chunks[-1]) + 1) * max(n_max, n) * max(m_max, m) <= _CHUNK_CELLS:
-            chunks[-1].append(k)
-            n_max, m_max = max(n_max, n), max(m_max, m)
-        else:
-            chunks.append([k])
-            n_max, m_max = n, m
-    return chunks
-
-
-def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(blocks, max size) indices start + i; slots past a block's size repeat
-    its last index, so every padded cell scores real boxes."""
-    return starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-
-
 def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[list[int]]:
     """Match every frame t against frame t+1 and chain the Hungarian links;
     returns chains of positions into `frame`, each covering a run of
     consecutive frames, in the order of their first position.
 
     `frame` is sorted, so each frame is one position range.  The (t, t+1)
-    blocks are sorted by shape and scored and matched a chunk at a time:
+    blocks are scored and matched a chunk at a time (`padded_chunks`):
     `score` gets a chunk's row and column position ranges padded to its
     largest block, and one `solve_blocks` call reads only each block's real
     [k, :n, :m] cells.  Logs, at INFO, the pass's frame pairs, chunks and
@@ -400,19 +371,17 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
     ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
-    shapes = list(zip(size[lead].tolist(), size[lead + 1].tolist()))
-    chunks = _chunks(shapes)
+    n, m = size[lead], size[lead + 1]
     link: dict[int, int] = {}
-    fallback = 0
-    for chunk in chunks:
-        b = lead[chunk]
-        r0, n, c0, m = first[b], size[b], first[b + 1], size[b + 1]
-        found, failed = solve_blocks(score(_padded(r0, n), _padded(c0, m)), n, m, gate)
+    chunks = fallback = 0
+    for blocks, rows, cols in padded_chunks(first[lead], n, first[lead + 1], m):
+        found, failed = solve_blocks(score(rows, cols), n[blocks], m[blocks], gate)
         blk, i, j = found.T
-        link.update(zip((r0[blk] + i).tolist(), (c0[blk] + j).tolist()))
+        link.update(zip(rows[blk, i].tolist(), cols[blk, j].tolist()))
+        chunks += 1
         fallback += failed
     log.info("first level: %d frame pairs in %d chunks, %d blocks certified, %d solved "
-             "by Hungarian fallback", len(shapes), len(chunks), len(shapes) - fallback, fallback)
+             "by Hungarian fallback", lead.size, chunks, lead.size - fallback, fallback)
     return _chains(link, range(len(frame)))
 
 

@@ -1,28 +1,48 @@
 """Tracking evaluation on columns: CLEAR accuracy and identity metrics.
 
-`eval_counts` walks the frames of two (frame, id)-sorted `BoxTable`s (ground
-truth and prediction, `id` the track id) once and scores each frame's gt x
-pred IoU block with one kernel call; a pair overlaps when its IoU reaches
-the threshold.  The block serves both metrics.  CLEAR: a correspondence
-persists while it still overlaps (gt tracks in id order, each prediction
-kept once), the rest is matched optimally, and a gt track whose hypothesis
-changes counts an identity switch.  Identity: each overlapping pair adds one
-to its (gt, pred) track pair's potential; one global one-to-one assignment
-on it gives IDTP, behind IDF1/IDP/IDR.  The public functions take tables in
-any row order, or Trajectory lists, and sort them; sequences pool by summing
-their counts.
+`eval_counts` scores two (frame, id)-sorted `BoxTable`s, ground truth and
+prediction, `id` the track id.  A gt row and a prediction in one frame hit
+when their IoU reaches the threshold.  CLEAR goes frame by frame: a
+correspondence persists while it is still a hit (gt tracks in id order, each
+prediction kept once), the rest is matched optimally over the hits, and a gt
+track whose hypothesis changes counts an identity switch.  Identity: each hit
+adds one to its (gt, pred) track pair's potential, and one global one-to-one
+assignment on it gives IDTP, behind IDF1/IDP/IDR.  Both matchings are
+`assignment.solve` with a gate that keeps every admissible cell: the IoU
+threshold, and one potential count.
+
+All frames are scored at once.  Each frame's gt x pred block goes into the
+padded chunks of `assignment.padded_chunks`, the chunker the first level
+uses, and each chunk is one IoU kernel call, so every IoU is bit-identical
+to a per-frame call; one `nonzero` per chunk gives the hits.  Call a frame
+forced when no gt track and no prediction track has two hits in it and every
+hit's IoU is above `_TIE_EPS`, the largest tie bias the optimal step
+subtracts.  In a forced frame the hits are a one-to-one matching: the
+keep-alive step keeps only hits, and the optimal step then takes every hit
+left, since each adds a positive weight and none shares a row or column with
+another.  So a forced frame's matches are exactly its hits, whatever came
+before — the rule TrackEval's CLEAR relies on.  Only the other, conflict
+frames run the step, in frame order, each from the last match of every gt
+track before it.  The identity switches are the changes in each gt track's
+sequence of matched predictions.
+
+The public functions take tables in any row order, or Trajectory lists, and
+sort them; sequences pool by summing their counts.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
-from .assignment import max_weight_matching
+from .assignment import _TIE_EPS, padded_chunks, real_cells, solve
 from .geometry import iou_kernel
 from .model import BoxTable, Trajectory, tracks_table
+
+log = logging.getLogger(__name__)
 
 Tracks = Union[BoxTable, Iterable[Trajectory]]
 
@@ -64,52 +84,100 @@ class EvalReport:
 
 
 def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
-    """CLEAR and identity counts of one sequence, in one walk over its frames.
+    """CLEAR and identity counts of one sequence, all frames scored at once.
 
-    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included)."""
+    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).  Logs, at
+    INFO, the sequence's frames, chunks, and forced and conflict frames."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
     pred_ids, pred_of = np.unique(pred.id, return_inverse=True)
-    potential = np.zeros((gt_ids.size, pred_ids.size))
-    last_hyp = np.full(gt_ids.size, -1)
     frames = np.union1d(gt.frame, pred.frame)
     # Row ranges of each frame: [g0, g1) in gt, [p0, p1) in pred.
-    bounds = [np.searchsorted(tracks.frame, frames, side).tolist()
-              for tracks in (gt, pred) for side in ("left", "right")]
-    fp = fn = idsw = 0
-    for g0, g1, p0, p1 in zip(*bounds):
-        n, m = g1 - g0, p1 - p0
-        matched = 0
-        if n and m:
-            gi, pj = gt_of[g0:g1], pred_of[p0:p1]
-            overlap = iou_kernel(gt.boxes[g0:g1, None], pred.boxes[None, p0:p1])
-            hit = overlap >= iou_threshold
-            np.add.at(potential, (gi[:, None], pj), hit)
-            # Keep alive each correspondence that still overlaps; a prediction
-            # claimed by several gt tracks stays with the lowest gt id.
-            hyp = last_hyp[gi]
-            col = np.minimum(np.searchsorted(pj, hyp), m - 1)
-            alive = np.flatnonzero((pj[col] == hyp) & hit[np.arange(n), col])
-            owner = np.full(m, n)  # per prediction: the gt row keeping it, n if none
-            np.minimum.at(owner, col[alive], alive)
-            kept = owner < n
-            # The optimal step matches the gt rows and predictions left over.
-            rows = np.flatnonzero(np.bincount(owner[kept], minlength=n) == 0)
-            cols = np.flatnonzero(~kept)
-            matched = int(kept.sum())
-            block = np.where(hit, overlap, -np.inf)[np.ix_(rows, cols)]
-            for i, j in max_weight_matching(block) if np.isfinite(block).any() else ():
-                g, p = gi[rows[i]], pj[cols[j]]
-                idsw += bool(last_hyp[g] >= 0 and last_hyp[g] != p)
-                last_hyp[g] = p
-                matched += 1
-        fn += n - matched
-        fp += m - matched
+    g0, g1, p0, p1 = (np.searchsorted(tracks.frame, frames, side)
+                      for tracks in (gt, pred) for side in ("left", "right"))
+    n, m = g1 - g0, p1 - p0
+    both = np.flatnonzero((n > 0) & (m > 0))
+    # Every hit as (frame index, gt row, pred row, IoU): one kernel call per chunk.
+    hits = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+    chunks = 0
+    for blocks, rows, cols in padded_chunks(g0[both], n[both], p0[both], m[both]):
+        overlap = iou_kernel(gt.boxes[rows][:, :, None], pred.boxes[cols][:, None, :])
+        real = real_cells(n[both[blocks]], m[both[blocks]], *overlap.shape[1:])
+        k, i, j = np.nonzero(real & (overlap >= iou_threshold))
+        hits.append((both[blocks[k]], rows[k, i], cols[k, j], overlap[k, i, j]))
+        chunks += 1
+    t, r, c, iou = (np.concatenate(h) for h in zip(*hits))
+    order = np.lexsort((c, r))  # gt row order, so frame order
+    t, r, c, iou = t[order], r[order], c[order], iou[order]
+    g, p = gt_of[r], pred_of[c]
+    potential = np.zeros((gt_ids.size, pred_ids.size))
+    np.add.at(potential, (g, p), 1.0)
+    conflict = np.zeros(frames.size, bool)
+    for ids, size in ((g, gt_ids.size), (p, pred_ids.size)):
+        key, count = np.unique(t * size + ids, return_counts=True)
+        conflict[key[count > 1] // size] = True
+    # A hit no larger than the tie bias may lose to leaving both unmatched.
+    conflict[t[iou <= _TIE_EPS]] = True
+    forced = ~conflict[t]
+    matches = [(t[forced], g[forced], p[forced])]
+    forced_t, forced_g, forced_p = matches[0]
+    # Conflict frames in frame order, each after the forced matches before it.
+    last_hyp = np.full(gt_ids.size, -1)
+    done = 0
+    for f in np.flatnonzero(conflict).tolist():
+        upto = np.searchsorted(forced_t, f)
+        _remember(last_hyp, forced_g[done:upto], forced_p[done:upto])
+        done = upto
+        lo, hi = np.searchsorted(t, [f, f + 1])
+        block = np.full((n[f], m[f]), -np.inf)
+        block[r[lo:hi] - g0[f], c[lo:hi] - p0[f]] = iou[lo:hi]
+        stepped = _step(block, gt_of[g0[f]:g1[f]], pred_of[p0[f]:p1[f]], last_hyp,
+                        iou_threshold)
+        matches.append((np.full(len(stepped), f), *np.array(stepped, np.intp).reshape(-1, 2).T))
+    mt, mg, mp = (np.concatenate(x) for x in zip(*matches))
+    # A gt track's matches in frame order; a frame's own matches keep their order.
+    order = np.lexsort((mt, mg))
+    mg, mp = mg[order], mp[order]
+    idsw = int(np.count_nonzero((mg[1:] == mg[:-1]) & (mp[1:] != mp[:-1])))
+    n_conflict = int(conflict.sum())
+    log.info("eval: %d frames in %d chunks, %d forced, %d conflict frames stepped",
+             frames.size, chunks, frames.size - n_conflict, n_conflict)
     admissible = np.where(potential > 0, potential, -np.inf)
-    idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
-    return EvalCounts(fp=fp, fn=fn, idsw=idsw, idtp=idtp,
-                      len_gt=gt.frame.size, len_pred=pred.frame.size)
+    idtp = int(sum(potential[i, j] for i, j in solve(admissible, 1.0)))
+    return EvalCounts(fp=pred.frame.size - mg.size, fn=gt.frame.size - mg.size, idsw=idsw,
+                      idtp=idtp, len_gt=gt.frame.size, len_pred=pred.frame.size)
+
+
+def _remember(last_hyp: np.ndarray, g: np.ndarray, p: np.ndarray) -> None:
+    """last_hyp[g[k]] = p[k] for k in order, so a repeated g keeps its last p."""
+    g, p = g[::-1], p[::-1]
+    tracks, last = np.unique(g, return_index=True)
+    last_hyp[tracks] = p[last]
+
+
+def _step(block: np.ndarray, gi: np.ndarray, pj: np.ndarray, last_hyp: np.ndarray,
+          gate: float) -> list[tuple[int, int]]:
+    """The CLEAR matching of one frame: its gt tracks `gi` x pred tracks `pj`
+    IoU block, -inf off the hits.  Returns the (gt, pred) track matches, the
+    kept-alive ones first, and updates `last_hyp` as it goes."""
+    n, m = block.shape
+    # Keep alive each correspondence that still overlaps; a prediction
+    # claimed by several gt tracks stays with the lowest gt id.
+    hyp = last_hyp[gi]
+    col = np.minimum(np.searchsorted(pj, hyp), m - 1)
+    alive = np.flatnonzero((pj[col] == hyp) & (block[np.arange(n), col] > -np.inf))
+    owner = np.full(m, n)  # per prediction: the gt row keeping it, n if none
+    np.minimum.at(owner, col[alive], alive)
+    kept = np.flatnonzero(owner < n)
+    matches = list(zip(gi[owner[kept]].tolist(), pj[kept].tolist()))
+    # The optimal step matches the gt rows and predictions left over.
+    rows = np.flatnonzero(np.bincount(owner[kept], minlength=n) == 0)
+    cols = np.flatnonzero(owner == n)
+    for i, j in solve(block[np.ix_(rows, cols)], gate):
+        last_hyp[gi[rows[i]]] = pj[cols[j]]
+        matches.append((int(gi[rows[i]]), int(pj[cols[j]])))
+    return matches
 
 
 def frame_sorted(tracks: Tracks) -> BoxTable:

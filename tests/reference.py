@@ -1,14 +1,19 @@
 """Per-entry reference versions of the column steps of `refine` and of the
 `mot_io` writers: one loop per trajectory entry or output row.  The tests
 require the column code to match them bit for bit, on the trajectories that
-`trajectories()` draws."""
+`trajectories()` draws.  `eval_counts` is the frame-by-frame form of
+`metrics.eval_counts`, one IoU block and one CLEAR step per frame."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from intertrack.model import BoundingBox, Detection, Tracklet, Trajectory, stack_boxes
+from intertrack.assignment import max_weight_matching
+from intertrack.geometry import iou_kernel
+from intertrack.metrics import EvalCounts
+from intertrack.model import (BoundingBox, BoxTable, Detection, Tracklet, Trajectory,
+                              stack_boxes)
 from intertrack.mot_io import KITTI_CLASSES
 
 
@@ -72,6 +77,56 @@ def gaussian_smooth(trajectory, sigma):
         box = BoundingBox(row[0], row[1], max(row[2], 1.0), max(row[3], 1.0))
         entries.append(e.with_box(box))
     return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
+
+
+def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
+    """CLEAR and identity counts of one sequence, in one walk over its frames.
+
+    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included)."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
+    pred_ids, pred_of = np.unique(pred.id, return_inverse=True)
+    potential = np.zeros((gt_ids.size, pred_ids.size))
+    last_hyp = np.full(gt_ids.size, -1)
+    frames = np.union1d(gt.frame, pred.frame)
+    # Row ranges of each frame: [g0, g1) in gt, [p0, p1) in pred.
+    bounds = [np.searchsorted(tracks.frame, frames, side).tolist()
+              for tracks in (gt, pred) for side in ("left", "right")]
+    fp = fn = idsw = 0
+    for g0, g1, p0, p1 in zip(*bounds):
+        n, m = g1 - g0, p1 - p0
+        matched = 0
+        if n and m:
+            gi, pj = gt_of[g0:g1], pred_of[p0:p1]
+            overlap = iou_kernel(gt.boxes[g0:g1, None], pred.boxes[None, p0:p1])
+            hit = overlap >= iou_threshold
+            np.add.at(potential, (gi[:, None], pj), hit)
+            # Keep alive each correspondence that still overlaps; a prediction
+            # claimed by several gt tracks stays with the lowest gt id.
+            hyp = last_hyp[gi]
+            col = np.minimum(np.searchsorted(pj, hyp), m - 1)
+            alive = np.flatnonzero((pj[col] == hyp) & hit[np.arange(n), col])
+            owner = np.full(m, n)  # per prediction: the gt row keeping it, n if none
+            np.minimum.at(owner, col[alive], alive)
+            kept = owner < n
+            # The optimal step matches the gt rows and predictions left over.
+            rows = np.flatnonzero(np.bincount(owner[kept], minlength=n) == 0)
+            cols = np.flatnonzero(~kept)
+            matched = int(kept.sum())
+            block = np.where(hit, overlap, -np.inf)[np.ix_(rows, cols)]
+            for i, j in max_weight_matching(block) if np.isfinite(block).any() else ():
+                g, p = gi[rows[i]], pj[cols[j]]
+                idsw += bool(last_hyp[g] >= 0 and last_hyp[g] != p)
+                last_hyp[g] = p
+                matched += 1
+        fn += n - matched
+        fp += m - matched
+    admissible = np.where(potential > 0, potential, -np.inf)
+    idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
+    return EvalCounts(fp=fp, fn=fn, idsw=idsw, idtp=idtp,
+                      len_gt=gt.frame.size, len_pred=pred.frame.size)
+
 
 
 def _mot_row(frame, track_id, box, score):

@@ -382,6 +382,21 @@ class TestEval:
         assert "MOTA  1.0000" in stdout
 
 
+    def test_verbose_logs_forced_and_conflict_frames_outside_stdout(self, tmp_path, capsys,
+                                                                    caplog):
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        # From frame 3 on, both gt tracks overlap the one prediction.
+        write_mot_results([traj(1, range(1, 6), 100.0), traj(2, range(3, 6), 110.0)], gt)
+        write_mot_results([traj(9, range(1, 6), 100.0)], pred)
+        argv = ["eval", "--gt", str(gt), "--pred", str(pred), "--kv"]
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level("INFO"):
+            assert cli.main(["--verbose", *argv]) == 0
+        assert capsys.readouterr().out == quiet
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval:")]
+        assert lines == ["eval: 5 frames in 1 chunks, 2 forced, 3 conflict frames stepped"]
+
     @pytest.mark.parametrize("value", ["-1", "nan", "1.5", "0"])
     def test_iou_threshold_outside_unit_interval_fails_with_2(self, tmp_path, capsys, value):
         gt = tmp_path / "gt.txt"

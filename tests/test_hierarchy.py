@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intertrack import hierarchy
+from intertrack import assignment, hierarchy
 from intertrack.assignment import solve
 from intertrack.geometry import SimilarityKernel, stack_boxes
 from intertrack.hierarchy import (
@@ -472,7 +472,7 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
                 return out
             return link_frames(frame, scored, gate)
 
-        with mock.patch.object(hierarchy, "_CHUNK_CELLS", budget), \
+        with mock.patch.object(assignment, "_CHUNK_CELLS", budget), \
                 mock.patch.object(hierarchy, "_link_frames", recording):
             chains = adjacent_pass(table, rows, kernel, gate)
             assert row_ids(chains) == ids(static)

@@ -1,10 +1,13 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from intertrack import assignment
 from intertrack.assignment import max_weight_matching
 from intertrack.geometry import iou_kernel, stack_boxes
 from intertrack.model import BoundingBox, Detection
@@ -312,6 +315,15 @@ _SHARED_HYPOTHESIS = ([_line(1, [(1, 0), (3, 0), (4, 0)]), _line(2, [(2, 0), (3,
                       [_line(5, [(1, 0), (2, 0), (3, 1), (4, 0)]), _line(6, [(3, 0), (4, 1)])])
 
 
+# Two trajectories of gt 1 share frame 2, where each meets one prediction.
+_SHARED_ID = ([_line(1, [(1, 0), (2, 0)]), _line(1, [(2, 6), (3, 6)])],
+              [_line(5, [(1, 0), (2, 6), (3, 6)]), _line(6, [(2, 0)])])
+
+# gt 2 overlaps pred 7 by an IoU of about 1e-11, below the tie bias of its
+# cell in the optimal step's block, so the step leaves both unmatched.
+_TINY_HIT = ([_line(1, [(1, 20)]), _line(2, [(1, 0)])], [_line(7, [(1, 4 - 8e-11)])])
+
+
 class TestColumnCounts:
     @settings(max_examples=400, deadline=None)
     @given(gt=_grid_tracks(st.integers(1, 6)), pred=_grid_tracks(st.integers(3, 9)),
@@ -326,6 +338,34 @@ class TestColumnCounts:
         assert (counts.fp, counts.fn, counts.idsw) == (fp, fn, idsw)
         assert (counts.idtp, counts.len_gt, counts.len_pred) == (idtp, len_gt, len_pred)
         assert counts.len_gt == gt_count
+
+    @settings(max_examples=400, deadline=None)
+    @given(gt=_grid_tracks(st.integers(1, 6)), pred=_grid_tracks(st.integers(3, 9)),
+           iou_threshold=st.sampled_from(_GRID_THRESHOLDS),
+           budget=st.sampled_from([1, 5, 40, assignment._CHUNK_CELLS]))
+    @example(gt=_SHARED_HYPOTHESIS[0], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5, budget=1)
+    @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5, budget=1)
+    @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5, budget=1)
+    @example(gt=_SHARED_ID[0], pred=_SHARED_ID[1], iou_threshold=0.5, budget=5)
+    @example(gt=_TINY_HIT[0], pred=_TINY_HIT[1], iou_threshold=1e-12, budget=40)
+    def test_matches_frame_by_frame_reference(self, gt, pred, iou_threshold, budget):
+        gt, pred = frame_sorted(gt), frame_sorted(pred)
+        with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
+            counts = eval_counts(gt, pred, iou_threshold)
+        assert counts == reference.eval_counts(gt, pred, iou_threshold)
+
+    def test_shared_gt_id_steps_its_frame(self):
+        # Frame 2 holds two rows of gt 1, each with one hit: stepped, pred 5
+        # stays alive on the second row and the first switches to pred 6,
+        # which frame 3's pred 5 then switches back from.
+        counts = eval_counts(*map(frame_sorted, _SHARED_ID), 0.5)
+        assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 2)
+
+    def test_hit_below_the_tie_bias_is_not_matched(self):
+        counts = eval_counts(*map(frame_sorted, _TINY_HIT), 1e-12)
+        boxes = stack_boxes([_TINY_HIT[0][1].entries[0].box, _TINY_HIT[1][0].entries[0].box])
+        assert 0 < iou_kernel(*boxes) < 1e-10
+        assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 2, 0, 1)
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
         counts = eval_counts(*map(frame_sorted, _SHARED_HYPOTHESIS), 0.5)

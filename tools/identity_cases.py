@@ -37,8 +37,14 @@ The cases:
   bounds; interval with its own bounds and final overlap), four files with
   a schedule fault (decreasing bounds, window with a final overlap, a
   negative final overlap, an unknown strategy) and four bad flag values.
+- 3 `eval` cases: `refine` on the crowd scene's foreign output, scored with
+  `--iou-threshold 1.0` against that input and with `--iou-threshold 0.05`
+  (many frames where hits conflict) against the ground truth; and `track` on
+  a directory of two sequences, scored against a ground-truth directory that
+  holds a third sequence as well, so the pooled report leaves it out with a
+  warning.
 
-84 cases in all.
+87 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -233,6 +239,30 @@ def _config_cases():
         yield f"flag-{name}", _cli_case(lambda: _write_mot_scene(PAN), [*track, *flags], evals)
 
 
+def _write_sequences() -> None:
+    """Three sequences under gt/, the detections of the first two under det/."""
+    Path("gt").mkdir(exist_ok=True)
+    Path("det").mkdir(exist_ok=True)
+    for k, spec in enumerate((PAN, CROWD, dataclasses.replace(PAN, seed=6))):
+        gt, dets = synth.generate(spec)
+        mot_io.write_mot_results(gt, f"gt/seq{k}.txt")
+        if k < 2:
+            mot_io.write_mot_detections(dets, f"det/seq{k}.txt")
+
+
+def _eval_cases():
+    """(name, prepare) of the 3 eval cases."""
+    refine = ["refine", "--in", "theirs.txt", "--out", "out.txt"]
+    for threshold, gt in (("1.0", "theirs.txt"), ("0.05", "gt.txt")):
+        yield (f"eval-crowd-iou{threshold}",
+               _cli_case(lambda: _write_mot_scene(CROWD), refine,
+                         ["eval", "--gt", gt, "--pred", "out.txt", "--kv",
+                          "--iou-threshold", threshold]))
+    yield ("eval-dirs-one-sided",
+           _cli_case(_write_sequences, ["track", "--det", "det", "--out", "out"],
+                     ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -253,7 +283,7 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
-                          *_config_cases()]:
+                          *_config_cases(), *_eval_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
