@@ -25,14 +25,38 @@ stays unmatched.  A row whose best is exactly 0 may be matched either way,
 but only at a cell whose score equals its bias, below `_TIE_EPS`, so the
 gate drops it unless the gate is that small too.  Only the blocks that are
 not certified go to `max_weight_matching`.
+
+The merge levels match a sparse matrix: their admissible (earlier, later)
+pairs are a small share of all tracklet pairs.  `solve_pairs` takes it as
+cell arrays and solves it as the dense `solve` would, one connected
+component at a time.  It drops every cell whose score is not above 0: a
+dropped cell's biased score is below the 0 that leaving its row and column
+unmatched gains, so no optimum takes it, except a 0 at the bias-free cell
+(0, 0), which the gate (above 0) drops anyway.  Cells above 0 but below the
+gate stay, because they steer which matching is optimal.  The remaining
+cells fall apart into connected components of rows and columns, and a
+matching of the whole is optimal exactly when it is optimal on each
+component.  A component without a cell at or above the gate is not solved:
+the gate would drop whatever it matched.  Each other component is one block
+of its rows x its columns in ascending order, and these blocks go through
+`padded_chunks` and `solve_blocks` like any other blocks, so no array grows
+with the square of the row count unless one component does.
+
+Ties may resolve differently from the dense `solve`.  The tie bias is
+block-local: a cell's bias depends on its position in its component, not in
+the whole matrix.  So two matchings whose real totals differ by less than
+about `_TIE_EPS` can go either way.  With distinct totals both find the one
+optimum.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 # Large finite stand-in for -inf inside the padded solve (scipy rejects
 # matrices that make every complete assignment infeasible).
@@ -66,6 +90,13 @@ def _chunks(n: list[int], m: list[int]) -> list[list[int]]:
             chunks.append([k])
             n_max, m_max = n[k], m[k]
     return chunks
+
+
+def pair_chunks(count: int) -> Iterator[slice]:
+    """Consecutive slices of `count` items, `_CHUNK_CELLS` to a slice: the
+    chunks in which a batch of single cells, such as tracklet pairs, is
+    scored."""
+    return (slice(s, s + _CHUNK_CELLS) for s in range(0, count, _CHUNK_CELLS))
 
 
 def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -173,3 +204,63 @@ def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     scores = np.asarray(scores, dtype=np.float64)
     found, _ = solve_blocks(scores[None], [scores.shape[0]], [scores.shape[1]], gate)
     return [(i, j) for _, i, j in found.tolist()]
+
+
+class PairMatches(NamedTuple):
+    """The result of `solve_pairs`: the matched cells (a[k], b[k]) in
+    ascending a, the number of connected components solved, the rows plus
+    columns (nodes) of the largest of them, and the number of them that went
+    to the Hungarian fallback."""
+    a: np.ndarray
+    b: np.ndarray
+    components: int
+    largest: int
+    fallback: int
+
+
+def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -> PairMatches:
+    """`solve` of the sparse matrix whose distinct cells (a[k], b[k]) hold
+    scores[k] and whose other cells are inadmissible, for a gate above 0,
+    solved one connected component at a time (see the module docstring)."""
+    keep = np.isfinite(scores) & (scores > 0)
+    a, b, scores = a[keep], b[keep], scores[keep]
+    rows, row = np.unique(a, return_inverse=True)
+    cols, col = np.unique(b, return_inverse=True)
+    nodes = rows.size + cols.size
+    graph = coo_matrix((np.ones(scores.size), (row, rows.size + col)), shape=(nodes, nodes))
+    count, label = connected_components(graph, directed=False)
+    comp = label[row]
+    # Only components holding a cell at or above the gate can yield a match.
+    solved = np.flatnonzero(np.bincount(comp[scores >= gate], minlength=count))
+    if not solved.size:
+        return PairMatches(a[:0], b[:0], 0, 0, 0)
+    # Rows, then columns, ordered by component and ascending within one; each
+    # component's rows and columns are one contiguous range of that order.
+    r_label, c_label = label[:rows.size], label[rows.size:]
+    r_order, c_order = np.argsort(r_label, kind="stable"), np.argsort(c_label, kind="stable")
+    n, m = np.bincount(r_label, minlength=count), np.bincount(c_label, minlength=count)
+    r0, c0 = np.cumsum(n) - n, np.cumsum(m) - m
+    r_local, c_local = np.empty_like(row), np.empty_like(col)
+    r_local[r_order] = np.arange(rows.size) - r0[r_label[r_order]]
+    c_local[c_order] = np.arange(cols.size) - c0[c_label[c_order]]
+    chunks = list(padded_chunks(r0[solved], n[solved], c0[solved], m[solved]))
+    # Per component, its chunk (len(chunks) if it is not solved) and its
+    # block's index in that chunk.
+    chunk_of, slot = np.full(count, len(chunks)), np.empty(count, np.intp)
+    for k, (blocks, _, _) in enumerate(chunks):
+        chunk_of[solved[blocks]], slot[solved[blocks]] = k, np.arange(blocks.size)
+    by_chunk = np.argsort(chunk_of[comp], kind="stable")
+    ends = np.cumsum(np.bincount(chunk_of[comp], minlength=len(chunks) + 1))
+    found_a, found_b, fallback = [], [], 0
+    for (blocks, r_pos, c_pos), cells in zip(chunks, np.split(by_chunk, ends[:-1])):
+        dense = np.full((blocks.size, r_pos.shape[1], c_pos.shape[1]), -np.inf)
+        dense[slot[comp[cells]], r_local[row[cells]], c_local[col[cells]]] = scores[cells]
+        found, failed = solve_blocks(dense, n[solved[blocks]], m[solved[blocks]], gate)
+        blk, i, j = found.T
+        found_a.append(rows[r_order[r_pos[blk, i]]])
+        found_b.append(cols[c_order[c_pos[blk, j]]])
+        fallback += failed
+    found_a, found_b = np.concatenate(found_a), np.concatenate(found_b)
+    order = np.argsort(found_a)
+    return PairMatches(found_a[order], found_b[order], solved.size,
+                       int((n + m)[solved].max()), fallback)

@@ -18,14 +18,21 @@ differ in only by how they group candidate tracklets; both frame-adjacent
 passes share one frame-linking loop and differ only in their score matrix.
 
 Tracklet intervals are the priors that bound each level's candidates.  The
-merge loop never scans all pairs: tracklets are sorted by t_min, so a
-bisect finds, for each tracklet, the few whose first frame lies in its
-admissible window (a gap of at most the level's bound, or a bounded
-overlap).  All pairs a round admits in one candidate group are then scored
-in one batched call, which fits the missing motion states in one Kalman
-batch, extrapolates the cached states together and evaluates the box kernel
-once over the aligned predictions.  The motion-informed first level filters
-all its preliminary chains in one Kalman batch as well.
+merge loop never scans all pairs and builds no per-pair object: each round
+gathers the tracklets' (tid, t_min, t_max) into arrays, and since they are
+sorted by t_min a binary search finds, for every tracklet at once, the index
+range of those whose first frame lies in its admissible window (a gap of at
+most the level's bound, or a bounded overlap).  The windows are expanded
+into (earlier, later) index arrays and filtered by one elementwise
+admissibility test.  A group's pairs are scored in one `score` call, which
+gathers per-tracklet attributes once, fits the missing motion states of its
+distinct tracklets in one Kalman batch and evaluates the box kernel over the
+aligned predictions in chunks of at most `assignment._CHUNK_CELLS` pairs.
+`solve_pairs` then matches the pairs as the sparse matrix they are, one
+connected component of pairs above 0 at a time, on the first level's chunker
+and certificate; no tracklets x tracklets matrix is built.
+The motion-informed first level filters all its preliminary chains in one
+Kalman batch as well.
 
 The first level scores its frame pairs in chunks, not one pair at a time,
 on the chunker it shares with `eval`, `assignment.padded_chunks`: the
@@ -62,7 +69,7 @@ ids are never reused, and matching ties are broken toward low indices.
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -70,7 +77,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import padded_chunks, solve, solve_blocks
+from .assignment import pair_chunks, padded_chunks, solve, solve_blocks, solve_pairs
 from .geometry import SimilarityKernel
 from .model import (BoxTable, Detection, Stage, Strategy, Tracklet, TrackerConfig, Trajectory,
                     table_of, trajectories_of, validate_config)
@@ -103,8 +110,9 @@ def _tracklet(frame: np.ndarray, tid: int, rows: np.ndarray) -> TrackletRows:
     return TrackletRows(tid, rows, int(frame[rows[0]]), int(frame[rows[-1]]))
 
 
-# Batched pair scorer: (earlier, later) tracklet pairs -> similarity per pair.
-PairScorer = Callable[[Sequence[tuple[TrackletRows, TrackletRows]]], np.ndarray]
+# Batched pair scorer: (members, a, b) -> the similarity of each pair
+# (members[a[k]], members[b[k]]), earlier tracklet first.
+PairScorer = Callable[[Sequence[TrackletRows], np.ndarray, np.ndarray], np.ndarray]
 # Candidate grouping: tracklets -> index groups; pairs are only scored
 # (and matched) inside one group.
 Grouping = Callable[[Sequence[TrackletRows]], Sequence[Sequence[int]]]
@@ -258,68 +266,114 @@ def _merge_round(table: BoxTable, tracklets: Sequence[TrackletRows],
     return _ordered(merged), next_tid
 
 
-def _interval_admissible(dt_bound: int, overlap_allowance: int,
-                         a: TrackletRows, b: TrackletRows) -> bool:
-    if (a.t_min, a.t_max, a.tid) >= (b.t_min, b.t_max, b.tid):
-        return False
+class _Spans(NamedTuple):
+    """The tid, t_min and t_max arrays of a sequence of tracklets."""
+    tid: np.ndarray
+    t_min: np.ndarray
+    t_max: np.ndarray
+
+    @classmethod
+    def of(cls, tracklets: Sequence[TrackletRows]) -> _Spans:
+        return cls(np.array([t.tid for t in tracklets], np.int64),
+                   np.array([t.t_min for t in tracklets], np.int64),
+                   np.array([t.t_max for t in tracklets], np.int64))
+
+    def take(self, k: np.ndarray) -> _Spans:
+        return _Spans(self.tid[k], self.t_min[k], self.t_max[k])
+
+
+def _interval_admissible(dt_bound: int, overlap_allowance: int, a, b):
+    """Whether tracklet b may follow tracklet a at a level, elementwise over
+    `_Spans` (or any objects with tid, t_min and t_max); a call on two
+    tracklets is a one-element call.  b must come after a in (t_min, t_max,
+    tid) order and either start within dt_bound frames after a ends or share
+    at most overlap_allowance frames with it."""
+    after = ((a.t_min < b.t_min)
+             | ((a.t_min == b.t_min) & ((a.t_max < b.t_max)
+                                         | ((a.t_max == b.t_max) & (a.tid < b.tid)))))
     gap = b.t_min - a.t_max
-    if 0 < gap <= dt_bound:
-        return True
     # Shared frames, counted as resolve_overlap counts them.
-    return 0 < a.t_max - b.t_min + 1 <= overlap_allowance
+    shared = 1 - gap
+    return after & (((0 < gap) & (gap <= dt_bound))
+                    | ((0 < shared) & (shared <= overlap_allowance)))
 
 
-def _admissible_pairs(members: Sequence[TrackletRows], dt_bound: int,
-                      overlap_allowance: int) -> list[tuple[int, int]]:
-    """Index pairs (a, b) of `members`, which are in (t_min, t_max, tid)
-    order, that `_interval_admissible` admits, in sorted order.
+def _admissible_pairs(spans: _Spans, dt_bound: int,
+                      overlap_allowance: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) of tracklets in (t_min, t_max, tid) order, given by
+    their `spans`, that `_interval_admissible` admits, as two arrays in
+    sorted (a, b) order.
 
-    Only b with t_min in [a.t_max - overlap_allowance + 1, a.t_max + dt_bound]
-    can be admitted, so a bisect over the members' t_min bounds the scan."""
-    starts = [t.t_min for t in members]
-    pairs = []
-    for a, x in enumerate(members):
-        lo = bisect.bisect_left(starts, x.t_max - overlap_allowance + 1)
-        hi = bisect.bisect_right(starts, x.t_max + dt_bound)
-        pairs += [(a, b) for b in range(lo, hi)
-                  if _interval_admissible(dt_bound, overlap_allowance, x, members[b])]
-    return pairs
+    Only b with t_min in [t_max[a] - overlap_allowance + 1, t_max[a] +
+    dt_bound] can be admitted, and since t_min is sorted each a's window is
+    one index range, found by a binary search.  The windows, laid end to end,
+    are expanded into pairs and filtered `pair_chunks` candidates at a time."""
+    lo = np.searchsorted(spans.t_min, spans.t_max - overlap_allowance + 1, "left")
+    count = np.searchsorted(spans.t_min, spans.t_max + dt_bound, "right") - lo
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for part in pair_chunks(total):
+        at = np.arange(part.start, min(part.stop, total))
+        x = np.searchsorted(ends, at, "right")
+        y = at - ends[x] + count[x] + lo[x]
+        keep = _interval_admissible(dt_bound, overlap_allowance, spans.take(x), spans.take(y))
+        a.append(x[keep])
+        b.append(y[keep])
+    return np.concatenate(a), np.concatenate(b)
 
 
 def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
-                       overlap_allowance: int, score: PairScorer,
-                       gate: float) -> HierarchyState:
+                       overlap_allowance: int, score: PairScorer, gate: float,
+                       label: str) -> HierarchyState:
     """Solve each candidate group's admissible pairs, merge the matches, and
     repeat until a round matches nothing.
 
-    Each round sweeps every group's time-ordered members for the pairs whose
-    intervals are admissible and scores all of a group's pairs in one batched
-    `score` call."""
+    Each round gathers the tracklets' spans into arrays once, sweeps every
+    group's time-ordered members for the index pairs whose intervals are
+    admissible, scores them in one `score` call, and matches them with
+    `solve_pairs`, one connected component of pairs above 0 at a time.
+    Logs, at INFO, one line per round."""
     tracklets = state.tracklets
     next_tid = state.next_tid
-    while True:
+    for round_ in itertools.count(1):
+        spans = _Spans.of(tracklets)
         matches: list[tuple[int, int]] = []
+        admitted = positive = components = largest = fallback = 0
         for group in groups(tracklets):
-            members = [tracklets[k] for k in group]
-            pairs = _admissible_pairs(members, dt_bound, overlap_allowance)
-            if not pairs:
+            group = np.asarray(group, dtype=np.intp)
+            a, b = _admissible_pairs(spans.take(group), dt_bound, overlap_allowance)
+            if not a.size:
                 continue
-            scores = np.full((len(members), len(members)), -np.inf)
-            rows, cols = zip(*pairs)
-            scores[rows, cols] = score([(members[a], members[b]) for a, b in pairs])
-            matches += [(group[a], group[b]) for a, b in solve(scores, gate)]
+            scores = score([tracklets[k] for k in group.tolist()], a, b)
+            found = solve_pairs(a, b, scores, gate)
+            matches += zip(group[found.a].tolist(), group[found.b].tolist())
+            admitted += a.size
+            positive += int((scores > 0).sum())
+            components += found.components
+            largest = max(largest, found.largest)
+            fallback += found.fallback
+        log.info("merge level (%s) round %d: %d pairs admitted, %d above 0, %d components "
+                 "solved (largest %d nodes), %d by Hungarian fallback, %d matches",
+                 label, round_, admitted, positive, components, largest, fallback, len(matches))
         if not matches:
             return HierarchyState(state.table, tracklets, next_tid)
         tracklets, next_tid = _merge_round(state.table, tracklets, matches, next_tid,
                                            overlap_allowance)
 
 
+def _bounds_label(bound: int, overlap: int, window: bool) -> str:
+    if window:
+        return f"window {bound}"
+    return f"gap {bound}, overlap {overlap}" if overlap else f"gap {bound}"
+
+
 def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
                    score: PairScorer, gate: float) -> HierarchyState:
     """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
     (plus a bounded overlap on the final level) and merge until fixpoint."""
-    return _merge_to_fixpoint(state, lambda ts: [range(len(ts))], dt_bound,
-                              overlap_allowance, score, gate)
+    return _merge_to_fixpoint(state, lambda ts: [np.arange(len(ts))], dt_bound, overlap_allowance,
+                              score, gate, _bounds_label(dt_bound, overlap_allowance, False))
 
 
 def _window_groups(tracklets: Sequence[TrackletRows], window_size: int) -> list[list[int]]:
@@ -337,7 +391,7 @@ def window_strategy_pass(state: HierarchyState, window_size: int,
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
     return _merge_to_fixpoint(state, lambda ts: _window_groups(ts, window_size),
-                              window_size, 0, score, gate)
+                              window_size, 0, score, gate, _bounds_label(window_size, 0, True))
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +534,7 @@ def _adjacent_pairs(frame: np.ndarray, runs: Sequence[np.ndarray]
 
 
 def _stage_label(index: int, stage: Stage, window: bool) -> str:
-    if window:
-        return f"level-{index} (window {stage.bound})"
-    if stage.overlap:
-        return f"level-{index} (gap {stage.bound}, overlap {stage.overlap})"
-    return f"level-{index} (gap {stage.bound})"
+    return f"level-{index} ({_bounds_label(stage.bound, stage.overlap, window)})"
 
 
 class _ClassEngine:
@@ -565,7 +615,7 @@ class _ClassEngine:
         are absorbed right after the first stage."""
         gate = self.cfg.match_threshold
         cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
-        score: PairScorer = lambda pairs: pair_scores(pairs, self.kernel, cache)
+        score: PairScorer = lambda members, a, b: pair_scores(members, a, b, self.kernel, cache)
         for k, stage in enumerate(self.cfg.stages[first:], start=first + 1):
             if self.window:
                 state = window_strategy_pass(state, stage.bound, score, gate)

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .assignment import pair_chunks
 from .model import TrackerConfig
 
 
@@ -38,9 +39,13 @@ def _predict(st: np.ndarray, wp: float, wv: float) -> np.ndarray:
     """One constant-velocity step of stacked states (see `kalman_states`)."""
     h = np.maximum(st[:, 3], 1.0)
     p00, p01, p11 = st[:, 8], st[:, 9], st[:, 10]
-    return np.column_stack([st[:, :4] + st[:, 4:8], st[:, 4:8],
-                            p00 + 2 * p01 + p11 + (wp * h) ** 2, p01 + p11,
-                            p11 + (wv * h) ** 2])
+    out = np.empty_like(st)
+    np.add(st[:, :4], st[:, 4:8], out=out[:, :4])
+    out[:, 4:8] = st[:, 4:8]
+    out[:, 8] = p00 + 2 * p01 + p11 + (wp * h) ** 2
+    out[:, 9] = p01 + p11
+    out[:, 10] = p11 + (wv * h) ** 2
+    return out
 
 
 def _update(st: np.ndarray, z: np.ndarray, wp: float) -> np.ndarray:
@@ -50,8 +55,13 @@ def _update(st: np.ndarray, z: np.ndarray, wp: float) -> np.ndarray:
     gain_den = p00 + (wp * h) ** 2
     k0, k1 = p00 / gain_den, p01 / gain_den
     innov = z - st[:, :4]
-    return np.column_stack([st[:, :4] + k0[:, None] * innov, st[:, 4:8] + k1[:, None] * innov,
-                            (1 - k0) * p00, (1 - k0) * p01, p11 - k1 * p01])
+    out = np.empty_like(st)
+    out[:, :4] = st[:, :4] + k0[:, None] * innov
+    out[:, 4:8] = st[:, 4:8] + k1[:, None] * innov
+    out[:, 8] = (1 - k0) * p00
+    out[:, 9] = (1 - k0) * p01
+    out[:, 10] = p11 - k1 * p01
+    return out
 
 
 def kalman_states(frame: np.ndarray, boxes: np.ndarray, runs: Sequence[np.ndarray],
@@ -144,9 +154,38 @@ class FitCache:
         return np.array([self._states[key] for key in keys])
 
 
-def pair_scores(pairs: Sequence[tuple], kernel, cache: FitCache) -> np.ndarray:
-    """Similarities in [0, 1] of (earlier, later) tracklet pairs, each in
-    canonical time order, scored in one batch.
+def _shared_frames(members: Sequence, t_min: np.ndarray, t_max: np.ndarray, a: np.ndarray,
+                   b: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The frames shared by the pairs (members[a[k]], members[b[k]]), each in
+    canonical time order, given the members' t_min and t_max: per shared
+    frame, in (k, frame) order, k and the two tracklets' rows at that frame.
+
+    Only the later tracklet's rows up to the earlier one's last frame can be
+    shared; each is looked up among the earlier one's rows by a key that
+    increases along every member's rows and from member to member."""
+    pairs = np.flatnonzero(t_min[b] <= t_max[a])
+    if not pairs.size:
+        return pairs, pairs, pairs
+    rows = np.concatenate([t.rows for t in members])
+    size = np.array([len(t.rows) for t in members])
+    start = np.cumsum(size) - size
+    span = t_max - t_min + 1
+    base = np.cumsum(span) - span - t_min  # key of member k's frame f: base[k] + f
+    key = np.repeat(base, size) + frame[rows]
+    x, y = a[pairs], b[pairs]
+    head = np.searchsorted(key, base[y] + np.minimum(t_max[x], t_max[y]), "right") - start[y]
+    k = np.repeat(pairs, head)
+    pos = np.arange(head.sum()) - np.repeat(np.cumsum(head) - head - start[y], head)
+    want = np.repeat(base[x], head) + frame[rows[pos]]
+    at = np.searchsorted(key, want)
+    hit = key[at] == want
+    return k[hit], rows[at[hit]], rows[pos[hit]]
+
+
+def pair_scores(members: Sequence, a: np.ndarray, b: np.ndarray, kernel,
+                cache: FitCache) -> np.ndarray:
+    """Similarities in [0, 1] of the tracklet pairs (members[a[k]],
+    members[b[k]]), each in canonical time order.
 
     A tracklet is a `tid`, a frame-sorted `rows` array into the cache's table
     and its `t_min`/`t_max`.  Disjoint tracklets are scored by cross
@@ -155,36 +194,47 @@ def pair_scores(pairs: Sequence[tuple], kernel, cache: FitCache) -> np.ndarray:
     the two kernel values.  Tracklets that share frames are scored by the
     mean kernel over co-occurring actual boxes; overlapping spans without any
     shared frame fall back to the prediction form (extrapolating backward
-    over the short overlap).  Each form evaluates the kernel once, over the
-    aligned boxes of all its pairs, and the states the cross form still lacks
-    are fitted in one batch.
+    over the short overlap).
+
+    The members' first and last rows and frames are gathered once, and the
+    cache is asked once, for the forward states of the distinct earlier
+    members of the cross pairs and the backward states of the distinct later
+    ones.  The kernel then runs over `pair_chunks` of the aligned boxes, so
+    its temporaries stay bounded whatever the number of pairs.
     """
-    if any(e.t_min > l.t_min for e, l in pairs):
+    t_min = np.array([t.t_min for t in members], np.int64)
+    t_max = np.array([t.t_max for t in members], np.int64)
+    if (t_min[a] > t_min[b]).any():
         raise ValueError("tracklets must be given in canonical time order")
     frame, boxes = cache.frame, cache.boxes
-    shared = {}  # pair index -> (earlier rows, later rows) at the shared frames
-    for k, (e, l) in enumerate(pairs):
-        if l.t_min <= e.t_max:
-            _, ie, il = np.intersect1d(frame[e.rows], frame[l.rows], assume_unique=True,
-                                       return_indices=True)
-            if ie.size:
-                shared[k] = (e.rows[ie], l.rows[il])
-    scores = np.empty(len(pairs))
-    cross = [k for k in range(len(pairs)) if k not in shared]
-    if cross:
-        earlier = [pairs[k][0] for k in cross]
-        later = [pairs[k][1] for k in cross]
-        states = cache.states([(t, True) for t in earlier] + [(t, False) for t in later])
-        fwd, bwd = states[:len(cross)], states[len(cross):]
-        # Forward states are anchored at t_max, backward ones at t_min.
-        steps = np.array([[l.t_min - e.t_max] for e, l in zip(earlier, later)], float)
-        s_fwd = kernel(_advance(fwd, steps), boxes[[t.rows[0] for t in later]])
-        s_bwd = kernel(boxes[[t.rows[-1] for t in earlier]], _advance(bwd, steps))
-        scores[cross] = 0.5 * (s_fwd + s_bwd)
-    if shared:
-        rows = [np.concatenate([r[side] for r in shared.values()]) for side in (0, 1)]
-        sizes = [len(r[0]) for r in shared.values()]
-        vals = kernel(boxes[rows[0]], boxes[rows[1]])
-        for k, part in zip(shared, np.split(vals, np.cumsum(sizes)[:-1])):
-            scores[k] = np.mean(part)
+    pair, row_a, row_b = _shared_frames(members, t_min, t_max, a, b, frame)
+    shared = np.zeros(len(a), bool)
+    shared[pair] = True
+    scores = np.empty(len(a))
+    cross = np.flatnonzero(~shared)
+    if cross.size:
+        earlier, later = (np.flatnonzero(np.bincount(side[cross], minlength=len(members)))
+                          for side in (a, b))
+        states = cache.states([(members[k], True) for k in earlier.tolist()]
+                              + [(members[k], False) for k in later.tolist()])
+        # Per member: its forward and backward state, where a pair needs it.
+        fwd, bwd = np.empty((2, len(members), states.shape[1]))
+        fwd[earlier], bwd[later] = states[:earlier.size], states[earlier.size:]
+        first = np.array([t.rows[0] for t in members])
+        last = np.array([t.rows[-1] for t in members])
+        for part in pair_chunks(cross.size):
+            e, l = a[cross[part]], b[cross[part]]
+            # Forward states are anchored at t_max, backward ones at t_min.
+            steps = (t_min[l] - t_max[e]).astype(float)[:, None]
+            s_fwd = kernel(_advance(fwd[e], steps), boxes[first[l]])
+            s_bwd = kernel(boxes[last[e]], _advance(bwd[l], steps))
+            scores[cross[part]] = 0.5 * (s_fwd + s_bwd)
+    if pair.size:
+        vals = np.concatenate([kernel(boxes[row_a[part]], boxes[row_b[part]])
+                               for part in pair_chunks(pair.size)])
+        done, at, count = np.unique(pair, return_index=True, return_counts=True)
+        # One mean per shared-frame count, so each sums as np.mean of its pair.
+        for size in np.unique(count).tolist():
+            sel = count == size
+            scores[done[sel]] = vals[at[sel][:, None] + np.arange(size)].mean(axis=1)
     return scores

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intertrack.assignment import _tie_bias, max_weight_matching, solve, solve_blocks
+from intertrack.assignment import (_tie_bias, max_weight_matching, solve, solve_blocks,
+                                   solve_pairs)
 
 _PERM_CACHE = {}
 
@@ -210,3 +211,72 @@ def test_certified_blocks_skip_the_fallback():
     found, fallback = solve_blocks(scores, [2, 2], [2, 2], 0.3)
     assert fallback == 1
     assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+# Scores in place of a continuous draw: inadmissible or never taken.
+_SPECIAL = [-np.inf, np.nan, -0.5, 0.0]
+# Scores on a grid of quarters, so that distinct matchings tie exactly.
+_TIED = [-np.inf, np.nan, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def _sparse_pairs(draw):
+    """(a, b, scores, gate, tied, shape): distinct cells of an n x m matrix
+    in random order, either a band that makes one large component or a
+    random set that also leaves cells isolated.  Continuous scores (`tied`
+    False) hold at most one cell equal to the gate, so no two matchings tie;
+    tied scores lie on a grid of quarters at or above the gate, so many do."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        step = np.arange(m) - np.arange(n)[:, None]
+        a, b = np.nonzero((step == 0) | (step == 1))
+    else:
+        a, b = np.nonzero(rng.random((n, m)) < draw(st.sampled_from([0.05, 0.2, 0.5])))
+    order = rng.permutation(a.size)
+    a, b = a[order], b[order]
+    tied = draw(st.booleans())
+    if tied:
+        gate = draw(st.sampled_from([0.1, 0.25]))
+        scores = rng.choice(_TIED, a.size)
+    else:
+        gate = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+        scores = rng.uniform(0.001, 1.0, a.size)
+        special = rng.random(a.size) < 0.2
+        scores[special] = rng.choice(_SPECIAL, special.sum())
+        if a.size and draw(st.booleans()):
+            scores[draw(st.integers(0, a.size - 1))] = gate
+    return a, b, scores, gate, tied, (n, m)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_sparse_pairs())
+def test_solve_pairs_matches_the_dense_solve(case):
+    a, b, scores, gate, tied, shape = case
+    dense = np.full(shape, -np.inf)
+    dense[a, b] = scores
+    want = solve(dense, gate)
+    got = solve_pairs(a, b, scores, gate)
+    pairs = list(zip(got.a.tolist(), got.b.tolist()))
+    assert pairs == sorted(pairs)
+    assert len(set(got.a.tolist())) == len(set(got.b.tolist())) == len(pairs)
+    assert all(dense[i, j] >= gate for i, j in pairs)
+    if tied:
+        assert sum(dense[i, j] for i, j in pairs) == sum(dense[i, j] for i, j in want)
+    else:
+        assert pairs == want
+
+
+def test_solve_pairs_skips_components_below_the_gate():
+    # Rows 0-1 x columns 0-1 hold nothing at the gate; row 2 x column 2 does.
+    a, b = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2])
+    got = solve_pairs(a, b, np.array([0.3, 0.1, 0.2, 0.6]), 0.5)
+    assert (got.a.tolist(), got.b.tolist()) == ([2], [2])
+    assert (got.components, got.largest, got.fallback) == (1, 2, 0)
+
+
+def test_cells_below_the_gate_steer_the_match():
+    # (0, 0) + (1, 1) = 1.0 beats (0, 1) = 0.6, though (1, 1) is gated away.
+    a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
+    got = solve_pairs(a, b, np.array([0.55, 0.6, 0.45]), 0.5)
+    assert (got.a.tolist(), got.b.tolist()) == ([0], [0])

@@ -100,6 +100,27 @@ class TestTrack:
         assert lines == ["first level: 19 frame pairs in 1 chunks, 19 blocks certified, "
                          "0 solved by Hungarian fallback"] * 2
 
+    def test_verbose_logs_each_merge_round_outside_stdout_and_the_dump(self, tmp_path, capsys,
+                                                                       caplog):
+        # Two gaps leave four level-1 tracklets; level 2 joins each pair.
+        det = write_dets(tmp_path / "det.txt", linear_dets(gap_frames={(0, 8), (0, 9), (1, 12)}))
+        argv = ["track", "--det", str(det), "--out", str(tmp_path / "out.txt"),
+                "--dump-hierarchy", str(tmp_path / "dump.json")]
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr().out, (tmp_path / "dump.json").read_bytes()
+        with caplog.at_level("INFO"):
+            assert cli.main(["--verbose", *argv]) == 0
+        assert (capsys.readouterr().out, (tmp_path / "dump.json").read_bytes()) == quiet
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("merge")]
+        idle = "0 pairs admitted, 0 above 0, 0 components solved (largest 0 nodes), " \
+               "0 by Hungarian fallback, 0 matches"
+        assert lines == [
+            "merge level (gap 5) round 1: 2 pairs admitted, 2 above 0, 2 components solved "
+            "(largest 2 nodes), 0 by Hungarian fallback, 2 matches",
+            f"merge level (gap 5) round 2: {idle}",
+            *(f"merge level (gap {bound}) round 1: {idle}" for bound in (10, 15, 20, 30)),
+            f"merge level (gap 30, overlap 5) round 1: {idle}"]
+
     def test_directory_input_with_workers(self, tmp_path, capsys):
         src = tmp_path / "seqs"
         src.mkdir()

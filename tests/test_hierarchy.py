@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertrack import assignment, hierarchy
-from intertrack.assignment import solve
+from intertrack.assignment import solve, solve_blocks
 from intertrack.geometry import SimilarityKernel, stack_boxes
 from intertrack.hierarchy import (
     HierarchyState,
     TrackletRows,
+    _Spans,
     _admissible_pairs,
     _interval_admissible,
     _window_groups,
@@ -37,7 +38,7 @@ from intertrack.model import (
     table_of,
 )
 from intertrack.metrics import evaluate
-from intertrack.motion import _advance, kalman_states
+from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
 from intertrack.mot_io import read_mot_detections, write_mot_detections
 from intertrack.synth import Motion, ScenarioSpec, generate
 
@@ -53,8 +54,8 @@ def track(tid, frames, x, dx=0.0, **kw):
     return Tracklet.build(tid, [det(f, x + dx * (f - frames[0]), **kw) for f in frames])
 
 
-def constant_sim(pairs):
-    return np.ones(len(pairs))
+def constant_sim(members, a, b):
+    return np.ones(len(a))
 
 
 def spans(tracklets):
@@ -197,9 +198,45 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
         members = [ordered[k] for k in group]
         scan = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
                 if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
-        assert _admissible_pairs(members, dt_bound, overlap_allowance) == scan
+        a, b = _admissible_pairs(_Spans.of(members), dt_bound, overlap_allowance)
+        assert list(zip(a.tolist(), b.tolist())) == scan
         for a, b in scan:
             resolve_overlap(state.table, members[a], members[b], 999, overlap_allowance)
+
+
+def _lanes(lanes=40, frames=60):
+    """Singletons in lanes 100 px apart, one per lane and frame, each box
+    1.5 px right of its lane's box a frame earlier."""
+    return [track(lane * 100 + f, [f], 100.0 + 100 * lane + 1.5 * f, det_id=lane * 100 + f)
+            for lane in range(lanes) for f in range(1, frames + 1)]
+
+
+@pytest.mark.parametrize("gate, survivors", [(0.999, 2400), (0.9, 40)])
+def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate, survivors):
+    """2,400 singletons at a gap bound of 5 admit 456,000 pairs, of which
+    only the 11,400 inside a lane score above 0.  At gate 0.999 no pair
+    links and no block is solved; at 0.9 each lane is one block, its frames
+    1..59 as earlier ends by 2..60 as later ones, and merges whole.  No
+    kernel call in the scoring takes more than one chunk of pairs."""
+    state, _ = state_of(_lanes(), next_tid=10_000)
+    cfg = TrackerConfig()
+    kernel, calls, blocks = SimilarityKernel(cfg), [], []
+
+    def recording_kernel(x, y):
+        calls.append(len(x))
+        return kernel(x, y)
+
+    def recording_solve(scores, n, m, gate):
+        blocks.extend(zip(n.tolist(), m.tolist()))
+        return solve_blocks(scores, n, m, gate)
+    monkeypatch.setattr(assignment, "solve_blocks", recording_solve)
+    cache = FitCache(cfg, state.table.frame, state.table.boxes)
+    out = hierarchy_pass(state, 5, 0,
+                         lambda members, a, b: pair_scores(members, a, b, recording_kernel, cache),
+                         gate)
+    assert len(out.tracklets) == survivors
+    assert max(calls) == assignment._CHUNK_CELLS
+    assert blocks == ([] if survivors == 2400 else [(59, 59)] * 40)
 
 
 @st.composite

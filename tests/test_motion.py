@@ -136,8 +136,8 @@ class TestPredict:
 
 class TestPairSimilarity:
     def sim(self, a, b):
-        frame, boxes, (ra, rb) = table_of(a, b)
-        return float(pair_scores([(ra, rb)], SimilarityKernel(CFG),
+        frame, boxes, members = table_of(a, b)
+        return float(pair_scores(members, np.array([0]), np.array([1]), SimilarityKernel(CFG),
                                  FitCache(CFG, frame, boxes))[0])
 
     def test_stationary_gap_one_is_perfect(self):
@@ -177,6 +177,20 @@ class TestPairSimilarity:
         sim = self.sim(a, b)
         assert sim == pytest.approx(1.0, abs=1e-9)  # identical boxes on shared frames
 
+    def test_many_shared_frames_score_as_np_mean(self):
+        # From eight values on, np.mean sums pairwise, not left to right.
+        rng = np.random.RandomState(7)
+
+        def jittered(tid, frames):
+            return Tracklet.build(tid, [Detection(frame=f, box=BoundingBox(
+                100 + rng.uniform(-3, 3), 100 + rng.uniform(-3, 3), 40, 40), score=0.9)
+                for f in frames])
+        a, b = jittered(1, range(1, 15)), jittered(2, range(4, 20))  # share frames 4..14
+        kernel = SimilarityKernel(CFG)
+        want = np.mean(kernel(stack_boxes([e.box for e in a.entries[3:]]),
+                              stack_boxes([e.box for e in b.entries[:11]])))
+        assert self.sim(a, b) == want
+
     def test_overlap_conflicting_boxes(self):
         a = linear_tracklet(1, range(1, 10))
         conflict = [Detection(frame=f, box=BoundingBox(1000, 1000, 10, 10), score=0.9)
@@ -205,9 +219,10 @@ class TestPairSimilarity:
                                                   score=0.9) for f in (8, 9)]))]
         kernel = SimilarityKernel(CFG)
         frame, boxes, rows = table_of(*(t for pair in pairs for t in pair))
-        row_pairs = list(zip(rows[::2], rows[1::2]))
-        batch = pair_scores(row_pairs, kernel, FitCache(CFG, frame, boxes))
-        alone = [pair_scores([p], kernel, FitCache(CFG, frame, boxes))[0] for p in row_pairs]
+        earlier = np.arange(0, len(rows), 2)
+        batch = pair_scores(rows, earlier, earlier + 1, kernel, FitCache(CFG, frame, boxes))
+        alone = [pair_scores(rows, np.array([k]), np.array([k + 1]), kernel,
+                             FitCache(CFG, frame, boxes))[0] for k in earlier.tolist()]
         assert batch.tolist() == alone
         assert batch[1] == pytest.approx(1.0, abs=1e-9) and batch[3] == 0.0
 
@@ -230,9 +245,9 @@ class TestPairSimilarity:
             return 0.5 * (consistent_iou(fwd, l.entries[0].box, CFG)
                           + consistent_iou(e.entries[-1].box, bwd, CFG))
         frame, boxes, rows = table_of(*tracks)
-        by_tid = {r.tid: r for r in rows}
-        got = pair_scores([(by_tid[e.tid], by_tid[l.tid]) for e, l in pairs],
-                          SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
+        index = {r.tid: k for k, r in enumerate(rows)}
+        a, b = (np.array([index[t.tid] for t in side]) for side in zip(*pairs))
+        got = pair_scores(rows, a, b, SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
         assert len(pairs) > 10 and got.max() > CFG.match_threshold
         assert got.tolist() == [one(e, l) for e, l in pairs]
 
