@@ -1,9 +1,12 @@
-"""Gated maximum-similarity bipartite matching.
+"""Gated maximum-similarity bipartite matching, in numpy alone.
 
 Similarity matrices use -inf as the sentinel for inadmissible pairs (class
-mismatch, interval violation).  The solver finds the maximum-total-similarity
-partial matching over the admissible entries — rows and columns may stay
-unmatched at zero cost — and then applies the acceptance gate.
+mismatch, interval violation); every non-finite entry is inadmissible.  The
+solver finds the maximum-total-similarity partial matching over the
+admissible entries — rows and columns may stay unmatched at zero cost — and
+then applies the acceptance gate.  Ties are steered toward low-index pairs
+by a tie bias: cell (i, j) of an n x m block loses `_TIE_EPS * (i * s + j) /
+s**2`, s = n + m, and the optimum is taken over these biased scores.
 
 Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
 pred frames — are scored and solved a chunk at a time by one chunker,
@@ -13,18 +16,39 @@ column positions padded to its largest block.  A padded slot repeats its
 block's last position, so padded cells score real boxes and stay finite;
 `real_cells` masks them out.
 
-`solve_blocks` solves every block of a padded chunk at once, and `solve` is
-its one-block case.  Most blocks need no Hungarian solve: subtract
-`max_weight_matching`'s own tie bias and take each row's best cell.  Call a
-block certified when every row whose best biased score is above 0 has one
-unique best cell and those cells lie in distinct columns.  No matching can
-give a row more than max(0, best), since an unmatched row gains 0; the
+`solve_blocks` solves every block of a padded chunk at once, and `solve` and
+`max_weight_matching` are its one-block case.  A cell whose biased score is
+below 0 loses to leaving its row and column unmatched, so no optimum takes
+it.  The other cells fall apart into connected components of rows and
+columns (`connected_components`), and a matching is optimal exactly when it
+is optimal on each component.  Most components need no search.  Call a
+component row-certified when every row whose best biased score is above 0
+has one unique best cell, those cells lie in distinct columns, and no row's
+best is exactly 0 unless the gate is above `_TIE_EPS`.  No matching can give
+a row more than max(0, best), since an unmatched row gains 0; the row-wise
 argmax gives every row exactly that, and any other matching gives some row
-less, so the argmax is the unique optimum.  A row whose best is below 0
-stays unmatched.  A row whose best is exactly 0 may be matched either way,
-but only at a cell whose score equals its bias, below `_TIE_EPS`, so the
-gate drops it unless the gate is that small too.  Only the blocks that are
-not certified go to `max_weight_matching`.
+above 0 less, so every optimum matches the rows above 0 as the argmax does.
+A row whose best is exactly 0 may be matched either way, but only at a cell
+whose score equals its bias, below `_TIE_EPS`, so the gate drops it.  The
+column certificate is the same with rows and columns swapped, and a
+component that holds either is matched by that argmax.
+
+Only the components left over are solved exactly, by the shortest augmenting
+path method of Crouse, "On implementing 2D rectangular assignment
+algorithms" (IEEE TAES 2016), the method of scipy's `linear_sum_assignment`.
+Each of them is one block of its rows x its columns in ascending order;
+these blocks go through `padded_chunks`, and `_augmenting_paths` solves a
+chunk's blocks in lockstep.  Every row owns an implicit unmatched slot of
+weight 0, so an n x m block needs O(n * m) memory.  Exact ties — matchings
+whose biased totals are equal as floats — resolve by the order of search:
+rows join in ascending order, each by a shortest augmenting path, and of the
+columns at equal distance the search settles a free real column first (the
+lowest), then an unmatched slot (of the row reached first), else the lowest
+assigned column.  So a row whose only cells have a biased score of exactly
+0 is matched at the lowest of them rather than left unmatched, and of the
+matchings of one set of rows onto one set of columns, whose tie biases sum
+alike, the search keeps the first it finds; scipy's square Hungarian form
+may pick others.  The biased total is the optimum either way.
 
 The merge levels match a sparse matrix: their admissible (earlier, later)
 pairs are a small share of all tracklet pairs.  `solve_pairs` takes it as
@@ -33,14 +57,12 @@ component at a time.  It drops every cell whose score is not above 0: a
 dropped cell's biased score is below the 0 that leaving its row and column
 unmatched gains, so no optimum takes it, except a 0 at the bias-free cell
 (0, 0), which the gate (above 0) drops anyway.  Cells above 0 but below the
-gate stay, because they steer which matching is optimal.  The remaining
-cells fall apart into connected components of rows and columns, and a
-matching of the whole is optimal exactly when it is optimal on each
-component.  A component without a cell at or above the gate is not solved:
-the gate would drop whatever it matched.  Each other component is one block
-of its rows x its columns in ascending order, and these blocks go through
-`padded_chunks` and `solve_blocks` like any other blocks, so no array grows
-with the square of the row count unless one component does.
+gate stay, because they steer which matching is optimal.  A component
+without a cell at or above the gate is not solved: the gate would drop
+whatever it matched.  Each other component is one block of its rows x its
+columns in ascending order, and these blocks go through `padded_chunks` and
+`solve_blocks` like any other blocks, so no array grows with the square of
+the row count unless one component does.
 
 Ties may resolve differently from the dense `solve`.  The tie bias is
 block-local: a cell's bias depends on its position in its component, not in
@@ -54,13 +76,6 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-
-# Large finite stand-in for -inf inside the padded solve (scipy rejects
-# matrices that make every complete assignment infeasible).
-_BIG = 1.0e6
 
 # Scale of the deterministic tie-break bias.  Small enough to never override
 # a real similarity difference, large enough to steer float-equal optima
@@ -122,41 +137,194 @@ def real_cells(n: np.ndarray, m: np.ndarray, n_max: int, m_max: int) -> np.ndarr
 
 
 def _tie_bias(n: int, m: int, size: int | np.ndarray) -> np.ndarray:
-    """The bias subtracted from cell (i, j) of a block whose padded square
-    has side `size` (n + m); `size` may be a (k, 1, 1) array of sides."""
-    idx = np.arange(n)[:, None] * size + np.arange(m)[None, :]
-    return _TIE_EPS * idx / (size * size)
+    """The bias subtracted from cell (i, j) of a block of `size` (n + m)
+    rows plus columns; `size` may be a (k, 1, 1) array of sizes."""
+    bias = (np.arange(n)[:, None] * size + np.arange(m)[None, :]) * _TIE_EPS
+    bias /= size * size
+    return bias
 
 
-def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-total-weight partial matching of a rectangular matrix.
+def connected_components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """The connected components of the undirected graph on nodes 0..count-1
+    with edges (u[k], v[k]): their number, and each node's component label,
+    components numbered in the order of their lowest nodes.
 
-    Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
-    unmatched costs nothing, so only pairs that raise the total are taken.
-    Implemented as a square (n+m)x(n+m) assignment where each row and column
-    owns a zero-weight dummy partner.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n, m = scores.shape
-    if n == 0 or m == 0:
-        return []
-    admissible = np.isfinite(scores)
-    size = n + m
-    padded = np.full((size, size), -_BIG)
-    padded[:n, :m] = np.where(admissible, scores, -_BIG)
-    padded[np.arange(n), m + np.arange(n)] = 0.0
-    padded[n + np.arange(m), np.arange(m)] = 0.0
-    padded[n:, m:] = 0.0
-    # Nudge real entries toward lexicographically small (row, col) choices
-    # among equal-total optima.
-    padded[:n, :m] -= _tie_bias(n, m, size)
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    out = []
-    for i, j in zip(rows, cols):
-        if i < n and j < m and admissible[i, j]:
-            out.append((int(i), int(j)))
-    out.sort()
-    return out
+    Every node points at a node no higher than itself.  Each round hooks the
+    root of each edge's higher end onto the lower root, then follows the
+    pointers until every node points at its root, and drops the edges whose
+    ends now share one; each component ends rooted at its lowest node."""
+    parent = np.arange(count)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        low = np.minimum(ru, rv)
+        np.minimum.at(parent, ru, low)
+        np.minimum.at(parent, rv, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        cross = parent[u] != parent[v]
+        u, v = u[cross], v[cross]
+    root = parent == np.arange(count)
+    return int(root.sum()), (np.cumsum(root) - 1)[parent]
+
+
+def _argmax_certificate(biased: np.ndarray, axis: int,
+                        gate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row (axis 2) or column (axis 1) of each block of a (blocks, n, m)
+    array of biased scores: its best partner, whether it is matched (best
+    above 0), and whether it keeps the argmax certificate (see the module
+    docstring)."""
+    best, partner = biased.max(axis=axis), biased.argmax(axis=axis)
+    unique = (biased == np.expand_dims(best, axis)).sum(axis=axis) == 1
+    matched = best > 0
+    ok = np.where(matched, unique, (best < 0) | (gate > _TIE_EPS))
+    # Lines above 0 that share their best partner break the certificate.
+    blk, line = np.nonzero(matched)
+    key = blk * biased.shape[axis] + partner[blk, line]
+    shared = np.bincount(key, minlength=biased.shape[0] * biased.shape[axis])[key] > 1
+    ok[blk[shared], line[shared]] = False
+    return partner, matched, ok
+
+
+def _component_order(label: np.ndarray, picked: np.ndarray, comps: np.ndarray,
+                     count: int) -> tuple[np.ndarray, ...]:
+    """The nodes whose component is picked, grouped by component in the
+    order of `comps` and ascending within one; every such node's position
+    within its component; and each component's first position and size."""
+    node = np.flatnonzero(picked[label])
+    node = node[np.argsort(label[node], kind="stable")]
+    size = np.bincount(label[node], minlength=count)[comps]
+    start = np.cumsum(size) - size
+    at = np.empty(label.size, np.intp)
+    at[node] = np.arange(node.size) - np.repeat(start, size)
+    return node, at, start, size
+
+
+def _component_chunks(row: np.ndarray, col: np.ndarray, values: np.ndarray,
+                      row_label: np.ndarray, col_label: np.ndarray, count: int,
+                      comps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The components `comps` (ascending labels, of `count`) of the cells
+    (row[c], col[c]) holding values[c], each as one block of its row nodes x
+    its column nodes in ascending order, a chunk of `padded_chunks` at a
+    time: per chunk, the (blocks, n_max, m_max) values (-inf off the cells),
+    the blocks' row and column counts, and their padded (blocks, n_max) row
+    and (blocks, m_max) column nodes."""
+    if not comps.size:
+        return
+    picked = np.zeros(count, bool)
+    picked[comps] = True
+    r_node, r_at, r0, n = _component_order(row_label, picked, comps, count)
+    c_node, c_at, c0, m = _component_order(col_label, picked, comps, count)
+    chunks = list(padded_chunks(r0, n, c0, m))
+    # Per component, its chunk (len(chunks) if it is not picked) and its
+    # block's index in that chunk.
+    chunk_of, slot = np.full(count, len(chunks)), np.empty(count, np.intp)
+    for k, (blocks, _, _) in enumerate(chunks):
+        chunk_of[comps[blocks]], slot[comps[blocks]] = k, np.arange(blocks.size)
+    comp = row_label[row]
+    by_chunk = np.argsort(chunk_of[comp], kind="stable")
+    ends = np.cumsum(np.bincount(chunk_of[comp], minlength=len(chunks) + 1))
+    for (blocks, r_pos, c_pos), cells in zip(chunks, np.split(by_chunk, ends[:-1])):
+        dense = np.full((blocks.size, r_pos.shape[1], c_pos.shape[1]), -np.inf)
+        dense[slot[comp[cells]], r_at[row[cells]], c_at[col[cells]]] = values[cells]
+        yield dense, n[blocks], m[blocks], r_node[r_pos], c_node[c_pos]
+
+
+def _augmenting_paths(weights: np.ndarray, n: np.ndarray,
+                      m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximum-total-weight partial matching of every block
+    weights[k, :n[k], :m[k]] of a padded chunk, finite on the admissible
+    cells and -inf elsewhere, as (block, row, col) arrays of its matches.
+
+    Shortest augmenting paths (Crouse 2016) on cost = -weight: each row in
+    turn is assigned by a Dijkstra search over reduced costs, which the dual
+    update keeps non-negative, to a free column or to its own unmatched slot
+    of cost 0.  A row's slot is reachable only from the row itself, so it is
+    free whenever the search reaches it and its dual stays 0; the slots of
+    one block share one extra column, m_max, which holds the nearest slot of
+    the rows the search has reached, and which no row ever holds.  The
+    blocks of the chunk take each search step together; a block whose search
+    has ended waits for the others."""
+    k, n_max, m_max = weights.shape
+    cost = np.zeros((k, n_max, m_max + 1))
+    np.negative(weights, out=cost[:, :, :m_max])
+    u = cost.min(axis=2)  # feasible duals: no reduced cost below 0
+    v = np.zeros((k, m_max + 1))
+    col4row, row4col = np.full((k, n_max), m_max), np.full((k, m_max + 1), -1)
+    for cur in range(n_max):
+        act = np.flatnonzero(n > cur)
+        shortest = np.full((act.size, m_max + 1), np.inf)
+        path = np.zeros((act.size, m_max + 1), np.intp)
+        settled = np.zeros((act.size, m_max + 1), bool)
+        min_val, row, sink = np.zeros(act.size), np.full(act.size, cur), np.empty(act.size, np.intp)
+        live = np.arange(act.size)
+        while live.size:
+            b, i = act[live], row[live]
+            reduced = min_val[live, None] + cost[b, i] - u[b, i][:, None] - v[b]
+            better = (reduced < shortest[live]) & ~settled[live]
+            shortest[live] = np.where(better, reduced, shortest[live])
+            path[live] = np.where(better, i[:, None], path[live])
+            dist = np.where(settled[live], np.inf, shortest[live])
+            low = dist.min(axis=1)
+            tie = dist == low[:, None]
+            free = tie & (row4col[b] < 0)
+            to_free = free.any(axis=1)
+            j = np.where(to_free, free.argmax(axis=1), tie.argmax(axis=1))
+            min_val[live], sink[live] = low, j
+            settled[live, j] = True
+            row[live] = row4col[b, j]
+            live = live[~to_free]
+        # Each settled column's dual falls, and the row holding it gains, by
+        # the search's final distance less the column's.
+        sb, sj = np.nonzero(settled)
+        delta = min_val[sb] - shortest[sb, sj]
+        v[act[sb], sj] -= delta
+        held = row4col[act[sb], sj] >= 0
+        u[act[sb[held]], row4col[act[sb[held]], sj[held]]] += delta[held]
+        u[act, cur] += min_val
+        # Augment back from each sink; the slot column m_max leaves its row
+        # unmatched.
+        live, j = np.arange(act.size), sink
+        while live.size:
+            b, jj = act[live], j[live]
+            i = path[live, jj]
+            row4col[b, jj] = np.where(jj < m_max, i, -1)
+            j[live], col4row[b, i] = col4row[b, i], jj
+            live = live[i != cur]
+    blk, i = np.nonzero(col4row < m_max)
+    return blk, i, col4row[blk, i]
+
+
+def _match_components(biased: np.ndarray, gate: float) -> tuple[np.ndarray, int]:
+    """The optimal matches of a (blocks, n_max, m_max) chunk of biased
+    scores, -inf off the admissible cells, one connected component of its
+    cells at or above 0 at a time: by the row or column argmax where its
+    certificate holds, else by augmenting paths.
+
+    Returns the matches as a (matches, 3) array of (block, row, col) and the
+    number of components solved by augmenting paths."""
+    k, n_max, m_max = biased.shape
+    row_col, row_on, row_ok = _argmax_certificate(biased, 2, gate)
+    col_row, col_on, col_ok = _argmax_certificate(biased, 1, gate)
+    # Row nodes blk * n_max + i, column nodes blk * m_max + j.
+    blk, i, j = np.nonzero(biased >= 0)
+    row, col = blk * n_max + i, blk * m_max + j
+    count, label = connected_components(k * (n_max + m_max), row, k * n_max + col)
+    row_label, col_label = label[:k * n_max], label[k * n_max:]
+    by_rows = np.bincount(row_label[~row_ok.ravel()], minlength=count) == 0
+    by_cols = ~by_rows & (np.bincount(col_label[~col_ok.ravel()], minlength=count) == 0)
+    exact = np.flatnonzero(~by_rows & ~by_cols)
+    rb, ri = np.nonzero(row_on & by_rows[row_label].reshape(k, n_max))
+    cb, cj = np.nonzero(col_on & by_cols[col_label].reshape(k, m_max))
+    found = [np.stack([rb, ri, row_col[rb, ri]], axis=1), np.stack([cb, col_row[cb, cj], cj], axis=1)]
+    for dense, dn, dm, r_node, c_node in _component_chunks(row, col, biased[blk, i, j], row_label,
+                                                           col_label, count, exact):
+        b, bi, bj = _augmenting_paths(dense, dn, dm)
+        r, c = r_node[b, bi], c_node[b, bj]
+        found.append(np.stack([r // n_max, r % n_max, c % m_max], axis=1))
+    return np.concatenate(found), exact.size
 
 
 def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
@@ -165,34 +333,33 @@ def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
     (blocks, n_max, m_max) chunk; the padded cells are never read.
 
     Returns the matches as a (matches, 3) array of (block, row, col) in
-    (block, row) order, and the number of blocks that were not certified
-    (see the module docstring) and so went to `max_weight_matching`."""
+    (block, row) order, and the number of components that neither argmax
+    certificate settled (see the module docstring) and so were solved by
+    augmenting paths."""
     scores = np.asarray(scores, dtype=np.float64)
     n, m = np.asarray(n, dtype=np.intp), np.asarray(m, dtype=np.intp)
     k, n_max, m_max = scores.shape
     if not scores.size:
         return np.zeros((0, 3), np.intp), 0
-    real = real_cells(n, m, n_max, m_max)
-    # An empty block (n + m = 0) has no cells; its side of 1 only avoids 0 / 0.
+    # An empty block (n + m = 0) has no cells; its size of 1 only avoids 0 / 0.
     size = np.maximum(n + m, 1)[:, None, None]
-    biased = np.where(real & np.isfinite(scores), scores - _tie_bias(n_max, m_max, size), -np.inf)
-    col, best = biased.argmax(axis=2), biased.max(axis=2)
-    unique = (biased == best[..., None]).sum(axis=2) == 1
-    del biased  # the fallback of a large block needs the memory
-    blk, row = np.nonzero(best > 0)
-    taken = np.bincount(blk * m_max + col[blk, row], minlength=k * m_max).reshape(k, m_max)
-    # A row above 0 needs a unique best; a row at exactly 0 needs a gate that
-    # drops whatever it matches.
-    certified = (np.where(best > 0, unique, (best < 0) | (gate > _TIE_EPS)).all(axis=1)
-                 & (taken <= 1).all(axis=1))
-    found = [np.stack([blk, row, col[blk, row]], axis=1)[certified[blk]]]
-    fallback = np.flatnonzero(~certified).tolist()
-    for b in fallback:
-        found.append(np.array([(b, i, j) for i, j in max_weight_matching(scores[b, :n[b], :m[b]])],
-                              np.intp).reshape(-1, 3))
+    biased = scores - _tie_bias(n_max, m_max, size)
+    biased[~(real_cells(n, m, n_max, m_max) & np.isfinite(scores))] = -np.inf
+    row_col, row_on, row_ok = _argmax_certificate(biased, 2, gate)
+    # A block whose rows all keep the row certificate is matched by its row
+    # argmax, as each of its components would be; only the others are split.
+    split = ~row_ok.all(axis=1)
+    rb, ri = np.nonzero(row_on & ~split[:, None])
+    found, exact = [np.stack([rb, ri, row_col[rb, ri]], axis=1)], 0
+    if split.any():
+        blocks = np.flatnonzero(split)
+        biased = biased[blocks]  # rebound, so that a large chunk is held once
+        part, exact = _match_components(biased, gate)
+        part[:, 0] = blocks[part[:, 0]]
+        found.append(part)
     found = np.concatenate(found)
     found = found[np.lexsort((found[:, 1], found[:, 0]))]
-    return found[scores[tuple(found.T)] >= gate], len(fallback)
+    return found[scores[tuple(found.T)] >= gate], exact
 
 
 def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
@@ -206,16 +373,26 @@ def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     return [(i, j) for _, i, j in found.tolist()]
 
 
+def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
+    """Maximum-total-weight partial matching of a rectangular matrix, as
+    (row, col) pairs in row order: the ungated `solve`.
+
+    Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
+    unmatched costs nothing, so only pairs that raise the total are taken.
+    """
+    return solve(scores, -np.inf)
+
+
 class PairMatches(NamedTuple):
     """The result of `solve_pairs`: the matched cells (a[k], b[k]) in
     ascending a, the number of connected components solved, the rows plus
-    columns (nodes) of the largest of them, and the number of them that went
-    to the Hungarian fallback."""
+    columns (nodes) of the largest of them, and the number of components
+    solved by augmenting paths."""
     a: np.ndarray
     b: np.ndarray
     components: int
     largest: int
-    fallback: int
+    exact: int
 
 
 def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -> PairMatches:
@@ -226,41 +403,21 @@ def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -
     a, b, scores = a[keep], b[keep], scores[keep]
     rows, row = np.unique(a, return_inverse=True)
     cols, col = np.unique(b, return_inverse=True)
-    nodes = rows.size + cols.size
-    graph = coo_matrix((np.ones(scores.size), (row, rows.size + col)), shape=(nodes, nodes))
-    count, label = connected_components(graph, directed=False)
-    comp = label[row]
+    count, label = connected_components(rows.size + cols.size, row, rows.size + col)
+    row_label, col_label = label[:rows.size], label[rows.size:]
     # Only components holding a cell at or above the gate can yield a match.
-    solved = np.flatnonzero(np.bincount(comp[scores >= gate], minlength=count))
+    solved = np.flatnonzero(np.bincount(row_label[row[scores >= gate]], minlength=count))
     if not solved.size:
         return PairMatches(a[:0], b[:0], 0, 0, 0)
-    # Rows, then columns, ordered by component and ascending within one; each
-    # component's rows and columns are one contiguous range of that order.
-    r_label, c_label = label[:rows.size], label[rows.size:]
-    r_order, c_order = np.argsort(r_label, kind="stable"), np.argsort(c_label, kind="stable")
-    n, m = np.bincount(r_label, minlength=count), np.bincount(c_label, minlength=count)
-    r0, c0 = np.cumsum(n) - n, np.cumsum(m) - m
-    r_local, c_local = np.empty_like(row), np.empty_like(col)
-    r_local[r_order] = np.arange(rows.size) - r0[r_label[r_order]]
-    c_local[c_order] = np.arange(cols.size) - c0[c_label[c_order]]
-    chunks = list(padded_chunks(r0[solved], n[solved], c0[solved], m[solved]))
-    # Per component, its chunk (len(chunks) if it is not solved) and its
-    # block's index in that chunk.
-    chunk_of, slot = np.full(count, len(chunks)), np.empty(count, np.intp)
-    for k, (blocks, _, _) in enumerate(chunks):
-        chunk_of[solved[blocks]], slot[solved[blocks]] = k, np.arange(blocks.size)
-    by_chunk = np.argsort(chunk_of[comp], kind="stable")
-    ends = np.cumsum(np.bincount(chunk_of[comp], minlength=len(chunks) + 1))
-    found_a, found_b, fallback = [], [], 0
-    for (blocks, r_pos, c_pos), cells in zip(chunks, np.split(by_chunk, ends[:-1])):
-        dense = np.full((blocks.size, r_pos.shape[1], c_pos.shape[1]), -np.inf)
-        dense[slot[comp[cells]], r_local[row[cells]], c_local[col[cells]]] = scores[cells]
-        found, failed = solve_blocks(dense, n[solved[blocks]], m[solved[blocks]], gate)
+    found_a, found_b, largest, exact = [], [], 0, 0
+    for dense, n, m, r_node, c_node in _component_chunks(row, col, scores, row_label, col_label,
+                                                         count, solved):
+        found, failed = solve_blocks(dense, n, m, gate)
         blk, i, j = found.T
-        found_a.append(rows[r_order[r_pos[blk, i]]])
-        found_b.append(cols[c_order[c_pos[blk, j]]])
-        fallback += failed
+        found_a.append(rows[r_node[blk, i]])
+        found_b.append(cols[c_node[blk, j]])
+        largest = max(largest, int((n + m).max()))
+        exact += failed
     found_a, found_b = np.concatenate(found_a), np.concatenate(found_b)
     order = np.argsort(found_a)
-    return PairMatches(found_a[order], found_b[order], solved.size,
-                       int((n + m)[solved].max()), fallback)
+    return PairMatches(found_a[order], found_b[order], solved.size, largest, exact)

@@ -30,7 +30,7 @@ distinct tracklets in one Kalman batch and evaluates the box kernel over the
 aligned predictions in chunks of at most `assignment._CHUNK_CELLS` pairs.
 `solve_pairs` then matches the pairs as the sparse matrix they are, one
 connected component of pairs above 0 at a time, on the first level's chunker
-and certificate; no tracklets x tracklets matrix is built.
+and certificates; no tracklets x tracklets matrix is built.
 The motion-informed first level filters all its preliminary chains in one
 Kalman batch as well.
 
@@ -41,10 +41,11 @@ on the chunker it shares with `eval`, `assignment.padded_chunks`: the
 bounded on long or crowded sequences.  Each chunk is one kernel call over
 boxes gathered by row; a block smaller than its chunk's largest is padded by
 repeating one of its own frame's detections, so padded cells are finite, and
-they are never read.  Each chunk is also one `solve_blocks` call: a block
-whose rows' best cells are unique and in distinct columns is matched by that
-row-wise argmax, which the `assignment` module shows is the Hungarian
-optimum, and only the other blocks run the Hungarian solve.
+they are never read.  Each chunk is also one `solve_blocks` call: a
+connected component of a block's cells whose rows' (or columns') best cells
+are unique and distinct is matched by that argmax, which the `assignment`
+module shows is optimal, and only the other components are solved by
+augmenting paths.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` and
@@ -339,7 +340,7 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
     for round_ in itertools.count(1):
         spans = _Spans.of(tracklets)
         matches: list[tuple[int, int]] = []
-        admitted = positive = components = largest = fallback = 0
+        admitted = positive = components = largest = exact = 0
         for group in groups(tracklets):
             group = np.asarray(group, dtype=np.intp)
             a, b = _admissible_pairs(spans.take(group), dt_bound, overlap_allowance)
@@ -352,10 +353,10 @@ def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
             positive += int((scores > 0).sum())
             components += found.components
             largest = max(largest, found.largest)
-            fallback += found.fallback
+            exact += found.exact
         log.info("merge level (%s) round %d: %d pairs admitted, %d above 0, %d components "
-                 "solved (largest %d nodes), %d by Hungarian fallback, %d matches",
-                 label, round_, admitted, positive, components, largest, fallback, len(matches))
+                 "solved (largest %d nodes), %d by augmenting paths, %d matches",
+                 label, round_, admitted, positive, components, largest, exact, len(matches))
         if not matches:
             return HierarchyState(state.table, tracklets, next_tid)
         tracklets, next_tid = _merge_round(state.table, tracklets, matches, next_tid,
@@ -411,7 +412,7 @@ def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.
 
 
 def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[list[int]]:
-    """Match every frame t against frame t+1 and chain the Hungarian links;
+    """Match every frame t against frame t+1 and chain the links;
     returns chains of positions into `frame`, each covering a run of
     consecutive frames, in the order of their first position.
 
@@ -420,22 +421,22 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
     `score` gets a chunk's row and column position ranges padded to its
     largest block, and one `solve_blocks` call reads only each block's real
     [k, :n, :m] cells.  Logs, at INFO, the pass's frame pairs, chunks and
-    blocks certified or sent to the Hungarian fallback.
+    the components solved by augmenting paths.
     """
     ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
     n, m = size[lead], size[lead + 1]
     link: dict[int, int] = {}
-    chunks = fallback = 0
+    chunks = exact = 0
     for blocks, rows, cols in padded_chunks(first[lead], n, first[lead + 1], m):
-        found, failed = solve_blocks(score(rows, cols), n[blocks], m[blocks], gate)
+        found, searched = solve_blocks(score(rows, cols), n[blocks], m[blocks], gate)
         blk, i, j = found.T
         link.update(zip(rows[blk, i].tolist(), cols[blk, j].tolist()))
         chunks += 1
-        fallback += failed
-    log.info("first level: %d frame pairs in %d chunks, %d blocks certified, %d solved "
-             "by Hungarian fallback", lead.size, chunks, lead.size - fallback, fallback)
+        exact += searched
+    log.info("first level: %d frame pairs in %d chunks, %d components solved by augmenting "
+             "paths", lead.size, chunks, exact)
     return _chains(link, range(len(frame)))
 
 
@@ -444,7 +445,7 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
     """Static frame-to-next-frame chaining of the given rows (in table order).
 
     Matches each frame against the following one with the configured kernel
-    and links the Hungarian matches into chains of rows; every chain covers
+    and links the optimal matches into chains of rows; every chain covers
     a run of consecutive frames.  Each chunk of frame pairs is one kernel
     call over boxes gathered by row.
     """

@@ -2,19 +2,59 @@
 `mot_io` writers: one loop per trajectory entry or output row.  The tests
 require the column code to match them bit for bit, on the trajectories that
 `trajectories()` draws.  `eval_counts` is the frame-by-frame form of
-`metrics.eval_counts`, one IoU block and one CLEAR step per frame."""
+`metrics.eval_counts`, one IoU block and one CLEAR step per frame.
+`max_weight_matching` is the square Hungarian form of
+`assignment.max_weight_matching`, by scipy's `linear_sum_assignment`."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from intertrack.assignment import max_weight_matching
+from intertrack import assignment
+from intertrack.assignment import _tie_bias
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
 from intertrack.model import (BoundingBox, BoxTable, Detection, Tracklet, Trajectory,
                               stack_boxes)
 from intertrack.mot_io import KITTI_CLASSES
+
+
+# Large finite stand-in for -inf inside the padded solve (scipy rejects
+# matrices that make every complete assignment infeasible).
+_BIG = 1.0e6
+
+
+def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
+    """Maximum-total-weight partial matching of a rectangular matrix.
+
+    Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
+    unmatched costs nothing, so only pairs that raise the total are taken.
+    Implemented as a square (n+m)x(n+m) assignment where each row and column
+    owns a zero-weight dummy partner.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n, m = scores.shape
+    if n == 0 or m == 0:
+        return []
+    admissible = np.isfinite(scores)
+    size = n + m
+    padded = np.full((size, size), -_BIG)
+    padded[:n, :m] = np.where(admissible, scores, -_BIG)
+    padded[np.arange(n), m + np.arange(n)] = 0.0
+    padded[n + np.arange(m), np.arange(m)] = 0.0
+    padded[n:, m:] = 0.0
+    # Nudge real entries toward lexicographically small (row, col) choices
+    # among equal-total optima.
+    padded[:n, :m] -= _tie_bias(n, m, size)
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    out = []
+    for i, j in zip(rows, cols):
+        if i < n and j < m and admissible[i, j]:
+            out.append((int(i), int(j)))
+    out.sort()
+    return out
 
 
 def split_at_discontinuities(trajectories):
@@ -82,7 +122,13 @@ def gaussian_smooth(trajectory, sigma):
 def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
     """CLEAR and identity counts of one sequence, in one walk over its frames.
 
-    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included)."""
+    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).
+
+    The frames are matched by the package's own solver, not by the scipy
+    `max_weight_matching` above: the tie bias does not order the matchings
+    of one set of rows onto one set of columns (their biases sum alike), the
+    two solvers may pick different ones, and identity switches follow the
+    pick."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
@@ -115,7 +161,8 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
             cols = np.flatnonzero(~kept)
             matched = int(kept.sum())
             block = np.where(hit, overlap, -np.inf)[np.ix_(rows, cols)]
-            for i, j in max_weight_matching(block) if np.isfinite(block).any() else ():
+            for i, j in (assignment.max_weight_matching(block) if np.isfinite(block).any()
+                         else ()):
                 g, p = gi[rows[i]], pj[cols[j]]
                 idsw += bool(last_hyp[g] >= 0 and last_hyp[g] != p)
                 last_hyp[g] = p
@@ -123,7 +170,7 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
         fn += n - matched
         fp += m - matched
     admissible = np.where(potential > 0, potential, -np.inf)
-    idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
+    idtp = int(sum(potential[i, j] for i, j in assignment.max_weight_matching(admissible)))
     return EvalCounts(fp=fp, fn=fn, idsw=idsw, idtp=idtp,
                       len_gt=gt.frame.size, len_pred=pred.frame.size)
 

@@ -1,11 +1,16 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
-from intertrack.assignment import (_tie_bias, max_weight_matching, solve, solve_blocks,
-                                   solve_pairs)
+import reference
+from intertrack.assignment import (_tie_bias, connected_components, max_weight_matching, solve,
+                                   solve_blocks, solve_pairs)
 
 _PERM_CACHE = {}
 
@@ -169,7 +174,7 @@ def _chunks(draw):
 
 
 def _hungarian(block, gate):
-    """The reference: the Hungarian matching of the whole block, then the gate."""
+    """The reference: the exact matching of the whole block, then the gate."""
     return [(i, j) for i, j in max_weight_matching(block) if block[i, j] >= gate]
 
 
@@ -188,6 +193,109 @@ def test_solve_blocks_matches_hungarian_block_by_block(chunk):
         assert solve(block, gate) == _hungarian(block, gate)
 
 
+def _biased_totals(block):
+    """The biased total of every partial matching of `block`, by enumeration."""
+    n, m = block.shape
+    biased = np.where(np.isfinite(block), block - _tie_bias(n, m, n + m), -np.inf)
+    totals = []
+
+    def extend(i, free, total):
+        if i == n:
+            totals.append(total)
+            return
+        extend(i + 1, free, total)
+        for j in free:
+            if np.isfinite(biased[i, j]):
+                extend(i + 1, free - {j}, total + biased[i, j])
+    extend(0, frozenset(range(m)), 0.0)
+    return biased, totals
+
+
+# Matchings whose biased totals differ by less than this tie: the bias of a
+# block of at most 10 rows plus columns steps by 1e-12, float sums of at most
+# five cells err by about 1e-15.
+_TIE_TOL = 1e-13
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_chunks())
+def test_solve_blocks_matches_the_scipy_reference(chunk):
+    """A unique biased optimum gives the reference's matches; a tie gives
+    matches of the same biased total."""
+    scores, n, m, gate = chunk
+    found, _ = solve_blocks(scores, n, m, gate)
+    for k in range(len(n)):
+        block = scores[k, :n[k], :m[k]]
+        want, got = reference.max_weight_matching(block), max_weight_matching(block)
+        gated = [(i, j) for b, i, j in found.tolist() if b == k]
+        if got == want and gated == [(i, j) for i, j in want if block[i, j] >= gate]:
+            continue
+        biased, totals = _biased_totals(block)
+        best = max(totals)
+        assert sum(t > best - _TIE_TOL for t in totals) > 1
+        for matches in (want, got):
+            assert abs(math.fsum(biased[i, j] for i, j in matches) - best) < _TIE_TOL
+
+
+def test_column_certificate_settles_a_shared_column():
+    # Both rows want column 0, so the row argmax fails; column 0's unique
+    # best is row 1, so the column argmax holds and nothing is searched.
+    found, exact = solve_blocks(np.array([[[0.6], [0.9]]]), [2], [1], 0.2)
+    assert (found.tolist(), exact) == ([[0, 1, 0]], 0)
+
+
+def test_an_exact_solve_allocates_its_block_not_the_square():
+    # Every row's best is column 0 and every column's best is row 0, so
+    # neither certificate holds and the one component is searched.
+    n, m = 4, 4000
+    scores = np.full((n, m), 0.5)
+    scores[:, 0] = 0.9
+    tracemalloc.start()
+    try:
+        found, exact = solve_blocks(scores[None], [n], [m], 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact == 1
+    assert found.tolist() == [[0, i, i] for i in range(n)]
+    # A few temporaries of the block's size, where the (n + m)^2 square
+    # alone would take 8 * 4004^2 bytes, some 128 MB.
+    assert peak < 32 * scores.nbytes
+
+
+def _scipy_labels(count, u, v):
+    graph = coo_matrix((np.ones(u.size), (u, v)), shape=(count, count))
+    return scipy_components(graph, directed=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1), st.sampled_from(["chain", "random", "none"]))
+def test_connected_components_match_scipy(count, seed, kind):
+    """Long chains over shuffled nodes, random edges with isolated nodes, and
+    no edges at all."""
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        nodes = rng.permutation(count)[:rng.integers(1, count + 1)]
+        u, v = nodes[:-1], nodes[1:]
+    elif kind == "random":
+        u, v = rng.integers(0, count, (2, rng.integers(0, count)))
+    else:
+        u = v = np.zeros(0, np.intp)
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    got_count, got = connected_components(count, u, v)
+    want_count, want = _scipy_labels(count, u, v)
+    assert got_count == want_count
+    assert got.tolist() == want.tolist()
+
+
+def test_connected_components_of_a_long_chain():
+    count = 20_000
+    nodes = np.random.default_rng(5).permutation(count)
+    assert connected_components(count, nodes[:-1], nodes[1:])[0] == 1
+    assert connected_components(count, nodes[1:], nodes[:-1])[1].tolist() == [0] * count
+
+
 def test_zero_score_at_first_cell_is_never_matched():
     # The tie bias of cell (0, 0) is 0, so its biased score is exactly 0.
     scores = np.array([[0.0, -np.inf], [0.0, 0.6]])
@@ -196,7 +304,7 @@ def test_zero_score_at_first_cell_is_never_matched():
 
 
 def test_tied_row_best_goes_to_the_fallback():
-    # Row 1's two cells tie after the bias.  The Hungarian solve spends
+    # Row 1's two cells tie after the bias.  The exact solve spends
     # column 0 on row 0's zero, which costs nothing, and gives row 1 column
     # 2; taking row 1's first best would give it column 0.
     bias = _tie_bias(2, 3, 5)
@@ -272,7 +380,7 @@ def test_solve_pairs_skips_components_below_the_gate():
     a, b = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2])
     got = solve_pairs(a, b, np.array([0.3, 0.1, 0.2, 0.6]), 0.5)
     assert (got.a.tolist(), got.b.tolist()) == ([2], [2])
-    assert (got.components, got.largest, got.fallback) == (1, 2, 0)
+    assert (got.components, got.largest, got.exact) == (1, 2, 0)
 
 
 def test_cells_below_the_gate_steer_the_match():

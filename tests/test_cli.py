@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -97,8 +101,8 @@ class TestTrack:
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("first level")]
         # The static pass and the motion pass, each over the 19 frame pairs.
-        assert lines == ["first level: 19 frame pairs in 1 chunks, 19 blocks certified, "
-                         "0 solved by Hungarian fallback"] * 2
+        assert lines == ["first level: 19 frame pairs in 1 chunks, 0 components solved by "
+                         "augmenting paths"] * 2
 
     def test_verbose_logs_each_merge_round_outside_stdout_and_the_dump(self, tmp_path, capsys,
                                                                        caplog):
@@ -113,10 +117,10 @@ class TestTrack:
         assert (capsys.readouterr().out, (tmp_path / "dump.json").read_bytes()) == quiet
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("merge")]
         idle = "0 pairs admitted, 0 above 0, 0 components solved (largest 0 nodes), " \
-               "0 by Hungarian fallback, 0 matches"
+               "0 by augmenting paths, 0 matches"
         assert lines == [
             "merge level (gap 5) round 1: 2 pairs admitted, 2 above 0, 2 components solved "
-            "(largest 2 nodes), 0 by Hungarian fallback, 2 matches",
+            "(largest 2 nodes), 0 by augmenting paths, 2 matches",
             f"merge level (gap 5) round 2: {idle}",
             *(f"merge level (gap {bound}) round 1: {idle}" for bound in (10, 15, 20, 30)),
             f"merge level (gap 30, overlap 5) round 1: {idle}"]
@@ -658,3 +662,12 @@ def test_cli_builds_no_per_row_objects(tmp_path, capsys):
         for argv in runs:
             assert cli.main(argv) == 0
     assert "mota=" in capsys.readouterr().out
+
+
+def test_cli_imports_no_scipy():
+    """The CLI runs on numpy alone; scipy is a test dependency only."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, intertrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout == "[]\n"
