@@ -9,8 +9,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
-from intertrack.assignment import (_tie_bias, connected_components, max_weight_matching, solve,
-                                   solve_blocks, solve_pairs)
+from intertrack.assignment import (_TIE_EPS, _tie_bias, connected_components, max_weight_matching,
+                                   solve, solve_blocks, solve_pairs)
 
 _PERM_CACHE = {}
 
@@ -178,13 +178,43 @@ def _hungarian(block, gate):
     return [(i, j) for i, j in max_weight_matching(block) if block[i, j] >= gate]
 
 
+def _uncertified_components(block, gate):
+    """The number of connected components (by scipy) of the block's cells
+    with biased score >= 0 that neither the row-wise nor the column-wise
+    argmax certificate settles, line by line as the `assignment` docstring
+    states them."""
+    n, m = block.shape
+    biased = np.where(np.isfinite(block), block - _tie_bias(n, m, n + m), -np.inf)
+    i, j = np.nonzero(biased >= 0)
+    graph = coo_matrix((np.ones(i.size), (i, n + j)), shape=(n + m, n + m))
+    label = scipy_components(graph, directed=False)[1]
+
+    def failing(lines, labels):
+        """The labels of the components holding a line that breaks the certificate."""
+        best = [max(line, default=-np.inf) for line in lines]
+        partner = [int(np.argmax(line)) if best[r] > 0 else -1 for r, line in enumerate(lines)]
+        fail = set()
+        for r, line in enumerate(lines):
+            if best[r] > 0:
+                ok = sum(x == best[r] for x in line) == 1 and partner.count(partner[r]) == 1
+            else:
+                ok = best[r] < 0 or gate > _TIE_EPS
+            if not ok:
+                fail.add(labels[r])
+        return fail
+
+    return len(failing(list(biased), label[:n]) & failing(list(biased.T), label[n:]))
+
+
 @settings(max_examples=1000, deadline=None)
 @given(_chunks())
 def test_solve_blocks_matches_hungarian_block_by_block(chunk):
     scores, n, m, gate = chunk
     found, fallback = solve_blocks(scores, n, m, gate)
     assert found.shape == (len(found), 3)
-    assert 0 <= fallback <= len(n)
+    # The count is of components, several of which a block may hold.
+    assert 0 <= fallback == sum(_uncertified_components(scores[k, :n[k], :m[k]], gate)
+                                for k in range(len(n)))
     # In (block, row) order, each block's matches as `solve` lists them.
     assert [[k, i, j] for k in range(len(n))
             for i, j in _hungarian(scores[k, :n[k], :m[k]], gate)] == found.tolist()
@@ -319,6 +349,17 @@ def test_certified_blocks_skip_the_fallback():
     found, fallback = solve_blocks(scores, [2, 2], [2, 2], 0.3)
     assert fallback == 1
     assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def test_one_block_may_hold_several_searched_components():
+    # Cell (0, 0)'s biased score is exactly 0, so at a gate below the tie
+    # bias neither certificate settles it.  Rows 1 and 3 both want column
+    # 2, and row 1 is the best of both columns 1 and 2.
+    scores = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 1.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    found, exact = solve_blocks(scores[None], [4], [4], 1e-12)
+    assert exact == 2 == _uncertified_components(scores, 1e-12)
+    assert found.tolist() == [[0, 1, 1], [0, 3, 2]]
 
 
 # Scores in place of a continuous draw: inadmissible or never taken.
