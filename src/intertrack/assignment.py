@@ -41,11 +41,12 @@ these blocks go through `padded_chunks`, and `_augmenting_paths` solves a
 chunk's blocks in lockstep.  Every row owns an implicit unmatched slot of
 weight 0, so an n x m block needs O(n * m) memory.  Exact ties — matchings
 whose biased totals are equal as floats — resolve by the order of search:
-rows join in ascending order, each by a shortest augmenting path, and of the
-columns at equal distance the search settles a free real column first (the
-lowest), then an unmatched slot (of the row reached first), else the lowest
-assigned column.  So a row whose only cells have a biased score of exactly
-0 is matched at the lowest of them rather than left unmatched, and of the
+rows join in ascending order, each by a shortest augmenting path; a column
+keeps the first path that reached it at its distance; and of the columns at
+equal distance the search settles a free real column first (the lowest),
+then an unmatched slot (of the row reached first), else the lowest assigned
+column.  So a row whose only cells have a biased score of exactly 0 is
+matched at the lowest of them rather than left unmatched, and of the
 matchings of one set of rows onto one set of columns, whose tie biases sum
 alike, the search keeps the first it finds; scipy's square Hungarian form
 may pick others.  The biased total is the optimum either way.
@@ -297,16 +298,19 @@ def _augmenting_paths(weights: np.ndarray, n: np.ndarray,
     return blk, i, col4row[blk, i]
 
 
-def _match_components(biased: np.ndarray, gate: float) -> tuple[np.ndarray, int]:
-    """The optimal matches of a (blocks, n_max, m_max) chunk of biased
-    scores, -inf off the admissible cells, one connected component of its
-    cells at or above 0 at a time: by the row or column argmax where its
-    certificate holds, else by augmenting paths.
+def _match_components(biased: np.ndarray, row_ok: np.ndarray,
+                      gate: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The matches of a (blocks, n_max, m_max) chunk of biased scores, -inf
+    off the admissible cells, that its rows' argmax does not give, one
+    connected component of its cells at or above 0 at a time: by the column
+    argmax where that certificate holds, else by augmenting paths.
+    `row_ok` is the row certificate of each row (`_argmax_certificate`).
 
-    Returns the matches as a (matches, 3) array of (block, row, col) and the
-    number of components solved by augmenting paths."""
+    Returns those matches as a (matches, 3) array of (block, row, col); per
+    row, whether its component keeps the row certificate, so that the row
+    argmax matches it; and the number of components solved by augmenting
+    paths."""
     k, n_max, m_max = biased.shape
-    row_col, row_on, row_ok = _argmax_certificate(biased, 2, gate)
     col_row, col_on, col_ok = _argmax_certificate(biased, 1, gate)
     # Row nodes blk * n_max + i, column nodes blk * m_max + j.
     blk, i, j = np.nonzero(biased >= 0)
@@ -316,15 +320,14 @@ def _match_components(biased: np.ndarray, gate: float) -> tuple[np.ndarray, int]
     by_rows = np.bincount(row_label[~row_ok.ravel()], minlength=count) == 0
     by_cols = ~by_rows & (np.bincount(col_label[~col_ok.ravel()], minlength=count) == 0)
     exact = np.flatnonzero(~by_rows & ~by_cols)
-    rb, ri = np.nonzero(row_on & by_rows[row_label].reshape(k, n_max))
     cb, cj = np.nonzero(col_on & by_cols[col_label].reshape(k, m_max))
-    found = [np.stack([rb, ri, row_col[rb, ri]], axis=1), np.stack([cb, col_row[cb, cj], cj], axis=1)]
+    found = [np.stack([cb, col_row[cb, cj], cj], axis=1)]
     for dense, dn, dm, r_node, c_node in _component_chunks(row, col, biased[blk, i, j], row_label,
                                                            col_label, count, exact):
         b, bi, bj = _augmenting_paths(dense, dn, dm)
         r, c = r_node[b, bi], c_node[b, bj]
         found.append(np.stack([r // n_max, r % n_max, c % m_max], axis=1))
-    return np.concatenate(found), exact.size
+    return np.concatenate(found), by_rows[row_label].reshape(k, n_max), exact.size
 
 
 def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
@@ -346,17 +349,18 @@ def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
     biased = scores - _tie_bias(n_max, m_max, size)
     biased[~(real_cells(n, m, n_max, m_max) & np.isfinite(scores))] = -np.inf
     row_col, row_on, row_ok = _argmax_certificate(biased, 2, gate)
-    # A block whose rows all keep the row certificate is matched by its row
-    # argmax, as each of its components would be; only the others are split.
-    split = ~row_ok.all(axis=1)
-    rb, ri = np.nonzero(row_on & ~split[:, None])
-    found, exact = [np.stack([rb, ri, row_col[rb, ri]], axis=1)], 0
-    if split.any():
-        blocks = np.flatnonzero(split)
-        biased = biased[blocks]  # rebound, so that a large chunk is held once
-        part, exact = _match_components(biased, gate)
-        part[:, 0] = blocks[part[:, 0]]
+    # Every component of a block whose rows all keep the row certificate
+    # keeps it too, so only the other blocks are split into components: on
+    # the first level most blocks keep it and are never labelled.
+    split = np.flatnonzero(~row_ok.all(axis=1))
+    by_rows, found, exact = np.ones((k, n_max), bool), [], 0
+    if split.size:
+        biased = biased[split]  # rebound, so that a large chunk is held once
+        part, by_rows[split], exact = _match_components(biased, row_ok[split], gate)
+        part[:, 0] = split[part[:, 0]]
         found.append(part)
+    rb, ri = np.nonzero(row_on & by_rows)
+    found.append(np.stack([rb, ri, row_col[rb, ri]], axis=1))
     found = np.concatenate(found)
     found = found[np.lexsort((found[:, 1], found[:, 0]))]
     return found[scores[tuple(found.T)] >= gate], exact

@@ -4,16 +4,20 @@ require the column code to match them bit for bit, on the trajectories that
 `trajectories()` draws.  `eval_counts` is the frame-by-frame form of
 `metrics.eval_counts`, one IoU block and one CLEAR step per frame.
 `max_weight_matching` is the square Hungarian form of
-`assignment.max_weight_matching`, by scipy's `linear_sum_assignment`."""
+`assignment.max_weight_matching`, by scipy's `linear_sum_assignment`, and
+`unique_optimum` tells whether a matrix has only the one optimum that every
+exact solver must then return."""
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from intertrack import assignment
-from intertrack.assignment import _tie_bias
+from intertrack.assignment import _TIE_EPS, _tie_bias
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
 from intertrack.model import (BoundingBox, BoxTable, Detection, Tracklet, Trajectory,
@@ -55,6 +59,33 @@ def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
             out.append((int(i), int(j)))
     out.sort()
     return out
+
+
+def unique_optimum(scores: np.ndarray) -> bool:
+    """Whether `max_weight_matching(scores)` is the only partial matching of
+    its biased total (scores less the tie bias).
+
+    Any other optimum either leaves out one of its pairs, and then the
+    optimum with that pair made inadmissible reaches the same total, or
+    holds all of its pairs and more, each joining a row and a column it
+    leaves unmatched at a biased score of 0.  Totals closer than a quarter
+    of the tie bias's smallest step count as equal."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n, m = scores.shape
+    if n == 0 or m == 0:
+        return True
+    biased = np.where(np.isfinite(scores), scores - _tie_bias(n, m, n + m), -np.inf)
+    tol = _TIE_EPS / (4 * (n + m) ** 2)
+    best = max_weight_matching(scores)
+    total = math.fsum(biased[i, j] for i, j in best)
+    for i, j in best:
+        without = scores.copy()
+        without[i, j] = -np.inf
+        if math.fsum(biased[p] for p in max_weight_matching(without)) > total - tol:
+            return False
+    rows = np.setdiff1d(np.arange(n), [i for i, _ in best])
+    cols = np.setdiff1d(np.arange(m), [j for _, j in best])
+    return not (np.abs(biased[np.ix_(rows, cols)]) <= tol).any()
 
 
 def split_at_discontinuities(trajectories):
@@ -119,16 +150,20 @@ def gaussian_smooth(trajectory, sigma):
     return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
 
 
-def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
-    """CLEAR and identity counts of one sequence, in one walk over its frames.
+def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float,
+                match: Callable[[np.ndarray], list[tuple[int, int]]] = max_weight_matching,
+                ) -> tuple[EvalCounts, bool]:
+    """CLEAR and identity counts of one sequence, in one walk over its frames
+    with `match` as the solver, and whether some frame's optimal step had
+    more than one optimum (`unique_optimum`).
 
     Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).
 
-    The frames are matched by the package's own solver, not by the scipy
-    `max_weight_matching` above: the tie bias does not order the matchings
-    of one set of rows onto one set of columns (their biases sum alike), the
-    two solvers may pick different ones, and identity switches follow the
-    pick."""
+    After such a tie the counts may depend on the solver: the tie bias does
+    not order the matchings of one set of rows onto one set of columns
+    (their biases sum alike), identity switches follow the pick, and so do
+    the correspondences that later frames keep alive.  Only idtp, len_gt
+    and len_pred never do."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
@@ -140,6 +175,7 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     bounds = [np.searchsorted(tracks.frame, frames, side).tolist()
               for tracks in (gt, pred) for side in ("left", "right")]
     fp = fn = idsw = 0
+    tied = False
     for g0, g1, p0, p1 in zip(*bounds):
         n, m = g1 - g0, p1 - p0
         matched = 0
@@ -161,8 +197,8 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
             cols = np.flatnonzero(~kept)
             matched = int(kept.sum())
             block = np.where(hit, overlap, -np.inf)[np.ix_(rows, cols)]
-            for i, j in (assignment.max_weight_matching(block) if np.isfinite(block).any()
-                         else ()):
+            tied = tied or not unique_optimum(block)
+            for i, j in match(block) if np.isfinite(block).any() else ():
                 g, p = gi[rows[i]], pj[cols[j]]
                 idsw += bool(last_hyp[g] >= 0 and last_hyp[g] != p)
                 last_hyp[g] = p
@@ -170,9 +206,9 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
         fn += n - matched
         fp += m - matched
     admissible = np.where(potential > 0, potential, -np.inf)
-    idtp = int(sum(potential[i, j] for i, j in assignment.max_weight_matching(admissible)))
+    idtp = int(sum(potential[i, j] for i, j in match(admissible)))
     return EvalCounts(fp=fp, fn=fn, idsw=idsw, idtp=idtp,
-                      len_gt=gt.frame.size, len_pred=pred.frame.size)
+                      len_gt=gt.frame.size, len_pred=pred.frame.size), tied
 
 
 

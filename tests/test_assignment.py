@@ -174,8 +174,14 @@ def _chunks(draw):
 
 
 def _hungarian(block, gate):
-    """The reference: the exact matching of the whole block, then the gate."""
-    return [(i, j) for i, j in max_weight_matching(block) if block[i, j] >= gate]
+    """The reference: the exact matching of the whole block, then the gate.
+    The matching is scipy's where the block's biased optimum is unique;
+    where it ties, the solvers may pick different optima, and the
+    package's one-block solve stands in, so that a chunk must resolve ties
+    as its blocks solved alone do."""
+    unique = reference.unique_optimum(block)
+    solver = reference.max_weight_matching if unique else max_weight_matching
+    return [(i, j) for i, j in solver(block) if block[i, j] >= gate]
 
 
 def _uncertified_components(block, gate):
@@ -349,6 +355,19 @@ def test_certified_blocks_skip_the_fallback():
     found, fallback = solve_blocks(scores, [2, 2], [2, 2], 0.3)
     assert fallback == 1
     assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def test_zero_biased_row_takes_its_lowest_cell():
+    # Row 0's best biased score is exactly 0, at (0, 0) and at (0, 1), whose
+    # score is its own tie bias: taking either costs nothing.  The search
+    # takes the lowest, (0, 0), which even a gate below the tie bias drops,
+    # so row 0 stays unmatched; scipy's square form takes (0, 1), which that
+    # gate keeps.
+    bias = _tie_bias(2, 3, 5)
+    scores = np.array([[0.0, bias[0, 1], 0.5], [0.0, 0.0, 1.0]])
+    assert not reference.unique_optimum(scores)
+    assert max_weight_matching(scores) == [(0, 0), (1, 2)]
+    assert solve(scores, 1e-12) == [(1, 2)]
 
 
 def test_one_block_may_hold_several_searched_components():

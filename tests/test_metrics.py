@@ -323,6 +323,14 @@ _SHARED_ID = ([_line(1, [(1, 0), (2, 0)]), _line(1, [(2, 6), (3, 6)])],
 # cell in the optimal step's block, so the step leaves both unmatched.
 _TINY_HIT = ([_line(1, [(1, 20)]), _line(2, [(1, 0)])], [_line(7, [(1, 4 - 8e-11)])])
 
+# gt 1 and 2 and predictions 3, 4 and 5 share one box at frame 1, gt 1 and
+# prediction 4 again at frame 2.  Frame 1's two perfect matchings onto
+# predictions 3 and 4 tie exactly (their tie biases sum alike); the solver
+# keeps the first it finds, gt 1 to prediction 3, so frame 2 switches gt 1
+# to 4.  scipy's square form picks gt 1 to 4 and counts no switch.
+_TIED_PICK = ([_line(1, [(1, 0), (2, 0)]), _line(2, [(1, 0)])],
+              [_line(3, [(1, 0)]), _line(4, [(1, 0), (2, 0)]), _line(5, [(1, 0)])])
+
 
 class TestColumnCounts:
     @settings(max_examples=400, deadline=None)
@@ -348,11 +356,22 @@ class TestColumnCounts:
     @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5, budget=1)
     @example(gt=_SHARED_ID[0], pred=_SHARED_ID[1], iou_threshold=0.5, budget=5)
     @example(gt=_TINY_HIT[0], pred=_TINY_HIT[1], iou_threshold=1e-12, budget=40)
+    @example(gt=_TIED_PICK[0], pred=_TIED_PICK[1], iou_threshold=1.0, budget=5)
     def test_matches_frame_by_frame_reference(self, gt, pred, iou_threshold, budget):
         gt, pred = frame_sorted(gt), frame_sorted(pred)
         with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
             counts = eval_counts(gt, pred, iou_threshold)
-        assert counts == reference.eval_counts(gt, pred, iou_threshold)
+        want, tied = reference.eval_counts(gt, pred, iou_threshold)
+        if tied:
+            # Some frame's optimal step ties, and idsw, fp and fn follow the
+            # solver's pick: the scipy walk pins only the identity counts,
+            # and the walk on the package's solver pins them all.
+            assert ((counts.idtp, counts.len_gt, counts.len_pred)
+                    == (want.idtp, want.len_gt, want.len_pred))
+            assert counts == reference.eval_counts(gt, pred, iou_threshold,
+                                                   assignment.max_weight_matching)[0]
+        else:
+            assert counts == want
 
     def test_shared_gt_id_steps_its_frame(self):
         # Frame 2 holds two rows of gt 1, each with one hit: stepped, pred 5
@@ -366,6 +385,12 @@ class TestColumnCounts:
         boxes = stack_boxes([_TINY_HIT[0][1].entries[0].box, _TINY_HIT[1][0].entries[0].box])
         assert 0 < iou_kernel(*boxes) < 1e-10
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 2, 0, 1)
+
+    def test_tied_frame_keeps_the_solvers_first_matching(self):
+        gt, pred = map(frame_sorted, _TIED_PICK)
+        counts = eval_counts(gt, pred, 1.0)
+        assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 0, 1, 3)
+        assert reference.eval_counts(gt, pred, 1.0)[1]
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
         counts = eval_counts(*map(frame_sorted, _SHARED_HYPOTHESIS), 0.5)
