@@ -7,7 +7,18 @@ fields with 0-based frames, mapped to the internal 1-based convention on
 read and back on write.
 
 A format supplies only its line parser (field count, number conversions and
-the rows it skips), its box convention, its first frame and its row writer.
+the rows it skips), its box convention, its first frame and its row writer;
+MOT adds a bulk parser, one `np.loadtxt` call over all lines.  numpy converts
+each field with the function behind Python `float()`, so the numbers are the
+line parser's, bit for bit.  The line parser alone names a faulty line, and
+reads the file whenever the bulk parse cannot stand for it: an empty file, a
+`loadtxt` error or warning, a blank line (numpy skips it, which shifts the
+line numbers), a field count outside 7-10 or varying, a frame or id that is
+not a finite whole number, or an ASCII separator \\x1c-\\x1f in the text
+(numpy strips these around a number, `float()` does not).  KITTI's frame and
+id rules take `int()` of the text, so KITTI files are read line by line.
+Each read logs one INFO line: its lines, the rows kept and the parser used.
+
 Both parse into one `BoxTable` in file order, checked once with the line
 numbers alongside: after a line whose fields do not parse (or whose frame or
 id is not whole) has failed, each check fails at the `file:line` of its
@@ -63,6 +74,29 @@ def _parse_mot_line(line: str, path: PathLike, lineno: int):
     return frame, track_id, left, top, w, h, conf, 0, lineno
 
 
+def _parse_mot_bulk(lines: list[str]) -> Optional[np.ndarray]:
+    """The rows `_parse_mot_line` makes of `lines`, from one numpy parse, or
+    None wherever that parse cannot stand for it (see the module notes)."""
+    import warnings  # loaded with numpy; loadtxt warns when it finds no rows
+    text = "".join(lines)
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):  # float() does not strip these
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                                ndmin=2, encoding="utf-8")
+    except (ValueError, UserWarning):
+        return None
+    n, fields = values.shape
+    frame_id = values[:, :2]
+    # A skipped blank line would shift the line numbers of the later rows.
+    if (n != len(lines) or not 7 <= fields <= 10 or not np.isfinite(frame_id).all()
+            or (np.trunc(frame_id) != frame_id).any()):
+        return None
+    return np.column_stack((values[:, :7], np.zeros(n), np.arange(1, n + 1)))
+
+
 def _parse_kitti_line(line: str, path: PathLike, lineno: int,
                       keep: Optional[frozenset[str]]):
     tok = line.split()
@@ -103,12 +137,14 @@ def _kitti_rows(table: BoxTable) -> Iterator[str]:
 class _Format(NamedTuple):
     """What a file format decides; everything else is shared."""
     parse: Callable[[str, PathLike, int], tuple]
+    # All lines -> the parsed rows, or None to parse line by line.
+    bulk: Optional[Callable[[list[str]], Optional[np.ndarray]]]
     to_center: Callable  # the four box columns -> cx, cy, w, h
     first_frame: int
     rows: Callable[[BoxTable], Iterator[str]]  # one output line per table row
 
 
-_MOT = _Format(_parse_mot_line, ltwh_to_center, 1, _mot_rows)
+_MOT = _Format(_parse_mot_line, _parse_mot_bulk, ltwh_to_center, 1, _mot_rows)
 
 
 def check_class_filter(fmt: str, class_filter: Optional[Sequence[str]]) -> None:
@@ -130,7 +166,7 @@ def _format(fmt: str, class_filter: Optional[Sequence[str]] = None) -> _Format:
     if fmt == "mot":
         return _MOT
     keep = frozenset(class_filter) if class_filter else None
-    return _Format(partial(_parse_kitti_line, keep=keep), corners_to_center, 0, _kitti_rows)
+    return _Format(partial(_parse_kitti_line, keep=keep), None, corners_to_center, 0, _kitti_rows)
 
 
 # Frames and ids pass through float64 and int64 columns.  float64 holds every
@@ -141,11 +177,14 @@ _INDEX_LIMIT = 2 ** 53
 
 def _read(path: PathLike, fmt: _Format, track_file: bool) -> BoxTable:
     """Parse and check a file (see the module notes); `id` is its id column."""
-    parse = fmt.parse
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [parse(line, path, lineno)
-                for lineno, line in enumerate(map(str.strip, fh), 1) if line]
-    table = np.array(rows, dtype=np.float64).reshape(-1, 9)
+        lines = fh.readlines()
+    table = fmt.bulk(lines) if fmt.bulk else None
+    how = "line by line" if table is None else "bulk"
+    if table is None:
+        rows = [fmt.parse(line, path, lineno)
+                for lineno, line in enumerate(map(str.strip, lines), 1) if line]
+        table = np.array(rows, dtype=np.float64).reshape(-1, 9)
     unknown = np.count_nonzero(table[:, 7] == _UNKNOWN)
     if (table[:, 7] < 0).any():
         table = table[table[:, 7] >= 0]
@@ -184,6 +223,7 @@ def _read(path: PathLike, fmt: _Format, track_file: bool) -> BoxTable:
             k = repeats[0]
             raise ValueError(f"{path}:{int(lineno[kept][order[k + 1]])}: "
                              f"track {t[k]} has two boxes at frame {f[k]}")
+    log.info("read %s: %d lines, %d rows kept, %s", path, len(lines), out.frame.size, how)
     return out
 
 

@@ -422,6 +422,21 @@ class TestEval:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval:")]
         assert lines == ["eval: 5 frames in 1 chunks, 2 forced, 3 conflict frames stepped"]
 
+    def test_verbose_logs_each_file_read(self, tmp_path, capsys, caplog):
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        write_mot_results([traj(1, range(1, 6), 100.0)], gt)
+        # A blank last line keeps pred.txt from the one-call parse.
+        pred.write_text(gt.read_text() + "\n")
+        argv = ["eval", "--gt", str(gt), "--pred", str(pred), "--kv"]
+        assert cli.main(argv) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level("INFO"):
+            assert cli.main(["--verbose", *argv]) == 0
+        assert capsys.readouterr().out == quiet
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("read ")]
+        assert lines == [f"read {gt}: 5 lines, 5 rows kept, bulk",
+                         f"read {pred}: 6 lines, 5 rows kept, line by line"]
+
     @pytest.mark.parametrize("value", ["-1", "nan", "1.5", "0"])
     def test_iou_threshold_outside_unit_interval_fails_with_2(self, tmp_path, capsys, value):
         gt = tmp_path / "gt.txt"

@@ -1,15 +1,20 @@
+import contextlib
+import warnings
+
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from intertrack import mot_io
+from intertrack import mot_io, synth
 from intertrack.metrics import frame_sorted
 from intertrack.model import BoundingBox, Detection
 from intertrack.mot_io import (
     KITTI_CLASSES,
     read_detections,
     read_mot_detections,
+    read_detection_table,
     read_mot_tracks,
     read_track_table,
     read_tracks,
@@ -18,6 +23,7 @@ from intertrack.mot_io import (
     write_mot_results,
 )
 from intertrack.refine import Trajectory
+from intertrack.synth import ScenarioSpec
 
 
 def det(frame, left, top, w, h, score=0.9, det_id=-1, class_id=0):
@@ -375,3 +381,154 @@ class TestFractionalFrameOrId:
         p.write_text("2.0,7.000,0,0,10,10,1\n1e1,7,0,0,10,10,1\n")
         (track,) = read_mot_tracks(p)
         assert (track.track_id, [e.frame for e in track.entries]) == (7, [2, 10])
+
+
+# Number strings as a writer might spell them, padded with whitespace; in a
+# wild file also strings that only `float()` reads or neither parser reads,
+# and the ASCII separators that numpy strips as whitespace and `float()`
+# does not.
+_PADS = ["", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\u3000"]
+_DECIMALS = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]),
+                      st.sampled_from(["0", "1", "12", "007", "123456789012345678", "1.",
+                                       ".5", "0.25", "3.1000001", "33.333333", "101.123456"]),
+                      st.sampled_from(["", "e3", "E-2", "e+0", "e22", "e308", "e400", "e-400"]))
+_FINITE = st.one_of(_DECIMALS, st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_ODD = st.sampled_from(["inf", "-Infinity", "nan", "+NaN", "-nan", "1_0", "\uff11", "\u0661",
+                        "", "x", "0x10", "1e"])
+_INDEX = st.one_of(st.integers(-2, 4).map(str),
+                   st.sampled_from(["1.0", "2e0", "+3", "-0", "2.5", "1e300", "9007199254740993",
+                                    "inf", "-inf", "nan"]))
+
+
+def _padded(numbers, pads):
+    pad = st.sampled_from(pads)
+    return st.builds("{}{}{}".format, pad, numbers, pad)
+
+
+@st.composite
+def mot_texts(draw):
+    """MOT file text: rows of one field count, 6-11, of well-formed numbers
+    and frames and ids that may be fractional, huge or not finite; or, in a
+    wild file, rows of mixed field counts, odd numbers, trailing commas, and
+    blank and whitespace-only lines."""
+    wild = draw(st.booleans())
+    pads = _PADS + ["\x1c", "\x1f"] if wild else _PADS
+    number = _padded(st.one_of(_FINITE, _ODD) if wild else _FINITE, pads)
+    index = _padded(st.one_of(_INDEX, _ODD) if wild else _INDEX, pads)
+    fields = draw(st.integers(6, 11))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if wild and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+            continue
+        n = draw(st.integers(6, 11)) if wild else fields
+        row = [draw(index), draw(index), *(draw(number) for _ in range(n - 2))]
+        lines.append(",".join(row) + ("," if wild and draw(st.booleans()) else ""))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(reader, path):
+    """A table as the bytes of its columns, or the message it failed with."""
+    try:
+        table = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(column.dtype.str, column.shape, column.tobytes()) for column in table]
+
+
+@contextlib.contextmanager
+def _line_by_line():
+    """A context in which MOT files are read by the line parser alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mot_io, "_MOT", mot_io._MOT._replace(bulk=None))
+        yield
+
+
+class TestBulkRead:
+    """The one-call MOT parse against the per-line parser it stands for."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mot_texts())
+    @example(text="1,1,0,0,10,10,1\n\n2,1,nan,0,10,10,1\n")
+    @example(text="1\x1c,1,0,0,10,10,1\n")
+    @example(text="inf,1,0,0,10,10,1\n")
+    @example(text="1,1,0,0,10,10,1,0,0,0,0\n")
+    @example(text="1,1,0,0,10,10,1\r\n2,1,0,0,10,10,1,-1,-1,-1\r\n")
+    def test_bulk_equals_line_by_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bulk") / "res.txt"
+        path.write_bytes(text.encode("utf-8"))
+        readers = (read_track_table, read_detection_table)
+        bulk = [_outcome(reader, path) for reader in readers]
+        with _line_by_line():
+            assert [_outcome(reader, path) for reader in readers] == bulk
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        rows = mot_io._parse_mot_bulk(lines)
+        event("bulk" if rows is not None else "line by line")
+        if rows is not None:
+            # Every number as float() reads it, bit for bit; -0 frames and ids
+            # become 0 on the line path, which only the sign bit tells apart.
+            want = np.array([mot_io._parse_mot_line(line.strip(), path, k)
+                             for k, line in enumerate(lines, 1)], dtype=np.float64)
+            assert rows[:, 2:].tobytes() == want[:, 2:].tobytes()
+            assert (rows[:, :2] == want[:, :2]).all()
+
+    # Well-formed files never reach the line parser, so no change can send
+    # every file to it unseen.
+    def test_crowd_size_files_never_use_the_line_parser(self, tmp_path, monkeypatch):
+        spec = ScenarioSpec(n_targets=36, n_frames=180, seed=1, arena=(800.0, 600.0),
+                            box_size=(10.0, 24.0), max_speed=3.0, miss_prob=0.15,
+                            noise_sigma=0.6, size_jitter=0.03)
+        gt, dets = synth.generate(spec)
+        write_mot_results(gt, tmp_path / "gt.txt")
+        write_mot_detections(dets, tmp_path / "det.txt")
+        with _line_by_line():
+            want = [_outcome(read_track_table, tmp_path / "gt.txt"),
+                    _outcome(read_detection_table, tmp_path / "det.txt")]
+
+        def refuse(line, path, lineno):
+            raise AssertionError(f"{path}:{lineno} went to the line parser")
+
+        monkeypatch.setattr(mot_io, "_MOT", mot_io._MOT._replace(parse=refuse))
+        got = [_outcome(read_track_table, tmp_path / "gt.txt"),
+               _outcome(read_detection_table, tmp_path / "det.txt")]
+        assert got == want
+        assert len(read_detection_table(tmp_path / "det.txt").frame) == len(dets) > 5000
+
+    def test_nan_row_after_a_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("1,1,0,0,10,10,1\n\n2,1,nan,0,10,10,1\n")
+        for reader in (read_track_table, read_detection_table):
+            with pytest.raises(ValueError, match=r"res\.txt:3: box size and confidence"):
+                reader(p)
+
+    def test_crlf_file_reads_as_its_lf_copy(self, tmp_path, caplog):
+        rows = ["1,1,0,0,10,10,1", "2,1,1.5,0,10,10,0.5", "2,2,40,0,10,10,0.9"]
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes("".join(f"{row}\n" for row in rows).encode())
+        crlf.write_bytes("".join(f"{row}\r\n" for row in rows).encode())
+        with caplog.at_level("INFO"):
+            assert _outcome(read_track_table, crlf) == _outcome(read_track_table, lf)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"read {crlf}: 3 lines, 3 rows kept, bulk", f"read {lf}: 3 lines, 3 rows kept, bulk"]
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n \n\t"])
+    def test_empty_file_reads_as_an_empty_table_without_warnings(self, tmp_path, text):
+        p = tmp_path / "res.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reader in (read_track_table, read_detection_table):
+                assert reader(p).frame.size == 0
+
+    # float() reads both (1_0 as 10, a fullwidth 1 as 1); numpy reads
+    # neither, so these files are read line by line.
+    @pytest.mark.parametrize("frame, want", [("1_0", 10), ("\uff11", 1)])
+    def test_numbers_only_float_reads_keep_their_meaning(self, tmp_path, caplog, frame, want):
+        p = tmp_path / "res.txt"
+        p.write_text(f"{frame},1,0,0,10,10,1\n", encoding="utf-8")
+        with caplog.at_level("INFO"):
+            assert read_track_table(p).frame.tolist() == [want]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"read {p}: 1 lines, 1 rows kept, line by line"]

@@ -29,6 +29,9 @@ The cases:
   first, a fractional frame, a repeated (track, frame), a non-positive box)
   run through `track` (`refine` for the repeated frame) and through `eval`
   against itself.
+- 4 reader cases on MOT files of two tracks over six frames, run the same
+  way: CRLF line ends, 7-field rows with some 10-field rows, a blank line
+  and then a NaN row, and a whitespace-only line.
 - 2 misused-flag cases on the file of the two valid rows, run the same way:
   `--class-filter Car` on MOT input, and a KITTI `--class-filter` naming a
   class KITTI does not have.
@@ -44,7 +47,7 @@ The cases:
   holds a third sequence as well, so the pooled report leaves it out with a
   warning.
 
-87 cases in all.
+91 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -114,6 +117,18 @@ FAULT_FILES = {
         "fractional-frame": f"1.5 1 Car 0 0 -10 10 20 40 60 {_KITTI_TAIL}",
         "repeated-frame": f"1 1 Car 0 0 -10 12 20 42 60 {_KITTI_TAIL}",
         "nonpositive-box": f"2 1 Car 0 0 -10 40 20 40 60 {_KITTI_TAIL}"}),
+}
+# MOT files that the one-call parse reads or hands to the line parser.
+_READER_ROWS = [f"{f},{tid},{x + 3 * f},40,30,60,0.9" for f in range(1, 7)
+                for tid, x in ((1, 10), (2, 200))]
+READER_FILES = {
+    "crlf": "".join(f"{row}\r\n" for row in _READER_ROWS),
+    "mixed-fields": "".join(f"{row},-1,-1,-1\n" if k % 3 == 0 else f"{row}\n"
+                            for k, row in enumerate(_READER_ROWS)),
+    "blank-then-nan": "".join(f"{row}\n" for row in _READER_ROWS[:4])
+                      + "\n7,1,nan,40,30,60,0.9\n",
+    "whitespace-line": "".join(f"{row}\n" for row in _READER_ROWS[:6]) + " \t \n"
+                       + "".join(f"{row}\n" for row in _READER_ROWS[6:]),
 }
 # Per format: a misused flag, run on the two valid rows.
 FLAG_FAULTS = {"mot": ("class-filter", ["--class-filter", "Car"]),
@@ -226,6 +241,15 @@ def _fault_cases():
                               "--format", fmt, *extra]))
 
 
+def _reader_cases():
+    """(name, prepare) of the 4 reader cases."""
+    for name, text in READER_FILES.items():
+        yield (f"reader-{name}",
+               _cli_case(lambda text=text: Path("in.txt").write_bytes(text.encode("utf-8")),
+                         ["track", "--det", "in.txt", "--out", "out.txt"],
+                         ["eval", "--gt", "in.txt", "--pred", "in.txt", "--kv"]))
+
+
 def _config_cases():
     """(name, prepare) of the 6 config-file cases and the 4 bad-flag cases."""
     track = ["track", "--det", "det.txt", "--out", "out.txt", "--interp", "--smooth"]
@@ -283,7 +307,7 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
-                          *_config_cases(), *_eval_cases()]:
+                          *_reader_cases(), *_config_cases(), *_eval_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
