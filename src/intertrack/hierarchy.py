@@ -14,25 +14,20 @@ level) is included as the ablation baseline.
 One engine serves both entry modes: `track` starts it from detections,
 `refine` from pre-formed tracklets.  Both share one camera step, one stage
 loop and one merge-to-fixpoint loop, which the two schedule strategies
-differ in only by how they group candidate tracklets; both frame-adjacent
+differ in only by which admissible pairs they keep; both frame-adjacent
 passes share one frame-linking loop and differ only in their score matrix.
 
 Tracklet intervals are the priors that bound each level's candidates.  The
-merge loop never scans all pairs and builds no per-pair object: each round
-gathers the tracklets' (tid, t_min, t_max) into arrays, and since they are
-sorted by t_min a binary search finds, for every tracklet at once, the index
-range of those whose first frame lies in its admissible window (a gap of at
-most the level's bound, or a bounded overlap).  The windows are expanded
-into (earlier, later) index arrays and filtered by one elementwise
-admissibility test.  A group's pairs are scored in one `score` call, which
-gathers per-tracklet attributes once, fits the missing motion states of its
-distinct tracklets in one Kalman batch and evaluates the box kernel over the
-aligned predictions in chunks of at most `assignment._CHUNK_CELLS` pairs.
-`solve_pairs` then matches the pairs as the sparse matrix they are, one
-connected component of pairs above 0 at a time, on the first level's chunker
-and certificates; no tracklets x tracklets matrix is built.
-The motion-informed first level filters all its preliminary chains in one
-Kalman batch as well.
+merge loop never scans all pairs and builds no per-pair object: since the
+tracklets are sorted by t_min, a binary search finds, for every tracklet at
+once, the index range of those whose first frame lies in its admissible
+window (a gap of at most the level's bound, or a bounded overlap), and one
+elementwise test filters the pairs of those ranges.  A round's pairs are
+scored in one `score` call, which fits the missing motion states in one
+Kalman batch and runs the box kernel in chunks of at most
+`assignment._CHUNK_CELLS` pairs.  `solve_pairs` then matches the pairs one
+connected component of pairs above 0 at a time, on the first level's
+chunker and certificates; no tracklets x tracklets matrix is built.
 
 The first level scores its frame pairs in chunks, not one pair at a time,
 on the chunker it shares with `eval`, `assignment.padded_chunks`: the
@@ -51,18 +46,20 @@ The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` and
 `associate_table` return the output track id of each row kept, and
 `run_detailed` and `associate_tracklets` wrap them in objects.  Inside the
-engine a tracklet is a `TrackletRows`: its id, the frame-sorted array of its
-rows, and its t_min/t_max; every pass gathers boxes, frames and scores by
-row.  Camera stabilization replaces the box column of a class engine's own
-table, so the results keep the input boxes exactly.
+engine a class's tracklets are one `TrackletTable` of arrays, which every
+pass reads by column: the rows of all tracklets laid end to end, and per
+tracklet its size, tid, t_min and t_max.  Links, between tracklets or rows
+of adjacent frames, are chained as their connected components, laid out by
+one stable sort.  Camera stabilization replaces the box column of a class
+engine's own table, so the results keep the input boxes exactly.
 
 Each class engine keeps one record of its levels: a list of `LevelTrace`s,
-each holding the level's `TrackletRows` and the table's frame and det_id
-columns.  A level's tracklet count and its (frame, det_id) members, which
-only `--dump-hierarchy` and library callers read, are computed when read, and
-`ClassRunResult.counts` (N_1..N_l) is derived from the same list: every
-trace but the interval schedule's low-score recovery, which only grows the
-first level's tracklets.
+each holding the level's `TrackletTable` and the engine table's frame and
+det_id columns.  A level's tracklet count and its (frame, det_id) members,
+which only `--dump-hierarchy` and library callers read, are computed when
+read, and `ClassRunResult.counts` (N_1..N_l) is derived from the same list:
+every trace but the interval schedule's low-score recovery, which only grows
+the first level's tracklets.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
@@ -70,6 +67,7 @@ ids are never reused, and matching ties are broken toward low indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -78,7 +76,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import pair_chunks, padded_chunks, solve, solve_blocks, solve_pairs
+from .assignment import (connected_components, pair_chunks, padded_chunks, solve, solve_blocks,
+                         solve_pairs)
 from .geometry import SimilarityKernel
 from .model import (BoxTable, Detection, Stage, Strategy, Tracklet, TrackerConfig, Trajectory,
                     table_of, trajectories_of, validate_config)
@@ -88,7 +87,7 @@ log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# The table, engine tracklets, state and trace types
+# The table, the tracklet table, state and trace types
 # ---------------------------------------------------------------------------
 
 
@@ -99,33 +98,52 @@ def engine_order(table: BoxTable) -> np.ndarray:
                        table.frame))
 
 
-class TrackletRows(NamedTuple):
-    """A tracklet inside the engine: frame-sorted rows of its table."""
-    tid: int
+class TrackletTable(NamedTuple):
+    """A class engine's tracklets, in (t_min, t_max, tid) order: the rows of
+    all of them laid end to end, each tracklet's in frame order, and per
+    tracklet its size (row count), tid, t_min and t_max."""
     rows: np.ndarray
-    t_min: int
-    t_max: int
+    size: np.ndarray
+    tid: np.ndarray
+    t_min: np.ndarray
+    t_max: np.ndarray
+
+    def start(self) -> np.ndarray:  # each tracklet's first position in `rows`
+        return np.cumsum(self.size) - self.size
+
+    def first(self) -> np.ndarray:
+        return self.rows[self.start()]
+
+    def last(self) -> np.ndarray:
+        return self.rows[np.cumsum(self.size) - 1]
+
+    def take(self, k: np.ndarray) -> TrackletTable:
+        """The tracklets k (indices or a mask), in the order of k."""
+        size = self.size[k]
+        shift = self.start()[k] - (np.cumsum(size) - size)
+        return TrackletTable(self.rows[np.repeat(shift, size) + np.arange(size.sum())], size,
+                             self.tid[k], self.t_min[k], self.t_max[k])
 
 
-def _tracklet(frame: np.ndarray, tid: int, rows: np.ndarray) -> TrackletRows:
-    return TrackletRows(tid, rows, int(frame[rows[0]]), int(frame[rows[-1]]))
+def _tracklet_table(frame: np.ndarray, rows: np.ndarray, size: np.ndarray,
+                    tid: np.ndarray) -> TrackletTable:
+    """The tracklets whose frame-ordered rows, laid end to end, are `rows`,
+    with the given sizes and tids, put in (t_min, t_max, tid) order."""
+    end = np.cumsum(size)
+    t_min, t_max = frame[rows[end - size]], frame[rows[end - 1]]
+    return TrackletTable(rows, size, tid, t_min, t_max).take(np.lexsort((tid, t_max, t_min)))
 
 
-# Batched pair scorer: (members, a, b) -> the similarity of each pair
-# (members[a[k]], members[b[k]]), earlier tracklet first.
-PairScorer = Callable[[Sequence[TrackletRows], np.ndarray, np.ndarray], np.ndarray]
-# Candidate grouping: tracklets -> index groups; pairs are only scored
-# (and matched) inside one group.
-Grouping = Callable[[Sequence[TrackletRows]], Sequence[Sequence[int]]]
+# Batched pair scorer: (tracklets, a, b) -> the similarity of each pair of
+# tracklets (a[k], b[k]), earlier tracklet first.
+PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class HierarchyState:
-    """Tracklet population over one table between levels, in (t_min, t_max,
-    tid) order."""
+    """Tracklet population over one table between levels."""
     table: BoxTable
-    tracklets: tuple[TrackletRows, ...]
-    next_tid: int
+    tracklets: TrackletTable
 
 
 @dataclass(frozen=True)
@@ -133,19 +151,20 @@ class LevelTrace:
     """A class's tracklets after one level, as rows of the engine's table;
     its (frame, det_id) members are built only when read."""
     label: str
-    tracklets: tuple[TrackletRows, ...]
+    tracklets: TrackletTable
     frame: np.ndarray
     det_id: np.ndarray
 
     @property
     def tracklet_count(self) -> int:
-        return len(self.tracklets)
+        return int(self.tracklets.size.size)
 
     @property
     def members(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per tracklet, its (frame, det_id) pairs in frame order."""
-        return tuple(tuple(zip(self.frame[t.rows].tolist(), self.det_id[t.rows].tolist()))
-                     for t in self.tracklets)
+        t = self.tracklets
+        pairs = tuple(zip(self.frame[t.rows].tolist(), self.det_id[t.rows].tolist()))
+        return tuple(pairs[s:s + n] for s, n in zip(t.start().tolist(), t.size.tolist()))
 
 
 # The label of the trace taken after low-score rows are absorbed into the
@@ -190,18 +209,15 @@ class TableRun(NamedTuple):
                          self.per_class)
 
 
-def _ordered(tracklets: Iterable[TrackletRows]) -> tuple[TrackletRows, ...]:
-    return tuple(sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid)))
-
-
 # ---------------------------------------------------------------------------
 # Generic association machinery
 # ---------------------------------------------------------------------------
 
 
-def resolve_overlap(table: BoxTable, a: TrackletRows, b: TrackletRows, new_tid: int,
-                    max_overlap: int = 5) -> TrackletRows:
-    """Merge two matched tracklets whose spans may overlap by a few frames.
+def resolve_overlap(table: BoxTable, a: np.ndarray, b: np.ndarray,
+                    max_overlap: int = 5) -> np.ndarray:
+    """The frame-ordered rows of the merge of two matched tracklets, given by
+    their frame-ordered rows, whose spans may overlap by a few frames.
 
     For a frame claimed by both, the higher-confidence detection wins; ties
     go to the tracklet that starts earlier, then to the box that is smaller
@@ -210,107 +226,84 @@ def resolve_overlap(table: BoxTable, a: TrackletRows, b: TrackletRows, new_tid: 
     max_overlap means the engine admitted an illegal pair and is treated as
     a bug, not a data condition.
     """
-    if b.t_min < a.t_min:
+    frame = table.frame
+    if frame[b[0]] < frame[a[0]]:
         a, b = b, a
-    overlap = a.t_max - b.t_min + 1
+    overlap = int(frame[a[-1]] - frame[b[0]]) + 1
     if overlap > max_overlap:
         raise ValueError(
             f"tracklets overlap by {overlap} frames (allowed {max_overlap})")
+    rows = np.concatenate([a, b])
     if overlap <= 0:
-        return TrackletRows(new_tid, np.concatenate([a.rows, b.rows]), a.t_min, b.t_max)
-    chosen = dict(zip(table.frame[a.rows].tolist(), a.rows.tolist()))
-    score = table.score
-    same_start = a.t_min == b.t_min
-
-    def tie_key(row: int) -> tuple:
-        return (*table.boxes[row].tolist(), table.id[row])
-    for frame, row in zip(table.frame[b.rows].tolist(), b.rows.tolist()):
-        rival = chosen.get(frame)
-        # Equal scores normally fall to the earlier-starting tracklet (`a`
-        # after the swap above); when both start together the box decides.
-        if (rival is None or score[row] > score[rival]
-                or (score[row] == score[rival] and same_start
-                    and tie_key(row) < tie_key(rival))):
-            chosen[frame] = row
+        return rows
+    # A frame's winner sorts first: the higher score, then `a` (the earlier
+    # start after the swap above) unless both start together, then the
+    # smaller box and det_id; an exact tie keeps `a` first.
+    later = np.repeat([0, int(frame[a[0]] != frame[b[0]])], [a.size, b.size])
+    rows = rows[np.lexsort((table.id[rows], *table.boxes[rows].T[::-1], later,
+                            -table.score[rows], frame[rows]))]
     # Within one table, frame-sorted rows are ascending rows.
-    return _tracklet(table.frame, new_tid, np.array(sorted(chosen.values())))
+    return rows[np.r_[True, frame[rows[1:]] != frame[rows[:-1]]]]
 
 
-def _chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:
-    """Follow the links (earlier -> later) from each of `nodes` that no link
-    points to; one chain per such node, in the order of `nodes`."""
-    has_pred = set(link.values())
-    chains = []
-    for start in nodes:
-        if start in has_pred:
-            continue
-        chain = [start]
-        while chain[-1] in link:
-            chain.append(link[chain[-1]])
-        chains.append(chain)
-    return chains
+def _chain_layout(count: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain the links a[k] -> b[k] (a[k] < b[k], at most one link into and
+    one out of each of the nodes 0..count-1) as their connected components:
+    the nodes laid out chain by chain in link order, the chains ordered by
+    their lowest nodes, their heads; and each chain's node count."""
+    chains, label = connected_components(count, a, b)
+    return np.argsort(label, kind="stable"), np.bincount(label, minlength=chains)
 
 
-def _merge_round(table: BoxTable, tracklets: Sequence[TrackletRows],
-                 matches: Sequence[tuple[int, int]], next_tid: int,
-                 max_overlap: int) -> tuple[tuple[TrackletRows, ...], int]:
-    link = dict(matches)
-    paths = _chains(link, sorted(link))
-    consumed = {idx for path in paths for idx in path}
-    merged = [t for k, t in enumerate(tracklets) if k not in consumed]
-    for path in paths:
-        acc = tracklets[path[0]]
-        for idx in path[1:]:
-            acc = resolve_overlap(table, acc, tracklets[idx], next_tid, max_overlap)
-        merged.append(acc)
-        next_tid += 1
-    return _ordered(merged), next_tid
+def _merge_round(table: BoxTable, tracklets: TrackletTable, a: np.ndarray, b: np.ndarray,
+                 max_overlap: int) -> TrackletTable:
+    """Merge each chain of the matches a[k] -> b[k] into one tracklet with a
+    new tid: its parts' rows laid end to end, or `resolve_overlap` of its
+    parts in turn for a chain with an overlapping link."""
+    order, parts = _chain_layout(tracklets.tid.size, a, b)
+    head = np.cumsum(parts) - parts
+    chained = tracklets.take(order)
+    rows, size, tid = chained.rows, np.add.reduceat(chained.size, head), chained.tid[head]
+    tid[parts > 1] = tracklets.tid.max() + 1 + np.arange(np.count_nonzero(parts > 1))
+    overlaps = np.zeros(order.size, bool)
+    overlaps[a[tracklets.t_min[b] <= tracklets.t_max[a]]] = True
+    redo = np.flatnonzero(np.logical_or.reduceat(overlaps[order], head)).tolist()
+    if redo:
+        runs = np.split(rows, np.cumsum(chained.size)[:-1])
+        pieces = np.split(rows, np.cumsum(size)[:-1])
+        for c in redo:
+            pieces[c] = functools.reduce(lambda x, y: resolve_overlap(table, x, y, max_overlap),
+                                         runs[head[c]:head[c] + parts[c]])
+        rows, size = np.concatenate(pieces), np.array([len(p) for p in pieces])
+    return _tracklet_table(table.frame, rows, size, tid)
 
 
-class _Spans(NamedTuple):
-    """The tid, t_min and t_max arrays of a sequence of tracklets."""
-    tid: np.ndarray
-    t_min: np.ndarray
-    t_max: np.ndarray
-
-    @classmethod
-    def of(cls, tracklets: Sequence[TrackletRows]) -> _Spans:
-        return cls(np.array([t.tid for t in tracklets], np.int64),
-                   np.array([t.t_min for t in tracklets], np.int64),
-                   np.array([t.t_max for t in tracklets], np.int64))
-
-    def take(self, k: np.ndarray) -> _Spans:
-        return _Spans(self.tid[k], self.t_min[k], self.t_max[k])
-
-
-def _interval_admissible(dt_bound: int, overlap_allowance: int, a, b):
+def _interval_admissible(dt_bound: int, overlap_allowance: int, tracklets: TrackletTable,
+                         a, b):
     """Whether tracklet b may follow tracklet a at a level, elementwise over
-    `_Spans` (or any objects with tid, t_min and t_max); a call on two
-    tracklets is a one-element call.  b must come after a in (t_min, t_max,
-    tid) order and either start within dt_bound frames after a ends or share
-    at most overlap_allowance frames with it."""
-    after = ((a.t_min < b.t_min)
-             | ((a.t_min == b.t_min) & ((a.t_max < b.t_max)
-                                         | ((a.t_max == b.t_max) & (a.tid < b.tid)))))
-    gap = b.t_min - a.t_max
+    index arrays a and b into `tracklets`; a call on two indices is a
+    one-element call.  b must come after a in (t_min, t_max, tid) order,
+    which is the table's, and either start within dt_bound frames after a
+    ends or share at most overlap_allowance frames with it."""
+    gap = tracklets.t_min[b] - tracklets.t_max[a]
     # Shared frames, counted as resolve_overlap counts them.
     shared = 1 - gap
-    return after & (((0 < gap) & (gap <= dt_bound))
-                    | ((0 < shared) & (shared <= overlap_allowance)))
+    return (np.asarray(a) < b) & (((0 < gap) & (gap <= dt_bound))
+                                  | ((0 < shared) & (shared <= overlap_allowance)))
 
 
-def _admissible_pairs(spans: _Spans, dt_bound: int,
+def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
                       overlap_allowance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b) of tracklets in (t_min, t_max, tid) order, given by
-    their `spans`, that `_interval_admissible` admits, as two arrays in
-    sorted (a, b) order.
+    """Index pairs (a, b) of `tracklets` that `_interval_admissible` admits,
+    as two arrays in sorted (a, b) order.
 
     Only b with t_min in [t_max[a] - overlap_allowance + 1, t_max[a] +
     dt_bound] can be admitted, and since t_min is sorted each a's window is
     one index range, found by a binary search.  The windows, laid end to end,
     are expanded into pairs and filtered `pair_chunks` candidates at a time."""
-    lo = np.searchsorted(spans.t_min, spans.t_max - overlap_allowance + 1, "left")
-    count = np.searchsorted(spans.t_min, spans.t_max + dt_bound, "right") - lo
+    t_min, t_max = tracklets.t_min, tracklets.t_max
+    lo = np.searchsorted(t_min, t_max - overlap_allowance + 1, "left")
+    count = np.searchsorted(t_min, t_max + dt_bound, "right") - lo
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
     a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
@@ -318,49 +311,31 @@ def _admissible_pairs(spans: _Spans, dt_bound: int,
         at = np.arange(part.start, min(part.stop, total))
         x = np.searchsorted(ends, at, "right")
         y = at - ends[x] + count[x] + lo[x]
-        keep = _interval_admissible(dt_bound, overlap_allowance, spans.take(x), spans.take(y))
+        keep = _interval_admissible(dt_bound, overlap_allowance, tracklets, x, y)
         a.append(x[keep])
         b.append(y[keep])
     return np.concatenate(a), np.concatenate(b)
 
 
-def _merge_to_fixpoint(state: HierarchyState, groups: Grouping, dt_bound: int,
+def _merge_to_fixpoint(state: HierarchyState,
+                       pairs: Callable[[TrackletTable], tuple[np.ndarray, np.ndarray]],
                        overlap_allowance: int, score: PairScorer, gate: float,
                        label: str) -> HierarchyState:
-    """Solve each candidate group's admissible pairs, merge the matches, and
-    repeat until a round matches nothing.
-
-    Each round gathers the tracklets' spans into arrays once, sweeps every
-    group's time-ordered members for the index pairs whose intervals are
-    admissible, scores them in one `score` call, and matches them with
-    `solve_pairs`, one connected component of pairs above 0 at a time.
-    Logs, at INFO, one line per round."""
+    """Score the index pairs `pairs` admits in one `score` call, match them
+    with `solve_pairs`, merge the matches, and repeat until a round matches
+    nothing.  Logs, at INFO, one line per round."""
     tracklets = state.tracklets
-    next_tid = state.next_tid
     for round_ in itertools.count(1):
-        spans = _Spans.of(tracklets)
-        matches: list[tuple[int, int]] = []
-        admitted = positive = components = largest = exact = 0
-        for group in groups(tracklets):
-            group = np.asarray(group, dtype=np.intp)
-            a, b = _admissible_pairs(spans.take(group), dt_bound, overlap_allowance)
-            if not a.size:
-                continue
-            scores = score([tracklets[k] for k in group.tolist()], a, b)
-            found = solve_pairs(a, b, scores, gate)
-            matches += zip(group[found.a].tolist(), group[found.b].tolist())
-            admitted += a.size
-            positive += int((scores > 0).sum())
-            components += found.components
-            largest = max(largest, found.largest)
-            exact += found.exact
+        a, b = pairs(tracklets)
+        scores = score(tracklets, a, b) if a.size else np.zeros(0)
+        found = solve_pairs(a, b, scores, gate)
         log.info("merge level (%s) round %d: %d pairs admitted, %d above 0, %d components "
                  "solved (largest %d nodes), %d by augmenting paths, %d matches",
-                 label, round_, admitted, positive, components, largest, exact, len(matches))
-        if not matches:
-            return HierarchyState(state.table, tracklets, next_tid)
-        tracklets, next_tid = _merge_round(state.table, tracklets, matches, next_tid,
-                                           overlap_allowance)
+                 label, round_, a.size, int((scores > 0).sum()), found.components,
+                 found.largest, found.exact, found.a.size)
+        if not found.a.size:
+            return HierarchyState(state.table, tracklets)
+        tracklets = _merge_round(state.table, tracklets, found.a, found.b, overlap_allowance)
 
 
 def _bounds_label(bound: int, overlap: int, window: bool) -> str:
@@ -373,26 +348,27 @@ def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
                    score: PairScorer, gate: float) -> HierarchyState:
     """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
     (plus a bounded overlap on the final level) and merge until fixpoint."""
-    return _merge_to_fixpoint(state, lambda ts: [np.arange(len(ts))], dt_bound, overlap_allowance,
-                              score, gate, _bounds_label(dt_bound, overlap_allowance, False))
+    return _merge_to_fixpoint(state, lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
+                              overlap_allowance, score, gate,
+                              _bounds_label(dt_bound, overlap_allowance, False))
 
 
-def _window_groups(tracklets: Sequence[TrackletRows], window_size: int) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for k, t in enumerate(tracklets):
-        w_lo = (t.t_min - 1) // window_size
-        w_hi = (t.t_max - 1) // window_size
-        if w_lo == w_hi:  # straddling tracklets sit this level out
-            groups.setdefault(w_lo, []).append(k)
-    return [groups[w] for w in sorted(groups)]
+def _window_pairs(tracklets: TrackletTable,
+                  window_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs `_admissible_pairs` admits at a gap bound of window_size
+    that lie inside one window: b starts after a ends, so a's first frame
+    and b's last one do.  Straddling tracklets sit the level out."""
+    a, b = _admissible_pairs(tracklets, window_size, 0)
+    keep = (tracklets.t_min[a] - 1) // window_size == (tracklets.t_max[b] - 1) // window_size
+    return a[keep], b[keep]
 
 
 def window_strategy_pass(state: HierarchyState, window_size: int,
                          score: PairScorer, gate: float) -> HierarchyState:
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
-    return _merge_to_fixpoint(state, lambda ts: _window_groups(ts, window_size),
-                              window_size, 0, score, gate, _bounds_label(window_size, 0, True))
+    return _merge_to_fixpoint(state, lambda t: _window_pairs(t, window_size), 0, score, gate,
+                              _bounds_label(window_size, 0, True))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +379,9 @@ def window_strategy_pass(state: HierarchyState, window_size: int,
 # Block scorer: padded (pairs, n) row and (pairs, m) column positions into
 # the frame-sorted rows being linked -> (pairs, n, m) similarities.
 BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Chains of rows: their rows laid end to end, each chain in frame order and
+# the chains in the order of their first rows, and each chain's size.
+Chains = tuple[np.ndarray, np.ndarray]
 
 
 def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,10 +390,10 @@ def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.
     return kernel(a[:, :, None], b[:, None, :])
 
 
-def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[list[int]]:
-    """Match every frame t against frame t+1 and chain the links;
-    returns chains of positions into `frame`, each covering a run of
-    consecutive frames, in the order of their first position.
+def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Chains:
+    """Match every frame t against frame t+1 and chain the links; returns
+    the chains of positions into `frame` (`_chain_layout`), each covering a
+    run of consecutive frames.
 
     `frame` is sorted, so each frame is one position range.  The (t, t+1)
     blocks are scored and matched a chunk at a time (`padded_chunks`):
@@ -427,21 +406,22 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> list[lis
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
     n, m = size[lead], size[lead + 1]
-    link: dict[int, int] = {}
+    link_a, link_b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     chunks = exact = 0
     for blocks, rows, cols in padded_chunks(first[lead], n, first[lead + 1], m):
         found, searched = solve_blocks(score(rows, cols), n[blocks], m[blocks], gate)
         blk, i, j = found.T
-        link.update(zip(rows[blk, i].tolist(), cols[blk, j].tolist()))
+        link_a.append(rows[blk, i])
+        link_b.append(cols[blk, j])
         chunks += 1
         exact += searched
     log.info("first level: %d frame pairs in %d chunks, %d components solved by augmenting "
              "paths", lead.size, chunks, exact)
-    return _chains(link, range(len(frame)))
+    return _chain_layout(len(frame), np.concatenate(link_a), np.concatenate(link_b))
 
 
 def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
-                  gate: float) -> list[np.ndarray]:
+                  gate: float) -> Chains:
     """Static frame-to-next-frame chaining of the given rows (in table order).
 
     Matches each frame against the following one with the configured kernel
@@ -450,14 +430,13 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
     call over boxes gathered by row.
     """
     boxes = table.boxes[rows]
-    chains = _link_frames(table.frame[rows],
-                          lambda r, c: _block_scores(kernel, boxes[r], boxes[c]), gate)
-    return [rows[chain] for chain in chains]
+    order, size = _link_frames(table.frame[rows],
+                               lambda r, c: _block_scores(kernel, boxes[r], boxes[c]), gate)
+    return rows[order], size
 
 
-def consistent_motion_pass(table: BoxTable, rows: np.ndarray,
-                           preliminary_chains: Sequence[np.ndarray], cfg: TrackerConfig,
-                           kernel: SimilarityKernel) -> list[np.ndarray]:
+def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains: Chains,
+                           cfg: TrackerConfig, kernel: SimilarityKernel) -> Chains:
     """Re-run the frame-adjacent association of `rows` (in table order) with
     motion-informed similarity.
 
@@ -472,7 +451,8 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray,
     once per pass; each chunk of frame pairs gathers them by position.
     Preliminary links are discarded; only the second-pass links survive.
     """
-    runs = [*preliminary_chains, *(chain[::-1] for chain in preliminary_chains)]
+    chains = np.split(preliminary_chains[0], np.cumsum(preliminary_chains[1])[:-1])
+    runs = [*chains, *(chain[::-1] for chain in chains)]
     states = kalman_states(table.frame, table.boxes, runs, cfg)
     # entry[0, row] and entry[1, row]: the row's forward and backward state.
     entry = np.empty((2, len(table.frame)), np.intp)
@@ -485,36 +465,47 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray,
     def score(r, c):
         return 0.5 * (_block_scores(kernel, ahead[r], boxes[c])
                       + _block_scores(kernel, boxes[r], behind[c]))
-    return [rows[chain] for chain in _link_frames(table.frame[rows], score, cfg.match_threshold)]
+    order, size = _link_frames(table.frame[rows], score, cfg.match_threshold)
+    return rows[order], size
 
 
 def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKernel,
                   gate: float) -> HierarchyState:
     """Absorb low-confidence rows (in table order) into temporally adjacent
-    tracklet endpoints; leftovers are dropped and never start a trajectory."""
+    tracklet endpoints, a frame at a time; leftovers are dropped and never
+    start a trajectory.  A tracklet that absorbs a row gets a new tid.
+
+    A frame's candidates are found by masks over the endpoint arrays.  A
+    tracklet's end moves as it absorbs, so a later frame can extend it
+    again; its start need not, since no later frame lies before it.  Logs,
+    at INFO, the low rows, the frames with candidates and the rows absorbed."""
     if not len(low):
         return state
-    table = state.table
-    tracklets = list(state.tracklets)
-    next_tid = state.next_tid
-    ts, first, size = np.unique(table.frame[low], return_index=True, return_counts=True)
-    for t, start, n in zip(ts.tolist(), first.tolist(), size.tolist()):
-        lows = low[start:start + n]
-        candidates: list[tuple[int, int]] = []  # (tracklet index, endpoint row)
-        for k, trk in enumerate(tracklets):
-            if trk.t_max == t - 1:
-                candidates.append((k, trk.rows[-1]))
-            elif trk.t_min == t + 1:
-                candidates.append((k, trk.rows[0]))
-        if not candidates:
+    table, t = state.table, state.tracklets
+    tid, t_max, first, last = t.tid.copy(), t.t_max.copy(), t.first(), t.last()
+    # Per tracklet index, the rows it holds or absorbs.
+    absorbed = [(np.repeat(np.arange(tid.size), t.size), t.rows)]
+    ts, start, size = np.unique(table.frame[low], return_index=True, return_counts=True)
+    busy = 0
+    for f, s, n in zip(ts.tolist(), start.tolist(), size.tolist()):
+        ahead = t_max == f - 1
+        candidates = np.flatnonzero(ahead | (t.t_min == f + 1))
+        if not candidates.size:
             continue
-        scores = kernel.matrix(table.boxes[[row for _, row in candidates]], table.boxes[lows])
-        for i, j in solve(scores, gate):
-            k = candidates[i][0]
-            rows = np.sort(np.append(tracklets[k].rows, lows[j]))  # ascending rows: frame order
-            tracklets[k] = _tracklet(table.frame, next_tid, rows)
-            next_tid += 1
-    return HierarchyState(table, _ordered(tracklets), next_tid)
+        busy += 1
+        ends = np.where(ahead[candidates], last[candidates], first[candidates])
+        found = solve(kernel.matrix(table.boxes[ends], table.boxes[low[s:s + n]]), gate)
+        k, row = candidates[[i for i, _ in found]], low[s:s + n][[j for _, j in found]]
+        t_max[k[ahead[k]]], last[k[ahead[k]]] = f, row[ahead[k]]
+        tid[k] = tid.max() + 1 + np.arange(k.size)
+        absorbed.append((k, row))
+    log.info("low-score recovery: %d low rows, %d frames with candidates, %d rows absorbed",
+             len(low), busy, sum(k.size for k, _ in absorbed[1:]))
+    owner, rows = map(np.concatenate, zip(*absorbed))
+    # Each tracklet's rows ascending: within one table, its frame order.
+    order = np.lexsort((rows, owner))
+    return HierarchyState(table, _tracklet_table(table.frame, rows[order],
+                                                 np.bincount(owner, minlength=tid.size), tid))
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +513,12 @@ def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKern
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_pairs(frame: np.ndarray, runs: Sequence[np.ndarray]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(earlier, later) rows of the frame-adjacent entries inside each run,
-    in run order."""
-    rows = np.concatenate(runs)
+def _adjacent_pairs(frame: np.ndarray, rows: np.ndarray,
+                    size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(earlier, later) rows of the frame-adjacent entries inside each run of
+    the runs laid end to end in `rows` with the given sizes, in run order."""
     inside = np.ones(max(len(rows) - 1, 0), dtype=bool)
-    inside[np.cumsum([len(run) for run in runs])[:-1] - 1] = False
+    inside[np.cumsum(size)[:-1] - 1] = False
     a, b = rows[:-1], rows[1:]
     keep = inside & (frame[b] == frame[a] + 1)
     return a[keep], b[keep]
@@ -559,13 +549,10 @@ class _ClassEngine:
             return ClassRunResult(self.class_id, (), None)
 
         chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
-        profile = self._camera(chains)
-        # `high` is in (frame, det_id) order, which is also the singletons'
-        # (t_min, t_max, tid) order.
+        profile = self._camera(*chains)
         frame = self.table.frame
-        state = HierarchyState(self.table, tuple(
-            TrackletRows(tid, high[tid - 1:tid], t, t)
-            for tid, t in enumerate(frame[high].tolist(), 1)), len(high) + 1)
+        state = HierarchyState(self.table, _tracklet_table(
+            frame, high, np.ones(high.size, np.intp), np.arange(1, high.size + 1)))
         self._record("singletons", state)
         if self.window:  # the window schedule starts from singletons
             return self._stages(state, 0, profile, low)
@@ -574,30 +561,31 @@ class _ClassEngine:
         if cfg.enable_cm:
             chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
         # Interval level 1 is the frame-adjacent chaining itself.
-        state = HierarchyState(self.table, _ordered(
-            _tracklet(frame, tid, chain) for tid, chain in enumerate(chains, 1)), len(chains) + 1)
+        rows, size = chains
+        state = HierarchyState(self.table, _tracklet_table(frame, rows, size,
+                                                           np.arange(1, size.size + 1)))
         self._record(_stage_label(1, cfg.stages[0], False), state)
         if len(low):
             state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
             self._record(_RECOVERY, state)
         return self._stages(state, 1, profile)
 
-    def run_tracklets(self, tracklets: Sequence[TrackletRows]) -> ClassRunResult:
+    def run_tracklets(self, tracklets: TrackletTable) -> ClassRunResult:
         """Associate pre-formed tracklets (the recombination mode)."""
-        profile = self._camera([t.rows for t in tracklets])
-        state = HierarchyState(self.table, _ordered(tracklets),
-                               max(t.tid for t in tracklets) + 1)
+        profile = self._camera(tracklets.rows, tracklets.size)
+        state = HierarchyState(self.table, tracklets)
         self._record("input tracklets", state)
         return self._stages(state, 0, profile)
 
-    def _camera(self, runs: Sequence[np.ndarray]) -> Optional[camera_mod.CameraProfile]:
-        """Estimate camera movement from the frame-adjacent pairs inside
-        `runs`, and stabilize the table's boxes when the camera moves;
-        returns the profile, None when disabled."""
+    def _camera(self, rows: np.ndarray, size: np.ndarray) -> Optional[camera_mod.CameraProfile]:
+        """Estimate camera movement from the frame-adjacent pairs inside the
+        runs of the given sizes laid end to end in `rows`, and stabilize the
+        table's boxes when the camera moves; returns the profile, None when
+        disabled."""
         if not self.cfg.enable_cc:
             return None
         frame, boxes = self.table.frame, self.table.boxes
-        a, b = _adjacent_pairs(frame, runs)
+        a, b = _adjacent_pairs(frame, rows, size)
         profile = camera_mod.estimate(frame[a], boxes[a], boxes[b], self.cfg.cc_threshold,
                                       (int(frame.min()), int(frame.max())))
         if profile.moving:
@@ -616,7 +604,7 @@ class _ClassEngine:
         are absorbed right after the first stage."""
         gate = self.cfg.match_threshold
         cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
-        score: PairScorer = lambda members, a, b: pair_scores(members, a, b, self.kernel, cache)
+        score: PairScorer = functools.partial(pair_scores, kernel=self.kernel, cache=cache)
         for k, stage in enumerate(self.cfg.stages[first:], start=first + 1):
             if self.window:
                 state = window_strategy_pass(state, stage.bound, score, gate)
@@ -633,19 +621,19 @@ def _run_per_class(table: BoxTable, cfg: TrackerConfig,
     """Run one engine per class on its rows of `table`, and number the
     combined tracks of the classes' last levels in (t_min, t_max, class)
     order.  `start(engine, rows)` runs the engine of the class's `rows`."""
-    results = []
-    ranked = []
+    results, finals = [], [TrackletTable(*[np.zeros(0, np.intp)] * 5)]
     for class_id in np.unique(table.class_id).tolist():
         rows = np.flatnonzero(table.class_id == class_id)
         result = start(_ClassEngine(cfg, class_id, table.take(rows)), rows)
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
-        final = result.levels[-1].tracklets if result.levels else ()
-        ranked += [((t.t_min, t.t_max, class_id, t.tid), rows[t.rows]) for t in final]
-    ranked.sort(key=lambda r: r[0])
-    sizes = [len(rows) for _, rows in ranked]
-    kept = np.concatenate([rows for _, rows in ranked]) if ranked else np.zeros(0, np.intp)
-    return TableRun(table, kept, np.repeat(np.arange(1, len(sizes) + 1), sizes),
+        if result.levels:
+            final = result.levels[-1].tracklets
+            finals.append(final._replace(rows=rows[final.rows]))
+    final = TrackletTable(*map(np.concatenate, zip(*finals)))
+    # lexsort is stable: (t_min, t_max) ties keep the class, then the tid order.
+    final = final.take(np.lexsort((final.t_max, final.t_min)))
+    return TableRun(table, final.rows, np.repeat(np.arange(1, final.size.size + 1), final.size),
                     tuple(results))
 
 
@@ -682,14 +670,14 @@ def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
     validate_config(cfg)
     order = engine_order(table)
     table, row_of = table.take(order), np.argsort(order)
-    runs = sorted((row_of[rows] for rows in tracklets),  # stable: ties keep tid order
-                  key=lambda rows: (table.frame[rows[0]], table.frame[rows[-1]]))
+    size = np.array([len(rows) for rows in tracklets], np.intp)
+    whole = _tracklet_table(table.frame, row_of[np.concatenate([np.zeros(0, np.intp),
+                                                                *tracklets])],
+                            size, np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
 
     def start(engine: _ClassEngine, class_rows: np.ndarray) -> ClassRunResult:
-        return engine.run_tracklets([_tracklet(engine.table.frame, tid,
-                                               np.searchsorted(class_rows, rows))
-                                     for tid, rows in enumerate(runs, 1)
-                                     if table.class_id[rows[0]] == engine.class_id])
+        mine = whole.take(table.class_id[whole.first()] == engine.class_id)
+        return engine.run_tracklets(mine._replace(rows=np.searchsorted(class_rows, mine.rows)))
     return _run_per_class(table, cfg, start)
 
 

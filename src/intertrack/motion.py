@@ -124,53 +124,65 @@ def _advance(states: np.ndarray, steps) -> np.ndarray:
 
 
 class FitCache:
-    """Final filter states by (tracklet id, is forward); ids are never reused.
+    """Final filter states of a class engine's tracklets in one array per
+    direction, indexed by tracklet id; ids are never reused, and a
+    tracklet's rows never change under one id.
 
     The cache belongs to one table, whose frame and box columns it keeps.
-    `states` fits every (tracklet, direction) of a request that is not yet
-    cached in one `kalman_states` batch.  A state does not depend on the
-    batch it was fitted in, so the cache is deterministic whatever the
-    requests.
+    `states` fits the states of a request not yet cached in one
+    `kalman_states` batch.  A state does not depend on the batch it was
+    fitted in, so the cache is deterministic whatever the requests.
     """
 
     def __init__(self, cfg: TrackerConfig, frame: np.ndarray, boxes: np.ndarray):
         self.cfg = cfg
         self.frame = frame
         self.boxes = boxes
-        self._states: dict[tuple[int, bool], np.ndarray] = {}
+        # [0, tid] and [1, tid]: the forward and backward state of tracklet
+        # tid, NaN until fitted.
+        self._states = np.empty((2, 0, 11))
 
-    def states(self, requests: Sequence[tuple]) -> np.ndarray:
-        """Stacked (cx, cy, w, h, velocities, p00, p01, p11) per (tracklet,
-        is forward) request; a forward state is anchored at the tracklet's
-        last frame, a backward one at its first."""
-        keys = [(t.tid, forward) for t, forward in requests]
-        missing = {key: t.rows if forward else t.rows[::-1]
-                   for key, (t, forward) in zip(keys, requests) if key not in self._states}
-        if missing:
-            runs = list(missing.values())
+    def states(self, tracklets, forward: np.ndarray,
+               backward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The forward states of the tracklets `forward` and the backward
+        states of the tracklets `backward`, index arrays into `tracklets` (a
+        `hierarchy.TrackletTable` over the cache's table), as stacked (cx,
+        cy, w, h, velocities, p00, p01, p11); a forward state is anchored at
+        the tracklet's last frame, a backward one at its first."""
+        tid = tracklets.tid
+        grow = int(tid.max(initial=-1)) + 1 - self._states.shape[1]
+        if grow > 0:
+            self._states = np.concatenate([self._states, np.full((2, grow, 11), np.nan)], 1)
+        missing = [side[np.isnan(self._states[d, tid[side], 0])]
+                   for d, side in enumerate((forward, backward))]
+        if missing[0].size or missing[1].size:
+            start, size = tracklets.start(), tracklets.size
+            runs = [tracklets.rows[s:s + n][::step]
+                    for side, step in zip(missing, (1, -1))
+                    for s, n in zip(start[side].tolist(), size[side].tolist())]
             last = np.cumsum([len(run) for run in runs]) - 1
-            self._states.update(zip(missing, kalman_states(self.frame, self.boxes, runs,
-                                                           self.cfg)[last]))
-        return np.array([self._states[key] for key in keys])
+            fitted = kalman_states(self.frame, self.boxes, runs, self.cfg)[last]
+            self._states[0, tid[missing[0]]], self._states[1, tid[missing[1]]] = np.split(
+                fitted, [missing[0].size])
+        return self._states[0, tid[forward]], self._states[1, tid[backward]]
 
 
-def _shared_frames(members: Sequence, t_min: np.ndarray, t_max: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The frames shared by the pairs (members[a[k]], members[b[k]]), each in
-    canonical time order, given the members' t_min and t_max: per shared
-    frame, in (k, frame) order, k and the two tracklets' rows at that frame.
+def _shared_frames(tracklets, a: np.ndarray, b: np.ndarray,
+                   frame: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The frames shared by the pairs of tracklets (a[k], b[k]), each in
+    canonical time order: per shared frame, in (k, frame) order, k and the
+    two tracklets' rows at that frame.
 
     Only the later tracklet's rows up to the earlier one's last frame can be
     shared; each is looked up among the earlier one's rows by a key that
-    increases along every member's rows and from member to member."""
+    increases along every tracklet's rows and from tracklet to tracklet."""
+    t_min, t_max = tracklets.t_min, tracklets.t_max
     pairs = np.flatnonzero(t_min[b] <= t_max[a])
     if not pairs.size:
         return pairs, pairs, pairs
-    rows = np.concatenate([t.rows for t in members])
-    size = np.array([len(t.rows) for t in members])
-    start = np.cumsum(size) - size
+    rows, size, start = tracklets.rows, tracklets.size, tracklets.start()
     span = t_max - t_min + 1
-    base = np.cumsum(span) - span - t_min  # key of member k's frame f: base[k] + f
+    base = np.cumsum(span) - span - t_min  # key of tracklet k's frame f: base[k] + f
     key = np.repeat(base, size) + frame[rows]
     x, y = a[pairs], b[pairs]
     head = np.searchsorted(key, base[y] + np.minimum(t_max[x], t_max[y]), "right") - start[y]
@@ -182,46 +194,41 @@ def _shared_frames(members: Sequence, t_min: np.ndarray, t_max: np.ndarray, a: n
     return k[hit], rows[at[hit]], rows[pos[hit]]
 
 
-def pair_scores(members: Sequence, a: np.ndarray, b: np.ndarray, kernel,
+def pair_scores(tracklets, a: np.ndarray, b: np.ndarray, kernel,
                 cache: FitCache) -> np.ndarray:
-    """Similarities in [0, 1] of the tracklet pairs (members[a[k]],
-    members[b[k]]), each in canonical time order.
+    """Similarities in [0, 1] of the pairs of tracklets (a[k], b[k]), index
+    arrays into `tracklets`, each pair in canonical time order.
 
-    A tracklet is a `tid`, a frame-sorted `rows` array into the cache's table
-    and its `t_min`/`t_max`.  Disjoint tracklets are scored by cross
-    prediction: forward-predict the earlier one to the later's first frame
-    and backward-predict the later one to the earlier's last frame, averaging
-    the two kernel values.  Tracklets that share frames are scored by the
-    mean kernel over co-occurring actual boxes; overlapping spans without any
-    shared frame fall back to the prediction form (extrapolating backward
-    over the short overlap).
+    `tracklets` is a `hierarchy.TrackletTable` over the cache's table.
+    Disjoint tracklets are scored by cross prediction: forward-predict the
+    earlier one to the later's first frame and backward-predict the later
+    one to the earlier's last frame, averaging the two kernel values.
+    Tracklets that share frames are scored by the mean kernel over
+    co-occurring actual boxes; overlapping spans without any shared frame
+    fall back to the prediction form (extrapolating backward over the short
+    overlap).
 
-    The members' first and last rows and frames are gathered once, and the
-    cache is asked once, for the forward states of the distinct earlier
-    members of the cross pairs and the backward states of the distinct later
-    ones.  The kernel then runs over `pair_chunks` of the aligned boxes, so
-    its temporaries stay bounded whatever the number of pairs.
+    The cache is asked once, for the forward states of the distinct earlier
+    tracklets of the cross pairs and the backward states of the distinct
+    later ones.  The kernel then runs over `pair_chunks` of the aligned
+    boxes, so its temporaries stay bounded whatever the number of pairs.
     """
-    t_min = np.array([t.t_min for t in members], np.int64)
-    t_max = np.array([t.t_max for t in members], np.int64)
+    t_min, t_max = tracklets.t_min, tracklets.t_max
     if (t_min[a] > t_min[b]).any():
         raise ValueError("tracklets must be given in canonical time order")
     frame, boxes = cache.frame, cache.boxes
-    pair, row_a, row_b = _shared_frames(members, t_min, t_max, a, b, frame)
+    pair, row_a, row_b = _shared_frames(tracklets, a, b, frame)
     shared = np.zeros(len(a), bool)
     shared[pair] = True
     scores = np.empty(len(a))
     cross = np.flatnonzero(~shared)
     if cross.size:
-        earlier, later = (np.flatnonzero(np.bincount(side[cross], minlength=len(members)))
+        earlier, later = (np.flatnonzero(np.bincount(side[cross], minlength=t_min.size))
                           for side in (a, b))
-        states = cache.states([(members[k], True) for k in earlier.tolist()]
-                              + [(members[k], False) for k in later.tolist()])
-        # Per member: its forward and backward state, where a pair needs it.
-        fwd, bwd = np.empty((2, len(members), states.shape[1]))
-        fwd[earlier], bwd[later] = states[:earlier.size], states[earlier.size:]
-        first = np.array([t.rows[0] for t in members])
-        last = np.array([t.rows[-1] for t in members])
+        # Per tracklet: its forward and backward state, where a pair needs it.
+        fwd, bwd = np.empty((2, t_min.size, 11))
+        fwd[earlier], bwd[later] = cache.states(tracklets, earlier, later)
+        first, last = tracklets.first(), tracklets.last()
         for part in pair_chunks(cross.size):
             e, l = a[cross[part]], b[cross[part]]
             # Forward states are anchored at t_max, backward ones at t_min.

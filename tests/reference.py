@@ -6,18 +6,22 @@ require the column code to match them bit for bit, on the trajectories that
 `max_weight_matching` is the square Hungarian form of
 `assignment.max_weight_matching`, by scipy's `linear_sum_assignment`, and
 `unique_optimum` tells whether a matrix has only the one optimum that every
-exact solver must then return."""
+exact solver must then return.  `chains` follows links through a dict,
+`resolve_overlap` picks each shared frame's row through a dict, and
+`byte_recovery` absorbs low-score rows one tracklet object at a time: the
+forms of the engine's chaining, overlap merges and low-score recovery before
+its tracklets became one table of arrays."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from intertrack.assignment import _TIE_EPS, _tie_bias
+from intertrack.assignment import _TIE_EPS, _tie_bias, solve
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
 from intertrack.model import (BoundingBox, BoxTable, Detection, Tracklet, Trajectory,
@@ -86,6 +90,85 @@ def unique_optimum(scores: np.ndarray) -> bool:
     rows = np.setdiff1d(np.arange(n), [i for i, _ in best])
     cols = np.setdiff1d(np.arange(m), [j for _, j in best])
     return not (np.abs(biased[np.ix_(rows, cols)]) <= tol).any()
+
+
+def chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:
+    """Follow the links (earlier -> later) from each of `nodes` that no link
+    points to; one chain per such node, in the order of `nodes`."""
+    has_pred = set(link.values())
+    out = []
+    for start in nodes:
+        if start in has_pred:
+            continue
+        chain = [start]
+        while chain[-1] in link:
+            chain.append(link[chain[-1]])
+        out.append(chain)
+    return out
+
+
+def resolve_overlap(table: BoxTable, a: np.ndarray, b: np.ndarray,
+                    max_overlap: int = 5) -> np.ndarray:
+    """`hierarchy.resolve_overlap` one shared frame at a time, through a dict
+    of each frame's chosen row."""
+    frame = table.frame
+    if frame[b[0]] < frame[a[0]]:
+        a, b = b, a
+    overlap = int(frame[a[-1]] - frame[b[0]]) + 1
+    if overlap > max_overlap:
+        raise ValueError(f"tracklets overlap by {overlap} frames (allowed {max_overlap})")
+    if overlap <= 0:
+        return np.concatenate([a, b])
+    chosen = dict(zip(frame[a].tolist(), a.tolist()))
+    score = table.score
+    same_start = frame[a[0]] == frame[b[0]]
+
+    def tie_key(row: int) -> tuple:
+        return (*table.boxes[row].tolist(), table.id[row])
+    for f, row in zip(frame[b].tolist(), b.tolist()):
+        rival = chosen.get(f)
+        if (rival is None or score[row] > score[rival]
+                or (score[row] == score[rival] and same_start
+                    and tie_key(row) < tie_key(rival))):
+            chosen[f] = row
+    return np.array(sorted(chosen.values()))
+
+
+class TrackletRows(NamedTuple):
+    """A tracklet as one object: its id, the frame-sorted array of its rows
+    of a table, and its t_min/t_max."""
+    tid: int
+    rows: np.ndarray
+    t_min: int
+    t_max: int
+
+
+def byte_recovery(table: BoxTable, tracklets: list[TrackletRows], next_tid: int,
+                  low: np.ndarray, kernel, gate: float) -> list[TrackletRows]:
+    """`hierarchy.byte_recovery` over tracklet objects, in (t_min, t_max,
+    tid) order: per frame of low rows, a loop over every tracklet for the
+    endpoints next to that frame, one `solve` of their boxes against the
+    frame's low rows, and a new tracklet object with a new tid per match."""
+    tracklets = list(tracklets)
+    ts, first, size = np.unique(table.frame[low], return_index=True, return_counts=True)
+    for t, start, n in zip(ts.tolist(), first.tolist(), size.tolist()):
+        lows = low[start:start + n]
+        candidates = []  # (tracklet index, endpoint row)
+        for k, trk in enumerate(tracklets):
+            if trk.t_max == t - 1:
+                candidates.append((k, trk.rows[-1]))
+            elif trk.t_min == t + 1:
+                candidates.append((k, trk.rows[0]))
+        if not candidates:
+            continue
+        scores = kernel.matrix(table.boxes[[row for _, row in candidates]], table.boxes[lows])
+        for i, j in solve(scores, gate):
+            k = candidates[i][0]
+            rows = np.sort(np.append(tracklets[k].rows, lows[j]))  # ascending rows: frame order
+            tracklets[k] = TrackletRows(next_tid, rows, int(table.frame[rows[0]]),
+                                        int(table.frame[rows[-1]]))
+            next_tid += 1
+    return sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
 
 
 def split_at_discontinuities(trajectories):

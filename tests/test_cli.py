@@ -106,8 +106,15 @@ class TestTrack:
 
     def test_verbose_logs_each_merge_round_outside_stdout_and_the_dump(self, tmp_path, capsys,
                                                                        caplog):
-        # Two gaps leave four level-1 tracklets; level 2 joins each pair.
-        det = write_dets(tmp_path / "det.txt", linear_dets(gap_frames={(0, 8), (0, 9), (1, 12)}))
+        # Two gaps leave four level-1 tracklets; level 2 joins each pair.  Of
+        # two low-score rows, one extends target 0 to frame 21 and one, at
+        # frame 5, has no tracklet end next to it.
+        dets = linear_dets(gap_frames={(0, 8), (0, 9), (1, 12)})
+        dets += [Detection(frame=21, box=BoundingBox(142.0, 200.0, 40.0, 80.0), score=0.3,
+                           det_id=100),
+                 Detection(frame=5, box=BoundingBox(900.0, 200.0, 40.0, 80.0), score=0.3,
+                           det_id=101)]
+        det = write_dets(tmp_path / "det.txt", dets)
         argv = ["track", "--det", str(det), "--out", str(tmp_path / "out.txt"),
                 "--dump-hierarchy", str(tmp_path / "dump.json")]
         assert cli.main(argv) == 0
@@ -124,6 +131,13 @@ class TestTrack:
             f"merge level (gap 5) round 2: {idle}",
             *(f"merge level (gap {bound}) round 1: {idle}" for bound in (10, 15, 20, 30)),
             f"merge level (gap 30, overlap 5) round 1: {idle}"]
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("low-score")] == [
+            "low-score recovery: 2 low rows, 1 frames with candidates, 1 rows absorbed"]
+        # The row at frame 21 joined target 0's track; the one at frame 5 was dropped.
+        out = read_mot_tracks(tmp_path / "out.txt")
+        assert sorted((t.t_min, t.t_max, len(t.entries)) for t in out) == \
+            [(1, 20, 19), (1, 21, 19)]
 
     def test_directory_input_with_workers(self, tmp_path, capsys):
         src = tmp_path / "seqs"

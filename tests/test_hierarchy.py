@@ -8,16 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from intertrack import assignment, hierarchy
 from intertrack.assignment import solve, solve_blocks
 from intertrack.geometry import SimilarityKernel, stack_boxes
 from intertrack.hierarchy import (
     HierarchyState,
-    TrackletRows,
-    _Spans,
     _admissible_pairs,
+    _chain_layout,
     _interval_admissible,
-    _window_groups,
+    _tracklet_table,
+    _window_pairs,
     adjacent_pass,
     associate_tracklets,
     byte_recovery,
@@ -54,12 +55,17 @@ def track(tid, frames, x, dx=0.0, **kw):
     return Tracklet.build(tid, [det(f, x + dx * (f - frames[0]), **kw) for f in frames])
 
 
-def constant_sim(members, a, b):
+def constant_sim(tracklets, a, b):
     return np.ones(len(a))
 
 
 def spans(tracklets):
-    return sorted((t.t_min, t.t_max) for t in tracklets)
+    return sorted(zip(tracklets.t_min.tolist(), tracklets.t_max.tolist()))
+
+
+def pieces(rows, size):
+    """Runs laid end to end in `rows` with the given sizes, one array each."""
+    return np.split(rows, np.cumsum(size)[:-1])
 
 
 def detection_table(dets):
@@ -69,17 +75,17 @@ def detection_table(dets):
     return table.take(order), order
 
 
-def state_of(tracklets, next_tid, low=()):
+def state_of(tracklets, low=()):
     """The engine state of Tracklets over one table of their entries and the
     `low` detections; also returns the low detections' rows, in table order."""
     entries = [e for t in tracklets for e in t.entries] + list(low)
     table, order = detection_table(entries)
     row_of = np.argsort(order)
-    ends = np.cumsum([len(t) for t in tracklets], dtype=int)
-    rows = [TrackletRows(t.tid, row_of[end - len(t):end], t.t_min, t.t_max)
-            for t, end in zip(tracklets, ends)]
+    size = np.array([len(t) for t in tracklets], np.intp)
+    rows = row_of[:size.sum()]
     low_rows = np.sort(row_of[len(entries) - len(low):])
-    return HierarchyState(table, hierarchy._ordered(rows), next_tid), low_rows
+    tid = np.array([t.tid for t in tracklets], np.intp)
+    return HierarchyState(table, _tracklet_table(table.frame, rows, size, tid)), low_rows
 
 
 def table_rows(dets):
@@ -94,7 +100,7 @@ class TestAdjacentPass:
         dets = [det(f, x, det_id=f * 10 + k)
                 for f in range(1, 6) for k, x in enumerate([100.0, 400.0])]
         table, rows = table_rows(dets)
-        chains = adjacent_pass(table, rows, SimilarityKernel(cfg), cfg.match_threshold)
+        chains = pieces(*adjacent_pass(table, rows, SimilarityKernel(cfg), cfg.match_threshold))
         assert len(chains) == 2
         for chain in chains:
             frames = table.frame[chain].tolist()
@@ -103,47 +109,47 @@ class TestAdjacentPass:
     def test_gap_breaks_chain(self):
         cfg = TrackerConfig()
         dets = [det(f, 100.0) for f in (1, 2, 4, 5)]
-        chains = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
-        assert sorted(len(c) for c in chains) == [2, 2]
+        _, size = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
+        assert sorted(size.tolist()) == [2, 2]
 
     def test_non_overlapping_boxes_stay_apart(self):
         cfg = TrackerConfig()
         dets = [det(1, 100.0), det(2, 900.0)]
-        chains = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
-        assert len(chains) == 2
+        _, size = adjacent_pass(*table_rows(dets), SimilarityKernel(cfg), cfg.match_threshold)
+        assert size.size == 2
 
 
 class TestHierarchyPassAdmissibility:
     def make_state(self, tracklets):
-        return state_of(tracklets, next_tid=100)[0]
+        return state_of(tracklets)[0]
 
     def test_gap_equal_to_bound_merges(self):
         a = track(1, range(1, 5), 100.0)
         b = track(2, range(10, 14), 100.0)  # gap = 10 - 4 = 6
         state = self.make_state([a, b])
         out = hierarchy_pass(state, 6, 0, constant_sim, gate=0.2)
-        assert len(out.tracklets) == 1
-        assert out.tracklets[0].t_min == 1 and out.tracklets[0].t_max == 13
+        assert out.tracklets.tid.size == 1
+        assert out.tracklets.t_min[0] == 1 and out.tracklets.t_max[0] == 13
 
     def test_gap_above_bound_does_not_merge(self):
         a = track(1, range(1, 5), 100.0)
         b = track(2, range(11, 15), 100.0)  # gap = 7
         out = hierarchy_pass(self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
-        assert len(out.tracklets) == 2
+        assert out.tracklets.tid.size == 2
 
     def test_zero_gap_needs_overlap_allowance(self):
         a = track(1, range(1, 5), 100.0)
         b = track(2, range(4, 8), 100.0, det_id=50)  # b starts on a's last frame
         no_overlap = hierarchy_pass(self.make_state([a, b]), 5, 0, constant_sim, 0.2)
-        assert len(no_overlap.tracklets) == 2
+        assert no_overlap.tracklets.tid.size == 2
         with_overlap = hierarchy_pass(self.make_state([a, b]), 5, 5, constant_sim, 0.2)
-        assert len(with_overlap.tracklets) == 1
+        assert with_overlap.tracklets.tid.size == 1
 
     def test_overlap_beyond_allowance_not_admitted(self):
         a = track(1, range(1, 10), 100.0)
         b = track(2, range(3, 12), 100.0, det_id=50)  # overlap of 7 frames
         out = hierarchy_pass(self.make_state([a, b]), 5, 5, constant_sim, 0.2)
-        assert len(out.tracklets) == 2
+        assert out.tracklets.tid.size == 2
 
     def test_overlap_allowance_counts_shared_frames(self):
         a = track(1, range(1, 11), 100.0)
@@ -164,16 +170,16 @@ class TestHierarchyPassAdmissibility:
     def test_fixpoint_chains_fragments_within_one_level(self):
         frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
         out = hierarchy_pass(self.make_state(frags), 5, 0, constant_sim, 0.2)
-        assert len(out.tracklets) == 1
-        assert len(out.tracklets[0].rows) == 12
+        assert out.tracklets.tid.size == 1
+        assert out.tracklets.size.tolist() == [12]
 
     def test_pass_returns_a_new_state_three_to_one(self):
-        frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
+        # A merge takes the tid after the highest one, which is never reused.
+        frags = [track(i + 97, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
         state = self.make_state(frags)
         out = hierarchy_pass(state, 5, 0, constant_sim, 0.2)
-        assert [t.tid for t in state.tracklets] == [1, 2, 3]
-        assert [t.tid for t in out.tracklets] == [100]
-        assert out.next_tid == 101
+        assert state.tracklets.tid.tolist() == [97, 98, 99]
+        assert out.tracklets.tid.tolist() == [100]
 
 
 # A tracklet population: per tracklet a first frame and the frame steps to
@@ -191,17 +197,23 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
         frames = np.cumsum([start, *steps]).tolist()
         tracklets.append(Tracklet.build(tid, [det(f, 100.0, det_id=100 * tid + k)
                                               for k, f in enumerate(frames)]))
-    state, _ = state_of(tracklets, next_tid=999)
+    state, _ = state_of(tracklets)
     ordered = state.tracklets
-    groups = [list(range(len(ordered))), *_window_groups(ordered, dt_bound)]
-    for group in groups:
-        members = [ordered[k] for k in group]
-        scan = [(a, b) for a, x in enumerate(members) for b, y in enumerate(members)
-                if a != b and _interval_admissible(dt_bound, overlap_allowance, x, y)]
-        a, b = _admissible_pairs(_Spans.of(members), dt_bound, overlap_allowance)
-        assert list(zip(a.tolist(), b.tolist())) == scan
-        for a, b in scan:
-            resolve_overlap(state.table, members[a], members[b], 999, overlap_allowance)
+    n = ordered.tid.size
+    scan = [(a, b) for a in range(n) for b in range(n)
+            if a != b and _interval_admissible(dt_bound, overlap_allowance, ordered, a, b)]
+    a, b = _admissible_pairs(ordered, dt_bound, overlap_allowance)
+    assert list(zip(a.tolist(), b.tolist())) == scan
+    # The window schedule's pairs: both tracklets inside one window.
+    window = (ordered.t_min - 1) // dt_bound
+    inside = window == (ordered.t_max - 1) // dt_bound
+    a, b = _window_pairs(ordered, dt_bound)
+    assert list(zip(a.tolist(), b.tolist())) == [
+        (x, y) for x, y in scan if inside[x] and inside[y] and window[x] == window[y]
+        and _interval_admissible(dt_bound, 0, ordered, x, y)]
+    rows = pieces(ordered.rows, ordered.size)
+    for a, b in scan:
+        resolve_overlap(state.table, rows[a], rows[b], overlap_allowance)
 
 
 def _lanes(lanes=40, frames=60):
@@ -218,7 +230,7 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
     links and no block is solved; at 0.9 each lane is one block, its frames
     1..59 as earlier ends by 2..60 as later ones, and merges whole.  No
     kernel call in the scoring takes more than one chunk of pairs."""
-    state, _ = state_of(_lanes(), next_tid=10_000)
+    state, _ = state_of(_lanes())
     cfg = TrackerConfig()
     kernel, calls, blocks = SimilarityKernel(cfg), [], []
 
@@ -232,9 +244,10 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
     monkeypatch.setattr(assignment, "solve_blocks", recording_solve)
     cache = FitCache(cfg, state.table.frame, state.table.boxes)
     out = hierarchy_pass(state, 5, 0,
-                         lambda members, a, b: pair_scores(members, a, b, recording_kernel, cache),
+                         lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
+                                                             cache),
                          gate)
-    assert len(out.tracklets) == survivors
+    assert out.tracklets.tid.size == survivors
     assert max(calls) == assignment._CHUNK_CELLS
     assert blocks == ([] if survivors == 2400 else [(59, 59)] * 40)
 
@@ -260,6 +273,24 @@ def _scenes(draw):
                         camera_pan=(draw(st.sampled_from([0.0, 10.0])), 0.0))
 
 
+def assert_tracklet_table(level):
+    """A level's table holds each row at most once, every tracklet strictly
+    increasing in frame, its t_min, t_max, first and last rows agreeing with
+    its rows, and unique tids in (t_min, t_max, tid) order."""
+    t = level.tracklets
+    assert t.size.min() >= 1 and t.size.sum() == t.rows.size
+    assert np.unique(t.rows).size == t.rows.size
+    runs = pieces(t.rows, t.size)
+    for rows in runs:
+        assert (np.diff(level.frame[rows]) > 0).all()
+    assert t.first().tolist() == [rows[0] for rows in runs]
+    assert t.last().tolist() == [rows[-1] for rows in runs]
+    assert t.t_min.tolist() == [level.frame[rows[0]] for rows in runs]
+    assert t.t_max.tolist() == [level.frame[rows[-1]] for rows in runs]
+    keys = list(zip(t.t_min.tolist(), t.t_max.tolist(), t.tid.tolist()))
+    assert keys == sorted(keys) and len(set(t.tid.tolist())) == len(keys)
+
+
 @settings(max_examples=100, deadline=None)
 @given(scene=_scenes(), strategy=st.sampled_from(list(Strategy)))
 def test_engine_invariants_on_synth_scenes(scene, strategy):
@@ -270,7 +301,10 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
     # The detections with the engine's det_ids: 1..N in table order.
     _, order = detection_table(dets)
     inputs = [dataclasses.replace(dets[k], det_id=row + 1) for row, k in enumerate(order)]
-    tracks = run(dets, cfg)
+    result = run_detailed(dets, cfg)
+    for level in (level for info in result.per_class for level in info.levels):
+        assert_tracklet_table(level)
+    tracks = result.trajectories
     placed = collections.Counter(e.det_id for t in tracks for e in t.entries)
     for t in tracks:
         frames = [e.frame for e in t.entries]
@@ -327,7 +361,7 @@ class TestWindowPass:
         a = track(1, [7], 100.0)
         b = track(2, [8], 100.0)   # frames 7,8 share window (8,...) of size 8
         c = track(3, [9], 100.0)   # next window
-        state, _ = state_of([a, b, c], next_tid=10)
+        state, _ = state_of([a, b, c])
         out = window_strategy_pass(state, 8, constant_sim, 0.2)
         assert spans(out.tracklets) == [(7, 8), (9, 9)]
 
@@ -335,57 +369,125 @@ class TestWindowPass:
         straddler = track(1, [8, 9], 100.0)   # crosses the window-8 boundary
         a = track(2, [2], 100.0)
         b = track(3, [4], 100.0)
-        state, _ = state_of([straddler, a, b], next_tid=10)
+        state, _ = state_of([straddler, a, b])
         out = window_strategy_pass(state, 8, constant_sim, 0.2)
         assert spans(out.tracklets) == [(2, 4), (8, 9)]
 
     def test_adjacent_windows_not_bridged(self):
         a = track(1, [1, 2], 100.0)
         b = track(2, [3, 4], 100.0)
-        state, _ = state_of([a, b], next_tid=10)
+        state, _ = state_of([a, b])
         out = window_strategy_pass(state, 2, constant_sim, 0.2)
-        assert len(out.tracklets) == 2
+        assert out.tracklets.tid.size == 2
 
 
 class TestByteRecovery:
     def test_low_extends_tracklet_forward(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], 5, low=[det(4, 100.0, score=0.3)])
+        state, low = state_of([trk], low=[det(4, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert len(out.tracklets) == 1
-        assert out.tracklets[0].t_max == 4
-        assert out.table.score[out.tracklets[0].rows[-1]] == pytest.approx(0.3)
+        assert out.tracklets.tid.size == 1
+        assert out.tracklets.t_max[0] == 4
+        assert out.table.score[out.tracklets.last()[0]] == pytest.approx(0.3)
 
     def test_low_extends_tracklet_backward(self):
         cfg = TrackerConfig()
         trk = track(1, range(5, 8), 100.0)
-        state, low = state_of([trk], 5, low=[det(4, 100.0, score=0.3)])
+        state, low = state_of([trk], low=[det(4, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets[0].t_min == 4
+        assert out.tracklets.t_min[0] == 4
 
     def test_non_adjacent_low_is_dropped(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], 5, low=[det(9, 100.0, score=0.3)])
+        state, low = state_of([trk], low=[det(9, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert len(out.tracklets) == 1
-        assert out.tracklets[0].t_max == 3
+        assert out.tracklets.tid.size == 1
+        assert out.tracklets.t_max[0] == 3
 
     def test_far_away_low_is_dropped(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], 5, low=[det(4, 1500.0, score=0.3)])
+        state, low = state_of([trk], low=[det(4, 1500.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets[0].t_max == 3
+        assert out.tracklets.t_max[0] == 3
 
     def test_chained_absorption_across_frames(self):
         cfg = TrackerConfig()
         trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], 5,
+        state, low = state_of([trk],
                               low=[det(4, 100.0, score=0.3), det(5, 100.0, score=0.3)])
         out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets[0].t_max == 5
+        assert out.tracklets.t_max[0] == 5
+
+
+@st.composite
+def _recovery_scenes(draw):
+    """Tracklets of high-score rows on a few nearby lanes, and low-score rows
+    chained forward after their ends and backward before their starts, plus
+    stray ones, several to a frame."""
+    ids = iter(range(1, 1000))
+    near = st.floats(-25.0, 25.0)
+    tracks, low = [], []
+    for tid in range(1, draw(st.integers(1, 5)) + 1):
+        start, length = draw(st.integers(4, 16)), draw(st.integers(1, 5))
+        x = draw(st.sampled_from([100.0, 115.0, 140.0]))
+        tracks.append(Tracklet.build(tid, [det(f, x + 2.0 * (f - start), det_id=next(ids))
+                                           for f in range(start, start + length)]))
+        for k in range(draw(st.integers(0, 3))):
+            low.append(det(start + length + k, x + draw(near), score=0.3, det_id=next(ids)))
+        for k in range(draw(st.integers(0, 3))):
+            low.append(det(start - 1 - k, x + draw(near), score=0.3, det_id=next(ids)))
+    for _ in range(draw(st.integers(0, 6))):
+        low.append(det(draw(st.integers(1, 24)), draw(st.floats(80.0, 160.0)), score=0.3,
+                       det_id=next(ids)))
+    return tracks, low
+
+
+@settings(max_examples=200, deadline=None)
+@given(scene=_recovery_scenes())
+def test_byte_recovery_matches_the_per_tracklet_loop(scene):
+    tracks, low = scene
+    cfg = TrackerConfig()
+    state, low_rows = state_of(tracks, low=low)
+    t = state.tracklets
+    objects = [reference.TrackletRows(tid, rows, t_min, t_max) for tid, rows, t_min, t_max in
+               zip(t.tid.tolist(), pieces(t.rows, t.size), t.t_min.tolist(), t.t_max.tolist())]
+    kernel = SimilarityKernel(cfg)
+    want = reference.byte_recovery(state.table, objects, int(t.tid.max()) + 1, low_rows, kernel,
+                                   cfg.match_threshold)
+    got = byte_recovery(state, low_rows, kernel, cfg.match_threshold).tracklets
+    assert got.tid.tolist() == [o.tid for o in want]
+    assert [rows.tolist() for rows in pieces(got.rows, got.size)] == \
+        [o.rows.tolist() for o in want]
+
+
+@st.composite
+def _matchings(draw):
+    """Links a -> b among nodes 0..count-1, a < b, with at most one link into
+    and one out of each node, in drawn order."""
+    count = draw(st.integers(1, 30))
+    node = st.integers(0, count - 1)
+    link, into = {}, set()
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=40)):
+        if a < b and a not in link and b not in into:
+            link[a] = b
+            into.add(b)
+    return count, link
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching=_matchings())
+def test_component_chains_follow_the_links(matching):
+    count, link = matching
+    order, parts = _chain_layout(count, np.array(list(link), np.intp),
+                                 np.array(list(link.values()), np.intp))
+    chains = [chain.tolist() for chain in pieces(order, parts)]
+    # Every position, as the first level chains its frame links.
+    assert chains == reference.chains(link, range(count))
+    # The linked nodes only, as a merge round chains its matches.
+    assert [chain for chain in chains if len(chain) > 1] == reference.chains(link, sorted(link))
 
 
 class TestConsistentMotionPass:
@@ -397,7 +499,7 @@ class TestConsistentMotionPass:
         table, rows = table_rows(dets)
         static = adjacent_pass(table, rows, kernel, cfg.match_threshold)
         refined = consistent_motion_pass(table, rows, static, cfg, kernel)
-        key = lambda chains: sorted(tuple(table.id[c].tolist()) for c in chains)
+        key = lambda chains: sorted(tuple(table.id[c].tolist()) for c in pieces(*chains))
         assert key(refined) == key(static)
 
     def test_chains_stay_frame_consecutive(self):
@@ -411,7 +513,7 @@ class TestConsistentMotionPass:
         table, rows = table_rows(dets)
         static = adjacent_pass(table, rows, kernel, cfg.match_threshold)
         refined = consistent_motion_pass(table, rows, static, cfg, kernel)
-        for chain in refined:
+        for chain in pieces(*refined):
             frames = table.frame[chain].tolist()
             assert frames == list(range(frames[0], frames[0] + len(frames)))
 
@@ -491,7 +593,7 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     gate = cfg.match_threshold
     ids = lambda chains: [[d.det_id for d in chain] for chain in chains]
     table, rows = table_rows(dets)
-    row_ids = lambda chains: [table.id[chain].tolist() for chain in chains]
+    row_ids = lambda chains: [table.id[chain].tolist() for chain in pieces(*chains)]
     static = _per_frame_link(
         dets, lambda rows, cols: kernel.matrix(stack_boxes([d.box for d in rows]),
                                                stack_boxes([d.box for d in cols])), gate)

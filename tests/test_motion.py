@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from intertrack import motion
 from intertrack.geometry import SimilarityKernel, consistent_iou, stack_boxes
-from intertrack.hierarchy import TrackletRows
+from intertrack.hierarchy import TrackletTable
 from intertrack.model import BoundingBox, Detection, Tracklet, TrackerConfig
 from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
 
@@ -25,11 +25,12 @@ def columns(entries):
 
 
 def table_of(*tracklets):
-    """One table of the tracklets' entries, in order, and their TrackletRows."""
+    """One table of the tracklets' entries, in order, and the TrackletTable
+    of the tracklets, in the order given."""
     frame, boxes = columns([e for t in tracklets for e in t.entries])
-    ends = np.cumsum([len(t) for t in tracklets])
-    return frame, boxes, [TrackletRows(t.tid, np.arange(end - len(t), end), t.t_min, t.t_max)
-                          for t, end in zip(tracklets, ends)]
+    return frame, boxes, TrackletTable(
+        np.arange(len(frame)), np.array([len(t) for t in tracklets]),
+        *(np.array([getattr(t, key) for t in tracklets]) for key in ("tid", "t_min", "t_max")))
 
 
 def states_of(runs):
@@ -136,8 +137,8 @@ class TestPredict:
 
 class TestPairSimilarity:
     def sim(self, a, b):
-        frame, boxes, members = table_of(a, b)
-        return float(pair_scores(members, np.array([0]), np.array([1]), SimilarityKernel(CFG),
+        frame, boxes, tracklets = table_of(a, b)
+        return float(pair_scores(tracklets, np.array([0]), np.array([1]), SimilarityKernel(CFG),
                                  FitCache(CFG, frame, boxes))[0])
 
     def test_stationary_gap_one_is_perfect(self):
@@ -218,10 +219,10 @@ class TestPairSimilarity:
                  (a, Tracklet.build(6, [Detection(frame=f, box=BoundingBox(900, 900, 10, 10),
                                                   score=0.9) for f in (8, 9)]))]
         kernel = SimilarityKernel(CFG)
-        frame, boxes, rows = table_of(*(t for pair in pairs for t in pair))
-        earlier = np.arange(0, len(rows), 2)
-        batch = pair_scores(rows, earlier, earlier + 1, kernel, FitCache(CFG, frame, boxes))
-        alone = [pair_scores(rows, np.array([k]), np.array([k + 1]), kernel,
+        frame, boxes, tracklets = table_of(*(t for pair in pairs for t in pair))
+        earlier = np.arange(0, tracklets.tid.size, 2)
+        batch = pair_scores(tracklets, earlier, earlier + 1, kernel, FitCache(CFG, frame, boxes))
+        alone = [pair_scores(tracklets, np.array([k]), np.array([k + 1]), kernel,
                              FitCache(CFG, frame, boxes))[0] for k in earlier.tolist()]
         assert batch.tolist() == alone
         assert batch[1] == pytest.approx(1.0, abs=1e-9) and batch[3] == 0.0
@@ -244,10 +245,10 @@ class TestPairSimilarity:
             bwd = BoundingBox(*_advance(final_state(l, False), l.t_min - e.t_max))
             return 0.5 * (consistent_iou(fwd, l.entries[0].box, CFG)
                           + consistent_iou(e.entries[-1].box, bwd, CFG))
-        frame, boxes, rows = table_of(*tracks)
-        index = {r.tid: k for k, r in enumerate(rows)}
+        frame, boxes, tracklets = table_of(*tracks)
+        index = {tid: k for k, tid in enumerate(tracklets.tid.tolist())}
         a, b = (np.array([index[t.tid] for t in side]) for side in zip(*pairs))
-        got = pair_scores(rows, a, b, SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
+        got = pair_scores(tracklets, a, b, SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
         assert len(pairs) > 10 and got.max() > CFG.match_threshold
         assert got.tolist() == [one(e, l) for e, l in pairs]
 
@@ -258,14 +259,15 @@ class TestPairSimilarity:
             batches.append(len(runs))
             return kalman_states(frame, boxes, runs, cfg)
         monkeypatch.setattr(motion, "kalman_states", counted)
-        frame, boxes, (t,) = table_of(linear_tracklet(9, range(1, 6)))
+        frame, boxes, t = table_of(linear_tracklet(9, range(1, 6)))
         cache = FitCache(CFG, frame, boxes)
-        s1 = cache.states([(t, True)])
-        s2 = cache.states([(t, True), (t, False), (t, True)])
+        none, one, two = (np.zeros(n, np.intp) for n in range(3))
+        s1, _ = cache.states(t, one, none)
+        s2, (back,) = cache.states(t, two, one)
         # The second request fits only the missing backward state.
         assert batches == [1, 1]
-        assert s2[0].tobytes() == s2[2].tobytes() == s1[0].tobytes()
-        assert s2[1].tobytes() != s1[0].tobytes()
+        assert s2[0].tobytes() == s2[1].tobytes() == s1[0].tobytes()
+        assert back.tobytes() != s1[0].tobytes()
 
 
 def chain_states(chain, forward):

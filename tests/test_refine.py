@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from intertrack import hierarchy
-from intertrack.hierarchy import TrackletRows, engine_order
+from intertrack.hierarchy import engine_order
 from intertrack.model import BoundingBox, Detection, Tracklet, table_of, tracks_table
 from intertrack.refine import (
     Trajectory,
@@ -28,17 +29,15 @@ def traj(track_id, frames, **kw):
     return Trajectory(track_id=track_id, entries=tuple(det(f, **kw) for f in frames))
 
 
-def resolve_overlap(a, b, new_tid, **kw):
+def resolve_overlap(a, b, **kw):
     """`hierarchy.resolve_overlap` on one table of both tracklets' entries;
-    the merged rows come back as a Tracklet of those entries."""
+    the merged rows come back as the entries of a Tracklet of tid 0."""
     entries = [*a.entries, *b.entries]
     order = engine_order(table_of(entries))
     table = table_of(entries).take(order)
     row_of = np.argsort(order)
-    rows = [TrackletRows(t.tid, row_of[lo:lo + len(t)], t.t_min, t.t_max)
-            for t, lo in ((a, 0), (b, len(a)))]
-    out = hierarchy.resolve_overlap(table, *rows, new_tid, **kw)
-    return Tracklet(out.tid, tuple(entries[k] for k in order[out.rows]))
+    rows = hierarchy.resolve_overlap(table, row_of[:len(a)], row_of[len(a):], **kw)
+    return Tracklet(0, tuple(entries[k] for k in order[rows]))
 
 
 class TestSplit:
@@ -78,14 +77,15 @@ class TestResolveOverlap:
     def test_disjoint_concatenation(self):
         a = Tracklet.build(1, [det(1), det(2)])
         b = Tracklet.build(2, [det(4), det(5)])
-        merged = resolve_overlap(a, b, new_tid=7)
-        assert merged.tid == 7
+        # The merge's tid is the merge round's to give (test_hierarchy).
+        merged = resolve_overlap(a, b)
         assert [e.frame for e in merged.entries] == [1, 2, 4, 5]
+        assert merged.entries == a.entries + b.entries
 
     def test_higher_score_wins_shared_frames(self):
         a = Tracklet.build(1, [det(f, cx=10.0, score=0.9) for f in (1, 2, 3, 4, 5)])
         b = Tracklet.build(2, [det(f, cx=90.0, score=0.5) for f in (3, 4, 5, 6)])
-        merged = resolve_overlap(a, b, new_tid=3)
+        merged = resolve_overlap(a, b)
         by_frame = {e.frame: e for e in merged.entries}
         for f in (3, 4, 5):
             assert by_frame[f].box.cx == 10.0
@@ -94,14 +94,14 @@ class TestResolveOverlap:
     def test_equal_scores_earlier_tracklet_wins(self):
         a = Tracklet.build(1, [det(f, cx=10.0) for f in (1, 2, 3)])
         b = Tracklet.build(2, [det(f, cx=90.0) for f in (3, 4)])
-        merged = resolve_overlap(a, b, new_tid=3)
+        merged = resolve_overlap(a, b)
         assert {e.frame: e.box.cx for e in merged.entries}[3] == 10.0
 
     def test_argument_order_does_not_matter(self):
         a = Tracklet.build(1, [det(f, cx=10.0) for f in (1, 2, 3)])
         b = Tracklet.build(2, [det(f, cx=90.0) for f in (3, 4)])
-        m1 = resolve_overlap(a, b, new_tid=5)
-        m2 = resolve_overlap(b, a, new_tid=5)
+        m1 = resolve_overlap(a, b)
+        m2 = resolve_overlap(b, a)
         assert [e.box.cx for e in m1.entries] == [e.box.cx for e in m2.entries]
 
     @pytest.mark.parametrize("small, large", [(dict(cx=10.0), dict(cx=90.0)),
@@ -113,7 +113,7 @@ class TestResolveOverlap:
                                    for f, k in zip((3, 4), small_ids)])
             b = Tracklet.build(2, [det(f, det_id=k, **large)
                                    for f, k in zip((3, 4, 5), (*large_ids, 5))])
-            for merged in (resolve_overlap(a, b, new_tid=3), resolve_overlap(b, a, new_tid=3)):
+            for merged in (resolve_overlap(a, b), resolve_overlap(b, a)):
                 assert [e.box for e in merged.entries] == [
                     a.entries[0].box, a.entries[1].box, b.entries[2].box]
 
@@ -121,14 +121,50 @@ class TestResolveOverlap:
         a = Tracklet.build(1, [det(f) for f in range(1, 10)])
         b = Tracklet.build(2, [det(f, cx=51.0) for f in range(2, 11)])
         with pytest.raises(ValueError):
-            resolve_overlap(a, b, new_tid=3, max_overlap=5)
+            resolve_overlap(a, b, max_overlap=5)
 
     def test_result_frames_strictly_increasing(self):
         a = Tracklet.build(1, [det(f, score=0.4) for f in (1, 2, 3, 4)])
         b = Tracklet.build(2, [det(f, cx=52.0, score=0.8) for f in (2, 3, 4, 5)])
-        merged = resolve_overlap(a, b, new_tid=3, max_overlap=5)
+        merged = resolve_overlap(a, b, max_overlap=5)
         frames = [e.frame for e in merged.entries]
         assert frames == sorted(set(frames)) == [1, 2, 3, 4, 5]
+
+
+_CX = st.sampled_from([10.0, 12.0])
+_W = st.sampled_from([20.0, 24.0])
+_SCORE = st.sampled_from([0.5, 0.9])
+
+
+@st.composite
+def _overlapping_pairs(draw):
+    """Two tracklets, the second starting anywhere from the first's start to
+    two frames after its end, with boxes, scores and det_ids drawn from few
+    values so that ties are common."""
+    start, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    later, m = draw(st.integers(start, start + n + 1)), draw(st.integers(1, 8))
+    return [Tracklet.build(tid, [det(f, cx=draw(_CX), w=draw(_W), score=draw(_SCORE),
+                                     det_id=draw(st.integers(1, 3))) for f in range(s, s + k)])
+            for tid, s, k in ((1, start, n), (2, later, m))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_overlapping_pairs())
+def test_resolve_overlap_matches_the_frame_by_frame_loop(pair):
+    a, b = pair
+    entries = [*a.entries, *b.entries]
+    order = engine_order(table_of(entries))
+    table = table_of(entries).take(order)
+    row_of = np.argsort(order)
+    rows = row_of[:len(a)], row_of[len(a):]
+    for x, y in (rows, rows[::-1]):
+        try:
+            want = reference.resolve_overlap(table, x, y).tolist()
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                hierarchy.resolve_overlap(table, x, y)
+        else:
+            assert hierarchy.resolve_overlap(table, x, y).tolist() == want
 
 
 class TestInterpolate:
