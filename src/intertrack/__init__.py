@@ -8,50 +8,39 @@ compensation, and bidirectional Kalman prediction.
 
 from .model import (
     BoundingBox,
+    BoxTable,
     ConfigError,
     Detection,
     Stage,
     Strategy,
-    Tracklet,
     TrackerConfig,
     Trajectory,
     validate_config,
 )
-from .geometry import consistent_iou, expansion_ratio, hm_iou, iou
-from .hierarchy import RunResult, associate_tracklets, run, run_detailed
-from .metrics import EvalReport, clear_mot, evaluate, id_metrics
-from .refine import gaussian_smooth, interpolate, split_at_discontinuities
+from .geometry import expansion_ratio
+from .hierarchy import associate_table, run_table
+from .metrics import EvalReport, evaluate
 from .synth import Motion, ScenarioSpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
+    "BoxTable",
     "ConfigError",
     "Detection",
     "EvalReport",
     "Motion",
-    "RunResult",
     "ScenarioSpec",
     "Stage",
     "Strategy",
-    "Tracklet",
     "TrackerConfig",
     "Trajectory",
-    "associate_tracklets",
-    "clear_mot",
-    "consistent_iou",
+    "associate_table",
     "evaluate",
     "expansion_ratio",
-    "gaussian_smooth",
     "generate",
-    "hm_iou",
-    "id_metrics",
-    "interpolate",
-    "iou",
-    "run",
-    "run_detailed",
-    "split_at_discontinuities",
+    "run_table",
     "validate_config",
     "__version__",
 ]

@@ -16,12 +16,13 @@ column positions padded to its largest block.  A padded slot repeats its
 block's last position, so padded cells score real boxes and stay finite;
 `real_cells` masks them out.
 
-`solve_blocks` solves every block of a padded chunk at once, and `solve` and
-`max_weight_matching` are its one-block case.  A cell whose biased score is
-below 0 loses to leaving its row and column unmatched, so no optimum takes
-it.  The other cells fall apart into connected components of rows and
-columns (`connected_components`), and a matching is optimal exactly when it
-is optimal on each component.  Most components need no search.  Call a
+`solve_blocks` solves every block of a padded chunk at once, and `solve` is
+its one-block case; `solve(scores, -np.inf)` keeps every pair matched.  A
+cell whose biased score is below 0 loses to leaving its row and column
+unmatched, so no optimum takes it.  The other cells fall apart into
+connected components of rows and columns (`connected_components`), and a
+matching is optimal exactly when it is optimal on each component.  Most
+components need no search.  Call a
 component row-certified when every row whose best biased score is above 0
 has one unique best cell, those cells lie in distinct columns, and no row's
 best is exactly 0 unless the gate is above `_TIE_EPS`.  No matching can give
@@ -375,16 +376,6 @@ def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
     scores = np.asarray(scores, dtype=np.float64)
     found, _ = solve_blocks(scores[None], [scores.shape[0]], [scores.shape[1]], gate)
     return [(i, j) for _, i, j in found.tolist()]
-
-
-def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
-    """Maximum-total-weight partial matching of a rectangular matrix, as
-    (row, col) pairs in row order: the ungated `solve`.
-
-    Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
-    unmatched costs nothing, so only pairs that raise the total are taken.
-    """
-    return solve(scores, -np.inf)
 
 
 class PairMatches(NamedTuple):

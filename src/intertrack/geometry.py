@@ -5,7 +5,7 @@ sizes.
 Each kernel is written once, elementwise over float arrays of [cx, cy, w, h]
 rows that broadcast like any numpy operands: `k(a[:, None], b[None, :])` is
 the all-pairs matrix of two (n, 4) and (m, 4) stacks, `k(a, b)` scores
-aligned pairs of two (n, 4) stacks, and a scalar call is a one-row call.
+aligned pairs of two (n, 4) stacks, and `k(a[i], b[j])` scores one pair.
 Every form runs the same operations, so they agree bit for bit.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BoundingBox, TrackerConfig, stack_boxes
+from .model import TrackerConfig
 
 
 # Internally a box array travels as its four (cx, cy, w, h) component arrays,
@@ -35,24 +35,16 @@ def _iou(a, b) -> np.ndarray:
     return inter / (aw * ah + bw * bh - inter)
 
 
-def _height_iou(a, b) -> np.ndarray:
+def _hm_iou(a, b) -> np.ndarray:
+    """IoU times the 1-D IoU of the vertical extents [top, bottom]."""
     (_, ay, _, ah), (_, by, _, bh) = a, b
     union = np.maximum(ay + ah / 2, by + bh / 2) - np.minimum(ay - ah / 2, by - bh / 2)
-    return _overlap(ay, ah, by, bh) / union
-
-
-def _hm_iou(a, b) -> np.ndarray:
-    return _iou(a, b) * _height_iou(a, b)
+    return _iou(a, b) * (_overlap(ay, ah, by, bh) / union)
 
 
 def iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection over union; 0 when disjoint."""
     return _iou(_cols(a), _cols(b))
-
-
-def height_iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1-D IoU of the vertical extents [top, bottom] of the two boxes."""
-    return _height_iou(_cols(a), _cols(b))
 
 
 def hm_iou_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,20 +79,6 @@ def consistent_iou_kernel(a: np.ndarray, b: np.ndarray, cfg: TrackerConfig) -> n
     return base(*((cx, cy, w * ratio, h * ratio) for cx, cy, w, h in (a, b)))
 
 
-# Scalar forms on BoundingBox values: one-row calls of the kernels above.
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    return float(iou_kernel(*stack_boxes([a, b])))
-
-
-def hm_iou(a: BoundingBox, b: BoundingBox) -> float:
-    return float(hm_iou_kernel(*stack_boxes([a, b])))
-
-
-def consistent_iou(a: BoundingBox, b: BoundingBox, cfg: TrackerConfig) -> float:
-    return float(consistent_iou_kernel(*stack_boxes([a, b]), cfg))
-
-
 class SimilarityKernel:
     """The configured box-similarity kernel.
 
@@ -111,7 +89,6 @@ class SimilarityKernel:
     """
 
     def __init__(self, cfg: TrackerConfig):
-        self.cfg = cfg
         if cfg.enable_ci:
             self._kernel = lambda a, b: consistent_iou_kernel(a, b, cfg)
         else:

@@ -44,11 +44,11 @@ augmenting paths.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` and
-`associate_table` return the output track id of each row kept, and
-`run_detailed` and `associate_tracklets` wrap them in objects.  Inside the
+`associate_table` return the output track id of each row kept.  Inside the
 engine a class's tracklets are one `TrackletTable` of arrays, which every
-pass reads by column: the rows of all tracklets laid end to end, and per
-tracklet its size, tid, t_min and t_max.  Links, between tracklets or rows
+pass takes with the class engine's table and reads by column: the rows of
+all tracklets laid end to end, and per tracklet its size, tid, t_min and
+t_max.  Links, between tracklets or rows
 of adjacent frames, are chained as their connected components, laid out by
 one stable sort.  Camera stabilization replaces the box column of a class
 engine's own table, so the results keep the input boxes exactly.
@@ -71,7 +71,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -79,15 +79,14 @@ from . import camera as camera_mod
 from .assignment import (connected_components, pair_chunks, padded_chunks, solve, solve_blocks,
                          solve_pairs)
 from .geometry import SimilarityKernel
-from .model import (BoxTable, Detection, Stage, Strategy, Tracklet, TrackerConfig, Trajectory,
-                    table_of, trajectories_of, validate_config)
+from .model import BoxTable, Stage, Strategy, TrackerConfig, validate_config
 from .motion import FitCache, _advance, kalman_states, pair_scores
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# The table, the tracklet table, state and trace types
+# The table, the tracklet table and trace types
 # ---------------------------------------------------------------------------
 
 
@@ -140,13 +139,6 @@ PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
-class HierarchyState:
-    """Tracklet population over one table between levels."""
-    table: BoxTable
-    tracklets: TrackletTable
-
-
-@dataclass(frozen=True)
 class LevelTrace:
     """A class's tracklets after one level, as rows of the engine's table;
     its (frame, det_id) members are built only when read."""
@@ -186,12 +178,6 @@ class ClassRunResult:
                      if lv.label != _RECOVERY) or (0,)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    trajectories: list[Trajectory]
-    per_class: tuple[ClassRunResult, ...]
-
-
 class TableRun(NamedTuple):
     """The engine's table, the rows it keeps in (track, frame) order, and
     each kept row's output track id 1..K."""
@@ -203,10 +189,6 @@ class TableRun(NamedTuple):
     def output(self) -> BoxTable:
         """The kept rows, `id` their track id."""
         return self.table.take(self.rows)._replace(id=self.track)
-
-    def result(self) -> RunResult:
-        return RunResult(trajectories_of(self.table.take(self.rows), self.track),
-                         self.per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +299,13 @@ def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
     return np.concatenate(a), np.concatenate(b)
 
 
-def _merge_to_fixpoint(state: HierarchyState,
+def _merge_to_fixpoint(table: BoxTable, tracklets: TrackletTable,
                        pairs: Callable[[TrackletTable], tuple[np.ndarray, np.ndarray]],
                        overlap_allowance: int, score: PairScorer, gate: float,
-                       label: str) -> HierarchyState:
+                       label: str) -> TrackletTable:
     """Score the index pairs `pairs` admits in one `score` call, match them
     with `solve_pairs`, merge the matches, and repeat until a round matches
     nothing.  Logs, at INFO, one line per round."""
-    tracklets = state.tracklets
     for round_ in itertools.count(1):
         a, b = pairs(tracklets)
         scores = score(tracklets, a, b) if a.size else np.zeros(0)
@@ -334,8 +315,8 @@ def _merge_to_fixpoint(state: HierarchyState,
                  label, round_, a.size, int((scores > 0).sum()), found.components,
                  found.largest, found.exact, found.a.size)
         if not found.a.size:
-            return HierarchyState(state.table, tracklets)
-        tracklets = _merge_round(state.table, tracklets, found.a, found.b, overlap_allowance)
+            return tracklets
+        tracklets = _merge_round(table, tracklets, found.a, found.b, overlap_allowance)
 
 
 def _bounds_label(bound: int, overlap: int, window: bool) -> str:
@@ -344,11 +325,12 @@ def _bounds_label(bound: int, overlap: int, window: bool) -> str:
     return f"gap {bound}, overlap {overlap}" if overlap else f"gap {bound}"
 
 
-def hierarchy_pass(state: HierarchyState, dt_bound: int, overlap_allowance: int,
-                   score: PairScorer, gate: float) -> HierarchyState:
+def hierarchy_pass(table: BoxTable, tracklets: TrackletTable, dt_bound: int,
+                   overlap_allowance: int, score: PairScorer, gate: float) -> TrackletTable:
     """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
     (plus a bounded overlap on the final level) and merge until fixpoint."""
-    return _merge_to_fixpoint(state, lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
+    return _merge_to_fixpoint(table, tracklets,
+                              lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
                               overlap_allowance, score, gate,
                               _bounds_label(dt_bound, overlap_allowance, False))
 
@@ -363,12 +345,12 @@ def _window_pairs(tracklets: TrackletTable,
     return a[keep], b[keep]
 
 
-def window_strategy_pass(state: HierarchyState, window_size: int,
-                         score: PairScorer, gate: float) -> HierarchyState:
+def window_strategy_pass(table: BoxTable, tracklets: TrackletTable, window_size: int,
+                         score: PairScorer, gate: float) -> TrackletTable:
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
-    return _merge_to_fixpoint(state, lambda t: _window_pairs(t, window_size), 0, score, gate,
-                              _bounds_label(window_size, 0, True))
+    return _merge_to_fixpoint(table, tracklets, lambda t: _window_pairs(t, window_size), 0,
+                              score, gate, _bounds_label(window_size, 0, True))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +451,8 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains
     return rows[order], size
 
 
-def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKernel,
-                  gate: float) -> HierarchyState:
+def byte_recovery(table: BoxTable, tracklets: TrackletTable, low: np.ndarray,
+                  kernel: SimilarityKernel, gate: float) -> TrackletTable:
     """Absorb low-confidence rows (in table order) into temporally adjacent
     tracklet endpoints, a frame at a time; leftovers are dropped and never
     start a trajectory.  A tracklet that absorbs a row gets a new tid.
@@ -480,8 +462,8 @@ def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKern
     again; its start need not, since no later frame lies before it.  Logs,
     at INFO, the low rows, the frames with candidates and the rows absorbed."""
     if not len(low):
-        return state
-    table, t = state.table, state.tracklets
+        return tracklets
+    t = tracklets
     tid, t_max, first, last = t.tid.copy(), t.t_max.copy(), t.first(), t.last()
     # Per tracklet index, the rows it holds or absorbs.
     absorbed = [(np.repeat(np.arange(tid.size), t.size), t.rows)]
@@ -504,8 +486,7 @@ def byte_recovery(state: HierarchyState, low: np.ndarray, kernel: SimilarityKern
     owner, rows = map(np.concatenate, zip(*absorbed))
     # Each tracklet's rows ascending: within one table, its frame order.
     order = np.lexsort((rows, owner))
-    return HierarchyState(table, _tracklet_table(table.frame, rows[order],
-                                                 np.bincount(owner, minlength=tid.size), tid))
+    return _tracklet_table(table.frame, rows[order], np.bincount(owner, minlength=tid.size), tid)
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +532,30 @@ class _ClassEngine:
         chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
         profile = self._camera(*chains)
         frame = self.table.frame
-        state = HierarchyState(self.table, _tracklet_table(
-            frame, high, np.ones(high.size, np.intp), np.arange(1, high.size + 1)))
-        self._record("singletons", state)
+        tracklets = _tracklet_table(frame, high, np.ones(high.size, np.intp),
+                                    np.arange(1, high.size + 1))
+        self._record("singletons", tracklets)
         if self.window:  # the window schedule starts from singletons
-            return self._stages(state, 0, profile, low)
+            return self._stages(tracklets, 0, profile, low)
         if profile is not None and profile.moving:
             chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
         if cfg.enable_cm:
             chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
         # Interval level 1 is the frame-adjacent chaining itself.
         rows, size = chains
-        state = HierarchyState(self.table, _tracklet_table(frame, rows, size,
-                                                           np.arange(1, size.size + 1)))
-        self._record(_stage_label(1, cfg.stages[0], False), state)
+        tracklets = _tracklet_table(frame, rows, size, np.arange(1, size.size + 1))
+        self._record(_stage_label(1, cfg.stages[0], False), tracklets)
         if len(low):
-            state = byte_recovery(state, low, self.kernel, cfg.match_threshold)
-            self._record(_RECOVERY, state)
-        return self._stages(state, 1, profile)
+            tracklets = byte_recovery(self.table, tracklets, low, self.kernel,
+                                      cfg.match_threshold)
+            self._record(_RECOVERY, tracklets)
+        return self._stages(tracklets, 1, profile)
 
     def run_tracklets(self, tracklets: TrackletTable) -> ClassRunResult:
         """Associate pre-formed tracklets (the recombination mode)."""
         profile = self._camera(tracklets.rows, tracklets.size)
-        state = HierarchyState(self.table, tracklets)
-        self._record("input tracklets", state)
-        return self._stages(state, 0, profile)
+        self._record("input tracklets", tracklets)
+        return self._stages(tracklets, 0, profile)
 
     def _camera(self, rows: np.ndarray, size: np.ndarray) -> Optional[camera_mod.CameraProfile]:
         """Estimate camera movement from the frame-adjacent pairs inside the
@@ -592,27 +572,27 @@ class _ClassEngine:
             self.table = self.table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
         return profile
 
-    def _record(self, label: str, state: HierarchyState) -> None:
-        self.levels.append(LevelTrace(label, state.tracklets, state.table.frame,
-                                      state.table.id))
+    def _record(self, label: str, tracklets: TrackletTable) -> None:
+        self.levels.append(LevelTrace(label, tracklets, self.table.frame, self.table.id))
 
-    def _stages(self, state: HierarchyState, first: int,
+    def _stages(self, tracklets: TrackletTable, first: int,
                 profile: Optional[camera_mod.CameraProfile],
                 low: Sequence[int] = ()) -> ClassRunResult:
         """Run the schedule from stage index `first` on, recording each level,
         and return the class's result with its camera `profile`; `low` rows
         are absorbed right after the first stage."""
-        gate = self.cfg.match_threshold
-        cache = FitCache(self.cfg, state.table.frame, state.table.boxes)
+        gate, table = self.cfg.match_threshold, self.table
+        cache = FitCache(self.cfg, table.frame, table.boxes)
         score: PairScorer = functools.partial(pair_scores, kernel=self.kernel, cache=cache)
         for k, stage in enumerate(self.cfg.stages[first:], start=first + 1):
             if self.window:
-                state = window_strategy_pass(state, stage.bound, score, gate)
+                tracklets = window_strategy_pass(table, tracklets, stage.bound, score, gate)
             else:
-                state = hierarchy_pass(state, stage.bound, stage.overlap, score, gate)
+                tracklets = hierarchy_pass(table, tracklets, stage.bound, stage.overlap, score,
+                                           gate)
             if k == 1 and len(low):
-                state = byte_recovery(state, low, self.kernel, gate)
-            self._record(_stage_label(k, stage, self.window), state)
+                tracklets = byte_recovery(table, tracklets, low, self.kernel, gate)
+            self._record(_stage_label(k, stage, self.window), tracklets)
         return ClassRunResult(self.class_id, tuple(self.levels), profile)
 
 
@@ -647,16 +627,6 @@ def run_table(table: BoxTable, cfg: TrackerConfig) -> TableRun:
                           lambda engine, rows: engine.run_detections())
 
 
-def run_detailed(detections: Iterable[Detection], cfg: TrackerConfig) -> RunResult:
-    """`run_table` on the table of `detections`; the output entries carry the
-    engine's det_ids with the caller's own boxes."""
-    return run_table(table_of(list(detections)), cfg).result()
-
-
-def run(detections: Iterable[Detection], cfg: TrackerConfig) -> list[Trajectory]:
-    return run_detailed(detections, cfg).trajectories
-
-
 def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
                     cfg: TrackerConfig) -> TableRun:
     """Hierarchically associate pre-formed tracklets (recombination mode):
@@ -679,13 +649,3 @@ def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
         mine = whole.take(table.class_id[whole.first()] == engine.class_id)
         return engine.run_tracklets(mine._replace(rows=np.searchsorted(class_rows, mine.rows)))
     return _run_per_class(table, cfg, start)
-
-
-def associate_tracklets(tracklets: Sequence[Tracklet], cfg: TrackerConfig) -> RunResult:
-    """`associate_table` on the table of the tracklets' entries; the output
-    entries carry the input detections' det_ids and boxes."""
-    ordered = sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
-    ends = np.cumsum([len(t) for t in ordered], dtype=np.intp).tolist()
-    return associate_table(table_of([e for t in ordered for e in t.entries]),
-                           [np.arange(end - len(t), end) for t, end in zip(ordered, ends)],
-                           cfg).result()

@@ -26,38 +26,23 @@ frames run the step, in frame order, each from the last match of every gt
 track before it.  The identity switches are the changes in each gt track's
 sequence of matched predictions.
 
-The public functions take tables in any row order, or Trajectory lists, and
-sort them; sequences pool by summing their counts.
+The public functions take tables in any row order and sort them; sequences
+pool by summing their counts.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .assignment import _TIE_EPS, padded_chunks, real_cells, solve
 from .geometry import iou_kernel
-from .model import BoxTable, Trajectory, tracks_table
+from .model import BoxTable
 
 log = logging.getLogger(__name__)
-
-Tracks = Union[BoxTable, Iterable[Trajectory]]
-
-
-class ClearMot(NamedTuple):
-    mota: float
-    fp: int
-    fn: int
-    idsw: int
-
-
-class IdMetrics(NamedTuple):
-    idf1: float
-    idp: float
-    idr: float
 
 
 class EvalCounts(NamedTuple):
@@ -180,10 +165,8 @@ def _step(block: np.ndarray, gi: np.ndarray, pj: np.ndarray, last_hyp: np.ndarra
     return matches
 
 
-def frame_sorted(tracks: Tracks) -> BoxTable:
-    """The table of `tracks` with its rows sorted stably by (frame, id);
-    trajectories sharing a track_id are one identity."""
-    table = tracks if isinstance(tracks, BoxTable) else tracks_table(tracks)
+def frame_sorted(table: BoxTable) -> BoxTable:
+    """`table` with its rows sorted stably by (frame, id)."""
     return table.take(np.lexsort((table.id, table.frame)))
 
 
@@ -199,21 +182,12 @@ def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
         per_sequence=per_sequence or {})
 
 
-def evaluate(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> EvalReport:
+def evaluate(gt: BoxTable, pred: BoxTable, iou_threshold: float = 0.5) -> EvalReport:
+    """Score `pred` against `gt`, each a table whose `id` is the track id."""
     return _report(eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold))
 
 
-def clear_mot(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> ClearMot:
-    report = evaluate(gt, pred, iou_threshold)
-    return ClearMot(mota=report.mota, fp=report.fp, fn=report.fn, idsw=report.idsw)
-
-
-def id_metrics(gt: Tracks, pred: Tracks, iou_threshold: float = 0.5) -> IdMetrics:
-    report = evaluate(gt, pred, iou_threshold)
-    return IdMetrics(idf1=report.idf1, idp=report.idp, idr=report.idr)
-
-
-def evaluate_sequences(pairs: Mapping[str, tuple[Tracks, Tracks]],
+def evaluate_sequences(pairs: Mapping[str, tuple[BoxTable, BoxTable]],
                        iou_threshold: float = 0.5) -> EvalReport:
     """Aggregate evaluation over named sequences (counts pooled, not averaged)."""
     counts = {name: eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold)

@@ -1,14 +1,14 @@
 """Core value types shared by the whole tracker, plus the run configuration.
 
 The program works on `BoxTable` columns; `table_of`/`tracks_table` and
-`detections_of`/`trajectories_of` alone convert to and from the objects.
+`trajectories_of` alone convert to and from the objects.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,36 +47,6 @@ class BoundingBox:
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def left(self) -> float:
-        return self.cx - self.w / 2
-
-    @property
-    def top(self) -> float:
-        return self.cy - self.h / 2
-
-    @property
-    def right(self) -> float:
-        return self.cx + self.w / 2
-
-    @property
-    def bottom(self) -> float:
-        return self.cy + self.h / 2
-
-    @classmethod
-    def from_ltwh(cls, left: float, top: float, w: float, h: float) -> "BoundingBox":
-        return cls(*ltwh_to_center(left, top, w, h))
-
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "BoundingBox":
-        return cls(*corners_to_center(x1, y1, x2, y2))
-
-    def as_ltwh(self) -> tuple[float, float, float, float]:
-        return (self.left, self.top, self.w, self.h)
-
-    def as_corners(self) -> tuple[float, float, float, float]:
-        return (self.left, self.top, self.right, self.bottom)
-
     def expanded(self, ratio: float) -> "BoundingBox":
         """Scale width and height by `ratio` about the fixed center."""
         return BoundingBox(self.cx, self.cy, self.w * ratio, self.h * ratio)
@@ -101,20 +71,20 @@ class Detection:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
-    def with_box(self, box: BoundingBox) -> "Detection":
-        return replace(self, box=box)
 
-
-class _FrameRun:
-    """Entries strictly increasing in frame: what Tracklet and Trajectory share."""
+@dataclass(frozen=True)
+class Trajectory:
+    """Final per-identity sequence of boxes over frames: entries strictly
+    increasing in frame."""
+    track_id: int
+    entries: tuple[Detection, ...]
 
     def __post_init__(self):
-        name = type(self).__name__.lower()
         if not self.entries:
-            raise ValueError(f"{name} needs at least one entry")
+            raise ValueError("trajectory needs at least one entry")
         frames = [d.frame for d in self.entries]
         if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError(f"{name} entries must be strictly increasing in frame")
+            raise ValueError("trajectory entries must be strictly increasing in frame")
 
     @property
     def t_min(self) -> int:
@@ -124,42 +94,8 @@ class _FrameRun:
     def t_max(self) -> int:
         return self.entries[-1].frame
 
-    @property
-    def class_id(self) -> int:
-        return self.entries[0].class_id
-
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class Tracklet(_FrameRun):
-    """A frame-sorted run of detections of one target: the input unit of
-    `associate_tracklets` and the output of `split_at_discontinuities`.
-
-    Entries are strictly increasing in frame and share one class id. Use
-    Tracklet.build() to construct from unordered detections.
-    """
-
-    tid: int
-    entries: tuple[Detection, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if any(d.class_id != self.class_id for d in self.entries):
-            raise ValueError("tracklet entries must share one class id")
-
-    @classmethod
-    def build(cls, tid: int, detections: Iterable[Detection]) -> "Tracklet":
-        """Sort detections by frame and wrap them; duplicate frames rejected."""
-        return cls(tid, tuple(sorted(detections, key=lambda d: d.frame)))
-
-
-@dataclass(frozen=True)
-class Trajectory(_FrameRun):
-    """Final per-identity sequence of boxes over frames."""
-    track_id: int
-    entries: tuple[Detection, ...]
 
 
 class BoxTable(NamedTuple):
@@ -199,17 +135,12 @@ def tracks_table(trajectories: Iterable[Trajectory]) -> BoxTable:
                               [len(t) for t in trajectories]))
 
 
-def detections_of(table: BoxTable) -> list[Detection]:
-    """Table -> objects: one Detection per row, det_id from `id`."""
-    return [Detection(f, BoundingBox(*box), s, c, d)  # positional: the fastest call
-            for f, d, s, c, box in zip(*(column.tolist() for column in table))]
-
-
 def trajectories_of(table: BoxTable, track: np.ndarray) -> list[Trajectory]:
     """Table -> objects: the rows grouped into one Trajectory per value of
     `track`, in track order, each in frame order; det_id from `id`."""
     order = np.lexsort((table.frame, track))  # stable: ties keep row order
-    entries = detections_of(table.take(order))
+    entries = [Detection(f, BoundingBox(*box), s, c, d)  # positional: the fastest call
+               for f, d, s, c, box in zip(*(column.tolist() for column in table.take(order)))]
     track = track[order]
     starts = np.flatnonzero(np.diff(track, prepend=track[:1] - 1)).tolist()
     return [Trajectory(int(track[a]), tuple(entries[a:b]))

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .model import (BoxTable, ConfigError, Detection, Trajectory, corners_to_center,
-                    detections_of, ltwh_to_center, table_of, trajectories_of, tracks_table)
+                    ltwh_to_center, table_of, trajectories_of, tracks_table)
 
 log = logging.getLogger(__name__)
 
@@ -245,27 +245,10 @@ def read_track_table(path: PathLike, fmt: str = "mot",
     return _read(path, _format(fmt, class_filter), track_file=True)
 
 
-def read_detections(path: PathLike, fmt: str = "mot",
-                    class_filter: Optional[Sequence[str]] = None) -> list[Detection]:
-    """Read a detection file; a track id column is ignored."""
-    return detections_of(read_detection_table(path, fmt, class_filter))
-
-
-def read_tracks(path: PathLike, fmt: str = "mot",
-                class_filter: Optional[Sequence[str]] = None) -> list[Trajectory]:
-    """Read a result/ground-truth file into per-identity trajectories."""
-    table = read_track_table(path, fmt, class_filter)
-    return trajectories_of(numbered(table), table.id)
-
-
-def read_mot_detections(path: PathLike) -> list[Detection]:
-    """Read a MOT detection file; the id column is ignored (-1 convention)."""
-    return read_detections(path, "mot")
-
-
 def read_mot_tracks(path: PathLike) -> list[Trajectory]:
     """Read a MOT result/ground-truth file into per-identity trajectories."""
-    return read_tracks(path, "mot")
+    table = read_track_table(path, "mot")
+    return trajectories_of(numbered(table), table.id)
 
 
 def write_table(table: BoxTable, path: PathLike, fmt: str = "mot") -> None:
@@ -284,8 +267,3 @@ def write_mot_detections(detections: Iterable[Detection], path: PathLike) -> Non
     table = table_of(list(detections))
     table = table.take(np.lexsort((table.id, table.frame)))
     write_table(table._replace(id=np.full_like(table.id, -1)), path, "mot")
-
-
-def write_kitti_tracking(trajectories: Iterable[Trajectory], path: PathLike) -> None:
-    """Write trajectories as KITTI tracking rows with placeholder 3-D fields."""
-    write_table(tracks_table(trajectories), path, "kitti")

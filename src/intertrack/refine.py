@@ -7,45 +7,26 @@ by linear interpolation and smoothing the box sequence with a Gaussian
 kernel.
 
 Each step runs on all tracks at once, over a `BoxTable` whose `id` is the
-track id; the object functions wrap the table functions for the library.
+track id.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .model import BoxTable, Tracklet, Trajectory, detections_of, table_of, tracks_table
+from .model import BoxTable
 
 
 def split_rows(table: BoxTable) -> list[np.ndarray]:
     """Cut each track (`id`) into maximal runs of consecutive frames of one
-    class: the runs' rows in (track id, time) order, each in frame order.
-    A track holds one row per frame."""
+    class, since every class is associated by an engine of its own: the
+    runs' rows in (track id, time) order, each in frame order.  A track
+    holds one row per frame."""
     order = np.lexsort((table.frame, table.id))
     frame, track, cls = table.frame[order], table.id[order], table.class_id[order]
     cuts = np.flatnonzero((track[1:] != track[:-1]) | (frame[1:] != frame[:-1] + 1)
                           | (cls[1:] != cls[:-1])) + 1
     return np.split(order, cuts) if order.size else []
-
-
-def split_at_discontinuities(trajectories: Iterable[Trajectory]) -> list[Tracklet]:
-    """Cut each trajectory into maximal runs of consecutive frames of one class.
-
-    Frame list [1,2,4,5,6] becomes the runs [1,2] and [4,5,6]; a class change
-    between two consecutive frames cuts as well, since every class is
-    associated by an engine of its own.  Tracklet ids are reassigned
-    sequentially in (track_id, time) order, so the result is deterministic
-    and ids carry no history.
-    """
-    ordered = sorted(trajectories, key=lambda t: t.track_id)
-    entries = [e for t in ordered for e in t.entries]
-    # Trajectories that share a track_id are split apart, in input order.
-    rank = np.repeat(np.arange(len(ordered)), [len(t) for t in ordered])
-    runs = split_rows(table_of(entries, rank))
-    return [Tracklet(k, tuple(entries[i] for i in run.tolist()))
-            for k, run in enumerate(runs, 1)]
 
 
 def interpolate_rows(table: BoxTable, max_gap: int) -> BoxTable:
@@ -73,11 +54,13 @@ def interpolate_rows(table: BoxTable, max_gap: int) -> BoxTable:
 
 
 def smooth_rows(table: BoxTable, sigma: float) -> BoxTable:
-    """Smooth each track's cx, cy, w, h with a normalized Gaussian kernel of
-    radius 2*sigma, truncated and renormalized near the track's ends, in a
-    table sorted by (id, frame) on a uniform frame grid (interpolate first).
-    Sizes are clamped to stay >= 1; frames, scores and one-row tracks are
-    untouched.  Returns `table` itself when nothing is smoothed.
+    """Smooth cx, cy, w, h over each run of consecutive frames of a track
+    with a normalized Gaussian kernel of radius 2*sigma, truncated and
+    renormalized near the run's ends, in a table sorted by (id, frame).  A
+    frame gap ends a run as a track change does, so no window reaches across
+    it (interpolate first to bridge gaps).  Sizes are clamped to stay >= 1;
+    frames, scores and one-row runs are untouched.  Returns `table` itself
+    when nothing is smoothed.
 
     The weighted rows of a window are added in ascending offset order, as
     numpy's axis-0 `sum` adds them, and divided by the 1-D `sum` of its
@@ -85,13 +68,14 @@ def smooth_rows(table: BoxTable, sigma: float) -> BoxTable:
     radius = int(np.ceil(2 * sigma))
     if sigma <= 0 or radius == 0:
         return table
-    track = table.id
-    starts = np.flatnonzero(np.diff(track, prepend=track[:1] - 1))
+    frame, track = table.frame, table.id
+    starts = np.flatnonzero((np.diff(track, prepend=track[:1] - 1) != 0)
+                            | (np.diff(frame, prepend=frame[:1] - 1) != 1))
     lengths = np.diff(np.append(starts, track.size))
     length = np.repeat(lengths, lengths)
     if not (length >= 2).any():
         return table
-    pos = np.arange(track.size) - np.repeat(starts, lengths)  # row within its track
+    pos = np.arange(track.size) - np.repeat(starts, lengths)  # row within its run
     base = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     values = table.boxes
     total = np.zeros_like(values)
@@ -108,26 +92,3 @@ def smooth_rows(table: BoxTable, sigma: float) -> BoxTable:
     smoothed = total / norm[:, None]
     smoothed[:, 2:] = np.maximum(smoothed[:, 2:], 1.0)
     return table._replace(boxes=np.where((length >= 2)[:, None], smoothed, values))
-
-
-def interpolate(trajectory: Trajectory, max_gap: int) -> Trajectory:
-    """Fill internal frame gaps of up to max_gap missing frames linearly
-    (`interpolate_rows`); inserted detections carry det_id -1."""
-    table = tracks_table([trajectory])
-    out = interpolate_rows(table, max_gap)
-    if out is table:
-        return trajectory
-    kept = {e.frame: e for e in trajectory.entries}
-    rows = detections_of(out._replace(id=np.full_like(out.id, -1)))
-    return Trajectory(trajectory.track_id, tuple(kept.get(d.frame, d) for d in rows))
-
-
-def gaussian_smooth(trajectory: Trajectory, sigma: float) -> Trajectory:
-    """Smooth cx, cy, w, h with a normalized Gaussian kernel of radius
-    2*sigma (`smooth_rows`); frames, scores and det_ids are untouched."""
-    table = tracks_table([trajectory])
-    out = smooth_rows(table, sigma)
-    if out is table:
-        return trajectory
-    det_ids = np.array([e.det_id for e in trajectory.entries], dtype=np.int64)
-    return Trajectory(trajectory.track_id, tuple(detections_of(out._replace(id=det_ids))))

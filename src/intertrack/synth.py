@@ -11,16 +11,16 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import mot_io
-from .geometry import iou
-from .model import BoundingBox, Detection
-from .model import Trajectory
+from .geometry import iou_kernel
+from .model import BoundingBox, Detection, Trajectory, stack_boxes
 
 
 class Motion(enum.Enum):
@@ -59,6 +59,27 @@ class ScenarioSpec:
     class_id: int = 0
 
     def validate(self) -> None:
+        """Raise ValueError naming the first field that does not fit."""
+        for f in fields(self):
+            value, whole = getattr(self, f.name), f.type in ("int", "Optional[int]")
+            if (whole or f.type == "float") and not (
+                    _number(value, whole) or (value is None and f.type != "int")):
+                raise ValueError(f"{f.name} must be {'an integer' if whole else 'a number'}, "
+                                 f"got {value!r}")
+            if f.type == "tuple[float, float]" and not _numbers(value, 2):
+                raise ValueError(f"{f.name} must be two numbers, got {value!r}")
+        for name, n in (("miss_intervals", 2), ("score_dips", 3)):
+            if not all(_numbers(entry, n) for entries in getattr(self, name).values()
+                       for entry in entries):
+                raise ValueError(f"each of {name}'s entries must be {n} numbers")
+        dip_scores = [score for entries in self.score_dips.values() for *_, score in entries]
+        for name, value in [("miss_prob", self.miss_prob), ("base_score", self.base_score),
+                            *(("a score_dips score", score) for score in dip_scores)]:
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        for name in ("max_speed", "noise_sigma", "size_jitter"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.n_targets < 1 or self.n_frames < 1:
             raise ValueError("need at least one target and one frame")
         if self.motion is Motion.CROSSING and self.n_targets != 2:
@@ -66,6 +87,19 @@ class ScenarioSpec:
         lo, hi = self.box_size
         if lo <= 0 or hi < lo:
             raise ValueError(f"invalid box_size range {self.box_size}")
+        if self.motion is Motion.SINUSOIDAL and self.sine_period == 0:
+            raise ValueError("sine_period must not be 0")
+
+
+def _number(value, whole: bool = False) -> bool:
+    """Whether `value` is a real number (an integer if `whole`); a bool is neither."""
+    return (isinstance(value, numbers.Integral if whole else numbers.Real)
+            and not isinstance(value, bool))
+
+
+def _numbers(value, n: int) -> bool:
+    """Whether `value` is a tuple of `n` real numbers."""
+    return isinstance(value, tuple) and len(value) == n and all(map(_number, value))
 
 
 def _pan_offsets(spec: ScenarioSpec) -> list[tuple[float, float]]:
@@ -163,8 +197,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[Trajectory], list[Detection]]:
         gt.append(Trajectory(track_id=i + 1, entries=tuple(entries)))
 
     if spec.motion is Motion.CROSSING:
-        hot = sum(1 for a, b in zip(gt[0].entries, gt[1].entries)
-                  if iou(a.box, b.box) > 0.5)
+        a, b = (stack_boxes(e.box for e in t.entries) for t in gt)
+        hot = int(np.count_nonzero(iou_kernel(a, b) > 0.5))
         if hot != 1:
             raise ValueError(
                 f"crossing construction yields {hot} frames with IoU > 0.5; "
@@ -202,24 +236,29 @@ def write_scenario(spec: ScenarioSpec, out_dir) -> tuple[Path, Path]:
 
 
 def spec_from_json(path) -> ScenarioSpec:
-    """Load a ScenarioSpec from a JSON file.
+    """Load and validate a ScenarioSpec from a JSON file.
 
     Interval maps use string target indices (JSON keys are strings); tuples
-    are given as arrays.  Unknown keys are rejected to catch typos.
+    are given as arrays.  Unknown keys are rejected to catch typos.  Every
+    fault of the file's text or values raises ValueError naming `path`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = {f.name for f in ScenarioSpec.__dataclass_fields__.values()}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    if "motion" in raw:
-        raw["motion"] = Motion(raw["motion"])
-    for key in ("arena", "box_size", "camera_pan", "crossing_speeds"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    for key in ("miss_intervals", "score_dips"):
-        if key in raw:
-            raw[key] = {int(k): [tuple(iv) for iv in v]
-                        for k, v in raw[key].items()}
-    return ScenarioSpec(**raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        unknown = set(raw) - {f.name for f in fields(ScenarioSpec)}
+        if unknown:
+            raise ValueError(f"unknown scenario keys {sorted(unknown)}")
+        if "motion" in raw:
+            raw["motion"] = Motion(raw["motion"])
+        for key in ("arena", "box_size", "camera_pan", "crossing_speeds"):
+            if key in raw:
+                raw[key] = tuple(raw[key])
+        for key in ("miss_intervals", "score_dips"):
+            if key in raw:
+                raw[key] = {int(k): [tuple(iv) for iv in v]
+                            for k, v in raw[key].items()}
+        spec = ScenarioSpec(**raw)
+        spec.validate()
+    except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
+    return spec

@@ -3,8 +3,8 @@
 require the column code to match them bit for bit, on the trajectories that
 `trajectories()` draws.  `eval_counts` is the frame-by-frame form of
 `metrics.eval_counts`, one IoU block and one CLEAR step per frame.
-`max_weight_matching` is the square Hungarian form of
-`assignment.max_weight_matching`, by scipy's `linear_sum_assignment`, and
+`scipy_matching` is the square Hungarian form of the ungated
+`assignment.solve`, by scipy's `linear_sum_assignment`, and
 `unique_optimum` tells whether a matrix has only the one optimum that every
 exact solver must then return.  `chains` follows links through a dict,
 `resolve_overlap` picks each shared frame's row through a dict, and
@@ -14,6 +14,7 @@ its tracklets became one table of arrays."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Iterable, NamedTuple
 
@@ -24,8 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from intertrack.assignment import _TIE_EPS, _tie_bias, solve
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
-from intertrack.model import (BoundingBox, BoxTable, Detection, Tracklet, Trajectory,
-                              stack_boxes)
+from intertrack.model import BoundingBox, BoxTable, Detection, Trajectory, stack_boxes
 from intertrack.mot_io import KITTI_CLASSES
 
 
@@ -34,7 +34,7 @@ from intertrack.mot_io import KITTI_CLASSES
 _BIG = 1.0e6
 
 
-def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
+def scipy_matching(scores: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total-weight partial matching of a rectangular matrix.
 
     Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
@@ -66,7 +66,7 @@ def max_weight_matching(scores: np.ndarray) -> list[tuple[int, int]]:
 
 
 def unique_optimum(scores: np.ndarray) -> bool:
-    """Whether `max_weight_matching(scores)` is the only partial matching of
+    """Whether `scipy_matching(scores)` is the only partial matching of
     its biased total (scores less the tie bias).
 
     Any other optimum either leaves out one of its pairs, and then the
@@ -80,12 +80,12 @@ def unique_optimum(scores: np.ndarray) -> bool:
         return True
     biased = np.where(np.isfinite(scores), scores - _tie_bias(n, m, n + m), -np.inf)
     tol = _TIE_EPS / (4 * (n + m) ** 2)
-    best = max_weight_matching(scores)
+    best = scipy_matching(scores)
     total = math.fsum(biased[i, j] for i, j in best)
     for i, j in best:
         without = scores.copy()
         without[i, j] = -np.inf
-        if math.fsum(biased[p] for p in max_weight_matching(without)) > total - tol:
+        if math.fsum(biased[p] for p in scipy_matching(without)) > total - tol:
             return False
     rows = np.setdiff1d(np.arange(n), [i for i, _ in best])
     cols = np.setdiff1d(np.arange(m), [j for _, j in best])
@@ -171,23 +171,22 @@ def byte_recovery(table: BoxTable, tracklets: list[TrackletRows], next_tid: int,
     return sorted(tracklets, key=lambda t: (t.t_min, t.t_max, t.tid))
 
 
-def split_at_discontinuities(trajectories):
-    tracklets = []
-    next_id = 1
+def split_runs(trajectories):
+    """Each trajectory, in track_id order (ties in input order), cut into its
+    maximal runs of consecutive frames of one class: one entry list per run."""
+    runs = []
     for traj in sorted(trajectories, key=lambda t: t.track_id):
         run = []
         for det in traj.entries:
             if run and (det.frame != run[-1].frame + 1 or det.class_id != run[-1].class_id):
-                tracklets.append(Tracklet.build(next_id, run))
-                next_id += 1
+                runs.append(run)
                 run = []
             run.append(det)
-        tracklets.append(Tracklet.build(next_id, run))
-        next_id += 1
-    return tracklets
+        runs.append(run)
+    return runs
 
 
-def interpolate(trajectory, max_gap):
+def interpolate_track(trajectory, max_gap):
     if max_gap <= 0 or len(trajectory) < 2:
         return trajectory
     out = [trajectory.entries[0]]
@@ -212,29 +211,39 @@ def interpolate(trajectory, max_gap):
     return Trajectory(track_id=trajectory.track_id, entries=tuple(out))
 
 
-def gaussian_smooth(trajectory, sigma):
+def smooth_track(trajectory, sigma):
+    """Each run of consecutive frames of the trajectory smoothed on its own."""
     radius = int(np.ceil(2 * sigma))
-    n = len(trajectory)
-    if sigma <= 0 or radius == 0 or n < 2:
+    if sigma <= 0 or radius == 0:
         return trajectory
-    values = stack_boxes(e.box for e in trajectory.entries)
-    offsets = np.arange(-radius, radius + 1)
-    base = np.exp(-0.5 * (offsets / sigma) ** 2)
+    base = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    entries, run = [], []
+    for e in (*trajectory.entries, None):
+        if run and (e is None or e.frame != run[-1].frame + 1):
+            entries += _smooth_run(run, base, radius)
+            run = []
+        run.append(e)
+    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
+
+
+def _smooth_run(run, base, radius):
+    n = len(run)
+    if n < 2:
+        return run
+    values = stack_boxes(e.box for e in run)
     smoothed = np.empty_like(values)
     for i in range(n):
         lo = max(0, i - radius)
         hi = min(n, i + radius + 1)
         w = base[lo - i + radius:hi - i + radius]
         smoothed[i] = (w[:, None] * values[lo:hi]).sum(axis=0) / w.sum()
-    entries = []
-    for e, row in zip(trajectory.entries, smoothed):
-        box = BoundingBox(row[0], row[1], max(row[2], 1.0), max(row[3], 1.0))
-        entries.append(e.with_box(box))
-    return Trajectory(track_id=trajectory.track_id, entries=tuple(entries))
+    return [dataclasses.replace(e, box=BoundingBox(row[0], row[1], max(row[2], 1.0),
+                                                   max(row[3], 1.0)))
+            for e, row in zip(run, smoothed)]
 
 
 def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float,
-                match: Callable[[np.ndarray], list[tuple[int, int]]] = max_weight_matching,
+                match: Callable[[np.ndarray], list[tuple[int, int]]] = scipy_matching,
                 ) -> tuple[EvalCounts, bool]:
     """CLEAR and identity counts of one sequence, in one walk over its frames
     with `match` as the solver, and whether some frame's optimal step had
@@ -296,7 +305,7 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float,
 
 
 def _mot_row(frame, track_id, box, score):
-    left, top, w, h = box.as_ltwh()
+    left, top, w, h = box.cx - box.w / 2, box.cy - box.h / 2, box.w, box.h
     return (f"{frame},{track_id},{left:.6f},{top:.6f},{w:.6f},{h:.6f},"
             f"{score:.6f},-1,-1,-1\n")
 
@@ -317,7 +326,7 @@ def write_mot_detections(detections, path):
             fh.write(_mot_row(det.frame, -1, det.box, det.score))
 
 
-def write_kitti_tracking(trajectories, path):
+def write_kitti(trajectories, path):
     rows = []
     for t in trajectories:
         for e in t.entries:
@@ -325,7 +334,8 @@ def write_kitti_tracking(trajectories, path):
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", encoding="utf-8") as fh:
         for frame, tid, cls, box, score in rows:
-            x1, y1, x2, y2 = box.as_corners()
+            x1, y1, x2, y2 = (box.cx - box.w / 2, box.cy - box.h / 2, box.cx + box.w / 2,
+                              box.cy + box.h / 2)
             fh.write(f"{frame} {tid} {cls} -1 -1 -10 "
                      f"{x1:.6f} {y1:.6f} {x2:.6f} {y2:.6f} "
                      f"-1000 -1000 -1000 -1000 -1000 -1000 -10 {score:.6f}\n")

@@ -20,19 +20,21 @@ from intertrack.assignment import solve
 from intertrack.geometry import (
     consistent_iou_kernel,
     expansion_ratio,
-    iou,
     iou_kernel,
 )
-from intertrack.hierarchy import run, run_detailed
+from intertrack.hierarchy import run_table
 from intertrack.metrics import evaluate
 from intertrack.model import (
     BoundingBox,
     Detection,
     Strategy,
     TrackerConfig,
+    Trajectory,
+    table_of,
+    tracks_table,
 )
-from intertrack.mot_io import read_mot_tracks, write_mot_detections, write_mot_results
-from intertrack.refine import Trajectory, interpolate
+from intertrack.mot_io import read_track_table, write_mot_detections, write_mot_results
+from intertrack.refine import interpolate_rows
 from intertrack.synth import Motion, ScenarioSpec, generate
 
 
@@ -40,21 +42,23 @@ def box(cx, cy, w, h):
     return BoundingBox(cx, cy, w, h)
 
 
+def track_count(tracks):
+    """The number of distinct track ids of an output table."""
+    return np.unique(tracks.id).size
+
+
 def assert_monotone_and_conserved(result, n_detections):
     for cls in result.per_class:
         counts = cls.counts
         assert all(b <= a for a, b in zip(counts, counts[1:])), counts
-    total = sum(len(t.entries) for t in result.trajectories)
-    assert total == n_detections
+    assert result.rows.size == n_detections
 
 
 def test_iou_matches_reference_offset_boxes():
-    a = box(0.0, 0.0, 80.0, 50.0)
-    b = box(15.0, 15.0, 80.0, 50.0)
-    assert iou(a, b) == pytest.approx(0.397, abs=0.005)
-    c = box(0.0, 0.0, 40.0, 25.0)
-    d = box(15.0, 15.0, 40.0, 25.0)
-    assert iou(c, d) == pytest.approx(0.143, abs=0.005)
+    a, b = np.array([[0.0, 0.0, 80.0, 50.0], [15.0, 15.0, 80.0, 50.0]])
+    assert iou_kernel(a, b) == pytest.approx(0.397, abs=0.005)
+    c, d = np.array([[0.0, 0.0, 40.0, 25.0], [15.0, 15.0, 40.0, 25.0]])
+    assert iou_kernel(c, d) == pytest.approx(0.143, abs=0.005)
 
 
 def test_expansion_ratio_reference_point_and_monotonicity():
@@ -158,22 +162,22 @@ def test_level_counts_monotone_and_detections_conserved():
     ]
     configs = [_gap_config(), TrackerConfig(), TrackerConfig(), TrackerConfig()]
     for (_, dets), cfg in zip(scenes, configs):
-        result = run_detailed(dets, cfg)
+        result = run_table(table_of(dets), cfg)
         assert_monotone_and_conserved(result, len(dets))
     _, dets = scenes[3]
     windowed = dataclasses.replace(TrackerConfig(),
                                    strategy=Strategy.WINDOW)
-    for cls in run_detailed(dets, windowed).per_class:
+    for cls in run_table(table_of(dets), windowed).per_class:
         assert all(b <= a for a, b in zip(cls.counts, cls.counts[1:]))
 
 
 def test_gap_bridging_recovers_identities():
     start = time.perf_counter()
     gt, dets = _gap_scene()
-    trajectories = run(dets, _gap_config())
-    assert len(trajectories) == 10
-    filled = [interpolate(t, 30) for t in trajectories]
-    report = evaluate(gt, filled)
+    tracks = run_table(table_of(dets), _gap_config()).output()
+    assert track_count(tracks) == 10
+    filled = interpolate_rows(tracks, 30)
+    report = evaluate(tracks_table(gt), filled)
     assert report.idsw == 0
     assert report.idf1 == 1.0
     assert time.perf_counter() - start < 2.0
@@ -196,7 +200,7 @@ def test_gap_bridged_at_second_level_via_cli_dump(tmp_path, capsys):
     rc = cli.main(["track", "--det", str(det_path), "--out", str(out),
                    "--dump-hierarchy", str(dump)])
     assert rc == 0
-    assert len(read_mot_tracks(out)) == 3
+    assert track_count(read_track_table(out)) == 3
     assert "3 trajectories" in capsys.readouterr().out
     info = json.loads(dump.read_text())["det"]["classes"]["0"]
     levels = {lv["label"]: lv for lv in info["levels"]}
@@ -213,13 +217,14 @@ def test_gap_bridged_at_second_level_via_cli_dump(tmp_path, capsys):
 def test_camera_compensation_repairs_pan_switches_and_recovers_offsets():
     start = time.perf_counter()
     gt, dets = _pan_scene()
+    truth, table = tracks_table(gt), table_of(dets)
 
     without_cc = dataclasses.replace(TrackerConfig(), enable_cc=False)
-    report_off = evaluate(gt, run(dets, without_cc))
+    report_off = evaluate(truth, run_table(table, without_cc).output())
     assert report_off.idsw >= 1
 
-    result = run_detailed(dets, TrackerConfig())
-    report_on = evaluate(gt, result.trajectories)
+    result = run_table(table, TrackerConfig())
+    report_on = evaluate(truth, result.output())
     assert report_on.idsw == 0
 
     profile = result.per_class[0].camera
@@ -238,10 +243,11 @@ def test_camera_compensation_repairs_pan_switches_and_recovers_offsets():
 def test_motion_pass_prevents_crossing_swap():
     start = time.perf_counter()
     gt, dets = _crossing_scene()
+    truth, table = tracks_table(gt), table_of(dets)
     static_only = dataclasses.replace(TrackerConfig(), enable_cm=False)
-    report_static = evaluate(gt, run(dets, static_only))
+    report_static = evaluate(truth, run_table(table, static_only).output())
     assert report_static.idsw == 2
-    report_cm = evaluate(gt, run(dets, TrackerConfig()))
+    report_cm = evaluate(truth, run_table(table, TrackerConfig()).output())
     assert report_cm.idsw == 0
     assert time.perf_counter() - start < 2.0
 
@@ -292,13 +298,12 @@ def test_refine_repairs_injected_switches(tmp_path):
 
     plain_out = tmp_path / "plain.txt"
     assert cli.main(["refine", "--in", str(src), "--out", str(plain_out)]) == 0
-    plain = read_mot_tracks(plain_out)
-    assert sum(len(t.entries) for t in plain) == n_input
+    assert read_track_table(plain_out).frame.size == n_input
 
     filled_out = tmp_path / "filled.txt"
     assert cli.main(["refine", "--in", str(src), "--out", str(filled_out),
                      "--interp"]) == 0
-    report = evaluate(gt, read_mot_tracks(filled_out))
+    report = evaluate(tracks_table(gt), read_track_table(filled_out))
     assert report.idsw == 0
     assert report.idf1 == 1.0
     assert time.perf_counter() - start < 2.0
@@ -308,10 +313,10 @@ def test_interval_schedule_beats_window_on_straddling_gap():
     dets = [Detection(frame=f, box=box(500.0, 300.0, 40.0, 80.0),
                       score=0.9, det_id=f)
             for f in range(1, 301) if not 126 <= f <= 130]
-    interval_count = len(run(dets, TrackerConfig()))
+    interval_count = track_count(run_table(table_of(dets), TrackerConfig()).output())
     windowed = dataclasses.replace(TrackerConfig(),
                                    strategy=Strategy.WINDOW)
-    window_count = len(run(dets, windowed))
+    window_count = track_count(run_table(table_of(dets), windowed).output())
     assert interval_count == 1
     assert interval_count < window_count
 
@@ -352,7 +357,7 @@ def test_throughput_thousand_frames():
                         seed=42, noise_sigma=0.5, miss_prob=0.02)
     _, dets = generate(spec)
     start = time.perf_counter()
-    trajectories = run(dets, TrackerConfig())
+    tracks = run_table(table_of(dets), TrackerConfig()).output()
     elapsed = time.perf_counter() - start
-    assert len(trajectories) == 20
+    assert track_count(tracks) == 20
     assert elapsed < 5.0

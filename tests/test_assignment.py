@@ -9,8 +9,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
-from intertrack.assignment import (_TIE_EPS, _tie_bias, connected_components, max_weight_matching,
-                                   solve, solve_blocks, solve_pairs)
+from intertrack.assignment import (_TIE_EPS, _tie_bias, connected_components, solve, solve_blocks,
+                                   solve_pairs)
 
 _PERM_CACHE = {}
 
@@ -62,17 +62,17 @@ def test_post_gate_differs_from_pre_gate():
 
 def test_sentinel_pairs_never_matched():
     scores = np.array([[0.9, -np.inf], [-np.inf, -np.inf]])
-    assert max_weight_matching(scores) == [(0, 0)]
+    assert solve(scores, -np.inf) == [(0, 0)]
     # Forcing through the sentinel would beat skipping, but it is inadmissible.
     scores = np.array([[-np.inf]])
-    assert max_weight_matching(scores) == []
+    assert solve(scores, -np.inf) == []
 
 
 def test_unmatched_rows_allowed_when_profitable():
     # Row 1 can only reach 0.4 by stealing column 0 from row 0 (total 0.8).
     # Leaving row 1 unmatched keeps the 0.9.
     scores = np.array([[0.9, 0.4], [0.4, -np.inf]])
-    assert max_weight_matching(scores) == [(0, 0)]
+    assert solve(scores, -np.inf) == [(0, 0)]
 
 
 def test_matches_are_injective():
@@ -95,7 +95,7 @@ def test_brute_force_oracle_small():
         # Sprinkle sentinels.
         mask = rng.uniform(size=(n, m)) < 0.25
         scores[mask] = -np.inf
-        matches = max_weight_matching(scores)
+        matches = solve(scores, -np.inf)
         # Summation order differs between the two routes, hence the epsilon.
         assert abs(matched_total(scores, matches) - brute_force_total(scores)) < 1e-12
 
@@ -104,14 +104,14 @@ def test_scaling_preserves_argmax():
     rng = np.random.RandomState(19)
     for _ in range(50):
         scores = rng.uniform(0, 1, (5, 5))
-        base = max_weight_matching(scores)
-        assert max_weight_matching(scores * 7.5) == base
-        assert max_weight_matching(scores * 0.01) == base
+        base = solve(scores, -np.inf)
+        assert solve(scores * 7.5, -np.inf) == base
+        assert solve(scores * 0.01, -np.inf) == base
 
 
 def test_tie_break_prefers_low_indices():
-    assert max_weight_matching(np.array([[0.5, 0.5]])) == [(0, 0)]
-    assert max_weight_matching(np.array([[0.5], [0.5]])) == [(0, 0)]
+    assert solve(np.array([[0.5, 0.5]]), -np.inf) == [(0, 0)]
+    assert solve(np.array([[0.5], [0.5]]), -np.inf) == [(0, 0)]
 
 
 def test_deterministic():
@@ -180,8 +180,8 @@ def _hungarian(block, gate):
     package's one-block solve stands in, so that a chunk must resolve ties
     as its blocks solved alone do."""
     unique = reference.unique_optimum(block)
-    solver = reference.max_weight_matching if unique else max_weight_matching
-    return [(i, j) for i, j in solver(block) if block[i, j] >= gate]
+    matches = reference.scipy_matching(block) if unique else solve(block, -np.inf)
+    return [(i, j) for i, j in matches if block[i, j] >= gate]
 
 
 def _uncertified_components(block, gate):
@@ -262,7 +262,7 @@ def test_solve_blocks_matches_the_scipy_reference(chunk):
     found, _ = solve_blocks(scores, n, m, gate)
     for k in range(len(n)):
         block = scores[k, :n[k], :m[k]]
-        want, got = reference.max_weight_matching(block), max_weight_matching(block)
+        want, got = reference.scipy_matching(block), solve(block, -np.inf)
         gated = [(i, j) for b, i, j in found.tolist() if b == k]
         if got == want and gated == [(i, j) for i, j in want if block[i, j] >= gate]:
             continue
@@ -366,7 +366,7 @@ def test_zero_biased_row_takes_its_lowest_cell():
     bias = _tie_bias(2, 3, 5)
     scores = np.array([[0.0, bias[0, 1], 0.5], [0.0, 0.0, 1.0]])
     assert not reference.unique_optimum(scores)
-    assert max_weight_matching(scores) == [(0, 0), (1, 2)]
+    assert solve(scores, -np.inf) == [(0, 0), (1, 2)]
     assert solve(scores, 1e-12) == [(1, 2)]
 
 

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertrack.camera import estimate, stabilize, static_profile
-from intertrack.geometry import iou, stack_boxes
-from intertrack.model import BoundingBox, Detection
+from intertrack.geometry import iou_kernel
+from intertrack.model import BoundingBox, Detection, stack_boxes
 from intertrack.synth import ScenarioSpec, generate
 
 
@@ -136,13 +136,13 @@ class TestStabilize:
         stable = stabilize(frame, columns(dets)[1], profile)
         # Rebuild the same adjacency on stabilized boxes by position.
         per_frame = {}
-        for t, box in zip(frame.tolist(), stable.tolist()):
-            per_frame.setdefault(t, []).append(BoundingBox(*box))
+        for t, box in zip(frame.tolist(), stable):
+            per_frame.setdefault(t, []).append(box)
         raw_iou = profile.mean_match_iou
         stab_ious = []
         for t in range(1, 10):
             for a, b in zip(per_frame[t], per_frame[t + 1]):
-                stab_ious.append(iou(a, b))
+                stab_ious.append(float(iou_kernel(a, b)))
         assert sum(stab_ious) / len(stab_ious) >= raw_iou
 
 

@@ -10,13 +10,13 @@ from unittest import mock
 import pytest
 
 from intertrack import cli, synth
-from intertrack.model import BoundingBox, ConfigError, Detection, Strategy, TrackerConfig
+from intertrack.model import (BoundingBox, ConfigError, Detection, Strategy, TrackerConfig,
+                              Trajectory)
 from intertrack.mot_io import (
     read_mot_tracks,
     write_mot_detections,
     write_mot_results,
 )
-from intertrack.refine import Trajectory
 from intertrack.synth import ScenarioSpec
 
 
@@ -511,6 +511,36 @@ class TestSynth:
         monkeypatch.setenv("INTERTRACK_SEED", "77")
         assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(outs[1])]) == 0
         assert (outs[0] / "det.txt").read_bytes() == (outs[1] / "det.txt").read_bytes()
+
+    # One faulty spec per fault: the spec's text, then what the message says.
+    @pytest.mark.parametrize("text, problem", [
+        ('{"n_targets": "5", "n_frames": 10}', "n_targets must be an integer, got '5'"),
+        ('{"n_targets": 5, "n_frames": 10', "Expecting ',' delimiter: line 1"),
+        ('{"n_targets": 5, "n_frames": 10, "miss_prob": 2}', "miss_prob must be in [0, 1], got 2"),
+        ('{"n_targets": 5, "n_frames": 10, "noise_sigma": -0.5}',
+         "noise_sigma must be finite and >= 0, got -0.5"),
+        ('{"n_targets": 5, "n_frames": 10, "size_jitter": -1}',
+         "size_jitter must be finite and >= 0, got -1"),
+        ('{"n_targets": 5, "n_frames": 10, "max_speed": -2}',
+         "max_speed must be finite and >= 0, got -2"),
+        ('{"n_targets": 5, "n_frames": 10, "base_score": 1.5}',
+         "base_score must be in [0, 1], got 1.5"),
+        ('{"n_targets": 5, "n_frames": 10, "score_dips": {"0": [[2, 4, -0.1]]}}',
+         "a score_dips score must be in [0, 1], got -0.1"),
+        ('{"n_targets": 5, "n_frames": 10, "miss_intervals": {"0": [["a", 3]]}}',
+         "each of miss_intervals's entries must be 2 numbers"),
+        ('{"n_targets": 5, "n_frames": 10, "motion": "sinusoidal", "sine_period": 0}',
+         "sine_period must not be 0"),
+    ], ids=["string-count", "json-syntax", "miss-prob", "noise-sigma", "size-jitter",
+            "max-speed", "base-score", "dip-score", "interval-entry", "sine-period"])
+    def test_faulty_spec_names_the_file(self, tmp_path, capsys, text, problem):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()  # no traceback
+        assert line.startswith(f"error: {spec}: {problem}")
+        assert not out.exists()
 
 
 class TestConfigAssembly:

@@ -9,25 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 from intertrack.geometry import (
     SimilarityKernel,
-    consistent_iou,
     consistent_iou_kernel,
     expansion_ratio,
-    height_iou_kernel,
-    hm_iou,
     hm_iou_kernel,
-    iou,
     iou_kernel,
-    stack_boxes,
 )
-from intertrack.model import BoundingBox, TrackerConfig
-
-
-def height_iou(a, b):
-    return float(height_iou_kernel(*stack_boxes([a, b])))
+from intertrack.model import BoundingBox, TrackerConfig, ltwh_to_center, stack_boxes
 
 
 def box_ltwh(left, top, w, h):
-    return BoundingBox.from_ltwh(left, top, w, h)
+    """One [cx, cy, w, h] row; a kernel scores two rows as one pair."""
+    return np.array(ltwh_to_center(left, top, w, h), dtype=np.float64)
 
 
 def random_boxes(rng, n, w_lo=5.0, w_hi=120.0):
@@ -45,38 +37,42 @@ def test_iou_offset_pair():
     # union 2*4000 - 2275 = 5725.
     a = box_ltwh(0, 0, 80, 50)
     b = box_ltwh(15, 15, 80, 50)
-    assert iou(a, b) == pytest.approx(2275 / 5725, abs=1e-12)
-    assert iou(a, b) == pytest.approx(0.397, abs=0.005)
+    assert iou_kernel(a, b) == pytest.approx(2275 / 5725, abs=1e-12)
+    assert iou_kernel(a, b) == pytest.approx(0.397, abs=0.005)
 
 
 def test_iou_offset_pair_small():
     # Same (15, 15) offset on 40x25 boxes collapses to 250/1750.
     a = box_ltwh(0, 0, 40, 25)
     b = box_ltwh(15, 15, 40, 25)
-    assert iou(a, b) == pytest.approx(250 / 1750, abs=1e-12)
-    assert iou(a, b) == pytest.approx(0.143, abs=0.005)
+    assert iou_kernel(a, b) == pytest.approx(250 / 1750, abs=1e-12)
+    assert iou_kernel(a, b) == pytest.approx(0.143, abs=0.005)
 
 
 def test_iou_disjoint_and_identical():
     a = box_ltwh(0, 0, 10, 10)
-    assert iou(a, box_ltwh(50, 50, 10, 10)) == 0.0
-    assert iou(a, box_ltwh(10, 0, 10, 10)) == 0.0  # touching edges
-    assert iou(a, a) == 1.0
+    assert iou_kernel(a, box_ltwh(50, 50, 10, 10)) == 0.0
+    assert iou_kernel(a, box_ltwh(10, 0, 10, 10)) == 0.0  # touching edges
+    assert iou_kernel(a, a) == 1.0
 
 
 def test_height_iou_intervals():
     a = box_ltwh(0, 0, 10, 10)      # vertical extent [0, 10]
     b = box_ltwh(100, 5, 10, 10)    # vertical extent [5, 15]; x-disjoint
-    assert height_iou(a, b) == pytest.approx(5 / 15, abs=1e-12)
-    assert iou(a, b) == 0.0
+    assert iou_kernel(a, b) == 0.0
+    assert hm_iou_kernel(a, b) == 0.0
+    # The same extents, x-aligned: IoU 50/150 damped by the vertical 5/15.
+    c = box_ltwh(0, 5, 10, 10)
+    assert iou_kernel(a, c) == pytest.approx(50 / 150, abs=1e-12)
+    assert hm_iou_kernel(a, c) == pytest.approx(iou_kernel(a, c) * 5 / 15, abs=1e-12)
 
 
 def test_hm_iou_is_product():
     a = box_ltwh(0, 0, 80, 50)
     b = box_ltwh(15, 15, 80, 50)
     expected = (2275 / 5725) * (35 / 65)
-    assert hm_iou(a, b) == pytest.approx(expected, abs=1e-12)
-    assert hm_iou(a, b) == pytest.approx(0.2139738, abs=1e-6)
+    assert hm_iou_kernel(a, b) == pytest.approx(expected, abs=1e-12)
+    assert hm_iou_kernel(a, b) == pytest.approx(0.2139738, abs=1e-6)
 
 
 def test_expansion_ratio_values():
@@ -92,7 +88,7 @@ def test_zero_scaling_disables_expansion():
     a = box_ltwh(0, 0, 40, 25)
     b = box_ltwh(15, 15, 40, 25)
     assert expansion_ratio(40, 40, 64, 0.0) == 1.0
-    assert consistent_iou(a, b, cfg) == pytest.approx(iou(a, b), abs=1e-12)
+    assert consistent_iou_kernel(a, b, cfg) == pytest.approx(iou_kernel(a, b), abs=1e-12)
 
 
 def test_consistent_iou_expands_small_pairs():
@@ -106,49 +102,44 @@ def test_consistent_iou_expands_small_pairs():
     ix = min(20 + w / 2, 35 + w / 2) - max(20 - w / 2, 35 - w / 2)
     iy = min(12.5 + h / 2, 27.5 + h / 2) - max(12.5 - h / 2, 27.5 - h / 2)
     expected = (ix * iy) / (2 * w * h - ix * iy)
-    got = consistent_iou(a, b, cfg)
+    got = consistent_iou_kernel(a, b, cfg)
     assert got == pytest.approx(expected, abs=1e-12)
-    assert got > iou(a, b)
+    assert got > iou_kernel(a, b)
 
 
 def test_consistent_iou_leaves_wide_pairs_alone():
     cfg = TrackerConfig()
     a = box_ltwh(0, 0, 80, 50)
     b = box_ltwh(15, 15, 80, 50)
-    assert consistent_iou(a, b, cfg) == pytest.approx(iou(a, b), abs=1e-12)
+    assert consistent_iou_kernel(a, b, cfg) == pytest.approx(iou_kernel(a, b), abs=1e-12)
     # One small box is not enough; both must be narrow.
     c = box_ltwh(0, 0, 40, 50)
-    assert consistent_iou(c, b, cfg) == pytest.approx(iou(c, b), abs=1e-12)
+    assert consistent_iou_kernel(c, b, cfg) == pytest.approx(iou_kernel(c, b), abs=1e-12)
 
 
 def test_consistent_iou_threshold_is_strict():
     cfg = TrackerConfig()
     a = box_ltwh(0, 0, 64, 30)
     b = box_ltwh(10, 5, 64, 30)
-    assert consistent_iou(a, b, cfg) == pytest.approx(iou(a, b), abs=1e-12)
+    assert consistent_iou_kernel(a, b, cfg) == pytest.approx(iou_kernel(a, b), abs=1e-12)
 
 
 def all_pairs(kernel, a, b, *args):
     return kernel(a[:, None], b[None, :], *args)
 
 
-# --- all-pairs forms vs scalar forms ----------------------------------------
+# --- all-pairs forms vs one-pair forms --------------------------------------
 
 def test_matrix_kernels_match_scalar():
     rng = np.random.RandomState(7)
     a = random_boxes(rng, 23)
     b = random_boxes(rng, 17)
-    boxes_a = [BoundingBox(*row) for row in a]
-    boxes_b = [BoundingBox(*row) for row in b]
-
     got = all_pairs(iou_kernel, a, b)
-    got_h = all_pairs(height_iou_kernel, a, b)
     got_hm = all_pairs(hm_iou_kernel, a, b)
-    for i, ba in enumerate(boxes_a):
-        for j, bb in enumerate(boxes_b):
-            assert got[i, j] == iou(ba, bb)
-            assert got_h[i, j] == height_iou(ba, bb)
-            assert got_hm[i, j] == hm_iou(ba, bb)
+    for i, ba in enumerate(a):
+        for j, bb in enumerate(b):
+            assert got[i, j] == iou_kernel(ba, bb)
+            assert got_hm[i, j] == hm_iou_kernel(ba, bb)
 
 
 @pytest.mark.parametrize("use_hm", [False, True])
@@ -161,8 +152,7 @@ def test_consistent_matrix_matches_scalar(use_hm):
     got = all_pairs(consistent_iou_kernel, a, b, cfg)
     for i, ra in enumerate(a):
         for j, rb in enumerate(b):
-            want = consistent_iou(BoundingBox(*ra), BoundingBox(*rb), cfg)
-            assert got[i, j] == pytest.approx(want, abs=1e-10)
+            assert got[i, j] == pytest.approx(consistent_iou_kernel(ra, rb, cfg), abs=1e-10)
 
 
 # Rows of [cx, cy, w, h]; widths straddle the 64 px expansion threshold.
@@ -186,12 +176,11 @@ def test_all_pairs_diagonal_is_aligned_bit_for_bit(a, shift, scale, use_hm):
         aligned = kernel(a, b)
         assert np.diag(all_pairs(kernel, a, b)).tobytes() == aligned.tobytes()
     cons = kernels[2](a, b)
-    assert [consistent_iou(BoundingBox(*x), BoundingBox(*y), cfg)
-            for x, y in zip(a, b)] == cons.tolist()
+    assert [float(consistent_iou_kernel(x, y, cfg)) for x, y in zip(a, b)] == cons.tolist()
 
 
 def test_stack_boxes_round_trip():
-    boxes = [box_ltwh(0, 0, 10, 20), box_ltwh(5, 5, 30, 40)]
+    boxes = [BoundingBox(*box_ltwh(0, 0, 10, 20)), BoundingBox(*box_ltwh(5, 5, 30, 40))]
     arr = stack_boxes(boxes)
     assert arr.shape == (2, 4)
     assert arr[0].tolist() == [5, 10, 10, 20]
@@ -204,27 +193,20 @@ def test_kernels_symmetric_and_bounded():
     rng = np.random.RandomState(3)
     cfg = TrackerConfig()
     for _ in range(300):
-        a = BoundingBox(*random_boxes(rng, 1)[0])
-        b = BoundingBox(*random_boxes(rng, 1)[0])
-        for fn in (iou, height_iou, hm_iou):
+        a, b = random_boxes(rng, 1)[0], random_boxes(rng, 1)[0]
+        for fn in (iou_kernel, hm_iou_kernel, lambda x, y: consistent_iou_kernel(x, y, cfg)):
             v = fn(a, b)
             assert 0.0 <= v <= 1.0
             assert v == pytest.approx(fn(b, a), abs=1e-12)
-        v = consistent_iou(a, b, cfg)
-        assert 0.0 <= v <= 1.0
-        assert v == pytest.approx(consistent_iou(b, a, cfg), abs=1e-12)
 
 
 def test_iou_scale_invariant():
     rng = np.random.RandomState(5)
     for _ in range(200):
-        row_a, row_b = random_boxes(rng, 2)
+        a, b = random_boxes(rng, 2)
         s = rng.uniform(0.1, 10)
-        a, b = BoundingBox(*row_a), BoundingBox(*row_b)
-        sa = BoundingBox(*(row_a * s))
-        sb = BoundingBox(*(row_b * s))
-        assert iou(sa, sb) == pytest.approx(iou(a, b), abs=1e-10)
-        assert hm_iou(sa, sb) == pytest.approx(hm_iou(a, b), abs=1e-10)
+        assert iou_kernel(a * s, b * s) == pytest.approx(iou_kernel(a, b), abs=1e-10)
+        assert hm_iou_kernel(a * s, b * s) == pytest.approx(hm_iou_kernel(a, b), abs=1e-10)
 
 
 def test_consistent_never_below_raw():
@@ -242,7 +224,7 @@ def test_consistent_never_below_raw():
 
 
 def test_expansion_keeps_center():
-    b = box_ltwh(10, 20, 30, 40)
+    b = BoundingBox(*box_ltwh(10, 20, 30, 40))
     e = b.expanded(1.5)
     assert (e.cx, e.cy) == (b.cx, b.cy)
     assert e.w == pytest.approx(45)
@@ -257,16 +239,16 @@ def test_kernel_respects_flags():
     base = TrackerConfig()
 
     def pair(cfg):
-        return float(SimilarityKernel(cfg)(stack_boxes([a]), stack_boxes([b]))[0])
+        return float(SimilarityKernel(cfg)(a[None], b[None])[0])
 
     plain = pair(dataclasses.replace(base, enable_ci=False))
-    assert plain == pytest.approx(iou(a, b), abs=1e-12)
+    assert plain == pytest.approx(iou_kernel(a, b), abs=1e-12)
 
     hm = pair(dataclasses.replace(base, enable_ci=False, use_hm_iou=True))
-    assert hm == pytest.approx(hm_iou(a, b), abs=1e-12)
+    assert hm == pytest.approx(hm_iou_kernel(a, b), abs=1e-12)
 
     ci = pair(base)
-    assert ci == pytest.approx(consistent_iou(a, b, base), abs=1e-12)
+    assert ci == pytest.approx(consistent_iou_kernel(a, b, base), abs=1e-12)
 
     ci_hm = pair(dataclasses.replace(base, use_hm_iou=True))
     assert ci_hm < ci

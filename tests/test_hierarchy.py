@@ -11,36 +11,36 @@ from hypothesis import strategies as st
 import reference
 from intertrack import assignment, hierarchy
 from intertrack.assignment import solve, solve_blocks
-from intertrack.geometry import SimilarityKernel, stack_boxes
+from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
-    HierarchyState,
     _admissible_pairs,
     _chain_layout,
     _interval_admissible,
     _tracklet_table,
     _window_pairs,
     adjacent_pass,
-    associate_tracklets,
+    associate_table,
     byte_recovery,
     consistent_motion_pass,
     engine_order,
     hierarchy_pass,
     resolve_overlap,
-    run,
-    run_detailed,
+    run_table,
     window_strategy_pass,
 )
 from intertrack.model import (
     BoundingBox,
     Detection,
     Strategy,
-    Tracklet,
     TrackerConfig,
+    stack_boxes,
     table_of,
+    tracks_table,
 )
 from intertrack.metrics import evaluate
 from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
-from intertrack.mot_io import read_mot_detections, write_mot_detections
+from intertrack.mot_io import read_detection_table, write_mot_detections
+from intertrack.refine import split_rows
 from intertrack.synth import Motion, ScenarioSpec, generate
 
 
@@ -51,8 +51,9 @@ def det(frame, x, y=200.0, w=40.0, h=80.0, score=0.9, det_id=None, class_id=0):
                      det_id=det_id, class_id=class_id)
 
 
-def track(tid, frames, x, dx=0.0, **kw):
-    return Tracklet.build(tid, [det(f, x + dx * (f - frames[0]), **kw) for f in frames])
+def piece(frames, x, dx=0.0, **kw):
+    """The detections of one tracklet, in frame order."""
+    return [det(f, x + dx * (f - frames[0]), **kw) for f in frames]
 
 
 def constant_sim(tracklets, a, b):
@@ -75,17 +76,32 @@ def detection_table(dets):
     return table.take(order), order
 
 
-def state_of(tracklets, low=()):
-    """The engine state of Tracklets over one table of their entries and the
-    `low` detections; also returns the low detections' rows, in table order."""
-    entries = [e for t in tracklets for e in t.entries] + list(low)
+def state_of(pieces, low=(), first_tid=1):
+    """The engine's table of the pieces' entries and the `low` detections,
+    the pieces as its `TrackletTable` with tids first_tid, first_tid + 1, ...
+    in piece order, and the low detections' rows in table order."""
+    entries = [e for p in pieces for e in p] + list(low)
     table, order = detection_table(entries)
     row_of = np.argsort(order)
-    size = np.array([len(t) for t in tracklets], np.intp)
+    size = np.array([len(p) for p in pieces], np.intp)
     rows = row_of[:size.sum()]
     low_rows = np.sort(row_of[len(entries) - len(low):])
-    tid = np.array([t.tid for t in tracklets], np.intp)
-    return HierarchyState(table, _tracklet_table(table.frame, rows, size, tid)), low_rows
+    tid = np.arange(first_tid, first_tid + size.size)
+    return table, _tracklet_table(table.frame, rows, size, tid), low_rows
+
+
+def tracklet_input(*pieces):
+    """The table of the pieces' entries, `id` their det_ids, and each
+    piece's rows: the input of `associate_table`."""
+    ends = np.cumsum([len(p) for p in pieces], dtype=np.intp)
+    return (table_of([e for p in pieces for e in p]),
+            [np.arange(end - len(p), end) for p, end in zip(pieces, ends)])
+
+
+def tracks_of(result):
+    """Each output track's rows of the engine's table, in track id order."""
+    return np.split(result.rows, np.flatnonzero(np.diff(result.track)) + 1) \
+        if result.rows.size else []
 
 
 def table_rows(dets):
@@ -120,66 +136,65 @@ class TestAdjacentPass:
 
 
 class TestHierarchyPassAdmissibility:
-    def make_state(self, tracklets):
-        return state_of(tracklets)[0]
+    def make_state(self, pieces, first_tid=1):
+        return state_of(pieces, first_tid=first_tid)[:2]
 
     def test_gap_equal_to_bound_merges(self):
-        a = track(1, range(1, 5), 100.0)
-        b = track(2, range(10, 14), 100.0)  # gap = 10 - 4 = 6
-        state = self.make_state([a, b])
-        out = hierarchy_pass(state, 6, 0, constant_sim, gate=0.2)
-        assert out.tracklets.tid.size == 1
-        assert out.tracklets.t_min[0] == 1 and out.tracklets.t_max[0] == 13
+        a = piece(range(1, 5), 100.0)
+        b = piece(range(10, 14), 100.0)  # gap = 10 - 4 = 6
+        out = hierarchy_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
+        assert out.tid.size == 1
+        assert out.t_min[0] == 1 and out.t_max[0] == 13
 
     def test_gap_above_bound_does_not_merge(self):
-        a = track(1, range(1, 5), 100.0)
-        b = track(2, range(11, 15), 100.0)  # gap = 7
-        out = hierarchy_pass(self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
-        assert out.tracklets.tid.size == 2
+        a = piece(range(1, 5), 100.0)
+        b = piece(range(11, 15), 100.0)  # gap = 7
+        out = hierarchy_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
+        assert out.tid.size == 2
 
     def test_zero_gap_needs_overlap_allowance(self):
-        a = track(1, range(1, 5), 100.0)
-        b = track(2, range(4, 8), 100.0, det_id=50)  # b starts on a's last frame
-        no_overlap = hierarchy_pass(self.make_state([a, b]), 5, 0, constant_sim, 0.2)
-        assert no_overlap.tracklets.tid.size == 2
-        with_overlap = hierarchy_pass(self.make_state([a, b]), 5, 5, constant_sim, 0.2)
-        assert with_overlap.tracklets.tid.size == 1
+        a = piece(range(1, 5), 100.0)
+        b = piece(range(4, 8), 100.0, det_id=50)  # b starts on a's last frame
+        no_overlap = hierarchy_pass(*self.make_state([a, b]), 5, 0, constant_sim, 0.2)
+        assert no_overlap.tid.size == 2
+        with_overlap = hierarchy_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
+        assert with_overlap.tid.size == 1
 
     def test_overlap_beyond_allowance_not_admitted(self):
-        a = track(1, range(1, 10), 100.0)
-        b = track(2, range(3, 12), 100.0, det_id=50)  # overlap of 7 frames
-        out = hierarchy_pass(self.make_state([a, b]), 5, 5, constant_sim, 0.2)
-        assert out.tracklets.tid.size == 2
+        a = piece(range(1, 10), 100.0)
+        b = piece(range(3, 12), 100.0, det_id=50)  # overlap of 7 frames
+        out = hierarchy_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
+        assert out.tid.size == 2
 
     def test_overlap_allowance_counts_shared_frames(self):
-        a = track(1, range(1, 11), 100.0)
-        six = track(2, range(5, 13), 100.0, det_id=50)   # shares frames 5..10
-        five = track(2, range(6, 13), 100.0, det_id=50)  # shares frames 6..10
-        out = hierarchy_pass(self.make_state([a, six]), 30, 5, constant_sim, 0.2)
-        assert spans(out.tracklets) == [(1, 10), (5, 12)]
-        out = hierarchy_pass(self.make_state([a, five]), 30, 5, constant_sim, 0.2)
-        assert spans(out.tracklets) == [(1, 12)]
+        a = piece(range(1, 11), 100.0)
+        six = piece(range(5, 13), 100.0, det_id=50)   # shares frames 5..10
+        five = piece(range(6, 13), 100.0, det_id=50)  # shares frames 6..10
+        out = hierarchy_pass(*self.make_state([a, six]), 30, 5, constant_sim, 0.2)
+        assert spans(out) == [(1, 10), (5, 12)]
+        out = hierarchy_pass(*self.make_state([a, five]), 30, 5, constant_sim, 0.2)
+        assert spans(out) == [(1, 12)]
 
     def test_classes_never_mix(self):
         # Each class runs an engine of its own, on its own table.
-        a = track(1, range(1, 5), 100.0, class_id=0)
-        b = track(2, range(6, 10), 100.0, class_id=1)
-        out = associate_tracklets([a, b], TrackerConfig())
-        assert len(out.trajectories) == 2
+        a = piece(range(1, 5), 100.0, class_id=0)
+        b = piece(range(6, 10), 100.0, class_id=1)
+        out = associate_table(*tracklet_input(a, b), TrackerConfig())
+        assert len(tracks_of(out)) == 2
 
     def test_fixpoint_chains_fragments_within_one_level(self):
-        frags = [track(i + 1, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
-        out = hierarchy_pass(self.make_state(frags), 5, 0, constant_sim, 0.2)
-        assert out.tracklets.tid.size == 1
-        assert out.tracklets.size.tolist() == [12]
+        frags = [piece(range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
+        out = hierarchy_pass(*self.make_state(frags), 5, 0, constant_sim, 0.2)
+        assert out.tid.size == 1
+        assert out.size.tolist() == [12]
 
     def test_pass_returns_a_new_state_three_to_one(self):
         # A merge takes the tid after the highest one, which is never reused.
-        frags = [track(i + 97, range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
-        state = self.make_state(frags)
-        out = hierarchy_pass(state, 5, 0, constant_sim, 0.2)
-        assert state.tracklets.tid.tolist() == [97, 98, 99]
-        assert out.tracklets.tid.tolist() == [100]
+        frags = [piece(range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
+        table, tracklets = self.make_state(frags, first_tid=97)
+        out = hierarchy_pass(table, tracklets, 5, 0, constant_sim, 0.2)
+        assert tracklets.tid.tolist() == [97, 98, 99]
+        assert out.tid.tolist() == [100]
 
 
 # A tracklet population: per tracklet a first frame and the frame steps to
@@ -192,13 +207,11 @@ _populations = st.lists(st.tuples(st.integers(1, 30), st.lists(st.integers(1, 3)
 @given(population=_populations, dt_bound=st.integers(1, 30),
        overlap_allowance=st.integers(0, 5))
 def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_allowance):
-    tracklets = []
+    fragments = []
     for tid, (start, steps) in enumerate(population, start=1):
         frames = np.cumsum([start, *steps]).tolist()
-        tracklets.append(Tracklet.build(tid, [det(f, 100.0, det_id=100 * tid + k)
-                                              for k, f in enumerate(frames)]))
-    state, _ = state_of(tracklets)
-    ordered = state.tracklets
+        fragments.append([det(f, 100.0, det_id=100 * tid + k) for k, f in enumerate(frames)])
+    table, ordered, _ = state_of(fragments)
     n = ordered.tid.size
     scan = [(a, b) for a in range(n) for b in range(n)
             if a != b and _interval_admissible(dt_bound, overlap_allowance, ordered, a, b)]
@@ -213,13 +226,13 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
         and _interval_admissible(dt_bound, 0, ordered, x, y)]
     rows = pieces(ordered.rows, ordered.size)
     for a, b in scan:
-        resolve_overlap(state.table, rows[a], rows[b], overlap_allowance)
+        resolve_overlap(table, rows[a], rows[b], overlap_allowance)
 
 
 def _lanes(lanes=40, frames=60):
     """Singletons in lanes 100 px apart, one per lane and frame, each box
     1.5 px right of its lane's box a frame earlier."""
-    return [track(lane * 100 + f, [f], 100.0 + 100 * lane + 1.5 * f, det_id=lane * 100 + f)
+    return [piece([f], 100.0 + 100 * lane + 1.5 * f, det_id=lane * 100 + f)
             for lane in range(lanes) for f in range(1, frames + 1)]
 
 
@@ -230,7 +243,7 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
     links and no block is solved; at 0.9 each lane is one block, its frames
     1..59 as earlier ends by 2..60 as later ones, and merges whole.  No
     kernel call in the scoring takes more than one chunk of pairs."""
-    state, _ = state_of(_lanes())
+    table, tracklets, _ = state_of(_lanes())
     cfg = TrackerConfig()
     kernel, calls, blocks = SimilarityKernel(cfg), [], []
 
@@ -242,12 +255,12 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
         blocks.extend(zip(n.tolist(), m.tolist()))
         return solve_blocks(scores, n, m, gate)
     monkeypatch.setattr(assignment, "solve_blocks", recording_solve)
-    cache = FitCache(cfg, state.table.frame, state.table.boxes)
-    out = hierarchy_pass(state, 5, 0,
+    cache = FitCache(cfg, table.frame, table.boxes)
+    out = hierarchy_pass(table, tracklets, 5, 0,
                          lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
                                                              cache),
                          gate)
-    assert out.tracklets.tid.size == survivors
+    assert out.tid.size == survivors
     assert max(calls) == assignment._CHUNK_CELLS
     assert blocks == ([] if survivors == 2400 else [(59, 59)] * 40)
 
@@ -298,29 +311,27 @@ def test_engine_invariants_on_synth_scenes(scene, strategy):
     if strategy is Strategy.WINDOW:
         cfg = dataclasses.replace(cfg, strategy=Strategy.WINDOW)
     _, dets = generate(scene)
-    # The detections with the engine's det_ids: 1..N in table order.
-    _, order = detection_table(dets)
-    inputs = [dataclasses.replace(dets[k], det_id=row + 1) for row, k in enumerate(order)]
-    result = run_detailed(dets, cfg)
+    result = run_table(table_of(dets), cfg)
     for level in (level for info in result.per_class for level in info.levels):
         assert_tracklet_table(level)
-    tracks = result.trajectories
-    placed = collections.Counter(e.det_id for t in tracks for e in t.entries)
-    for t in tracks:
-        frames = [e.frame for e in t.entries]
-        assert len(set(frames)) == len(frames)
-        assert any(e.score >= cfg.score_high for e in t.entries)
+    # The engine's table: its rows in (frame, det_id) order, det_ids 1..N.
+    frame, score = result.table.frame, result.table.score
+    assert result.table.id.tolist() == list(range(1, len(dets) + 1))
+    placed = collections.Counter(result.rows.tolist())
+    for rows in tracks_of(result):
+        assert np.unique(frame[rows]).size == rows.size
+        assert (score[rows] >= cfg.score_high).any()
     final_overlap = cfg.stages[-1].overlap
-    for d in inputs:
-        if d.score < cfg.score_high:
-            assert placed[d.det_id] <= 1
-        elif placed[d.det_id] == 0 and final_overlap:
+    for row in range(len(dets)):
+        if score[row] < cfg.score_high:
+            assert placed[row] <= 1
+        elif placed[row] == 0 and final_overlap:
             # Only the final overlap level drops a high-score detection: for
             # a frame two merged tracklets share it keeps the higher score.
-            assert any(e.frame == d.frame and e.score >= d.score
-                       for t in tracks for e in t.entries)
+            kept = result.rows
+            assert ((frame[kept] == frame[row]) & (score[kept] >= score[row])).any()
         else:
-            assert placed[d.det_id] == 1
+            assert placed[row] == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,82 +355,75 @@ def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, shuffl
     path = tmp_path_factory.mktemp("rows") / "det.txt"
     write_mot_detections(dets, path)
     rows = path.read_text().splitlines(keepends=True)
-    ordered = run(read_mot_detections(path), cfg)
+    ordered = run_table(read_detection_table(path), cfg)
     path.write_text("".join(shuffler.sample(rows, len(rows))))
-    shuffled = run(read_mot_detections(path), cfg)
+    shuffled = run_table(read_detection_table(path), cfg)
 
-    def partition(tracks):
-        return {frozenset((e.frame, e.box) for e in t.entries) for t in tracks}
+    def partition(result):
+        frame, boxes = result.table.frame.tolist(), result.table.boxes.tolist()
+        return {frozenset((frame[r], tuple(boxes[r])) for r in rows.tolist())
+                for rows in tracks_of(result)}
 
     assert partition(shuffled) == partition(ordered)
-    a, b = evaluate(gt, ordered), evaluate(gt, shuffled)
+    truth = tracks_table(gt)
+    a, b = evaluate(truth, ordered.output()), evaluate(truth, shuffled.output())
     assert (a.mota, a.idf1) == (b.mota, b.idf1)
 
 
 class TestWindowPass:
     def test_merges_only_inside_window(self):
-        a = track(1, [7], 100.0)
-        b = track(2, [8], 100.0)   # frames 7,8 share window (8,...) of size 8
-        c = track(3, [9], 100.0)   # next window
-        state, _ = state_of([a, b, c])
-        out = window_strategy_pass(state, 8, constant_sim, 0.2)
-        assert spans(out.tracklets) == [(7, 8), (9, 9)]
+        a = piece([7], 100.0)
+        b = piece([8], 100.0)   # frames 7,8 share window (8,...) of size 8
+        c = piece([9], 100.0)   # next window
+        table, tracklets, _ = state_of([a, b, c])
+        out = window_strategy_pass(table, tracklets, 8, constant_sim, 0.2)
+        assert spans(out) == [(7, 8), (9, 9)]
 
     def test_straddling_tracklet_sits_out(self):
-        straddler = track(1, [8, 9], 100.0)   # crosses the window-8 boundary
-        a = track(2, [2], 100.0)
-        b = track(3, [4], 100.0)
-        state, _ = state_of([straddler, a, b])
-        out = window_strategy_pass(state, 8, constant_sim, 0.2)
-        assert spans(out.tracklets) == [(2, 4), (8, 9)]
+        straddler = piece([8, 9], 100.0)   # crosses the window-8 boundary
+        a = piece([2], 100.0)
+        b = piece([4], 100.0)
+        table, tracklets, _ = state_of([straddler, a, b])
+        out = window_strategy_pass(table, tracklets, 8, constant_sim, 0.2)
+        assert spans(out) == [(2, 4), (8, 9)]
 
     def test_adjacent_windows_not_bridged(self):
-        a = track(1, [1, 2], 100.0)
-        b = track(2, [3, 4], 100.0)
-        state, _ = state_of([a, b])
-        out = window_strategy_pass(state, 2, constant_sim, 0.2)
-        assert out.tracklets.tid.size == 2
+        a = piece([1, 2], 100.0)
+        b = piece([3, 4], 100.0)
+        table, tracklets, _ = state_of([a, b])
+        out = window_strategy_pass(table, tracklets, 2, constant_sim, 0.2)
+        assert out.tid.size == 2
 
 
 class TestByteRecovery:
-    def test_low_extends_tracklet_forward(self):
+    def recover(self, frames, low):
         cfg = TrackerConfig()
-        trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], low=[det(4, 100.0, score=0.3)])
-        out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets.tid.size == 1
-        assert out.tracklets.t_max[0] == 4
-        assert out.table.score[out.tracklets.last()[0]] == pytest.approx(0.3)
+        table, tracklets, low_rows = state_of([piece(frames, 100.0)], low=low)
+        return table, byte_recovery(table, tracklets, low_rows, SimilarityKernel(cfg),
+                                    cfg.match_threshold)
+
+    def test_low_extends_tracklet_forward(self):
+        table, out = self.recover(range(1, 4), [det(4, 100.0, score=0.3)])
+        assert out.tid.size == 1
+        assert out.t_max[0] == 4
+        assert table.score[out.last()[0]] == pytest.approx(0.3)
 
     def test_low_extends_tracklet_backward(self):
-        cfg = TrackerConfig()
-        trk = track(1, range(5, 8), 100.0)
-        state, low = state_of([trk], low=[det(4, 100.0, score=0.3)])
-        out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets.t_min[0] == 4
+        _, out = self.recover(range(5, 8), [det(4, 100.0, score=0.3)])
+        assert out.t_min[0] == 4
 
     def test_non_adjacent_low_is_dropped(self):
-        cfg = TrackerConfig()
-        trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], low=[det(9, 100.0, score=0.3)])
-        out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets.tid.size == 1
-        assert out.tracklets.t_max[0] == 3
+        _, out = self.recover(range(1, 4), [det(9, 100.0, score=0.3)])
+        assert out.tid.size == 1
+        assert out.t_max[0] == 3
 
     def test_far_away_low_is_dropped(self):
-        cfg = TrackerConfig()
-        trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk], low=[det(4, 1500.0, score=0.3)])
-        out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets.t_max[0] == 3
+        _, out = self.recover(range(1, 4), [det(4, 1500.0, score=0.3)])
+        assert out.t_max[0] == 3
 
     def test_chained_absorption_across_frames(self):
-        cfg = TrackerConfig()
-        trk = track(1, range(1, 4), 100.0)
-        state, low = state_of([trk],
-                              low=[det(4, 100.0, score=0.3), det(5, 100.0, score=0.3)])
-        out = byte_recovery(state, low, SimilarityKernel(cfg), cfg.match_threshold)
-        assert out.tracklets.t_max[0] == 5
+        _, out = self.recover(range(1, 4), [det(4, 100.0, score=0.3), det(5, 100.0, score=0.3)])
+        assert out.t_max[0] == 5
 
 
 @st.composite
@@ -430,11 +434,11 @@ def _recovery_scenes(draw):
     ids = iter(range(1, 1000))
     near = st.floats(-25.0, 25.0)
     tracks, low = [], []
-    for tid in range(1, draw(st.integers(1, 5)) + 1):
+    for _ in range(draw(st.integers(1, 5))):
         start, length = draw(st.integers(4, 16)), draw(st.integers(1, 5))
         x = draw(st.sampled_from([100.0, 115.0, 140.0]))
-        tracks.append(Tracklet.build(tid, [det(f, x + 2.0 * (f - start), det_id=next(ids))
-                                           for f in range(start, start + length)]))
+        tracks.append([det(f, x + 2.0 * (f - start), det_id=next(ids))
+                       for f in range(start, start + length)])
         for k in range(draw(st.integers(0, 3))):
             low.append(det(start + length + k, x + draw(near), score=0.3, det_id=next(ids)))
         for k in range(draw(st.integers(0, 3))):
@@ -450,14 +454,13 @@ def _recovery_scenes(draw):
 def test_byte_recovery_matches_the_per_tracklet_loop(scene):
     tracks, low = scene
     cfg = TrackerConfig()
-    state, low_rows = state_of(tracks, low=low)
-    t = state.tracklets
+    table, t, low_rows = state_of(tracks, low=low)
     objects = [reference.TrackletRows(tid, rows, t_min, t_max) for tid, rows, t_min, t_max in
                zip(t.tid.tolist(), pieces(t.rows, t.size), t.t_min.tolist(), t.t_max.tolist())]
     kernel = SimilarityKernel(cfg)
-    want = reference.byte_recovery(state.table, objects, int(t.tid.max()) + 1, low_rows, kernel,
+    want = reference.byte_recovery(table, objects, int(t.tid.max()) + 1, low_rows, kernel,
                                    cfg.match_threshold)
-    got = byte_recovery(state, low_rows, kernel, cfg.match_threshold).tracklets
+    got = byte_recovery(table, t, low_rows, kernel, cfg.match_threshold)
     assert got.tid.tolist() == [o.tid for o in want]
     assert [rows.tolist() for rows in pieces(got.rows, got.size)] == \
         [o.rows.tolist() for o in want]
@@ -634,12 +637,12 @@ class TestFullRun:
         return dets
 
     def test_gap_is_bridged_at_second_level(self):
-        res = run_detailed(self.three_targets_one_gap(), TrackerConfig())
+        res = run_table(table_of(self.three_targets_one_gap()), TrackerConfig())
         info = res.per_class[0]
         assert info.counts[0] == 11          # singletons
         assert info.counts[1] == 4           # after frame-adjacent level
         assert info.counts[2] == 3           # gap bridged at the second level
-        assert len(res.trajectories) == 3
+        assert len(tracks_of(res)) == 3
         by_label = {lv.label: lv for lv in info.levels}
         level1 = by_label["level-1 (gap 1)"]
         assert sorted(len(m) for m in level1.members) == [1, 2, 4, 4]
@@ -651,31 +654,32 @@ class TestFullRun:
         spec = ScenarioSpec(n_targets=6, n_frames=60, motion=Motion.LINEAR, seed=3,
                             miss_intervals={2: [(20, 24)], 4: [(31, 33)]})
         gt, dets = generate(spec)
-        res = run_detailed(dets, TrackerConfig())
+        res = run_table(table_of(dets), TrackerConfig())
         counts = res.per_class[0].counts
         assert all(b <= a for a, b in zip(counts[1:], counts[2:]))
-        total = sum(len(t.entries) for t in res.trajectories)
-        assert total == len(dets)
+        assert res.rows.size == len(dets)
 
     def test_empty_input(self):
-        assert run([], TrackerConfig()) == []
+        res = run_table(table_of([]), TrackerConfig())
+        assert res.rows.size == 0 and res.output().frame.size == 0
 
     def test_all_low_scores_give_no_tracks(self):
         dets = [det(f, 100.0, score=0.3) for f in range(1, 6)]
-        assert run(dets, TrackerConfig()) == []
+        assert run_table(table_of(dets), TrackerConfig()).rows.size == 0
 
     def test_classes_tracked_separately(self):
         dets = []
         for f in range(1, 5):
             dets.append(det(f, 100.0, det_id=f * 10, class_id=0))
             dets.append(det(f, 100.0, det_id=f * 10 + 1, class_id=1))
-        out = run(dets, TrackerConfig())
-        assert len(out) == 2
-        assert sorted(t.class_id for t in out) == [0, 1]
+        res = run_table(table_of(dets), TrackerConfig())
+        tracks = tracks_of(res)
+        assert len(tracks) == 2
+        assert sorted(int(res.table.class_id[rows[0]]) for rows in tracks) == [0, 1]
 
     def test_track_ids_sequential_from_one(self):
-        out = run(self.three_targets_one_gap(), TrackerConfig())
-        assert [t.track_id for t in out] == [1, 2, 3]
+        res = run_table(table_of(self.three_targets_one_gap()), TrackerConfig())
+        assert np.unique(res.track).tolist() == [1, 2, 3]
 
     def test_deterministic_under_input_shuffle(self):
         spec = ScenarioSpec(n_targets=5, n_frames=40, motion=Motion.SINUSOIDAL,
@@ -684,17 +688,16 @@ class TestFullRun:
         rng = np.random.RandomState(0)
         shuffled = list(dets)
         rng.shuffle(shuffled)
-        a = run(dets, TrackerConfig())
-        b = run(shuffled, TrackerConfig())
-        fingerprint = lambda trajs: [
-            (t.track_id, [(e.frame, e.box.cx, e.box.cy, e.box.w, e.box.h)
-                          for e in t.entries]) for t in trajs]
+        a = run_table(table_of(dets), TrackerConfig()).output()
+        b = run_table(table_of(shuffled), TrackerConfig()).output()
+        fingerprint = lambda out: list(zip(out.id.tolist(), out.frame.tolist(),
+                                           out.boxes.tolist()))
         assert fingerprint(a) == fingerprint(b)
 
     def test_static_scene_reports_static_camera(self):
         _, dets = generate(ScenarioSpec(n_targets=3, n_frames=30, max_speed=0.0,
                                         motion=Motion.LINEAR, seed=5))
-        res = run_detailed(dets, TrackerConfig())
+        res = run_table(table_of(dets), TrackerConfig())
         profile = res.per_class[0].camera
         assert profile is not None and not profile.moving
 
@@ -703,22 +706,21 @@ class TestFullRun:
         for seed in range(1, 9):
             _, dets = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=seed,
                                             camera_pan=(20.3, 1.7)))
-            res = run_detailed(dets, TrackerConfig())
+            res = run_table(table_of(dets), TrackerConfig())
             assert res.per_class[0].camera.moving
-            _, order = detection_table(dets)  # engine det_id k + 1 is dets[order[k]]
-            entries = [e for t in res.trajectories for e in t.entries]
-            assert len(entries) == len(dets)
-            for e in entries:
-                b = dets[order[e.det_id - 1]].box
-                assert (e.frame, e.box.cx, e.box.cy, e.box.w, e.box.h) == \
-                    (dets[order[e.det_id - 1]].frame, b.cx, b.cy, b.w, b.h)
+            _, order = detection_table(dets)  # engine row k is dets[order[k]]
+            assert res.rows.size == len(dets)
+            out = res.output()
+            want = [dets[k] for k in order[res.rows]]
+            assert out.frame.tolist() == [d.frame for d in want]
+            assert out.boxes.tolist() == [[d.box.cx, d.box.cy, d.box.w, d.box.h] for d in want]
 
     def test_low_score_detections_never_start_tracks(self):
         dets = [det(f, 100.0, score=0.9, det_id=f) for f in range(1, 5)]
         dets += [det(f, 900.0, score=0.3, det_id=100 + f) for f in range(1, 5)]
-        out = run(dets, TrackerConfig())
-        assert len(out) == 1
-        assert all(e.box.cx < 500.0 for e in out[0].entries)
+        out = run_table(table_of(dets), TrackerConfig()).output()
+        assert np.unique(out.id).tolist() == [1]
+        assert (out.boxes[:, 0] < 500.0).all()
 
 
 class TestWindowScheduleRun:
@@ -731,7 +733,7 @@ class TestWindowScheduleRun:
                                         box_size=(48.0, 48.0), camera_pan=(20.0, 0.0)))
         cfg = dataclasses.replace(TrackerConfig(),
                                   strategy=Strategy.WINDOW)
-        res = run_detailed(dets, cfg)
+        res = run_table(table_of(dets), cfg)
         assert res.per_class[0].camera.moving
         assert len(calls) == 1
 
@@ -741,18 +743,18 @@ class TestWindowScheduleRun:
                                   strategy=Strategy.WINDOW)
         _, dets = generate(ScenarioSpec(n_targets=4, n_frames=50,
                                         motion=Motion.LINEAR, seed=2))
-        res = run_detailed(dets, cfg)
+        res = run_table(table_of(dets), cfg)
         counts = res.per_class[0].counts
         assert counts[0] == len(dets)
         assert all(b <= a for a, b in zip(counts, counts[1:]))
-        assert len(res.trajectories) >= 4
+        assert len(tracks_of(res)) >= 4
 
     def test_low_scores_absorbed_inside_level_one(self):
         cfg = dataclasses.replace(TrackerConfig(),
                                   strategy=Strategy.WINDOW)
         dets = [det(f, 100.0, det_id=f) for f in range(1, 5)]
         dets.append(det(5, 100.0, score=0.3, det_id=5))
-        info = run_detailed(dets, cfg).per_class[0]
+        info = run_table(table_of(dets), cfg).per_class[0]
         labels = [lv.label for lv in info.levels]
         assert labels[:2] == ["singletons", "level-1 (window 2)"]
         assert "low-score recovery" not in labels
@@ -762,48 +764,51 @@ class TestWindowScheduleRun:
 
 class TestRecombination:
     def test_fragments_rejoin(self):
-        a = track(1, range(1, 5), 100.0, dx=2.0)
-        b = track(2, range(9, 14), 100.0 + 2.0 * 8, dx=2.0, det_id=50)
-        res = associate_tracklets([a, b], TrackerConfig())
-        assert len(res.trajectories) == 1
-        traj = res.trajectories[0]
-        assert traj.t_min == 1 and traj.t_max == 13
+        a = piece(range(1, 5), 100.0, dx=2.0)
+        b = piece(range(9, 14), 100.0 + 2.0 * 8, dx=2.0, det_id=50)
+        res = associate_table(*tracklet_input(a, b), TrackerConfig())
+        (rows,) = tracks_of(res)
+        assert res.table.frame[rows].tolist() == [*range(1, 5), *range(9, 14)]
 
     def test_distinct_targets_stay_apart(self):
-        a = track(1, range(1, 5), 100.0)
-        b = track(2, range(9, 14), 900.0)
-        res = associate_tracklets([a, b], TrackerConfig())
-        assert len(res.trajectories) == 2
+        a = piece(range(1, 5), 100.0)
+        b = piece(range(9, 14), 900.0)
+        res = associate_table(*tracklet_input(a, b), TrackerConfig())
+        assert len(tracks_of(res)) == 2
 
     def test_duplicate_input_ids_are_tolerated(self):
-        a = track(7, range(1, 5), 100.0)
-        b = track(7, range(9, 14), 100.0, det_id=50)
-        res = associate_tracklets([a, b], TrackerConfig())
-        assert len(res.trajectories) == 1
+        # One input track id over both fragments: split into two tracklets,
+        # which rejoin.
+        a = piece(range(1, 5), 100.0)
+        b = piece(range(9, 14), 100.0, det_id=50)
+        table = table_of(a + b)
+        runs = split_rows(table._replace(id=np.full_like(table.id, 7)))
+        assert [run.size for run in runs] == [4, 5]
+        res = associate_table(table, runs, TrackerConfig())
+        assert len(tracks_of(res)) == 1
 
     def test_empty_input(self):
-        res = associate_tracklets([], TrackerConfig())
-        assert res.trajectories == []
+        res = associate_table(table_of([]), [], TrackerConfig())
+        assert res.rows.size == 0 and res.output().frame.size == 0
 
     def test_panning_scene_is_stabilized_and_restored(self):
         # Association runs on stabilized boxes; the output keeps the input's.
         for pan in ((20.0, 0.0), (20.3, 1.7)):
             gt, _ = generate(ScenarioSpec(n_targets=4, n_frames=60, seed=3, max_speed=0.0,
                                           box_size=(48.0, 48.0), camera_pan=pan))
-            pieces = []
+            fragments = []
             for k, traj in enumerate(gt):
                 entries = [dataclasses.replace(e, det_id=100 * k + i)
                            for i, e in enumerate(traj.entries)]
-                pieces += [Tracklet.build(2 * k + 1, entries[:25]),
-                           Tracklet.build(2 * k + 2, entries[30:])]
-            boxes_in = {e.det_id: e.box for t in pieces for e in t.entries}
-            res = associate_tracklets(pieces, TrackerConfig())
+                fragments += [entries[:25], entries[30:]]
+            boxes_in = {e.det_id: e.box for p in fragments for e in p}
+            res = associate_table(*tracklet_input(*fragments), TrackerConfig())
             assert res.per_class[0].camera.moving
-            assert sum(len(t.entries) for t in res.trajectories) == len(boxes_in)
-            for traj in res.trajectories:
-                for e in traj.entries:
-                    b = boxes_in[e.det_id]
-                    assert (e.box.cx, e.box.cy, e.box.w, e.box.h) == (b.cx, b.cy, b.w, b.h)
+            assert res.rows.size == len(boxes_in)
+            for det_id, box in zip(res.table.id[res.rows].tolist(),
+                                   res.table.boxes[res.rows].tolist()):
+                b = boxes_in[det_id]
+                assert box == [b.cx, b.cy, b.w, b.h]
 
 
 class TestLevelRecord:
@@ -818,7 +823,7 @@ class TestLevelRecord:
         dets.append(det(9, 100.0, score=0.3, det_id=9))
         dets += [det(f, 600.0, det_id=f) for f in range(12, 16)]
         dets += [det(f, 300.0, score=0.3, det_id=100 + f, class_id=1) for f in range(1, 5)]
-        return dets
+        return table_of(dets)
 
     @staticmethod
     def check_log(info, n_stages):
@@ -828,7 +833,7 @@ class TestLevelRecord:
 
     def test_interval_records_recovery_but_leaves_it_out_of_counts(self):
         cfg = TrackerConfig()
-        cls0, cls1 = run_detailed(self.dets(), cfg).per_class
+        cls0, cls1 = run_table(self.dets(), cfg).per_class
         labels = [lv.label for lv in cls0.levels]
         assert labels[:3] == ["singletons", "level-1 (gap 1)", self.RECOVERY]
         assert len(cls0.levels) == len(cfg.stages) + 2
@@ -844,7 +849,7 @@ class TestLevelRecord:
 
     def test_window_has_no_recovery_level(self):
         cfg = dataclasses.replace(TrackerConfig(), strategy=Strategy.WINDOW)
-        cls0, cls1 = run_detailed(self.dets(), cfg).per_class
+        cls0, cls1 = run_table(self.dets(), cfg).per_class
         self.check_log(cls0, len(cfg.stages))
         assert self.RECOVERY not in [lv.label for lv in cls0.levels]
         assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels)
@@ -853,9 +858,9 @@ class TestLevelRecord:
 
     def test_refine_counts_start_at_the_input_tracklets(self):
         cfg = TrackerConfig()
-        pieces = [track(1, range(1, 5), 100.0), track(2, range(7, 11), 100.0, det_id=50),
-                  track(3, range(1, 11), 600.0, det_id=80)]
-        (info,) = associate_tracklets(pieces, cfg).per_class
+        fragments = [piece(range(1, 5), 100.0), piece(range(7, 11), 100.0, det_id=50),
+                     piece(range(1, 11), 600.0, det_id=80)]
+        (info,) = associate_table(*tracklet_input(*fragments), cfg).per_class
         self.check_log(info, len(cfg.stages))
         assert info.levels[0].label == "input tracklets"
         assert info.counts == tuple(lv.tracklet_count for lv in info.levels)

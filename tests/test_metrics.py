@@ -8,20 +8,17 @@ from hypothesis import strategies as st
 
 import reference
 from intertrack import assignment
-from intertrack.assignment import max_weight_matching
-from intertrack.geometry import iou_kernel, stack_boxes
-from intertrack.model import BoundingBox, Detection
+from intertrack.assignment import solve
+from intertrack.geometry import iou_kernel
+from intertrack.model import BoundingBox, Detection, Trajectory, stack_boxes, tracks_table
 from intertrack.metrics import (
-    clear_mot,
     eval_counts,
     evaluate,
     evaluate_sequences,
     format_report,
     frame_sorted,
-    id_metrics,
     report_kv_lines,
 )
-from intertrack.refine import Trajectory
 
 
 def det(frame, cx, cy=100.0, w=30.0, h=30.0):
@@ -36,15 +33,19 @@ def moving_track(tid, frames, x0, vx, cy=100.0):
     return Trajectory(tid, tuple(det(f, x0 + vx * f, cy) for f in frames))
 
 
+def clear(report):
+    return report.mota, report.fp, report.fn, report.idsw
+
+
 class TestClearMot:
     def test_perfect_prediction(self):
         gt = [track(1, range(1, 11), 100.0), track(2, range(1, 11), 400.0)]
-        res = clear_mot(gt, gt)
-        assert res == (1.0, 0, 0, 0)
+        res = evaluate(tracks_table(gt), tracks_table(gt))
+        assert clear(res) == (1.0, 0, 0, 0)
 
     def test_empty_prediction_all_misses(self):
         gt = [track(1, range(1, 11), 100.0)]
-        res = clear_mot(gt, [])
+        res = evaluate(tracks_table(gt), tracks_table([]))
         assert res.fn == 10
         assert res.fp == 0 and res.idsw == 0
         assert res.mota == 0.0
@@ -52,7 +53,7 @@ class TestClearMot:
     def test_id_split_counts_one_switch(self):
         gt = [track(1, range(1, 11), 100.0)]
         pred = [track(7, range(1, 6), 100.0), track(8, range(6, 11), 100.0)]
-        res = clear_mot(gt, pred)
+        res = evaluate(tracks_table(gt), tracks_table(pred))
         assert res.idsw == 1
         assert res.fp == 0 and res.fn == 0
         assert res.mota == pytest.approx(0.9)
@@ -60,7 +61,7 @@ class TestClearMot:
     def test_pure_false_positives(self):
         gt = [track(1, range(1, 6), 100.0)]
         pred = [track(1, range(1, 6), 100.0), track(2, range(1, 6), 700.0)]
-        res = clear_mot(gt, pred)
+        res = evaluate(tracks_table(gt), tracks_table(pred))
         assert res.fp == 5 and res.fn == 0 and res.idsw == 0
         assert res.mota == pytest.approx(0.0)
 
@@ -70,7 +71,7 @@ class TestClearMot:
         gt = [track(1, range(1, 6), 100.0)]
         p1 = track(1, range(1, 6), 102.0)   # established at frame 1 (sorted by id)
         p2 = track(2, range(2, 6), 100.0)   # appears later, exactly on target
-        res = clear_mot(gt, [p1, p2])
+        res = evaluate(tracks_table(gt), tracks_table([p1, p2]))
         assert res.idsw == 0
         assert res.fp == 4  # p2 never matches
 
@@ -78,45 +79,47 @@ class TestClearMot:
         # gt vanishes for 3 frames; comes back matched to a different id.
         gt = [Trajectory(1, tuple(det(f, 100.0) for f in [1, 2, 3, 7, 8]))]
         pred = [track(5, [1, 2, 3], 100.0), track(6, [7, 8], 100.0)]
-        res = clear_mot(gt, pred)
+        res = evaluate(tracks_table(gt), tracks_table(pred))
         assert res.idsw == 1
         assert res.mota == pytest.approx(1 - 1 / 5)
 
     def test_low_iou_not_matched(self):
         gt = [track(1, range(1, 4), 100.0)]
         pred = [track(1, range(1, 4), 125.0)]  # IoU = 5/55 < 0.5
-        res = clear_mot(gt, pred)
+        res = evaluate(tracks_table(gt), tracks_table(pred))
         assert res.fp == 3 and res.fn == 3
 
     def test_relabeling_invariance(self):
         gt = [track(1, range(1, 8), 100.0), track(2, range(1, 8), 300.0)]
         pred = [track(10, range(1, 8), 100.0), track(20, range(1, 8), 300.0)]
         relabeled = [Trajectory(99, pred[0].entries), Trajectory(98, pred[1].entries)]
-        assert clear_mot(gt, pred) == clear_mot(gt, relabeled)
+        assert clear(evaluate(tracks_table(gt), tracks_table(pred))) == \
+            clear(evaluate(tracks_table(gt), tracks_table(relabeled)))
 
 
 class TestIdMetrics:
     def test_perfect(self):
         gt = [track(1, range(1, 11), 100.0)]
-        assert id_metrics(gt, gt) == (1.0, 1.0, 1.0)
+        r = evaluate(tracks_table(gt), tracks_table(gt))
+        assert (r.idf1, r.idp, r.idr) == (1.0, 1.0, 1.0)
 
     def test_split_gives_half(self):
         gt = [track(1, range(1, 11), 100.0)]
         pred = [track(7, range(1, 6), 100.0), track(8, range(6, 11), 100.0)]
-        m = id_metrics(gt, pred)
+        m = evaluate(tracks_table(gt), tracks_table(pred))
         assert m.idf1 == pytest.approx(0.5)
         assert m.idp == pytest.approx(0.5)
         assert m.idr == pytest.approx(0.5)
 
     def test_empty_prediction(self):
         gt = [track(1, range(1, 11), 100.0)]
-        m = id_metrics(gt, [])
+        m = evaluate(tracks_table(gt), tracks_table([]))
         assert m.idf1 == 0.0 and m.idp == 0.0 and m.idr == 0.0
 
     def test_relabeling_invariance(self):
         gt = [track(1, range(1, 6), 100.0), track(2, range(1, 6), 300.0)]
         pred = [track(3, range(1, 6), 300.0), track(4, range(1, 6), 100.0)]
-        m = id_metrics(gt, pred)
+        m = evaluate(tracks_table(gt), tracks_table(pred))
         assert m.idf1 == pytest.approx(1.0)
 
     def test_global_assignment_matches_brute_force(self):
@@ -134,18 +137,16 @@ class TestIdMetrics:
                 if pframes:
                     pred.append(Trajectory(
                         100 + k, tuple(det(f, plane) for f in pframes)))
-            got = id_metrics(gt, pred)
+            got = evaluate(tracks_table(gt), tracks_table(pred))
             want = self.brute_force_idf1(gt, pred)
             assert got.idf1 == pytest.approx(want, abs=1e-12)
 
     @staticmethod
     def brute_force_idf1(gt, pred):
-        from intertrack.geometry import iou
-
         def idtp_pair(g, p):
             pboxes = {e.frame: e.box for e in p.entries}
-            return sum(1 for e in g.entries
-                       if e.frame in pboxes and iou(e.box, pboxes[e.frame]) >= 0.5)
+            return sum(1 for e in g.entries if e.frame in pboxes
+                       and iou_kernel(*stack_boxes([e.box, pboxes[e.frame]])) >= 0.5)
 
         len_gt = sum(len(t) for t in gt)
         len_pred = sum(len(t) for t in pred)
@@ -165,17 +166,17 @@ class TestEvaluate:
     def test_report_fields_consistent(self):
         gt = [track(1, range(1, 11), 100.0)]
         pred = [track(7, range(1, 6), 100.0), track(8, range(6, 11), 100.0)]
-        r = evaluate(gt, pred)
+        r = evaluate(tracks_table(gt), tracks_table(pred))
         assert r.mota == pytest.approx(1 - (r.fp + r.fn + r.idsw) / r.gt_count)
         assert r.idf1 == pytest.approx(0.5)
         assert r.gt_count == 10
 
     def test_multi_sequence_pooling(self):
-        gt1 = [track(1, range(1, 6), 100.0)]
-        gt2 = [track(1, range(1, 6), 100.0)]
+        gt1 = tracks_table([track(1, range(1, 6), 100.0)])
+        gt2 = tracks_table([track(1, range(1, 6), 100.0)])
         report = evaluate_sequences({
             "a": (gt1, gt1),
-            "b": (gt2, []),
+            "b": (gt2, tracks_table([])),
         })
         assert report.gt_count == 10
         assert report.fn == 5
@@ -184,7 +185,7 @@ class TestEvaluate:
         assert report.per_sequence["a"].mota == 1.0
 
     def test_text_and_kv_output(self):
-        gt = [track(1, range(1, 6), 100.0)]
+        gt = tracks_table([track(1, range(1, 6), 100.0)])
         r = evaluate(gt, gt)
         text = format_report(r)
         assert "MOTA" in text and "1.0000" in text
@@ -194,16 +195,15 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, 1.5])
     @pytest.mark.parametrize("score", [
-        lambda c, t: evaluate(c, c, t), lambda c, t: clear_mot(c, c, t),
-        lambda c, t: id_metrics(c, c, t), lambda c, t: evaluate_sequences({"a": (c, c)}, t),
+        lambda c, t: evaluate(c, c, t), lambda c, t: evaluate_sequences({"a": (c, c)}, t),
         lambda c, t: eval_counts(frame_sorted(c), frame_sorted(c), t)],
-        ids=["evaluate", "clear_mot", "id_metrics", "evaluate_sequences", "eval_counts"])
+        ids=["evaluate", "evaluate_sequences", "eval_counts"])
     def test_threshold_outside_unit_interval_rejected(self, score, threshold):
         with pytest.raises(ValueError, match="iou_threshold"):
-            score([track(1, range(1, 6), 100.0)], threshold)
+            score(tracks_table([track(1, range(1, 6), 100.0)]), threshold)
 
     def test_threshold_one_accepted(self):
-        gt = [track(1, range(1, 6), 100.0)]
+        gt = tracks_table([track(1, range(1, 6), 100.0)])
         assert evaluate(gt, gt, 1.0).mota == 1.0
 
 
@@ -247,7 +247,7 @@ def reference_clear_counts(gt, pred, iou_threshold):
             overlaps = iou_kernel(stack_boxes([b for _, b in rest_g])[:, None],
                                   stack_boxes([b for _, b in rest_p])[None, :])
             admissible = np.where(overlaps >= iou_threshold, overlaps, -np.inf)
-            for i, j in max_weight_matching(admissible):
+            for i, j in solve(admissible, -np.inf):
                 gid, pid = rest_g[i][0], rest_p[j][0]
                 matches.append((gid, pid))
                 taken_g.add(gid)
@@ -278,7 +278,7 @@ def reference_id_counts(gt, pred, iou_threshold):
                                   stack_boxes([b for _, b in both]))
             potential[i, j] = int((overlaps >= iou_threshold).sum())
     admissible = np.where(potential > 0, potential, -np.inf)
-    idtp = int(sum(potential[i, j] for i, j in max_weight_matching(admissible)))
+    idtp = int(sum(potential[i, j] for i, j in solve(admissible, -np.inf)))
     return idtp, len_gt, len_pred
 
 
@@ -340,7 +340,8 @@ class TestColumnCounts:
     @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5)
     @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5)
     def test_matches_per_track_pair_reference(self, gt, pred, iou_threshold):
-        counts = eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold)
+        counts = eval_counts(frame_sorted(tracks_table(gt)), frame_sorted(tracks_table(pred)),
+                             iou_threshold)
         fp, fn, idsw, gt_count = reference_clear_counts(gt, pred, iou_threshold)
         idtp, len_gt, len_pred = reference_id_counts(gt, pred, iou_threshold)
         assert (counts.fp, counts.fn, counts.idsw) == (fp, fn, idsw)
@@ -358,7 +359,7 @@ class TestColumnCounts:
     @example(gt=_TINY_HIT[0], pred=_TINY_HIT[1], iou_threshold=1e-12, budget=40)
     @example(gt=_TIED_PICK[0], pred=_TIED_PICK[1], iou_threshold=1.0, budget=5)
     def test_matches_frame_by_frame_reference(self, gt, pred, iou_threshold, budget):
-        gt, pred = frame_sorted(gt), frame_sorted(pred)
+        gt, pred = frame_sorted(tracks_table(gt)), frame_sorted(tracks_table(pred))
         with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
             counts = eval_counts(gt, pred, iou_threshold)
         want, tied = reference.eval_counts(gt, pred, iou_threshold)
@@ -369,7 +370,7 @@ class TestColumnCounts:
             assert ((counts.idtp, counts.len_gt, counts.len_pred)
                     == (want.idtp, want.len_gt, want.len_pred))
             assert counts == reference.eval_counts(gt, pred, iou_threshold,
-                                                   assignment.max_weight_matching)[0]
+                                                   lambda s: solve(s, -np.inf))[0]
         else:
             assert counts == want
 
@@ -377,23 +378,23 @@ class TestColumnCounts:
         # Frame 2 holds two rows of gt 1, each with one hit: stepped, pred 5
         # stays alive on the second row and the first switches to pred 6,
         # which frame 3's pred 5 then switches back from.
-        counts = eval_counts(*map(frame_sorted, _SHARED_ID), 0.5)
+        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_ID), 0.5)
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 2)
 
     def test_hit_below_the_tie_bias_is_not_matched(self):
-        counts = eval_counts(*map(frame_sorted, _TINY_HIT), 1e-12)
+        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _TINY_HIT), 1e-12)
         boxes = stack_boxes([_TINY_HIT[0][1].entries[0].box, _TINY_HIT[1][0].entries[0].box])
         assert 0 < iou_kernel(*boxes) < 1e-10
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 2, 0, 1)
 
     def test_tied_frame_keeps_the_solvers_first_matching(self):
-        gt, pred = map(frame_sorted, _TIED_PICK)
+        gt, pred = (frame_sorted(tracks_table(t)) for t in _TIED_PICK)
         counts = eval_counts(gt, pred, 1.0)
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 0, 1, 3)
         assert reference.eval_counts(gt, pred, 1.0)[1]
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
-        counts = eval_counts(*map(frame_sorted, _SHARED_HYPOTHESIS), 0.5)
+        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_HYPOTHESIS), 0.5)
         # One switch (gt 2 at frame 3); both pairs then persist.  Matching
         # frame 3 optimally instead would switch gt 1 there and both at frame 4.
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 1)

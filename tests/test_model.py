@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from intertrack.model import (
@@ -9,23 +10,26 @@ from intertrack.model import (
     Detection,
     Stage,
     Strategy,
-    Tracklet,
     TrackerConfig,
+    corners_to_center,
+    ltwh_to_center,
     validate_config,
 )
 
 
 def det(frame, left=0.0, top=0.0, w=10.0, h=10.0, score=0.9):
-    return Detection(frame=frame, box=BoundingBox.from_ltwh(left, top, w, h), score=score)
+    return Detection(frame=frame, box=BoundingBox(*ltwh_to_center(left, top, w, h)),
+                     score=score)
 
 
 class TestBoundingBox:
     def test_corner_round_trip(self):
-        b = BoundingBox.from_ltwh(3, 4, 10, 20)
-        assert (b.cx, b.cy) == (8, 14)
-        assert b.as_ltwh() == (3, 4, 10, 20)
-        assert b.as_corners() == (3, 4, 13, 24)
-        assert BoundingBox.from_corners(3, 4, 13, 24) == b
+        # Both file conventions of the box (3, 4, 10, 20): left, top, w, h
+        # and its corners (3, 4) and (13, 24), on numbers and on columns.
+        assert ltwh_to_center(3, 4, 10, 20) == (8, 14, 10, 20)
+        assert corners_to_center(3, 4, 13, 24) == (8, 14, 10, 20)
+        columns = ltwh_to_center(*(np.array([v, 2 * v]) for v in (3.0, 4.0, 10.0, 20.0)))
+        assert [c.tolist() for c in columns] == [[8, 16], [14, 28], [10, 20], [20, 40]]
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -47,32 +51,6 @@ class TestDetection:
         d = det(1, score=0.0)
         assert d.det_id == -1
 
-    def test_with_box(self):
-        d = det(4)
-        moved = d.with_box(d.box.translated(1, 1))
-        assert moved.frame == 4 and moved.box.cx == d.box.cx + 1
-
-
-class TestTracklet:
-    def test_build_sorts_by_frame(self):
-        t = Tracklet.build(1, [det(5), det(2), det(9)])
-        assert [e.frame for e in t.entries] == [2, 5, 9]
-        assert (t.t_min, t.t_max) == (2, 9)
-        assert len(t) == 3
-
-    def test_rejects_duplicate_frames(self):
-        with pytest.raises(ValueError):
-            Tracklet.build(1, [det(2), det(2)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Tracklet.build(1, [])
-
-    def test_rejects_mixed_classes(self):
-        a = det(1)
-        b = dataclasses.replace(det(2), class_id=3)
-        with pytest.raises(ValueError):
-            Tracklet.build(1, [a, b])
 
 
 class TestSchedule:

@@ -9,25 +9,21 @@ from hypothesis import strategies as st
 import reference
 from intertrack import mot_io, synth
 from intertrack.metrics import frame_sorted
-from intertrack.model import BoundingBox, Detection
+from intertrack.model import BoundingBox, Detection, Trajectory, ltwh_to_center, tracks_table
 from intertrack.mot_io import (
     KITTI_CLASSES,
-    read_detections,
-    read_mot_detections,
     read_detection_table,
     read_mot_tracks,
     read_track_table,
-    read_tracks,
-    write_kitti_tracking,
     write_mot_detections,
     write_mot_results,
+    write_table,
 )
-from intertrack.refine import Trajectory
 from intertrack.synth import ScenarioSpec
 
 
 def det(frame, left, top, w, h, score=0.9, det_id=-1, class_id=0):
-    return Detection(frame=frame, box=BoundingBox.from_ltwh(left, top, w, h),
+    return Detection(frame=frame, box=BoundingBox(*ltwh_to_center(left, top, w, h)),
                      score=score, det_id=det_id, class_id=class_id)
 
 
@@ -35,44 +31,41 @@ class TestMotDetections:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,10,20,30,40,0.9\n")
-        (d,) = read_mot_detections(p)
-        assert d.frame == 1
-        assert (d.box.cx, d.box.cy, d.box.w, d.box.h) == (25, 40, 30, 40)
-        assert d.score == 0.9
+        table = read_detection_table(p)
+        assert table.frame.tolist() == [1]
+        assert table.boxes.tolist() == [[25, 40, 30, 40]]
+        assert table.score.tolist() == [0.9]
 
     def test_ten_field_line(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("3,-1,0,0,10,10,0.5,-1,-1,-1\n")
-        (d,) = read_mot_detections(p)
-        assert d.frame == 3
+        assert read_detection_table(p).frame.tolist() == [3]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("")
-        assert read_mot_detections(p) == []
+        assert read_detection_table(p).frame.size == 0
 
     def test_malformed_line_names_location(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,10,20,30,40,0.9\n1,2,3,4,5\n")
         with pytest.raises(ValueError, match=r":2"):
-            read_mot_detections(p)
+            read_detection_table(p)
 
     def test_scores_clamped(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,0,0,10,10,3.7\n2,-1,0,0,10,10,-0.5\n")
-        scores = [d.score for d in read_mot_detections(p)]
-        assert scores == [1.0, 0.0]
+        assert read_detection_table(p).score.tolist() == [1.0, 0.0]
 
     def test_detection_round_trip(self, tmp_path):
         dets = [det(1, 10.5, 20.25, 30, 40, det_id=1),
                 det(2, 11.125, 21, 30, 40, score=0.25, det_id=2)]
         p = tmp_path / "det.txt"
         write_mot_detections(dets, p)
-        back = read_mot_detections(p)
-        for a, b in zip(dets, back):
-            assert b.frame == a.frame
-            assert b.box.cx == pytest.approx(a.box.cx, abs=1e-6)
-            assert b.score == pytest.approx(a.score, abs=1e-6)
+        back = read_detection_table(p)
+        assert back.frame.tolist() == [d.frame for d in dets]
+        assert back.boxes[:, 0].tolist() == pytest.approx([d.box.cx for d in dets], abs=1e-6)
+        assert back.score.tolist() == pytest.approx([d.score for d in dets], abs=1e-6)
 
 
 class TestMotTracks:
@@ -160,14 +153,14 @@ class TestMotColumns:
                 with pytest.raises(ValueError, match=message):
                     reader(path)
             return
-        boxes = sorted((f, tid, BoundingBox.from_ltwh(*map(float, ltwh)))
+        boxes = sorted((f, tid, ltwh_to_center(*map(float, ltwh)))
                        for tid, f, *ltwh, _ in rows if float(ltwh[2]) > 0 and float(ltwh[3]) > 0)
         got = frame_sorted(read_track_table(path))
-        want = frame_sorted(read_mot_tracks(path))
+        want = frame_sorted(tracks_table(read_mot_tracks(path)))
         assert got.frame.tolist() == want.frame.tolist() == sorted(f for _, f in kept)
         assert got.id.tolist() == want.id.tolist()
         assert got.boxes.tobytes() == want.boxes.tobytes()
-        assert got.boxes.tolist() == [[b.cx, b.cy, b.w, b.h] for _, _, b in boxes]
+        assert got.boxes.tolist() == [list(b) for _, _, b in boxes]
         assert [(f, tid) for f, tid in zip(got.frame.tolist(), got.id.tolist())] \
             == sorted((f, tid) for tid, f in kept)
 
@@ -175,7 +168,7 @@ class TestMotColumns:
         p = tmp_path / "res.txt"
         for row in ("1,1,0,0,nan,10,1", "1,1,0,0,10,10,nan"):
             p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-            for reader in (read_track_table, read_mot_tracks, read_mot_detections):
+            for reader in (read_track_table, read_mot_tracks, read_detection_table):
                 with pytest.raises(ValueError, match=r":2: box size and confidence"):
                     reader(p)
 
@@ -189,7 +182,7 @@ class TestMotColumns:
     def test_non_finite_value_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
+        for reader in (read_track_table, read_mot_tracks, read_detection_table):
             with pytest.raises(ValueError, match=r"res\.txt:2: "):
                 reader(p)
 
@@ -202,15 +195,14 @@ class TestMotColumns:
     def test_frame_or_id_beyond_2_53_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
+        for reader in (read_track_table, read_mot_tracks, read_detection_table):
             with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be below 2\*\*53"):
                 reader(p)
 
     def test_largest_exact_frame_and_id_kept(self, tmp_path):
         p = tmp_path / "res.txt"
         p.write_text("9007199254740991,-9007199254740991,0,0,10,10,1\n")
-        (d,) = read_mot_detections(p)
-        assert d.frame == 2 ** 53 - 1
+        assert read_detection_table(p).frame.tolist() == [2 ** 53 - 1]
 
 
 class TestKitti:
@@ -223,48 +215,46 @@ class TestKitti:
     def test_corner_parse_and_frame_shift(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line() + "\n")
-        (track,) = read_tracks(p, "kitti")
-        (d,) = track.entries
-        assert track.track_id == 1
-        assert d.frame == 1  # KITTI frame 0 -> internal 1
-        assert (d.box.cx, d.box.cy, d.box.w, d.box.h) == (50, 25, 100, 50)
-        assert d.class_id == KITTI_CLASSES.index("Car")
+        table = read_track_table(p, "kitti")
+        assert table.id.tolist() == [1]
+        assert table.frame.tolist() == [1]  # KITTI frame 0 -> internal 1
+        assert table.boxes.tolist() == [[50, 25, 100, 50]]
+        assert table.class_id.tolist() == [KITTI_CLASSES.index("Car")]
 
     def test_class_filter(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="Car") + "\n"
                      + self.kitti_line(frame=1, tid=2, cls="Pedestrian") + "\n")
-        assert [t.track_id for t in read_tracks(p, "kitti", ("Pedestrian",))] == [2]
-        assert read_detections(p, "kitti", ("Cyclist",)) == []
+        assert read_track_table(p, "kitti", ("Pedestrian",)).id.tolist() == [2]
+        assert read_detection_table(p, "kitti", ("Cyclist",)).frame.size == 0
 
     def test_dontcare_ignored(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="DontCare") + "\n")
-        assert read_detections(p, "kitti") == []
+        assert read_detection_table(p, "kitti").frame.size == 0
 
     def test_unknown_class_warns(self, tmp_path, caplog):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(cls="Unicycle") + "\n")
         with caplog.at_level("WARNING"):
-            assert read_detections(p, "kitti") == []
+            assert read_detection_table(p, "kitti").frame.size == 0
         assert any("unknown class" in r.message for r in caplog.records)
 
     def test_score_column_optional(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(score=0.75) + "\n")
-        (d,) = read_detections(p, "kitti")
-        assert d.score == 0.75
+        assert read_detection_table(p, "kitti").score.tolist() == [0.75]
 
     def test_write_read_round_trip(self, tmp_path):
         t = Trajectory(3, (det(1, 10, 20, 30, 40, score=0.5, det_id=1),
                            det(2, 12, 21, 30, 40, score=0.6, det_id=2)))
         p = tmp_path / "out.txt"
-        write_kitti_tracking([t], p)
-        (back,) = read_tracks(p, "kitti", ("Car",))
-        assert back.track_id == 3
-        for b, ea in zip(back.entries, t.entries, strict=True):
-            assert b.frame == ea.frame
-            assert b.box.cx == pytest.approx(ea.box.cx, abs=1e-6)
+        write_table(tracks_table([t]), p, "kitti")
+        back = read_track_table(p, "kitti", ("Car",))
+        assert back.id.tolist() == [3, 3]
+        assert back.frame.tolist() == [e.frame for e in t.entries]
+        assert back.boxes[:, 0].tolist() == pytest.approx([e.box.cx for e in t.entries],
+                                                          abs=1e-6)
         # 3-D placeholders present on every row.
         for line in p.read_text().splitlines():
             assert " -1000 " in line
@@ -277,7 +267,7 @@ class TestKitti:
         row = self.kitti_line(frame=1, **{"score": 0.9, field: value})
         p.write_text(self.kitti_line(score=0.9) + "\n" + row + "\n")
         with pytest.raises(ValueError, match=r"labels\.txt:2: box size and confidence"):
-            read_detections(p, "kitti")
+            read_detection_table(p, "kitti")
 
     # 10**400 is past float range: it must fail the range check, not overflow.
     @pytest.mark.parametrize("frame, tid", [(2 ** 53, 1), (0, -2 ** 60), (10 ** 400, 1)])
@@ -285,28 +275,28 @@ class TestKitti:
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(frame=frame, tid=tid) + "\n")
         with pytest.raises(ValueError, match=r"labels\.txt:1: frame and id must be below"):
-            read_detections(p, "kitti")
+            read_detection_table(p, "kitti")
 
     def test_bad_token_count(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text("0 1 Car 0 0\n")
         with pytest.raises(ValueError, match=r":1"):
-            read_detections(p, "kitti")
+            read_detection_table(p, "kitti")
 
     def test_tracks_grouped_by_id_in_frame_order(self, tmp_path):
         p = tmp_path / "labels.txt"
         lines = [self.kitti_line(frame=1, tid=4), self.kitti_line(frame=0, tid=4),
                  self.kitti_line(frame=0, tid=2)]
         p.write_text("\n".join(lines) + "\n")
-        tracks = read_tracks(p, "kitti")
-        assert [t.track_id for t in tracks] == [2, 4]
-        assert [e.frame for e in tracks[1].entries] == [1, 2]
+        table = frame_sorted(read_track_table(p, "kitti"))
+        assert np.unique(table.id).tolist() == [2, 4]
+        assert table.frame[table.id == 4].tolist() == [1, 2]
 
     def test_track_with_repeated_frame_rejected(self, tmp_path):
         p = tmp_path / "labels.txt"
         p.write_text(self.kitti_line(tid=3) + "\n" + self.kitti_line(tid=3) + "\n")
         with pytest.raises(ValueError, match=":2: track 3 has two boxes at frame 1"):
-            read_tracks(p, "kitti")
+            read_track_table(p, "kitti")
 
 
 def _line(fmt, frame, tid=1, left=0.0, top=0.0, w=10.0, h=10.0):
@@ -328,8 +318,8 @@ class TestEitherFormat:
         first = FIRST_FRAME[fmt]
         p.write_text(_line(fmt, first, w=0.0) + _line(fmt, first, h=-1.0) + _line(fmt, first))
         with caplog.at_level("WARNING"):
-            dets = read_detections(p, fmt)
-        assert len(dets) == 1
+            dets = read_detection_table(p, fmt)
+        assert dets.frame.size == 1
         assert [r.message for r in caplog.records] == [
             f"{p}: rejected 2 records with non-positive size"]
 
@@ -339,16 +329,15 @@ class TestEitherFormat:
         p.write_text(_line(fmt, first) + _line(fmt, first - 1))
         with pytest.raises(ValueError, match=rf"labels\.txt:2: frame index {first - 1} must be "
                                              rf">= {first}"):
-            read_detections(p, fmt)
+            read_detection_table(p, fmt)
 
     def test_negative_id_rejected_in_track_files(self, tmp_path, fmt):
         p = tmp_path / "res.txt"
         first = FIRST_FRAME[fmt]
         p.write_text(_line(fmt, first) + _line(fmt, first + 1, tid=-1))
-        for reader in (read_tracks, read_track_table):
-            with pytest.raises(ValueError, match=r"res\.txt:2: track id -1 invalid in a track file"):
-                reader(p, fmt)
-        assert len(read_detections(p, fmt)) == 2
+        with pytest.raises(ValueError, match=r"res\.txt:2: track id -1 invalid in a track file"):
+            read_track_table(p, fmt)
+        assert read_detection_table(p, fmt).frame.size == 2
 
 
 class TestWritersMatchPerRowReference:
@@ -361,7 +350,8 @@ class TestWritersMatchPerRowReference:
         for module, out in zip((mot_io, reference), dirs):
             module.write_mot_results(trajs, out / "mot.txt")
             module.write_mot_detections(dets, out / "det.txt")
-            module.write_kitti_tracking(trajs, out / "kitti.txt")
+        write_table(tracks_table(trajs), dirs[0] / "kitti.txt", "kitti")
+        reference.write_kitti(trajs, dirs[1] / "kitti.txt")
         for name in ("mot.txt", "det.txt", "kitti.txt"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
@@ -372,7 +362,7 @@ class TestFractionalFrameOrId:
     def test_fractional_frame_or_id_names_the_line(self, tmp_path, row):
         p = tmp_path / "res.txt"
         p.write_text("1,2,0,0,10,10,1\n" + row + "\n")
-        for reader in (read_track_table, read_mot_tracks, read_mot_detections):
+        for reader in (read_track_table, read_mot_tracks, read_detection_table):
             with pytest.raises(ValueError, match=r"res\.txt:2: frame and id must be whole"):
                 reader(p)
 

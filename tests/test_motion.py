@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertrack import motion
-from intertrack.geometry import SimilarityKernel, consistent_iou, stack_boxes
+from intertrack.geometry import SimilarityKernel, consistent_iou_kernel
 from intertrack.hierarchy import TrackletTable
-from intertrack.model import BoundingBox, Detection, Tracklet, TrackerConfig
+from intertrack.model import BoundingBox, Detection, TrackerConfig, Trajectory, stack_boxes
 from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
 
 CFG = TrackerConfig()
@@ -15,7 +17,7 @@ CFG = TrackerConfig()
 def linear_tracklet(tid, frames, x0=100.0, y0=200.0, vx=3.0, vy=-2.0, w=40.0, h=50.0):
     dets = [Detection(frame=f, box=BoundingBox(x0 + vx * f, y0 + vy * f, w, h), score=0.9)
             for f in frames]
-    return Tracklet.build(tid, dets)
+    return Trajectory(tid, tuple(dets))
 
 
 def columns(entries):
@@ -26,11 +28,13 @@ def columns(entries):
 
 def table_of(*tracklets):
     """One table of the tracklets' entries, in order, and the TrackletTable
-    of the tracklets, in the order given."""
+    of the tracklets (frame-sorted Trajectories, track_id the tid), in the
+    order given."""
     frame, boxes = columns([e for t in tracklets for e in t.entries])
     return frame, boxes, TrackletTable(
         np.arange(len(frame)), np.array([len(t) for t in tracklets]),
-        *(np.array([getattr(t, key) for t in tracklets]) for key in ("tid", "t_min", "t_max")))
+        *(np.array([getattr(t, key) for t in tracklets])
+          for key in ("track_id", "t_min", "t_max")))
 
 
 def states_of(runs):
@@ -112,7 +116,7 @@ class TestPredict:
     def test_stationary_prediction_is_identity(self):
         dets = [Detection(frame=f, box=BoundingBox(50, 60, 20, 30), score=0.9)
                 for f in range(1, 8)]
-        state = final_state(Tracklet.build(1, dets))
+        state = final_state(Trajectory(1, tuple(dets)))
         for horizon in (7, 10, 50):
             np.testing.assert_allclose(_advance(state, horizon - 7), [50, 60, 20, 30],
                                        atol=1e-9)
@@ -121,7 +125,7 @@ class TestPredict:
         # Shrinking boxes extrapolated far enough would go negative.
         dets = [Detection(frame=f, box=BoundingBox(100, 100, 50 - 4 * f, 50 - 4 * f),
                           score=0.9) for f in range(1, 8)]
-        _, _, w, h = _advance(final_state(Tracklet.build(1, dets)), 40 - 7)
+        _, _, w, h = _advance(final_state(Trajectory(1, tuple(dets))), 40 - 7)
         assert w >= 1.0 and h >= 1.0
 
     def test_more_updates_never_hurt(self):
@@ -144,16 +148,13 @@ class TestPairSimilarity:
     def test_stationary_gap_one_is_perfect(self):
         dets = [Detection(frame=f, box=BoundingBox(50, 60, 80, 80), score=0.9)
                 for f in range(1, 4)]
-        a = Tracklet.build(1, dets)
-        b = Tracklet.build(2, [Detection(frame=4, box=BoundingBox(50, 60, 80, 80),
-                                         score=0.9)])
+        a = Trajectory(1, tuple(dets))
+        b = Trajectory(2, (Detection(frame=4, box=BoundingBox(50, 60, 80, 80), score=0.9),))
         assert self.sim(a, b) == pytest.approx(1.0, abs=1e-9)
 
     def test_far_apart_is_zero(self):
-        a = Tracklet.build(1, [Detection(frame=1, box=BoundingBox(0, 0, 10, 10),
-                                         score=0.9)])
-        b = Tracklet.build(2, [Detection(frame=2, box=BoundingBox(900, 900, 10, 10),
-                                         score=0.9)])
+        a = Trajectory(1, (Detection(frame=1, box=BoundingBox(0, 0, 10, 10), score=0.9),))
+        b = Trajectory(2, (Detection(frame=2, box=BoundingBox(900, 900, 10, 10), score=0.9),))
         assert self.sim(a, b) == 0.0
 
     def test_linear_bridge_over_gap(self):
@@ -167,8 +168,8 @@ class TestPairSimilarity:
         a = linear_tracklet(1, range(1, 8))
         b = linear_tracklet(2, range(12, 19))
         base = self.sim(a, b)
-        shift = lambda t, tid: Tracklet.build(tid, [
-            d.with_box(d.box.translated(37.0, -12.0)) for d in t.entries])
+        shift = lambda t, tid: Trajectory(tid, tuple(
+            dataclasses.replace(d, box=d.box.translated(37.0, -12.0)) for d in t.entries))
         moved = self.sim(shift(a, 3), shift(b, 4))
         assert moved == pytest.approx(base, abs=1e-9)
 
@@ -183,9 +184,9 @@ class TestPairSimilarity:
         rng = np.random.RandomState(7)
 
         def jittered(tid, frames):
-            return Tracklet.build(tid, [Detection(frame=f, box=BoundingBox(
+            return Trajectory(tid, tuple(Detection(frame=f, box=BoundingBox(
                 100 + rng.uniform(-3, 3), 100 + rng.uniform(-3, 3), 40, 40), score=0.9)
-                for f in frames])
+                for f in frames))
         a, b = jittered(1, range(1, 15)), jittered(2, range(4, 20))  # share frames 4..14
         kernel = SimilarityKernel(CFG)
         want = np.mean(kernel(stack_boxes([e.box for e in a.entries[3:]]),
@@ -196,7 +197,7 @@ class TestPairSimilarity:
         a = linear_tracklet(1, range(1, 10))
         conflict = [Detection(frame=f, box=BoundingBox(1000, 1000, 10, 10), score=0.9)
                     for f in range(8, 12)]
-        b = Tracklet.build(2, conflict)
+        b = Trajectory(2, tuple(conflict))
         assert self.sim(a, b) == 0.0
 
     def test_interleaved_overlap_falls_back_to_prediction(self):
@@ -216,8 +217,8 @@ class TestPairSimilarity:
         pairs = [(a, linear_tracklet(2, range(12, 19))),     # gap: cross prediction
                  (a, linear_tracklet(3, range(7, 15))),      # shares frames 7..9
                  (linear_tracklet(4, [1, 3, 5, 7]), linear_tracklet(5, [6, 8, 10])),
-                 (a, Tracklet.build(6, [Detection(frame=f, box=BoundingBox(900, 900, 10, 10),
-                                                  score=0.9) for f in (8, 9)]))]
+                 (a, Trajectory(6, tuple(Detection(frame=f, box=BoundingBox(900, 900, 10, 10),
+                                                   score=0.9) for f in (8, 9))))]
         kernel = SimilarityKernel(CFG)
         frame, boxes, tracklets = table_of(*(t for pair in pairs for t in pair))
         earlier = np.arange(0, tracklets.tid.size, 2)
@@ -241,13 +242,14 @@ class TestPairSimilarity:
         pairs = [(e, l) for e in tracks for l in tracks if 0 < l.t_min - e.t_max <= 8]
 
         def one(e, l):
-            fwd = BoundingBox(*_advance(final_state(e, True), l.t_min - e.t_max))
-            bwd = BoundingBox(*_advance(final_state(l, False), l.t_min - e.t_max))
-            return 0.5 * (consistent_iou(fwd, l.entries[0].box, CFG)
-                          + consistent_iou(e.entries[-1].box, bwd, CFG))
+            fwd = _advance(final_state(e, True), l.t_min - e.t_max)
+            bwd = _advance(final_state(l, False), l.t_min - e.t_max)
+            first, last = stack_boxes([l.entries[0].box, e.entries[-1].box])
+            return 0.5 * (consistent_iou_kernel(fwd, first, CFG)
+                          + consistent_iou_kernel(last, bwd, CFG))
         frame, boxes, tracklets = table_of(*tracks)
         index = {tid: k for k, tid in enumerate(tracklets.tid.tolist())}
-        a, b = (np.array([index[t.tid] for t in side]) for side in zip(*pairs))
+        a, b = (np.array([index[t.track_id] for t in side]) for side in zip(*pairs))
         got = pair_scores(tracklets, a, b, SimilarityKernel(CFG), FitCache(CFG, frame, boxes))
         assert len(pairs) > 10 and got.max() > CFG.match_threshold
         assert got.tolist() == [one(e, l) for e, l in pairs]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from intertrack.geometry import iou
+from intertrack.geometry import iou_kernel
+from intertrack.model import stack_boxes
 from intertrack.synth import Motion, ScenarioSpec, generate, spec_from_json, write_scenario
 
 
@@ -79,7 +80,7 @@ class TestGenerate:
                             crossing_speeds=(16.0, -5.0))
         gt, _ = generate(spec)
         hot = [t for t, (a, b) in enumerate(zip(gt[0].entries, gt[1].entries), 1)
-               if iou(a.box, b.box) > 0.5]
+               if iou_kernel(*stack_boxes([a.box, b.box])) > 0.5]
         assert len(hot) == 1
 
     def test_slow_crossing_rejected(self):

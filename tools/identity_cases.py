@@ -4,11 +4,20 @@ so that two source trees can be compared with `diff -r`.
     python3 tools/identity_cases.py OUT_DIR [--root CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is the source tree whose
-`src/intertrack` runs the cases; the inputs are always generated by this
-checkout, so two runs with different `--root` see the same input bytes:
+`src/intertrack` runs the cases; the inputs are always generated by the
+checkout holding this copy of the tool (its `src/` and `perfbench/`).  So
+two runs with different `--root` see the same input bytes and compare the
+outputs alone:
 
     python3 tools/identity_cases.py /tmp/new
     python3 tools/identity_cases.py /tmp/old --root /path/to/other/checkout
+    diff -r /tmp/old /tmp/new
+
+To compare the inputs as well (synth, `perfbench/` and the writers), run each
+checkout's own copy of the tool:
+
+    python3 /path/to/other/checkout/tools/identity_cases.py /tmp/old
+    python3 tools/identity_cases.py /tmp/new
     diff -r /tmp/old /tmp/new
 
 The cases:
@@ -72,7 +81,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from intertrack import mot_io, synth  # noqa: E402
-from intertrack.model import Trajectory  # noqa: E402
+from intertrack.model import Trajectory, tracks_table  # noqa: E402
 from intertrack.synth import ScenarioSpec  # noqa: E402
 
 from foreign import ForeignStyle, foreign_output  # noqa: E402
@@ -175,9 +184,8 @@ def _write_kitti_scene(specs=KITTI) -> None:
         dets += [Trajectory(len(dets) + k + 1, (det,)) for k, det in enumerate(d)]
         # One class at a time, so that no foreign track mixes two classes.
         theirs += _renumbered(foreign_output(g, spec.seed, FOREIGN)[0], len(theirs) + 1)
-    mot_io.write_kitti_tracking(gt, "gt.txt")
-    mot_io.write_kitti_tracking(dets, "det.txt")
-    mot_io.write_kitti_tracking(theirs, "theirs.txt")
+    for trajectories, path in ((gt, "gt.txt"), (dets, "det.txt"), (theirs, "theirs.txt")):
+        mot_io.write_table(tracks_table(trajectories), path, "kitti")
 
 
 def _cli_case(write, pass_args: list[str], eval_args: list[str]):
