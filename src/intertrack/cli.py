@@ -23,6 +23,7 @@ or configuration.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -84,7 +85,11 @@ def read_config_file(path: Path) -> dict:
     overrides: dict = {}
     lines: dict[str, int] = {}
     problems = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = mot_io.read_lines(path, lambda fh: fh.read().splitlines())
+    except ValueError as exc:  # not OSError: a missing file is no config fault
+        raise ConfigError([str(exc)]) from None
+    for lineno, raw in enumerate(text, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -164,27 +169,12 @@ def _sequence_jobs(in_path: Path, out_path: Optional[Path]) -> list[tuple[str, P
                        if p.is_file() and p.suffix == ".txt")
         if not files:
             raise FileNotFoundError(f"no *.txt sequence files in {in_path}")
-        jobs = []
-        for f in files:
-            out = None
-            if out_path is not None:
-                out_path.mkdir(parents=True, exist_ok=True)
-                out = out_path / f.name
-            jobs.append((f.stem, f, out))
-        return jobs
+        if out_path is not None:
+            out_path.mkdir(parents=True, exist_ok=True)
+        return [(f.stem, f, None if out_path is None else out_path / f.name) for f in files]
     if not in_path.exists():
         raise FileNotFoundError(f"no such file: {in_path}")
     return [(in_path.stem, in_path, out_path)]
-
-
-def _postprocess(run: hierarchy.TableRun, cfg: TrackerConfig, interp: bool,
-                 smooth: bool) -> BoxTable:
-    out = run.output()
-    if interp:
-        out = interpolate_rows(out, cfg.interpolation_max_gap)
-    if smooth:
-        out = smooth_rows(out, cfg.smoothing_sigma)
-    return out
 
 
 def _camera_text(profile) -> str:
@@ -227,49 +217,46 @@ def _dump_payload(result: hierarchy.TableRun) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# A job returns (name, output table, summary lines, dump payload or None when
-# no dump was asked for); the payload is pickled back from a pool worker only
-# when it is needed.
-
-def _job_result(job, result: hierarchy.TableRun, n_input: int):
-    name, _, cfg, _, _, interp, smooth, dump = job
-    return (name, _postprocess(result, cfg, interp, smooth),
-            _summary_lines(name, result, n_input), _dump_payload(result) if dump else None)
+# One sequence of a `track` or `refine` run, as a pool worker gets it.
+_Job = collections.namedtuple("_Job", "command name src cfg fmt class_filter interp smooth dump")
 
 
-def _track_job(job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
-    _, src, cfg, fmt, class_filter, *_ = job
-    dets = mot_io.read_detection_table(src, fmt, class_filter)
-    return _job_result(job, hierarchy.run_table(dets, cfg), dets.frame.size)
+def _run_job(job: _Job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
+    """Read, run and post-process one sequence: its name, output table and
+    summary lines, and its dump payload, None when no dump was asked for, so
+    that a pool worker pickles it back only when it is needed."""
+    if job.command == "track":
+        table = mot_io.read_detection_table(job.src, job.fmt, job.class_filter)
+        result = hierarchy.run_table(table, job.cfg)
+    else:
+        table = mot_io.read_track_table(job.src, job.fmt, job.class_filter)
+        # The engine's det_ids number the rows in file order.
+        result = hierarchy.associate_table(mot_io.numbered(table), split_rows(table), job.cfg)
+    out = result.output()
+    if job.interp:
+        out = interpolate_rows(out, job.cfg.interpolation_max_gap)
+    if job.smooth:
+        out = smooth_rows(out, job.cfg.smoothing_sigma)
+    return (job.name, out, _summary_lines(job.name, result, table.frame.size),
+            _dump_payload(result) if job.dump else None)
 
 
-def _refine_job(job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
-    _, src, cfg, fmt, class_filter, *_ = job
-    tracks = mot_io.read_track_table(src, fmt, class_filter)
-    # The engine's det_ids number the rows in file order.
-    result = hierarchy.associate_table(mot_io.numbered(tracks), split_rows(tracks), cfg)
-    return _job_result(job, result, tracks.frame.size)
-
-
-def _run_jobs(worker, jobs, workers: int):
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
-def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    """`track` or `refine`: each sequence of `--det`/`--in` to `--out`."""
     cfg = build_config(args)
     workers = _resolve_workers(args)
     class_filter = _class_filter(args)
     dump_path = getattr(args, "dump_hierarchy", None)
-    jobs = []
-    for name, src, dst in _sequence_jobs(in_path, out_path):
-        jobs.append(((name, src, cfg, args.format, class_filter,
-                      args.interp, args.smooth, dump_path is not None), dst))
-    results = _run_jobs(worker, [job for job, _ in jobs], workers)
+    sequences = _sequence_jobs(args.src, args.out)
+    jobs = [_Job(args.command, name, src, cfg, args.format, class_filter, args.interp,
+                 args.smooth, dump_path is not None) for name, src, _ in sequences]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_job, jobs))
+    else:
+        results = [_run_job(job) for job in jobs]
     dump: dict = {}
-    for (job, dst), (name, out, summary, payload) in zip(jobs, results):
+    for (_, _, dst), (name, out, summary, payload) in zip(sequences, results):
         if dst is not None:
             mot_io.write_table(out, dst, args.format)
         for line in summary:
@@ -280,14 +267,6 @@ def _run_pipeline(args, worker, in_path: Path, out_path: Path) -> int:
         dump_path.write_text(
             json.dumps(dump, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
-
-
-def cmd_track(args: argparse.Namespace) -> int:
-    return _run_pipeline(args, _track_job, args.det, args.out)
-
-
-def cmd_refine(args: argparse.Namespace) -> int:
-    return _run_pipeline(args, _refine_job, args.in_path, args.out)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -396,22 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_track = sub.add_parser("track", help="associate detections into trajectories")
-    p_track.add_argument("--det", type=Path, required=True,
+    p_track.add_argument("--det", dest="src", metavar="DET", type=Path, required=True,
                          help="detection file or directory of sequences")
     p_track.add_argument("--out", type=Path, required=True,
                          help="output file or directory")
     _add_io_flags(p_track)
     _add_config_flags(p_track)
-    p_track.set_defaults(func=cmd_track)
+    p_track.set_defaults(func=cmd_pipeline)
 
     p_refine = sub.add_parser("refine",
                               help="recombine and polish existing tracker output")
-    p_refine.add_argument("--in", dest="in_path", type=Path, required=True,
+    p_refine.add_argument("--in", dest="src", metavar="IN_PATH", type=Path, required=True,
                           help="tracker result file or directory")
     p_refine.add_argument("--out", type=Path, required=True)
     _add_io_flags(p_refine)
     _add_config_flags(p_refine)
-    p_refine.set_defaults(func=cmd_refine)
+    p_refine.set_defaults(func=cmd_pipeline)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
     p_eval.add_argument("--gt", type=Path, required=True)

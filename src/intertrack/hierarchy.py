@@ -11,11 +11,12 @@ feeds the detection-only camera-movement estimate that stabilizes all later
 levels.  A window-scheduled variant (non-overlapping temporal windows per
 level) is included as the ablation baseline.
 
-One engine serves both entry modes: `track` starts it from detections,
-`refine` from pre-formed tracklets.  Both share one camera step, one stage
-loop and one merge-to-fixpoint loop, which the two schedule strategies
-differ in only by which admissible pairs they keep; both frame-adjacent
-passes share one frame-linking loop and differ only in their score matrix.
+One function runs each class, `_run_class`: `track` starts it from
+detections, `refine` from pre-formed tracklets.  Both share one camera step,
+one stage loop and one merge-to-fixpoint loop, which the two schedule
+strategies differ in only by which admissible pairs they keep; both
+frame-adjacent passes share one frame-linking loop and differ only in their
+score matrix.
 
 Tracklet intervals are the priors that bound each level's candidates.  The
 merge loop never scans all pairs and builds no per-pair object: since the
@@ -44,22 +45,22 @@ augmenting paths.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` and
-`associate_table` return the output track id of each row kept.  Inside the
-engine a class's tracklets are one `TrackletTable` of arrays, which every
-pass takes with the class engine's table and reads by column: the rows of
-all tracklets laid end to end, and per tracklet its size, tid, t_min and
-t_max.  Links, between tracklets or rows
+`associate_table` return the output track id of each row kept.  Each class
+runs on its own table of the class's rows.  Its tracklets are one
+`TrackletTable` of arrays, which every pass takes with the class table and
+reads by column: the rows of all tracklets laid end to end, and per
+tracklet its size, tid, t_min and t_max.  Links, between tracklets or rows
 of adjacent frames, are chained as their connected components, laid out by
-one stable sort.  Camera stabilization replaces the box column of a class
-engine's own table, so the results keep the input boxes exactly.
+one stable sort.  Camera stabilization returns a class table with a new box
+column, so the results keep the input boxes exactly.
 
-Each class engine keeps one record of its levels: a list of `LevelTrace`s,
-each holding the level's `TrackletTable` and the engine table's frame and
-det_id columns.  A level's tracklet count and its (frame, det_id) members,
-which only `--dump-hierarchy` and library callers read, are computed when
-read, and `ClassRunResult.counts` (N_1..N_l) is derived from the same list:
-every trace but the interval schedule's low-score recovery, which only grows
-the first level's tracklets.
+Each class keeps one record of its levels: a tuple of `LevelTrace`s, each
+holding the level's `TrackletTable` and the class table's frame and det_id
+columns.  A level's tracklet count and its (frame, det_id) members, which
+only `--dump-hierarchy` and library callers read, are computed when read,
+and `ClassRunResult.counts` (N_1..N_l) is derived from the same tuple: every
+trace but the low-score recovery, which is its own trace in both schedules
+and only grows the first level's tracklets.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
@@ -79,7 +80,7 @@ from . import camera as camera_mod
 from .assignment import (connected_components, pair_chunks, padded_chunks, solve, solve_blocks,
                          solve_pairs)
 from .geometry import SimilarityKernel
-from .model import BoxTable, Stage, Strategy, TrackerConfig, validate_config
+from .model import BoxTable, Strategy, TrackerConfig, validate_config
 from .motion import FitCache, _advance, kalman_states, pair_scores
 
 log = logging.getLogger(__name__)
@@ -98,7 +99,7 @@ def engine_order(table: BoxTable) -> np.ndarray:
 
 
 class TrackletTable(NamedTuple):
-    """A class engine's tracklets, in (t_min, t_max, tid) order: the rows of
+    """A class's tracklets, in (t_min, t_max, tid) order: the rows of
     all of them laid end to end, each tracklet's in frame order, and per
     tracklet its size (row count), tid, t_min and t_max."""
     rows: np.ndarray
@@ -140,7 +141,7 @@ PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """A class's tracklets after one level, as rows of the engine's table;
+    """A class's tracklets after one level, as rows of the class table;
     its (frame, det_id) members are built only when read."""
     label: str
     tracklets: TrackletTable
@@ -160,7 +161,7 @@ class LevelTrace:
 
 
 # The label of the trace taken after low-score rows are absorbed into the
-# interval schedule's first level; it is no level of its own.
+# first level's tracklets: its own trace in both schedules, but no level.
 _RECOVERY = "low-score recovery"
 
 
@@ -172,8 +173,9 @@ class ClassRunResult:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        """The tracklet counts N_1..N_l of the levels; (0,) for a class
-        without high-score rows, which has no levels."""
+        """The tracklet counts N_1..N_l of the levels, leaving out the
+        low-score recovery, its own trace in both schedules; (0,) for a
+        class without high-score rows, which has no levels."""
         return tuple(lv.tracklet_count for lv in self.levels
                      if lv.label != _RECOVERY) or (0,)
 
@@ -505,106 +507,84 @@ def _adjacent_pairs(frame: np.ndarray, rows: np.ndarray,
     return a[keep], b[keep]
 
 
-def _stage_label(index: int, stage: Stage, window: bool) -> str:
-    return f"level-{index} ({_bounds_label(stage.bound, stage.overlap, window)})"
+def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray,
+            size: np.ndarray) -> tuple[Optional[camera_mod.CameraProfile], BoxTable]:
+    """Estimate camera movement from the frame-adjacent pairs inside the runs
+    of the given sizes laid end to end in `rows`; returns the profile, None
+    when disabled, and the table, its boxes stabilized when the camera
+    moves."""
+    if not cfg.enable_cc:
+        return None, table
+    frame, boxes = table.frame, table.boxes
+    a, b = _adjacent_pairs(frame, rows, size)
+    profile = camera_mod.estimate(frame[a], boxes[a], boxes[b], cfg.cc_threshold,
+                                  (int(frame.min()), int(frame.max())))
+    if profile.moving:
+        table = table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
+    return profile, table
 
 
-class _ClassEngine:
-    """Runs the full pipeline on the table of one class's detections and
-    keeps the log of its levels."""
-
-    def __init__(self, cfg: TrackerConfig, class_id: int, table: BoxTable):
-        self.cfg = cfg
-        self.class_id = class_id
-        self.table = table
-        self.kernel = SimilarityKernel(cfg)
-        self.window = cfg.strategy is Strategy.WINDOW
-        self.levels: list[LevelTrace] = []
-
-    def run_detections(self) -> ClassRunResult:
-        cfg = self.cfg
-        score = self.table.score
-        high = np.flatnonzero(score >= cfg.score_high)
-        low = np.flatnonzero((cfg.score_low <= score) & (score < cfg.score_high))
+def _run_class(cfg: TrackerConfig, class_id: int, table: BoxTable,
+               given: Optional[TrackletTable]) -> ClassRunResult:
+    """Run the pipeline on the table of one class's rows and keep the log of
+    its levels.  `refine` gives the class's pre-formed tracklets, which
+    every level merges.  `track` gives none: the high-score rows start as
+    singletons, the interval schedule's level 1 is their frame-adjacent
+    chaining, and the low-score rows are absorbed right after level 1."""
+    kernel, gate = SimilarityKernel(cfg), cfg.match_threshold
+    window = cfg.strategy is Strategy.WINDOW
+    low, chained = np.zeros(0, np.intp), None
+    if given is None:
+        high = np.flatnonzero(table.score >= cfg.score_high)
+        low = np.flatnonzero((cfg.score_low <= table.score) & (table.score < cfg.score_high))
         if not high.size:
-            return ClassRunResult(self.class_id, (), None)
-
-        chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
-        profile = self._camera(*chains)
-        frame = self.table.frame
-        tracklets = _tracklet_table(frame, high, np.ones(high.size, np.intp),
-                                    np.arange(1, high.size + 1))
-        self._record("singletons", tracklets)
-        if self.window:  # the window schedule starts from singletons
-            return self._stages(tracklets, 0, profile, low)
+            return ClassRunResult(class_id, (), None)
+        chains = adjacent_pass(table, high, kernel, gate)
+        start = _tracklet_table(table.frame, high, np.ones(high.size, np.intp),
+                                np.arange(1, high.size + 1))
+    else:
+        start, chains = given, (given.rows, given.size)
+    profile, table = _camera(cfg, table, *chains)
+    if given is None and not window:
         if profile is not None and profile.moving:
-            chains = adjacent_pass(self.table, high, self.kernel, cfg.match_threshold)
+            chains = adjacent_pass(table, high, kernel, gate)
         if cfg.enable_cm:
-            chains = consistent_motion_pass(self.table, high, chains, cfg, self.kernel)
-        # Interval level 1 is the frame-adjacent chaining itself.
-        rows, size = chains
-        tracklets = _tracklet_table(frame, rows, size, np.arange(1, size.size + 1))
-        self._record(_stage_label(1, cfg.stages[0], False), tracklets)
-        if len(low):
-            tracklets = byte_recovery(self.table, tracklets, low, self.kernel,
-                                      cfg.match_threshold)
-            self._record(_RECOVERY, tracklets)
-        return self._stages(tracklets, 1, profile)
+            chains = consistent_motion_pass(table, high, chains, cfg, kernel)
+        chained = _tracklet_table(table.frame, *chains, np.arange(1, chains[1].size + 1))
+    score: PairScorer = functools.partial(pair_scores, kernel=kernel,
+                                          cache=FitCache(cfg, table.frame, table.boxes))
 
-    def run_tracklets(self, tracklets: TrackletTable) -> ClassRunResult:
-        """Associate pre-formed tracklets (the recombination mode)."""
-        profile = self._camera(tracklets.rows, tracklets.size)
-        self._record("input tracklets", tracklets)
-        return self._stages(tracklets, 0, profile)
-
-    def _camera(self, rows: np.ndarray, size: np.ndarray) -> Optional[camera_mod.CameraProfile]:
-        """Estimate camera movement from the frame-adjacent pairs inside the
-        runs of the given sizes laid end to end in `rows`, and stabilize the
-        table's boxes when the camera moves; returns the profile, None when
-        disabled."""
-        if not self.cfg.enable_cc:
-            return None
-        frame, boxes = self.table.frame, self.table.boxes
-        a, b = _adjacent_pairs(frame, rows, size)
-        profile = camera_mod.estimate(frame[a], boxes[a], boxes[b], self.cfg.cc_threshold,
-                                      (int(frame.min()), int(frame.max())))
-        if profile.moving:
-            self.table = self.table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
-        return profile
-
-    def _record(self, label: str, tracklets: TrackletTable) -> None:
-        self.levels.append(LevelTrace(label, tracklets, self.table.frame, self.table.id))
-
-    def _stages(self, tracklets: TrackletTable, first: int,
-                profile: Optional[camera_mod.CameraProfile],
-                low: Sequence[int] = ()) -> ClassRunResult:
-        """Run the schedule from stage index `first` on, recording each level,
-        and return the class's result with its camera `profile`; `low` rows
-        are absorbed right after the first stage."""
-        gate, table = self.cfg.match_threshold, self.table
-        cache = FitCache(self.cfg, table.frame, table.boxes)
-        score: PairScorer = functools.partial(pair_scores, kernel=self.kernel, cache=cache)
-        for k, stage in enumerate(self.cfg.stages[first:], start=first + 1):
-            if self.window:
+    def steps(tracklets):  # (label, tracklets) after each step
+        yield ("singletons" if given is None else "input tracklets"), tracklets
+        for k, stage in enumerate(cfg.stages, start=1):
+            if k == 1 and chained is not None:
+                tracklets = chained
+            elif window:
                 tracklets = window_strategy_pass(table, tracklets, stage.bound, score, gate)
             else:
                 tracklets = hierarchy_pass(table, tracklets, stage.bound, stage.overlap, score,
                                            gate)
-            if k == 1 and len(low):
-                tracklets = byte_recovery(table, tracklets, low, self.kernel, gate)
-            self._record(_stage_label(k, stage, self.window), tracklets)
-        return ClassRunResult(self.class_id, tuple(self.levels), profile)
+            yield f"level-{k} ({_bounds_label(stage.bound, stage.overlap, window)})", tracklets
+            if k == 1 and low.size:
+                tracklets = byte_recovery(table, tracklets, low, kernel, gate)
+                yield _RECOVERY, tracklets
+    return ClassRunResult(class_id, tuple(LevelTrace(label, tracklets, table.frame, table.id)
+                                          for label, tracklets in steps(start)), profile)
 
 
 def _run_per_class(table: BoxTable, cfg: TrackerConfig,
-                   start: Callable[[_ClassEngine, np.ndarray], ClassRunResult]) -> TableRun:
-    """Run one engine per class on its rows of `table`, and number the
-    combined tracks of the classes' last levels in (t_min, t_max, class)
-    order.  `start(engine, rows)` runs the engine of the class's `rows`."""
+                   given: Optional[TrackletTable] = None) -> TableRun:
+    """Run `_run_class` on each class's rows of `table`, with its tracklets
+    of `given` when given, and number the combined tracks of the classes'
+    last levels in (t_min, t_max, class) order."""
     results, finals = [], [TrackletTable(*[np.zeros(0, np.intp)] * 5)]
     for class_id in np.unique(table.class_id).tolist():
         rows = np.flatnonzero(table.class_id == class_id)
-        result = start(_ClassEngine(cfg, class_id, table.take(rows)), rows)
+        mine = None
+        if given is not None:
+            mine = given.take(table.class_id[given.first()] == class_id)
+            mine = mine._replace(rows=np.searchsorted(rows, mine.rows))
+        result = _run_class(cfg, class_id, table.take(rows), mine)
         log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
         results.append(result)
         if result.levels:
@@ -623,8 +603,7 @@ def run_table(table: BoxTable, cfg: TrackerConfig) -> TableRun:
     1..N in its order."""
     validate_config(cfg)
     table = table.take(engine_order(table))
-    return _run_per_class(table._replace(id=np.arange(1, table.frame.size + 1)), cfg,
-                          lambda engine, rows: engine.run_detections())
+    return _run_per_class(table._replace(id=np.arange(1, table.frame.size + 1)), cfg)
 
 
 def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
@@ -644,8 +623,4 @@ def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
     whole = _tracklet_table(table.frame, row_of[np.concatenate([np.zeros(0, np.intp),
                                                                 *tracklets])],
                             size, np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
-
-    def start(engine: _ClassEngine, class_rows: np.ndarray) -> ClassRunResult:
-        mine = whole.take(table.class_id[whole.first()] == engine.class_id)
-        return engine.run_tracklets(mine._replace(rows=np.searchsorted(class_rows, mine.rows)))
-    return _run_per_class(table, cfg, start)
+    return _run_per_class(table, cfg, whole)

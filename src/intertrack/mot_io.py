@@ -33,6 +33,7 @@ and emit a fixed six-decimal format so write→read→write is byte-identical.
 
 from __future__ import annotations
 
+import io
 import logging
 from functools import partial
 from pathlib import Path
@@ -175,10 +176,25 @@ def _format(fmt: str, class_filter: Optional[Sequence[str]] = None) -> _Format:
 _INDEX_LIMIT = 2 ** 53
 
 
+def read_lines(path: PathLike,
+               split: Callable[[io.TextIOBase], list[str]] = io.TextIOBase.readlines) -> list[str]:
+    """`split` of a UTF-8 file opened in text mode.  A byte that is not UTF-8
+    fails as `path:line: not UTF-8 text`, its line counted by `split` too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return split(fh)
+    except UnicodeDecodeError:
+        try:  # the text-mode error's position is within one decoded chunk
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = io.StringIO(exc.object[:exc.start].decode("utf-8") + "x", newline=None)
+            raise ValueError(f"{path}:{len(split(head))}: not UTF-8 text") from None
+        raise
+
+
 def _read(path: PathLike, fmt: _Format, track_file: bool) -> BoxTable:
     """Parse and check a file (see the module notes); `id` is its id column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     table = fmt.bulk(lines) if fmt.bulk else None
     how = "line by line" if table is None else "bulk"
     if table is None:

@@ -124,7 +124,7 @@ def _advance(states: np.ndarray, steps) -> np.ndarray:
 
 
 class FitCache:
-    """Final filter states of a class engine's tracklets in one array per
+    """Final filter states of a class's tracklets in one array per
     direction, indexed by tracklet id; ids are never reused, and a
     tracklet's rows never change under one id.
 

@@ -235,6 +235,13 @@ def write_scenario(spec: ScenarioSpec, out_dir) -> tuple[Path, Path]:
     return gt_path, det_path
 
 
+def _target(key: str, index: str) -> int:
+    try:
+        return int(index)
+    except ValueError:
+        raise ValueError(f"{key} key {index!r} is not an integer target index") from None
+
+
 def spec_from_json(path) -> ScenarioSpec:
     """Load and validate a ScenarioSpec from a JSON file.
 
@@ -245,6 +252,8 @@ def spec_from_json(path) -> ScenarioSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object of scenario keys")
         unknown = set(raw) - {f.name for f in fields(ScenarioSpec)}
         if unknown:
             raise ValueError(f"unknown scenario keys {sorted(unknown)}")
@@ -255,8 +264,10 @@ def spec_from_json(path) -> ScenarioSpec:
                 raw[key] = tuple(raw[key])
         for key in ("miss_intervals", "score_dips"):
             if key in raw:
-                raw[key] = {int(k): [tuple(iv) for iv in v]
-                            for k, v in raw[key].items()}
+                if not isinstance(raw[key], dict):
+                    raise ValueError(f"{key} must be a JSON object keyed by target index, "
+                                     f"got {raw[key]!r}")
+                raw[key] = {_target(key, k): [tuple(iv) for iv in v] for k, v in raw[key].items()}
         spec = ScenarioSpec(**raw)
         spec.validate()
     except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError

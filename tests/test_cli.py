@@ -191,6 +191,12 @@ class TestTrack:
         assert cli.main(["eval", "--gt", str(path), "--pred", str(path), "--kv"]) == 1
         assert "m.txt:2: frame and id must be below 2**53" in capsys.readouterr().err
 
+    def test_eval_of_non_utf8_byte_fails_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1,1,0,0,10,10,1\n2,1,0,0,10,10,1\xff\n")
+        assert cli.main(["eval", "--gt", str(path), "--pred", str(path), "--kv"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
+
     def test_negative_kitti_frame_fails_at_its_line(self, tmp_path, capsys):
         path = tmp_path / "k.txt"
         path.write_text("-3 1 Car 0 0 -10 0 0 100 50 1.5 1.6 3.8 1 1 1 0.1\n")
@@ -258,6 +264,16 @@ class TestTrack:
         assert cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
                          "--config", str(cfile)]) == 2
         assert "kf_position_weight must be finite, got inf" in capsys.readouterr().err
+
+    def test_non_utf8_config_line_fails_with_2(self, tmp_path, capsys):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        cfile = tmp_path / "cfg.txt"
+        # The config reader splits lines as str.splitlines does, also at \x1c.
+        cfile.write_bytes(b"# tuned\x1c by hand\r\nmatch_threshold = 0.\xff3\n")
+        assert cli.main(["track", "--det", str(det), "--out", str(tmp_path / "o.txt"),
+                         "--config", str(cfile)]) == 2
+        assert capsys.readouterr().err == \
+            f"configuration error: invalid config: {cfile}:3: not UTF-8 text\n"
 
     @pytest.mark.parametrize("line", ["final_overlap = abc", "match_threshold = x",
                                       "interpolation_max_gap = 2.5"])
@@ -531,8 +547,18 @@ class TestSynth:
          "each of miss_intervals's entries must be 2 numbers"),
         ('{"n_targets": 5, "n_frames": 10, "motion": "sinusoidal", "sine_period": 0}',
          "sine_period must not be 0"),
+        ('[1, 2]', "expected a JSON object of scenario keys"),
+        ('"abc"', "expected a JSON object of scenario keys"),
+        ('{"n_targets": 5, "n_frames": 10, "miss_intervals": [1]}',
+         "miss_intervals must be a JSON object keyed by target index, got [1]"),
+        ('{"n_targets": 5, "n_frames": 10, "score_dips": {"x": [[2, 4, 0.1]]}}',
+         "score_dips key 'x' is not an integer target index"),
+        ('{"n_targets": 5, "n_frames": 10, "miss_intervals": {"x": [[2, 4]]}}',
+         "miss_intervals key 'x' is not an integer target index"),
     ], ids=["string-count", "json-syntax", "miss-prob", "noise-sigma", "size-jitter",
-            "max-speed", "base-score", "dip-score", "interval-entry", "sine-period"])
+            "max-speed", "base-score", "dip-score", "interval-entry", "sine-period",
+            "top-level-array", "top-level-string", "intervals-array", "dip-key",
+            "interval-key"])
     def test_faulty_spec_names_the_file(self, tmp_path, capsys, text, problem):
         spec = tmp_path / "spec.json"
         spec.write_text(text)

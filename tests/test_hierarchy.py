@@ -39,7 +39,7 @@ from intertrack.model import (
 )
 from intertrack.metrics import evaluate
 from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
-from intertrack.mot_io import read_detection_table, write_mot_detections
+from intertrack.mot_io import numbered, read_detection_table, write_mot_detections
 from intertrack.refine import split_rows
 from intertrack.synth import Motion, ScenarioSpec, generate
 
@@ -749,16 +749,17 @@ class TestWindowScheduleRun:
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         assert len(tracks_of(res)) >= 4
 
-    def test_low_scores_absorbed_inside_level_one(self):
+    def test_low_scores_absorbed_right_after_level_one(self):
         cfg = dataclasses.replace(TrackerConfig(),
                                   strategy=Strategy.WINDOW)
         dets = [det(f, 100.0, det_id=f) for f in range(1, 5)]
         dets.append(det(5, 100.0, score=0.3, det_id=5))
         info = run_table(table_of(dets), cfg).per_class[0]
         labels = [lv.label for lv in info.levels]
-        assert labels[:2] == ["singletons", "level-1 (window 2)"]
-        assert "low-score recovery" not in labels
+        assert labels[:3] == ["singletons", "level-1 (window 2)", "low-score recovery"]
         frames = sorted(tuple(f for f, _ in m) for m in info.levels[1].members)
+        assert frames == [(1, 2), (3, 4)]
+        frames = sorted(tuple(f for f, _ in m) for m in info.levels[2].members)
         assert frames == [(1, 2), (3, 4, 5)]
 
 
@@ -847,14 +848,60 @@ class TestLevelRecord:
         # A class with only low-score rows never reaches the engine's levels.
         assert (cls1.class_id, cls1.counts, cls1.levels, cls1.camera) == (1, (0,), (), None)
 
-    def test_window_has_no_recovery_level(self):
+    def test_window_records_recovery_but_leaves_it_out_of_counts(self):
         cfg = dataclasses.replace(TrackerConfig(), strategy=Strategy.WINDOW)
         cls0, cls1 = run_table(self.dets(), cfg).per_class
-        self.check_log(cls0, len(cfg.stages))
-        assert self.RECOVERY not in [lv.label for lv in cls0.levels]
-        assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels)
+        self.check_log(cls0, len(cfg.stages) + 1)
+        labels = [lv.label for lv in cls0.levels]
+        assert labels[:3] == ["singletons", "level-1 (window 2)", self.RECOVERY]
+        assert cls0.counts == tuple(lv.tracklet_count for lv in cls0.levels
+                                    if lv.label != self.RECOVERY)
         assert cls0.counts[0] == 12
+        level1, recovery = cls0.levels[1:3]
+        assert recovery.tracklet_count == level1.tracklet_count == 7
+        # The low-score box at frame 9 extends the level-1 tracklet 7-8.
+        assert sorted(sorted(f for f, _ in m) for m in recovery.members) == \
+            [[1, 2], [3, 4], [5, 6], [7, 8, 9], [12], [13, 14], [15]]
         assert (cls1.counts, cls1.levels, cls1.camera) == ((0,), (), None)
+
+    # A panning scene whose targets 0 and 2 dip below the high-score gate.
+    PAN = ScenarioSpec(n_targets=4, n_frames=60, seed=5, max_speed=1.0, miss_prob=0.05,
+                       camera_pan=(20.0, 1.5),
+                       score_dips={0: [(20, 26, 0.3)], 2: [(40, 44, 0.3)]})
+
+    @pytest.mark.parametrize("strategy", [Strategy.INTERVAL, Strategy.WINDOW])
+    @pytest.mark.parametrize("command", ["track", "refine"])
+    def test_level_log(self, command, strategy):
+        cfg = dataclasses.replace(TrackerConfig(), strategy=strategy)
+        gt, dets = generate(self.PAN)
+        if command == "track":
+            res = run_table(table_of(dets), cfg)
+            start = "singletons"
+        else:  # the ground truth, each track cut in two at frame 30
+            tracks = tracks_table(gt)
+            tracks = tracks._replace(id=2 * tracks.id + (tracks.frame > 30))
+            res = associate_table(numbered(tracks), split_rows(tracks), cfg)
+            start = "input tracklets"
+        (info,) = res.per_class
+        assert info.camera.moving
+        labels = [lv.label for lv in info.levels]
+        stages = [f"level-{k}" for k in range(1, len(cfg.stages) + 1)]
+        if command == "track":
+            stages.insert(1, self.RECOVERY)
+        assert [label.split(" (")[0] for label in labels] == [start, *stages]
+        assert info.counts == tuple(lv.tracklet_count for lv in info.levels
+                                    if lv.label != self.RECOVERY)
+        if command == "track":
+            level1, recovery = info.levels[1:3]
+            assert recovery.tracklet_count == level1.tracklet_count
+            t = res.table  # its ids number the rows, as the members' det_ids do
+            high = set(zip(t.frame[t.score >= cfg.score_high].tolist(),
+                           t.id[t.score >= cfg.score_high].tolist()))
+            before = {pair for m in level1.members for pair in m}
+            after = {pair for m in recovery.members for pair in m}
+            assert before == high and before < after
+        kept = sorted(zip(res.table.frame[res.rows].tolist(), res.table.id[res.rows].tolist()))
+        assert sorted(pair for m in info.levels[-1].members for pair in m) == kept
 
     def test_refine_counts_start_at_the_input_tracklets(self):
         cfg = TrackerConfig()

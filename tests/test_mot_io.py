@@ -331,6 +331,17 @@ class TestEitherFormat:
                                              rf">= {first}"):
             read_detection_table(p, fmt)
 
+    def test_non_utf8_byte_names_the_line(self, tmp_path, fmt):
+        # CRLF line ends, and the byte lies past the first chunk a text-mode
+        # read decodes, where the decoder's own position is chunk-relative.
+        p = tmp_path / "det.txt"
+        lines = [_line(fmt, FIRST_FRAME[fmt] + k).replace("\n", "\r\n").encode()
+                 for k in range(500)]
+        lines[400] = lines[400][:-2] + b"\xff\r\n"
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=r"^.*det\.txt:401: not UTF-8 text$"):
+            read_detection_table(p, fmt)
+
     def test_negative_id_rejected_in_track_files(self, tmp_path, fmt):
         p = tmp_path / "res.txt"
         first = FIRST_FRAME[fmt]
