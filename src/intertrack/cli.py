@@ -12,9 +12,12 @@ config file (--config), explicit flags.  Each setting has one name: a config
 key is a TrackerConfig field, and so is the dest of the flag that sets it;
 a file value and a flag's string go through one parser.
 When the input path is a directory every *.txt inside is treated as one
-sequence and sequences are processed in parallel worker processes; results
-are written by the parent so output stays deterministic.  A sequence runs on
-columns (`BoxTable`) from its input file to its output file.
+sequence.  The sequences are cut into at most `--workers` batches of
+consecutive sequences, and each batch is one engine run
+(`hierarchy.run_tables`/`associate_tables`), in a worker process of its own
+when there are several; results are written by the parent so output stays
+deterministic.  A sequence runs on columns (`BoxTable`) from its input file
+to its output file.
 
 Exit codes: 0 success, 1 runtime failure (I/O, malformed data), 2 bad usage
 or configuration.
@@ -217,44 +220,62 @@ def _dump_payload(result: hierarchy.TableRun) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# One sequence of a `track` or `refine` run, as a pool worker gets it.
-_Job = collections.namedtuple("_Job", "command name src cfg fmt class_filter interp smooth dump")
+def _consecutive(items: list, parts: int) -> list[list]:
+    """`items` cut into min(parts, len(items)) runs of consecutive items,
+    their sizes differing by at most one."""
+    parts = min(parts, len(items))
+    cuts = [len(items) * k // parts for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _run_job(job: _Job) -> tuple[str, BoxTable, list[str], Optional[dict]]:
-    """Read, run and post-process one sequence: its name, output table and
-    summary lines, and its dump payload, None when no dump was asked for, so
-    that a pool worker pickles it back only when it is needed."""
+# One batch of consecutive sequences of a `track` or `refine` run, as a pool
+# worker gets it.
+_Job = collections.namedtuple("_Job",
+                              "command names srcs cfg fmt class_filter interp smooth dump")
+
+
+def _run_job(job: _Job) -> list[tuple[str, BoxTable, list[str], Optional[dict]]]:
+    """Read a batch of sequences, run it through the engine at once and
+    post-process each sequence: its name, output table and summary lines,
+    and its dump payload, None when no dump was asked for, so that a pool
+    worker pickles it back only when it is needed."""
     if job.command == "track":
-        table = mot_io.read_detection_table(job.src, job.fmt, job.class_filter)
-        result = hierarchy.run_table(table, job.cfg)
+        tables = [mot_io.read_detection_table(src, job.fmt, job.class_filter)
+                  for src in job.srcs]
+        results = hierarchy.run_tables(tables, job.cfg)
     else:
-        table = mot_io.read_track_table(job.src, job.fmt, job.class_filter)
+        tables = [mot_io.read_track_table(src, job.fmt, job.class_filter) for src in job.srcs]
         # The engine's det_ids number the rows in file order.
-        result = hierarchy.associate_table(mot_io.numbered(table), split_rows(table), job.cfg)
-    out = result.output()
-    if job.interp:
-        out = interpolate_rows(out, job.cfg.interpolation_max_gap)
-    if job.smooth:
-        out = smooth_rows(out, job.cfg.smoothing_sigma)
-    return (job.name, out, _summary_lines(job.name, result, table.frame.size),
-            _dump_payload(result) if job.dump else None)
+        results = hierarchy.associate_tables([mot_io.numbered(t) for t in tables],
+                                             [split_rows(t) for t in tables], job.cfg)
+    done = []
+    for name, table, result in zip(job.names, tables, results):
+        out = result.output()
+        if job.interp:
+            out = interpolate_rows(out, job.cfg.interpolation_max_gap)
+        if job.smooth:
+            out = smooth_rows(out, job.cfg.smoothing_sigma)
+        done.append((name, out, _summary_lines(name, result, table.frame.size),
+                     _dump_payload(result) if job.dump else None))
+    return done
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """`track` or `refine`: each sequence of `--det`/`--in` to `--out`."""
+    """`track` or `refine`: each sequence of `--det`/`--in` to `--out`, in at
+    most `--workers` batches of consecutive sequences."""
     cfg = build_config(args)
     workers = _resolve_workers(args)
     class_filter = _class_filter(args)
     dump_path = getattr(args, "dump_hierarchy", None)
     sequences = _sequence_jobs(args.src, args.out)
-    jobs = [_Job(args.command, name, src, cfg, args.format, class_filter, args.interp,
-                 args.smooth, dump_path is not None) for name, src, _ in sequences]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+    jobs = [_Job(args.command, [name for name, _, _ in part], [src for _, src, _ in part], cfg,
+                 args.format, class_filter, args.interp, args.smooth, dump_path is not None)
+            for part in _consecutive(sequences, workers)]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            results = [seq for batch in pool.map(_run_job, jobs) for seq in batch]
     else:
-        results = [_run_job(job) for job in jobs]
+        results = _run_job(jobs[0])
     dump: dict = {}
     for (_, _, dst), (name, out, summary, payload) in zip(sequences, results):
         if dst is not None:

@@ -62,6 +62,25 @@ and `ClassRunResult.counts` (N_1..N_l) is derived from the same tuple: every
 trace but the low-score recovery, which is its own trace in both schedules
 and only grows the first level's tracklets.
 
+Many sequences run as one batch: `run_tables` and `associate_tables` lay
+them end to end on one frame axis, each sequence's frames shifted so that it
+starts `gap` frames after the previous one ends, the gap being the largest
+stage bound plus the final overlap plus 2.  No level can bridge such a gap:
+frame linking and low-score recovery reach one frame, a merge level its
+bound plus its overlap.  So each class runs once over the rows of every
+sequence, and every sequence's links, components, merges and tie breaks are
+those it gets alone: every step is elementwise over rows, pairs or blocks,
+and every order the engine keeps (rows, tracklets, chains, new tids) lists
+a sequence's items in its own relative order.  The first sequence keeps its
+frames, so a single sequence is a batch of one, and a batch closes before
+its axis would pass `_AXIS_LIMIT`.  Three things read more than frame gaps,
+so they stay per sequence: the camera profile, estimated and applied per
+(sequence, class) in the sequence's own frames; the window schedule's window
+index, taken from the sequence's own frames; and the bookkeeping of a class
+that holds no high-score rows in a sequence, which reports no levels there.
+The results are split back per sequence, which keeps its own frames, det_ids
+and tracks 1..K.
+
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and matching ties are broken toward low indices.
 """
@@ -72,7 +91,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,6 +153,28 @@ def _tracklet_table(frame: np.ndarray, rows: np.ndarray, size: np.ndarray,
     return TrackletTable(rows, size, tid, t_min, t_max).take(np.lexsort((tid, t_max, t_min)))
 
 
+class _Axis(NamedTuple):
+    """Sequences laid end to end on one frame axis: each one's first frame on
+    the axis, ascending, and the amount added to its own frames."""
+    start: np.ndarray
+    shift: np.ndarray
+
+    def seq(self, frame: np.ndarray) -> np.ndarray:
+        """The sequence of each frame on the axis."""
+        return np.searchsorted(self.start, frame, "right") - 1
+
+    def edges(self, frame: np.ndarray) -> np.ndarray:
+        """Where each sequence starts and the last one ends in the ascending
+        frames `frame` of the axis: (sequences + 1,) positions."""
+        return np.append(np.searchsorted(frame, self.start), len(frame))
+
+
+# The axis of one sequence on its own frames.
+_ALONE = _Axis(np.zeros(1, np.int64), np.zeros(1, np.int64))
+# The axis a batch of sequences may fill: a frame beyond it closes the batch.
+_AXIS_LIMIT = 2 ** 62
+
+
 # Batched pair scorer: (tracklets, a, b) -> the similarity of each pair of
 # tracklets (a[k], b[k]), earlier tracklet first.
 PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
@@ -141,8 +182,10 @@ PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """A class's tracklets after one level, as rows of the class table;
-    its (frame, det_id) members are built only when read."""
+    """A class's tracklets in one sequence after one level, as rows of the
+    class's table in the batch, whose det_id column and frame column (each
+    row's frame in its own sequence) it holds; its (frame, det_id) members
+    are built only when read."""
     label: str
     tracklets: TrackletTable
     frame: np.ndarray
@@ -337,22 +380,26 @@ def hierarchy_pass(table: BoxTable, tracklets: TrackletTable, dt_bound: int,
                               _bounds_label(dt_bound, overlap_allowance, False))
 
 
-def _window_pairs(tracklets: TrackletTable,
-                  window_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_pairs(tracklets: TrackletTable, window_size: int,
+                  axis: _Axis = _ALONE) -> tuple[np.ndarray, np.ndarray]:
     """The pairs `_admissible_pairs` admits at a gap bound of window_size
-    that lie inside one window: b starts after a ends, so a's first frame
-    and b's last one do.  Straddling tracklets sit the level out."""
+    that lie inside one window of their sequence's own frames: b starts
+    after a ends, so a's first frame and b's last one do.  Straddling
+    tracklets sit the level out."""
     a, b = _admissible_pairs(tracklets, window_size, 0)
-    keep = (tracklets.t_min[a] - 1) // window_size == (tracklets.t_max[b] - 1) // window_size
+    # A pair's tracklets share a sequence, so a's shift is b's too.
+    first = tracklets.t_min[a]
+    shift = axis.shift[axis.seq(first)]
+    keep = (first - shift - 1) // window_size == (tracklets.t_max[b] - shift - 1) // window_size
     return a[keep], b[keep]
 
 
 def window_strategy_pass(table: BoxTable, tracklets: TrackletTable, window_size: int,
-                         score: PairScorer, gate: float) -> TrackletTable:
+                         score: PairScorer, gate: float, axis: _Axis = _ALONE) -> TrackletTable:
     """One window-scheduled level: tracklets may merge only when both lie
     entirely inside the same window of the given size."""
-    return _merge_to_fixpoint(table, tracklets, lambda t: _window_pairs(t, window_size), 0,
-                              score, gate, _bounds_label(window_size, 0, True))
+    return _merge_to_fixpoint(table, tracklets, lambda t: _window_pairs(t, window_size, axis),
+                              0, score, gate, _bounds_label(window_size, 0, True))
 
 
 # ---------------------------------------------------------------------------
@@ -507,30 +554,46 @@ def _adjacent_pairs(frame: np.ndarray, rows: np.ndarray,
     return a[keep], b[keep]
 
 
-def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray,
-            size: np.ndarray) -> tuple[Optional[camera_mod.CameraProfile], BoxTable]:
-    """Estimate camera movement from the frame-adjacent pairs inside the runs
-    of the given sizes laid end to end in `rows`; returns the profile, None
-    when disabled, and the table, its boxes stabilized when the camera
-    moves."""
+def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray, size: np.ndarray,
+            axis: _Axis, started: np.ndarray) -> tuple[list, BoxTable]:
+    """Estimate camera movement in each sequence the class started in, from
+    the frame-adjacent pairs inside the runs of the given sizes laid end to
+    end in `rows`, in the sequence's own frames; returns each sequence's
+    profile, None where the class did not start or when disabled, and the
+    table, its boxes stabilized in the sequences where the camera moves."""
+    profiles: list = [None] * started.size
     if not cfg.enable_cc:
-        return None, table
+        return profiles, table
     frame, boxes = table.frame, table.boxes
     a, b = _adjacent_pairs(frame, rows, size)
-    profile = camera_mod.estimate(frame[a], boxes[a], boxes[b], cfg.cc_threshold,
-                                  (int(frame.min()), int(frame.max())))
-    if profile.moving:
-        table = table._replace(boxes=camera_mod.stabilize(frame, boxes, profile))
-    return profile, table
+    seq = axis.seq(frame[a])
+    order = np.argsort(seq, kind="stable")  # each sequence's pairs in their given order
+    a, b = a[order], b[order]
+    pair_edges = np.searchsorted(seq[order], np.arange(started.size + 1))
+    row_edges = axis.edges(frame)
+    for s in np.flatnonzero(started).tolist():
+        x, y = (side[pair_edges[s]:pair_edges[s + 1]] for side in (a, b))
+        here = slice(row_edges[s], row_edges[s + 1])
+        own = frame[here] - axis.shift[s]
+        profiles[s] = camera_mod.estimate(frame[x] - axis.shift[s], boxes[x], boxes[y],
+                                          cfg.cc_threshold, np.unique(own))
+        if profiles[s].moving:
+            boxes = boxes.copy() if boxes is table.boxes else boxes
+            boxes[here] = camera_mod.stabilize(own, boxes[here], profiles[s])
+    return profiles, table._replace(boxes=boxes)
 
 
-def _run_class(cfg: TrackerConfig, class_id: int, table: BoxTable,
-               given: Optional[TrackletTable]) -> ClassRunResult:
-    """Run the pipeline on the table of one class's rows and keep the log of
-    its levels.  `refine` gives the class's pre-formed tracklets, which
-    every level merges.  `track` gives none: the high-score rows start as
-    singletons, the interval schedule's level 1 is their frame-adjacent
-    chaining, and the low-score rows are absorbed right after level 1."""
+def _run_class(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTable],
+               axis: _Axis) -> tuple[list[tuple[str, TrackletTable, np.ndarray]], list]:
+    """Run the pipeline on the table of one class's rows of a batch of
+    sequences; returns each trace as (label, tracklets, the sequences that
+    record it), and each sequence's camera profile.  `refine` gives the
+    class's pre-formed tracklets, which every level merges, and starts the
+    class in every sequence it holds rows in.  `track` gives none: the
+    high-score rows start as singletons, the interval schedule's level 1 is
+    their frame-adjacent chaining, and the low-score rows are absorbed right
+    after level 1; the class starts in the sequences with high-score rows,
+    and only those with low-score rows record the recovery."""
     kernel, gate = SimilarityKernel(cfg), cfg.match_threshold
     window = cfg.strategy is Strategy.WINDOW
     low, chained = np.zeros(0, np.intp), None
@@ -538,15 +601,18 @@ def _run_class(cfg: TrackerConfig, class_id: int, table: BoxTable,
         high = np.flatnonzero(table.score >= cfg.score_high)
         low = np.flatnonzero((cfg.score_low <= table.score) & (table.score < cfg.score_high))
         if not high.size:
-            return ClassRunResult(class_id, (), None)
+            return [], [None] * axis.start.size
         chains = adjacent_pass(table, high, kernel, gate)
         start = _tracklet_table(table.frame, high, np.ones(high.size, np.intp),
                                 np.arange(1, high.size + 1))
     else:
         start, chains = given, (given.rows, given.size)
-    profile, table = _camera(cfg, table, *chains)
+    started = np.bincount(axis.seq(start.t_min), minlength=axis.start.size) > 0
+    recovers = started & (np.bincount(axis.seq(table.frame[low]),
+                                      minlength=axis.start.size) > 0)
+    profiles, table = _camera(cfg, table, *chains, axis, started)
     if given is None and not window:
-        if profile is not None and profile.moving:
+        if any(profile is not None and profile.moving for profile in profiles):
             chains = adjacent_pass(table, high, kernel, gate)
         if cfg.enable_cm:
             chains = consistent_motion_pass(table, high, chains, cfg, kernel)
@@ -554,73 +620,170 @@ def _run_class(cfg: TrackerConfig, class_id: int, table: BoxTable,
     score: PairScorer = functools.partial(pair_scores, kernel=kernel,
                                           cache=FitCache(cfg, table.frame, table.boxes))
 
-    def steps(tracklets):  # (label, tracklets) after each step
-        yield ("singletons" if given is None else "input tracklets"), tracklets
+    def steps(tracklets):  # (label, tracklets, recorded by) after each step
+        yield ("singletons" if given is None else "input tracklets"), tracklets, started
         for k, stage in enumerate(cfg.stages, start=1):
             if k == 1 and chained is not None:
                 tracklets = chained
             elif window:
-                tracklets = window_strategy_pass(table, tracklets, stage.bound, score, gate)
+                tracklets = window_strategy_pass(table, tracklets, stage.bound, score, gate,
+                                                 axis)
             else:
                 tracklets = hierarchy_pass(table, tracklets, stage.bound, stage.overlap, score,
                                            gate)
-            yield f"level-{k} ({_bounds_label(stage.bound, stage.overlap, window)})", tracklets
+            yield (f"level-{k} ({_bounds_label(stage.bound, stage.overlap, window)})",
+                   tracklets, started)
             if k == 1 and low.size:
                 tracklets = byte_recovery(table, tracklets, low, kernel, gate)
-                yield _RECOVERY, tracklets
-    return ClassRunResult(class_id, tuple(LevelTrace(label, tracklets, table.frame, table.id)
-                                          for label, tracklets in steps(start)), profile)
+                yield _RECOVERY, tracklets, recovers
+    return list(steps(start)), profiles
 
 
-def _run_per_class(table: BoxTable, cfg: TrackerConfig,
-                   given: Optional[TrackletTable] = None) -> TableRun:
-    """Run `_run_class` on each class's rows of `table`, with its tracklets
-    of `given` when given, and number the combined tracks of the classes'
-    last levels in (t_min, t_max, class) order."""
-    results, finals = [], [TrackletTable(*[np.zeros(0, np.intp)] * 5)]
+def _by_sequence(tracklets: TrackletTable, axis: _Axis) -> list[TrackletTable]:
+    """The tracklets of each sequence: in (t_min, t_max, tid) order, one
+    range each, so their rows are one range too."""
+    edges = axis.edges(tracklets.t_min)
+    at = np.append(0, np.cumsum(tracklets.size))[edges].tolist()
+    return [TrackletTable(tracklets.rows[r:q], *(column[i:j] for column in tracklets[1:]))
+            for i, j, r, q in zip(edges[:-1].tolist(), edges[1:].tolist(), at, at[1:])]
+
+
+def _run_per_class(table: BoxTable, cfg: TrackerConfig, axis: _Axis,
+                   given: Optional[TrackletTable] = None) -> list[TableRun]:
+    """Run `_run_class` on each class's rows of the batch `table` (frame
+    sorted, on the axis), with its tracklets of `given` when given, and
+    split the results per sequence: its table in its own frames, its
+    classes' level logs over their own rows, and its tracks, those of the
+    classes' last levels, numbered 1..K in (t_min, t_max, class) order."""
+    edges = axis.edges(table.frame)
+    per_class: list[list[ClassRunResult]] = [[] for _ in axis.start]
+    finals = [TrackletTable(*[np.zeros(0, np.intp)] * 5)]
     for class_id in np.unique(table.class_id).tolist():
         rows = np.flatnonzero(table.class_id == class_id)
         mine = None
         if given is not None:
             mine = given.take(table.class_id[given.first()] == class_id)
             mine = mine._replace(rows=np.searchsorted(rows, mine.rows))
-        result = _run_class(cfg, class_id, table.take(rows), mine)
-        log.debug("class %d: tracklet counts per level %s", class_id, result.counts)
-        results.append(result)
-        if result.levels:
-            final = result.levels[-1].tracklets
+        own = table.take(rows)
+        traces, profiles = _run_class(cfg, own, mine, axis)
+        # A sequence's traces share the class's columns, each row's frame in
+        # its own sequence's frames.
+        seq = axis.seq(own.frame)
+        frame = own.frame - axis.shift[seq]
+        pieces = [_by_sequence(tracklets, axis) for _, tracklets, _ in traces]
+        for s in np.unique(seq).tolist():
+            levels = tuple(LevelTrace(label, piece[s], frame, own.id)
+                           for (label, _, recorded), piece in zip(traces, pieces) if recorded[s])
+            per_class[s].append(ClassRunResult(class_id, levels, profiles[s]))
+        if traces:
+            final = traces[-1][1]
             finals.append(final._replace(rows=rows[final.rows]))
     final = TrackletTable(*map(np.concatenate, zip(*finals)))
     # lexsort is stable: (t_min, t_max) ties keep the class, then the tid order.
     final = final.take(np.lexsort((final.t_max, final.t_min)))
-    return TableRun(table, final.rows, np.repeat(np.arange(1, final.size.size + 1), final.size),
-                    tuple(results))
+    runs = []
+    for s, tracks in enumerate(_by_sequence(final, axis)):
+        here = table.take(slice(edges[s], edges[s + 1]))
+        runs.append(TableRun(here._replace(frame=here.frame - axis.shift[s]),
+                             tracks.rows - edges[s],
+                             np.repeat(np.arange(1, tracks.size.size + 1), tracks.size),
+                             tuple(per_class[s])))
+    return runs
+
+
+def _batches(tables: Sequence[BoxTable], cfg: TrackerConfig) -> Iterator[tuple[list[int], _Axis]]:
+    """Lay the sequences end to end on one frame axis, in the given order:
+    the indices of each batch's sequences and its axis.  The first sequence
+    of a batch keeps its frames; each next one starts `gap` frames after the
+    last one ends (see the module notes).  A batch closes before a sequence
+    would end beyond `_AXIS_LIMIT`, unless that sequence is its first: the
+    readers keep frames below 2**53, so a sequence alone always fits."""
+    gap = max(stage.bound + stage.overlap for stage in cfg.stages) + 2
+    batch: list[int] = []
+    start: list[int] = []
+    shift: list[int] = []
+    end = 0
+    for k, table in enumerate(tables):
+        # An empty sequence spans [at, at - 1]: no frame.
+        lo, hi = (int(table.frame.min()), int(table.frame.max())) if table.frame.size else (1, 0)
+        at = end + gap if batch else lo
+        if batch and at + hi - lo > _AXIS_LIMIT:
+            yield batch, _Axis(np.array(start), np.array(shift))
+            batch, start, shift, at = [], [], [], lo
+        batch.append(k)
+        start.append(at)
+        shift.append(at - lo)
+        end = at + hi - lo
+    if batch:
+        yield batch, _Axis(np.array(start), np.array(shift))
+
+
+def _laid_out(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequence[np.ndarray]]],
+              axis: _Axis) -> tuple[BoxTable, Optional[TrackletTable]]:
+    """The batch's table, each sequence's rows in engine order and its frames
+    shifted onto the axis, and its tracklets, when given, as one
+    `TrackletTable` of that table."""
+    parts, rows, base = [], [], 0
+    for k, (table, shift) in enumerate(zip(tables, axis.shift.tolist())):
+        order = engine_order(table)
+        part = table.take(order)
+        if tracklets is None:  # the engine numbers the rows
+            part = part._replace(id=np.arange(1, order.size + 1))
+        else:
+            runs = np.concatenate([np.zeros(0, np.intp), *tracklets[k]])
+            rows.append(np.argsort(order)[runs] + base)
+        parts.append(part._replace(frame=part.frame + shift))
+        base += order.size
+    table = BoxTable(*map(np.concatenate, zip(*parts)))
+    if tracklets is None:
+        return table, None
+    size = np.array([len(run) for runs in tracklets for run in runs], np.intp)
+    return table, _tracklet_table(table.frame, np.concatenate(rows), size,
+                                  np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
+
+
+def _run_batches(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequence[np.ndarray]]],
+                 cfg: TrackerConfig) -> list[TableRun]:
+    """Run `_run_per_class` on each batch of `_batches`, laid out as one
+    table."""
+    validate_config(cfg)
+    runs = []
+    for batch, axis in _batches(tables, cfg):
+        table, given = _laid_out([tables[k] for k in batch],
+                                 None if tracklets is None else [tracklets[k] for k in batch],
+                                 axis)
+        runs += _run_per_class(table, cfg, axis, given)
+    return runs
+
+
+def run_tables(tables: Sequence[BoxTable], cfg: TrackerConfig) -> list[TableRun]:
+    """Track sequences, each one's `id` its det_ids: BYTE split, camera
+    handling, all hierarchy levels, each class on its own, every sequence
+    as if alone but in batches (see the module notes).  The engine numbers
+    each sequence's rows 1..N in its order."""
+    return _run_batches(tables, None, cfg)
 
 
 def run_table(table: BoxTable, cfg: TrackerConfig) -> TableRun:
-    """Track one sequence, `id` the det_id: BYTE split, camera handling, all
-    hierarchy levels, each class on its own.  The engine numbers the rows
-    1..N in its order."""
-    validate_config(cfg)
-    table = table.take(engine_order(table))
-    return _run_per_class(table._replace(id=np.arange(1, table.frame.size + 1)), cfg)
+    """`run_tables` of one sequence."""
+    return run_tables([table], cfg)[0]
 
 
-def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
-                    cfg: TrackerConfig) -> TableRun:
-    """Hierarchically associate pre-formed tracklets (recombination mode):
-    frame-sorted row arrays of `table`, in tid order, that hold every row
-    once; `id` is the det_id.
+def associate_tables(tables: Sequence[BoxTable], tracklets: Sequence[Sequence[np.ndarray]],
+                     cfg: TrackerConfig) -> list[TableRun]:
+    """Hierarchically associate pre-formed tracklets (recombination mode),
+    every sequence as if alone but in batches (see the module notes): per
+    sequence, frame-sorted row arrays of its table, in tid order, that hold
+    every row once; `id` is the det_id.
 
     Fitting is memoized by tracklet id, so the tracklets are renumbered 1..K
     in (t_min, t_max, tid) order.  Camera estimation uses the frame-adjacent
     pairs inside them; every row is kept.
     """
-    validate_config(cfg)
-    order = engine_order(table)
-    table, row_of = table.take(order), np.argsort(order)
-    size = np.array([len(rows) for rows in tracklets], np.intp)
-    whole = _tracklet_table(table.frame, row_of[np.concatenate([np.zeros(0, np.intp),
-                                                                *tracklets])],
-                            size, np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
-    return _run_per_class(table, cfg, whole)
+    return _run_batches(tables, tracklets, cfg)
+
+
+def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
+                    cfg: TrackerConfig) -> TableRun:
+    """`associate_tables` of one sequence."""
+    return associate_tables([table], [tracklets], cfg)[0]

@@ -72,6 +72,10 @@ class ScenarioSpec:
             if not all(_numbers(entry, n) for entries in getattr(self, name).values()
                        for entry in entries):
                 raise ValueError(f"each of {name}'s entries must be {n} numbers")
+            for key in getattr(self, name):
+                if not (_number(key, True) and 0 <= key < self.n_targets):
+                    raise ValueError(f"{name} key {key!r} names no target "
+                                     f"(n_targets {self.n_targets!r})")
         dip_scores = [score for entries in self.score_dips.values() for *_, score in entries]
         for name, value in [("miss_prob", self.miss_prob), ("base_score", self.base_score),
                             *(("a score_dips score", score) for score in dip_scores)]:
@@ -242,6 +246,12 @@ def _target(key: str, index: str) -> int:
         raise ValueError(f"{key} key {index!r} is not an integer target index") from None
 
 
+def _entries(key: str, index: str, value) -> list[tuple]:
+    if not isinstance(value, list) or not all(isinstance(entry, list) for entry in value):
+        raise ValueError(f"{key} key {index!r} must map to a list of arrays, got {value!r}")
+    return [tuple(entry) for entry in value]
+
+
 def spec_from_json(path) -> ScenarioSpec:
     """Load and validate a ScenarioSpec from a JSON file.
 
@@ -249,9 +259,9 @@ def spec_from_json(path) -> ScenarioSpec:
     are given as arrays.  Unknown keys are rejected to catch typos.  Every
     fault of the file's text or values raises ValueError naming `path`.
     """
+    text = "".join(mot_io.read_lines(path))  # a byte that is not UTF-8 fails at its line
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object of scenario keys")
         unknown = set(raw) - {f.name for f in fields(ScenarioSpec)}
@@ -267,7 +277,7 @@ def spec_from_json(path) -> ScenarioSpec:
                 if not isinstance(raw[key], dict):
                     raise ValueError(f"{key} must be a JSON object keyed by target index, "
                                      f"got {raw[key]!r}")
-                raw[key] = {_target(key, k): [tuple(iv) for iv in v] for k, v in raw[key].items()}
+                raw[key] = {_target(key, k): _entries(key, k, v) for k, v in raw[key].items()}
         spec = ScenarioSpec(**raw)
         spec.validate()
     except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError

@@ -28,7 +28,7 @@ def pairs_of(matches):
 
 def steps(profile):
     """The per-frame displacements: row k is the shift from the profile's
-    k-th frame to the next."""
+    k-th frame to the next (its frames, in these tests, are 1..n)."""
     return np.diff(profile.offsets, axis=0)
 
 
@@ -49,15 +49,16 @@ def pan_scene(n_frames, pan=(20.0, 0.0), targets=((100.0, 100.0), (400.0, 300.0)
 class TestEstimate:
     def test_static_scene_not_moving(self):
         dets, matches = pan_scene(10, pan=(0.0, 0.0))
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 10))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 11))
         assert profile.mean_match_iou == pytest.approx(1.0)
         assert not profile.moving
-        assert profile.first_frame == 1 and profile.offsets.shape == (10, 2)
+        assert profile.frames.tolist() == list(range(1, 11))
+        assert profile.offsets.shape == (10, 2)
         assert not profile.offsets.any()
 
     def test_pan_detected_and_measured(self):
         dets, matches = pan_scene(10, pan=(20.0, 0.0))
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 10))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 11))
         # 20px shift on 40px boxes: IoU = (20*40)/(2*1600-800) = 1/3 < 0.65.
         assert profile.mean_match_iou == pytest.approx(1 / 3, abs=1e-9)
         assert profile.moving
@@ -69,7 +70,7 @@ class TestEstimate:
     def test_single_pair_per_frame_mean(self):
         matches = {t: [(det(t, 10.0 + 5 * t, 50.0), det(t + 1, 15.0 + 5 * t, 50.0))]
                    for t in range(1, 5)}
-        profile = estimate(*pairs_of(matches), threshold=0.99, frame_range=(1, 5))
+        profile = estimate(*pairs_of(matches), threshold=0.99, frames=np.arange(1, 6))
         assert len(steps(profile)) == 4
         for step in steps(profile):
             assert step == pytest.approx((5.0, 0.0))
@@ -78,14 +79,14 @@ class TestEstimate:
         a1, b1 = det(1, 100, 100), det(2, 104, 102)   # (+4, +2)
         a2, b2 = det(1, 300, 100), det(2, 306, 98)    # (+6, -2)
         profile = estimate(*pairs_of({1: [(a1, b1), (a2, b2)]}), threshold=0.999,
-                           frame_range=(1, 2))
+                           frames=np.arange(1, 3))
         assert profile.moving
         assert steps(profile)[0] == pytest.approx((5.0, 0.0), abs=1e-12)
 
     def test_frames_without_matches_get_zero(self):
         _, matches = pan_scene(6, pan=(20.0, 0.0))
         del matches[3]
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 6))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 7))
         # Frame 3 is row 2; the running offset stays put across the hole.
         assert steps(profile)[2].tolist() == [0.0, 0.0]
         assert steps(profile)[1] == pytest.approx((20.0, 0.0))
@@ -93,29 +94,44 @@ class TestEstimate:
 
     def test_empty_matches_log_and_stay_static(self, caplog):
         with caplog.at_level("WARNING"):
-            profile = estimate(*pairs_of({}), threshold=0.65, frame_range=(1, 5))
+            profile = estimate(*pairs_of({}), threshold=0.65, frames=np.arange(1, 6))
         assert not profile.moving
         assert profile.mean_match_iou == 1.0
         assert any("static" in r.message for r in caplog.records)
 
     def test_cumulative_is_prefix_sum(self):
         _, matches = pan_scene(8, pan=(20.0, -10.0))
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 8))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 9))
         assert profile.offsets[0].tolist() == [0.0, 0.0]
         for k in range(8):
             assert profile.offsets[k] == pytest.approx((20.0 * k, -10.0 * k), abs=1e-9)
+
+
+    def test_offsets_kept_only_at_the_frames_given(self):
+        # A profile over the frames that hold rows has one row per frame,
+        # whatever their span, and the offsets of the dense profile there.
+        _, matches = pan_scene(8, pan=(20.0, -10.0))
+        del matches[4], matches[5]
+        dense = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 9))
+        # No pair touches frame 5 now, and none reaches a far frame.
+        sparse = np.array([1, 2, 3, 4, 6, 7, 8, 10 ** 12])
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=sparse)
+        assert profile.offsets.shape == (8, 2)
+        assert profile.offsets[:7].tobytes() == dense.offsets[[0, 1, 2, 3, 5, 6, 7]].tobytes()
+        assert profile.offsets[7].tobytes() == dense.offsets[7].tobytes()
+        assert static_profile(sparse).offsets.shape == (8, 2)
 
 
 class TestStabilize:
     def test_identity_when_static(self):
         dets, _ = pan_scene(5, pan=(0.0, 0.0))
         frame, boxes = columns(dets)
-        profile = static_profile((1, 5))
+        profile = static_profile(np.arange(1, 6))
         assert stabilize(frame, boxes, profile).tobytes() == boxes.tobytes()
 
     def test_pan_removed(self):
         dets, matches = pan_scene(10, pan=(20.0, 0.0))
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 10))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 11))
         stable = stabilize(*columns(dets), profile)
         # Every target is pixel-static after stabilization.
         by_target = {}
@@ -125,13 +141,13 @@ class TestStabilize:
             assert max(cxs) - min(cxs) < 1e-9
 
     def test_frame_outside_profile_rejected(self):
-        profile = static_profile((1, 5))
+        profile = static_profile(np.arange(1, 6))
         with pytest.raises(ValueError):
             stabilize(*columns([det(6, 10, 10)]), profile)
 
     def test_stabilized_match_iou_improves(self):
         dets, matches = pan_scene(10, pan=(20.0, 0.0))
-        profile = estimate(*pairs_of(matches), threshold=0.65, frame_range=(1, 10))
+        profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 11))
         frame, _ = columns(dets)
         stable = stabilize(frame, columns(dets)[1], profile)
         # Rebuild the same adjacency on stabilized boxes by position.
@@ -160,7 +176,7 @@ def test_stabilization_moves_only_centres_on_panned_synth_scenes(seed, n_frames,
     for traj in gt:
         for a, b in zip(traj.entries, traj.entries[1:]):
             matches.setdefault(a.frame, []).append((a, b))
-    profile = estimate(*pairs_of(matches), threshold=1.0, frame_range=(1, n_frames))
+    profile = estimate(*pairs_of(matches), threshold=1.0, frames=np.arange(1, n_frames + 1))
     frame, boxes = columns(dets)
     stable = stabilize(frame, boxes, profile)
     assert stable.shape == boxes.shape
@@ -168,7 +184,7 @@ def test_stabilization_moves_only_centres_on_panned_synth_scenes(seed, n_frames,
     assert stable[:, 2:].tobytes() == boxes[:, 2:].tobytes()
     for t, (cx, cy), (x, y) in zip(frame.tolist(), stable[:, :2].tolist(),
                                    boxes[:, :2].tolist()):
-        ox, oy = profile.offsets[t - profile.first_frame].tolist()
+        ox, oy = profile.offsets[t - profile.frames[0]].tolist()
         assert (cx, cy) == (x - ox, y - oy)
-    static = static_profile((1, n_frames))
+    static = static_profile(np.arange(1, n_frames + 1))
     assert stabilize(frame, boxes, static).tobytes() == boxes.tobytes()

@@ -174,6 +174,17 @@ class TestTrack:
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
         assert set(json.loads(dumps[0].read_text())) == {"alpha", "beta"}
 
+    def test_frames_far_apart_track(self, tmp_path, capsys):
+        # The camera profile holds the frames present, not their span.
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,10,20,30,40,0.9\n2,-1,12,20,30,40,0.9\n"
+                       "1000000000000,-1,500,20,30,40,0.9\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert cli.main(["track", "--det", str(det), "--out", str(out)]) == 0
+        assert "det: 2 trajectories from 3 detections" in capsys.readouterr().out
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()] == \
+            [["1", "1"], ["2", "1"], ["1000000000000", "2"]]
+
     def test_no_dump_payload_without_dump_flag(self, tmp_path):
         det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=5))
         with mock.patch.object(cli, "_dump_payload", side_effect=AssertionError):
@@ -555,10 +566,19 @@ class TestSynth:
          "score_dips key 'x' is not an integer target index"),
         ('{"n_targets": 5, "n_frames": 10, "miss_intervals": {"x": [[2, 4]]}}',
          "miss_intervals key 'x' is not an integer target index"),
+        ('{"n_targets": 2, "n_frames": 10, "miss_intervals": {"7": [[1, 2]]}}',
+         "miss_intervals key 7 names no target (n_targets 2)"),
+        ('{"n_targets": 2, "n_frames": 10, "score_dips": {"-1": [[1, 2, 0.5]]}}',
+         "score_dips key -1 names no target (n_targets 2)"),
+        ('{"n_targets": 5, "n_frames": 10, "miss_intervals": {"0": 5}}',
+         "miss_intervals key '0' must map to a list of arrays, got 5"),
+        ('{"n_targets": 5, "n_frames": 10, "score_dips": {"1": [7]}}',
+         "score_dips key '1' must map to a list of arrays, got [7]"),
     ], ids=["string-count", "json-syntax", "miss-prob", "noise-sigma", "size-jitter",
             "max-speed", "base-score", "dip-score", "interval-entry", "sine-period",
             "top-level-array", "top-level-string", "intervals-array", "dip-key",
-            "interval-key"])
+            "interval-key", "interval-key-no-target", "dip-key-no-target",
+            "interval-not-a-list", "dip-entry-not-a-list"])
     def test_faulty_spec_names_the_file(self, tmp_path, capsys, text, problem):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
@@ -566,6 +586,14 @@ class TestSynth:
         assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
         (line,) = capsys.readouterr().err.splitlines()  # no traceback
         assert line.startswith(f"error: {spec}: {problem}")
+        assert not out.exists()
+
+    def test_spec_that_is_not_utf8_fails_at_its_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"n_targets": 2,\n "n_frames": 5,\n "seed": 1 \xff}\n')
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--spec", str(spec), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}:3: not UTF-8 text"]
         assert not out.exists()
 
 

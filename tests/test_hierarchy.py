@@ -623,6 +623,31 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
         assert all(cells <= budget or pairs == 1 for cells, pairs in calls)
 
 
+@settings(max_examples=50, deadline=None)
+@given(sets=st.lists(_frame_sets(), min_size=2, max_size=4), gap=st.integers(2, 40),
+       cfg=st.sampled_from([TrackerConfig(), TrackerConfig(use_hm_iou=True)]))
+def test_first_level_links_sequences_as_if_alone(sets, gap, cfg):
+    # Frame sets of different sequences laid end to end, each `gap` frames
+    # after the last one ends: both first-level passes link each alone.
+    kernel, gate = SimilarityKernel(cfg), cfg.match_threshold
+    laid, end = [], 0
+    for k, dets in enumerate(sets):
+        shift = end + gap - dets[0].frame if k else 0
+        laid += [dataclasses.replace(d, frame=d.frame + shift, det_id=d.det_id + 1000 * k)
+                 for d in dets]
+        end = laid[-1].frame
+
+    def both_passes(dets):
+        table, rows = table_rows(dets)
+        chains = adjacent_pass(table, rows, kernel, gate)
+        motion = consistent_motion_pass(table, rows, chains, cfg, kernel)
+        return [[table.id[chain].tolist() for chain in pieces(*found)]
+                for found in (chains, motion)]
+    alone = [both_passes([dataclasses.replace(d, det_id=d.det_id + 1000 * k) for d in dets])
+             for k, dets in enumerate(sets)]
+    assert both_passes(laid) == [sum((a[p] for a in alone), []) for p in (0, 1)]
+
+
 class TestFullRun:
     def three_targets_one_gap(self):
         # 3 targets over 4 frames; the middle one is missed at frame 3.

@@ -375,3 +375,14 @@ class TestKalmanStates:
         rnd.shuffle(order)
         got = states_of([batch[k] for k in order])
         assert got.tobytes() == np.concatenate([alone[k] for k in order]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(runs(), min_size=1, max_size=5),
+           st.lists(st.integers(0, 2 ** 62 - 2 ** 20), min_size=5, max_size=5))
+    def test_batch_invariance_across_sequences(self, batch, shifts):
+        # Runs of different sequences, laid end to end on one frame axis:
+        # each run's frames shifted by its own amount, up to the axis limit.
+        # A state reads only frame differences, so nothing changes.
+        shifted = [[dataclasses.replace(d, frame=d.frame + shift) for d in run]
+                   for run, shift in zip(batch, shifts)]
+        assert states_of(shifted).tobytes() == states_of(batch).tobytes()

@@ -141,6 +141,12 @@ class TestScenarioFiles:
         assert spec.miss_intervals == {1: [(5, 8)]}
         assert spec.camera_pan == (4.0, 0.0)
 
+    @pytest.mark.parametrize("schedule", [{"miss_intervals": {5: [(1, 2)]}},
+                                          {"score_dips": {-1: [(1, 2, 0.5)]}}])
+    def test_schedule_keys_must_name_a_target(self, schedule):
+        with pytest.raises(ValueError, match=r"key -?\d names no target \(n_targets 5\)"):
+            generate(linear_spec(**schedule))
+
     def test_spec_from_json_rejects_unknown_keys(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"n_targets": 2, "n_frames": 5, "bogus": 1}))

@@ -55,8 +55,14 @@ The cases:
   a directory of two sequences, scored against a ground-truth directory that
   holds a third sequence as well, so the pooled report leaves it out with a
   warning.
+- 8 directory cases on one KITTI directory of four sequences, which the
+  engine runs as one batch per worker: the panning scene, the crowd-like
+  scene, the two-class file and the two-class file with its Pedestrians
+  below the high-score gate.  `track` and `refine` (on each sequence's
+  fragmented output) run on it under `--strategy interval|window` with
+  `--workers 1` and `--workers 2`.
 
-91 cases in all.
+99 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -176,7 +182,9 @@ def _write_mot_scene(spec: ScenarioSpec) -> None:
     mot_io.write_mot_results(foreign_output(gt, spec.seed, FOREIGN)[0], "theirs.txt")
 
 
-def _write_kitti_scene(specs=KITTI) -> None:
+def _write_kitti_scene(specs=KITTI, name="{}.txt") -> None:
+    """The gt, detections and foreign output of the scenes of `specs`, in one
+    KITTI file each, at `name` filled with gt, det and theirs."""
     gt, dets, theirs = [], [], []
     for spec in specs:
         g, d = synth.generate(spec)
@@ -184,8 +192,8 @@ def _write_kitti_scene(specs=KITTI) -> None:
         dets += [Trajectory(len(dets) + k + 1, (det,)) for k, det in enumerate(d)]
         # One class at a time, so that no foreign track mixes two classes.
         theirs += _renumbered(foreign_output(g, spec.seed, FOREIGN)[0], len(theirs) + 1)
-    for trajectories, path in ((gt, "gt.txt"), (dets, "det.txt"), (theirs, "theirs.txt")):
-        mot_io.write_table(tracks_table(trajectories), path, "kitti")
+    for trajectories, kind in ((gt, "gt"), (dets, "det"), (theirs, "theirs")):
+        mot_io.write_table(tracks_table(trajectories), name.format(kind), "kitti")
 
 
 def _cli_case(write, pass_args: list[str], eval_args: list[str]):
@@ -295,6 +303,27 @@ def _eval_cases():
                      ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
 
 
+def _write_directory() -> None:
+    """Four KITTI sequences under gt/, det/ and theirs/."""
+    for kind in ("gt", "det", "theirs"):
+        Path(kind).mkdir(exist_ok=True)
+    for name, specs in (("pan", (PAN,)), ("crowd", (CROWD,)), ("kitti", KITTI),
+                        ("lowped", KITTI_LOW)):
+        _write_kitti_scene(specs, "{}/" + f"{name}.txt")
+
+
+def _directory_cases():
+    """(name, prepare) of the 8 directory cases."""
+    evals = ["eval", "--gt", "gt", "--pred", "out", "--kv", "--format", "kitti"]
+    for command, src_flag, src in (("track", "--det", "det"), ("refine", "--in", "theirs")):
+        for strategy in ("interval", "window"):
+            for workers in ("1", "2"):
+                yield (f"dir-{command}-{strategy}-workers{workers}",
+                       _cli_case(_write_directory,
+                                 [command, src_flag, src, "--out", "out", "--format", "kitti",
+                                  "--strategy", strategy, "--workers", workers], evals))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -315,7 +344,8 @@ def main(argv=None) -> int:
     out_dir = args.out_dir.resolve()
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
-                          *_reader_cases(), *_config_cases(), *_eval_cases()]:
+                          *_reader_cases(), *_config_cases(), *_eval_cases(),
+                          *_directory_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
