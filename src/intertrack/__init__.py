@@ -18,7 +18,7 @@ from .model import (
     validate_config,
 )
 from .geometry import expansion_ratio
-from .hierarchy import associate_table, run_table
+from .hierarchy import run_table
 from .metrics import EvalReport, evaluate
 from .synth import Motion, ScenarioSpec, generate
 
@@ -36,7 +36,6 @@ __all__ = [
     "Strategy",
     "TrackerConfig",
     "Trajectory",
-    "associate_table",
     "evaluate",
     "expansion_ratio",
     "generate",

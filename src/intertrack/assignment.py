@@ -12,9 +12,9 @@ Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
 pred frames — are scored and solved a chunk at a time by one chunker,
 `padded_chunks`: the blocks are sorted by shape and cut into chunks of at
 most `_CHUNK_CELLS` padded cells, and each chunk gives its blocks' row and
-column positions padded to its largest block.  A padded slot repeats its
-block's last position, so padded cells score real boxes and stay finite;
-`real_cells` masks them out.
+column positions padded to its largest block; `_chunks` plans each chunk by
+one numpy scan.  A padded slot repeats its block's last position, so padded
+cells score real boxes and stay finite; `real_cells` masks them out.
 
 `solve_blocks` solves every block of a padded chunk at once, and `solve` is
 its one-block case; `solve(scores, -np.inf)` keeps every pair matched.  A
@@ -93,19 +93,25 @@ _TIE_EPS = 1.0e-10
 _CHUNK_CELLS = 1 << 14
 
 
-def _chunks(n: list[int], m: list[int]) -> list[list[int]]:
+def _chunks(n: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
     """Indices of blocks of the given (n, m) shapes, sorted by shape and cut
     into chunks whose padded cell count stays within `_CHUNK_CELLS`; a block
-    larger than that by itself is a chunk of its own."""
-    chunks: list[list[int]] = []
-    n_max = m_max = 0
-    for k in sorted(range(len(n)), key=lambda k: (n[k], m[k])):
-        if chunks and (len(chunks[-1]) + 1) * max(n_max, n[k]) * max(m_max, m[k]) <= _CHUNK_CELLS:
-            chunks[-1].append(k)
-            n_max, m_max = max(n_max, n[k]), max(m_max, m[k])
-        else:
-            chunks.append([k])
-            n_max, m_max = n[k], m[k]
+    larger than that by itself is a chunk of its own.  In (n, m) order, a
+    chunk's padded size after its j-th block, j * n * the running maximum of
+    m, never falls as j grows, so one scan finds the first block that
+    overflows; it need read no more than `_CHUNK_CELLS` // (n * m) blocks of
+    the chunk's first shape."""
+    order = np.lexsort((m, n))
+    n, m = n[order], m[order]
+    chunks, s = [], 0
+    while s < order.size:
+        reach = min(order.size - s, _CHUNK_CELLS // (n[s] * m[s]) + 1)
+        cells = np.arange(1, reach + 1) * n[s:s + reach] * np.maximum.accumulate(m[s:s + reach])
+        # The chunk ends before the first block after its first that
+        # overflows, or after `reach` blocks when none does.
+        end = s + 1 + int(np.argmax(np.append(cells[1:] > _CHUNK_CELLS, True)))
+        chunks.append(order[s:end])
+        s = end
     return chunks
 
 
@@ -128,8 +134,7 @@ def padded_chunks(r0: np.ndarray, n: np.ndarray, c0: np.ndarray,
     m[k]), every n[k] and m[k] at least 1, a chunk at a time (see `_chunks`):
     per chunk, the indices of its blocks and their (blocks, n_max) row and
     (blocks, m_max) column positions, padded by `_padded`."""
-    for chunk in _chunks(n.tolist(), m.tolist()):
-        b = np.array(chunk, dtype=np.intp)
+    for b in _chunks(n, m):
         yield b, _padded(r0[b], n[b]), _padded(c0[b], m[b])
 
 

@@ -14,7 +14,7 @@ a file value and a flag's string go through one parser.
 When the input path is a directory every *.txt inside is treated as one
 sequence.  The sequences are cut into at most `--workers` batches of
 consecutive sequences, and each batch is one engine run
-(`hierarchy.run_tables`/`associate_tables`), in a worker process of its own
+(`hierarchy.run_tables`), in a worker process of its own
 when there are several; results are written by the parent so output stays
 deterministic.  A sequence runs on columns (`BoxTable`) from its input file
 to its output file.
@@ -246,8 +246,8 @@ def _run_job(job: _Job) -> list[tuple[str, BoxTable, list[str], Optional[dict]]]
     else:
         tables = [mot_io.read_track_table(src, job.fmt, job.class_filter) for src in job.srcs]
         # The engine's det_ids number the rows in file order.
-        results = hierarchy.associate_tables([mot_io.numbered(t) for t in tables],
-                                             [split_rows(t) for t in tables], job.cfg)
+        results = hierarchy.run_tables([mot_io.numbered(t) for t in tables], job.cfg,
+                                       [split_rows(t) for t in tables])
     done = []
     for name, table, result in zip(job.names, tables, results):
         out = result.output()

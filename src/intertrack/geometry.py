@@ -84,8 +84,9 @@ class SimilarityKernel:
 
     Wraps the choice of base kernel (IoU vs height-modulated IoU) and
     whether small-box expansion is active, so callers never re-read config.
-    Calling it scores aligned (or broadcasting) box arrays; `matrix` scores
-    every row of `a` against every row of `b`.
+    Calling it scores aligned (or broadcasting) box arrays.  `matrix` scores
+    all pairs over leading batch axes: (..., n, 4) and (..., m, 4) stacks
+    give (..., n, m), so one call scores one frame pair or a chunk of them.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -98,4 +99,4 @@ class SimilarityKernel:
         return self._kernel(a, b)
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._kernel(a[:, None], b[None, :])
+        return self._kernel(a[..., :, None, :], b[..., None, :, :])

@@ -13,10 +13,10 @@ level) is included as the ablation baseline.
 
 One function runs each class, `_run_class`: `track` starts it from
 detections, `refine` from pre-formed tracklets.  Both share one camera step,
-one stage loop and one merge-to-fixpoint loop, which the two schedule
-strategies differ in only by which admissible pairs they keep; both
-frame-adjacent passes share one frame-linking loop and differ only in their
-score matrix.
+one stage loop and one merge level, `hierarchy_pass`, to which each stage
+gives its schedule's pair rule (`_admissible_pairs` for intervals,
+`_window_pairs` for windows) and its label; both frame-adjacent passes share
+one frame-linking loop and differ only in their score matrix.
 
 Tracklet intervals are the priors that bound each level's candidates.  The
 merge loop never scans all pairs and builds no per-pair object: since the
@@ -34,7 +34,8 @@ The first level scores its frame pairs in chunks, not one pair at a time,
 on the chunker it shares with `eval`, `assignment.padded_chunks`: the
 (t, t+1) blocks are sorted by shape and cut into chunks of at most
 `assignment._CHUNK_CELLS` padded cells, so the kernel's temporaries stay
-bounded on long or crowded sequences.  Each chunk is one kernel call over
+bounded on long or crowded sequences.  Each chunk is one
+`SimilarityKernel.matrix` call over its (blocks, n, 4) and (blocks, m, 4)
 boxes gathered by row; a block smaller than its chunk's largest is padded by
 repeating one of its own frame's detections, so padded cells are finite, and
 they are never read.  Each chunk is also one `solve_blocks` call: a
@@ -44,15 +45,17 @@ module shows is optimal, and only the other components are solved by
 augmenting paths.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
-det_id) order, so each frame is one row range.  `run_table` and
-`associate_table` return the output track id of each row kept.  Each class
-runs on its own table of the class's rows.  Its tracklets are one
-`TrackletTable` of arrays, which every pass takes with the class table and
-reads by column: the rows of all tracklets laid end to end, and per
-tracklet its size, tid, t_min and t_max.  Links, between tracklets or rows
-of adjacent frames, are chained as their connected components, laid out by
-one stable sort.  Camera stabilization returns a class table with a new box
-column, so the results keep the input boxes exactly.
+det_id) order, so each frame is one row range.  `run_table` returns the
+output track id of each row kept.  Each class runs on its own table of the
+class's rows.  Its tracklets are one `TrackletTable` of arrays, which every
+pass takes with the class table and reads by column: the rows of all
+tracklets laid end to end, and per tracklet its size, tid, t_min and t_max.
+Every run of rows has that layout (`Runs`): `refine`'s tracklets, the first
+level's chains and the runs `kalman_states` filters.  Links, between
+tracklets or rows of adjacent frames, are chained as their connected
+components, laid out by one stable sort.  Camera stabilization returns a
+class table with a new box column, so the results keep the input boxes
+exactly.
 
 Each class keeps one record of its levels: a tuple of `LevelTrace`s, each
 holding the level's `TrackletTable` and the class table's frame and det_id
@@ -62,10 +65,10 @@ and `ClassRunResult.counts` (N_1..N_l) is derived from the same tuple: every
 trace but the low-score recovery, which is its own trace in both schedules
 and only grows the first level's tracklets.
 
-Many sequences run as one batch: `run_tables` and `associate_tables` lay
-them end to end on one frame axis, each sequence's frames shifted so that it
-starts `gap` frames after the previous one ends, the gap being the largest
-stage bound plus the final overlap plus 2.  No level can bridge such a gap:
+Many sequences run as one batch: `run_tables` lays them end to end on one
+frame axis, each sequence's frames shifted so that it starts `gap` frames
+after the previous one ends, the gap being the largest stage bound plus the
+final overlap plus 2.  No level can bridge such a gap:
 frame linking and low-score recovery reach one frame, a merge level its
 bound plus its overlap.  So each class runs once over the rows of every
 sequence, and every sequence's links, components, merges and tie breaks are
@@ -100,7 +103,7 @@ from .assignment import (connected_components, pair_chunks, padded_chunks, solve
                          solve_pairs)
 from .geometry import SimilarityKernel
 from .model import BoxTable, Strategy, TrackerConfig, validate_config
-from .motion import FitCache, _advance, kalman_states, pair_scores
+from .motion import FitCache, _advance, kalman_states, pair_scores, reversed_runs
 
 log = logging.getLogger(__name__)
 
@@ -169,11 +172,13 @@ class _Axis(NamedTuple):
         return np.append(np.searchsorted(frame, self.start), len(frame))
 
 
-# The axis of one sequence on its own frames.
-_ALONE = _Axis(np.zeros(1, np.int64), np.zeros(1, np.int64))
 # The axis a batch of sequences may fill: a frame beyond it closes the batch.
 _AXIS_LIMIT = 2 ** 62
 
+
+# Runs of rows, the engine's one layout of them: their rows laid end to
+# end, each run in frame order, and each run's size.
+Runs = tuple[np.ndarray, np.ndarray]
 
 # Batched pair scorer: (tracklets, a, b) -> the similarity of each pair of
 # tracklets (a[k], b[k]), earlier tracklet first.
@@ -344,13 +349,29 @@ def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
     return np.concatenate(a), np.concatenate(b)
 
 
-def _merge_to_fixpoint(table: BoxTable, tracklets: TrackletTable,
-                       pairs: Callable[[TrackletTable], tuple[np.ndarray, np.ndarray]],
-                       overlap_allowance: int, score: PairScorer, gate: float,
-                       label: str) -> TrackletTable:
-    """Score the index pairs `pairs` admits in one `score` call, match them
-    with `solve_pairs`, merge the matches, and repeat until a round matches
-    nothing.  Logs, at INFO, one line per round."""
+def _window_pairs(tracklets: TrackletTable, window_size: int,
+                  axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs `_admissible_pairs` admits at a gap bound of window_size
+    that lie inside one window of their sequence's own frames: b starts
+    after a ends, so a's first frame and b's last one do.  Straddling
+    tracklets sit the level out."""
+    a, b = _admissible_pairs(tracklets, window_size, 0)
+    # A pair's tracklets share a sequence, so a's shift is b's too.
+    first = tracklets.t_min[a]
+    shift = axis.shift[axis.seq(first)]
+    keep = (first - shift - 1) // window_size == (tracklets.t_max[b] - shift - 1) // window_size
+    return a[keep], b[keep]
+
+
+def hierarchy_pass(table: BoxTable, tracklets: TrackletTable,
+                   pairs: Callable[[TrackletTable], tuple[np.ndarray, np.ndarray]],
+                   overlap_allowance: int, score: PairScorer, gate: float,
+                   label: str) -> TrackletTable:
+    """One merge level: score the index pairs the level's rule `pairs`
+    admits (`_admissible_pairs` or `_window_pairs`) in one `score` call,
+    match them with `solve_pairs`, merge the matches, whose spans share at
+    most overlap_allowance frames, and repeat until a round matches nothing.
+    Logs, at INFO, one line per round, naming the level by `label`."""
     for round_ in itertools.count(1):
         a, b = pairs(tracklets)
         scores = score(tracklets, a, b) if a.size else np.zeros(0)
@@ -364,44 +385,6 @@ def _merge_to_fixpoint(table: BoxTable, tracklets: TrackletTable,
         tracklets = _merge_round(table, tracklets, found.a, found.b, overlap_allowance)
 
 
-def _bounds_label(bound: int, overlap: int, window: bool) -> str:
-    if window:
-        return f"window {bound}"
-    return f"gap {bound}, overlap {overlap}" if overlap else f"gap {bound}"
-
-
-def hierarchy_pass(table: BoxTable, tracklets: TrackletTable, dt_bound: int,
-                   overlap_allowance: int, score: PairScorer, gate: float) -> TrackletTable:
-    """One interval-scheduled level: admit pairs with gap in (0, dt_bound]
-    (plus a bounded overlap on the final level) and merge until fixpoint."""
-    return _merge_to_fixpoint(table, tracklets,
-                              lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
-                              overlap_allowance, score, gate,
-                              _bounds_label(dt_bound, overlap_allowance, False))
-
-
-def _window_pairs(tracklets: TrackletTable, window_size: int,
-                  axis: _Axis = _ALONE) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs `_admissible_pairs` admits at a gap bound of window_size
-    that lie inside one window of their sequence's own frames: b starts
-    after a ends, so a's first frame and b's last one do.  Straddling
-    tracklets sit the level out."""
-    a, b = _admissible_pairs(tracklets, window_size, 0)
-    # A pair's tracklets share a sequence, so a's shift is b's too.
-    first = tracklets.t_min[a]
-    shift = axis.shift[axis.seq(first)]
-    keep = (first - shift - 1) // window_size == (tracklets.t_max[b] - shift - 1) // window_size
-    return a[keep], b[keep]
-
-
-def window_strategy_pass(table: BoxTable, tracklets: TrackletTable, window_size: int,
-                         score: PairScorer, gate: float, axis: _Axis = _ALONE) -> TrackletTable:
-    """One window-scheduled level: tracklets may merge only when both lie
-    entirely inside the same window of the given size."""
-    return _merge_to_fixpoint(table, tracklets, lambda t: _window_pairs(t, window_size, axis),
-                              0, score, gate, _bounds_label(window_size, 0, True))
-
-
 # ---------------------------------------------------------------------------
 # First level: frame-adjacent chaining, motion second pass, low-score rescue
 # ---------------------------------------------------------------------------
@@ -410,18 +393,9 @@ def window_strategy_pass(table: BoxTable, tracklets: TrackletTable, window_size:
 # Block scorer: padded (pairs, n) row and (pairs, m) column positions into
 # the frame-sorted rows being linked -> (pairs, n, m) similarities.
 BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# Chains of rows: their rows laid end to end, each chain in frame order and
-# the chains in the order of their first rows, and each chain's size.
-Chains = tuple[np.ndarray, np.ndarray]
 
 
-def _block_scores(kernel: SimilarityKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of every row of each (pairs, n, 4) block of `a` against every
-    row of the same block of `b` (pairs, m, 4): (pairs, n, m)."""
-    return kernel(a[:, :, None], b[:, None, :])
-
-
-def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Chains:
+def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Runs:
     """Match every frame t against frame t+1 and chain the links; returns
     the chains of positions into `frame` (`_chain_layout`), each covering a
     run of consecutive frames.
@@ -452,7 +426,7 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Chains:
 
 
 def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
-                  gate: float) -> Chains:
+                  gate: float) -> Runs:
     """Static frame-to-next-frame chaining of the given rows (in table order).
 
     Matches each frame against the following one with the configured kernel
@@ -461,13 +435,13 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
     call over boxes gathered by row.
     """
     boxes = table.boxes[rows]
-    order, size = _link_frames(table.frame[rows],
-                               lambda r, c: _block_scores(kernel, boxes[r], boxes[c]), gate)
+    order, size = _link_frames(table.frame[rows], lambda r, c: kernel.matrix(boxes[r], boxes[c]),
+                               gate)
     return rows[order], size
 
 
-def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains: Chains,
-                           cfg: TrackerConfig, kernel: SimilarityKernel) -> Chains:
+def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains: Runs,
+                           cfg: TrackerConfig, kernel: SimilarityKernel) -> Runs:
     """Re-run the frame-adjacent association of `rows` (in table order) with
     motion-informed similarity.
 
@@ -482,20 +456,19 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains
     once per pass; each chunk of frame pairs gathers them by position.
     Preliminary links are discarded; only the second-pass links survive.
     """
-    chains = np.split(preliminary_chains[0], np.cumsum(preliminary_chains[1])[:-1])
-    runs = [*chains, *(chain[::-1] for chain in chains)]
-    states = kalman_states(table.frame, table.boxes, runs, cfg)
+    chained, size = preliminary_chains
+    runs = np.concatenate([chained, reversed_runs(chained, size)])
+    states = kalman_states(table.frame, table.boxes, runs, np.tile(size, 2), cfg)
     # entry[0, row] and entry[1, row]: the row's forward and backward state.
     entry = np.empty((2, len(table.frame)), np.intp)
-    entry[np.repeat([0, 1], len(states) // 2), np.concatenate(runs)] = np.arange(len(states))
+    entry[np.repeat([0, 1], chained.size), runs] = np.arange(runs.size)
     boxes = table.boxes[rows]
     # Both predictions step one frame in their filter's own direction.
     ahead = _advance(states[entry[0, rows]], 1)
     behind = _advance(states[entry[1, rows]], 1)
 
     def score(r, c):
-        return 0.5 * (_block_scores(kernel, ahead[r], boxes[c])
-                      + _block_scores(kernel, boxes[r], behind[c]))
+        return 0.5 * (kernel.matrix(ahead[r], boxes[c]) + kernel.matrix(boxes[r], behind[c]))
     order, size = _link_frames(table.frame[rows], score, cfg.match_threshold)
     return rows[order], size
 
@@ -622,17 +595,17 @@ def _run_class(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTabl
 
     def steps(tracklets):  # (label, tracklets, recorded by) after each step
         yield ("singletons" if given is None else "input tracklets"), tracklets, started
-        for k, stage in enumerate(cfg.stages, start=1):
+        # A window schedule has no overlap stage (`validate_config`).
+        for k, (bound, overlap) in enumerate(cfg.stages, start=1):
+            bounds = (f"window {bound}" if window else
+                      f"gap {bound}, overlap {overlap}" if overlap else f"gap {bound}")
             if k == 1 and chained is not None:
                 tracklets = chained
-            elif window:
-                tracklets = window_strategy_pass(table, tracklets, stage.bound, score, gate,
-                                                 axis)
             else:
-                tracklets = hierarchy_pass(table, tracklets, stage.bound, stage.overlap, score,
-                                           gate)
-            yield (f"level-{k} ({_bounds_label(stage.bound, stage.overlap, window)})",
-                   tracklets, started)
+                pairs = ((lambda t: _window_pairs(t, bound, axis)) if window else
+                         (lambda t: _admissible_pairs(t, bound, overlap)))
+                tracklets = hierarchy_pass(table, tracklets, pairs, overlap, score, gate, bounds)
+            yield f"level-{k} ({bounds})", tracklets, started
             if k == 1 and low.size:
                 tracklets = byte_recovery(table, tracklets, low, kernel, gate)
                 yield _RECOVERY, tracklets, recovers
@@ -718,7 +691,7 @@ def _batches(tables: Sequence[BoxTable], cfg: TrackerConfig) -> Iterator[tuple[l
         yield batch, _Axis(np.array(start), np.array(shift))
 
 
-def _laid_out(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequence[np.ndarray]]],
+def _laid_out(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Runs]],
               axis: _Axis) -> tuple[BoxTable, Optional[TrackletTable]]:
     """The batch's table, each sequence's rows in engine order and its frames
     shifted onto the axis, and its tracklets, when given, as one
@@ -730,22 +703,29 @@ def _laid_out(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequence[
         if tracklets is None:  # the engine numbers the rows
             part = part._replace(id=np.arange(1, order.size + 1))
         else:
-            runs = np.concatenate([np.zeros(0, np.intp), *tracklets[k]])
-            rows.append(np.argsort(order)[runs] + base)
+            rows.append(np.argsort(order)[tracklets[k][0]] + base)
         parts.append(part._replace(frame=part.frame + shift))
         base += order.size
     table = BoxTable(*map(np.concatenate, zip(*parts)))
     if tracklets is None:
         return table, None
-    size = np.array([len(run) for runs in tracklets for run in runs], np.intp)
+    size = np.concatenate([size for _, size in tracklets])
     return table, _tracklet_table(table.frame, np.concatenate(rows), size,
                                   np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
 
 
-def _run_batches(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequence[np.ndarray]]],
-                 cfg: TrackerConfig) -> list[TableRun]:
-    """Run `_run_per_class` on each batch of `_batches`, laid out as one
-    table."""
+def run_tables(tables: Sequence[BoxTable], cfg: TrackerConfig,
+               tracklets: Optional[Sequence[Runs]] = None) -> list[TableRun]:
+    """Track sequences, each one's `id` its det_ids: BYTE split, camera
+    handling, all hierarchy levels, each class on its own, every sequence
+    as if alone but in batches (see the module notes).  Without `tracklets`
+    the engine numbers each sequence's rows 1..N in its order.
+
+    With `tracklets` it associates pre-formed tracklets (recombination
+    mode), per sequence the (rows, sizes) `Runs` of `refine.split_rows`
+    that hold every row of its table once.  They are renumbered 1..K in
+    (t_min, t_max, tid) order, since fitting is memoized by tracklet id;
+    camera estimation uses the frame-adjacent pairs inside them."""
     validate_config(cfg)
     runs = []
     for batch, axis in _batches(tables, cfg):
@@ -756,34 +736,7 @@ def _run_batches(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Sequen
     return runs
 
 
-def run_tables(tables: Sequence[BoxTable], cfg: TrackerConfig) -> list[TableRun]:
-    """Track sequences, each one's `id` its det_ids: BYTE split, camera
-    handling, all hierarchy levels, each class on its own, every sequence
-    as if alone but in batches (see the module notes).  The engine numbers
-    each sequence's rows 1..N in its order."""
-    return _run_batches(tables, None, cfg)
-
-
-def run_table(table: BoxTable, cfg: TrackerConfig) -> TableRun:
+def run_table(table: BoxTable, cfg: TrackerConfig,
+              tracklets: Optional[Runs] = None) -> TableRun:
     """`run_tables` of one sequence."""
-    return run_tables([table], cfg)[0]
-
-
-def associate_tables(tables: Sequence[BoxTable], tracklets: Sequence[Sequence[np.ndarray]],
-                     cfg: TrackerConfig) -> list[TableRun]:
-    """Hierarchically associate pre-formed tracklets (recombination mode),
-    every sequence as if alone but in batches (see the module notes): per
-    sequence, frame-sorted row arrays of its table, in tid order, that hold
-    every row once; `id` is the det_id.
-
-    Fitting is memoized by tracklet id, so the tracklets are renumbered 1..K
-    in (t_min, t_max, tid) order.  Camera estimation uses the frame-adjacent
-    pairs inside them; every row is kept.
-    """
-    return _run_batches(tables, tracklets, cfg)
-
-
-def associate_table(table: BoxTable, tracklets: Sequence[np.ndarray],
-                    cfg: TrackerConfig) -> TableRun:
-    """`associate_tables` of one sequence."""
-    return associate_tables([table], [tracklets], cfg)[0]
+    return run_tables([table], cfg, None if tracklets is None else [tracklets])[0]

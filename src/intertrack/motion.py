@@ -3,10 +3,10 @@ bidirectional prediction similarity used when linking tracklets across a
 temporal gap.
 
 The engine keeps its detections in one table: a frame column and an (N, 4)
-box column of [cx, cy, w, h] rows, among others.  A run is an array of row
-indices into that table, in the order the filter visits them: a tracklet's
-frame-sorted rows for the forward direction, the same rows reversed for the
-backward one.  Every function here gathers boxes and frames by row.
+box column of [cx, cy, w, h] rows, among others.  A run is row indices into
+that table in the order the filter visits them: a tracklet's frame-sorted
+rows forward, reversed (`reversed_runs`) backward.  Runs travel laid end to
+end with their lengths, as a `TrackletTable` holds them.
 
 The state tracks (cx, cy, w, h) plus per-frame velocities.  The four
 components are independent under the constant-velocity model and start with
@@ -18,8 +18,6 @@ convention for this family of trackers.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +62,22 @@ def _update(st: np.ndarray, z: np.ndarray, wp: float) -> np.ndarray:
     return out
 
 
-def kalman_states(frame: np.ndarray, boxes: np.ndarray, runs: Sequence[np.ndarray],
-                  cfg: TrackerConfig) -> np.ndarray:
-    """Filter every run of table rows in the order given, all in one batch.
+def reversed_runs(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs laid end to end in `rows` with the given lengths, each one
+    reversed in its place."""
+    ends = np.cumsum(lengths)
+    return rows[np.repeat(2 * ends - lengths - 1, lengths) - np.arange(rows.size)]
 
-    `frame` and `boxes` are the table's columns.  Returns one row per entry,
-    the runs' entries concatenated in input order: the state after filtering
-    the run up to and including that entry, as (cx, cy, w, h, v_cx, v_cy,
-    v_w, v_h, p00, p01, p11).  Velocities are per frame in the run's own
+
+def kalman_states(frame: np.ndarray, boxes: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+                  cfg: TrackerConfig) -> np.ndarray:
+    """Filter the runs of table rows laid end to end in `rows`, of the given
+    integer `lengths` (each >= 1; none for no runs), in one batch.
+
+    `frame` and `boxes` are the table's columns.  Returns one row per entry
+    of `rows`, in its order: the state after filtering the run up to and
+    including that entry, as (cx, cy, w, h, v_cx, v_cy, v_w, v_h, p00, p01,
+    p11).  Velocities are per frame in the run's own
     time direction.  Missing intermediate frames cost one predict step each,
     inflating the covariance across gaps.
 
@@ -82,27 +88,26 @@ def kalman_states(frame: np.ndarray, boxes: np.ndarray, runs: Sequence[np.ndarra
     as when it is filtered alone, so its states do not depend on the batch.
     """
     wp, wv = cfg.kf_position_weight, cfg.kf_velocity_weight
-    lengths = np.array([len(run) for run in runs])
+    count = lengths.size
     order = np.argsort(-lengths, kind="stable")
     # Step-major layout: step s holds entry s of the `active[s]` longest runs.
-    active = len(runs) - np.cumsum(np.bincount(lengths))[:-1]
+    active = count - np.cumsum(np.bincount(lengths))[:-1]
     offset = np.concatenate([[0], np.cumsum(active)])
-    rank = np.empty(len(runs), dtype=np.intp)
-    rank[order] = np.arange(len(runs))
-    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    step = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     slot = offset[step] + np.repeat(rank, lengths)
-    rows = np.concatenate(runs)
     z = np.empty((len(rows), 4))
     z[slot] = boxes[rows]
     frames = np.empty(len(rows), dtype=np.int64)
     frames[slot] = frame[rows]
 
-    first = z[:len(runs)]
-    state = np.column_stack([first, np.zeros((len(runs), 4)),
-                             (_INIT_POS_FACTOR * wp * first[:, 3]) ** 2, np.zeros(len(runs)),
+    first = z[:count]
+    state = np.column_stack([first, np.zeros((count, 4)),
+                             (_INIT_POS_FACTOR * wp * first[:, 3]) ** 2, np.zeros(count),
                              (_INIT_VEL_FACTOR * wv * first[:, 3]) ** 2])
     out = np.empty((len(rows), 11))
-    out[:len(runs)] = state
+    out[:count] = state
     for s in range(1, len(active)):
         m, lo, prev = active[s], offset[s], offset[s - 1]
         st = state[:m]
@@ -156,12 +161,11 @@ class FitCache:
         missing = [side[np.isnan(self._states[d, tid[side], 0])]
                    for d, side in enumerate((forward, backward))]
         if missing[0].size or missing[1].size:
-            start, size = tracklets.start(), tracklets.size
-            runs = [tracklets.rows[s:s + n][::step]
-                    for side, step in zip(missing, (1, -1))
-                    for s, n in zip(start[side].tolist(), size[side].tolist())]
-            last = np.cumsum([len(run) for run in runs]) - 1
-            fitted = kalman_states(self.frame, self.boxes, runs, self.cfg)[last]
+            ahead, back = tracklets.take(missing[0]), tracklets.take(missing[1])
+            lengths = np.concatenate([ahead.size, back.size])
+            rows = np.concatenate([ahead.rows, reversed_runs(back.rows, back.size)])
+            fitted = kalman_states(self.frame, self.boxes, rows, lengths,
+                                   self.cfg)[np.cumsum(lengths) - 1]
             self._states[0, tid[missing[0]]], self._states[1, tid[missing[1]]] = np.split(
                 fitted, [missing[0].size])
         return self._states[0, tid[forward]], self._states[1, tid[backward]]

@@ -7,7 +7,8 @@ by linear interpolation and smoothing the box sequence with a Gaussian
 kernel.
 
 Each step runs on all tracks at once, over a `BoxTable` whose `id` is the
-track id.
+track id.  The split gives its pieces as the rows laid end to end and each
+run's size, the pre-formed tracklets `hierarchy.run_table` takes.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import numpy as np
 from .model import BoxTable
 
 
-def split_rows(table: BoxTable) -> list[np.ndarray]:
+def split_rows(table: BoxTable) -> tuple[np.ndarray, np.ndarray]:
     """Cut each track (`id`) into maximal runs of consecutive frames of one
     class, since every class is associated by an engine of its own: the
-    runs' rows in (track id, time) order, each in frame order.  A track
-    holds one row per frame."""
+    runs' rows laid end to end in (track id, time) order, each run in frame
+    order, and each run's size.  A track holds one row per frame."""
     order = np.lexsort((table.frame, table.id))
     frame, track, cls = table.frame[order], table.id[order], table.class_id[order]
-    cuts = np.flatnonzero((track[1:] != track[:-1]) | (frame[1:] != frame[:-1] + 1)
-                          | (cls[1:] != cls[:-1])) + 1
-    return np.split(order, cuts) if order.size else []
+    starts = np.flatnonzero(np.r_[order.size > 0, (track[1:] != track[:-1])
+                                  | (frame[1:] != frame[:-1] + 1) | (cls[1:] != cls[:-1])])
+    return order, np.diff(np.append(starts, order.size))
 
 
 def interpolate_rows(table: BoxTable, max_gap: int) -> BoxTable:

@@ -10,7 +10,9 @@ exact solver must then return.  `chains` follows links through a dict,
 `resolve_overlap` picks each shared frame's row through a dict, and
 `byte_recovery` absorbs low-score rows one tracklet object at a time: the
 forms of the engine's chaining, overlap merges and low-score recovery before
-its tracklets became one table of arrays."""
+its tracklets became one table of arrays.  `plan_chunks` is the block-by-block
+loop that planned `assignment`'s padded chunks before one scan per chunk
+did."""
 
 from __future__ import annotations
 
@@ -90,6 +92,23 @@ def unique_optimum(scores: np.ndarray) -> bool:
     rows = np.setdiff1d(np.arange(n), [i for i, _ in best])
     cols = np.setdiff1d(np.arange(m), [j for _, j in best])
     return not (np.abs(biased[np.ix_(rows, cols)]) <= tol).any()
+
+
+def plan_chunks(n: list[int], m: list[int], cells: int) -> list[list[int]]:
+    """Indices of blocks of the given (n, m) shapes, sorted by shape, put
+    greedily into chunks: a block joins the current chunk while the chunk's
+    padded cell count, blocks x largest n x largest m, stays within
+    `cells`, and starts a new one otherwise."""
+    chunks: list[list[int]] = []
+    n_max = m_max = 0
+    for k in sorted(range(len(n)), key=lambda k: (n[k], m[k])):
+        if chunks and (len(chunks[-1]) + 1) * max(n_max, n[k]) * max(m_max, m[k]) <= cells:
+            chunks[-1].append(k)
+            n_max, m_max = max(n_max, n[k]), max(m_max, m[k])
+        else:
+            chunks.append([k])
+            n_max, m_max = n[k], m[k]
+    return chunks
 
 
 def chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
+from intertrack import assignment
 from intertrack.assignment import (_TIE_EPS, _tie_bias, connected_components, solve, solve_blocks,
                                    solve_pairs)
 
@@ -448,3 +450,16 @@ def test_cells_below_the_gate_steer_the_match():
     a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
     got = solve_pairs(a, b, np.array([0.55, 0.6, 0.45]), 0.5)
     assert (got.a.tolist(), got.b.tolist()) == ([0], [0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=80),
+       budget=st.sampled_from([1, 6, 64, 700, assignment._CHUNK_CELLS]))
+def test_chunk_plan_matches_the_greedy_loop(shapes, budget):
+    # Few distinct shapes and small budgets give ties, lone oversized
+    # blocks and chunks that close on either side's growth.
+    n = np.array([s for s, _ in shapes], np.intp)
+    m = np.array([s for _, s in shapes], np.intp)
+    with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
+        planned = [chunk.tolist() for chunk in assignment._chunks(n, m)]
+    assert planned == reference.plan_chunks(n.tolist(), m.tolist(), budget)

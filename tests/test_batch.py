@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intertrack import cli, hierarchy
-from intertrack.hierarchy import associate_table, associate_tables, run_table, run_tables
+from intertrack.hierarchy import run_table, run_tables
 from intertrack.model import BoxTable, Strategy, TrackerConfig, table_of
 from intertrack.mot_io import write_table
 from intertrack.refine import split_rows
@@ -65,9 +65,9 @@ def test_batch_equals_each_sequence_alone(tables, cfg, command):
         batch = run_tables(tables, cfg)
         alone = [run_table(table, cfg) for table in tables]
     else:
-        inputs = [refine_input(table) for table in tables]
-        batch = associate_tables(*zip(*inputs), cfg)
-        alone = [associate_table(*given, cfg) for given in inputs]
+        tables, runs = zip(*(refine_input(table) for table in tables))
+        batch = run_tables(tables, cfg, runs)
+        alone = [run_table(table, cfg, given) for table, given in zip(tables, runs)]
     assert [observed(result) for result in batch] == [observed(result) for result in alone]
 
 

@@ -19,14 +19,12 @@ from intertrack.hierarchy import (
     _tracklet_table,
     _window_pairs,
     adjacent_pass,
-    associate_table,
     byte_recovery,
     consistent_motion_pass,
     engine_order,
     hierarchy_pass,
     resolve_overlap,
     run_table,
-    window_strategy_pass,
 )
 from intertrack.model import (
     BoundingBox,
@@ -91,11 +89,28 @@ def state_of(pieces, low=(), first_tid=1):
 
 
 def tracklet_input(*pieces):
-    """The table of the pieces' entries, `id` their det_ids, and each
-    piece's rows: the input of `associate_table`."""
-    ends = np.cumsum([len(p) for p in pieces], dtype=np.intp)
-    return (table_of([e for p in pieces for e in p]),
-            [np.arange(end - len(p), end) for p, end in zip(pieces, ends)])
+    """The table of the pieces' entries, `id` their det_ids, and the
+    pieces as runs of its rows (rows, sizes): the input of `run_table` in
+    recombination mode."""
+    size = np.array([len(p) for p in pieces], np.intp)
+    return table_of([e for p in pieces for e in p]), (np.arange(size.sum()), size)
+
+
+# The frame axis of one sequence on its own frames.
+ALONE = hierarchy._Axis(np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+
+def interval_pass(table, tracklets, dt_bound, overlap_allowance, score, gate):
+    """`hierarchy_pass` under the interval schedule's pair rule."""
+    return hierarchy_pass(table, tracklets,
+                          lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
+                          overlap_allowance, score, gate, f"gap {dt_bound}")
+
+
+def window_pass(table, tracklets, window_size, score, gate):
+    """`hierarchy_pass` under the window schedule's pair rule."""
+    return hierarchy_pass(table, tracklets, lambda t: _window_pairs(t, window_size, ALONE), 0,
+                          score, gate, f"window {window_size}")
 
 
 def tracks_of(result):
@@ -142,49 +157,50 @@ class TestHierarchyPassAdmissibility:
     def test_gap_equal_to_bound_merges(self):
         a = piece(range(1, 5), 100.0)
         b = piece(range(10, 14), 100.0)  # gap = 10 - 4 = 6
-        out = hierarchy_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
+        out = interval_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
         assert out.tid.size == 1
         assert out.t_min[0] == 1 and out.t_max[0] == 13
 
     def test_gap_above_bound_does_not_merge(self):
         a = piece(range(1, 5), 100.0)
         b = piece(range(11, 15), 100.0)  # gap = 7
-        out = hierarchy_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
+        out = interval_pass(*self.make_state([a, b]), 6, 0, constant_sim, gate=0.2)
         assert out.tid.size == 2
 
     def test_zero_gap_needs_overlap_allowance(self):
         a = piece(range(1, 5), 100.0)
         b = piece(range(4, 8), 100.0, det_id=50)  # b starts on a's last frame
-        no_overlap = hierarchy_pass(*self.make_state([a, b]), 5, 0, constant_sim, 0.2)
+        no_overlap = interval_pass(*self.make_state([a, b]), 5, 0, constant_sim, 0.2)
         assert no_overlap.tid.size == 2
-        with_overlap = hierarchy_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
+        with_overlap = interval_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
         assert with_overlap.tid.size == 1
 
     def test_overlap_beyond_allowance_not_admitted(self):
         a = piece(range(1, 10), 100.0)
         b = piece(range(3, 12), 100.0, det_id=50)  # overlap of 7 frames
-        out = hierarchy_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
+        out = interval_pass(*self.make_state([a, b]), 5, 5, constant_sim, 0.2)
         assert out.tid.size == 2
 
     def test_overlap_allowance_counts_shared_frames(self):
         a = piece(range(1, 11), 100.0)
         six = piece(range(5, 13), 100.0, det_id=50)   # shares frames 5..10
         five = piece(range(6, 13), 100.0, det_id=50)  # shares frames 6..10
-        out = hierarchy_pass(*self.make_state([a, six]), 30, 5, constant_sim, 0.2)
+        out = interval_pass(*self.make_state([a, six]), 30, 5, constant_sim, 0.2)
         assert spans(out) == [(1, 10), (5, 12)]
-        out = hierarchy_pass(*self.make_state([a, five]), 30, 5, constant_sim, 0.2)
+        out = interval_pass(*self.make_state([a, five]), 30, 5, constant_sim, 0.2)
         assert spans(out) == [(1, 12)]
 
     def test_classes_never_mix(self):
         # Each class runs an engine of its own, on its own table.
         a = piece(range(1, 5), 100.0, class_id=0)
         b = piece(range(6, 10), 100.0, class_id=1)
-        out = associate_table(*tracklet_input(a, b), TrackerConfig())
+        table, runs = tracklet_input(a, b)
+        out = run_table(table, TrackerConfig(), runs)
         assert len(tracks_of(out)) == 2
 
     def test_fixpoint_chains_fragments_within_one_level(self):
         frags = [piece(range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
-        out = hierarchy_pass(*self.make_state(frags), 5, 0, constant_sim, 0.2)
+        out = interval_pass(*self.make_state(frags), 5, 0, constant_sim, 0.2)
         assert out.tid.size == 1
         assert out.size.tolist() == [12]
 
@@ -192,7 +208,7 @@ class TestHierarchyPassAdmissibility:
         # A merge takes the tid after the highest one, which is never reused.
         frags = [piece(range(1 + 7 * i, 5 + 7 * i), 100.0) for i in range(3)]
         table, tracklets = self.make_state(frags, first_tid=97)
-        out = hierarchy_pass(table, tracklets, 5, 0, constant_sim, 0.2)
+        out = interval_pass(table, tracklets, 5, 0, constant_sim, 0.2)
         assert tracklets.tid.tolist() == [97, 98, 99]
         assert out.tid.tolist() == [100]
 
@@ -220,7 +236,7 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
     # The window schedule's pairs: both tracklets inside one window.
     window = (ordered.t_min - 1) // dt_bound
     inside = window == (ordered.t_max - 1) // dt_bound
-    a, b = _window_pairs(ordered, dt_bound)
+    a, b = _window_pairs(ordered, dt_bound, ALONE)
     assert list(zip(a.tolist(), b.tolist())) == [
         (x, y) for x, y in scan if inside[x] and inside[y] and window[x] == window[y]
         and _interval_admissible(dt_bound, 0, ordered, x, y)]
@@ -256,10 +272,10 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
         return solve_blocks(scores, n, m, gate)
     monkeypatch.setattr(assignment, "solve_blocks", recording_solve)
     cache = FitCache(cfg, table.frame, table.boxes)
-    out = hierarchy_pass(table, tracklets, 5, 0,
-                         lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
-                                                             cache),
-                         gate)
+    out = interval_pass(table, tracklets, 5, 0,
+                        lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
+                                                            cache),
+                        gate)
     assert out.tid.size == survivors
     assert max(calls) == assignment._CHUNK_CELLS
     assert blocks == ([] if survivors == 2400 else [(59, 59)] * 40)
@@ -376,7 +392,7 @@ class TestWindowPass:
         b = piece([8], 100.0)   # frames 7,8 share window (8,...) of size 8
         c = piece([9], 100.0)   # next window
         table, tracklets, _ = state_of([a, b, c])
-        out = window_strategy_pass(table, tracklets, 8, constant_sim, 0.2)
+        out = window_pass(table, tracklets, 8, constant_sim, 0.2)
         assert spans(out) == [(7, 8), (9, 9)]
 
     def test_straddling_tracklet_sits_out(self):
@@ -384,14 +400,14 @@ class TestWindowPass:
         a = piece([2], 100.0)
         b = piece([4], 100.0)
         table, tracklets, _ = state_of([straddler, a, b])
-        out = window_strategy_pass(table, tracklets, 8, constant_sim, 0.2)
+        out = window_pass(table, tracklets, 8, constant_sim, 0.2)
         assert spans(out) == [(2, 4), (8, 9)]
 
     def test_adjacent_windows_not_bridged(self):
         a = piece([1, 2], 100.0)
         b = piece([3, 4], 100.0)
         table, tracklets, _ = state_of([a, b])
-        out = window_strategy_pass(table, tracklets, 2, constant_sim, 0.2)
+        out = window_pass(table, tracklets, 2, constant_sim, 0.2)
         assert out.tid.size == 2
 
 
@@ -548,10 +564,9 @@ def _per_frame_motion_score(chains, cfg, kernel):
     """Reference motion-consistent frame-pair score, one pair at a time."""
     runs = [*chains, *(chain[::-1] for chain in chains)]
     entries = [d for run in runs for d in run]
-    ends = np.cumsum([len(run) for run in runs])
     states = kalman_states(np.array([d.frame for d in entries]),
-                           stack_boxes([d.box for d in entries]),
-                           [np.arange(end - len(run), end) for run, end in zip(runs, ends)], cfg)
+                           stack_boxes([d.box for d in entries]), np.arange(len(entries)),
+                           np.array([len(run) for run in runs], np.intp), cfg)
     half = len(entries) // 2
     fwd = {d.det_id: k for k, d in enumerate(entries[:half])}
     bwd = {d.det_id: k for k, d in enumerate(entries[half:], half)}
@@ -792,14 +807,16 @@ class TestRecombination:
     def test_fragments_rejoin(self):
         a = piece(range(1, 5), 100.0, dx=2.0)
         b = piece(range(9, 14), 100.0 + 2.0 * 8, dx=2.0, det_id=50)
-        res = associate_table(*tracklet_input(a, b), TrackerConfig())
+        table, runs = tracklet_input(a, b)
+        res = run_table(table, TrackerConfig(), runs)
         (rows,) = tracks_of(res)
         assert res.table.frame[rows].tolist() == [*range(1, 5), *range(9, 14)]
 
     def test_distinct_targets_stay_apart(self):
         a = piece(range(1, 5), 100.0)
         b = piece(range(9, 14), 900.0)
-        res = associate_table(*tracklet_input(a, b), TrackerConfig())
+        table, runs = tracklet_input(a, b)
+        res = run_table(table, TrackerConfig(), runs)
         assert len(tracks_of(res)) == 2
 
     def test_duplicate_input_ids_are_tolerated(self):
@@ -809,12 +826,13 @@ class TestRecombination:
         b = piece(range(9, 14), 100.0, det_id=50)
         table = table_of(a + b)
         runs = split_rows(table._replace(id=np.full_like(table.id, 7)))
-        assert [run.size for run in runs] == [4, 5]
-        res = associate_table(table, runs, TrackerConfig())
+        assert runs[1].tolist() == [4, 5]
+        res = run_table(table, TrackerConfig(), runs)
         assert len(tracks_of(res)) == 1
 
     def test_empty_input(self):
-        res = associate_table(table_of([]), [], TrackerConfig())
+        nothing = np.zeros(0, np.intp)
+        res = run_table(table_of([]), TrackerConfig(), (nothing, nothing))
         assert res.rows.size == 0 and res.output().frame.size == 0
 
     def test_panning_scene_is_stabilized_and_restored(self):
@@ -828,7 +846,8 @@ class TestRecombination:
                            for i, e in enumerate(traj.entries)]
                 fragments += [entries[:25], entries[30:]]
             boxes_in = {e.det_id: e.box for p in fragments for e in p}
-            res = associate_table(*tracklet_input(*fragments), TrackerConfig())
+            table, runs = tracklet_input(*fragments)
+            res = run_table(table, TrackerConfig(), runs)
             assert res.per_class[0].camera.moving
             assert res.rows.size == len(boxes_in)
             for det_id, box in zip(res.table.id[res.rows].tolist(),
@@ -905,7 +924,7 @@ class TestLevelRecord:
         else:  # the ground truth, each track cut in two at frame 30
             tracks = tracks_table(gt)
             tracks = tracks._replace(id=2 * tracks.id + (tracks.frame > 30))
-            res = associate_table(numbered(tracks), split_rows(tracks), cfg)
+            res = run_table(numbered(tracks), cfg, split_rows(tracks))
             start = "input tracklets"
         (info,) = res.per_class
         assert info.camera.moving
@@ -932,7 +951,8 @@ class TestLevelRecord:
         cfg = TrackerConfig()
         fragments = [piece(range(1, 5), 100.0), piece(range(7, 11), 100.0, det_id=50),
                      piece(range(1, 11), 600.0, det_id=80)]
-        (info,) = associate_table(*tracklet_input(*fragments), cfg).per_class
+        table, runs = tracklet_input(*fragments)
+        (info,) = run_table(table, cfg, runs).per_class
         self.check_log(info, len(cfg.stages))
         assert info.levels[0].label == "input tracklets"
         assert info.counts == tuple(lv.tracklet_count for lv in info.levels)

@@ -2,14 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intertrack import motion
 from intertrack.geometry import SimilarityKernel, consistent_iou_kernel
 from intertrack.hierarchy import TrackletTable
 from intertrack.model import BoundingBox, Detection, TrackerConfig, Trajectory, stack_boxes
-from intertrack.motion import FitCache, _advance, kalman_states, pair_scores
+from intertrack.motion import FitCache, _advance, kalman_states, pair_scores, reversed_runs
 
 CFG = TrackerConfig()
 
@@ -40,9 +40,8 @@ def table_of(*tracklets):
 def states_of(runs):
     """`kalman_states` of runs of detections, each run filtered in its order."""
     frame, boxes = columns([d for run in runs for d in run])
-    ends = np.cumsum([len(run) for run in runs])
-    return kalman_states(frame, boxes, [np.arange(end - len(run), end)
-                                        for run, end in zip(runs, ends)], CFG)
+    return kalman_states(frame, boxes, np.arange(len(frame)),
+                         np.array([len(run) for run in runs], np.intp), CFG)
 
 
 def final_state(tracklet, forward=True):
@@ -257,9 +256,9 @@ class TestPairSimilarity:
     def test_fit_cache_reuses_states(self, monkeypatch):
         batches = []
 
-        def counted(frame, boxes, runs, cfg):
-            batches.append(len(runs))
-            return kalman_states(frame, boxes, runs, cfg)
+        def counted(frame, boxes, rows, lengths, cfg):
+            batches.append(lengths.size)
+            return kalman_states(frame, boxes, rows, lengths, cfg)
         monkeypatch.setattr(motion, "kalman_states", counted)
         frame, boxes, t = table_of(linear_tracklet(9, range(1, 6)))
         cache = FitCache(CFG, frame, boxes)
@@ -364,7 +363,7 @@ def runs(draw):
 
 class TestKalmanStates:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(runs(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+    @given(st.lists(runs(), min_size=0, max_size=6), st.randoms(use_true_random=False))
     def test_batch_invariance(self, batch, rnd):
         # A row's states are bit-identical alone, in any batch and in any
         # row order, and equal the one-frame-at-a-time reference.
@@ -373,8 +372,19 @@ class TestKalmanStates:
             assert states.tobytes() == reference_states(run, CFG).tobytes()
         order = list(range(len(batch)))
         rnd.shuffle(order)
-        got = states_of([batch[k] for k in order])
-        assert got.tobytes() == np.concatenate([alone[k] for k in order]).tobytes()
+        expected = np.concatenate([np.zeros((0, 11)), *(alone[k] for k in order)])
+        assert states_of([batch[k] for k in order]).tobytes() == expected.tobytes()
+        # The runs laid end to end as rows of a table that holds their
+        # entries in any order; zero runs give an empty integer `lengths`.
+        entries = [d for k in order for d in batch[k]]
+        place = np.array(rnd.sample(range(len(entries)), len(entries)), np.intp)
+        held = [None] * len(entries)
+        for entry, row in zip(entries, place.tolist()):
+            held[row] = entry
+        frame, boxes = columns(held)
+        lengths = np.array([len(batch[k]) for k in order], np.intp)
+        got = kalman_states(frame, boxes, place, lengths, CFG)
+        assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(runs(), min_size=1, max_size=5),
@@ -386,3 +396,17 @@ class TestKalmanStates:
         shifted = [[dataclasses.replace(d, frame=d.frame + shift) for d in run]
                    for run, shift in zip(batch, shifts)]
         assert states_of(shifted).tobytes() == states_of(batch).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 99), max_size=6), max_size=8))
+@example([])
+def test_reversed_runs(runs):
+    # Each run is reversed in its place, and reversing twice is the identity;
+    # no runs give no rows.
+    rows = np.array([x for run in runs for x in run], np.intp)
+    lengths = np.array([len(run) for run in runs], np.intp)
+    back = reversed_runs(rows, lengths)
+    assert back.dtype == rows.dtype
+    assert back.tolist() == [x for run in runs for x in run[::-1]]
+    assert reversed_runs(back, lengths).tolist() == rows.tolist()

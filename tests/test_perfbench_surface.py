@@ -26,6 +26,32 @@ def test_every_tracer_hook_owner_resolves(owner):
     assert tracer._resolve(owner) is not None
 
 
+# The hooked attributes that name functions already gone from the library;
+# the tracer reports each as not found and its metrics read 0 until the
+# benchmark's hooks are rewired to the column functions.
+STALE_HOOKS = {
+    ("intertrack.hierarchy", "run_detailed"),
+    ("intertrack.hierarchy", "associate_tracklets"),
+    ("intertrack.hierarchy", "chain_predictors"),
+    ("intertrack.hierarchy", "pair_similarity"),
+    ("intertrack.motion:FitCache", "get"),
+    ("intertrack.motion", "fit"),
+    ("intertrack.geometry:SimilarityKernel", "pair"),
+    ("intertrack.cli", "split_at_discontinuities"),
+    ("intertrack.cli", "interpolate"),
+    ("intertrack.cli", "gaussian_smooth"),
+    ("intertrack.mot_io", "read_mot_detections"),
+}
+
+
+@pytest.mark.parametrize("owner, attr", sorted({hook[:2] for hook in tracer.HOOKS}))
+def test_every_live_tracer_hook_resolves(owner, attr):
+    # A hook that stops resolving silently zeroes the metrics it feeds, so
+    # only the known stale ones may be missing, and those must stay missing
+    # until they are rewired here.
+    assert hasattr(tracer._resolve(owner), attr) == ((owner, attr) not in STALE_HOOKS)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_builds_its_tiny_inputs(name, tmp_path):
     prepared = workloads.WORKLOADS[name](3, tmp_path, True)

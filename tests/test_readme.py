@@ -16,3 +16,4 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(compile(example, str(README), "exec"), names)
     assert (tmp_path / "tracks.txt").stat().st_size > 0
     assert names["windowed"].per_class and names["report"].idf1 > 0.5
+    assert names["refined"].per_class[0].levels[0].label == "input tracklets"
