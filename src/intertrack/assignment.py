@@ -1,12 +1,11 @@
 """Gated maximum-similarity bipartite matching, in numpy alone.
 
-Similarity matrices use -inf as the sentinel for inadmissible pairs (class
-mismatch, interval violation); every non-finite entry is inadmissible.  The
-solver finds the maximum-total-similarity partial matching over the
-admissible entries — rows and columns may stay unmatched at zero cost — and
-then applies the acceptance gate.  Ties are steered toward low-index pairs
-by a tie bias: cell (i, j) of an n x m block loses `_TIE_EPS * (i * s + j) /
-s**2`, s = n + m, and the optimum is taken over these biased scores.
+A cell is admissible only if its score is finite and above 0; any other
+cell, such as the -inf that marks a class mismatch or an interval
+violation, can never beat leaving its row and column unmatched, which gains
+0.  The solver finds the maximum-total-similarity partial matching over the
+admissible cells, then applies the acceptance gate: no pair scoring 0 or
+less is ever matched.
 
 Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
 pred frames — are scored and solved a chunk at a time by one chunker,
@@ -17,60 +16,50 @@ one numpy scan.  A padded slot repeats its block's last position, so padded
 cells score real boxes and stay finite; `real_cells` masks them out.
 
 `solve_blocks` solves every block of a padded chunk at once, and `solve` is
-its one-block case; `solve(scores, -np.inf)` keeps every pair matched.  A
-cell whose biased score is below 0 loses to leaving its row and column
-unmatched, so no optimum takes it.  The other cells fall apart into
-connected components of rows and columns (`connected_components`), and a
-matching is optimal exactly when it is optimal on each component.  Most
-components need no search.  Call a
-component row-certified when every row whose best biased score is above 0
-has one unique best cell, those cells lie in distinct columns, and no row's
-best is exactly 0 unless the gate is above `_TIE_EPS`.  No matching can give
-a row more than max(0, best), since an unmatched row gains 0; the row-wise
-argmax gives every row exactly that, and any other matching gives some row
-above 0 less, so every optimum matches the rows above 0 as the argmax does.
-A row whose best is exactly 0 may be matched either way, but only at a cell
-whose score equals its bias, below `_TIE_EPS`, so the gate drops it.  The
-column certificate is the same with rows and columns swapped, and a
-component that holds either is matched by that argmax.
+its one-block case; `solve(scores, -np.inf)` keeps every pair matched.  The
+admissible cells fall apart into connected components of rows and columns
+(`connected_components`), and a matching is optimal exactly when it is
+optimal on each component.  Most components need no search.  Call a
+component row-certified when every row with an admissible cell has one
+unique best cell and those cells lie in distinct columns.  No matching can
+give a row more than its best, or 0 if it has no admissible cell; the
+row-wise argmax gives every row exactly that, and any other matching gives
+some row less, so the argmax is the one optimum.  The column certificate is
+the same with rows and columns swapped, and a component that holds either
+is matched by that argmax.
 
 Only the components left over are solved exactly, by the shortest augmenting
 path method of Crouse, "On implementing 2D rectangular assignment
 algorithms" (IEEE TAES 2016), the method of scipy's `linear_sum_assignment`.
 Each of them is one block of its rows x its columns in ascending order;
 these blocks go through `padded_chunks`, and `_augmenting_paths` solves a
-chunk's blocks in lockstep.  Every row owns an implicit unmatched slot of
-weight 0, so an n x m block needs O(n * m) memory.  Exact ties — matchings
-whose biased totals are equal as floats — resolve by the order of search:
-rows join in ascending order, each by a shortest augmenting path; a column
-keeps the first path that reached it at its distance; and of the columns at
-equal distance the search settles a free real column first (the lowest),
-then an unmatched slot (of the row reached first), else the lowest assigned
-column.  So a row whose only cells have a biased score of exactly 0 is
-matched at the lowest of them rather than left unmatched, and of the
-matchings of one set of rows onto one set of columns, whose tie biases sum
-alike, the search keeps the first it finds; scipy's square Hungarian form
-may pick others.  The biased total is the optimum either way.
+chunk's blocks in lockstep, each as if alone.  Every row owns an implicit
+unmatched slot of weight 0, so an n x m block needs O(n * m) memory.  A
+larger total wins however small the difference; exact ties — matchings
+whose totals are equal as floats — resolve by the order of search: rows
+join in ascending order, each by a shortest augmenting path; a column keeps
+the first path that reached it at its distance; and of the columns at equal
+distance the search settles a free real column first (the lowest), then an
+unmatched slot (of the row reached first), else the lowest assigned column.
+scipy's square Hungarian form may pick other optima.
 
 The merge levels match a sparse matrix: their admissible (earlier, later)
 pairs are a small share of all tracklet pairs.  `solve_pairs` takes it as
-cell arrays and solves it as the dense `solve` would, one connected
-component at a time.  It drops every cell whose score is not above 0: a
-dropped cell's biased score is below the 0 that leaving its row and column
-unmatched gains, so no optimum takes it, except a 0 at the bias-free cell
-(0, 0), which the gate (above 0) drops anyway.  Cells above 0 but below the
-gate stay, because they steer which matching is optimal.  A component
-without a cell at or above the gate is not solved: the gate would drop
-whatever it matched.  Each other component is one block of its rows x its
-columns in ascending order, and these blocks go through `padded_chunks` and
+cell arrays, drops the inadmissible cells and solves the rest one connected
+component at a time.  Cells below the gate stay, because they steer which
+matching is optimal, but a component without a cell at or above the gate is
+not solved: the gate would drop whatever it matched.  A component of one
+cell is matched by it.  Each other one is a block of its rows x its columns
+in ascending order, and these blocks go through `padded_chunks` and
 `solve_blocks` like any other blocks, so no array grows with the square of
 the row count unless one component does.
 
-Ties may resolve differently from the dense `solve`.  The tie bias is
-block-local: a cell's bias depends on its position in its component, not in
-the whole matrix.  So two matchings whose real totals differ by less than
-about `_TIE_EPS` can go either way.  With distinct totals both find the one
-optimum.
+The two solvers agree by construction, ties included: each step — the row
+and column certificates, the split into components and `_augmenting_paths`
+— reads one component alone, its rows and columns in ascending order.  So
+`solve_pairs` returns exactly what `solve` of the dense matrix returns, and
+a padded chunk solved by `solve_blocks` equals `solve_pairs` of its cells
+with global row and column ids.
 """
 
 from __future__ import annotations
@@ -78,12 +67,6 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-
-# Scale of the deterministic tie-break bias.  Small enough to never override
-# a real similarity difference, large enough to steer float-equal optima
-# toward low-index pairs.
-_TIE_EPS = 1.0e-10
-
 
 # Upper bound on the padded (blocks, n_max, m_max) cells of one chunk: the
 # kernel's temporaries scale with it, so it bounds memory on long or crowded
@@ -143,12 +126,9 @@ def real_cells(n: np.ndarray, m: np.ndarray, n_max: int, m_max: int) -> np.ndarr
     return (np.arange(n_max)[:, None] < n[:, None, None]) & (np.arange(m_max) < m[:, None, None])
 
 
-def _tie_bias(n: int, m: int, size: int | np.ndarray) -> np.ndarray:
-    """The bias subtracted from cell (i, j) of a block of `size` (n + m)
-    rows plus columns; `size` may be a (k, 1, 1) array of sizes."""
-    bias = (np.arange(n)[:, None] * size + np.arange(m)[None, :]) * _TIE_EPS
-    bias /= size * size
-    return bias
+def _admissible(scores: np.ndarray) -> np.ndarray:
+    """Which scores count: finite and above 0 (see the module docstring)."""
+    return np.isfinite(scores) & (scores > 0)
 
 
 def connected_components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
@@ -177,20 +157,19 @@ def connected_components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[int,
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
 
 
-def _argmax_certificate(biased: np.ndarray, axis: int,
-                        gate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _argmax_certificate(weights: np.ndarray,
+                        axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row (axis 2) or column (axis 1) of each block of a (blocks, n, m)
-    array of biased scores: its best partner, whether it is matched (best
-    above 0), and whether it keeps the argmax certificate (see the module
-    docstring)."""
-    best, partner = biased.max(axis=axis), biased.argmax(axis=axis)
-    unique = (biased == np.expand_dims(best, axis)).sum(axis=axis) == 1
+    array of weights, -inf off the admissible cells: its best partner,
+    whether it is matched (has an admissible cell), and whether it keeps the
+    argmax certificate (see the module docstring)."""
+    best, partner = weights.max(axis=axis), weights.argmax(axis=axis)
     matched = best > 0
-    ok = np.where(matched, unique, (best < 0) | (gate > _TIE_EPS))
-    # Lines above 0 that share their best partner break the certificate.
+    ok = ~matched | ((weights == np.expand_dims(best, axis)).sum(axis=axis) == 1)
+    # Matched lines that share their best partner break the certificate.
     blk, line = np.nonzero(matched)
-    key = blk * biased.shape[axis] + partner[blk, line]
-    shared = np.bincount(key, minlength=biased.shape[0] * biased.shape[axis])[key] > 1
+    key = blk * weights.shape[axis] + partner[blk, line]
+    shared = np.bincount(key, minlength=weights.shape[0] * weights.shape[axis])[key] > 1
     ok[blk[shared], line[shared]] = False
     return partner, matched, ok
 
@@ -304,22 +283,22 @@ def _augmenting_paths(weights: np.ndarray, n: np.ndarray,
     return blk, i, col4row[blk, i]
 
 
-def _match_components(biased: np.ndarray, row_ok: np.ndarray,
-                      gate: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The matches of a (blocks, n_max, m_max) chunk of biased scores, -inf
-    off the admissible cells, that its rows' argmax does not give, one
-    connected component of its cells at or above 0 at a time: by the column
-    argmax where that certificate holds, else by augmenting paths.
+def _match_components(weights: np.ndarray,
+                      row_ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The matches of a (blocks, n_max, m_max) chunk of weights, -inf off
+    the admissible cells, that its rows' argmax does not give, one connected
+    component of its admissible cells at a time: by the column argmax where
+    that certificate holds, else by augmenting paths.
     `row_ok` is the row certificate of each row (`_argmax_certificate`).
 
     Returns those matches as a (matches, 3) array of (block, row, col); per
     row, whether its component keeps the row certificate, so that the row
     argmax matches it; and the number of components solved by augmenting
     paths."""
-    k, n_max, m_max = biased.shape
-    col_row, col_on, col_ok = _argmax_certificate(biased, 1, gate)
+    k, n_max, m_max = weights.shape
+    col_row, col_on, col_ok = _argmax_certificate(weights, 1)
     # Row nodes blk * n_max + i, column nodes blk * m_max + j.
-    blk, i, j = np.nonzero(biased >= 0)
+    blk, i, j = np.nonzero(weights > 0)
     row, col = blk * n_max + i, blk * m_max + j
     count, label = connected_components(k * (n_max + m_max), row, k * n_max + col)
     row_label, col_label = label[:k * n_max], label[k * n_max:]
@@ -328,7 +307,7 @@ def _match_components(biased: np.ndarray, row_ok: np.ndarray,
     exact = np.flatnonzero(~by_rows & ~by_cols)
     cb, cj = np.nonzero(col_on & by_cols[col_label].reshape(k, m_max))
     found = [np.stack([cb, col_row[cb, cj], cj], axis=1)]
-    for dense, dn, dm, r_node, c_node in _component_chunks(row, col, biased[blk, i, j], row_label,
+    for dense, dn, dm, r_node, c_node in _component_chunks(row, col, weights[blk, i, j], row_label,
                                                            col_label, count, exact):
         b, bi, bj = _augmenting_paths(dense, dn, dm)
         r, c = r_node[b, bi], c_node[b, bj]
@@ -350,19 +329,16 @@ def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
     k, n_max, m_max = scores.shape
     if not scores.size:
         return np.zeros((0, 3), np.intp), 0
-    # An empty block (n + m = 0) has no cells; its size of 1 only avoids 0 / 0.
-    size = np.maximum(n + m, 1)[:, None, None]
-    biased = scores - _tie_bias(n_max, m_max, size)
-    biased[~(real_cells(n, m, n_max, m_max) & np.isfinite(scores))] = -np.inf
-    row_col, row_on, row_ok = _argmax_certificate(biased, 2, gate)
+    weights = np.where(real_cells(n, m, n_max, m_max) & _admissible(scores), scores, -np.inf)
+    row_col, row_on, row_ok = _argmax_certificate(weights, 2)
     # Every component of a block whose rows all keep the row certificate
     # keeps it too, so only the other blocks are split into components: on
     # the first level most blocks keep it and are never labelled.
     split = np.flatnonzero(~row_ok.all(axis=1))
     by_rows, found, exact = np.ones((k, n_max), bool), [], 0
     if split.size:
-        biased = biased[split]  # rebound, so that a large chunk is held once
-        part, by_rows[split], exact = _match_components(biased, row_ok[split], gate)
+        weights = weights[split]  # rebound, so that a large chunk is held once
+        part, by_rows[split], exact = _match_components(weights, row_ok[split])
         part[:, 0] = split[part[:, 0]]
         found.append(part)
     rb, ri = np.nonzero(row_on & by_rows)
@@ -397,27 +373,28 @@ class PairMatches(NamedTuple):
 
 def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -> PairMatches:
     """`solve` of the sparse matrix whose distinct cells (a[k], b[k]) hold
-    scores[k] and whose other cells are inadmissible, for a gate above 0,
-    solved one connected component at a time (see the module docstring)."""
-    keep = np.isfinite(scores) & (scores > 0)
+    scores[k] and whose other cells are inadmissible, solved one connected
+    component at a time (see the module docstring)."""
+    keep = _admissible(scores)
     a, b, scores = a[keep], b[keep], scores[keep]
     rows, row = np.unique(a, return_inverse=True)
     cols, col = np.unique(b, return_inverse=True)
     count, label = connected_components(rows.size + cols.size, row, rows.size + col)
     row_label, col_label = label[:rows.size], label[rows.size:]
+    nodes = np.bincount(label, minlength=count)
     # Only components holding a cell at or above the gate can yield a match.
     solved = np.flatnonzero(np.bincount(row_label[row[scores >= gate]], minlength=count))
-    if not solved.size:
-        return PairMatches(a[:0], b[:0], 0, 0, 0)
-    found_a, found_b, largest, exact = [], [], 0, 0
+    # A component of one cell is matched by it; the others are solved as blocks.
+    alone = (nodes[row_label[row]] == 2) & (scores >= gate)
+    found_a, found_b, exact = [a[alone]], [b[alone]], 0
     for dense, n, m, r_node, c_node in _component_chunks(row, col, scores, row_label, col_label,
-                                                         count, solved):
+                                                         count, solved[nodes[solved] > 2]):
         found, failed = solve_blocks(dense, n, m, gate)
         blk, i, j = found.T
         found_a.append(rows[r_node[blk, i]])
         found_b.append(cols[c_node[blk, j]])
-        largest = max(largest, int((n + m).max()))
         exact += failed
     found_a, found_b = np.concatenate(found_a), np.concatenate(found_b)
     order = np.argsort(found_a)
-    return PairMatches(found_a[order], found_b[order], solved.size, largest, exact)
+    return PairMatches(found_a[order], found_b[order], solved.size,
+                       int(nodes[solved].max(initial=0)), exact)

@@ -50,8 +50,8 @@ def estimate(frame: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float,
     Pair k matches box a[k] at frame[k] with box b[k] at frame[k] + 1 (boxes
     are [cx, cy, w, h] rows).  The movement statistic is the mean raw IoU
     over every pair, kept deliberately free of the small-box expansion so it
-    is comparable across sequences with different target sizes; it sums the
-    pairs frame by frame, frames in order of first appearance.  A frame's
+    is comparable across sequences with different target sizes; it adds the
+    pairs left to right, frames in order of first appearance.  A frame's
     displacement is the mean over its pairs, summed in the given order.
     Frames without matches get a zero displacement rather than an
     extrapolated one, so a frame's offset is the sum of the displacements of
@@ -63,8 +63,10 @@ def estimate(frame: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: float,
         return static_profile(frames)
     matched, first, inverse = np.unique(frame, return_index=True, return_inverse=True)
     in_appearance = np.argsort(first[inverse], kind="stable")
-    ious = iou_kernel(a[in_appearance], b[in_appearance]).tolist()
-    mean_iou = float(sum(ious) / len(ious))
+    iou = iou_kernel(a[in_appearance], b[in_appearance])
+    # cumsum adds left to right on every Python; the builtin sum compensates
+    # from 3.12 on, which moves the last digit.
+    mean_iou = float(np.cumsum(iou)[-1] / iou.size)
     if mean_iou >= threshold:
         return static_profile(frames, mean_match_iou=mean_iou)
 

@@ -85,7 +85,7 @@ The results are split back per sequence, which keeps its own frames, det_ids
 and tracks 1..K.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
-ids are never reused, and matching ties are broken toward low indices.
+ids are never reused, and exact ties follow the matcher's search order.
 """
 
 from __future__ import annotations

@@ -7,23 +7,22 @@ correspondence persists while it is still a hit (gt tracks in id order, each
 prediction kept once), the rest is matched optimally over the hits, and a gt
 track whose hypothesis changes counts an identity switch.  Identity: each hit
 adds one to its (gt, pred) track pair's potential, and one global one-to-one
-assignment on it gives IDTP, behind IDF1/IDP/IDR.  Both matchings are
-`assignment.solve` with a gate that keeps every admissible cell: the IoU
-threshold, and one potential count.
+assignment on it gives IDTP, behind IDF1/IDP/IDR: `assignment.solve_pairs`
+of the track pairs that hit, so no gt x pred matrix is built.  Each frame's
+step is `assignment.solve`, gated at the IoU threshold.
 
 All frames are scored at once.  Each frame's gt x pred block goes into the
 padded chunks of `assignment.padded_chunks`, the chunker the first level
 uses, and each chunk is one IoU kernel call, so every IoU is bit-identical
 to a per-frame call; one `nonzero` per chunk gives the hits.  Call a frame
-forced when no gt track and no prediction track has two hits in it and every
-hit's IoU is above `_TIE_EPS`, the largest tie bias the optimal step
-subtracts.  In a forced frame the hits are a one-to-one matching: the
-keep-alive step keeps only hits, and the optimal step then takes every hit
-left, since each adds a positive weight and none shares a row or column with
-another.  So a forced frame's matches are exactly its hits, whatever came
-before — the rule TrackEval's CLEAR relies on.  Only the other, conflict
-frames run the step, in frame order, each from the last match of every gt
-track before it.  The identity switches are the changes in each gt track's
+forced when no gt track and no prediction track has two hits in it.  In a
+forced frame the hits are a one-to-one matching: the keep-alive step keeps
+only hits, and the optimal step then takes every hit left, since each adds
+an IoU at or above the threshold, which is above 0, and none shares a row or
+column with another.  So a forced frame's matches are exactly its hits,
+whatever came before — the rule TrackEval's CLEAR relies on.  Only the
+other, conflict frames run the step, in frame order, each from the last
+match of every gt track before it.  The identity switches are the changes in each gt track's
 sequence of matched predictions.
 
 The public functions take tables in any row order and sort them; sequences
@@ -38,7 +37,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .assignment import _TIE_EPS, padded_chunks, real_cells, solve
+from .assignment import padded_chunks, real_cells, solve, solve_pairs
 from .geometry import iou_kernel
 from .model import BoxTable
 
@@ -96,14 +95,10 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     order = np.lexsort((c, r))  # gt row order, so frame order
     t, r, c, iou = t[order], r[order], c[order], iou[order]
     g, p = gt_of[r], pred_of[c]
-    potential = np.zeros((gt_ids.size, pred_ids.size))
-    np.add.at(potential, (g, p), 1.0)
     conflict = np.zeros(frames.size, bool)
     for ids, size in ((g, gt_ids.size), (p, pred_ids.size)):
         key, count = np.unique(t * size + ids, return_counts=True)
         conflict[key[count > 1] // size] = True
-    # A hit no larger than the tie bias may lose to leaving both unmatched.
-    conflict[t[iou <= _TIE_EPS]] = True
     forced = ~conflict[t]
     matches = [(t[forced], g[forced], p[forced])]
     forced_t, forced_g, forced_p = matches[0]
@@ -128,8 +123,10 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     n_conflict = int(conflict.sum())
     log.info("eval: %d frames in %d chunks, %d forced, %d conflict frames stepped",
              frames.size, chunks, frames.size - n_conflict, n_conflict)
-    admissible = np.where(potential > 0, potential, -np.inf)
-    idtp = int(sum(potential[i, j] for i, j in solve(admissible, 1.0)))
+    # Each (gt, pred) track pair's potential: its number of hits.
+    pair, potential = np.unique(g * pred_ids.size + p, return_counts=True)
+    found = solve_pairs(pair // pred_ids.size, pair % pred_ids.size, potential.astype(float), 1.0)
+    idtp = int(potential[np.searchsorted(pair, found.a * pred_ids.size + found.b)].sum())
     return EvalCounts(fp=pred.frame.size - mg.size, fn=gt.frame.size - mg.size, idsw=idsw,
                       idtp=idtp, len_gt=gt.frame.size, len_pred=pred.frame.size)
 

@@ -24,40 +24,38 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from intertrack.assignment import _TIE_EPS, _tie_bias, solve
+from intertrack.assignment import solve
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
 from intertrack.model import BoundingBox, BoxTable, Detection, Trajectory, stack_boxes
 from intertrack.mot_io import KITTI_CLASSES
 
 
-# Large finite stand-in for -inf inside the padded solve (scipy rejects
-# matrices that make every complete assignment infeasible).
-_BIG = 1.0e6
+# Matchings whose totals differ by less than this tie: the tests' near-ties
+# differ by 1e-12, and float sums of a few dozen cells of at most 1 err by
+# less than 1e-14.
+TIE_TOL = 1e-13
 
 
 def scipy_matching(scores: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-total-weight partial matching of a rectangular matrix.
 
-    Entries of -inf (or NaN) are inadmissible.  Leaving a row or column
-    unmatched costs nothing, so only pairs that raise the total are taken.
-    Implemented as a square (n+m)x(n+m) assignment where each row and column
-    owns a zero-weight dummy partner.
+    Entries that are not finite and above 0 are inadmissible.  Leaving a
+    row or column unmatched costs nothing, so only pairs that raise the
+    total are taken.  Implemented as a square (n+m)x(n+m) assignment where
+    each row and column owns a zero-weight dummy partner.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n, m = scores.shape
     if n == 0 or m == 0:
         return []
-    admissible = np.isfinite(scores)
+    admissible = np.isfinite(scores) & (scores > 0)
     size = n + m
-    padded = np.full((size, size), -_BIG)
-    padded[:n, :m] = np.where(admissible, scores, -_BIG)
+    padded = np.full((size, size), -np.inf)
+    padded[:n, :m] = np.where(admissible, scores, -np.inf)
     padded[np.arange(n), m + np.arange(n)] = 0.0
     padded[n + np.arange(m), np.arange(m)] = 0.0
     padded[n:, m:] = 0.0
-    # Nudge real entries toward lexicographically small (row, col) choices
-    # among equal-total optima.
-    padded[:n, :m] -= _tie_bias(n, m, size)
     rows, cols = linear_sum_assignment(padded, maximize=True)
     out = []
     for i, j in zip(rows, cols):
@@ -69,29 +67,21 @@ def scipy_matching(scores: np.ndarray) -> list[tuple[int, int]]:
 
 def unique_optimum(scores: np.ndarray) -> bool:
     """Whether `scipy_matching(scores)` is the only partial matching of
-    its biased total (scores less the tie bias).
+    its total.
 
-    Any other optimum either leaves out one of its pairs, and then the
-    optimum with that pair made inadmissible reaches the same total, or
-    holds all of its pairs and more, each joining a row and a column it
-    leaves unmatched at a biased score of 0.  Totals closer than a quarter
-    of the tie bias's smallest step count as equal."""
+    Any other optimum leaves out one of its pairs, and then the optimum with
+    that pair made inadmissible reaches the same total; it cannot hold all
+    of its pairs and more, since every admissible cell adds above 0.  Totals
+    closer than `TIE_TOL` count as equal."""
     scores = np.asarray(scores, dtype=np.float64)
-    n, m = scores.shape
-    if n == 0 or m == 0:
-        return True
-    biased = np.where(np.isfinite(scores), scores - _tie_bias(n, m, n + m), -np.inf)
-    tol = _TIE_EPS / (4 * (n + m) ** 2)
     best = scipy_matching(scores)
-    total = math.fsum(biased[i, j] for i, j in best)
-    for i, j in best:
+    total = math.fsum(scores[p] for p in best)
+    for p in best:
         without = scores.copy()
-        without[i, j] = -np.inf
-        if math.fsum(biased[p] for p in scipy_matching(without)) > total - tol:
+        without[p] = -np.inf
+        if math.fsum(scores[q] for q in scipy_matching(without)) > total - TIE_TOL:
             return False
-    rows = np.setdiff1d(np.arange(n), [i for i, _ in best])
-    cols = np.setdiff1d(np.arange(m), [j for _, j in best])
-    return not (np.abs(biased[np.ix_(rows, cols)]) <= tol).any()
+    return True
 
 
 def plan_chunks(n: list[int], m: list[int], cells: int) -> list[list[int]]:
@@ -270,9 +260,8 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float,
 
     Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).
 
-    After such a tie the counts may depend on the solver: the tie bias does
-    not order the matchings of one set of rows onto one set of columns
-    (their biases sum alike), identity switches follow the pick, and so do
+    After such a tie the counts may depend on the solver: each solver keeps
+    its own pick of the optima, identity switches follow the pick, and so do
     the correspondences that later frames keep alive.  Only idtp, len_gt
     and len_pred never do."""
     if not 0.0 < iou_threshold <= 1.0:

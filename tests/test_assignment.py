@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
 from intertrack import assignment
-from intertrack.assignment import (_TIE_EPS, _tie_bias, connected_components, solve, solve_blocks,
+from intertrack.assignment import (connected_components, real_cells, solve, solve_blocks,
                                    solve_pairs)
 
 _PERM_CACHE = {}
@@ -143,19 +143,14 @@ def _block(draw, n, m):
         return block
     for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
         block[i] = draw(st.sampled_from([-np.inf, np.nan, 0.0]))
-    if draw(st.booleans()):
-        block[0, 0] = 0.0  # the one cell whose tie bias is 0
     for _ in range(draw(st.integers(0, 2)) if m > 1 else 0):
-        # Cells of one row at base + c * bias: c = 1 ties them exactly after
-        # the tie bias, c = 0.5 makes the bias decide against the raw score,
-        # and base 0 with c = 1 puts the biased score at exactly 0, which a
-        # matching may take or leave at no cost.
+        # Cells of one row at one base, some 1e-12 above it: exact ties, and
+        # near-ties that the larger total must win.  On a base of 0 the
+        # nudged cells are tiny but admissible, and the others are not.
         i = draw(st.integers(0, n - 1))
         base = draw(st.sampled_from([0.0, 0.75]))
-        c = draw(st.sampled_from([0.0, 0.5, 1.0]))
-        bias = _tie_bias(n, m, n + m)
         for j in draw(st.sets(st.integers(0, m - 1), min_size=2)):
-            block[i, j] = base + c * bias[i, j]
+            block[i, j] = base + draw(st.sampled_from([0.0, 1e-12]))
     return block
 
 
@@ -177,7 +172,7 @@ def _chunks(draw):
 
 def _hungarian(block, gate):
     """The reference: the exact matching of the whole block, then the gate.
-    The matching is scipy's where the block's biased optimum is unique;
+    The matching is scipy's where the block's optimum is unique;
     where it ties, the solvers may pick different optima, and the
     package's one-block solve stands in, so that a chunk must resolve ties
     as its blocks solved alone do."""
@@ -186,14 +181,19 @@ def _hungarian(block, gate):
     return [(i, j) for i, j in matches if block[i, j] >= gate]
 
 
-def _uncertified_components(block, gate):
-    """The number of connected components (by scipy) of the block's cells
-    with biased score >= 0 that neither the row-wise nor the column-wise
-    argmax certificate settles, line by line as the `assignment` docstring
-    states them."""
+def _weights(block):
+    """The block with every cell that is not finite and above 0 at -inf."""
+    return np.where(np.isfinite(block) & (block > 0), block, -np.inf)
+
+
+def _uncertified_components(block):
+    """The number of connected components (by scipy) of the block's
+    admissible cells that neither the row-wise nor the column-wise argmax
+    certificate settles, line by line as the `assignment` docstring states
+    them."""
     n, m = block.shape
-    biased = np.where(np.isfinite(block), block - _tie_bias(n, m, n + m), -np.inf)
-    i, j = np.nonzero(biased >= 0)
+    weights = _weights(block)
+    i, j = np.nonzero(weights > 0)
     graph = coo_matrix((np.ones(i.size), (i, n + j)), shape=(n + m, n + m))
     label = scipy_components(graph, directed=False)[1]
 
@@ -201,17 +201,11 @@ def _uncertified_components(block, gate):
         """The labels of the components holding a line that breaks the certificate."""
         best = [max(line, default=-np.inf) for line in lines]
         partner = [int(np.argmax(line)) if best[r] > 0 else -1 for r, line in enumerate(lines)]
-        fail = set()
-        for r, line in enumerate(lines):
-            if best[r] > 0:
-                ok = sum(x == best[r] for x in line) == 1 and partner.count(partner[r]) == 1
-            else:
-                ok = best[r] < 0 or gate > _TIE_EPS
-            if not ok:
-                fail.add(labels[r])
-        return fail
+        return {labels[r] for r, line in enumerate(lines)
+                if best[r] > 0 and (sum(x == best[r] for x in line) > 1
+                                    or partner.count(partner[r]) > 1)}
 
-    return len(failing(list(biased), label[:n]) & failing(list(biased.T), label[n:]))
+    return len(failing(list(weights), label[:n]) & failing(list(weights.T), label[n:]))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -220,8 +214,9 @@ def test_solve_blocks_matches_hungarian_block_by_block(chunk):
     scores, n, m, gate = chunk
     found, fallback = solve_blocks(scores, n, m, gate)
     assert found.shape == (len(found), 3)
+    assert (scores[tuple(found.T)] > 0).all()
     # The count is of components, several of which a block may hold.
-    assert 0 <= fallback == sum(_uncertified_components(scores[k, :n[k], :m[k]], gate)
+    assert 0 <= fallback == sum(_uncertified_components(scores[k, :n[k], :m[k]])
                                 for k in range(len(n)))
     # In (block, row) order, each block's matches as `solve` lists them.
     assert [[k, i, j] for k in range(len(n))
@@ -231,10 +226,11 @@ def test_solve_blocks_matches_hungarian_block_by_block(chunk):
         assert solve(block, gate) == _hungarian(block, gate)
 
 
-def _biased_totals(block):
-    """The biased total of every partial matching of `block`, by enumeration."""
+def _totals(block):
+    """The total of every partial matching of the block's admissible cells,
+    by enumeration."""
     n, m = block.shape
-    biased = np.where(np.isfinite(block), block - _tie_bias(n, m, n + m), -np.inf)
+    weights = _weights(block)
     totals = []
 
     def extend(i, free, total):
@@ -243,23 +239,17 @@ def _biased_totals(block):
             return
         extend(i + 1, free, total)
         for j in free:
-            if np.isfinite(biased[i, j]):
-                extend(i + 1, free - {j}, total + biased[i, j])
+            if weights[i, j] > 0:
+                extend(i + 1, free - {j}, total + weights[i, j])
     extend(0, frozenset(range(m)), 0.0)
-    return biased, totals
-
-
-# Matchings whose biased totals differ by less than this tie: the bias of a
-# block of at most 10 rows plus columns steps by 1e-12, float sums of at most
-# five cells err by about 1e-15.
-_TIE_TOL = 1e-13
+    return totals
 
 
 @settings(max_examples=1000, deadline=None)
 @given(_chunks())
 def test_solve_blocks_matches_the_scipy_reference(chunk):
-    """A unique biased optimum gives the reference's matches; a tie gives
-    matches of the same biased total."""
+    """A unique optimum gives the reference's matches; a tie gives matches
+    of the same total."""
     scores, n, m, gate = chunk
     found, _ = solve_blocks(scores, n, m, gate)
     for k in range(len(n)):
@@ -268,11 +258,11 @@ def test_solve_blocks_matches_the_scipy_reference(chunk):
         gated = [(i, j) for b, i, j in found.tolist() if b == k]
         if got == want and gated == [(i, j) for i, j in want if block[i, j] >= gate]:
             continue
-        biased, totals = _biased_totals(block)
+        totals = _totals(block)
         best = max(totals)
-        assert sum(t > best - _TIE_TOL for t in totals) > 1
+        assert sum(t > best - reference.TIE_TOL for t in totals) > 1
         for matches in (want, got):
-            assert abs(math.fsum(biased[i, j] for i, j in matches) - best) < _TIE_TOL
+            assert abs(math.fsum(block[i, j] for i, j in matches) - best) < reference.TIE_TOL
 
 
 def test_column_certificate_settles_a_shared_column():
@@ -335,19 +325,21 @@ def test_connected_components_of_a_long_chain():
 
 
 def test_zero_score_at_first_cell_is_never_matched():
-    # The tie bias of cell (0, 0) is 0, so its biased score is exactly 0.
+    # A cell at or below 0 can never beat leaving its row and column
+    # unmatched, so no gate, not even -inf, lets one through.
     scores = np.array([[0.0, -np.inf], [0.0, 0.6]])
-    assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(1, 1)]
-    assert solve(np.zeros((1, 1)), gate=0.2) == []
+    for gate in (-np.inf, -1.0, 0.0, 1e-12, 0.2):
+        assert solve(scores, gate) == _hungarian(scores, gate) == [(1, 1)]
+    assert solve(np.zeros((1, 1)), -np.inf) == []
+    assert solve(np.array([[-0.5, -0.0], [0.0, -1e-300]]), -np.inf) == []
 
 
 def test_tied_row_best_goes_to_the_fallback():
-    # Row 1's two cells tie after the bias.  The exact solve spends
-    # column 0 on row 0's zero, which costs nothing, and gives row 1 column
-    # 2; taking row 1's first best would give it column 0.
-    bias = _tie_bias(2, 3, 5)
-    scores = np.array([[0.0, -np.inf, -np.inf], [0.75 + bias[1, 0], -np.inf, 0.75 + bias[1, 2]]])
-    assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(1, 2)]
+    # Row 1's two cells tie exactly, so neither argmax certifies the
+    # component.  The exact solve spends column 0 on row 0 and gives row 1
+    # column 2; taking row 1's first best would give it column 0.
+    scores = np.array([[0.5, -np.inf, -np.inf], [0.75, -np.inf, 0.75]])
+    assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(0, 0), (1, 2)]
     assert solve_blocks(scores[None], [2], [3], 0.2)[1] == 1
 
 
@@ -359,28 +351,34 @@ def test_certified_blocks_skip_the_fallback():
     assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
-def test_zero_biased_row_takes_its_lowest_cell():
-    # Row 0's best biased score is exactly 0, at (0, 0) and at (0, 1), whose
-    # score is its own tie bias: taking either costs nothing.  The search
-    # takes the lowest, (0, 0), which even a gate below the tie bias drops,
-    # so row 0 stays unmatched; scipy's square form takes (0, 1), which that
-    # gate keeps.
-    bias = _tie_bias(2, 3, 5)
-    scores = np.array([[0.0, bias[0, 1], 0.5], [0.0, 0.0, 1.0]])
-    assert not reference.unique_optimum(scores)
-    assert solve(scores, -np.inf) == [(0, 0), (1, 2)]
-    assert solve(scores, 1e-12) == [(1, 2)]
+def test_row_takes_a_tiny_cell_over_staying_unmatched():
+    # Row 0's only admissible cells are (0, 1), scored just above 0, and
+    # (0, 2), which row 1 needs more.  Any admissible cell gains more than
+    # leaving its row unmatched, so row 0 takes (0, 1); the zeros stay out.
+    scores = np.array([[0.0, 4e-12, 0.5], [0.0, 0.0, 1.0]])
+    assert reference.unique_optimum(scores)
+    assert solve(scores, -np.inf) == _hungarian(scores, -np.inf) == [(0, 1), (1, 2)]
+    assert solve(scores, 1e-12) == [(0, 1), (1, 2)]
+    assert solve(scores, 0.2) == [(1, 2)]
+
+
+def test_a_near_tie_goes_to_the_larger_total():
+    # No bias overrides a real difference, however small, on either path.
+    assert solve(np.array([[0.5, 0.5 + 1e-12]]), 0.2) == [(0, 1)]
+    assert solve(np.array([[0.5, 0.5], [0.5, 0.5 + 1e-12]]), 0.2) == [(0, 0), (1, 1)]
+    got = solve_pairs(np.array([0, 0]), np.array([0, 1]), np.array([0.5, 0.5 + 1e-12]), 0.2)
+    assert (got.a.tolist(), got.b.tolist()) == ([0], [1])
 
 
 def test_one_block_may_hold_several_searched_components():
-    # Cell (0, 0)'s biased score is exactly 0, so at a gate below the tie
-    # bias neither certificate settles it.  Rows 1 and 3 both want column
-    # 2, and row 1 is the best of both columns 1 and 2.
-    scores = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 1.0, 0.0],
-                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    found, exact = solve_blocks(scores[None], [4], [4], 1e-12)
-    assert exact == 2 == _uncertified_components(scores, 1e-12)
-    assert found.tolist() == [[0, 1, 1], [0, 3, 2]]
+    # Rows 0 and 2 x columns 0 and 3 tie exactly, so neither certificate
+    # settles them.  Rows 1 and 3 both want column 2, and row 1 is the best
+    # of both columns 1 and 2.  The zeros are inadmissible.
+    scores = np.array([[0.25, 0.0, 0.0, 0.25], [0.0, 0.5, 1.0, 0.0],
+                       [0.25, 0.0, 0.0, 0.25], [0.0, 0.0, 1.0, 0.0]])
+    found, exact = solve_blocks(scores[None], [4], [4], 0.2)
+    assert exact == 2 == _uncertified_components(scores)
+    assert found.tolist() == [[0, 0, 0], [0, 1, 1], [0, 2, 3], [0, 3, 2]]
 
 
 # Scores in place of a continuous draw: inadmissible or never taken.
@@ -391,11 +389,12 @@ _TIED = [-np.inf, np.nan, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0]
 
 @st.composite
 def _sparse_pairs(draw):
-    """(a, b, scores, gate, tied, shape): distinct cells of an n x m matrix
-    in random order, either a band that makes one large component or a
-    random set that also leaves cells isolated.  Continuous scores (`tied`
-    False) hold at most one cell equal to the gate, so no two matchings tie;
-    tied scores lie on a grid of quarters at or above the gate, so many do."""
+    """(a, b, scores, gate, shape): distinct cells of an n x m matrix in
+    random order, either a band that makes one large component or a random
+    set that also leaves cells isolated.  Continuous scores hold at most one
+    cell equal to the gate, so no two matchings tie; tied scores lie on a
+    grid of quarters, so many do; near-tied scores lie within 1e-10 of two
+    values, so many matchings differ by less than that."""
     n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -405,10 +404,13 @@ def _sparse_pairs(draw):
         a, b = np.nonzero(rng.random((n, m)) < draw(st.sampled_from([0.05, 0.2, 0.5])))
     order = rng.permutation(a.size)
     a, b = a[order], b[order]
-    tied = draw(st.booleans())
-    if tied:
+    kind = draw(st.sampled_from(["tied", "near", "continuous"]))
+    if kind == "tied":
         gate = draw(st.sampled_from([0.1, 0.25]))
         scores = rng.choice(_TIED, a.size)
+    elif kind == "near":
+        gate = 0.6
+        scores = rng.choice([0.5, 0.75], a.size) + rng.choice([0.0, 1e-12, 1e-11, 1e-10], a.size)
     else:
         gate = draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
         scores = rng.uniform(0.001, 1.0, a.size)
@@ -416,13 +418,14 @@ def _sparse_pairs(draw):
         scores[special] = rng.choice(_SPECIAL, special.sum())
         if a.size and draw(st.booleans()):
             scores[draw(st.integers(0, a.size - 1))] = gate
-    return a, b, scores, gate, tied, (n, m)
+    return a, b, scores, gate, (n, m)
 
 
 @settings(max_examples=600, deadline=None)
 @given(_sparse_pairs())
 def test_solve_pairs_matches_the_dense_solve(case):
-    a, b, scores, gate, tied, shape = case
+    """The same pairs, ties included."""
+    a, b, scores, gate, shape = case
     dense = np.full(shape, -np.inf)
     dense[a, b] = scores
     want = solve(dense, gate)
@@ -431,10 +434,22 @@ def test_solve_pairs_matches_the_dense_solve(case):
     assert pairs == sorted(pairs)
     assert len(set(got.a.tolist())) == len(set(got.b.tolist())) == len(pairs)
     assert all(dense[i, j] >= gate for i, j in pairs)
-    if tied:
-        assert sum(dense[i, j] for i, j in pairs) == sum(dense[i, j] for i, j in want)
-    else:
-        assert pairs == want
+    assert pairs == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_chunks())
+def test_a_chunk_solves_as_its_cells_with_global_ids(chunk):
+    """`solve_blocks` of a padded chunk equals `solve_pairs` of its real
+    cells, block k's row i and column j renumbered k * n_max + i and
+    k * m_max + j, ties included."""
+    scores, n, m, gate = chunk
+    k, n_max, m_max = scores.shape
+    found, exact = solve_blocks(scores, n, m, gate)
+    blk, i, j = np.nonzero(real_cells(np.array(n), np.array(m), n_max, m_max))
+    got = solve_pairs(blk * n_max + i, blk * m_max + j, scores[blk, i, j], gate)
+    assert list(zip(got.a.tolist(), got.b.tolist())) == [
+        (b * n_max + r, b * m_max + c) for b, r, c in found.tolist()]
 
 
 def test_solve_pairs_skips_components_below_the_gate():

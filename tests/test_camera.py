@@ -1,3 +1,7 @@
+import functools
+import operator
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +50,29 @@ def pan_scene(n_frames, pan=(20.0, 0.0), targets=((100.0, 100.0), (400.0, 300.0)
     return all_dets, matches
 
 
+def neumaier_sum(values, start=0):
+    """The builtin sum of floats as Python 3.12 computes it: compensated."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
 class TestEstimate:
+    def test_mean_iou_adds_left_to_right_on_every_python(self):
+        rng, n = np.random.default_rng(4), 500
+        a = np.column_stack([rng.uniform(0, 100, (n, 2)), rng.uniform(5, 30, (n, 2))])
+        b = a + np.column_stack([rng.normal(0, 3, (n, 2)), np.zeros((n, 2))])
+        frame = np.repeat(np.arange(1, 51), n // 50)
+        ious = iou_kernel(a, b).tolist()
+        left_to_right = functools.reduce(operator.add, ious) / n
+        assert neumaier_sum(ious) / n != left_to_right  # compensation shows here
+        with mock.patch("builtins.sum", neumaier_sum):
+            profile = estimate(frame, a, b, threshold=0.0, frames=np.arange(1, 52))
+        assert profile.mean_match_iou == left_to_right
+
     def test_static_scene_not_moving(self):
         dets, matches = pan_scene(10, pan=(0.0, 0.0))
         profile = estimate(*pairs_of(matches), threshold=0.65, frames=np.arange(1, 11))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ import reference
 from intertrack import assignment
 from intertrack.assignment import solve
 from intertrack.geometry import iou_kernel
-from intertrack.model import BoundingBox, Detection, Trajectory, stack_boxes, tracks_table
+from intertrack.model import (BoundingBox, BoxTable, Detection, Trajectory, stack_boxes,
+                              tracks_table)
 from intertrack.metrics import (
     eval_counts,
     evaluate,
@@ -319,15 +321,15 @@ _SHARED_HYPOTHESIS = ([_line(1, [(1, 0), (3, 0), (4, 0)]), _line(2, [(2, 0), (3,
 _SHARED_ID = ([_line(1, [(1, 0), (2, 0)]), _line(1, [(2, 6), (3, 6)])],
               [_line(5, [(1, 0), (2, 6), (3, 6)]), _line(6, [(2, 0)])])
 
-# gt 2 overlaps pred 7 by an IoU of about 1e-11, below the tie bias of its
-# cell in the optimal step's block, so the step leaves both unmatched.
+# gt 2 overlaps pred 7 by an IoU of about 1e-11: at a threshold below that
+# it is a hit like any other, and the frame's one hit is matched.
 _TINY_HIT = ([_line(1, [(1, 20)]), _line(2, [(1, 0)])], [_line(7, [(1, 4 - 8e-11)])])
 
 # gt 1 and 2 and predictions 3, 4 and 5 share one box at frame 1, gt 1 and
-# prediction 4 again at frame 2.  Frame 1's two perfect matchings onto
-# predictions 3 and 4 tie exactly (their tie biases sum alike); the solver
-# keeps the first it finds, gt 1 to prediction 3, so frame 2 switches gt 1
-# to 4.  scipy's square form picks gt 1 to 4 and counts no switch.
+# prediction 4 again at frame 2.  Frame 1's perfect matchings onto two of
+# the three predictions tie exactly; the solver keeps the first it finds,
+# gt 1 to prediction 3, so frame 2 switches gt 1 to 4.  scipy's square form
+# may pick gt 1 to 4 and count no switch.
 _TIED_PICK = ([_line(1, [(1, 0), (2, 0)]), _line(2, [(1, 0)])],
               [_line(3, [(1, 0)]), _line(4, [(1, 0), (2, 0)]), _line(5, [(1, 0)])])
 
@@ -381,17 +383,32 @@ class TestColumnCounts:
         counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_ID), 0.5)
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 2)
 
-    def test_hit_below_the_tie_bias_is_not_matched(self):
+    def test_hit_at_a_tiny_threshold_is_matched(self):
         counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _TINY_HIT), 1e-12)
         boxes = stack_boxes([_TINY_HIT[0][1].entries[0].box, _TINY_HIT[1][0].entries[0].box])
-        assert 0 < iou_kernel(*boxes) < 1e-10
-        assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 2, 0, 1)
+        assert 1e-12 <= iou_kernel(*boxes) < 1e-10
+        assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (0, 1, 0, 1)
 
     def test_tied_frame_keeps_the_solvers_first_matching(self):
         gt, pred = (frame_sorted(tracks_table(t)) for t in _TIED_PICK)
         counts = eval_counts(gt, pred, 1.0)
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 0, 1, 3)
         assert reference.eval_counts(gt, pred, 1.0)[1]
+
+    def test_idtp_builds_no_gt_by_pred_matrix(self):
+        # 2,000 gt and 2,000 prediction tracks, one box each, on one spot in
+        # frames of their own: a dense potential would take 8 * 2000^2 bytes.
+        n = 2000
+        table = BoxTable(np.arange(1, n + 1), np.arange(n), np.ones(n), np.zeros(n, np.int64),
+                         np.tile([10.0, 10.0, 4.0, 4.0], (n, 1)))
+        tracemalloc.start()
+        try:
+            counts = eval_counts(table, table, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (0, 0, 0, n)
+        assert peak < 8 * n * n / 8
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
         counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_HYPOTHESIS), 0.5)

@@ -61,8 +61,13 @@ The cases:
   below the high-score gate.  `track` and `refine` (on each sequence's
   fragmented output) run on it under `--strategy interval|window` with
   `--workers 1` and `--workers 2`.
+- 2 exact-tie cases on the crowd scene written twice: `track` on its
+  detections with every row written twice, and `refine` on its foreign
+  output with every track written twice, the copy under a new track id.
+  Every score then ties with its copy's, so the matcher's tie rule decides
+  which copy joins which tracklet.
 
-99 cases in all.
+101 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -324,6 +329,29 @@ def _directory_cases():
                                   "--strategy", strategy, "--workers", workers], evals))
 
 
+def _write_doubled_crowd() -> None:
+    """The crowd scene with every detection row written twice, and every
+    foreign track written twice, the copy under a new track id."""
+    _write_mot_scene(CROWD)
+    det = Path("det.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    Path("det.txt").write_text("".join(line + line for line in det), encoding="utf-8")
+    theirs = Path("theirs.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [line.split(",", 2) for line in theirs]
+    offset = max(int(track_id) for _, track_id, _ in rows)
+    copies = [f"{frame},{int(track_id) + offset},{rest}" for frame, track_id, rest in rows]
+    Path("theirs.txt").write_text("".join(theirs + copies), encoding="utf-8")
+
+
+def _tie_cases():
+    """(name, prepare) of the 2 exact-tie cases."""
+    evals = ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv"]
+    for command, src_flag, src in (("track", "--det", "det.txt"),
+                                   ("refine", "--in", "theirs.txt")):
+        yield (f"ties-crowd-{command}",
+               _cli_case(_write_doubled_crowd, [command, src_flag, src, "--out", "out.txt"],
+                         evals))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -345,7 +373,7 @@ def main(argv=None) -> int:
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
                           *_reader_cases(), *_config_cases(), *_eval_cases(),
-                          *_directory_cases()]:
+                          *_directory_cases(), *_tie_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
