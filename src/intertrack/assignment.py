@@ -8,32 +8,45 @@ admissible cells, then applies the acceptance gate: no pair scoring 0 or
 less is ever matched.
 
 Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
-pred frames — are scored and solved a chunk at a time by one chunker,
-`padded_chunks`: the blocks are sorted by shape and cut into chunks of at
-most `_CHUNK_CELLS` padded cells, and each chunk gives its blocks' row and
+pred frames — are scored a chunk at a time by one chunker, `padded_chunks`:
+the blocks are sorted by shape and cut into chunks of at most
+`_CHUNK_CELLS` padded cells, and each chunk gives its blocks' row and
 column positions padded to its largest block; `_chunks` plans each chunk by
 one numpy scan.  A padded slot repeats its block's last position, so padded
 cells score real boxes and stay finite; `real_cells` masks them out.
 
-`solve_blocks` solves every block of a padded chunk at once, and `solve` is
-its one-block case; `solve(scores, -np.inf)` keeps every pair matched.  The
-admissible cells fall apart into connected components of rows and columns
-(`connected_components`), and a matching is optimal exactly when it is
-optimal on each component.  Most components need no search.  Call a
-component row-certified when every row with an admissible cell has one
-unique best cell and those cells lie in distinct columns.  No matching can
-give a row more than its best, or 0 if it has no admissible cell; the
-row-wise argmax gives every row exactly that, and any other matching gives
-some row less, so the argmax is the one optimum.  The column certificate is
-the same with rows and columns swapped, and a component that holds either
-is matched by that argmax.
+There is one solver, `solve_pairs`.  It takes a sparse matrix as cells
+(a[k], b[k]) holding scores[k], every other cell inadmissible: the merge
+levels' admissible tracklet pairs, the first level's real cells above 0 of
+all its chunks, and, in `solve`, the admissible cells of a dense matrix.
+`solve(scores, -np.inf)` keeps every pair matched.  The steps:
 
-Only the components left over are solved exactly, by the shortest augmenting
-path method of Crouse, "On implementing 2D rectangular assignment
-algorithms" (IEEE TAES 2016), the method of scipy's `linear_sum_assignment`.
-Each of them is one block of its rows x its columns in ascending order;
-these blocks go through `padded_chunks`, and `_augmenting_paths` solves a
-chunk's blocks in lockstep, each as if alone.  Every row owns an implicit
+1. Cells.  The inadmissible cells are dropped; when none is left, nothing
+   is matched and nothing more runs.
+2. Components.  The cells join rows and columns into connected components,
+   labelled once (`connected_components`); a matching is optimal exactly
+   when it is optimal on each component.
+3. Certificates.  A component is row-certified when each of its rows has
+   one unique best cell and no two rows share that cell's column.  No
+   matching can give a row more than its best, and any matching other than
+   the rows' best cells gives some row less, so they are the one optimum.
+   The column certificate swaps rows and columns.  One scatter of the
+   cells' scores finds each row's best cell and whether it is unique
+   (`_best_cells`), one more each column's.  A row-certified component
+   takes its rows' best cells, else a column-certified one its columns'.
+4. Augmenting paths.  Cells below the gate stay, because they steer which
+   matching is optimal, but a component without a cell at or above the gate
+   is not searched: the gate would drop whatever it matched.  Each other
+   component that holds neither certificate is packed once, as a block of
+   its rows x its columns in ascending order, into the chunks of
+   `padded_chunks` (`_component_chunks`), so no array grows with the square
+   of the row count unless one component does.  `_augmenting_paths` solves
+   a chunk's blocks in lockstep, each as if alone.
+5. The gate drops the matched cells scoring below it.
+
+The search is the shortest augmenting path method of Crouse, "On
+implementing 2D rectangular assignment algorithms" (IEEE TAES 2016), the
+method of scipy's `linear_sum_assignment`.  Every row owns an implicit
 unmatched slot of weight 0, so an n x m block needs O(n * m) memory.  A
 larger total wins however small the difference; exact ties — matchings
 whose totals are equal as floats — resolve by the order of search: rows
@@ -43,28 +56,17 @@ distance the search settles a free real column first (the lowest), then an
 unmatched slot (of the row reached first), else the lowest assigned column.
 scipy's square Hungarian form may pick other optima.
 
-The merge levels match a sparse matrix: their admissible (earlier, later)
-pairs are a small share of all tracklet pairs.  `solve_pairs` takes it as
-cell arrays, drops the inadmissible cells and solves the rest one connected
-component at a time.  Cells below the gate stay, because they steer which
-matching is optimal, but a component without a cell at or above the gate is
-not solved: the gate would drop whatever it matched.  A component of one
-cell is matched by it.  Each other one is a block of its rows x its columns
-in ascending order, and these blocks go through `padded_chunks` and
-`solve_blocks` like any other blocks, so no array grows with the square of
-the row count unless one component does.
-
-The two solvers agree by construction, ties included: each step — the row
-and column certificates, the split into components and `_augmenting_paths`
-— reads one component alone, its rows and columns in ascending order.  So
-`solve_pairs` returns exactly what `solve` of the dense matrix returns, and
-a padded chunk solved by `solve_blocks` equals `solve_pairs` of its cells
-with global row and column ids.
+Each step reads one component alone, its rows and columns in ascending
+order, so its matching depends neither on the rest of the matrix nor on
+its ids beyond their order: `solve_pairs` returns what `solve` of the
+dense matrix returns, ties included, and the real cells of a padded chunk
+with global ids (block k's row i as k * n_max + i) match as its blocks do
+alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -155,23 +157,6 @@ def connected_components(count: int, u: np.ndarray, v: np.ndarray) -> tuple[int,
         u, v = u[cross], v[cross]
     root = parent == np.arange(count)
     return int(root.sum()), (np.cumsum(root) - 1)[parent]
-
-
-def _argmax_certificate(weights: np.ndarray,
-                        axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row (axis 2) or column (axis 1) of each block of a (blocks, n, m)
-    array of weights, -inf off the admissible cells: its best partner,
-    whether it is matched (has an admissible cell), and whether it keeps the
-    argmax certificate (see the module docstring)."""
-    best, partner = weights.max(axis=axis), weights.argmax(axis=axis)
-    matched = best > 0
-    ok = ~matched | ((weights == np.expand_dims(best, axis)).sum(axis=axis) == 1)
-    # Matched lines that share their best partner break the certificate.
-    blk, line = np.nonzero(matched)
-    key = blk * weights.shape[axis] + partner[blk, line]
-    shared = np.bincount(key, minlength=weights.shape[0] * weights.shape[axis])[key] > 1
-    ok[blk[shared], line[shared]] = False
-    return partner, matched, ok
 
 
 def _component_order(label: np.ndarray, picked: np.ndarray, comps: np.ndarray,
@@ -283,87 +268,29 @@ def _augmenting_paths(weights: np.ndarray, n: np.ndarray,
     return blk, i, col4row[blk, i]
 
 
-def _match_components(weights: np.ndarray,
-                      row_ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The matches of a (blocks, n_max, m_max) chunk of weights, -inf off
-    the admissible cells, that its rows' argmax does not give, one connected
-    component of its admissible cells at a time: by the column argmax where
-    that certificate holds, else by augmenting paths.
-    `row_ok` is the row certificate of each row (`_argmax_certificate`).
-
-    Returns those matches as a (matches, 3) array of (block, row, col); per
-    row, whether its component keeps the row certificate, so that the row
-    argmax matches it; and the number of components solved by augmenting
-    paths."""
-    k, n_max, m_max = weights.shape
-    col_row, col_on, col_ok = _argmax_certificate(weights, 1)
-    # Row nodes blk * n_max + i, column nodes blk * m_max + j.
-    blk, i, j = np.nonzero(weights > 0)
-    row, col = blk * n_max + i, blk * m_max + j
-    count, label = connected_components(k * (n_max + m_max), row, k * n_max + col)
-    row_label, col_label = label[:k * n_max], label[k * n_max:]
-    by_rows = np.bincount(row_label[~row_ok.ravel()], minlength=count) == 0
-    by_cols = ~by_rows & (np.bincount(col_label[~col_ok.ravel()], minlength=count) == 0)
-    exact = np.flatnonzero(~by_rows & ~by_cols)
-    cb, cj = np.nonzero(col_on & by_cols[col_label].reshape(k, m_max))
-    found = [np.stack([cb, col_row[cb, cj], cj], axis=1)]
-    for dense, dn, dm, r_node, c_node in _component_chunks(row, col, weights[blk, i, j], row_label,
-                                                           col_label, count, exact):
-        b, bi, bj = _augmenting_paths(dense, dn, dm)
-        r, c = r_node[b, bi], c_node[b, bj]
-        found.append(np.stack([r // n_max, r % n_max, c % m_max], axis=1))
-    return np.concatenate(found), by_rows[row_label].reshape(k, n_max), exact.size
-
-
-def solve_blocks(scores: np.ndarray, n: Sequence[int], m: Sequence[int],
-                 gate: float) -> tuple[np.ndarray, int]:
-    """`solve` of every block scores[k, :n[k], :m[k]] of a padded
-    (blocks, n_max, m_max) chunk; the padded cells are never read.
-
-    Returns the matches as a (matches, 3) array of (block, row, col) in
-    (block, row) order, and the number of components that neither argmax
-    certificate settled (see the module docstring) and so were solved by
-    augmenting paths."""
-    scores = np.asarray(scores, dtype=np.float64)
-    n, m = np.asarray(n, dtype=np.intp), np.asarray(m, dtype=np.intp)
-    k, n_max, m_max = scores.shape
-    if not scores.size:
-        return np.zeros((0, 3), np.intp), 0
-    weights = np.where(real_cells(n, m, n_max, m_max) & _admissible(scores), scores, -np.inf)
-    row_col, row_on, row_ok = _argmax_certificate(weights, 2)
-    # Every component of a block whose rows all keep the row certificate
-    # keeps it too, so only the other blocks are split into components: on
-    # the first level most blocks keep it and are never labelled.
-    split = np.flatnonzero(~row_ok.all(axis=1))
-    by_rows, found, exact = np.ones((k, n_max), bool), [], 0
-    if split.size:
-        weights = weights[split]  # rebound, so that a large chunk is held once
-        part, by_rows[split], exact = _match_components(weights, row_ok[split])
-        part[:, 0] = split[part[:, 0]]
-        found.append(part)
-    rb, ri = np.nonzero(row_on & by_rows)
-    found.append(np.stack([rb, ri, row_col[rb, ri]], axis=1))
-    found = np.concatenate(found)
-    found = found[np.lexsort((found[:, 1], found[:, 0]))]
-    return found[scores[tuple(found.T)] >= gate], exact
-
-
-def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
-    """Match rows to columns, keeping only pairs with similarity >= gate.
-
-    The gate acts after optimization: a matched pair below the gate is
-    simply dropped, it does not steer which pairs the optimum selects.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    found, _ = solve_blocks(scores[None], [scores.shape[0]], [scores.shape[1]], gate)
-    return [(i, j) for _, i, j in found.tolist()]
+def _best_cells(line: np.ndarray, other: np.ndarray, scores: np.ndarray, lines: int,
+                others: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per line 0..lines-1 (a row or a column) of the cells (line[c],
+    other[c]) holding scores[c], each holding at least one: the index of a
+    best cell, and whether the line keeps the argmax certificate (its best
+    cell is unique, and no other line's best shares its `other`).  Which of
+    tied best cells is taken changes nothing: the tie breaks the component's
+    certificate, and any line whose best shares that `other` is in it too."""
+    best = np.full(lines, -np.inf)
+    np.maximum.at(best, line, scores)
+    top = np.flatnonzero(scores == best[line])
+    cell = np.empty(lines, np.intp)
+    cell[line[top]] = top
+    partner = other[cell]
+    unique = np.bincount(line[top], minlength=lines) == 1
+    return cell, unique & (np.bincount(partner, minlength=others)[partner] == 1)
 
 
 class PairMatches(NamedTuple):
     """The result of `solve_pairs`: the matched cells (a[k], b[k]) in
-    ascending a, the number of connected components solved, the rows plus
-    columns (nodes) of the largest of them, and the number of components
-    solved by augmenting paths."""
+    ascending a, the number of connected components solved (those holding a
+    cell at or above the gate), the rows plus columns (nodes) of the largest
+    of them, and the number of them solved by augmenting paths."""
     a: np.ndarray
     b: np.ndarray
     components: int
@@ -372,29 +299,46 @@ class PairMatches(NamedTuple):
 
 
 def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -> PairMatches:
-    """`solve` of the sparse matrix whose distinct cells (a[k], b[k]) hold
-    scores[k] and whose other cells are inadmissible, solved one connected
-    component at a time (see the module docstring)."""
+    """Match the sparse matrix whose distinct cells (a[k], b[k]) hold
+    scores[k] and whose other cells are inadmissible, keeping only pairs
+    with similarity >= gate (see the module docstring)."""
     keep = _admissible(scores)
     a, b, scores = a[keep], b[keep], scores[keep]
+    if not a.size:
+        return PairMatches(a, b, 0, 0, 0)
     rows, row = np.unique(a, return_inverse=True)
     cols, col = np.unique(b, return_inverse=True)
     count, label = connected_components(rows.size + cols.size, row, rows.size + col)
     row_label, col_label = label[:rows.size], label[rows.size:]
-    nodes = np.bincount(label, minlength=count)
+    row_best, row_ok = _best_cells(row, col, scores, rows.size, cols.size)
+    col_best, col_ok = _best_cells(col, row, scores, cols.size, rows.size)
+    by_rows = np.bincount(row_label[~row_ok], minlength=count) == 0
+    by_cols = ~by_rows & (np.bincount(col_label[~col_ok], minlength=count) == 0)
     # Only components holding a cell at or above the gate can yield a match.
-    solved = np.flatnonzero(np.bincount(row_label[row[scores >= gate]], minlength=count))
-    # A component of one cell is matched by it; the others are solved as blocks.
-    alone = (nodes[row_label[row]] == 2) & (scores >= gate)
-    found_a, found_b, exact = [a[alone]], [b[alone]], 0
+    solved = np.bincount(row_label[row[scores >= gate]], minlength=count) > 0
+    search = np.flatnonzero(solved & ~by_rows & ~by_cols)
+    cell = np.concatenate([row_best[by_rows[row_label]], col_best[by_cols[col_label]]])
+    found = [(row[cell], col[cell], scores[cell])]
     for dense, n, m, r_node, c_node in _component_chunks(row, col, scores, row_label, col_label,
-                                                         count, solved[nodes[solved] > 2]):
-        found, failed = solve_blocks(dense, n, m, gate)
-        blk, i, j = found.T
-        found_a.append(rows[r_node[blk, i]])
-        found_b.append(cols[c_node[blk, j]])
-        exact += failed
-    found_a, found_b = np.concatenate(found_a), np.concatenate(found_b)
-    order = np.argsort(found_a)
-    return PairMatches(found_a[order], found_b[order], solved.size,
-                       int(nodes[solved].max(initial=0)), exact)
+                                                         count, search):
+        blk, i, j = _augmenting_paths(dense, n, m)
+        found.append((r_node[blk, i], c_node[blk, j], dense[blk, i, j]))
+    r, c, s = map(np.concatenate, zip(*found))
+    r, c = r[s >= gate], c[s >= gate]
+    order = np.argsort(r)
+    nodes = np.bincount(label, minlength=count)
+    return PairMatches(rows[r[order]], cols[c[order]], int(solved.sum()),
+                       int(nodes[solved].max(initial=0)), search.size)
+
+
+def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Match rows to columns, keeping only pairs with similarity >= gate:
+    `solve_pairs` of the dense matrix's admissible cells.
+
+    The gate acts after optimization: a matched pair below the gate is
+    simply dropped, it does not steer which pairs the optimum selects.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    i, j = np.nonzero(_admissible(scores))
+    found = solve_pairs(i, j, scores[i, j], gate)
+    return list(zip(found.a.tolist(), found.b.tolist()))

@@ -26,9 +26,8 @@ window (a gap of at most the level's bound, or a bounded overlap), and one
 elementwise test filters the pairs of those ranges.  A round's pairs are
 scored in one `score` call, which fits the missing motion states in one
 Kalman batch and runs the box kernel in chunks of at most
-`assignment._CHUNK_CELLS` pairs.  `solve_pairs` then matches the pairs one
-connected component of pairs above 0 at a time, on the first level's
-chunker and certificates; no tracklets x tracklets matrix is built.
+`assignment._CHUNK_CELLS` pairs.  `solve_pairs` then matches the pairs; no
+tracklets x tracklets matrix is built.
 
 The first level scores its frame pairs in chunks, not one pair at a time,
 on the chunker it shares with `eval`, `assignment.padded_chunks`: the
@@ -38,11 +37,11 @@ bounded on long or crowded sequences.  Each chunk is one
 `SimilarityKernel.matrix` call over its (blocks, n, 4) and (blocks, m, 4)
 boxes gathered by row; a block smaller than its chunk's largest is padded by
 repeating one of its own frame's detections, so padded cells are finite, and
-they are never read.  Each chunk is also one `solve_blocks` call: a
-connected component of a block's cells whose rows' (or columns') best cells
-are unique and distinct is matched by that argmax, which the `assignment`
-module shows is optimal, and only the other components are solved by
-augmenting paths.
+they are never read.  The real cells above 0 of every chunk, as (row
+position, column position, score), then go to one `solve_pairs` call per
+pass, the matcher of the merge levels.  Each position is a row of one
+(t, t+1) block and a column of one, so the matrix's connected components
+are those of the blocks, and each block is matched as it would be alone.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` returns the
@@ -99,7 +98,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import (connected_components, pair_chunks, padded_chunks, solve, solve_blocks,
+from .assignment import (connected_components, pair_chunks, padded_chunks, real_cells, solve,
                          solve_pairs)
 from .geometry import SimilarityKernel
 from .model import BoxTable, Strategy, TrackerConfig, validate_config
@@ -401,28 +400,28 @@ def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Runs:
     run of consecutive frames.
 
     `frame` is sorted, so each frame is one position range.  The (t, t+1)
-    blocks are scored and matched a chunk at a time (`padded_chunks`):
-    `score` gets a chunk's row and column position ranges padded to its
-    largest block, and one `solve_blocks` call reads only each block's real
-    [k, :n, :m] cells.  Logs, at INFO, the pass's frame pairs, chunks and
-    the components solved by augmenting paths.
+    blocks are scored a chunk at a time (`padded_chunks`): `score` gets a
+    chunk's row and column position ranges padded to its largest block.
+    Each block's real [k, :n, :m] cells above 0 go, by position, to one
+    `solve_pairs` call.  Logs, at INFO, the pass's frame pairs, chunks and
+    cells above 0, and the matcher's counts, as a merge round does.
     """
     ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
     n, m = size[lead], size[lead + 1]
-    link_a, link_b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    chunks = exact = 0
+    # An empty first entry, so that a pass without frame pairs links nothing.
+    cells = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
     for blocks, rows, cols in padded_chunks(first[lead], n, first[lead + 1], m):
-        found, searched = solve_blocks(score(rows, cols), n[blocks], m[blocks], gate)
-        blk, i, j = found.T
-        link_a.append(rows[blk, i])
-        link_b.append(cols[blk, j])
-        chunks += 1
-        exact += searched
-    log.info("first level: %d frame pairs in %d chunks, %d components solved by augmenting "
-             "paths", lead.size, chunks, exact)
-    return _chain_layout(len(frame), np.concatenate(link_a), np.concatenate(link_b))
+        scores = score(rows, cols)
+        blk, i, j = np.nonzero(real_cells(n[blocks], m[blocks], *scores.shape[1:]) & (scores > 0))
+        cells.append((rows[blk, i], cols[blk, j], scores[blk, i, j]))
+    a, b, scores = map(np.concatenate, zip(*cells))
+    found = solve_pairs(a, b, scores, gate)
+    log.info("first level: %d frame pairs in %d chunks, %d cells above 0, %d components solved "
+             "(largest %d nodes), %d by augmenting paths, %d links", lead.size, len(cells) - 1,
+             scores.size, found.components, found.largest, found.exact, found.a.size)
+    return _chain_layout(len(frame), found.a, found.b)
 
 
 def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,

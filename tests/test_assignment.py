@@ -11,8 +11,7 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
 from intertrack import assignment
-from intertrack.assignment import (connected_components, real_cells, solve, solve_blocks,
-                                   solve_pairs)
+from intertrack.assignment import connected_components, real_cells, solve, solve_pairs
 
 _PERM_CACHE = {}
 
@@ -186,16 +185,17 @@ def _weights(block):
     return np.where(np.isfinite(block) & (block > 0), block, -np.inf)
 
 
-def _uncertified_components(block):
+def _uncertified_components(block, gate):
     """The number of connected components (by scipy) of the block's
-    admissible cells that neither the row-wise nor the column-wise argmax
-    certificate settles, line by line as the `assignment` docstring states
-    them."""
+    admissible cells that hold a cell at or above the gate and that neither
+    the row-wise nor the column-wise argmax certificate settles, line by
+    line as the `assignment` docstring states them."""
     n, m = block.shape
     weights = _weights(block)
     i, j = np.nonzero(weights > 0)
     graph = coo_matrix((np.ones(i.size), (i, n + j)), shape=(n + m, n + m))
     label = scipy_components(graph, directed=False)[1]
+    gated = {label[r] for r, c in zip(i, j) if weights[r, c] >= gate}
 
     def failing(lines, labels):
         """The labels of the components holding a line that breaks the certificate."""
@@ -205,22 +205,34 @@ def _uncertified_components(block):
                 if best[r] > 0 and (sum(x == best[r] for x in line) > 1
                                     or partner.count(partner[r]) > 1)}
 
-    return len(failing(list(weights), label[:n]) & failing(list(weights.T), label[n:]))
+    return len(failing(list(weights), label[:n]) & failing(list(weights.T), label[n:]) & gated)
+
+
+def _chunk_pairs(scores, n, m, gate):
+    """`solve_pairs` of a padded chunk's real cells, block k's row i and
+    column j renumbered k * n_max + i and k * m_max + j; and its matches as
+    (block, row, col) triples."""
+    _, n_max, m_max = scores.shape
+    blk, i, j = np.nonzero(real_cells(np.array(n), np.array(m), n_max, m_max))
+    got = solve_pairs(blk * n_max + i, blk * m_max + j, scores[blk, i, j], gate)
+    pairs = zip(got.a.tolist(), got.b.tolist())
+    return got, [[a // n_max, a % n_max, b % m_max] for a, b in pairs]
 
 
 @settings(max_examples=1000, deadline=None)
 @given(_chunks())
-def test_solve_blocks_matches_hungarian_block_by_block(chunk):
+def test_a_chunk_matches_hungarian_block_by_block(chunk):
+    """The cells of several blocks with global ids match as each block does
+    alone, ties included."""
     scores, n, m, gate = chunk
-    found, fallback = solve_blocks(scores, n, m, gate)
-    assert found.shape == (len(found), 3)
-    assert (scores[tuple(found.T)] > 0).all()
+    got, found = _chunk_pairs(scores, n, m, gate)
     # The count is of components, several of which a block may hold.
-    assert 0 <= fallback == sum(_uncertified_components(scores[k, :n[k], :m[k]])
-                                for k in range(len(n)))
+    assert 0 <= got.exact == sum(_uncertified_components(scores[k, :n[k], :m[k]], gate)
+                                 for k in range(len(n)))
     # In (block, row) order, each block's matches as `solve` lists them.
     assert [[k, i, j] for k in range(len(n))
-            for i, j in _hungarian(scores[k, :n[k], :m[k]], gate)] == found.tolist()
+            for i, j in _hungarian(scores[k, :n[k], :m[k]], gate)] == found
+    assert all(scores[k, i, j] > 0 for k, i, j in found)
     for k in range(len(n)):
         block = scores[k, :n[k], :m[k]]
         assert solve(block, gate) == _hungarian(block, gate)
@@ -247,15 +259,15 @@ def _totals(block):
 
 @settings(max_examples=1000, deadline=None)
 @given(_chunks())
-def test_solve_blocks_matches_the_scipy_reference(chunk):
+def test_a_chunk_matches_the_scipy_reference(chunk):
     """A unique optimum gives the reference's matches; a tie gives matches
     of the same total."""
     scores, n, m, gate = chunk
-    found, _ = solve_blocks(scores, n, m, gate)
+    _, found = _chunk_pairs(scores, n, m, gate)
     for k in range(len(n)):
         block = scores[k, :n[k], :m[k]]
         want, got = reference.scipy_matching(block), solve(block, -np.inf)
-        gated = [(i, j) for b, i, j in found.tolist() if b == k]
+        gated = [(i, j) for b, i, j in found if b == k]
         if got == want and gated == [(i, j) for i, j in want if block[i, j] >= gate]:
             continue
         totals = _totals(block)
@@ -265,11 +277,17 @@ def test_solve_blocks_matches_the_scipy_reference(chunk):
             assert abs(math.fsum(block[i, j] for i, j in matches) - best) < reference.TIE_TOL
 
 
+def _dense_pairs(scores, gate):
+    """`solve_pairs` of every cell of a dense matrix."""
+    a, b = np.indices(scores.shape).reshape(2, -1)
+    return solve_pairs(a, b, scores[a, b], gate)
+
+
 def test_column_certificate_settles_a_shared_column():
     # Both rows want column 0, so the row argmax fails; column 0's unique
     # best is row 1, so the column argmax holds and nothing is searched.
-    found, exact = solve_blocks(np.array([[[0.6], [0.9]]]), [2], [1], 0.2)
-    assert (found.tolist(), exact) == ([[0, 1, 0]], 0)
+    got = _dense_pairs(np.array([[0.6], [0.9]]), 0.2)
+    assert (got.a.tolist(), got.b.tolist(), got.exact) == ([1], [0], 0)
 
 
 def test_an_exact_solve_allocates_its_block_not_the_square():
@@ -278,14 +296,16 @@ def test_an_exact_solve_allocates_its_block_not_the_square():
     n, m = 4, 4000
     scores = np.full((n, m), 0.5)
     scores[:, 0] = 0.9
+    a, b = np.indices(scores.shape).reshape(2, -1)
+    cells = scores[a, b]
     tracemalloc.start()
     try:
-        found, exact = solve_blocks(scores[None], [n], [m], 0.2)
+        got = solve_pairs(a, b, cells, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert exact == 1
-    assert found.tolist() == [[0, i, i] for i in range(n)]
+    assert got.exact == 1
+    assert (got.a.tolist(), got.b.tolist()) == (list(range(n)), list(range(n)))
     # A few temporaries of the block's size, where the (n + m)^2 square
     # alone would take 8 * 4004^2 bytes, some 128 MB.
     assert peak < 32 * scores.nbytes
@@ -340,15 +360,16 @@ def test_tied_row_best_goes_to_the_fallback():
     # column 2; taking row 1's first best would give it column 0.
     scores = np.array([[0.5, -np.inf, -np.inf], [0.75, -np.inf, 0.75]])
     assert solve(scores, gate=0.2) == _hungarian(scores, 0.2) == [(0, 0), (1, 2)]
-    assert solve_blocks(scores[None], [2], [3], 0.2)[1] == 1
+    assert _dense_pairs(scores, 0.2).exact == 1
 
 
 def test_certified_blocks_skip_the_fallback():
-    # Block 0: distinct unique row bests.  Block 1: both rows want column 0.
+    # Block 0: distinct unique row bests.  Block 1: both rows want column 0,
+    # and both columns want row 0.
     scores = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.5], [0.8, 0.1]]])
-    found, fallback = solve_blocks(scores, [2, 2], [2, 2], 0.3)
-    assert fallback == 1
-    assert found.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    got, found = _chunk_pairs(scores, [2, 2], [2, 2], 0.3)
+    assert got.exact == 1
+    assert found == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_row_takes_a_tiny_cell_over_staying_unmatched():
@@ -376,9 +397,10 @@ def test_one_block_may_hold_several_searched_components():
     # of both columns 1 and 2.  The zeros are inadmissible.
     scores = np.array([[0.25, 0.0, 0.0, 0.25], [0.0, 0.5, 1.0, 0.0],
                        [0.25, 0.0, 0.0, 0.25], [0.0, 0.0, 1.0, 0.0]])
-    found, exact = solve_blocks(scores[None], [4], [4], 0.2)
-    assert exact == 2 == _uncertified_components(scores)
-    assert found.tolist() == [[0, 0, 0], [0, 1, 1], [0, 2, 3], [0, 3, 2]]
+    got = _dense_pairs(scores, 0.2)
+    assert got.exact == 2 == _uncertified_components(scores, 0.2)
+    assert (got.a.tolist(), got.b.tolist()) == ([0, 1, 2, 3], [0, 1, 3, 2])
+    assert solve(scores, 0.2) == [(0, 0), (1, 1), (2, 3), (3, 2)]
 
 
 # Scores in place of a continuous draw: inadmissible or never taken.
@@ -437,19 +459,29 @@ def test_solve_pairs_matches_the_dense_solve(case):
     assert pairs == want
 
 
-@settings(max_examples=1000, deadline=None)
-@given(_chunks())
-def test_a_chunk_solves_as_its_cells_with_global_ids(chunk):
-    """`solve_blocks` of a padded chunk equals `solve_pairs` of its real
-    cells, block k's row i and column j renumbered k * n_max + i and
-    k * m_max + j, ties included."""
-    scores, n, m, gate = chunk
-    k, n_max, m_max = scores.shape
-    found, exact = solve_blocks(scores, n, m, gate)
-    blk, i, j = np.nonzero(real_cells(np.array(n), np.array(m), n_max, m_max))
-    got = solve_pairs(blk * n_max + i, blk * m_max + j, scores[blk, i, j], gate)
-    assert list(zip(got.a.tolist(), got.b.tolist())) == [
-        (b * n_max + r, b * m_max + c) for b, r, c in found.tolist()]
+@settings(max_examples=600, deadline=None)
+@given(_sparse_pairs())
+def test_solve_pairs_searches_the_gated_uncertified_components(case):
+    """The certificates on cells count what scipy's labels of the dense
+    embedding and the line-by-line certificates count."""
+    a, b, scores, gate, shape = case
+    dense = np.full(shape, -np.inf)
+    dense[a, b] = scores
+    assert solve_pairs(a, b, scores, gate).exact == _uncertified_components(dense, gate)
+
+
+def test_nothing_admissible_labels_nothing(monkeypatch):
+    # Many solves see no admissible cell, such as `eval` steps whose rows
+    # and columns have no hit left; they return before any labelling.
+    def refuse(*args):
+        raise AssertionError("labelled components of no cell")
+    monkeypatch.setattr(assignment, "connected_components", refuse)
+    for scores in (np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((0, 0)),
+                   np.full((3, 4), -np.inf), np.array([[0.0, np.nan], [-0.5, -np.inf]])):
+        assert solve(scores, 0.2) == []
+    for cells in (np.zeros(0), np.array([0.0, -np.inf, np.nan])):
+        got = solve_pairs(np.arange(cells.size), np.arange(cells.size), cells, 0.2)
+        assert (got.a.tolist(), got.b.tolist(), got[2:]) == ([], [], (0, 0, 0))
 
 
 def test_solve_pairs_skips_components_below_the_gate():

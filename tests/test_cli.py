@@ -100,9 +100,13 @@ class TestTrack:
                              str(tmp_path / "v.txt"), "--dump-hierarchy", str(dumps[1])]) == 0
         assert dumps[0].read_bytes() == dumps[1].read_bytes()
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("first level")]
-        # The static pass and the motion pass, each over the 19 frame pairs.
-        assert lines == ["first level: 19 frame pairs in 1 chunks, 0 components solved by "
-                         "augmenting paths"] * 2
+        # The static pass and the motion pass, each over the 19 frame pairs:
+        # target 0 links across all of them, target 1 across the 17 that
+        # do not touch its missing frame 5, and no box pair of two targets
+        # overlaps.
+        assert lines == ["first level: 19 frame pairs in 1 chunks, 36 cells above 0, "
+                         "36 components solved (largest 2 nodes), 0 by augmenting paths, "
+                         "36 links"] * 2
 
     def test_verbose_logs_each_merge_round_outside_stdout_and_the_dump(self, tmp_path, capsys,
                                                                        caplog):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from intertrack import assignment, hierarchy
-from intertrack.assignment import solve, solve_blocks
+from intertrack.assignment import solve
 from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
     _admissible_pairs,
@@ -256,21 +256,28 @@ def _lanes(lanes=40, frames=60):
 def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate, survivors):
     """2,400 singletons at a gap bound of 5 admit 456,000 pairs, of which
     only the 11,400 inside a lane score above 0.  At gate 0.999 no pair
-    links and no block is solved; at 0.9 each lane is one block, its frames
-    1..59 as earlier ends by 2..60 as later ones, and merges whole.  No
-    kernel call in the scoring takes more than one chunk of pairs."""
+    links; at 0.9 each lane is one component, its frames 1..59 as earlier
+    ends by 2..60 as later ones, certified, and merges whole.  No block is
+    packed for augmenting paths, and no kernel call in the scoring takes
+    more than one chunk of pairs."""
     table, tracklets, _ = state_of(_lanes())
     cfg = TrackerConfig()
-    kernel, calls, blocks = SimilarityKernel(cfg), [], []
+    kernel, calls, blocks, rounds = SimilarityKernel(cfg), [], [], []
 
     def recording_kernel(x, y):
         calls.append(len(x))
         return kernel(x, y)
 
-    def recording_solve(scores, n, m, gate):
+    def recording_search(weights, n, m):
         blocks.extend(zip(n.tolist(), m.tolist()))
-        return solve_blocks(scores, n, m, gate)
-    monkeypatch.setattr(assignment, "solve_blocks", recording_solve)
+        return search(weights, n, m)
+
+    def recording_solve_pairs(*args):
+        rounds.append(solve_pairs(*args))
+        return rounds[-1]
+    search, solve_pairs = assignment._augmenting_paths, hierarchy.solve_pairs
+    monkeypatch.setattr(assignment, "_augmenting_paths", recording_search)
+    monkeypatch.setattr(hierarchy, "solve_pairs", recording_solve_pairs)
     cache = FitCache(cfg, table.frame, table.boxes)
     out = interval_pass(table, tracklets, 5, 0,
                         lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
@@ -278,7 +285,9 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
                         gate)
     assert out.tid.size == survivors
     assert max(calls) == assignment._CHUNK_CELLS
-    assert blocks == ([] if survivors == 2400 else [(59, 59)] * 40)
+    assert blocks == []
+    if survivors == 40:
+        assert (rounds[0].components, rounds[0].largest) == (40, 118)
 
 
 @st.composite

@@ -31,7 +31,11 @@ The cases:
   file with its Pedestrian class at score 0.3, below the high-score gate,
   run by `track` under both strategies with the default config.
 - The four `perfbench/workloads.py` workloads on seeds 1-3, with their own
-  pass arguments (`multiseq` with `--workers 2`).
+  pass arguments (`multiseq` with `--workers 2`).  On seed 1 the pass runs
+  once more under `--verbose` and `--workers 1` (two workers would
+  interleave their lines in no fixed order), so that its INFO lines, the
+  matcher's counts per first-level pass and merge round among them, are
+  compared too.
 - 14 fault cases, seven per format, that pin the exit codes and stderr of the
   readers' error paths: a file of two valid rows and one faulty third row
   (wrong field count, NaN box, frame >= 2**53, frame below the format's
@@ -72,9 +76,10 @@ The cases:
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
 (`--dump-hierarchy`) and `eval.txt` (exit code, stdout and stderr of
-`eval --kv` against the scene's ground truth).  Every command runs in a fresh
-process with the case directory as working directory and relative paths, so
-no absolute path reaches the outputs.
+`eval --kv` against the scene's ground truth); a seed-1 workload case also
+writes `verbose.txt`, the same for its `--verbose` pass.  Every command
+runs in a fresh process with the case directory as working directory and
+relative paths, so no absolute path reaches the outputs.
 """
 
 from __future__ import annotations
@@ -168,6 +173,8 @@ CONFIG_FILES = {
     "negative-final-overlap": "final_overlap = -2\n",
     "bad-strategy": "strategy = diagonal\n",
 }
+# The workload cases whose pass also runs under --verbose.
+VERBOSE_CASES = {f"{name}-seed1" for name in WORKLOADS}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
              "final-overlap-fraction": ["--final-overlap", "1.5"],
              "interp-max-gap-z": ["--interp-max-gap", "z"],
@@ -383,6 +390,9 @@ def main(argv=None) -> int:
             os.chdir(cwd)
         _run(root, case, [*pass_args, "--dump-hierarchy", "dump.json"], "pass.txt")
         _run(root, case, eval_args, "eval.txt")
+        if name in VERBOSE_CASES:
+            # The last --workers wins.
+            _run(root, case, ["--verbose", *pass_args, "--workers", "1"], "verbose.txt")
         print(f"{name}: {(case / 'pass.txt').read_text().splitlines()[0]}", flush=True)
     return 0
 
