@@ -8,17 +8,16 @@ admissible cells, then applies the acceptance gate: no pair scoring 0 or
 less is ever matched.
 
 Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
-pred frames — are scored a chunk at a time by one chunker, `padded_chunks`:
-the blocks are sorted by shape and cut into chunks of at most
-`_CHUNK_CELLS` padded cells, and each chunk gives its blocks' row and
-column positions padded to its largest block; `_chunks` plans each chunk by
-one numpy scan.  A padded slot repeats its block's last position, so padded
-cells score real boxes and stay finite; `real_cells` masks them out.
+pred frames — are scored in one place, `block_cells`: sorted by shape and
+cut into chunks of at most `_CHUNK_CELLS` padded cells (`_chunks`), each
+chunk one `BlockScorer` call on its blocks' row and column positions,
+padded to its largest block by repeating a block's last position.  It
+returns the cells that pass a test, never a padded one, as one sparse matrix.
 
 There is one solver, `solve_pairs`.  It takes a sparse matrix as cells
 (a[k], b[k]) holding scores[k], every other cell inadmissible: the merge
-levels' admissible tracklet pairs, the first level's real cells above 0 of
-all its chunks, and, in `solve`, the admissible cells of a dense matrix.
+levels' admissible tracklet pairs, the first level's `block_cells` above 0,
+`eval`'s hits, and, in `solve`, the admissible cells of a dense matrix.
 `solve(scores, -np.inf)` keeps every pair matched.  The steps:
 
 1. Cells.  The inadmissible cells are dropped; when none is left, nothing
@@ -38,10 +37,10 @@ all its chunks, and, in `solve`, the admissible cells of a dense matrix.
    matching is optimal, but a component without a cell at or above the gate
    is not searched: the gate would drop whatever it matched.  Each other
    component that holds neither certificate is packed once, as a block of
-   its rows x its columns in ascending order, into the chunks of
-   `padded_chunks` (`_component_chunks`), so no array grows with the square
-   of the row count unless one component does.  `_augmenting_paths` solves
-   a chunk's blocks in lockstep, each as if alone.
+   its rows x its columns in ascending order, into padded chunks
+   (`_component_chunks`), so no array grows with the square of the row
+   count unless one component does.  `_augmenting_paths` solves a chunk's
+   blocks in lockstep, each as if alone.
 5. The gate drops the matched cells scoring below it.
 
 The search is the shortest augmenting path method of Crouse, "On
@@ -59,14 +58,13 @@ scipy's square Hungarian form may pick other optima.
 Each step reads one component alone, its rows and columns in ascending
 order, so its matching depends neither on the rest of the matrix nor on
 its ids beyond their order: `solve_pairs` returns what `solve` of the
-dense matrix returns, ties included, and the real cells of a padded chunk
-with global ids (block k's row i as k * n_max + i) match as its blocks do
-alone.
+dense matrix returns, ties included, and the cells of several blocks, as
+`block_cells` returns them, match as each block does alone.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,19 +111,37 @@ def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
 
 
-def padded_chunks(r0: np.ndarray, n: np.ndarray, c0: np.ndarray,
-                  m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks k of rows [r0[k], r0[k] + n[k]) x columns [c0[k], c0[k] +
-    m[k]), every n[k] and m[k] at least 1, a chunk at a time (see `_chunks`):
-    per chunk, the indices of its blocks and their (blocks, n_max) row and
-    (blocks, m_max) column positions, padded by `_padded`."""
+def _padded_chunks(r0: np.ndarray, n: np.ndarray, c0: np.ndarray,
+                   m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks given as to `block_cells`, a chunk at a time (see `_chunks`):
+    per chunk, its blocks' indices and their (blocks, n_max) row and
+    (blocks, m_max) column positions, by `_padded`."""
     for b in _chunks(n, m):
         yield b, _padded(r0[b], n[b]), _padded(c0[b], m[b])
 
 
-def real_cells(n: np.ndarray, m: np.ndarray, n_max: int, m_max: int) -> np.ndarray:
-    """The (blocks, n_max, m_max) mask of each block's real cells [k, :n[k], :m[k]]."""
-    return (np.arange(n_max)[:, None] < n[:, None, None]) & (np.arange(m_max) < m[:, None, None])
+# Block scorer: a chunk's padded (blocks, n_max) row and (blocks, m_max)
+# column positions -> its (blocks, n_max, m_max) scores, each cell scored
+# from its row and column position alone.
+BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def block_cells(r0: np.ndarray, n: np.ndarray, c0: np.ndarray, m: np.ndarray,
+                score: BlockScorer, keep: Callable[[np.ndarray], np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The cells of the blocks k of rows [r0[k], r0[k] + n[k]) x columns
+    [c0[k], c0[k] + m[k]), none empty, that the mask `keep` of their scores
+    admits: their blocks k, rows, columns and scores, and the number of
+    chunks scored, one `score` call per chunk of `_padded_chunks`."""
+    cells = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+    for b, rows, cols in _padded_chunks(r0, n, c0, m):
+        values = score(rows, cols)
+        real = ((np.arange(rows.shape[1])[:, None] < n[b, None, None])
+                & (np.arange(cols.shape[1]) < m[b, None, None]))
+        k, i, j = np.nonzero(real & keep(values))
+        cells.append((b[k], rows[k, i], cols[k, j], values[k, i, j]))
+    block, row, col, value = map(np.concatenate, zip(*cells))
+    return block, row, col, value, len(cells) - 1
 
 
 def _admissible(scores: np.ndarray) -> np.ndarray:
@@ -178,8 +194,8 @@ def _component_chunks(row: np.ndarray, col: np.ndarray, values: np.ndarray,
                       comps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The components `comps` (ascending labels, of `count`) of the cells
     (row[c], col[c]) holding values[c], each as one block of its row nodes x
-    its column nodes in ascending order, a chunk of `padded_chunks` at a
-    time: per chunk, the (blocks, n_max, m_max) values (-inf off the cells),
+    its column nodes in ascending order, a chunk of `_padded_chunks` at
+    a time: per chunk, the (blocks, n_max, m_max) values (-inf off the cells),
     the blocks' row and column counts, and their padded (blocks, n_max) row
     and (blocks, m_max) column nodes."""
     if not comps.size:
@@ -188,7 +204,7 @@ def _component_chunks(row: np.ndarray, col: np.ndarray, values: np.ndarray,
     picked[comps] = True
     r_node, r_at, r0, n = _component_order(row_label, picked, comps, count)
     c_node, c_at, c0, m = _component_order(col_label, picked, comps, count)
-    chunks = list(padded_chunks(r0, n, c0, m))
+    chunks = list(_padded_chunks(r0, n, c0, m))
     # Per component, its chunk (len(chunks) if it is not picked) and its
     # block's index in that chunk.
     chunk_of, slot = np.full(count, len(chunks)), np.empty(count, np.intp)

@@ -22,26 +22,21 @@ Tracklet intervals are the priors that bound each level's candidates.  The
 merge loop never scans all pairs and builds no per-pair object: since the
 tracklets are sorted by t_min, a binary search finds, for every tracklet at
 once, the index range of those whose first frame lies in its admissible
-window (a gap of at most the level's bound, or a bounded overlap), and one
-elementwise test filters the pairs of those ranges.  A round's pairs are
-scored in one `score` call, which fits the missing motion states in one
+window (a gap of at most the level's bound, or a bounded overlap); the
+level's pairs are the pairs of those ranges in table order.  A round's pairs
+are scored in one `score` call, which fits the missing motion states in one
 Kalman batch and runs the box kernel in chunks of at most
 `assignment._CHUNK_CELLS` pairs.  `solve_pairs` then matches the pairs; no
 tracklets x tracklets matrix is built.
 
-The first level scores its frame pairs in chunks, not one pair at a time,
-on the chunker it shares with `eval`, `assignment.padded_chunks`: the
-(t, t+1) blocks are sorted by shape and cut into chunks of at most
-`assignment._CHUNK_CELLS` padded cells, so the kernel's temporaries stay
-bounded on long or crowded sequences.  Each chunk is one
-`SimilarityKernel.matrix` call over its (blocks, n, 4) and (blocks, m, 4)
-boxes gathered by row; a block smaller than its chunk's largest is padded by
-repeating one of its own frame's detections, so padded cells are finite, and
-they are never read.  The real cells above 0 of every chunk, as (row
-position, column position, score), then go to one `solve_pairs` call per
-pass, the matcher of the merge levels.  Each position is a row of one
-(t, t+1) block and a column of one, so the matrix's connected components
-are those of the blocks, and each block is matched as it would be alone.
+The first level scores its (t, t+1) frame pairs as blocks by the block
+scorer `eval` uses too, `assignment.block_cells`, one
+`SimilarityKernel.matrix` call per chunk over boxes gathered by row.  The
+cells above 0, as (row position, column position, score), go to one
+`solve_pairs` call per pass, the matcher of the merge levels.  Each position
+is a row of one (t, t+1) block and a column of one, so the matrix's
+connected components are those of the blocks, and each block is matched as
+it would be alone.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` returns the
@@ -98,7 +93,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import (connected_components, pair_chunks, padded_chunks, real_cells, solve,
+from .assignment import (BlockScorer, block_cells, connected_components, pair_chunks, solve,
                          solve_pairs)
 from .geometry import SimilarityKernel
 from .model import BoxTable, Strategy, TrackerConfig, validate_config
@@ -309,29 +304,15 @@ def _merge_round(table: BoxTable, tracklets: TrackletTable, a: np.ndarray, b: np
     return _tracklet_table(table.frame, rows, size, tid)
 
 
-def _interval_admissible(dt_bound: int, overlap_allowance: int, tracklets: TrackletTable,
-                         a, b):
-    """Whether tracklet b may follow tracklet a at a level, elementwise over
-    index arrays a and b into `tracklets`; a call on two indices is a
-    one-element call.  b must come after a in (t_min, t_max, tid) order,
-    which is the table's, and either start within dt_bound frames after a
-    ends or share at most overlap_allowance frames with it."""
-    gap = tracklets.t_min[b] - tracklets.t_max[a]
-    # Shared frames, counted as resolve_overlap counts them.
-    shared = 1 - gap
-    return (np.asarray(a) < b) & (((0 < gap) & (gap <= dt_bound))
-                                  | ((0 < shared) & (shared <= overlap_allowance)))
-
-
 def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
                       overlap_allowance: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b) of `tracklets` that `_interval_admissible` admits,
-    as two arrays in sorted (a, b) order.
-
-    Only b with t_min in [t_max[a] - overlap_allowance + 1, t_max[a] +
-    dt_bound] can be admitted, and since t_min is sorted each a's window is
-    one index range, found by a binary search.  The windows, laid end to end,
-    are expanded into pairs and filtered `pair_chunks` candidates at a time."""
+    """The index pairs (a, b) of `tracklets` that a level admits, in sorted
+    (a, b) order: a < b, the table's (t_min, t_max, tid) order, and b's t_min
+    in a's window [t_max[a] - overlap_allowance + 1, t_max[a] + dt_bound], so
+    b starts within dt_bound frames after a ends or shares at most
+    overlap_allowance frames with it.  t_min is sorted, so each window is one
+    index range, found by a binary search; the ranges, laid end to end, are
+    expanded `pair_chunks` pairs at a time."""
     t_min, t_max = tracklets.t_min, tracklets.t_max
     lo = np.searchsorted(t_min, t_max - overlap_allowance + 1, "left")
     count = np.searchsorted(t_min, t_max + dt_bound, "right") - lo
@@ -342,9 +323,8 @@ def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
         at = np.arange(part.start, min(part.stop, total))
         x = np.searchsorted(ends, at, "right")
         y = at - ends[x] + count[x] + lo[x]
-        keep = _interval_admissible(dt_bound, overlap_allowance, tracklets, x, y)
-        a.append(x[keep])
-        b.append(y[keep])
+        a.append(x[x < y])
+        b.append(y[x < y])
     return np.concatenate(a), np.concatenate(b)
 
 
@@ -389,37 +369,25 @@ def hierarchy_pass(table: BoxTable, tracklets: TrackletTable,
 # ---------------------------------------------------------------------------
 
 
-# Block scorer: padded (pairs, n) row and (pairs, m) column positions into
-# the frame-sorted rows being linked -> (pairs, n, m) similarities.
-BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Runs:
     """Match every frame t against frame t+1 and chain the links; returns
     the chains of positions into `frame` (`_chain_layout`), each covering a
     run of consecutive frames.
 
     `frame` is sorted, so each frame is one position range.  The (t, t+1)
-    blocks are scored a chunk at a time (`padded_chunks`): `score` gets a
-    chunk's row and column position ranges padded to its largest block.
-    Each block's real [k, :n, :m] cells above 0 go, by position, to one
-    `solve_pairs` call.  Logs, at INFO, the pass's frame pairs, chunks and
-    cells above 0, and the matcher's counts, as a merge round does.
+    blocks' cells above 0 under `score`, a `BlockScorer` of positions into
+    `frame` (`block_cells`), go to one `solve_pairs` call.  Logs, at INFO,
+    the pass's frame pairs, chunks and cells above 0, and the matcher's
+    counts, as a merge round does.
     """
     ts, first, size = np.unique(frame, return_index=True, return_counts=True)
     # Index into ts of the earlier frame of each (t, t+1) pair.
     lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
-    n, m = size[lead], size[lead + 1]
-    # An empty first entry, so that a pass without frame pairs links nothing.
-    cells = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    for blocks, rows, cols in padded_chunks(first[lead], n, first[lead + 1], m):
-        scores = score(rows, cols)
-        blk, i, j = np.nonzero(real_cells(n[blocks], m[blocks], *scores.shape[1:]) & (scores > 0))
-        cells.append((rows[blk, i], cols[blk, j], scores[blk, i, j]))
-    a, b, scores = map(np.concatenate, zip(*cells))
+    _, a, b, scores, chunks = block_cells(first[lead], size[lead], first[lead + 1],
+                                          size[lead + 1], score, lambda s: s > 0)
     found = solve_pairs(a, b, scores, gate)
     log.info("first level: %d frame pairs in %d chunks, %d cells above 0, %d components solved "
-             "(largest %d nodes), %d by augmenting paths, %d links", lead.size, len(cells) - 1,
+             "(largest %d nodes), %d by augmenting paths, %d links", lead.size, chunks,
              scores.size, found.components, found.largest, found.exact, found.a.size)
     return _chain_layout(len(frame), found.a, found.b)
 
@@ -430,8 +398,7 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
 
     Matches each frame against the following one with the configured kernel
     and links the optimal matches into chains of rows; every chain covers
-    a run of consecutive frames.  Each chunk of frame pairs is one kernel
-    call over boxes gathered by row.
+    a run of consecutive frames.
     """
     boxes = table.boxes[rows]
     order, size = _link_frames(table.frame[rows], lambda r, c: kernel.matrix(boxes[r], boxes[c]),
@@ -452,7 +419,7 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains
     of the candidate, averaging the two kernel values.  Rows with
     single-entry histories predict their own box, which reduces to the
     static similarity.  Both one-frame predictions of every row are made
-    once per pass; each chunk of frame pairs gathers them by position.
+    once per pass and gathered by position.
     Preliminary links are discarded; only the second-pass links survive.
     """
     chained, size = preliminary_chains

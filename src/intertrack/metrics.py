@@ -7,23 +7,22 @@ correspondence persists while it is still a hit (gt tracks in id order, each
 prediction kept once), the rest is matched optimally over the hits, and a gt
 track whose hypothesis changes counts an identity switch.  Identity: each hit
 adds one to its (gt, pred) track pair's potential, and one global one-to-one
-assignment on it gives IDTP, behind IDF1/IDP/IDR: `assignment.solve_pairs`
-of the track pairs that hit, so no gt x pred matrix is built.  Each frame's
-step is `assignment.solve`, gated at the IoU threshold.
+assignment on it gives IDTP, behind IDF1/IDP/IDR.
 
-All frames are scored at once.  Each frame's gt x pred block goes into the
-padded chunks of `assignment.padded_chunks`, the chunker the first level
-uses, and each chunk is one IoU kernel call, so every IoU is bit-identical
-to a per-frame call; one `nonzero` per chunk gives the hits.  Call a frame
-forced when no gt track and no prediction track has two hits in it.  In a
-forced frame the hits are a one-to-one matching: the keep-alive step keeps
-only hits, and the optimal step then takes every hit left, since each adds
-an IoU at or above the threshold, which is above 0, and none shares a row or
-column with another.  So a forced frame's matches are exactly its hits,
-whatever came before — the rule TrackEval's CLEAR relies on.  Only the
-other, conflict frames run the step, in frame order, each from the last
-match of every gt track before it.  The identity switches are the changes in each gt track's
-sequence of matched predictions.
+The hits, as (gt row, pred row, IoU), come from one `assignment.block_cells`
+call on every frame's gt x pred block under the IoU kernel, so each IoU is
+bit-identical to a per-frame call.  Call a frame forced when no gt track and
+no prediction track has two hits in it.  In a forced frame the hits are a
+one-to-one matching: the keep-alive step keeps only hits, and the optimal
+step then takes every hit left, since each adds an IoU at or above the
+threshold, which is above 0, and none shares a row or column with another.
+So a forced frame's matches are exactly its hits, whatever came before — the
+rule TrackEval's CLEAR relies on.  Only the other, conflict frames run the
+step on their hits, in frame order, each from the last match of every gt
+track before it.  Every matching, a step's (gated at the IoU threshold) and
+IDTP's, is one `assignment.solve_pairs` call on hits, so no gt x pred matrix
+is built.  The identity switches are the changes in each gt track's sequence
+of matched predictions.
 
 The public functions take tables in any row order and sort them; sequences
 pool by summing their counts.
@@ -37,7 +36,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .assignment import padded_chunks, real_cells, solve, solve_pairs
+from .assignment import block_cells, solve_pairs
 from .geometry import iou_kernel
 from .model import BoxTable
 
@@ -82,24 +81,21 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
                       for tracks in (gt, pred) for side in ("left", "right"))
     n, m = g1 - g0, p1 - p0
     both = np.flatnonzero((n > 0) & (m > 0))
-    # Every hit as (frame index, gt row, pred row, IoU): one kernel call per chunk.
-    hits = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
-    chunks = 0
-    for blocks, rows, cols in padded_chunks(g0[both], n[both], p0[both], m[both]):
-        overlap = iou_kernel(gt.boxes[rows][:, :, None], pred.boxes[cols][:, None, :])
-        real = real_cells(n[both[blocks]], m[both[blocks]], *overlap.shape[1:])
-        k, i, j = np.nonzero(real & (overlap >= iou_threshold))
-        hits.append((both[blocks[k]], rows[k, i], cols[k, j], overlap[k, i, j]))
-        chunks += 1
-    t, r, c, iou = (np.concatenate(h) for h in zip(*hits))
+    # Every hit as (frame index, gt row, pred row, IoU).
+    block, r, c, iou, chunks = block_cells(
+        g0[both], n[both], p0[both], m[both],
+        lambda rows, cols: iou_kernel(gt.boxes[rows][:, :, None], pred.boxes[cols][:, None, :]),
+        lambda overlap: overlap >= iou_threshold)
     order = np.lexsort((c, r))  # gt row order, so frame order
-    t, r, c, iou = t[order], r[order], c[order], iou[order]
+    t, r, c, iou = both[block[order]], r[order], c[order], iou[order]
     g, p = gt_of[r], pred_of[c]
     conflict = np.zeros(frames.size, bool)
     for ids, size in ((g, gt_ids.size), (p, pred_ids.size)):
         key, count = np.unique(t * size + ids, return_counts=True)
         conflict[key[count > 1] // size] = True
     forced = ~conflict[t]
+    # A gt track's hypothesis lives on its pred track's first row in a frame.
+    lead = np.r_[True, (pred.frame[1:] != pred.frame[:-1]) | (pred_of[1:] != pred_of[:-1])][c]
     matches = [(t[forced], g[forced], p[forced])]
     forced_t, forced_g, forced_p = matches[0]
     # Conflict frames in frame order, each after the forced matches before it.
@@ -110,11 +106,9 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
         _remember(last_hyp, forced_g[done:upto], forced_p[done:upto])
         done = upto
         lo, hi = np.searchsorted(t, [f, f + 1])
-        block = np.full((n[f], m[f]), -np.inf)
-        block[r[lo:hi] - g0[f], c[lo:hi] - p0[f]] = iou[lo:hi]
-        stepped = _step(block, gt_of[g0[f]:g1[f]], pred_of[p0[f]:p1[f]], last_hyp,
-                        iou_threshold)
-        matches.append((np.full(len(stepped), f), *np.array(stepped, np.intp).reshape(-1, 2).T))
+        k = lo + _step(r[lo:hi], c[lo:hi], iou[lo:hi], g[lo:hi], p[lo:hi], lead[lo:hi],
+                       last_hyp, iou_threshold)
+        matches.append((t[k], g[k], p[k]))
     mt, mg, mp = (np.concatenate(x) for x in zip(*matches))
     # A gt track's matches in frame order; a frame's own matches keep their order.
     order = np.lexsort((mt, mg))
@@ -138,28 +132,25 @@ def _remember(last_hyp: np.ndarray, g: np.ndarray, p: np.ndarray) -> None:
     last_hyp[tracks] = p[last]
 
 
-def _step(block: np.ndarray, gi: np.ndarray, pj: np.ndarray, last_hyp: np.ndarray,
-          gate: float) -> list[tuple[int, int]]:
-    """The CLEAR matching of one frame: its gt tracks `gi` x pred tracks `pj`
-    IoU block, -inf off the hits.  Returns the (gt, pred) track matches, the
-    kept-alive ones first, and updates `last_hyp` as it goes."""
-    n, m = block.shape
-    # Keep alive each correspondence that still overlaps; a prediction
-    # claimed by several gt tracks stays with the lowest gt id.
-    hyp = last_hyp[gi]
-    col = np.minimum(np.searchsorted(pj, hyp), m - 1)
-    alive = np.flatnonzero((pj[col] == hyp) & (block[np.arange(n), col] > -np.inf))
-    owner = np.full(m, n)  # per prediction: the gt row keeping it, n if none
-    np.minimum.at(owner, col[alive], alive)
-    kept = np.flatnonzero(owner < n)
-    matches = list(zip(gi[owner[kept]].tolist(), pj[kept].tolist()))
-    # The optimal step matches the gt rows and predictions left over.
-    rows = np.flatnonzero(np.bincount(owner[kept], minlength=n) == 0)
-    cols = np.flatnonzero(owner == n)
-    for i, j in solve(block[np.ix_(rows, cols)], gate):
-        last_hyp[gi[rows[i]]] = pj[cols[j]]
-        matches.append((int(gi[rows[i]]), int(pj[cols[j]])))
-    return matches
+def _step(r: np.ndarray, c: np.ndarray, iou: np.ndarray, g: np.ndarray, p: np.ndarray,
+          lead: np.ndarray, last_hyp: np.ndarray, gate: float) -> np.ndarray:
+    """The CLEAR matching of one frame on its hits in (r, c) order: gt row
+    r[k], of gt track g[k], hits pred row c[k], of pred track p[k] and its
+    first row in the frame where lead[k], at IoU iou[k].  Returns the matched
+    hits' indices, the kept-alive ones first, and updates `last_hyp`."""
+    # The nodes are rows, not tracks: a gt track may hold two rows in a frame.
+    # Keep alive each hit on its gt track's last hypothesis; a pred row
+    # claimed by several gt rows stays with the first.
+    alive = np.flatnonzero((last_hyp[g] == p) & lead)
+    kept = alive[np.unique(c[alive], return_index=True)[1]]
+    # The optimal step matches the gt rows and pred rows left over.
+    free = np.flatnonzero(~np.isin(r, r[kept]) & ~np.isin(c, c[kept]))
+    found = solve_pairs(r[free], c[free], iou[free], gate)
+    # Each match's hit, by its (r, c) key: the hits are in (r, c) order.
+    width = c.max() + 1
+    stepped = free[np.searchsorted(r[free] * width + c[free], found.a * width + found.b)]
+    _remember(last_hyp, g[stepped], p[stepped])
+    return np.concatenate([kept, stepped])
 
 
 def frame_sorted(table: BoxTable) -> BoxTable:

@@ -12,7 +12,9 @@ exact solver must then return.  `chains` follows links through a dict,
 forms of the engine's chaining, overlap merges and low-score recovery before
 its tracklets became one table of arrays.  `plan_chunks` is the block-by-block
 loop that planned `assignment`'s padded chunks before one scan per chunk
-did."""
+did.  `interval_admissible` is the merge levels' pair rule as one test on a
+pair of tracklets, the oracle of an all-pairs scan that the engine's window
+sweep must reproduce."""
 
 from __future__ import annotations
 
@@ -99,6 +101,19 @@ def plan_chunks(n: list[int], m: list[int], cells: int) -> list[list[int]]:
             chunks.append([k])
             n_max, m_max = n[k], m[k]
     return chunks
+
+
+def interval_admissible(dt_bound: int, overlap_allowance: int, tracklets, a, b):
+    """Whether tracklet b may follow tracklet a at a level, elementwise over
+    index arrays a and b into a `hierarchy.TrackletTable`; a call on two
+    indices is a one-element call.  b must come after a in (t_min, t_max,
+    tid) order, which is the table's, and either start within dt_bound
+    frames after a ends or share at most overlap_allowance frames with it."""
+    gap = tracklets.t_min[b] - tracklets.t_max[a]
+    # Shared frames, counted as resolve_overlap counts them.
+    shared = 1 - gap
+    return (np.asarray(a) < b) & (((0 < gap) & (gap <= dt_bound))
+                                  | ((0 < shared) & (shared <= overlap_allowance)))
 
 
 def chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
 from intertrack import assignment
-from intertrack.assignment import connected_components, real_cells, solve, solve_pairs
+from intertrack.assignment import connected_components, solve, solve_pairs
 
 _PERM_CACHE = {}
 
@@ -213,7 +213,9 @@ def _chunk_pairs(scores, n, m, gate):
     column j renumbered k * n_max + i and k * m_max + j; and its matches as
     (block, row, col) triples."""
     _, n_max, m_max = scores.shape
-    blk, i, j = np.nonzero(real_cells(np.array(n), np.array(m), n_max, m_max))
+    n, m = np.array(n), np.array(m)
+    real = (np.arange(n_max)[:, None] < n[:, None, None]) & (np.arange(m_max) < m[:, None, None])
+    blk, i, j = np.nonzero(real)
     got = solve_pairs(blk * n_max + i, blk * m_max + j, scores[blk, i, j], gate)
     pairs = zip(got.a.tolist(), got.b.tolist())
     return got, [[a // n_max, a % n_max, b % m_max] for a, b in pairs]
@@ -510,3 +512,28 @@ def test_chunk_plan_matches_the_greedy_loop(shapes, budget):
     with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
         planned = [chunk.tolist() for chunk in assignment._chunks(n, m)]
     assert planned == reference.plan_chunks(n.tolist(), m.tolist(), budget)
+
+
+@settings(max_examples=500, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7), st.integers(0, 6),
+                                 st.integers(1, 7)), max_size=12),
+       threshold=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+       budget=st.sampled_from([1, 5, 40, assignment._CHUNK_CELLS]), seed=st.integers(0, 2**32 - 1))
+def test_block_cells_are_the_brute_force_cells(blocks, threshold, budget, seed):
+    """`block_cells` returns exactly the cells that pass `keep` when every
+    block is scored alone, each once, so never a padded cell; blocks may
+    share rows and columns, as the first level's do."""
+    r0, n, c0, m = np.array(blocks, np.intp).reshape(-1, 4).T
+    # Quarter steps, so that scores tie with the sampled thresholds.
+    values = np.random.default_rng(seed).integers(0, 5, (13, 13)) / 4
+
+    def score(rows, cols):
+        return values[rows[:, :, None], cols[:, None, :]]
+    with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
+        block, row, col, value, chunks = assignment.block_cells(
+            r0, n, c0, m, score, lambda s: s >= threshold)
+        assert chunks == len(assignment._chunks(n, m))
+    got = list(zip(block.tolist(), row.tolist(), col.tolist(), value.tolist()))
+    want = {(k, i, j, values[i, j]) for k, (ri, ni, cj, mj) in enumerate(blocks)
+            for i in range(ri, ri + ni) for j in range(cj, cj + mj) if values[i, j] >= threshold}
+    assert len(got) == len(set(got)) and set(got) == want

@@ -15,7 +15,6 @@ from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
     _admissible_pairs,
     _chain_layout,
-    _interval_admissible,
     _tracklet_table,
     _window_pairs,
     adjacent_pass,
@@ -189,6 +188,11 @@ class TestHierarchyPassAdmissibility:
         assert spans(out) == [(1, 10), (5, 12)]
         out = interval_pass(*self.make_state([a, five]), 30, 5, constant_sim, 0.2)
         assert spans(out) == [(1, 12)]
+        # The oracle counts the shared frames as the sweep does.
+        for other, admitted in ((six, False), (five, True)):
+            tracklets = self.make_state([a, other])[1]
+            assert bool(reference.interval_admissible(30, 5, tracklets, 0, 1)) is admitted
+            assert _admissible_pairs(tracklets, 30, 5)[0].size == admitted
 
     def test_classes_never_mix(self):
         # Each class runs an engine of its own, on its own table.
@@ -230,7 +234,7 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
     table, ordered, _ = state_of(fragments)
     n = ordered.tid.size
     scan = [(a, b) for a in range(n) for b in range(n)
-            if a != b and _interval_admissible(dt_bound, overlap_allowance, ordered, a, b)]
+            if a != b and reference.interval_admissible(dt_bound, overlap_allowance, ordered, a, b)]
     a, b = _admissible_pairs(ordered, dt_bound, overlap_allowance)
     assert list(zip(a.tolist(), b.tolist())) == scan
     # The window schedule's pairs: both tracklets inside one window.
@@ -239,7 +243,7 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
     a, b = _window_pairs(ordered, dt_bound, ALONE)
     assert list(zip(a.tolist(), b.tolist())) == [
         (x, y) for x, y in scan if inside[x] and inside[y] and window[x] == window[y]
-        and _interval_admissible(dt_bound, 0, ordered, x, y)]
+        and reference.interval_admissible(dt_bound, 0, ordered, x, y)]
     rows = pieces(ordered.rows, ordered.size)
     for a, b in scan:
         resolve_overlap(table, rows[a], rows[b], overlap_allowance)

@@ -321,6 +321,12 @@ _SHARED_HYPOTHESIS = ([_line(1, [(1, 0), (3, 0), (4, 0)]), _line(2, [(2, 0), (3,
 _SHARED_ID = ([_line(1, [(1, 0), (2, 0)]), _line(1, [(2, 6), (3, 6)])],
               [_line(5, [(1, 0), (2, 6), (3, 6)]), _line(6, [(2, 0)])])
 
+# Pred 5 holds two rows in frame 2, and gt 1, last matched to pred 5, hits
+# only the second (IoU 0.6) and pred 6 (IoU 1).  The correspondence lives on
+# pred 5's first row, which is no hit, so the optimal step switches gt 1 to 6.
+_SPLIT_HYPOTHESIS = ([_line(1, [(1, 0), (2, 0)])],
+                     [_line(5, [(1, 0), (2, 6)]), _line(5, [(2, 1)]), _line(6, [(2, 0)])])
+
 # gt 2 overlaps pred 7 by an IoU of about 1e-11: at a threshold below that
 # it is a hit like any other, and the frame's one hit is matched.
 _TINY_HIT = ([_line(1, [(1, 20)]), _line(2, [(1, 0)])], [_line(7, [(1, 4 - 8e-11)])])
@@ -358,6 +364,7 @@ class TestColumnCounts:
     @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5, budget=1)
     @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5, budget=1)
     @example(gt=_SHARED_ID[0], pred=_SHARED_ID[1], iou_threshold=0.5, budget=5)
+    @example(gt=_SPLIT_HYPOTHESIS[0], pred=_SPLIT_HYPOTHESIS[1], iou_threshold=0.5, budget=5)
     @example(gt=_TINY_HIT[0], pred=_TINY_HIT[1], iou_threshold=1e-12, budget=40)
     @example(gt=_TIED_PICK[0], pred=_TIED_PICK[1], iou_threshold=1.0, budget=5)
     def test_matches_frame_by_frame_reference(self, gt, pred, iou_threshold, budget):
@@ -382,6 +389,12 @@ class TestColumnCounts:
         # which frame 3's pred 5 then switches back from.
         counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_ID), 0.5)
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 2)
+
+    def test_a_hypothesis_lives_on_its_first_row_in_a_frame(self):
+        gt, pred = (frame_sorted(tracks_table(t)) for t in _SPLIT_HYPOTHESIS)
+        counts = eval_counts(gt, pred, 0.5)
+        assert (counts.fp, counts.fn, counts.idsw) == (2, 0, 1)
+        assert counts == reference.eval_counts(gt, pred, 0.5)[0]
 
     def test_hit_at_a_tiny_threshold_is_matched(self):
         counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _TINY_HIT), 1e-12)

@@ -70,14 +70,21 @@ The cases:
   output with every track written twice, the copy under a new track id.
   Every score then ties with its copy's, so the matcher's tie rule decides
   which copy joins which tracklet.
+- 2 overlap-merge cases: `refine` on the panning and the crowd scene's
+  doubly-tracked segments, each ground-truth target cut into two fragments
+  that share 3 frames, each fragment under a new id.  No gap level can join
+  a target's fragments, so the final level's overlap merges
+  (`hierarchy.resolve_overlap`) do.
 
-101 cases in all.
+103 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
 (`--dump-hierarchy`) and `eval.txt` (exit code, stdout and stderr of
 `eval --kv` against the scene's ground truth); a seed-1 workload case also
-writes `verbose.txt`, the same for its `--verbose` pass.  Every command
+writes `verbose.txt`, the same for its `--verbose` pass, and it and the two
+`eval-crowd-*` cases write `eval_verbose.txt`, the same for `eval
+--verbose`, whose INFO lines hold the evaluator's counts.  Every command
 runs in a fresh process with the case directory as working directory and
 relative paths, so no absolute path reaches the outputs.
 """
@@ -175,6 +182,8 @@ CONFIG_FILES = {
 }
 # The workload cases whose pass also runs under --verbose.
 VERBOSE_CASES = {f"{name}-seed1" for name in WORKLOADS}
+# The cases whose eval also runs under --verbose.
+EVAL_VERBOSE_CASES = VERBOSE_CASES | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
              "final-overlap-fraction": ["--final-overlap", "1.5"],
              "interp-max-gap-z": ["--interp-max-gap", "z"],
@@ -359,6 +368,28 @@ def _tie_cases():
                          evals))
 
 
+def _write_doubly_tracked(spec: ScenarioSpec) -> None:
+    """The scene of `spec`, its foreign output replaced by each gt target cut
+    into two fragments that share 3 frames, each under a new id."""
+    _write_mot_scene(spec)
+    gt, _ = synth.generate(spec)
+    fragments = []
+    for t in gt:
+        half = len(t.entries) // 2
+        fragments += [Trajectory(len(fragments) + 1, t.entries[:half + 3]),
+                      Trajectory(len(fragments) + 2, t.entries[half:])]
+    mot_io.write_mot_results(fragments, "theirs.txt")
+
+
+def _overlap_cases():
+    """(name, prepare) of the 2 overlap-merge cases."""
+    for scene, spec in (("pan", PAN), ("crowd", CROWD)):
+        yield (f"overlap-{scene}-refine",
+               _cli_case(lambda spec=spec: _write_doubly_tracked(spec),
+                         ["refine", "--in", "theirs.txt", "--out", "out.txt"],
+                         ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv"]))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -380,7 +411,7 @@ def main(argv=None) -> int:
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
                           *_reader_cases(), *_config_cases(), *_eval_cases(),
-                          *_directory_cases(), *_tie_cases()]:
+                          *_directory_cases(), *_tie_cases(), *_overlap_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
@@ -393,6 +424,8 @@ def main(argv=None) -> int:
         if name in VERBOSE_CASES:
             # The last --workers wins.
             _run(root, case, ["--verbose", *pass_args, "--workers", "1"], "verbose.txt")
+        if name in EVAL_VERBOSE_CASES:
+            _run(root, case, ["--verbose", *eval_args], "eval_verbose.txt")
         print(f"{name}: {(case / 'pass.txt').read_text().splitlines()[0]}", flush=True)
     return 0
 
