@@ -1,9 +1,8 @@
 """Gated maximum-similarity bipartite matching, in numpy alone.
 
 A cell is admissible only if its score is finite and above 0; any other
-cell, such as the -inf that marks a class mismatch or an interval
-violation, can never beat leaving its row and column unmatched, which gains
-0.  The solver finds the maximum-total-similarity partial matching over the
+cell, such as the -inf that fills a dense block off the given cells, can
+never beat leaving its row and column unmatched, which gains 0.  The solver finds the maximum-total-similarity partial matching over the
 admissible cells, then applies the acceptance gate: no pair scoring 0 or
 less is ever matched.
 

@@ -11,7 +11,7 @@ feeds the detection-only camera-movement estimate that stabilizes all later
 levels.  A window-scheduled variant (non-overlapping temporal windows per
 level) is included as the ablation baseline.
 
-One function runs each class, `_run_class`: `track` starts it from
+One function runs the pipeline, `_run_segments`: `track` starts it from
 detections, `refine` from pre-formed tracklets.  Both share one camera step,
 one stage loop and one merge level, `hierarchy_pass`, to which each stage
 gives its schedule's pair rule (`_admissible_pairs` for intervals,
@@ -40,43 +40,41 @@ it would be alone.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` returns the
-output track id of each row kept.  Each class runs on its own table of the
-class's rows.  Its tracklets are one `TrackletTable` of arrays, which every
-pass takes with the class table and reads by column: the rows of all
-tracklets laid end to end, and per tracklet its size, tid, t_min and t_max.
+output track id of each row kept.  The tracklets are one `TrackletTable` of
+arrays, which every pass takes with the table and reads by column: the rows
+of all tracklets laid end to end, and per tracklet its size, tid, t_min and
+t_max.
 Every run of rows has that layout (`Runs`): `refine`'s tracklets, the first
 level's chains and the runs `kalman_states` filters.  Links, between
 tracklets or rows of adjacent frames, are chained as their connected
 components, laid out by one stable sort.  Camera stabilization returns a
-class table with a new box column, so the results keep the input boxes
-exactly.
+table with a new box column, so the results keep the input boxes exactly.
 
-Each class keeps one record of its levels: a tuple of `LevelTrace`s, each
-holding the level's `TrackletTable` and the class table's frame and det_id
-columns.  A level's tracklet count and its (frame, det_id) members, which
-only `--dump-hierarchy` and library callers read, are computed when read,
-and `ClassRunResult.counts` (N_1..N_l) is derived from the same tuple: every
-trace but the low-score recovery, which is its own trace in both schedules
-and only grows the first level's tracklets.
+Each class of a sequence keeps one record of its levels: a tuple of
+`LevelTrace`s, each holding the level's `TrackletTable` and the batch
+table's frame and det_id columns.  A level's tracklet count and its (frame,
+det_id) members, which only `--dump-hierarchy` and library callers read,
+are computed when read, and `ClassRunResult.counts` (N_1..N_l) is derived
+from the same tuple: every trace but the low-score recovery, which is its
+own trace in both schedules and only grows the first level's tracklets.
 
-Many sequences run as one batch: `run_tables` lays them end to end on one
-frame axis, each sequence's frames shifted so that it starts `gap` frames
-after the previous one ends, the gap being the largest stage bound plus the
-final overlap plus 2.  No level can bridge such a gap:
-frame linking and low-score recovery reach one frame, a merge level its
-bound plus its overlap.  So each class runs once over the rows of every
-sequence, and every sequence's links, components, merges and tie breaks are
-those it gets alone: every step is elementwise over rows, pairs or blocks,
-and every order the engine keeps (rows, tracklets, chains, new tids) lists
-a sequence's items in its own relative order.  The first sequence keeps its
-frames, so a single sequence is a batch of one, and a batch closes before
-its axis would pass `_AXIS_LIMIT`.  Three things read more than frame gaps,
-so they stay per sequence: the camera profile, estimated and applied per
-(sequence, class) in the sequence's own frames; the window schedule's window
-index, taken from the sequence's own frames; and the bookkeeping of a class
-that holds no high-score rows in a sequence, which reports no levels there.
-The results are split back per sequence, which keeps its own frames, det_ids
-and tracks 1..K.
+Each class of a sequence is associated on its own, and so is each sequence
+of a run, by one mechanism: `run_tables` lays each (sequence, class) pair
+out as one segment of one frame axis, starting `gap` frames after the
+previous one ends, the gap being the largest stage bound plus the final
+overlap plus 2.  No level can bridge such a gap: frame linking and
+low-score recovery reach one frame, a merge level its bound plus its
+overlap.  So the engine runs once per batch, and every segment's links,
+components, merges and tie breaks are those its rows get alone: every step
+is elementwise over rows, pairs or blocks, and every order the engine keeps
+(rows, tracklets, chains, new tids) lists a segment's items in its own
+relative order.  The first segment keeps its frames, so a sequence of one
+class is a batch of one segment, and a batch closes before its axis would
+pass `_AXIS_LIMIT`.  Three things read more than frame gaps, so they stay
+per segment, in its own frames: the camera profile, the window schedule's
+window index, and the bookkeeping of a segment without high-score rows,
+which reports no levels.  The results are split back per sequence, which
+keeps its own frames, det_ids and tracks 1..K.
 
 Every pass is deterministic: tracklets are kept in (t_min, t_max, id) order,
 ids are never reused, and exact ties follow the matcher's search order.
@@ -115,7 +113,7 @@ def engine_order(table: BoxTable) -> np.ndarray:
 
 
 class TrackletTable(NamedTuple):
-    """A class's tracklets, in (t_min, t_max, tid) order: the rows of
+    """A batch's tracklets, in (t_min, t_max, tid) order: the rows of
     all of them laid end to end, each tracklet's in frame order, and per
     tracklet its size (row count), tid, t_min and t_max."""
     rows: np.ndarray
@@ -151,22 +149,25 @@ def _tracklet_table(frame: np.ndarray, rows: np.ndarray, size: np.ndarray,
 
 
 class _Axis(NamedTuple):
-    """Sequences laid end to end on one frame axis: each one's first frame on
-    the axis, ascending, and the amount added to its own frames."""
+    """The segments of a batch laid end to end on one frame axis, one per
+    (sequence, class): each one's first frame on the axis, ascending, the
+    amount added to its own frames, and its sequence's position in the
+    batch."""
     start: np.ndarray
     shift: np.ndarray
+    sequence: np.ndarray
 
-    def seq(self, frame: np.ndarray) -> np.ndarray:
-        """The sequence of each frame on the axis."""
+    def segment(self, frame: np.ndarray) -> np.ndarray:
+        """The segment of each frame on the axis."""
         return np.searchsorted(self.start, frame, "right") - 1
 
     def edges(self, frame: np.ndarray) -> np.ndarray:
-        """Where each sequence starts and the last one ends in the ascending
-        frames `frame` of the axis: (sequences + 1,) positions."""
+        """Where each segment starts and the last one ends in the ascending
+        frames `frame` of the axis: (segments + 1,) positions."""
         return np.append(np.searchsorted(frame, self.start), len(frame))
 
 
-# The axis a batch of sequences may fill: a frame beyond it closes the batch.
+# The axis a batch may fill: a sequence ending beyond it closes the batch.
 _AXIS_LIMIT = 2 ** 62
 
 
@@ -181,10 +182,10 @@ PairScorer = Callable[[TrackletTable, np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """A class's tracklets in one sequence after one level, as rows of the
-    class's table in the batch, whose det_id column and frame column (each
-    row's frame in its own sequence) it holds; its (frame, det_id) members
-    are built only when read."""
+    """The tracklets of one class of one sequence after one level, as rows
+    of the batch's table, whose det_id column and frame column (each row's
+    frame in its own sequence) it holds; its (frame, det_id) members are
+    built only when read."""
     label: str
     tracklets: TrackletTable
     frame: np.ndarray
@@ -223,8 +224,9 @@ class ClassRunResult:
 
 
 class TableRun(NamedTuple):
-    """The engine's table, the rows it keeps in (track, frame) order, and
-    each kept row's output track id 1..K."""
+    """One sequence's run: the engine's table of its rows, in class order
+    and then engine order, the rows it keeps in (track, frame) order, each
+    kept row's output track id 1..K, and the record of each class."""
     table: BoxTable
     rows: np.ndarray
     track: np.ndarray
@@ -331,13 +333,13 @@ def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
 def _window_pairs(tracklets: TrackletTable, window_size: int,
                   axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
     """The pairs `_admissible_pairs` admits at a gap bound of window_size
-    that lie inside one window of their sequence's own frames: b starts
+    that lie inside one window of their segment's own frames: b starts
     after a ends, so a's first frame and b's last one do.  Straddling
     tracklets sit the level out."""
     a, b = _admissible_pairs(tracklets, window_size, 0)
-    # A pair's tracklets share a sequence, so a's shift is b's too.
+    # A pair's tracklets share a segment, so a's shift is b's too.
     first = tracklets.t_min[a]
-    shift = axis.shift[axis.seq(first)]
+    shift = axis.shift[axis.segment(first)]
     keep = (first - shift - 1) // window_size == (tracklets.t_max[b] - shift - 1) // window_size
     return a[keep], b[keep]
 
@@ -495,18 +497,18 @@ def _adjacent_pairs(frame: np.ndarray, rows: np.ndarray,
 
 def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray, size: np.ndarray,
             axis: _Axis, started: np.ndarray) -> tuple[list, BoxTable]:
-    """Estimate camera movement in each sequence the class started in, from
-    the frame-adjacent pairs inside the runs of the given sizes laid end to
-    end in `rows`, in the sequence's own frames; returns each sequence's
-    profile, None where the class did not start or when disabled, and the
-    table, its boxes stabilized in the sequences where the camera moves."""
+    """Estimate camera movement in each segment that started, from the
+    frame-adjacent pairs inside the runs of the given sizes laid end to end
+    in `rows`, in the segment's own frames; returns each segment's profile,
+    None where it did not start or when disabled, and the table, its boxes
+    stabilized in the segments where the camera moves."""
     profiles: list = [None] * started.size
     if not cfg.enable_cc:
         return profiles, table
     frame, boxes = table.frame, table.boxes
     a, b = _adjacent_pairs(frame, rows, size)
-    seq = axis.seq(frame[a])
-    order = np.argsort(seq, kind="stable")  # each sequence's pairs in their given order
+    seq = axis.segment(frame[a])
+    order = np.argsort(seq, kind="stable")  # each segment's pairs in their given order
     a, b = a[order], b[order]
     pair_edges = np.searchsorted(seq[order], np.arange(started.size + 1))
     row_edges = axis.edges(frame)
@@ -522,17 +524,17 @@ def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray, size: np.ndar
     return profiles, table._replace(boxes=boxes)
 
 
-def _run_class(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTable],
-               axis: _Axis) -> tuple[list[tuple[str, TrackletTable, np.ndarray]], list]:
-    """Run the pipeline on the table of one class's rows of a batch of
-    sequences; returns each trace as (label, tracklets, the sequences that
-    record it), and each sequence's camera profile.  `refine` gives the
-    class's pre-formed tracklets, which every level merges, and starts the
-    class in every sequence it holds rows in.  `track` gives none: the
-    high-score rows start as singletons, the interval schedule's level 1 is
-    their frame-adjacent chaining, and the low-score rows are absorbed right
-    after level 1; the class starts in the sequences with high-score rows,
-    and only those with low-score rows record the recovery."""
+def _run_segments(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTable],
+                  axis: _Axis) -> tuple[list[tuple[str, TrackletTable, np.ndarray]], list]:
+    """Run the pipeline on a batch's table, each segment of its axis the
+    rows of one class of one sequence; returns each trace as (label,
+    tracklets, the segments that record it), and each segment's camera
+    profile.  `refine` gives the pre-formed tracklets, which every level
+    merges, and starts every segment.  `track` gives none: the high-score
+    rows start as singletons, the interval schedule's level 1 is their
+    frame-adjacent chaining, and the low-score rows are absorbed right after
+    level 1; the segments with high-score rows start, and only those of them
+    with low-score rows record the recovery."""
     kernel, gate = SimilarityKernel(cfg), cfg.match_threshold
     window = cfg.strategy is Strategy.WINDOW
     low, chained = np.zeros(0, np.intp), None
@@ -546,8 +548,8 @@ def _run_class(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTabl
                                 np.arange(1, high.size + 1))
     else:
         start, chains = given, (given.rows, given.size)
-    started = np.bincount(axis.seq(start.t_min), minlength=axis.start.size) > 0
-    recovers = started & (np.bincount(axis.seq(table.frame[low]),
+    started = np.bincount(axis.segment(start.t_min), minlength=axis.start.size) > 0
+    recovers = started & (np.bincount(axis.segment(table.frame[low]),
                                       minlength=axis.start.size) > 0)
     profiles, table = _camera(cfg, table, *chains, axis, started)
     if given is None and not window:
@@ -578,114 +580,116 @@ def _run_class(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletTabl
     return list(steps(start)), profiles
 
 
-def _by_sequence(tracklets: TrackletTable, axis: _Axis) -> list[TrackletTable]:
-    """The tracklets of each sequence: in (t_min, t_max, tid) order, one
-    range each, so their rows are one range too."""
-    edges = axis.edges(tracklets.t_min)
+def _pieces(tracklets: TrackletTable, edges: np.ndarray) -> list[TrackletTable]:
+    """The tracklets cut at the (pieces + 1,) positions `edges`: each piece
+    is one range of tracklets, so its rows are one range too."""
     at = np.append(0, np.cumsum(tracklets.size))[edges].tolist()
     return [TrackletTable(tracklets.rows[r:q], *(column[i:j] for column in tracklets[1:]))
             for i, j, r, q in zip(edges[:-1].tolist(), edges[1:].tolist(), at, at[1:])]
 
 
-def _run_per_class(table: BoxTable, cfg: TrackerConfig, axis: _Axis,
-                   given: Optional[TrackletTable] = None) -> list[TableRun]:
-    """Run `_run_class` on each class's rows of the batch `table` (frame
-    sorted, on the axis), with its tracklets of `given` when given, and
-    split the results per sequence: its table in its own frames, its
-    classes' level logs over their own rows, and its tracks, those of the
-    classes' last levels, numbered 1..K in (t_min, t_max, class) order."""
-    edges = axis.edges(table.frame)
-    per_class: list[list[ClassRunResult]] = [[] for _ in axis.start]
-    finals = [TrackletTable(*[np.zeros(0, np.intp)] * 5)]
-    for class_id in np.unique(table.class_id).tolist():
-        rows = np.flatnonzero(table.class_id == class_id)
-        mine = None
-        if given is not None:
-            mine = given.take(table.class_id[given.first()] == class_id)
-            mine = mine._replace(rows=np.searchsorted(rows, mine.rows))
-        own = table.take(rows)
-        traces, profiles = _run_class(cfg, own, mine, axis)
-        # A sequence's traces share the class's columns, each row's frame in
-        # its own sequence's frames.
-        seq = axis.seq(own.frame)
-        frame = own.frame - axis.shift[seq]
-        pieces = [_by_sequence(tracklets, axis) for _, tracklets, _ in traces]
-        for s in np.unique(seq).tolist():
-            levels = tuple(LevelTrace(label, piece[s], frame, own.id)
-                           for (label, _, recorded), piece in zip(traces, pieces) if recorded[s])
-            per_class[s].append(ClassRunResult(class_id, levels, profiles[s]))
-        if traces:
-            final = traces[-1][1]
-            finals.append(final._replace(rows=rows[final.rows]))
-    final = TrackletTable(*map(np.concatenate, zip(*finals)))
-    # lexsort is stable: (t_min, t_max) ties keep the class, then the tid order.
-    final = final.take(np.lexsort((final.t_max, final.t_min)))
-    runs = []
-    for s, tracks in enumerate(_by_sequence(final, axis)):
-        here = table.take(slice(edges[s], edges[s + 1]))
-        runs.append(TableRun(here._replace(frame=here.frame - axis.shift[s]),
-                             tracks.rows - edges[s],
-                             np.repeat(np.arange(1, tracks.size.size + 1), tracks.size),
-                             tuple(per_class[s])))
-    return runs
+class _Batch(NamedTuple):
+    """Sequences laid out on one frame axis: their positions in the run, the
+    table of their rows on the axis, the given tracklets as one
+    `TrackletTable` of that table, and the axis of their segments."""
+    sequences: list[int]
+    table: BoxTable
+    given: Optional[TrackletTable]
+    axis: _Axis
 
 
-def _batches(tables: Sequence[BoxTable], cfg: TrackerConfig) -> Iterator[tuple[list[int], _Axis]]:
-    """Lay the sequences end to end on one frame axis, in the given order:
-    the indices of each batch's sequences and its axis.  The first sequence
-    of a batch keeps its frames; each next one starts `gap` frames after the
-    last one ends (see the module notes).  A batch closes before a sequence
-    would end beyond `_AXIS_LIMIT`, unless that sequence is its first: the
-    readers keep frames below 2**53, so a sequence alone always fits."""
+def _batches(tables: Sequence[BoxTable], cfg: TrackerConfig,
+             tracklets: Optional[Sequence[Runs]] = None) -> Iterator[_Batch]:
+    """Lay the sequences out in batches, in the given order (see the module
+    notes).  A sequence's rows are sorted in engine order, which numbers its
+    det_ids when no `tracklets` are given, then stably by class: one segment
+    per class.  A batch closes before a sequence would end beyond
+    `_AXIS_LIMIT`, unless it is the batch's first; one whose own segments
+    would end at or beyond 2**63 raises ValueError.  The axis is laid out in
+    Python ints, which cannot wrap."""
     gap = max(stage.bound + stage.overlap for stage in cfg.stages) + 2
-    batch: list[int] = []
-    start: list[int] = []
-    shift: list[int] = []
+    batch, parts, rows, laid = [], [], [], []  # laid: each segment's (start, shift, sequence)
     end = 0
+
+    def laid_out() -> _Batch:
+        table = BoxTable(*map(np.concatenate, zip(*parts)))
+        given = None
+        if tracklets is not None:
+            size = np.concatenate([tracklets[k][1] for k in batch])
+            given = _tracklet_table(table.frame, np.concatenate(rows), size, np.arange(size.size))
+            given = given._replace(tid=np.arange(1, size.size + 1))
+        return _Batch(batch, table, given, _Axis(*np.array(laid, np.int64).reshape(-1, 3).T))
+
     for k, table in enumerate(tables):
-        # An empty sequence spans [at, at - 1]: no frame.
-        lo, hi = (int(table.frame.min()), int(table.frame.max())) if table.frame.size else (1, 0)
-        at = end + gap if batch else lo
-        if batch and at + hi - lo > _AXIS_LIMIT:
-            yield batch, _Axis(np.array(start), np.array(shift))
-            batch, start, shift, at = [], [], [], lo
-        batch.append(k)
-        start.append(at)
-        shift.append(at - lo)
-        end = at + hi - lo
-    if batch:
-        yield batch, _Axis(np.array(start), np.array(shift))
-
-
-def _laid_out(tables: Sequence[BoxTable], tracklets: Optional[Sequence[Runs]],
-              axis: _Axis) -> tuple[BoxTable, Optional[TrackletTable]]:
-    """The batch's table, each sequence's rows in engine order and its frames
-    shifted onto the axis, and its tracklets, when given, as one
-    `TrackletTable` of that table."""
-    parts, rows, base = [], [], 0
-    for k, (table, shift) in enumerate(zip(tables, axis.shift.tolist())):
         order = engine_order(table)
         part = table.take(order)
         if tracklets is None:  # the engine numbers the rows
             part = part._replace(id=np.arange(1, order.size + 1))
-        else:
-            rows.append(np.argsort(order)[tracklets[k][0]] + base)
-        parts.append(part._replace(frame=part.frame + shift))
-        base += order.size
-    table = BoxTable(*map(np.concatenate, zip(*parts)))
-    if tracklets is None:
-        return table, None
-    size = np.concatenate([size for _, size in tracklets])
-    return table, _tracklet_table(table.frame, np.concatenate(rows), size,
-                                  np.arange(size.size))._replace(tid=np.arange(1, size.size + 1))
+        by_class = np.argsort(part.class_id, kind="stable")
+        order, part = order[by_class], part.take(by_class)
+        cls, frame = part.class_id, part.frame
+        # Each segment's first row and row count.
+        first = np.flatnonzero(np.r_[cls.size > 0, cls[1:] != cls[:-1]])
+        size = np.diff(np.append(first, cls.size))
+        lo, hi = frame[first].tolist(), frame[first + size - 1].tolist()
+        if lo:
+            steps = [h - f + gap for f, h in zip(lo, hi)]
+            if laid and end + sum(steps) > _AXIS_LIMIT:
+                yield laid_out()
+                batch, parts, rows, laid = [], [], [], []
+            at = list(itertools.accumulate(steps, initial=end + gap if laid else lo[0]))
+            end = at.pop() - gap
+            if end >= 2 ** 63:
+                raise ValueError(f"the {len(lo)} classes of sequence {k} laid end to end "
+                                 f"reach frame {end}, beyond the int64 frame axis")
+            own = [a - f for a, f in zip(at, lo)]
+            laid += zip(at, own, [len(batch)] * len(lo))
+            part = part._replace(frame=frame + np.repeat(np.array(own, np.int64), size))
+        if tracklets is not None:
+            rows.append(np.argsort(order)[tracklets[k][0]] + sum(p.frame.size for p in parts))
+        batch.append(k)
+        parts.append(part)
+    if batch:
+        yield laid_out()
+
+
+def _run_batch(batch: _Batch, cfg: TrackerConfig) -> list[TableRun]:
+    """Run the engine once on `batch` and split the results per sequence:
+    its table in its own frames, one `ClassRunResult` per segment, and its
+    tracks, those of the last level, numbered 1..K in (t_min, t_max, class)
+    order in its own frames."""
+    table, axis = batch.table, batch.axis
+    traces, profiles = _run_segments(cfg, table, batch.given, axis)
+    edges = axis.edges(table.frame)
+    frame = table.frame - np.repeat(axis.shift, np.diff(edges))  # in its own sequence
+    pieces = [_pieces(tracklets, axis.edges(tracklets.t_min)) for _, tracklets, _ in traces]
+    # One record per segment, of the class of its rows.
+    records = [ClassRunResult(class_id, tuple(LevelTrace(label, piece[s], frame, table.id)
+                                              for (label, _, recorded), piece
+                                              in zip(traces, pieces) if recorded[s]),
+                              profiles[s])
+               for s, class_id in enumerate(table.class_id[edges[:-1]].tolist())]
+    final = traces[-1][1] if traces else TrackletTable(*[np.zeros(0, np.intp)] * 5)
+    # lexsort is stable: (t_min, t_max) ties keep the segment (class) order,
+    # then the tid order.
+    seq = axis.sequence[axis.segment(final.t_min)]
+    order = np.lexsort((frame[final.last()], frame[final.first()], seq))
+    n = np.arange(len(batch.sequences) + 1)
+    tracks = _pieces(final.take(order), np.searchsorted(seq[order], n))
+    segments = np.searchsorted(axis.sequence, n)
+    at = edges[segments]  # each sequence's rows
+    return [TableRun(table.take(slice(at[q], at[q + 1]))._replace(frame=frame[at[q]:at[q + 1]]),
+                     t.rows - at[q], np.repeat(np.arange(1, t.size.size + 1), t.size),
+                     tuple(records[segments[q]:segments[q + 1]]))
+            for q, t in enumerate(tracks)]
 
 
 def run_tables(tables: Sequence[BoxTable], cfg: TrackerConfig,
                tracklets: Optional[Sequence[Runs]] = None) -> list[TableRun]:
     """Track sequences, each one's `id` its det_ids: BYTE split, camera
-    handling, all hierarchy levels, each class on its own, every sequence
-    as if alone but in batches (see the module notes).  Without `tracklets`
-    the engine numbers each sequence's rows 1..N in its order.
+    handling, all hierarchy levels, each class of each sequence as if alone,
+    but all of a batch in one engine run (see the module notes).  Without
+    `tracklets` the engine numbers each sequence's rows 1..N in its order.
 
     With `tracklets` it associates pre-formed tracklets (recombination
     mode), per sequence the (rows, sizes) `Runs` of `refine.split_rows`
@@ -693,13 +697,7 @@ def run_tables(tables: Sequence[BoxTable], cfg: TrackerConfig,
     (t_min, t_max, tid) order, since fitting is memoized by tracklet id;
     camera estimation uses the frame-adjacent pairs inside them."""
     validate_config(cfg)
-    runs = []
-    for batch, axis in _batches(tables, cfg):
-        table, given = _laid_out([tables[k] for k in batch],
-                                 None if tracklets is None else [tracklets[k] for k in batch],
-                                 axis)
-        runs += _run_per_class(table, cfg, axis, given)
-    return runs
+    return [run for batch in _batches(tables, cfg, tracklets) for run in _run_batch(batch, cfg)]
 
 
 def run_table(table: BoxTable, cfg: TrackerConfig,

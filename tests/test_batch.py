@@ -1,6 +1,8 @@
-"""Sequences run as one batch, laid end to end on one frame axis, give each
-sequence what it gets alone."""
+"""Sequences run as one batch, each class of each sequence one segment of
+one frame axis, give each sequence, and each class of it, what it gets
+alone."""
 
+import collections
 import json
 
 import numpy as np
@@ -49,11 +51,10 @@ def refine_input(table):
     return out._replace(id=np.arange(1, out.frame.size + 1)), split_rows(out)
 
 
-sequences = st.lists(
-    st.builds(scene, seed=st.integers(0, 500), start=st.sampled_from([1, 2, 40, 10 ** 6]),
-              pan=st.sampled_from([(0.0, 0.0), (25.0, 0.0)]), low_class1=st.booleans(),
-              dips=st.booleans()),
-    min_size=2, max_size=4)
+scenes = st.builds(scene, seed=st.integers(0, 500), start=st.sampled_from([1, 2, 40, 10 ** 6]),
+                   pan=st.sampled_from([(0.0, 0.0), (25.0, 0.0)]), low_class1=st.booleans(),
+                   dips=st.booleans())
+sequences = st.lists(scenes, min_size=2, max_size=4)
 configs = st.builds(TrackerConfig, strategy=st.sampled_from(list(Strategy)),
                     enable_cc=st.booleans(), enable_cm=st.booleans())
 
@@ -69,6 +70,60 @@ def test_batch_equals_each_sequence_alone(tables, cfg, command):
         batch = run_tables(tables, cfg, runs)
         alone = [run_table(table, cfg, given) for table, given in zip(tables, runs)]
     assert [observed(result) for result in batch] == [observed(result) for result in alone]
+
+
+def class_tracks(result, class_id):
+    """The tracks of one class, each as the set of its input rows, a row
+    known by its frame, score and box."""
+    out = result.output()
+    keep = out.class_id == class_id
+    tracks = collections.defaultdict(set)
+    for track, *row in zip(out.id[keep].tolist(), out.frame[keep].tolist(),
+                           out.score[keep].tolist(), map(tuple, out.boxes[keep].tolist())):
+        tracks[track].add(tuple(row))
+    return {frozenset(rows) for rows in tracks.values()}
+
+
+def camera_of(info):
+    profile = info.camera
+    return profile and (profile.moving, profile.mean_match_iou, profile.frames.tolist(),
+                        profile.offsets.tolist())
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=scenes, cfg=configs, command=st.sampled_from(["track", "refine"]))
+def test_each_class_gets_what_its_rows_get_alone(table, cfg, command):
+    if command == "refine":  # fragmented tracks of the scene, `id` their track ids
+        table = run_table(table, TrackerConfig(stage_bounds=(1,), final_overlap=0)).output()
+
+    def run(part):
+        if command == "track":
+            return run_table(part, cfg)
+        return run_table(part._replace(id=np.arange(1, part.frame.size + 1)), cfg,
+                         split_rows(part))
+    whole = run(table)
+    assert [info.class_id for info in whole.per_class] == np.unique(table.class_id).tolist()
+    for info in whole.per_class:
+        alone = run(table.take(table.class_id == info.class_id))
+        (own,) = alone.per_class
+        assert class_tracks(whole, info.class_id) == class_tracks(alone, info.class_id)
+        assert [(lv.label, lv.tracklet_count) for lv in info.levels] == \
+            [(lv.label, lv.tracklet_count) for lv in own.levels]
+        assert info.counts == own.counts and camera_of(info) == camera_of(own)
+
+
+def test_one_engine_run_per_batch(monkeypatch):
+    # Two sequences of two classes each are four segments of one engine run.
+    calls = []
+    run_segments = hierarchy._run_segments
+
+    def spy(cfg, table, given, axis):
+        calls.append(axis.start.size)
+        return run_segments(cfg, table, given, axis)
+    monkeypatch.setattr(hierarchy, "_run_segments", spy)
+    tables = [scene(seed, 1, (0.0, 0.0), False, False) for seed in (1, 2)]
+    assert [len(result.per_class) for result in run_tables(tables, TrackerConfig())] == [2, 2]
+    assert calls == [4]
 
 
 def test_batch_covers_moving_and_low_only_classes():
@@ -99,10 +154,10 @@ class TestAxisLimit:
         sizes = []
         batches = hierarchy._batches
 
-        def spy(tables, cfg):
-            for batch, axis in batches(tables, cfg):
-                sizes.append(len(batch))
-                yield batch, axis
+        def spy(tables, cfg, tracklets=None):
+            for batch in batches(tables, cfg, tracklets):
+                sizes.append(len(batch.sequences))
+                yield batch
         monkeypatch.setattr(hierarchy, "_batches", spy)
         return sizes
 
@@ -111,9 +166,10 @@ class TestAxisLimit:
         cfg = TrackerConfig()
         alone = [observed(run_table(table, cfg)) for table in tables]
         sizes = self.spans(monkeypatch)
-        # Each scene spans 25 frames and the default gap is 30 + 5 + 2, so
-        # two scenes end at frame 25 + 37 + 24 = 86 and a third at 147.
-        monkeypatch.setattr(hierarchy, "_AXIS_LIMIT", 100)
+        # Each scene lays two segments of 25 frames and the default gap is
+        # 30 + 5 + 2, so the first scene spans frames 1-25 and 62-86, two
+        # scenes end at frame 86 + 37 + 85 = 208 and a third at 330.
+        monkeypatch.setattr(hierarchy, "_AXIS_LIMIT", 250)
         assert [observed(result) for result in run_tables(tables, cfg)] == alone
         assert sizes == [2, 2, 1]
         # A sequence past the limit on its own still runs, as a batch of one.
@@ -133,6 +189,16 @@ class TestAxisLimit:
         assert sizes == [3]
         assert [observed(result) for result in batch] == alone
         assert batch[2].output().frame.min() >= top
+
+    def test_classes_beyond_the_int64_axis_raise(self):
+        # 1,024 classes with rows at frames 1 and 2**53 - 1 would end past
+        # 2**63 laid end to end, so the sequence alone does not fit.
+        n = 1024
+        table = BoxTable(np.tile([1, 2 ** 53 - 1], n), np.arange(1, 2 * n + 1),
+                         np.full(2 * n, 0.9), np.repeat(np.arange(n), 2),
+                         np.tile([100.0, 100.0, 20.0, 40.0], (2 * n, 1)))
+        with pytest.raises(ValueError, match="beyond the int64 frame axis"):
+            run_table(table, TrackerConfig())
 
 
 def test_workers_cut_sequences_into_consecutive_batches():

@@ -95,8 +95,8 @@ def tracklet_input(*pieces):
     return table_of([e for p in pieces for e in p]), (np.arange(size.sum()), size)
 
 
-# The frame axis of one sequence on its own frames.
-ALONE = hierarchy._Axis(np.zeros(1, np.int64), np.zeros(1, np.int64))
+# The frame axis of one segment on its own frames.
+ALONE = hierarchy._Axis(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64))
 
 
 def interval_pass(table, tracklets, dt_bound, overlap_allowance, score, gate):

@@ -35,7 +35,9 @@ The cases:
   once more under `--verbose` and `--workers 1` (two workers would
   interleave their lines in no fixed order), so that its INFO lines, the
   matcher's counts per first-level pass and merge round among them, are
-  compared too.
+  compared too.  So do two multi-class cases, whose classes share one
+  engine run and so one set of these lines: `kitti-track-interval-default`
+  and `dir-track-interval-workers1`.
 - 14 fault cases, seven per format, that pin the exit codes and stderr of the
   readers' error paths: a file of two valid rows and one faulty third row
   (wrong field count, NaN box, frame >= 2**53, frame below the format's
@@ -81,8 +83,9 @@ The cases:
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
 (`--dump-hierarchy`) and `eval.txt` (exit code, stdout and stderr of
-`eval --kv` against the scene's ground truth); a seed-1 workload case also
-writes `verbose.txt`, the same for its `--verbose` pass, and it and the two
+`eval --kv` against the scene's ground truth); a seed-1 workload case and
+the two multi-class cases above also write `verbose.txt`, the same for
+their `--verbose` pass, and a seed-1 workload case and the two
 `eval-crowd-*` cases write `eval_verbose.txt`, the same for `eval
 --verbose`, whose INFO lines hold the evaluator's counts.  Every command
 runs in a fresh process with the case directory as working directory and
@@ -180,10 +183,13 @@ CONFIG_FILES = {
     "negative-final-overlap": "final_overlap = -2\n",
     "bad-strategy": "strategy = diagonal\n",
 }
-# The workload cases whose pass also runs under --verbose.
-VERBOSE_CASES = {f"{name}-seed1" for name in WORKLOADS}
+# The workload cases whose pass and eval also run under --verbose.
+WORKLOAD_VERBOSE = {f"{name}-seed1" for name in WORKLOADS}
+# The cases whose pass also runs under --verbose.
+VERBOSE_CASES = WORKLOAD_VERBOSE | {"kitti-track-interval-default",
+                                    "dir-track-interval-workers1"}
 # The cases whose eval also runs under --verbose.
-EVAL_VERBOSE_CASES = VERBOSE_CASES | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
+EVAL_VERBOSE_CASES = WORKLOAD_VERBOSE | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
              "final-overlap-fraction": ["--final-overlap", "1.5"],
              "interp-max-gap-z": ["--interp-max-gap", "z"],
