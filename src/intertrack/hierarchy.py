@@ -29,6 +29,14 @@ Kalman batch and runs the box kernel in chunks of at most
 `assignment._CHUNK_CELLS` pairs.  `solve_pairs` then matches the pairs; no
 tracklets x tracklets matrix is built.
 
+The motion states live in one `FitCache` per batch, by tid.  A merge whose
+parts' rows are laid end to end tells the cache its first and last part, so
+the merged tracklet's states continue theirs over the rows it adds
+(`FitCache.merged`).  The engine refits from the first row where a
+tracklet's rows are not its parts' laid end to end or where it has no
+parts: a merge through `resolve_overlap`, a tracklet that `byte_recovery`
+extended (it gets a new tid), and the level-1 and input tracklets.
+
 The first level scores its (t, t+1) frame pairs as blocks by the block
 scorer `eval` uses too, `assignment.block_cells`, one
 `SimilarityKernel.matrix` call per chunk over boxes gathered by row.  The
@@ -284,22 +292,29 @@ def _chain_layout(count: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
 
 
 def _merge_round(table: BoxTable, tracklets: TrackletTable, a: np.ndarray, b: np.ndarray,
-                 max_overlap: int) -> TrackletTable:
+                 max_overlap: int, cache: FitCache) -> TrackletTable:
     """Merge each chain of the matches a[k] -> b[k] into one tracklet with a
     new tid: its parts' rows laid end to end, or `resolve_overlap` of its
-    parts in turn for a chain with an overlapping link."""
+    parts in turn for a chain with an overlapping link.  The cache is told
+    the first and last part of each tracklet laid end to end
+    (`FitCache.merged`); one made by `resolve_overlap` is refitted."""
     order, parts = _chain_layout(tracklets.tid.size, a, b)
     head = np.cumsum(parts) - parts
     chained = tracklets.take(order)
     rows, size, tid = chained.rows, np.add.reduceat(chained.size, head), chained.tid[head]
-    tid[parts > 1] = tracklets.tid.max() + 1 + np.arange(np.count_nonzero(parts > 1))
+    joined = parts > 1
+    tid[joined] = tracklets.tid.max() + 1 + np.arange(np.count_nonzero(joined))
     overlaps = np.zeros(order.size, bool)
     overlaps[a[tracklets.t_min[b] <= tracklets.t_max[a]]] = True
-    redo = np.flatnonzero(np.logical_or.reduceat(overlaps[order], head)).tolist()
-    if redo:
+    redo = np.logical_or.reduceat(overlaps[order], head)
+    laid = np.flatnonzero(joined & ~redo)
+    first, last = head[laid], head[laid] + parts[laid] - 1
+    cache.merged(tid[laid], chained.tid[first], chained.size[first], chained.tid[last],
+                 chained.size[last])
+    if redo.any():
         runs = np.split(rows, np.cumsum(chained.size)[:-1])
         pieces = np.split(rows, np.cumsum(size)[:-1])
-        for c in redo:
+        for c in np.flatnonzero(redo).tolist():
             pieces[c] = functools.reduce(lambda x, y: resolve_overlap(table, x, y, max_overlap),
                                          runs[head[c]:head[c] + parts[c]])
         rows, size = np.concatenate(pieces), np.array([len(p) for p in pieces])
@@ -346,24 +361,28 @@ def _window_pairs(tracklets: TrackletTable, window_size: int,
 
 def hierarchy_pass(table: BoxTable, tracklets: TrackletTable,
                    pairs: Callable[[TrackletTable], tuple[np.ndarray, np.ndarray]],
-                   overlap_allowance: int, score: PairScorer, gate: float,
+                   overlap_allowance: int, score: PairScorer, cache: FitCache, gate: float,
                    label: str) -> TrackletTable:
     """One merge level: score the index pairs the level's rule `pairs`
     admits (`_admissible_pairs` or `_window_pairs`) in one `score` call,
     match them with `solve_pairs`, merge the matches, whose spans share at
     most overlap_allowance frames, and repeat until a round matches nothing.
-    Logs, at INFO, one line per round, naming the level by `label`."""
+    `cache` is the `FitCache` that `score` fits with, told of every merge.
+    Logs, at INFO, one line per round, naming the level by `label`, with the
+    Kalman work of its scoring (`FitCache.work`)."""
     for round_ in itertools.count(1):
+        before = cache.work.copy()
         a, b = pairs(tracklets)
         scores = score(tracklets, a, b) if a.size else np.zeros(0)
         found = solve_pairs(a, b, scores, gate)
         log.info("merge level (%s) round %d: %d pairs admitted, %d above 0, %d components "
-                 "solved (largest %d nodes), %d by augmenting paths, %d matches",
+                 "solved (largest %d nodes), %d by augmenting paths, %d matches; Kalman: %d "
+                 "states fitted, %d continued, %d entries in %d steps",
                  label, round_, a.size, int((scores > 0).sum()), found.components,
-                 found.largest, found.exact, found.a.size)
+                 found.largest, found.exact, found.a.size, *(cache.work - before).tolist())
         if not found.a.size:
             return tracklets
-        tracklets = _merge_round(table, tracklets, found.a, found.b, overlap_allowance)
+        tracklets = _merge_round(table, tracklets, found.a, found.b, overlap_allowance, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +577,8 @@ def _run_segments(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletT
         if cfg.enable_cm:
             chains = consistent_motion_pass(table, high, chains, cfg, kernel)
         chained = _tracklet_table(table.frame, *chains, np.arange(1, chains[1].size + 1))
-    score: PairScorer = functools.partial(pair_scores, kernel=kernel,
-                                          cache=FitCache(cfg, table.frame, table.boxes))
+    cache = FitCache(cfg, table.frame, table.boxes)
+    score: PairScorer = functools.partial(pair_scores, kernel=kernel, cache=cache)
 
     def steps(tracklets):  # (label, tracklets, recorded by) after each step
         yield ("singletons" if given is None else "input tracklets"), tracklets, started
@@ -572,7 +591,8 @@ def _run_segments(cfg: TrackerConfig, table: BoxTable, given: Optional[TrackletT
             else:
                 pairs = ((lambda t: _window_pairs(t, bound, axis)) if window else
                          (lambda t: _admissible_pairs(t, bound, overlap)))
-                tracklets = hierarchy_pass(table, tracklets, pairs, overlap, score, gate, bounds)
+                tracklets = hierarchy_pass(table, tracklets, pairs, overlap, score, cache, gate,
+                                           bounds)
             yield f"level-{k} ({bounds})", tracklets, started
             if k == 1 and low.size:
                 tracklets = byte_recovery(table, tracklets, low, kernel, gate)

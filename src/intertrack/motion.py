@@ -12,12 +12,20 @@ The state tracks (cx, cy, w, h) plus per-frame velocities.  The four
 components are independent under the constant-velocity model and start with
 the same uncertainty and receive the same noise, so they share one 2x2
 (value, velocity) covariance, kept as three scalars (p00, p01, p11).  One
-function, `kalman_states`, filters many runs in lockstep.  Noise scales with
-box height (position terms ~ h/20, velocity terms ~ h/160), the usual
-convention for this family of trackers.
+function, `kalman_states`, filters many runs in lockstep, each from the fresh
+state of its first box or from a given state.  Noise scales with box height
+(position terms ~ h/20, velocity terms ~ h/160), the usual convention for
+this family of trackers.
+
+`FitCache` keeps each tracklet's final forward and backward state.  A merge
+that lays its parts' rows end to end continues its parts' states over the
+rows it adds, bit for bit the filter of all its rows; every other tracklet
+is filtered from its first row.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -70,7 +78,7 @@ def reversed_runs(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def kalman_states(frame: np.ndarray, boxes: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
-                  cfg: TrackerConfig) -> np.ndarray:
+                  cfg: TrackerConfig, initial: Optional[np.ndarray] = None) -> np.ndarray:
     """Filter the runs of table rows laid end to end in `rows`, of the given
     integer `lengths` (each >= 1; none for no runs), in one batch.
 
@@ -81,11 +89,18 @@ def kalman_states(frame: np.ndarray, boxes: np.ndarray, rows: np.ndarray, length
     time direction.  Missing intermediate frames cost one predict step each,
     inflating the covariance across gaps.
 
+    A run starts from the fresh state of its first box, or, where `initial`
+    (one row per run) is not NaN, from that state, taken as the state at its
+    first entry.  So a run that continues the final state of a run ending at
+    that entry gets the states the two runs filtered as one would get.
+
     The runs advance in lockstep by entry index, longest first, so the runs
-    still active at step s are a prefix of the batch; a row whose gap is
-    shorter than the step's longest one keeps its state through the extra
-    predict steps.  Every row goes through the same floating-point operations
-    as when it is filtered alone, so its states do not depend on the batch.
+    still active at step s are a prefix of the batch.  Every step's frame
+    gaps are taken at once; the predicts below a step's smallest gap move
+    every active run, and a row whose gap is shorter than the step's largest
+    one keeps its state through the rest.  Every row goes through the same
+    floating-point operations as when it is filtered alone, so its states do
+    not depend on the batch.
     """
     wp, wv = cfg.kf_position_weight, cfg.kf_velocity_weight
     count = lengths.size
@@ -106,15 +121,25 @@ def kalman_states(frame: np.ndarray, boxes: np.ndarray, rows: np.ndarray, length
     state = np.column_stack([first, np.zeros((count, 4)),
                              (_INIT_POS_FACTOR * wp * first[:, 3]) ** 2, np.zeros(count),
                              (_INIT_VEL_FACTOR * wv * first[:, 3]) ** 2])
+    if initial is not None:
+        given = ~np.isnan(initial[:, 0])
+        state[rank[given]] = initial[given]
     out = np.empty((len(rows), 11))
     out[:count] = state
-    for s in range(1, len(active)):
-        m, lo, prev = active[s], offset[s], offset[s - 1]
+    # Each entry's frame gap from its run's previous entry (0 at a run's
+    # first), in slot order, and each step's smallest and largest one.
+    gaps = np.zeros(len(rows), np.int64)
+    gaps[count:] = np.abs(frames[count:] - frames[np.arange(count, len(rows))
+                                                  - np.repeat(active[:-1], active[1:])])
+    at = offset[1:-1]
+    low, high = ((np.minimum.reduceat(gaps, at).tolist(), np.maximum.reduceat(gaps, at).tolist())
+                 if at.size else ([], []))
+    for m, lo, below, top in zip(active[1:].tolist(), at.tolist(), low, high):
         st = state[:m]
-        gaps = np.abs(frames[lo:lo + m] - frames[prev:prev + m])
-        for k in range(int(gaps.max())):
-            moved = _predict(st, wp, wv)
-            st = np.where((gaps > k)[:, None], moved, st)
+        for _ in range(below):
+            st = _predict(st, wp, wv)
+        for k in range(below, top):
+            st = np.where((gaps[lo:lo + m] > k)[:, None], _predict(st, wp, wv), st)
         state[:m] = out[lo:lo + m] = _update(st, z[lo:lo + m], wp)
     return out[slot]
 
@@ -137,6 +162,17 @@ class FitCache:
     `states` fits the states of a request not yet cached in one
     `kalman_states` batch.  A state does not depend on the batch it was
     fitted in, so the cache is deterministic whatever the requests.
+
+    A merge that lays its parts' rows end to end tells the cache, by
+    `merged`, the tid and size of the new tracklet's first and last part.
+    Its forward state then continues the first part's cached forward state
+    over the rows after that part, and its backward state the last part's
+    cached backward state over the reversed rows before that part; each
+    equals the filter of all its rows bit for bit.  A tracklet the cache
+    was told nothing of, or whose part has no cached state, is filtered
+    from its first row.  `work` counts, since the cache was made, the
+    states fitted, those of them continued, the entries filtered and the
+    lockstep steps, each `kalman_states` batch's longest run.
     """
 
     def __init__(self, cfg: TrackerConfig, frame: np.ndarray, boxes: np.ndarray):
@@ -146,6 +182,26 @@ class FitCache:
         # [0, tid] and [1, tid]: the forward and backward state of tracklet
         # tid, NaN until fitted.
         self._states = np.empty((2, 0, 11))
+        # [0, tid] and [1, tid]: the (tid, size) of tracklet tid's first and
+        # last part, (-1, -1) where it has none.
+        self._parts = np.empty((2, 0, 2), np.intp)
+        self.work = np.zeros(4, np.int64)
+
+    def _grow(self, tids: int) -> None:
+        """Room for the tracklet ids below `tids`."""
+        grow = tids - self._states.shape[1]
+        if grow > 0:
+            self._states = np.concatenate([self._states, np.full((2, grow, 11), np.nan)], 1)
+            self._parts = np.concatenate([self._parts, np.full((2, grow, 2), -1)], 1)
+
+    def merged(self, tid: np.ndarray, first: np.ndarray, first_size: np.ndarray,
+               last: np.ndarray, last_size: np.ndarray) -> None:
+        """Record that the new tracklets `tid` hold their parts' rows laid
+        end to end: first the `first_size` rows of tracklet `first`, last
+        the `last_size` rows of tracklet `last`."""
+        self._grow(int(tid.max(initial=-1)) + 1)
+        self._parts[0, tid] = np.column_stack([first, first_size])
+        self._parts[1, tid] = np.column_stack([last, last_size])
 
     def states(self, tracklets, forward: np.ndarray,
                backward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,17 +211,26 @@ class FitCache:
         cy, w, h, velocities, p00, p01, p11); a forward state is anchored at
         the tracklet's last frame, a backward one at its first."""
         tid = tracklets.tid
-        grow = int(tid.max(initial=-1)) + 1 - self._states.shape[1]
-        if grow > 0:
-            self._states = np.concatenate([self._states, np.full((2, grow, 11), np.nan)], 1)
+        self._grow(int(tid.max(initial=-1)) + 1)
         missing = [side[np.isnan(self._states[d, tid[side], 0])]
                    for d, side in enumerate((forward, backward))]
         if missing[0].size or missing[1].size:
             ahead, back = tracklets.take(missing[0]), tracklets.take(missing[1])
-            lengths = np.concatenate([ahead.size, back.size])
-            rows = np.concatenate([ahead.rows, reversed_runs(back.rows, back.size)])
-            fitted = kalman_states(self.frame, self.boxes, rows, lengths,
-                                   self.cfg)[np.cumsum(lengths) - 1]
+            size = np.concatenate([ahead.size, back.size])
+            runs = np.concatenate([ahead.rows, reversed_runs(back.rows, back.size)])
+            part, part_size = np.concatenate([self._parts[0, ahead.tid],
+                                              self._parts[1, back.tid]]).T
+            initial = np.concatenate([self._states[0, part[:ahead.tid.size]],
+                                      self._states[1, part[ahead.tid.size:]]])
+            initial[part < 0] = np.nan
+            # A continued run starts at its part's last entry.
+            given = ~np.isnan(initial[:, 0])
+            skip = np.where(given, part_size - 1, 0)
+            entry = np.arange(runs.size) - np.repeat(np.cumsum(size) - size, size)
+            rows, lengths = runs[entry >= np.repeat(skip, size)], size - skip
+            fitted = kalman_states(self.frame, self.boxes, rows, lengths, self.cfg,
+                                   initial)[np.cumsum(lengths) - 1]
+            self.work += [lengths.size, np.count_nonzero(given), rows.size, lengths.max()]
             self._states[0, tid[missing[0]]], self._states[1, tid[missing[1]]] = np.split(
                 fitted, [missing[0].size])
         return self._states[0, tid[forward]], self._states[1, tid[backward]]

@@ -128,10 +128,14 @@ class TestTrack:
         assert (capsys.readouterr().out, (tmp_path / "dump.json").read_bytes()) == quiet
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("merge")]
         idle = "0 pairs admitted, 0 above 0, 0 components solved (largest 0 nodes), " \
-               "0 by augmenting paths, 0 matches"
+               "0 by augmenting paths, 0 matches; Kalman: 0 states fitted, 0 continued, " \
+               "0 entries in 0 steps"
+        # Round 1 fits the forward states of the tracklets over frames 1-7
+        # and 1-11 and the backward ones of those over 10-21 and 13-20.
         assert lines == [
             "merge level (gap 5) round 1: 2 pairs admitted, 2 above 0, 2 components solved "
-            "(largest 2 nodes), 0 by augmenting paths, 2 matches",
+            "(largest 2 nodes), 0 by augmenting paths, 2 matches; Kalman: 4 states fitted, "
+            "0 continued, 38 entries in 12 steps",
             f"merge level (gap 5) round 2: {idle}",
             *(f"merge level (gap {bound}) round 1: {idle}" for bound in (10, 15, 20, 30)),
             f"merge level (gap 30, overlap 5) round 1: {idle}"]

@@ -15,6 +15,7 @@ from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
     _admissible_pairs,
     _chain_layout,
+    _merge_round,
     _tracklet_table,
     _window_pairs,
     adjacent_pass,
@@ -30,6 +31,7 @@ from intertrack.model import (
     Detection,
     Strategy,
     TrackerConfig,
+    Trajectory,
     stack_boxes,
     table_of,
     tracks_table,
@@ -99,17 +101,21 @@ def tracklet_input(*pieces):
 ALONE = hierarchy._Axis(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64))
 
 
-def interval_pass(table, tracklets, dt_bound, overlap_allowance, score, gate):
-    """`hierarchy_pass` under the interval schedule's pair rule."""
+def interval_pass(table, tracklets, dt_bound, overlap_allowance, score, gate, cache=None):
+    """`hierarchy_pass` under the interval schedule's pair rule, told of its
+    merges through `cache` (a new `FitCache` of the table by default)."""
     return hierarchy_pass(table, tracklets,
                           lambda t: _admissible_pairs(t, dt_bound, overlap_allowance),
-                          overlap_allowance, score, gate, f"gap {dt_bound}")
+                          overlap_allowance, score,
+                          cache or FitCache(TrackerConfig(), table.frame, table.boxes), gate,
+                          f"gap {dt_bound}")
 
 
 def window_pass(table, tracklets, window_size, score, gate):
     """`hierarchy_pass` under the window schedule's pair rule."""
     return hierarchy_pass(table, tracklets, lambda t: _window_pairs(t, window_size, ALONE), 0,
-                          score, gate, f"window {window_size}")
+                          score, FitCache(TrackerConfig(), table.frame, table.boxes), gate,
+                          f"window {window_size}")
 
 
 def tracks_of(result):
@@ -286,7 +292,7 @@ def test_merge_level_work_is_bounded_by_components_and_chunks(monkeypatch, gate,
     out = interval_pass(table, tracklets, 5, 0,
                         lambda tracklets, a, b: pair_scores(tracklets, a, b, recording_kernel,
                                                             cache),
-                        gate)
+                        gate, cache)
     assert out.tid.size == survivors
     assert max(calls) == assignment._CHUNK_CELLS
     assert blocks == []
@@ -397,6 +403,113 @@ def test_row_order_keeps_the_partition(tmp_path_factory, scene, strategy, shuffl
     truth = tracks_table(gt)
     a, b = evaluate(truth, ordered.output()), evaluate(truth, shuffled.output())
     assert (a.mota, a.idf1) == (b.mota, b.idf1)
+
+
+def _fragments(gt, parts, shared):
+    """Each ground-truth track cut into `parts` fragments of equal length,
+    each under a new id, and each one after the first starting `shared`
+    frames before the previous one ends (-shared frames after it, if
+    negative): the (table, runs) input of `run_table` in recombination
+    mode."""
+    fragments = []
+    for t in gt:
+        cut = -(-len(t) // parts)
+        for at in range(0, len(t), cut):
+            piece = t.entries[max(at - shared, 0) if at else 0:at + cut]
+            if piece:
+                fragments.append(Trajectory(len(fragments) + 1, piece))
+    tracks = tracks_table(fragments)
+    return numbered(tracks), split_rows(tracks)
+
+
+def assert_fresh_states(cache, seen):
+    """Every state `cache` holds of a tracklet of the tables `seen` equals
+    what a fresh cache fits on its rows, bit for bit, and every merge it was
+    told of laid its first and last part's rows end to end."""
+    fresh = FitCache(cache.cfg, cache.frame, cache.boxes)
+    rows = {}
+    for t in seen:
+        rows.update(zip(t.tid.tolist(), pieces(t.rows, t.size)))
+        held = np.flatnonzero(t.tid < cache._states.shape[1])
+        ahead, back = (held[~np.isnan(cache._states[d, t.tid[held], 0])] for d in (0, 1))
+        want = fresh.states(t, ahead, back)
+        got = cache._states[0, t.tid[ahead]], cache._states[1, t.tid[back]]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for tid in np.flatnonzero(cache._parts[0, :, 0] >= 0).tolist():
+        (first, first_size), (last, last_size) = cache._parts[:, tid].tolist()
+        assert rows[tid][:first_size].tolist() == rows[first].tolist()
+        assert rows[tid][-last_size:].tolist() == rows[last].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene=_scenes().map(lambda spec: dataclasses.replace(spec, n_frames=spec.n_frames + 40)),
+       strategy=st.sampled_from(list(Strategy)), refine=st.booleans(),
+       parts=st.integers(2, 4), shared=st.integers(-3, 3))
+def test_cached_states_equal_a_fresh_fit(scene, strategy, refine, parts, shared):
+    """After every level, the engine's `FitCache` holds fresh states
+    (`assert_fresh_states`): those continued from a merge's parts, and the
+    refitted ones of the merges `resolve_overlap` made (`refine` of
+    fragments that share frames) and of the new tids of `byte_recovery`
+    (`track` of scenes with low-score rows)."""
+    cfg = dataclasses.replace(TrackerConfig(), strategy=strategy)
+    gt, dets = generate(scene)
+    caches, seen = [], []  # seen: the tracklets of every round
+
+    class Recorded(FitCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    def merge_round(table, tracklets, *args):
+        seen.append(tracklets)
+        return _merge_round(table, tracklets, *args)
+
+    def level(*args):
+        seen.append(hierarchy_pass(*args))
+        assert_fresh_states(*caches, seen)
+        return seen[-1]
+
+    with mock.patch.object(hierarchy, "FitCache", Recorded), \
+            mock.patch.object(hierarchy, "_merge_round", merge_round), \
+            mock.patch.object(hierarchy, "hierarchy_pass", level):
+        if refine:
+            table, runs = _fragments(gt, parts, shared)
+            run_table(table, cfg, runs)
+        else:
+            run_table(table_of(dets), cfg)
+
+
+def test_overlap_merges_refit_and_concatenations_continue():
+    """Round 1 of an overlap level merges A with B, which shares its frames
+    8-10, through `resolve_overlap`, and D1 with D2 end to end; a scorer
+    that hides B -> C and D2 -> E leaves those to round 2.  There AB's
+    forward state is fitted from its first row and D1D2's continues D1's."""
+    a, b, c = piece(range(1, 11), 100.0, 2.0), piece(range(8, 21), 114.0, 2.0, det_id=1), \
+        piece(range(24, 36), 146.0, 2.0, det_id=2)
+    d1, d2, e = (piece(frames, 600.0 + 2.0 * (frames[0] - 1), 2.0, det_id=k)
+                 for k, frames in ((3, range(1, 11)), (4, range(14, 26)), (5, range(30, 41))))
+    table, tracklets, _ = state_of([a, b, c, d1, d2, e])
+    cfg = TrackerConfig()
+    cache = FitCache(cfg, table.frame, table.boxes)
+    hidden = {(2, 3), (5, 6)}  # tids of B -> C and D2 -> E
+
+    def score(t, x, y):
+        scores = pair_scores(t, x, y, SimilarityKernel(cfg), cache)
+        scores[[pair in hidden for pair in zip(t.tid[x].tolist(), t.tid[y].tolist())]] = 0.0
+        return scores
+    seen, works = [], []
+
+    def merge_round(table, tracklets, *args):
+        seen.append(tracklets)
+        works.append(cache.work.copy())
+        return _merge_round(table, tracklets, *args)
+    with mock.patch.object(hierarchy, "_merge_round", merge_round):
+        out = interval_pass(table, tracklets, 30, 5, score, cfg.match_threshold, cache)
+    assert spans(out) == [(1, 35), (1, 40)]
+    (ab,) = seen[1].tid[seen[1].t_max == 20].tolist()
+    assert cache._parts[:, ab, 0].tolist() == [-1, -1]
+    assert (works[1] - works[0])[:2].tolist() == [2, 1]  # AB and D1D2 forward
+    assert_fresh_states(cache, [*seen, out])
 
 
 class TestWindowPass:

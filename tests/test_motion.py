@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -256,9 +257,9 @@ class TestPairSimilarity:
     def test_fit_cache_reuses_states(self, monkeypatch):
         batches = []
 
-        def counted(frame, boxes, rows, lengths, cfg):
+        def counted(frame, boxes, rows, lengths, cfg, initial=None):
             batches.append(lengths.size)
-            return kalman_states(frame, boxes, rows, lengths, cfg)
+            return kalman_states(frame, boxes, rows, lengths, cfg, initial)
         monkeypatch.setattr(motion, "kalman_states", counted)
         frame, boxes, t = table_of(linear_tracklet(9, range(1, 6)))
         cache = FitCache(CFG, frame, boxes)
@@ -364,9 +365,13 @@ def runs(draw):
 class TestKalmanStates:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(runs(), min_size=0, max_size=6), st.randoms(use_true_random=False))
+    @example([], random.Random(0))
     def test_batch_invariance(self, batch, rnd):
         # A row's states are bit-identical alone, in any batch and in any
-        # row order, and equal the one-frame-at-a-time reference.
+        # row order, and equal the one-frame-at-a-time reference.  A run
+        # continued from its state at a random entry, in either time
+        # direction and across gaps, gets the full filter's states from
+        # there on, in a batch that mixes continued and fresh runs.
         alone = [states_of([run]) for run in batch]
         for run, states in zip(batch, alone):
             assert states.tobytes() == reference_states(run, CFG).tobytes()
@@ -374,17 +379,39 @@ class TestKalmanStates:
         rnd.shuffle(order)
         expected = np.concatenate([np.zeros((0, 11)), *(alone[k] for k in order)])
         assert states_of([batch[k] for k in order]).tobytes() == expected.tobytes()
-        # The runs laid end to end as rows of a table that holds their
-        # entries in any order; zero runs give an empty integer `lengths`.
-        entries = [d for k in order for d in batch[k]]
+        # The same runs, some of them continued from one of their entries,
+        # laid end to end as rows of a table that holds their entries in
+        # any order; zero runs give an empty integer `lengths`.
+        cut = {k: rnd.randrange(len(batch[k])) for k in order if rnd.random() < 0.5}
+        initial = np.full((len(order), 11), np.nan)
+        for at, k in enumerate(order):
+            if k in cut:
+                initial[at] = alone[k][cut[k]]
+        expected = np.concatenate([np.zeros((0, 11)), *(alone[k][cut.get(k, 0):] for k in order)])
+        entries = [d for k in order for d in batch[k][cut.get(k, 0):]]
         place = np.array(rnd.sample(range(len(entries)), len(entries)), np.intp)
         held = [None] * len(entries)
         for entry, row in zip(entries, place.tolist()):
             held[row] = entry
         frame, boxes = columns(held)
-        lengths = np.array([len(batch[k]) for k in order], np.intp)
-        got = kalman_states(frame, boxes, place, lengths, CFG)
+        lengths = np.array([len(batch[k]) - cut.get(k, 0) for k in order], np.intp)
+        got = kalman_states(frame, boxes, place, lengths, CFG, initial)
         assert got.tobytes() == expected.tobytes()
+
+    def test_single_entry_runs(self):
+        # Runs of one entry each hold their first state: the fresh one, or
+        # the given one where it is not NaN.  (The empty batch is an example
+        # of `test_batch_invariance`.)
+        entries = linear_tracklet(1, [3, 4, 9]).entries
+        frame, boxes = columns(entries)
+        rows, ones = np.array([2, 0, 1]), np.ones(3, np.intp)
+        fresh = kalman_states(frame, boxes, rows, ones, CFG)
+        assert fresh.tobytes() == states_of([[entries[k]] for k in rows]).tobytes()
+        given = np.full((3, 11), np.nan)
+        given[1] = np.arange(11.0)
+        got = kalman_states(frame, boxes, rows, ones, CFG, given)
+        assert got[[0, 2]].tobytes() == fresh[[0, 2]].tobytes()
+        assert got[1].tolist() == given[1].tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(runs(), min_size=1, max_size=5),

@@ -34,8 +34,8 @@ The cases:
   pass arguments (`multiseq` with `--workers 2`).  On seed 1 the pass runs
   once more under `--verbose` and `--workers 1` (two workers would
   interleave their lines in no fixed order), so that its INFO lines, the
-  matcher's counts per first-level pass and merge round among them, are
-  compared too.  So do two multi-class cases, whose classes share one
+  matcher's counts per first-level pass and merge round and each merge
+  round's Kalman work among them, are compared too.  So do two multi-class cases, whose classes share one
   engine run and so one set of these lines: `kitti-track-interval-default`
   and `dir-track-interval-workers1`.
 - 14 fault cases, seven per format, that pin the exit codes and stderr of the
