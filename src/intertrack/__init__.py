@@ -20,9 +20,16 @@ from .model import (
 from .geometry import expansion_ratio
 from .hierarchy import run_table
 from .metrics import EvalReport, evaluate
-from .synth import Motion, ScenarioSpec, generate
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # `synth` is imported when one of its names is first used
+    if name in ("Motion", "ScenarioSpec", "generate"):
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundingBox",

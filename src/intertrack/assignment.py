@@ -6,16 +6,9 @@ never beat leaving its row and column unmatched, which gains 0.  The solver find
 admissible cells, then applies the acceptance gate: no pair scoring 0 or
 less is ever matched.
 
-Many small blocks — the first level's (t, t+1) frame pairs, `eval`'s gt x
-pred frames — are scored in one place, `block_cells`: sorted by shape and
-cut into chunks of at most `_CHUNK_CELLS` padded cells (`_chunks`), each
-chunk one `BlockScorer` call on its blocks' row and column positions,
-padded to its largest block by repeating a block's last position.  It
-returns the cells that pass a test, never a padded one, as one sparse matrix.
-
 There is one solver, `solve_pairs`.  It takes a sparse matrix as cells
 (a[k], b[k]) holding scores[k], every other cell inadmissible: the merge
-levels' admissible tracklet pairs, the first level's `block_cells` above 0,
+levels' admissible tracklet pairs, the first level's `overlap_cells` above 0,
 `eval`'s hits, and, in `solve`, the admissible cells of a dense matrix.
 `solve(scores, -np.inf)` keeps every pair matched.  The steps:
 
@@ -57,8 +50,8 @@ scipy's square Hungarian form may pick other optima.
 Each step reads one component alone, its rows and columns in ascending
 order, so its matching depends neither on the rest of the matrix nor on
 its ids beyond their order: `solve_pairs` returns what `solve` of the
-dense matrix returns, ties included, and the cells of several blocks, as
-`block_cells` returns them, match as each block does alone.
+dense matrix returns, ties included, and the cells of several frame
+pairs, as `overlap_cells` returns them, match as each pair does alone.
 """
 
 from __future__ import annotations
@@ -104,43 +97,76 @@ def pair_chunks(count: int) -> Iterator[slice]:
     return (slice(s, s + _CHUNK_CELLS) for s in range(0, count, _CHUNK_CELLS))
 
 
+def range_pairs(lo: np.ndarray, count: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (k, lo[k] + i), i < count[k], in order, `pair_chunks` at a time."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for part in pair_chunks(total):
+        at = np.arange(part.start, min(part.stop, total))
+        k = np.searchsorted(ends, at, "right")
+        yield k, at - ends[k] + count[k] + lo[k]
+
+
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(values, return_inverse=True)` of a 1-D array by one sort;
+    the plain `np.unique` imports `numpy.ma` on its first call."""
+    order = np.argsort(values, kind="stable")  # fast on the sorted runs of frames
+    values = values[order]
+    first = np.ones(values.size, bool)
+    first[1:] = values[1:] != values[:-1]
+    rank = np.empty(values.size, np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return values[first], rank
+
+
+def overlap_cells(group_a: np.ndarray, group_b: np.ndarray, ext_a: np.ndarray,
+                  ext_b: np.ndarray, score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  keep: Callable[[np.ndarray], np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pairs (i, j), group_a[i] == group_b[j] (ranks, as from `distinct`),
+    whose extents [left, top, right, bottom] overlap, each left and top below
+    the other's right and bottom, and that `keep` admits by `score(i, j)`: i,
+    j and scores, unordered, and the number scored.  Sort and sweep (Baraff
+    1992) on integer keys (group, x code), x <= y giving code(x) <= code(y):
+    key(left_a) <= key(left_b) <= key(right_a) or else key(left_b) <
+    key(left_a) <= key(right_b) for a pair overlapping in x."""
+    n_a, n_b = len(group_a), len(group_b)
+    # An x code is the float's bits, counted down for negatives (+ 0.0 makes
+    # -0.0 0.0), less their low bits to leave room for the group.
+    drop = int(max(group_a.max(initial=0), group_b.max(initial=0))).bit_length() + 2
+    x = (np.concatenate([ext_a[:, 0], ext_a[:, 2], ext_b[:, 0], ext_b[:, 2]]) + 0.0).view(np.int64)
+    x = ((x ^ ((x >> 63) & np.int64(2 ** 63 - 1))) >> drop) + (1 << (63 - drop))
+    key = np.concatenate([group_a, group_a, group_b, group_b]) << (64 - drop) | x
+    (lo_a, hi_a), (lo_b, hi_b) = key[:2 * n_a].reshape(2, -1), key[2 * n_a:].reshape(2, -1)
+    by_a, by_b = np.argsort(lo_a, kind="stable"), np.argsort(lo_b, kind="stable")
+    lo_a, hi_a, lo_b, hi_b = lo_a[by_a], hi_a[by_a], lo_b[by_b], hi_b[by_b]  # in key order
+    # Ranges 0..n_a-1 run over a's partners among b's lefts, the rest over
+    # b's among a's.  An a's left is at most the j-th b's left exactly when
+    # first[a] <= j, so counting `first` gives b's starts.
+    first = np.searchsorted(lo_b, lo_a)
+    start = np.concatenate([first, np.cumsum(np.bincount(first, minlength=n_b + 1))[:n_b] + n_b])
+    stop = np.concatenate([np.searchsorted(lo_b, hi_a, "right"),
+                           np.searchsorted(lo_a, hi_b, "right") + n_b])
+    owners, partners = np.concatenate([by_a, by_b]), np.concatenate([by_b, by_a])
+    cells, candidates = [(np.zeros(0, np.intp),) * 2 + (np.zeros(0),)], 0
+    for k, at in range_pairs(start, np.maximum(stop - start, 0)):
+        own, partner = owners[k], partners[at]
+        i, j = np.where(k < n_a, own, partner), np.where(k < n_a, partner, own)
+        # Edge by edge, as gathers from an (n, 4) array by row are slow.
+        hit = ((ext_a[:, 0][i] < ext_b[:, 2][j]) & (ext_b[:, 0][j] < ext_a[:, 2][i])
+               & (ext_a[:, 1][i] < ext_b[:, 3][j]) & (ext_b[:, 1][j] < ext_a[:, 3][i]))
+        i, j = i[hit], j[hit]
+        values, candidates = score(i, j), candidates + i.size
+        ok = keep(values)
+        cells.append((i[ok], j[ok], values[ok]))
+    i, j, values = map(np.concatenate, zip(*cells))
+    return i, j, values, candidates
+
+
 def _padded(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """(blocks, max size) positions start + i; slots past a block's size
     repeat its last position."""
     return starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-
-
-def _padded_chunks(r0: np.ndarray, n: np.ndarray, c0: np.ndarray,
-                   m: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks given as to `block_cells`, a chunk at a time (see `_chunks`):
-    per chunk, its blocks' indices and their (blocks, n_max) row and
-    (blocks, m_max) column positions, by `_padded`."""
-    for b in _chunks(n, m):
-        yield b, _padded(r0[b], n[b]), _padded(c0[b], m[b])
-
-
-# Block scorer: a chunk's padded (blocks, n_max) row and (blocks, m_max)
-# column positions -> its (blocks, n_max, m_max) scores, each cell scored
-# from its row and column position alone.
-BlockScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def block_cells(r0: np.ndarray, n: np.ndarray, c0: np.ndarray, m: np.ndarray,
-                score: BlockScorer, keep: Callable[[np.ndarray], np.ndarray]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """The cells of the blocks k of rows [r0[k], r0[k] + n[k]) x columns
-    [c0[k], c0[k] + m[k]), none empty, that the mask `keep` of their scores
-    admits: their blocks k, rows, columns and scores, and the number of
-    chunks scored, one `score` call per chunk of `_padded_chunks`."""
-    cells = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
-    for b, rows, cols in _padded_chunks(r0, n, c0, m):
-        values = score(rows, cols)
-        real = ((np.arange(rows.shape[1])[:, None] < n[b, None, None])
-                & (np.arange(cols.shape[1]) < m[b, None, None]))
-        k, i, j = np.nonzero(real & keep(values))
-        cells.append((b[k], rows[k, i], cols[k, j], values[k, i, j]))
-    block, row, col, value = map(np.concatenate, zip(*cells))
-    return block, row, col, value, len(cells) - 1
 
 
 def _admissible(scores: np.ndarray) -> np.ndarray:
@@ -193,8 +219,8 @@ def _component_chunks(row: np.ndarray, col: np.ndarray, values: np.ndarray,
                       comps: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The components `comps` (ascending labels, of `count`) of the cells
     (row[c], col[c]) holding values[c], each as one block of its row nodes x
-    its column nodes in ascending order, a chunk of `_padded_chunks` at
-    a time: per chunk, the (blocks, n_max, m_max) values (-inf off the cells),
+    its column nodes in ascending order, a chunk of `_chunks` at a
+    time: per chunk, the (blocks, n_max, m_max) values (-inf off the cells),
     the blocks' row and column counts, and their padded (blocks, n_max) row
     and (blocks, m_max) column nodes."""
     if not comps.size:
@@ -203,7 +229,7 @@ def _component_chunks(row: np.ndarray, col: np.ndarray, values: np.ndarray,
     picked[comps] = True
     r_node, r_at, r0, n = _component_order(row_label, picked, comps, count)
     c_node, c_at, c0, m = _component_order(col_label, picked, comps, count)
-    chunks = list(_padded_chunks(r0, n, c0, m))
+    chunks = [(b, _padded(r0[b], n[b]), _padded(c0[b], m[b])) for b in _chunks(n, m)]
     # Per component, its chunk (len(chunks) if it is not picked) and its
     # block's index in that chunk.
     chunk_of, slot = np.full(count, len(chunks)), np.empty(count, np.intp)

@@ -35,12 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
-# numpy's plain `np.unique`, and so `np.union1d`, imports `numpy.ma` on its
-# first call, some 20 ms.  Import it with the CLI, so that this one-time cost
-# falls in start-up and not inside the first pass or `eval` of a run.
-import numpy.ma  # noqa: F401
-
-from . import hierarchy, metrics, mot_io, synth
+from . import hierarchy, metrics, mot_io
 from .model import BoxTable, ConfigError, Strategy, TrackerConfig, validate_config
 from .refine import interpolate_rows, smooth_rows, split_rows
 
@@ -326,6 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # only this command needs it
     spec = synth.spec_from_json(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)

@@ -29,6 +29,14 @@ def _overlap(c_a, s_a, c_b, s_b) -> np.ndarray:
     return np.maximum(np.minimum(c_a + h_a, c_b + h_b) - np.maximum(c_a - h_a, c_b - h_b), 0.0)
 
 
+def extents(boxes: np.ndarray, grow=1.0) -> np.ndarray:
+    """[left, top, right, bottom] of boxes grown `grow` times about their centres."""
+    # At grow 1 these are the edges `_overlap` computes, so IoU is 0 outside them.
+    cx, cy, w, h = _cols(boxes)
+    w, h = w * grow / 2, h * grow / 2
+    return np.stack([cx - w, cy - h, cx + w, cy + h], axis=-1)
+
+
 def _iou(a, b) -> np.ndarray:
     (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
     inter = _overlap(ax, aw, bx, bw) * _overlap(ay, ah, by, bh)
@@ -86,10 +94,11 @@ class SimilarityKernel:
     whether small-box expansion is active, so callers never re-read config.
     Calling it scores aligned (or broadcasting) box arrays.  `matrix` scores
     all pairs over leading batch axes: (..., n, 4) and (..., m, 4) stacks
-    give (..., n, m), so one call scores one frame pair or a chunk of them.
+    give (..., n, m), and `support` bounds the pairs scoring above 0.
     """
 
     def __init__(self, cfg: TrackerConfig):
+        self._ci = cfg if cfg.enable_ci else None
         if cfg.enable_ci:
             self._kernel = lambda a, b: consistent_iou_kernel(a, b, cfg)
         else:
@@ -100,3 +109,17 @@ class SimilarityKernel:
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._kernel(a[..., :, None, :], b[..., None, :, :])
+
+    def support(self, boxes: np.ndarray) -> np.ndarray:
+        """Each box's `extents`, under CI grown by the largest ratio another of
+        the boxes (the narrowest, of positive width) gives it, and a margin:
+        the kernel of two of the boxes is 0 unless their supports overlap."""
+        if self._ci is None:
+            return extents(boxes)
+        thr, w = self._ci.ci_width_threshold, boxes[..., 2]
+        # A width of 0 or less never scores above 0, so it neither grows nor
+        # bounds the growth of another box.
+        small = (w > 0) & (w < thr)
+        ratio = expansion_ratio(np.where(small, w, thr), w[w > 0].min(initial=np.inf), thr,
+                                self._ci.ci_scaling_factor)
+        return extents(boxes, np.where(small, ratio * (1 + 1e-9), 1.0))

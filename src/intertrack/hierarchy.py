@@ -16,7 +16,7 @@ detections, `refine` from pre-formed tracklets.  Both share one camera step,
 one stage loop and one merge level, `hierarchy_pass`, to which each stage
 gives its schedule's pair rule (`_admissible_pairs` for intervals,
 `_window_pairs` for windows) and its label; both frame-adjacent passes share
-one frame-linking loop and differ only in their score matrix.
+one frame-linking loop and differ only in their scorer and supports.
 
 Tracklet intervals are the priors that bound each level's candidates.  The
 merge loop never scans all pairs and builds no per-pair object: since the
@@ -37,14 +37,10 @@ tracklet's rows are not its parts' laid end to end or where it has no
 parts: a merge through `resolve_overlap`, a tracklet that `byte_recovery`
 extended (it gets a new tid), and the level-1 and input tracklets.
 
-The first level scores its (t, t+1) frame pairs as blocks by the block
-scorer `eval` uses too, `assignment.block_cells`, one
-`SimilarityKernel.matrix` call per chunk over boxes gathered by row.  The
-cells above 0, as (row position, column position, score), go to one
-`solve_pairs` call per pass, the matcher of the merge levels.  Each position
-is a row of one (t, t+1) block and a column of one, so the matrix's
-connected components are those of the blocks, and each block is matched as
-it would be alone.
+The first level scores only the row pairs of frames t and t+1 whose
+`SimilarityKernel.support`s overlap, found by `assignment.overlap_cells` as
+`eval`'s hits are, and its cells above 0 go to one `solve_pairs` call per
+pass.  No component spans two frame pairs, so each is matched as if alone.
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` returns the
@@ -99,7 +95,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import (BlockScorer, block_cells, connected_components, pair_chunks, solve,
+from .assignment import (connected_components, distinct, overlap_cells, range_pairs, solve,
                          solve_pairs)
 from .geometry import SimilarityKernel
 from .model import BoxTable, Strategy, TrackerConfig, validate_config
@@ -328,18 +324,13 @@ def _admissible_pairs(tracklets: TrackletTable, dt_bound: int,
     in a's window [t_max[a] - overlap_allowance + 1, t_max[a] + dt_bound], so
     b starts within dt_bound frames after a ends or shares at most
     overlap_allowance frames with it.  t_min is sorted, so each window is one
-    index range, found by a binary search; the ranges, laid end to end, are
-    expanded `pair_chunks` pairs at a time."""
+    index range, found by a binary search; the ranges are expanded by
+    `range_pairs`."""
     t_min, t_max = tracklets.t_min, tracklets.t_max
     lo = np.searchsorted(t_min, t_max - overlap_allowance + 1, "left")
     count = np.searchsorted(t_min, t_max + dt_bound, "right") - lo
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
     a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    for part in pair_chunks(total):
-        at = np.arange(part.start, min(part.stop, total))
-        x = np.searchsorted(ends, at, "right")
-        y = at - ends[x] + count[x] + lo[x]
+    for x, y in range_pairs(lo, count):
         a.append(x[x < y])
         b.append(y[x < y])
     return np.concatenate(a), np.concatenate(b)
@@ -390,26 +381,19 @@ def hierarchy_pass(table: BoxTable, tracklets: TrackletTable,
 # ---------------------------------------------------------------------------
 
 
-def _link_frames(frame: np.ndarray, score: BlockScorer, gate: float) -> Runs:
-    """Match every frame t against frame t+1 and chain the links; returns
-    the chains of positions into `frame` (`_chain_layout`), each covering a
-    run of consecutive frames.
-
-    `frame` is sorted, so each frame is one position range.  The (t, t+1)
-    blocks' cells above 0 under `score`, a `BlockScorer` of positions into
-    `frame` (`block_cells`), go to one `solve_pairs` call.  Logs, at INFO,
-    the pass's frame pairs, chunks and cells above 0, and the matcher's
-    counts, as a merge round does.
-    """
-    ts, first, size = np.unique(frame, return_index=True, return_counts=True)
-    # Index into ts of the earlier frame of each (t, t+1) pair.
-    lead = np.flatnonzero(ts[1:] == ts[:-1] + 1)
-    _, a, b, scores, chunks = block_cells(first[lead], size[lead], first[lead + 1],
-                                          size[lead + 1], score, lambda s: s > 0)
+def _link_frames(frame: np.ndarray, earlier: np.ndarray, later: np.ndarray,
+                 score: Callable[[np.ndarray, np.ndarray], np.ndarray], gate: float) -> Runs:
+    """Match every frame t against frame t+1 and chain the links into runs of
+    consecutive frames (`_chain_layout` of positions into `frame`).  `score`
+    scores the pairs (a, b), b in the frame after a's, whose supports overlap,
+    a's in `earlier` and b's in `later`; those above 0 go to one `solve_pairs`
+    call.  Logs, at INFO, the counts of both."""
+    a, b, scores, candidates = overlap_cells(*np.split(distinct(np.r_[frame + 1, frame])[1], 2),
+                                             earlier, later, score, lambda s: s > 0)
     found = solve_pairs(a, b, scores, gate)
-    log.info("first level: %d frame pairs in %d chunks, %d cells above 0, %d components solved "
-             "(largest %d nodes), %d by augmenting paths, %d links", lead.size, chunks,
-             scores.size, found.components, found.largest, found.exact, found.a.size)
+    log.info("first level: %d candidate pairs, %d cells above 0, %d components solved "
+             "(largest %d nodes), %d by augmenting paths, %d links", candidates, scores.size,
+             found.components, found.largest, found.exact, found.a.size)
     return _chain_layout(len(frame), found.a, found.b)
 
 
@@ -422,8 +406,9 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
     a run of consecutive frames.
     """
     boxes = table.boxes[rows]
-    order, size = _link_frames(table.frame[rows], lambda r, c: kernel.matrix(boxes[r], boxes[c]),
-                               gate)
+    support = kernel.support(boxes)
+    order, size = _link_frames(table.frame[rows], support, support,
+                               lambda a, b: kernel(boxes[a], boxes[b]), gate)
     return rows[order], size
 
 
@@ -454,9 +439,16 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains
     ahead = _advance(states[entry[0, rows]], 1)
     behind = _advance(states[entry[1, rows]], 1)
 
-    def score(r, c):
-        return 0.5 * (kernel.matrix(ahead[r], boxes[c]) + kernel.matrix(boxes[r], behind[c]))
-    order, size = _link_frames(table.frame[rows], score, cfg.match_threshold)
+    # A pair scores above 0 only if one of its kernels does, so a row's
+    # support spans its box's and the prediction its side's kernel reads:
+    # the least left and top, and the greatest right and bottom.
+    own, fwd, bwd = kernel.support(np.stack([boxes, ahead, behind]))
+    earlier, later = (np.where(np.arange(4) < 2, np.minimum(own, p), np.maximum(own, p))
+                      for p in (fwd, bwd))
+
+    def score(a, b):
+        return 0.5 * (kernel(ahead[a], boxes[b]) + kernel(boxes[a], behind[b]))
+    order, size = _link_frames(table.frame[rows], earlier, later, score, cfg.match_threshold)
     return rows[order], size
 
 
@@ -536,7 +528,7 @@ def _camera(cfg: TrackerConfig, table: BoxTable, rows: np.ndarray, size: np.ndar
         here = slice(row_edges[s], row_edges[s + 1])
         own = frame[here] - axis.shift[s]
         profiles[s] = camera_mod.estimate(frame[x] - axis.shift[s], boxes[x], boxes[y],
-                                          cfg.cc_threshold, np.unique(own))
+                                          cfg.cc_threshold, distinct(own)[0])
         if profiles[s].moving:
             boxes = boxes.copy() if boxes is table.boxes else boxes
             boxes[here] = camera_mod.stabilize(own, boxes[here], profiles[s])

@@ -9,9 +9,9 @@ track whose hypothesis changes counts an identity switch.  Identity: each hit
 adds one to its (gt, pred) track pair's potential, and one global one-to-one
 assignment on it gives IDTP, behind IDF1/IDP/IDR.
 
-The hits, as (gt row, pred row, IoU), come from one `assignment.block_cells`
-call on every frame's gt x pred block under the IoU kernel, so each IoU is
-bit-identical to a per-frame call.  Call a frame forced when no gt track and
+The hits, as (gt row, pred row, IoU), come from one `assignment.overlap_cells`
+sweep over the gt and pred rows of each frame whose extents overlap, since
+a hit's IoU is above 0.  Call a frame forced when no gt track and
 no prediction track has two hits in it.  In a forced frame the hits are a
 one-to-one matching: the keep-alive step keeps only hits, and the optimal
 step then takes every hit left, since each adds an IoU at or above the
@@ -36,8 +36,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .assignment import block_cells, solve_pairs
-from .geometry import iou_kernel
+from .assignment import distinct, overlap_cells, solve_pairs
+from .geometry import extents, iou_kernel
 from .model import BoxTable
 
 log = logging.getLogger(__name__)
@@ -70,24 +70,18 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     """CLEAR and identity counts of one sequence, all frames scored at once.
 
     Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).  Logs, at
-    INFO, the sequence's frames, chunks, and forced and conflict frames."""
+    INFO, the sequence's frames, candidates, and forced and conflict frames."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
     pred_ids, pred_of = np.unique(pred.id, return_inverse=True)
-    frames = np.union1d(gt.frame, pred.frame)
-    # Row ranges of each frame: [g0, g1) in gt, [p0, p1) in pred.
-    g0, g1, p0, p1 = (np.searchsorted(tracks.frame, frames, side)
-                      for tracks in (gt, pred) for side in ("left", "right"))
-    n, m = g1 - g0, p1 - p0
-    both = np.flatnonzero((n > 0) & (m > 0))
-    # Every hit as (frame index, gt row, pred row, IoU).
-    block, r, c, iou, chunks = block_cells(
-        g0[both], n[both], p0[both], m[both],
-        lambda rows, cols: iou_kernel(gt.boxes[rows][:, :, None], pred.boxes[cols][:, None, :]),
-        lambda overlap: overlap >= iou_threshold)
-    order = np.lexsort((c, r))  # gt row order, so frame order
-    t, r, c, iou = both[block[order]], r[order], c[order], iou[order]
+    frames, frame_of = distinct(np.concatenate([gt.frame, pred.frame]))
+    # Every hit as (gt row, pred row, IoU).
+    r, c, iou, candidates = overlap_cells(
+        *np.split(frame_of, [gt.frame.size]), extents(gt.boxes), extents(pred.boxes),
+        lambda r, c: iou_kernel(gt.boxes[r], pred.boxes[c]), lambda iou: iou >= iou_threshold)
+    order = np.argsort(r * pred.frame.size + c)  # gt row order, so frame order
+    t, r, c, iou = frame_of[r[order]], r[order], c[order], iou[order]  # gt rows lead frame_of
     g, p = gt_of[r], pred_of[c]
     conflict = np.zeros(frames.size, bool)
     for ids, size in ((g, gt_ids.size), (p, pred_ids.size)):
@@ -115,8 +109,8 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     mg, mp = mg[order], mp[order]
     idsw = int(np.count_nonzero((mg[1:] == mg[:-1]) & (mp[1:] != mp[:-1])))
     n_conflict = int(conflict.sum())
-    log.info("eval: %d frames in %d chunks, %d forced, %d conflict frames stepped",
-             frames.size, chunks, frames.size - n_conflict, n_conflict)
+    log.info("eval: %d frames, %d candidate pairs, %d forced, %d conflict frames stepped",
+             frames.size, candidates, frames.size - n_conflict, n_conflict)
     # Each (gt, pred) track pair's potential: its number of hits.
     pair, potential = np.unique(g * pred_ids.size + p, return_counts=True)
     found = solve_pairs(pair // pred_ids.size, pair % pred_ids.size, potential.astype(float), 1.0)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assignment import pair_chunks
+from .assignment import distinct, pair_chunks
 from .model import TrackerConfig
 
 
@@ -310,7 +310,7 @@ def pair_scores(tracklets, a: np.ndarray, b: np.ndarray, kernel,
                                for part in pair_chunks(pair.size)])
         done, at, count = np.unique(pair, return_index=True, return_counts=True)
         # One mean per shared-frame count, so each sums as np.mean of its pair.
-        for size in np.unique(count).tolist():
+        for size in distinct(count)[0].tolist():
             sel = count == size
             scores[done[sel]] = vals[at[sel][:, None] + np.arange(size)].mean(axis=1)
     return scores

@@ -514,26 +514,27 @@ def test_chunk_plan_matches_the_greedy_loop(shapes, budget):
     assert planned == reference.plan_chunks(n.tolist(), m.tolist(), budget)
 
 
-@settings(max_examples=500, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 7), st.integers(0, 6),
-                                 st.integers(1, 7)), max_size=12),
-       threshold=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
-       budget=st.sampled_from([1, 5, 40, assignment._CHUNK_CELLS]), seed=st.integers(0, 2**32 - 1))
-def test_block_cells_are_the_brute_force_cells(blocks, threshold, budget, seed):
-    """`block_cells` returns exactly the cells that pass `keep` when every
-    block is scored alone, each once, so never a padded cell; blocks may
-    share rows and columns, as the first level's do."""
-    r0, n, c0, m = np.array(blocks, np.intp).reshape(-1, 4).T
-    # Quarter steps, so that scores tie with the sampled thresholds.
-    values = np.random.default_rng(seed).integers(0, 5, (13, 13)) / 4
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([2**62, -2**62])),
+                       max_size=30),
+       as_float=st.booleans())
+def test_distinct_is_unique_with_its_inverse(values, as_float):
+    values = np.array(values, float if as_float else np.int64)
+    got, want = assignment.distinct(values), np.unique(values, return_inverse=True)
+    assert got[0].dtype == values.dtype
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
-    def score(rows, cols):
-        return values[rows[:, :, None], cols[:, None, :]]
-    with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
-        block, row, col, value, chunks = assignment.block_cells(
-            r0, n, c0, m, score, lambda s: s >= threshold)
-        assert chunks == len(assignment._chunks(n, m))
-    got = list(zip(block.tolist(), row.tolist(), col.tolist(), value.tolist()))
-    want = {(k, i, j, values[i, j]) for k, (ri, ni, cj, mj) in enumerate(blocks)
-            for i in range(ri, ri + ni) for j in range(cj, cj + mj) if values[i, j] >= threshold}
-    assert len(got) == len(set(got)) and set(got) == want
+
+def test_sweep_finds_pairs_that_overlap_by_one_ulp():
+    """A large group drops the low bits of the x codes, so a left edge one
+    ulp below the other box's right edge can share that edge's code; the
+    sweep still finds the pair, from either side."""
+    x = 1000.1
+    assert np.float64(x).view(np.int64) % 2 ** 23 != 0  # one ulp below shares the code
+    near, far = [[0.0, 0.0, x, 1.0]], [[np.nextafter(x, 0.0), 0.0, 2 * x, 1.0]]
+    group = np.array([2 ** 20])
+    for ext_a, ext_b in ((near, far), (far, near)):
+        a, b, _, candidates = assignment.overlap_cells(
+            group, group, np.array(ext_a), np.array(ext_b), lambda i, j: np.ones(i.size),
+            lambda s: s > 0)
+        assert (a.tolist(), b.tolist(), candidates) == ([0], [0], 1)

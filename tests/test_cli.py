@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,8 +104,8 @@ class TestTrack:
         # The static pass and the motion pass, each over the 19 frame pairs:
         # target 0 links across all of them, target 1 across the 17 that
         # do not touch its missing frame 5, and no box pair of two targets
-        # overlaps.
-        assert lines == ["first level: 19 frame pairs in 1 chunks, 36 cells above 0, "
+        # overlaps, so those 36 pairs are the only candidates.
+        assert lines == ["first level: 36 candidate pairs, 36 cells above 0, "
                          "36 components solved (largest 2 nodes), 0 by augmenting paths, "
                          "36 links"] * 2
 
@@ -469,7 +470,8 @@ class TestEval:
             assert cli.main(["--verbose", *argv]) == 0
         assert capsys.readouterr().out == quiet
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval:")]
-        assert lines == ["eval: 5 frames in 1 chunks, 2 forced, 3 conflict frames stepped"]
+        # Candidates: gt 1 x pred 9 in frames 1-5, gt 2 x pred 9 in frames 3-5.
+        assert lines == ["eval: 5 frames, 8 candidate pairs, 2 forced, 3 conflict frames stepped"]
 
     def test_verbose_logs_each_file_read(self, tmp_path, capsys, caplog):
         gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
@@ -792,3 +794,30 @@ def test_cli_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.stdout == "[]\n"
+
+
+def test_cli_loads_neither_numpy_ma_nor_synth(tmp_path):
+    """Importing the CLI loads neither `numpy.ma`, which the plain
+    `np.unique` imports on its first call, nor `synth`, which only the
+    synth command needs; track with low-score rows, refine --interp --smooth
+    and eval then run without `numpy.ma`."""
+    gt_path, det_path = synth.write_scenario(
+        ScenarioSpec(n_targets=4, n_frames=40, seed=3, miss_prob=0.2,
+                     score_dips={0: [(5, 15, 0.3)], 2: [(20, 30, 0.3)]}), tmp_path)
+    runs = [["--verbose", "track", "--det", str(det_path), "--out", str(tmp_path / "tracks.txt")],
+            ["refine", "--in", str(tmp_path / "tracks.txt"), "--out",
+             str(tmp_path / "refined.txt"), "--interp", "--smooth"],
+            ["eval", "--gt", str(gt_path), "--pred", str(tmp_path / "refined.txt"), "--kv"]]
+    code = ("import sys, intertrack.cli as cli\n"
+            "print(sorted({'numpy.ma', 'intertrack.synth'} & set(sys.modules)))\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "    print('numpy.ma' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == ["False"] * 3
+    # The track run recovered low-score rows.
+    assert re.search(r"low-score recovery: [1-9]\d* low rows, \d+ frames with candidates, "
+                     r"[1-9]", proc.stderr)

@@ -28,6 +28,7 @@ from intertrack.hierarchy import (
 )
 from intertrack.model import (
     BoundingBox,
+    BoxTable,
     Detection,
     Strategy,
     TrackerConfig,
@@ -746,22 +747,73 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     for budget in (1, 7, 64):
         calls = []
 
-        def recording(frame, score, gate):
-            def scored(rows, cols):
-                out = score(rows, cols)
-                assert out.shape == (len(rows), rows.shape[1], cols.shape[1])
+        def recording(frame, earlier, later, score, gate):
+            def scored(a, b):
+                out = score(a, b)
+                assert out.shape == a.shape == b.shape
                 assert np.isfinite(out).all()
-                calls.append((out.size, len(rows)))
+                calls.append(out.size)
                 return out
-            return link_frames(frame, scored, gate)
+            return link_frames(frame, earlier, later, scored, gate)
 
         with mock.patch.object(assignment, "_CHUNK_CELLS", budget), \
                 mock.patch.object(hierarchy, "_link_frames", recording):
             chains = adjacent_pass(table, rows, kernel, gate)
             assert row_ids(chains) == ids(static)
             assert row_ids(consistent_motion_pass(table, rows, chains, cfg, kernel)) == ids(motion)
-        # Only a block larger than the budget by itself exceeds it.
-        assert all(cells <= budget or pairs == 1 for cells, pairs in calls)
+        # The kernel runs on at most a chunk's pairs at a time.
+        assert all(cells <= budget for cells in calls)
+
+
+@st.composite
+def _adjacent_rows(draw):
+    """A table for a first-level pass: frames with and without a successor,
+    some far apart, and boxes 1 px wide and up, on both sides of the CI
+    threshold.  A grid puts centres and sizes on whole pixels, so many
+    edges touch exactly; otherwise the centres spread up to 1e4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, spread = draw(st.integers(0, 40)), draw(st.sampled_from([20, 200, 10_000]))
+    frame = np.sort(rng.choice(np.array([1, 2, 3, 5, 2 ** 40, 2 ** 40 + 1]), n))
+    if draw(st.booleans()):
+        boxes = np.column_stack([rng.integers(0, spread + 1, (n, 2)),
+                                 rng.integers(1, 151, (n, 2))]).astype(float)
+    else:
+        boxes = np.column_stack([rng.uniform(0, spread, (n, 2)),
+                                 np.exp(rng.uniform(0, np.log(200), (n, 2)))])
+    return BoxTable(frame, np.arange(1, n + 1), np.ones(n), np.zeros(n, np.int64), boxes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_adjacent_rows(),
+       cfg=st.sampled_from([TrackerConfig(), TrackerConfig(use_hm_iou=True),
+                            TrackerConfig(enable_ci=False),
+                            TrackerConfig(enable_ci=False, use_hm_iou=True),
+                            TrackerConfig(ci_width_threshold=120.0, ci_scaling_factor=1.0)]))
+def test_first_level_candidates_hold_every_pair_above_zero(table, cfg):
+    """In both first-level passes, the static kernel and the motion pass's
+    mean of two kernels on Kalman predictions, the sweep returns each pair
+    of the next frame whose supports overlap, once, and every other pair of
+    the next frame scores exactly 0."""
+    kernel, calls, link_frames = SimilarityKernel(cfg), [], hierarchy._link_frames
+
+    def recording(frame, earlier, later, score, gate):
+        calls.append((frame, earlier, later, score))
+        return link_frames(frame, earlier, later, score, gate)
+    rows = np.arange(table.frame.size)
+    with mock.patch.object(hierarchy, "_link_frames", recording):
+        chains = adjacent_pass(table, rows, kernel, cfg.match_threshold)
+        consistent_motion_pass(table, rows, chains, cfg, kernel)
+    for frame, earlier, later, score in calls:
+        rank = assignment.distinct(np.concatenate([frame + 1, frame]))[1]
+        a, b, scores, candidates = assignment.overlap_cells(
+            *np.split(rank, 2), earlier, later, score, lambda s: np.ones(s.shape, bool))
+        found = np.zeros((frame.size, frame.size), bool)
+        found[a, b] = True
+        i, j = np.nonzero(frame[None, :] == frame[:, None] + 1)
+        overlap = ((earlier[i, :2] < later[j, 2:]) & (later[j, :2] < earlier[i, 2:])).all(axis=1)
+        assert a.size == candidates == found.sum() == overlap.sum()
+        assert np.array_equal(found[i, j], overlap)
+        assert (score(i[~overlap], j[~overlap]) == 0).all()
 
 
 @settings(max_examples=50, deadline=None)

@@ -340,6 +340,46 @@ _TIED_PICK = ([_line(1, [(1, 0), (2, 0)]), _line(2, [(1, 0)])],
               [_line(3, [(1, 0)]), _line(4, [(1, 0), (2, 0)]), _line(5, [(1, 0)])])
 
 
+@st.composite
+def _frame_table(draw):
+    """Boxes on whole pixels, 1 to 8 px, in frames 1-6, several to a frame,
+    so that boxes repeat and edges touch; a side may miss a frame or all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frames = draw(st.lists(st.integers(1, 6), max_size=6))
+    n = len(frames) * draw(st.integers(1, 4))
+    boxes = np.column_stack([rng.integers(0, 8, (n, 2)), rng.integers(1, 9, (n, 2))]) / 1.0
+    return BoxTable(np.sort(np.repeat(np.array(frames, np.int64), n // max(len(frames), 1))),
+                    np.arange(n), np.ones(n), np.zeros(n, np.int64), boxes.reshape(-1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_frame_table(), pred=_frame_table(),
+       iou_threshold=st.one_of(st.sampled_from([1.0, 0.5, 1e-12, 5e-324]),
+                               st.floats(0.0, 1.0, exclude_min=True)),
+       budget=st.sampled_from([1, 5, assignment._CHUNK_CELLS]))
+def test_eval_hits_are_the_brute_force_hits(gt, pred, iou_threshold, budget):
+    """The hits `eval_counts` takes from the sweep are exactly the gt x pred
+    pairs of each frame whose IoU, as a per-frame call scores it, reaches
+    the threshold, each once."""
+    calls = []
+
+    def recording(*args):
+        calls.append(assignment.overlap_cells(*args))
+        return calls[-1]
+    with mock.patch.object(assignment, "_CHUNK_CELLS", budget), \
+            mock.patch("intertrack.metrics.overlap_cells", recording):
+        eval_counts(gt, pred, iou_threshold)
+    r, c, iou, _ = calls[0]
+    want = []
+    for f in sorted(set(gt.frame.tolist()) & set(pred.frame.tolist())):
+        rows, cols = np.flatnonzero(gt.frame == f), np.flatnonzero(pred.frame == f)
+        block = iou_kernel(gt.boxes[rows][:, None], pred.boxes[cols][None, :])
+        i, j = np.nonzero(block >= iou_threshold)
+        want += list(zip(rows[i].tolist(), cols[j].tolist(), block[i, j].tolist()))
+    got = list(zip(r.tolist(), c.tolist(), iou.tolist()))
+    assert len(set(got)) == len(got) and sorted(got) == sorted(want)
+
+
 class TestColumnCounts:
     @settings(max_examples=400, deadline=None)
     @given(gt=_grid_tracks(st.integers(1, 6)), pred=_grid_tracks(st.integers(3, 9)),
