@@ -8,9 +8,9 @@ less is ever matched.
 
 There is one solver, `solve_pairs`.  It takes a sparse matrix as cells
 (a[k], b[k]) holding scores[k], every other cell inadmissible: the merge
-levels' admissible tracklet pairs, the first level's `overlap_cells` above 0,
-`eval`'s hits, and, in `solve`, the admissible cells of a dense matrix.
-`solve(scores, -np.inf)` keeps every pair matched.  The steps:
+levels' admissible tracklet pairs, the `overlap_cells` above 0 of the first
+level and of each frame of low-score recovery, and `eval`'s hits.  A gate
+of -inf keeps every pair matched.  The steps:
 
 1. Cells.  The inadmissible cells are dropped; when none is left, nothing
    is matched and nothing more runs.
@@ -49,9 +49,9 @@ scipy's square Hungarian form may pick other optima.
 
 Each step reads one component alone, its rows and columns in ascending
 order, so its matching depends neither on the rest of the matrix nor on
-its ids beyond their order: `solve_pairs` returns what `solve` of the
-dense matrix returns, ties included, and the cells of several frame
-pairs, as `overlap_cells` returns them, match as each pair does alone.
+its ids beyond their order: the admissible cells of a dense matrix match
+as the matrix does, ties included, and the cells of several frame pairs,
+as `overlap_cells` returns them, match as each pair does alone.
 """
 
 from __future__ import annotations
@@ -370,16 +370,3 @@ def solve_pairs(a: np.ndarray, b: np.ndarray, scores: np.ndarray, gate: float) -
     nodes = np.bincount(label, minlength=count)
     return PairMatches(rows[r[order]], cols[c[order]], int(solved.sum()),
                        int(nodes[solved].max(initial=0)), search.size)
-
-
-def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
-    """Match rows to columns, keeping only pairs with similarity >= gate:
-    `solve_pairs` of the dense matrix's admissible cells.
-
-    The gate acts after optimization: a matched pair below the gate is
-    simply dropped, it does not steer which pairs the optimum selects.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    i, j = np.nonzero(_admissible(scores))
-    found = solve_pairs(i, j, scores[i, j], gate)
-    return list(zip(found.a.tolist(), found.b.tolist()))

@@ -92,9 +92,8 @@ class SimilarityKernel:
 
     Wraps the choice of base kernel (IoU vs height-modulated IoU) and
     whether small-box expansion is active, so callers never re-read config.
-    Calling it scores aligned (or broadcasting) box arrays.  `matrix` scores
-    all pairs over leading batch axes: (..., n, 4) and (..., m, 4) stacks
-    give (..., n, m), and `support` bounds the pairs scoring above 0.
+    Calling it scores aligned (or broadcasting) box arrays, and `support`
+    bounds the pairs scoring above 0.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -106,9 +105,6 @@ class SimilarityKernel:
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._kernel(a, b)
-
-    def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._kernel(a[..., :, None, :], b[..., None, :, :])
 
     def support(self, boxes: np.ndarray) -> np.ndarray:
         """Each box's `extents`, under CI grown by the largest ratio another of

@@ -41,6 +41,9 @@ The first level scores only the row pairs of frames t and t+1 whose
 `SimilarityKernel.support`s overlap, found by `assignment.overlap_cells` as
 `eval`'s hits are, and its cells above 0 go to one `solve_pairs` call per
 pass.  No component spans two frame pairs, so each is matched as if alone.
+Low-score recovery scores its candidates in one such sweep too, and matches
+them a frame at a time.  A merge round resolves the shared frames of all its
+chains with an overlapping link in one sort (`resolve_overlap`).
 
 The engine runs on one `BoxTable`, `id` the det_id, with rows in (frame,
 det_id) order, so each frame is one row range.  `run_table` returns the
@@ -95,8 +98,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import camera as camera_mod
-from .assignment import (connected_components, distinct, overlap_cells, range_pairs, solve,
-                         solve_pairs)
+from .assignment import connected_components, distinct, overlap_cells, range_pairs, solve_pairs
 from .geometry import SimilarityKernel
 from .model import BoxTable, Strategy, TrackerConfig, validate_config
 from .motion import FitCache, _advance, kalman_states, pair_scores, reversed_runs
@@ -246,36 +248,38 @@ class TableRun(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def resolve_overlap(table: BoxTable, a: np.ndarray, b: np.ndarray,
-                    max_overlap: int = 5) -> np.ndarray:
-    """The frame-ordered rows of the merge of two matched tracklets, given by
-    their frame-ordered rows, whose spans may overlap by a few frames.
+def resolve_overlap(table: BoxTable, parts: TrackletTable, count: np.ndarray,
+                    max_overlap: int = 5) -> Runs:
+    """The merges of chains of matched tracklets whose spans may overlap by a
+    few frames: the parts laid chain by chain in link order, `count[c]` of
+    them in chain c, none starting before the one before it; each merge's
+    frame-ordered rows, as runs in chain order.
 
-    For a frame claimed by both, the higher-confidence detection wins; ties
-    go to the tracklet that starts earlier, then to the box that is smaller
-    in (cx, cy, w, h) order, then to the smaller det_id, so that the input
-    row order only decides between equal boxes.  An overlap beyond
-    max_overlap means the engine admitted an illegal pair and is treated as
-    a bug, not a data condition.
+    For a frame claimed by several parts, the higher-confidence detection
+    wins; ties go to the part of lower rank, 0 if it starts on its chain's
+    first frame and its position in the chain otherwise, then to the box
+    smaller in (cx, cy, w, h) order, to the smaller det_id and to the earlier
+    part: the pairwise merges folded along the chain, in which the next part
+    wins a tie by box only if it starts on the chain's first frame too.  A
+    link overlapping beyond max_overlap means the engine admitted an illegal
+    pair and is treated as a bug, not a data condition.
     """
-    frame = table.frame
-    if frame[b[0]] < frame[a[0]]:
-        a, b = b, a
-    overlap = int(frame[a[-1]] - frame[b[0]]) + 1
-    if overlap > max_overlap:
-        raise ValueError(
-            f"tracklets overlap by {overlap} frames (allowed {max_overlap})")
-    rows = np.concatenate([a, b])
-    if overlap <= 0:
-        return rows
-    # A frame's winner sorts first: the higher score, then `a` (the earlier
-    # start after the swap above) unless both start together, then the
-    # smaller box and det_id; an exact tie keeps `a` first.
-    later = np.repeat([0, int(frame[a[0]] != frame[b[0]])], [a.size, b.size])
-    rows = rows[np.lexsort((table.id[rows], *table.boxes[rows].T[::-1], later,
-                            -table.score[rows], frame[rows]))]
+    rows, first, last, frame = parts.rows, parts.t_min, parts.t_max, table.frame
+    chain = np.repeat(np.arange(count.size), count)
+    position = np.arange(first.size) - (np.cumsum(count) - count)[chain]
+    overlap = (last[:-1] - first[1:] + 1)[position[1:] > 0]
+    if overlap.max(initial=0) > max_overlap:
+        raise ValueError(f"tracklets overlap by {overlap.max()} frames (allowed {max_overlap})")
+    rank = np.where(first == first[position == 0][chain], 0, position)
+    part = np.repeat(np.arange(first.size), parts.size)
+    # A frame's winner sorts first in its chain; an exact tie keeps the
+    # earlier part first.
+    order = np.lexsort((table.id[rows], *table.boxes[rows].T[::-1], rank[part],
+                        -table.score[rows], frame[rows], chain[part]))
+    rows, owner = rows[order], chain[part[order]]
     # Within one table, frame-sorted rows are ascending rows.
-    return rows[np.r_[True, frame[rows[1:]] != frame[rows[:-1]]]]
+    won = np.r_[True, (frame[rows[1:]] != frame[rows[:-1]]) | (owner[1:] != owner[:-1])]
+    return rows[won], np.bincount(owner[won], minlength=count.size)
 
 
 def _chain_layout(count: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +294,9 @@ def _chain_layout(count: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
 def _merge_round(table: BoxTable, tracklets: TrackletTable, a: np.ndarray, b: np.ndarray,
                  max_overlap: int, cache: FitCache) -> TrackletTable:
     """Merge each chain of the matches a[k] -> b[k] into one tracklet with a
-    new tid: its parts' rows laid end to end, or `resolve_overlap` of its
-    parts in turn for a chain with an overlapping link.  The cache is told
-    the first and last part of each tracklet laid end to end
+    new tid: its parts' rows laid end to end, or, for every chain with an
+    overlapping link at once, `resolve_overlap` of its parts.  The cache is
+    told the first and last part of each tracklet laid end to end
     (`FitCache.merged`); one made by `resolve_overlap` is refitted."""
     order, parts = _chain_layout(tracklets.tid.size, a, b)
     head = np.cumsum(parts) - parts
@@ -308,12 +312,12 @@ def _merge_round(table: BoxTable, tracklets: TrackletTable, a: np.ndarray, b: np
     cache.merged(tid[laid], chained.tid[first], chained.size[first], chained.tid[last],
                  chained.size[last])
     if redo.any():
-        runs = np.split(rows, np.cumsum(chained.size)[:-1])
-        pieces = np.split(rows, np.cumsum(size)[:-1])
-        for c in np.flatnonzero(redo).tolist():
-            pieces[c] = functools.reduce(lambda x, y: resolve_overlap(table, x, y, max_overlap),
-                                         runs[head[c]:head[c] + parts[c]])
-        rows, size = np.concatenate(pieces), np.array([len(p) for p in pieces])
+        merged, merged_size = resolve_overlap(table, chained.take(np.repeat(redo, parts)),
+                                              parts[redo], max_overlap)
+        # `_tracklet_table` puts the tracklets in order, so the resolved
+        # chains may follow the others.
+        rows = np.concatenate([rows[np.repeat(~redo, size)], merged])
+        size, tid = np.r_[size[~redo], merged_size], np.r_[tid[~redo], tid[redo]]
     return _tracklet_table(table.frame, rows, size, tid)
 
 
@@ -458,32 +462,44 @@ def byte_recovery(table: BoxTable, tracklets: TrackletTable, low: np.ndarray,
     tracklet endpoints, a frame at a time; leftovers are dropped and never
     start a trajectory.  A tracklet that absorbs a row gets a new tid.
 
-    A frame's candidates are found by masks over the endpoint arrays.  A
-    tracklet's end moves as it absorbs, so a later frame can extend it
-    again; its start need not, since no later frame lies before it.  Logs,
-    at INFO, the low rows, the frames with candidates and the rows absorbed."""
+    One `overlap_cells` sweep scores each tracklet's last row against the
+    next frame's low rows, its first row against the previous frame's, and
+    each low row against the next frame's: a tracklet's cell once it absorbs
+    that row forward.  A frame's cells, keyed (tracklet index, low row), go
+    to one `solve_pairs` call; a start need not move, since no later frame
+    lies before it.  Logs, at INFO, the low rows, the candidate pairs, the
+    cells above 0 and the rows absorbed."""
     if not len(low):
         return tracklets
-    t = tracklets
-    tid, t_max, first, last = t.tid.copy(), t.t_max.copy(), t.first(), t.last()
+    t, frame, boxes, n = tracklets, table.frame, table.boxes, tracklets.tid.size
+    tid, t_max = t.tid.copy(), t.t_max.copy()
+    # Side a: the last rows, keyed by the frame after them, the first rows,
+    # by the frame before them, and the low rows, by the frame after them;
+    # side b: the low rows, by their frame.
+    ends = np.concatenate([t.last(), t.first(), low])
+    rank = distinct(np.concatenate([t.t_max + 1, t.t_min - 1, frame[low] + 1, frame[low]]))[1]
+    support = kernel.support(boxes[ends])
+    a, b, scores, candidates = overlap_cells(rank[:ends.size], rank[ends.size:], support,
+                                             support[2 * n:],
+                                             lambda i, j: kernel(boxes[ends[i]], boxes[low[j]]),
+                                             lambda s: s > 0)
+    # Per side-a entry, the tracklet index whose cells it gives, -1 for a
+    # low row no tracklet absorbed forward.
+    holder = np.concatenate([np.arange(n), np.arange(n), np.full(low.size, -1)])
     # Per tracklet index, the rows it holds or absorbs.
-    absorbed = [(np.repeat(np.arange(tid.size), t.size), t.rows)]
-    ts, start, size = np.unique(table.frame[low], return_index=True, return_counts=True)
-    busy = 0
-    for f, s, n in zip(ts.tolist(), start.tolist(), size.tolist()):
-        ahead = t_max == f - 1
-        candidates = np.flatnonzero(ahead | (t.t_min == f + 1))
-        if not candidates.size:
-            continue
-        busy += 1
-        ends = np.where(ahead[candidates], last[candidates], first[candidates])
-        found = solve(kernel.matrix(table.boxes[ends], table.boxes[low[s:s + n]]), gate)
-        k, row = candidates[[i for i, _ in found]], low[s:s + n][[j for _, j in found]]
-        t_max[k[ahead[k]]], last[k[ahead[k]]] = f, row[ahead[k]]
-        tid[k] = tid.max() + 1 + np.arange(k.size)
-        absorbed.append((k, row))
-    log.info("low-score recovery: %d low rows, %d frames with candidates, %d rows absorbed",
-             len(low), busy, sum(k.size for k, _ in absorbed[1:]))
+    absorbed = [(np.repeat(np.arange(n), t.size), t.rows)]
+    at = frame[low[b]]
+    order = np.argsort(at, kind="stable")
+    for cells in np.split(order, np.flatnonzero(np.diff(at[order])) + 1) if b.size else ():
+        k, f = holder[a[cells]], at[cells[0]]
+        found = solve_pairs(k[k >= 0], b[cells][k >= 0], scores[cells][k >= 0], gate)
+        forward = t_max[found.a] == f - 1
+        t_max[found.a[forward]], holder[2 * n + found.b[forward]] = f, found.a[forward]
+        tid[found.a] = tid.max(initial=0) + 1 + np.arange(found.a.size)
+        absorbed.append((found.a, low[found.b]))
+    log.info("low-score recovery: %d low rows, %d candidate pairs, %d cells above 0, "
+             "%d rows absorbed", len(low), candidates, scores.size,
+             sum(k.size for k, _ in absorbed[1:]))
     owner, rows = map(np.concatenate, zip(*absorbed))
     # Each tracklet's rows ascending: within one table, its frame order.
     order = np.lexsort((rows, owner))

@@ -3,14 +3,16 @@
 require the column code to match them bit for bit, on the trajectories that
 `trajectories()` draws.  `eval_counts` is the frame-by-frame form of
 `metrics.eval_counts`, one IoU block and one CLEAR step per frame.
-`scipy_matching` is the square Hungarian form of the ungated
-`assignment.solve`, by scipy's `linear_sum_assignment`, and
-`unique_optimum` tells whether a matrix has only the one optimum that every
-exact solver must then return.  `chains` follows links through a dict,
-`resolve_overlap` picks each shared frame's row through a dict, and
-`byte_recovery` absorbs low-score rows one tracklet object at a time: the
-forms of the engine's chaining, overlap merges and low-score recovery before
-its tracklets became one table of arrays.  `plan_chunks` is the block-by-block
+`solve` matches a dense matrix by `assignment.solve_pairs` of its cells,
+`scipy_matching` is the square Hungarian form of the ungated `solve`, by
+scipy's `linear_sum_assignment`, and `unique_optimum` tells whether a matrix
+has only the one optimum that every exact solver must then return.  `chains`
+follows links through a dict, `resolve_overlap` merges two tracklets,
+picking each shared frame's row through a dict, and `byte_recovery` absorbs
+low-score rows one tracklet object and one dense block per frame at a time:
+the forms of the engine's chaining, overlap merges and low-score recovery
+before its tracklets became one table of arrays and its chains and frames
+were resolved together.  `plan_chunks` is the block-by-block
 loop that planned `assignment`'s padded chunks before one scan per chunk
 did.  `interval_admissible` is the merge levels' pair rule as one test on a
 pair of tracklets, the oracle of an all-pairs scan that the engine's window
@@ -26,7 +28,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from intertrack.assignment import solve
+from intertrack.assignment import solve_pairs
 from intertrack.geometry import iou_kernel
 from intertrack.metrics import EvalCounts
 from intertrack.model import BoundingBox, BoxTable, Detection, Trajectory, stack_boxes
@@ -37,6 +39,18 @@ from intertrack.mot_io import KITTI_CLASSES
 # differ by 1e-12, and float sums of a few dozen cells of at most 1 err by
 # less than 1e-14.
 TIE_TOL = 1e-13
+
+
+def solve(scores: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Match the rows of a dense matrix to its columns, keeping only pairs
+    with similarity >= gate: `solve_pairs` of all its cells, of which it
+    drops the inadmissible ones.  The gate acts after optimization: a
+    matched pair below it is dropped, and does not steer which pairs the
+    optimum selects."""
+    scores = np.asarray(scores, dtype=np.float64)
+    i, j = np.indices(scores.shape).reshape(2, -1)
+    found = solve_pairs(i, j, scores.ravel(), gate)
+    return list(zip(found.a.tolist(), found.b.tolist()))
 
 
 def scipy_matching(scores: np.ndarray) -> list[tuple[int, int]]:
@@ -133,8 +147,11 @@ def chains(link: dict[int, int], nodes: Iterable[int]) -> list[list[int]]:
 
 def resolve_overlap(table: BoxTable, a: np.ndarray, b: np.ndarray,
                     max_overlap: int = 5) -> np.ndarray:
-    """`hierarchy.resolve_overlap` one shared frame at a time, through a dict
-    of each frame's chosen row."""
+    """The merge of two tracklets, given by their frame-ordered rows, that
+    `hierarchy.resolve_overlap` makes of a chain of them, one shared frame
+    at a time, through a dict of each frame's chosen row; on equal scores
+    the earlier start wins, or, on equal starts, the smaller box and det_id,
+    else `a`.  Folded along a longer chain, it gives that chain's merge."""
     frame = table.frame
     if frame[b[0]] < frame[a[0]]:
         a, b = b, a
@@ -185,7 +202,8 @@ def byte_recovery(table: BoxTable, tracklets: list[TrackletRows], next_tid: int,
                 candidates.append((k, trk.rows[0]))
         if not candidates:
             continue
-        scores = kernel.matrix(table.boxes[[row for _, row in candidates]], table.boxes[lows])
+        ends = table.boxes[[row for _, row in candidates]]
+        scores = kernel(ends[:, None], table.boxes[lows][None])
         for i, j in solve(scores, gate):
             k = candidates[i][0]
             rows = np.sort(np.append(tracklets[k].rows, lows[j]))  # ascending rows: frame order

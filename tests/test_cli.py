@@ -113,7 +113,7 @@ class TestTrack:
                                                                        caplog):
         # Two gaps leave four level-1 tracklets; level 2 joins each pair.  Of
         # two low-score rows, one extends target 0 to frame 21 and one, at
-        # frame 5, has no tracklet end next to it.
+        # frame 5, has no tracklet end next to it, so it is no candidate.
         dets = linear_dets(gap_frames={(0, 8), (0, 9), (1, 12)})
         dets += [Detection(frame=21, box=BoundingBox(142.0, 200.0, 40.0, 80.0), score=0.3,
                            det_id=100),
@@ -142,7 +142,7 @@ class TestTrack:
             f"merge level (gap 30, overlap 5) round 1: {idle}"]
         assert [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("low-score")] == [
-            "low-score recovery: 2 low rows, 1 frames with candidates, 1 rows absorbed"]
+            "low-score recovery: 2 low rows, 1 candidate pairs, 1 cells above 0, 1 rows absorbed"]
         # The row at frame 21 joined target 0's track; the one at frame 5 was dropped.
         out = read_mot_tracks(tmp_path / "out.txt")
         assert sorted((t.t_min, t.t_max, len(t.entries)) for t in out) == \
@@ -819,5 +819,5 @@ def test_cli_loads_neither_numpy_ma_nor_synth(tmp_path):
     assert proc.stdout.splitlines()[0] == "[]"
     assert [line for line in proc.stdout.splitlines() if line in ("True", "False")] == ["False"] * 3
     # The track run recovered low-score rows.
-    assert re.search(r"low-score recovery: [1-9]\d* low rows, \d+ frames with candidates, "
-                     r"[1-9]", proc.stderr)
+    assert re.search(r"low-score recovery: [1-9]\d* low rows, \d+ candidate pairs, "
+                     r"\d+ cells above 0, [1-9]", proc.stderr)

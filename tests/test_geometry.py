@@ -255,6 +255,7 @@ def test_kernel_respects_flags():
 
 
 def test_kernel_matrix_empty():
+    # The all-pairs matrix of two stacks, one of them empty, by broadcasting.
     k = SimilarityKernel(TrackerConfig())
-    assert k.matrix(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
-    assert k.matrix(np.zeros((2, 4)), np.zeros((0, 4))).shape == (2, 0)
+    assert k(np.zeros((0, 1, 4)), np.zeros((1, 3, 4))).shape == (0, 3)
+    assert k(np.zeros((2, 1, 4)), np.zeros((1, 0, 4))).shape == (2, 0)

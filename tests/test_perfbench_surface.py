@@ -41,6 +41,8 @@ STALE_HOOKS = {
     ("intertrack.cli", "interpolate"),
     ("intertrack.cli", "gaussian_smooth"),
     ("intertrack.mot_io", "read_mot_detections"),
+    ("intertrack.hierarchy", "solve"),
+    ("intertrack.geometry:SimilarityKernel", "matrix"),
 }
 
 
@@ -64,6 +66,6 @@ def test_workload_builds_its_tiny_inputs(name, tmp_path):
 def test_identity_tool_specs_validate():
     import identity_cases
 
-    for spec in (identity_cases.PAN, identity_cases.CROWD, *identity_cases.KITTI,
-                 *identity_cases.KITTI_LOW):
+    for spec in (identity_cases.PAN, identity_cases.CROWD, identity_cases.DIPS,
+                 identity_cases.LONG, *identity_cases.KITTI, *identity_cases.KITTI_LOW):
         spec.validate()

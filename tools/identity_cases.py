@@ -77,17 +77,26 @@ The cases:
   that share 3 frames, each fragment under a new id.  No gap level can join
   a target's fragments, so the final level's overlap merges
   (`hierarchy.resolve_overlap`) do.
+- 1 recovery case: `track` on a scene whose score dips cover one target's
+  first 5 frames, another's last 9 and a third's middle 7, run under
+  `--verbose` too.  Low-score recovery extends one tracklet backward and
+  others forward, one frame after another.
+- 1 chain-merge case: `refine` on a 240-frame scene whose ground-truth
+  targets are cut into 60-frame fragments, each sharing 3 frames with the
+  next and each under a new id.  No gap level reaches from a fragment to the
+  one after next, so the final level's overlap merges join chains of five
+  parts.
 
-103 cases in all.
+105 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
 (`--dump-hierarchy`) and `eval.txt` (exit code, stdout and stderr of
-`eval --kv` against the scene's ground truth); a seed-1 workload case and
-the two multi-class cases above also write `verbose.txt`, the same for
-their `--verbose` pass, and a seed-1 workload case and the two
-`eval-crowd-*` cases write `eval_verbose.txt`, the same for `eval
---verbose`, whose INFO lines hold the evaluator's counts.  Every command
+`eval --kv` against the scene's ground truth); a seed-1 workload case, the
+two multi-class cases and the recovery case above also write
+`verbose.txt`, the same for their `--verbose` pass, and a seed-1 workload
+case and the two `eval-crowd-*` cases write `eval_verbose.txt`, the same
+for `eval --verbose`, whose INFO lines hold the evaluator's counts.  Every command
 runs in a fresh process with the case directory as working directory and
 relative paths, so no absolute path reaches the outputs.
 """
@@ -120,6 +129,14 @@ PAN = ScenarioSpec(n_targets=6, n_frames=100, seed=5, arena=(1280.0, 720.0),
 CROWD = ScenarioSpec(n_targets=24, n_frames=80, seed=7, arena=(640.0, 480.0),
                      box_size=(10.0, 24.0), max_speed=2.0, miss_prob=0.12,
                      noise_sigma=0.6, size_jitter=0.03)
+# Score dips over one target's first frames, another's last and a third's
+# middle ones.
+DIPS = ScenarioSpec(n_targets=5, n_frames=60, seed=13, arena=(1280.0, 720.0),
+                    box_size=(40.0, 90.0), max_speed=1.5, noise_sigma=0.5,
+                    score_dips={0: [(1, 5, 0.3)], 1: [(52, 60, 0.3)], 2: [(25, 31, 0.3)]})
+# Targets that last long enough to be cut into five fragments.
+LONG = ScenarioSpec(n_targets=4, n_frames=240, seed=17, arena=(1280.0, 720.0),
+                    box_size=(40.0, 90.0), max_speed=1.0, noise_sigma=0.5)
 # KITTI classes 0 (Car) and 3 (Pedestrian).
 KITTI = (ScenarioSpec(n_targets=4, n_frames=60, seed=11, arena=(1242.0, 375.0),
                       box_size=(50.0, 90.0), max_speed=2.0, miss_prob=0.05,
@@ -187,7 +204,7 @@ CONFIG_FILES = {
 WORKLOAD_VERBOSE = {f"{name}-seed1" for name in WORKLOADS}
 # The cases whose pass also runs under --verbose.
 VERBOSE_CASES = WORKLOAD_VERBOSE | {"kitti-track-interval-default",
-                                    "dir-track-interval-workers1"}
+                                    "dir-track-interval-workers1", "dips-track"}
 # The cases whose eval also runs under --verbose.
 EVAL_VERBOSE_CASES = WORKLOAD_VERBOSE | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
@@ -396,6 +413,29 @@ def _overlap_cases():
                          ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv"]))
 
 
+def _write_fragmented(spec: ScenarioSpec) -> None:
+    """The scene of `spec`, its foreign output replaced by each gt target cut
+    into 60-frame fragments, each sharing 3 frames with the next and each
+    under a new id."""
+    _write_mot_scene(spec)
+    gt, _ = synth.generate(spec)
+    fragments = []
+    for t in gt:
+        for at in range(0, len(t.entries) - 3, 57):
+            fragments.append(Trajectory(len(fragments) + 1, t.entries[at:at + 60]))
+    mot_io.write_mot_results(fragments, "theirs.txt")
+
+
+def _recovery_and_chain_cases():
+    """(name, prepare) of the recovery case and the chain-merge case."""
+    evals = ["eval", "--gt", "gt.txt", "--pred", "out.txt", "--kv"]
+    yield ("dips-track", _cli_case(lambda: _write_mot_scene(DIPS),
+                                   ["track", "--det", "det.txt", "--out", "out.txt"], evals))
+    yield ("chains-long-refine", _cli_case(lambda: _write_fragmented(LONG),
+                                           ["refine", "--in", "theirs.txt", "--out", "out.txt"],
+                                           evals))
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -417,7 +457,8 @@ def main(argv=None) -> int:
     cwd = Path.cwd()
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
                           *_reader_cases(), *_config_cases(), *_eval_cases(),
-                          *_directory_cases(), *_tie_cases(), *_overlap_cases()]:
+                          *_directory_cases(), *_tie_cases(), *_overlap_cases(),
+                          *_recovery_and_chain_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
