@@ -3,6 +3,7 @@ one frame axis, give each sequence, and each class of it, what it gets
 alone."""
 
 import collections
+import concurrent.futures
 import json
 
 import numpy as np
@@ -208,16 +209,79 @@ def test_workers_cut_sequences_into_consecutive_batches():
                                                                        ["c", "d", "e"]]
 
 
-@pytest.mark.parametrize("workers", ["1", "2", "3", "9"])
-def test_directory_batches_write_what_each_file_gets_alone(tmp_path, capsys, workers):
-    src, out, alone = tmp_path / "det", tmp_path / "out", tmp_path / "alone"
+def record_pools(monkeypatch) -> list[int]:
+    """The `max_workers` of every process pool the CLI starts from now on."""
+    sizes = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return sizes
+
+
+def test_batch_count_takes_min_batch_bytes_per_batch(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    unit = cli._MIN_BATCH_BYTES
+    assert [cli._batch_count(9, size) for size in (0, unit - 1, unit, 2 * unit - 1)] == [1] * 4
+    assert cli._batch_count(9, 2 * unit) == 2 and cli._batch_count(9, 100 * unit) == 9
+    assert [cli._batch_count(1, size) for size in (0, unit, 2 * unit, 100 * unit)] == [1] * 4
+    # Never more batches than sequences.
+    for n in range(1, 12):
+        assert len(cli._consecutive(list(range(n)), cli._batch_count(9, 100 * unit))) \
+            == min(n, 9)
+    # Nor than usable CPUs.
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli._batch_count(64, 100 * unit) == cpus
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def write_five(src):
     src.mkdir()
-    alone.mkdir()
     for k in range(5):
         write_table(scene(k, 1 + 7 * k, (25.0, 0.0) if k % 2 else (0.0, 0.0), k == 3, k == 1),
                     src / f"s{k}.txt")
+
+
+def test_workers_beyond_the_usable_cpus_start_no_more_processes(tmp_path, monkeypatch):
+    src = tmp_path / "det"
+    write_five(src)
+    assert cli.main(["track", "--det", str(src), "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(cli, "_MIN_BATCH_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    pools = record_pools(monkeypatch)
+    assert cli.main(["track", "--det", str(src), "--out", str(tmp_path / "many"),
+                     "--workers", "64"]) == 0
+    assert pools == [2]
+    for k in range(5):
+        assert (tmp_path / "one" / f"s{k}.txt").read_bytes() == \
+            (tmp_path / "many" / f"s{k}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3", "9"])
+def test_directory_batches_write_what_each_file_gets_alone(tmp_path, capsys, monkeypatch,
+                                                            workers):
+    src, out, alone = tmp_path / "det", tmp_path / "out", tmp_path / "alone"
+    write_five(src)
+    alone.mkdir()
+    # Small files and, as on a host of 5 CPUs or more, --workers alone sets
+    # the batches: 1, 2, 3 and 5.
+    monkeypatch.setattr(cli, "_MIN_BATCH_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    pools = record_pools(monkeypatch)
     assert cli.main(["track", "--det", str(src), "--out", str(out), "--workers", workers,
                      "--dump-hierarchy", str(tmp_path / "dump.json")]) == 0
+    assert pools == ([] if workers == "1" else [min(int(workers), 5)])
     batched = capsys.readouterr().out
     dump = json.loads((tmp_path / "dump.json").read_text())
     lines = []

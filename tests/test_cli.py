@@ -148,7 +148,10 @@ class TestTrack:
         assert sorted((t.t_min, t.t_max, len(t.entries)) for t in out) == \
             [(1, 20, 19), (1, 21, 19)]
 
-    def test_directory_input_with_workers(self, tmp_path, capsys):
+    def test_directory_input_with_workers(self, tmp_path, capsys, monkeypatch):
+        # Small files, so that --workers 2 alone sets the batches.
+        monkeypatch.setattr(cli, "_MIN_BATCH_BYTES", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         src = tmp_path / "seqs"
         src.mkdir()
         write_dets(src / "alpha.txt", linear_dets())
@@ -164,7 +167,9 @@ class TestTrack:
         assert "alpha:" in stdout and "beta:" in stdout
 
     @pytest.mark.parametrize("command", ["track", "refine"])
-    def test_dump_identical_with_one_and_two_workers(self, tmp_path, command):
+    def test_dump_identical_with_one_and_two_workers(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(cli, "_MIN_BATCH_BYTES", 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         src = tmp_path / "seqs"
         src.mkdir()
         if command == "track":
@@ -794,6 +799,34 @@ def test_cli_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.stdout == "[]\n"
+
+
+def test_one_batch_runs_do_not_import_multiprocessing(tmp_path):
+    """A single-file track and a small-directory `track --workers 2` run in
+    one batch, and so load neither `multiprocessing` nor the process pool;
+    with `_MIN_BATCH_BYTES` at 1 byte the directory starts the pool."""
+    (tmp_path / "seqs").mkdir()
+    for name, xs in (("alpha", (100.0, 400.0)), ("beta", (250.0,))):
+        write_dets(tmp_path / "seqs" / f"{name}.txt", linear_dets(xs=xs))
+    one = ["track", "--det", str(tmp_path / "seqs" / "alpha.txt"), "--out",
+           str(tmp_path / "alpha.txt")]
+    small = ["track", "--det", str(tmp_path / "seqs"), "--out", str(tmp_path / "out"),
+             "--workers", "2"]
+    code = ("import sys, intertrack.cli as cli\n"
+            "def pool_loaded():\n"
+            "    return sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))\n"
+            f"for argv in {[one, small]!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "    print(pool_loaded())\n"
+            "cli._MIN_BATCH_BYTES = 1\n"
+            "cli._usable_cpus = lambda: 2\n"
+            f"assert cli.main({small!r}) == 0\n"
+            "print(pool_loaded())\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == \
+        ["[]", "[]", "['concurrent.futures.process', 'multiprocessing']"]
 
 
 def test_cli_loads_neither_numpy_ma_nor_synth(tmp_path):

@@ -31,9 +31,10 @@ The cases:
   file with its Pedestrian class at score 0.3, below the high-score gate,
   run by `track` under both strategies with the default config.
 - The four `perfbench/workloads.py` workloads on seeds 1-3, with their own
-  pass arguments (`multiseq` with `--workers 2`).  On seed 1 the pass runs
-  once more under `--verbose` and `--workers 1` (two workers would
-  interleave their lines in no fixed order), so that its INFO lines, the
+  pass arguments (`multiseq` with `--workers 2`, too little input for a
+  second batch).  On seed 1 the pass runs once more under `--verbose` and
+  `--workers 1` (two workers would interleave their lines in no fixed
+  order), so that its INFO lines, the
   matcher's counts per first-level pass and merge round and each merge
   round's Kalman work among them, are compared too.  So do two multi-class cases, whose classes share one
   engine run and so one set of these lines: `kitti-track-interval-default`
@@ -61,8 +62,8 @@ The cases:
   a directory of two sequences, scored against a ground-truth directory that
   holds a third sequence as well, so the pooled report leaves it out with a
   warning.
-- 8 directory cases on one KITTI directory of four sequences, which the
-  engine runs as one batch per worker: the panning scene, the crowd-like
+- 8 directory cases on one KITTI directory of four sequences, too little
+  input for a second batch: the panning scene, the crowd-like
   scene, the two-class file and the two-class file with its Pedestrians
   below the high-score gate.  `track` and `refine` (on each sequence's
   fragmented output) run on it under `--strategy interval|window` with
@@ -86,8 +87,14 @@ The cases:
   next and each under a new id.  No gap level reaches from a fragment to the
   one after next, so the final level's overlap merges join chains of five
   parts.
+- 1 pool case: `track --workers 2` on a directory of 24 sequences built like
+  the `multiseq` workload's but 240 frames long, about 1.8 MB in all, enough
+  input for two batches, so the CLI starts its process pool on a host with
+  two CPUs or more.  The pass runs once more under `--workers 1`, into
+  `twin/` and `twin.json`, and `twin.txt` names every output of the two
+  runs that differs.
 
-105 cases in all.
+106 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -207,6 +214,8 @@ VERBOSE_CASES = WORKLOAD_VERBOSE | {"kitti-track-interval-default",
                                     "dir-track-interval-workers1", "dips-track"}
 # The cases whose eval also runs under --verbose.
 EVAL_VERBOSE_CASES = WORKLOAD_VERBOSE | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
+# The cases whose pass also runs under --workers 1, into twin/.
+TWIN_CASES = {"multiseq240-workers2"}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
              "final-overlap-fraction": ["--final-overlap", "1.5"],
              "interp-max-gap-z": ["--interp-max-gap", "z"],
@@ -436,6 +445,40 @@ def _recovery_and_chain_cases():
                                            evals))
 
 
+def _write_long_multiseq() -> None:
+    """24 sequences under det/ and gt/, each one of the `multiseq` workload's
+    seed-1 scenes at 240 frames."""
+    for kind in ("det", "gt"):
+        Path(kind).mkdir(exist_ok=True)
+    for k in range(24):
+        gt, dets = synth.generate(ScenarioSpec(
+            n_targets=5, n_frames=240, seed=1000 + k, arena=(1280.0, 720.0),
+            box_size=(30.0, 70.0), max_speed=2.0, miss_prob=0.05, noise_sigma=0.5))
+        mot_io.write_mot_results(gt, f"gt/seq{k:02d}.txt")
+        mot_io.write_mot_detections(dets, f"det/seq{k:02d}.txt")
+
+
+def _pool_cases():
+    """(name, prepare) of the pool case."""
+    yield ("multiseq240-workers2",
+           _cli_case(_write_long_multiseq,
+                     ["track", "--det", "det", "--out", "out", "--workers", "2"],
+                     ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
+
+
+def _twin_differences(case: Path) -> str:
+    """The outputs of a case's pass that differ from those of its twin."""
+    names = sorted(p.name for p in (case / "out").iterdir())
+    if names != sorted(p.name for p in (case / "twin").iterdir()):
+        return "output file names differ\n"
+    pairs = [(f"out/{n}", case / "out" / n, case / "twin" / n) for n in names]
+    pairs += [("dump.json", case / "dump.json", case / "twin.json"),
+              ("pass.txt", case / "pass.txt", case / "twin_pass.txt")]
+    differ = [label for label, a, b in pairs if a.read_bytes() != b.read_bytes()]
+    return "".join(f"differs: {label}\n" for label in differ) or \
+        f"all {len(pairs)} outputs equal\n"
+
+
 def _run(root: Path, case: Path, argv: list[str], record: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "intertrack.cli", *argv], cwd=case, env=env,
@@ -458,7 +501,7 @@ def main(argv=None) -> int:
     for name, prepare in [*_cli_cases(), *_workload_cases(), *_fault_cases(),
                           *_reader_cases(), *_config_cases(), *_eval_cases(),
                           *_directory_cases(), *_tie_cases(), *_overlap_cases(),
-                          *_recovery_and_chain_cases()]:
+                          *_recovery_and_chain_cases(), *_pool_cases()]:
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
         os.chdir(case)  # inputs are written relative to the working directory
@@ -471,6 +514,11 @@ def main(argv=None) -> int:
         if name in VERBOSE_CASES:
             # The last --workers wins.
             _run(root, case, ["--verbose", *pass_args, "--workers", "1"], "verbose.txt")
+        if name in TWIN_CASES:
+            # The last --workers, --out and --dump-hierarchy win.
+            _run(root, case, [*pass_args, "--workers", "1", "--out", "twin",
+                              "--dump-hierarchy", "twin.json"], "twin_pass.txt")
+            (case / "twin.txt").write_text(_twin_differences(case), encoding="utf-8")
         if name in EVAL_VERBOSE_CASES:
             _run(root, case, ["--verbose", *eval_args], "eval_verbose.txt")
         print(f"{name}: {(case / 'pass.txt').read_text().splitlines()[0]}", flush=True)
