@@ -261,11 +261,10 @@ def _run_job(job: _Job) -> list[tuple[str, BoxTable, list[str], Optional[dict]]]
     and its dump payload, None when no dump was asked for, so that a pool
     worker pickles it back only when it is needed."""
     if job.command == "track":
-        tables = [mot_io.read_detection_table(src, job.fmt, job.class_filter)
-                  for src in job.srcs]
+        tables = mot_io.read_detection_tables(job.srcs, job.fmt, job.class_filter)
         results = hierarchy.run_tables(tables, job.cfg)
     else:
-        tables = [mot_io.read_track_table(src, job.fmt, job.class_filter) for src in job.srcs]
+        tables = mot_io.read_track_tables(job.srcs, job.fmt, job.class_filter)
         # The engine's det_ids number the rows in file order.
         results = hierarchy.run_tables([mot_io.numbered(t) for t in tables], job.cfg,
                                        [split_rows(t) for t in tables])
@@ -315,13 +314,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Score each sequence of `--pred` against its `--gt`, all read in one
+    batch, gt then pred of each sequence in name order, and scored in one."""
     if not 0.0 < args.iou_threshold <= 1.0:
         raise ConfigError([f"--iou-threshold must be in (0, 1], got {args.iou_threshold}"])
     class_filter = _class_filter(args)
-
-    def read(path: Path) -> BoxTable:
-        return mot_io.read_track_table(path, args.format, class_filter)
-
     gt_jobs = _sequence_jobs(args.gt, None)
     pred_jobs = _sequence_jobs(args.pred, None)
     if args.gt.is_dir() != args.pred.is_dir():
@@ -337,10 +334,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if one_sided:
             log.warning("not evaluated, found under only one of --gt/--pred: %s",
                         ", ".join(one_sided))
-        pairs = {name: (read(gt_by_name[name]), read(pred_by_name[name])) for name in names}
-        report = metrics.evaluate_sequences(pairs, args.iou_threshold)
+        paths = [path for name in names for path in (gt_by_name[name], pred_by_name[name])]
     else:
-        report = metrics.evaluate(read(args.gt), read(args.pred), args.iou_threshold)
+        paths = [args.gt, args.pred]
+    tables = mot_io.read_track_tables(paths, args.format, class_filter)
+    pairs = list(zip(tables[::2], tables[1::2]))
+    if args.gt.is_dir():
+        report = metrics.evaluate_sequences(dict(zip(names, pairs)), args.iou_threshold)
+    else:
+        report = metrics.evaluate(*pairs[0], args.iou_threshold)
     if args.kv:
         for line in metrics.report_kv_lines(report):
             print(line)

@@ -24,21 +24,31 @@ IDTP's, is one `assignment.solve_pairs` call on hits, so no gt x pred matrix
 is built.  The identity switches are the changes in each gt track's sequence
 of matched predictions.
 
-The public functions take tables in any row order and sort them; sequences
-pool by summing their counts.
+Sequences are segments of one batch's frame axis, as in `hierarchy.run_tables`:
+`sequence_counts` lays every (gt, pred) pair out in one table per side,
+sorted by (sequence, frame, id), and ranks frames and track ids within
+their sequence, so that no two sequences share a frame or a track, whatever
+ids they reuse, and no key grows with the ids' values.  One sweep, one
+conflict-frame loop and one IDTP `solve_pairs` call then serve the batch:
+no hit, frame or matching component spans two sequences, so each
+sequence's counts are those it gets alone.  Each sequence's counts, and its
+INFO line, are bincounts over the sequence of each row, track, frame and
+scored candidate.  `eval_counts` is a batch of one.  The public functions
+other than `eval_counts` take tables in any row order; sequences pool by
+summing their counts.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .assignment import distinct, overlap_cells, solve_pairs
 from .geometry import extents, iou_kernel
-from .model import BoxTable
+from .model import BoxTable, table_of
 
 log = logging.getLogger(__name__)
 
@@ -67,33 +77,72 @@ class EvalReport:
 
 
 def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
-    """CLEAR and identity counts of one sequence, all frames scored at once.
+    """CLEAR and identity counts of one sequence whose tables are sorted by
+    (frame, id), all frames scored at once: a batch of one sequence.
 
     Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).  Logs, at
     INFO, the sequence's frames, candidates, and forced and conflict frames."""
+    return _counts(gt, pred, np.zeros(gt.frame.size, np.intp), np.zeros(pred.frame.size, np.intp),
+                   1, iou_threshold)[0]
+
+
+def sequence_counts(pairs: Sequence[tuple[BoxTable, BoxTable]],
+                    iou_threshold: float) -> list[EvalCounts]:
+    """`eval_counts` of each (gt, pred) pair of tables in any row order, the
+    sequences laid out as one batch."""
+    (gt, gt_seq), (pred, pred_seq) = (_laid_out([pair[side] for pair in pairs])
+                                      for side in (0, 1))
+    return _counts(gt, pred, gt_seq, pred_seq, len(pairs), iou_threshold)
+
+
+def _laid_out(tables: list[BoxTable]) -> tuple[BoxTable, np.ndarray]:
+    """The rows of `tables` as one table sorted by (table, frame, id), and
+    each row's table."""
+    seq = np.repeat(np.arange(len(tables)), [t.frame.size for t in tables])
+    # An empty table first, so that no tables lay out as an empty table.
+    table = BoxTable(*map(np.concatenate, zip(table_of([]), *tables)))
+    return table.take(np.lexsort((table.id, table.frame, seq))), seq
+
+
+def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarray,
+            sequences: int, iou_threshold: float) -> list[EvalCounts]:
+    """The counts of each of `sequences` sequences, the rows of sequence k
+    those where gt_seq or pred_seq is k, sorted by (sequence, frame, id), and
+    its INFO line (see `eval_counts`)."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    gt_ids, gt_of = np.unique(gt.id, return_inverse=True)
-    pred_ids, pred_of = np.unique(pred.id, return_inverse=True)
-    frames, frame_of = distinct(np.concatenate([gt.frame, pred.frame]))
+    # Frames and track ids are ranked within their sequence, so no two
+    # sequences share one.
+    gt_track_seq, gt_of = _by_sequence(gt_seq, sequences, *np.unique(gt.id, return_inverse=True))
+    pred_track_seq, pred_of = _by_sequence(pred_seq, sequences,
+                                           *np.unique(pred.id, return_inverse=True))
+    frame_seq, frame_of = _by_sequence(np.concatenate([gt_seq, pred_seq]), sequences,
+                                       *distinct(np.concatenate([gt.frame, pred.frame])))
+    candidates = np.zeros(sequences, np.intp)
+
+    def score(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        candidates[:] += np.bincount(gt_seq[r], minlength=sequences)
+        return iou_kernel(gt.boxes[r], pred.boxes[c])
+
     # Every hit as (gt row, pred row, IoU).
-    r, c, iou, candidates = overlap_cells(
+    r, c, iou, _ = overlap_cells(
         *np.split(frame_of, [gt.frame.size]), extents(gt.boxes), extents(pred.boxes),
-        lambda r, c: iou_kernel(gt.boxes[r], pred.boxes[c]), lambda iou: iou >= iou_threshold)
+        score, lambda iou: iou >= iou_threshold)
     order = np.argsort(r * pred.frame.size + c)  # gt row order, so frame order
     t, r, c, iou = frame_of[r[order]], r[order], c[order], iou[order]  # gt rows lead frame_of
     g, p = gt_of[r], pred_of[c]
-    conflict = np.zeros(frames.size, bool)
-    for ids, size in ((g, gt_ids.size), (p, pred_ids.size)):
-        key, count = np.unique(t * size + ids, return_counts=True)
-        conflict[key[count > 1] // size] = True
+    conflict = np.zeros(frame_seq.size, bool)
+    # The hits are in gt row order, so a gt track's hits in a frame are adjacent.
+    conflict[t[1:][(t[1:] == t[:-1]) & (g[1:] == g[:-1])]] = True
+    key, count = np.unique(t * pred_track_seq.size + p, return_counts=True)
+    conflict[key[count > 1] // pred_track_seq.size] = True
     forced = ~conflict[t]
     # A gt track's hypothesis lives on its pred track's first row in a frame.
     lead = np.r_[True, (pred.frame[1:] != pred.frame[:-1]) | (pred_of[1:] != pred_of[:-1])][c]
     matches = [(t[forced], g[forced], p[forced])]
     forced_t, forced_g, forced_p = matches[0]
     # Conflict frames in frame order, each after the forced matches before it.
-    last_hyp = np.full(gt_ids.size, -1)
+    last_hyp = np.full(gt_track_seq.size, -1)
     done = 0
     for f in np.flatnonzero(conflict).tolist():
         upto = np.searchsorted(forced_t, f)
@@ -107,16 +156,36 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCount
     # A gt track's matches in frame order; a frame's own matches keep their order.
     order = np.lexsort((mt, mg))
     mg, mp = mg[order], mp[order]
-    idsw = int(np.count_nonzero((mg[1:] == mg[:-1]) & (mp[1:] != mp[:-1])))
-    n_conflict = int(conflict.sum())
-    log.info("eval: %d frames, %d candidate pairs, %d forced, %d conflict frames stepped",
-             frames.size, candidates, frames.size - n_conflict, n_conflict)
+    switched = mg[1:][(mg[1:] == mg[:-1]) & (mp[1:] != mp[:-1])]
     # Each (gt, pred) track pair's potential: its number of hits.
-    pair, potential = np.unique(g * pred_ids.size + p, return_counts=True)
-    found = solve_pairs(pair // pred_ids.size, pair % pred_ids.size, potential.astype(float), 1.0)
-    idtp = int(potential[np.searchsorted(pair, found.a * pred_ids.size + found.b)].sum())
-    return EvalCounts(fp=pred.frame.size - mg.size, fn=gt.frame.size - mg.size, idsw=idsw,
-                      idtp=idtp, len_gt=gt.frame.size, len_pred=pred.frame.size)
+    pair, potential = np.unique(g * pred_track_seq.size + p, return_counts=True)
+    found = solve_pairs(pair // pred_track_seq.size, pair % pred_track_seq.size,
+                        potential.astype(float), 1.0)
+    idtp = potential[np.searchsorted(pair, found.a * pred_track_seq.size + found.b)]
+    # Per sequence: gt rows, pred rows, matches, switches, IDTP, frames and
+    # conflict frames.
+    len_gt, len_pred, matched, idsw, idtp, frames, conflicts = np.array([
+        np.bincount(seq, weights, sequences) for seq, weights in (
+            (gt_seq, None), (pred_seq, None), (gt_track_seq[mg], None),
+            (gt_track_seq[switched], None), (gt_track_seq[found.a], idtp),
+            (frame_seq, None), (frame_seq[conflict], None))]).astype(np.int64).tolist()
+    for k in range(sequences):
+        log.info("eval: %d frames, %d candidate pairs, %d forced, %d conflict frames stepped",
+                 frames[k], candidates[k], frames[k] - conflicts[k], conflicts[k])
+    return [EvalCounts(fp=n_pred - m, fn=n_gt - m, idsw=sw, idtp=tp, len_gt=n_gt, len_pred=n_pred)
+            for n_gt, n_pred, m, sw, tp in zip(len_gt, len_pred, matched, idsw, idtp)]
+
+
+def _by_sequence(seq: np.ndarray, sequences: int, values: np.ndarray, rank: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of `values`, as `np.unique` gives them, of rows in sequences
+    `seq`, made ranks of the distinct (sequence, value) pairs in that order:
+    each rank's sequence and each row's rank.  A batch of one keeps them."""
+    if sequences == 1:
+        return np.zeros(values.size, np.intp), rank
+    # Below sequences x rows, so the keys cannot overflow.
+    key, rank = distinct(seq * values.size + rank)
+    return key // values.size, rank
 
 
 def _remember(last_hyp: np.ndarray, g: np.ndarray, p: np.ndarray) -> None:
@@ -152,8 +221,9 @@ def frame_sorted(table: BoxTable) -> BoxTable:
     return table.take(np.lexsort((table.id, table.frame)))
 
 
-def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
-    fp, fn, idsw, idtp, len_gt, len_pred = counts
+def _report(counts: Sequence[EvalCounts], per_sequence: dict | None = None) -> EvalReport:
+    """The metrics of `counts` pooled."""
+    fp, fn, idsw, idtp, len_gt, len_pred = EvalCounts(*map(sum, zip(*counts)))
     denom = len_gt + len_pred
     return EvalReport(
         mota=1.0 - (fp + fn + idsw) / max(len_gt, 1),
@@ -166,16 +236,14 @@ def _report(counts: EvalCounts, per_sequence: dict | None = None) -> EvalReport:
 
 def evaluate(gt: BoxTable, pred: BoxTable, iou_threshold: float = 0.5) -> EvalReport:
     """Score `pred` against `gt`, each a table whose `id` is the track id."""
-    return _report(eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold))
+    return _report(sequence_counts([(gt, pred)], iou_threshold))
 
 
 def evaluate_sequences(pairs: Mapping[str, tuple[BoxTable, BoxTable]],
                        iou_threshold: float = 0.5) -> EvalReport:
     """Aggregate evaluation over named sequences (counts pooled, not averaged)."""
-    counts = {name: eval_counts(frame_sorted(gt), frame_sorted(pred), iou_threshold)
-              for name, (gt, pred) in pairs.items()}
-    pooled = EvalCounts(*map(sum, zip(*counts.values())))
-    return _report(pooled, {name: _report(c) for name, c in counts.items()})
+    counts = sequence_counts(list(pairs.values()), iou_threshold)
+    return _report(counts, {name: _report([c]) for name, c in zip(pairs, counts)})
 
 
 def format_report(report: EvalReport) -> str:

@@ -17,16 +17,27 @@ line numbers), a field count outside 7-10 or varying, a frame or id that is
 not a finite whole number, or an ASCII separator \\x1c-\\x1f in the text
 (numpy strips these around a number, `float()` does not).  KITTI's frame and
 id rules take `int()` of the text, so KITTI files are read line by line.
-Each read logs one INFO line: its lines, the rows kept and the parser used.
 
-Both parse into one `BoxTable` in file order, checked once with the line
-numbers alongside: after a line whose fields do not parse (or whose frame or
-id is not whole) has failed, each check fails at the `file:line` of its
-first faulty row, in this order: a NaN or infinite box or score, a frame or
-id of magnitude 2**53 or more, a frame before the format's first, a negative
-id in a track file.  Rows of non-positive size are then dropped with one
-counted warning per file and scores clamped to [0, 1]; a track with two
-boxes in one frame fails at the line of the later one.  The kept rows are
+The readers take a batch of files, read in the order given, and parse all
+their lines in one bulk parse.  When that parse stands, each file's rows
+are those it would get alone, its line numbers counted from its own first
+line, and a file parses alone in bulk exactly when it is not empty.
+Otherwise (field counts that differ between files, a blank line in one)
+each file is parsed alone as above.  Each file logs one INFO line: its
+lines, the rows kept and the parser used.
+
+Both parse into one `BoxTable` per file in file order, all of a batch's
+rows checked at once with the line numbers and each row's file alongside,
+each file as if alone: after a line whose fields do not parse (or whose
+frame or id is not whole) has failed, each check fails at the `file:line` of
+its first faulty row, in this order: a NaN or infinite box or score, a frame
+or id of magnitude 2**53 or more, a frame before the format's first, a
+negative id in a track file.  Rows of non-positive size are then dropped
+with one counted warning per file and scores clamped to [0, 1]; a track
+with two boxes in one frame fails at the line of the later one.  A batch
+fails at the first file, in its order, that a read, a parse or a check
+fails, after the files before it have logged their lines, so its messages
+are those of reading the files one after another.  The kept rows are
 numbered 1..N in file order as det_ids.  Writers sort rows by (frame, id)
 and emit a fixed six-decimal format so write→read→write is byte-identical.
 """
@@ -192,55 +203,112 @@ def read_lines(path: PathLike,
         raise
 
 
-def _read(path: PathLike, fmt: _Format, track_file: bool) -> BoxTable:
-    """Parse and check a file (see the module notes); `id` is its id column."""
-    lines = read_lines(path)
-    table = fmt.bulk(lines) if fmt.bulk else None
-    how = "line by line" if table is None else "bulk"
-    if table is None:
-        rows = [fmt.parse(line, path, lineno)
-                for lineno, line in enumerate(map(str.strip, lines), 1) if line]
-        table = np.array(rows, dtype=np.float64).reshape(-1, 9)
-    unknown = np.count_nonzero(table[:, 7] == _UNKNOWN)
+def _parsed(paths: Sequence[PathLike], texts: list[list[str]], fmt: _Format
+            ) -> tuple[np.ndarray, np.ndarray, list[str], Optional[ValueError]]:
+    """The rows the files' lines parse into, from one bulk parse of all the
+    lines or else file by file, each row's file and each file's parser, up
+    to the first file that fails to parse, and that file's fault."""
+    sizes = [len(lines) for lines in texts]
+    joint = fmt.bulk([line for lines in texts for line in lines]) if fmt.bulk else None
+    if joint is not None:
+        # Each file would parse alone as it does here, in bulk unless it is empty.
+        joint[:, 8] -= np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)  # each file's lines
+        return (joint, np.repeat(np.arange(len(texts)), sizes),
+                ["bulk" if size else "line by line" for size in sizes], None)
+    parts, hows, fault = [np.zeros((0, 9))], [], None
+    for path, lines in zip(paths, texts):
+        # A batch of one has just failed its bulk parse.
+        table = fmt.bulk(lines) if fmt.bulk and len(texts) > 1 else None
+        how = "line by line" if table is None else "bulk"
+        if table is None:
+            try:
+                rows = [fmt.parse(line, path, lineno)
+                        for lineno, line in enumerate(map(str.strip, lines), 1) if line]
+            except ValueError as exc:
+                fault = exc
+                break
+            table = np.array(rows, dtype=np.float64).reshape(-1, 9)
+        hows.append(how)
+        parts.append(table)
+    return (np.concatenate(parts), np.repeat(np.arange(len(hows)), [len(t) for t in parts[1:]]),
+            hows, fault)
+
+
+def _read(paths: Sequence[PathLike], fmt: _Format, track_file: bool) -> list[BoxTable]:
+    """Parse and check files in one batch, each as if alone (see the module
+    notes); `id` is each file's id column.  The first file with a fault fails,
+    after the files before it have logged their lines."""
+    texts, fault = [], None
+    for path in paths:
+        try:
+            texts.append(read_lines(path))
+        except (OSError, ValueError) as exc:
+            fault = exc
+            break
+    table, file_of, hows, parse_fault = _parsed(paths, texts, fmt)
+    fault = parse_fault or fault
+    unknown = np.bincount(file_of[table[:, 7] == _UNKNOWN], minlength=len(hows))
     if (table[:, 7] < 0).any():
-        table = table[table[:, 7] >= 0]
+        table, file_of = table[table[:, 7] >= 0], file_of[table[:, 7] >= 0]
     frame, track_id, *box, score, class_id, lineno = table.T
 
-    def fail_at(bad: np.ndarray, message: Callable[[int], str]) -> None:
-        first = np.flatnonzero(bad)
-        if first.size:
-            raise ValueError(f"{path}:{int(lineno[first[0]])}: {message(first[0])}")
+    def first_fault(stop: int, found: Optional[str], checks) -> tuple[int, Optional[str]]:
+        """The first file before `stop` with a row that fails one of the
+        (bad, message) `checks`, and the message of its first failing check
+        at that check's first bad row; else `stop` and `found`."""
+        for bad, message in checks:
+            at = np.flatnonzero(bad)
+            if at.size and file_of[at[0]] < stop:
+                k = at[0]
+                stop, found = int(file_of[k]), f"{paths[file_of[k]]}:{int(lineno[k])}: {message(k)}"
+        return stop, found
 
-    fail_at(~np.isfinite(table[:, 2:7]).all(axis=1),
-            lambda k: "box size and confidence must be finite numbers, as must the box position")
-    fail_at((np.abs(table[:, :2]) >= _INDEX_LIMIT).any(axis=1),
-            lambda k: "frame and id must be below 2**53 in magnitude")
-    fail_at(frame < fmt.first_frame,
-            lambda k: f"frame index {int(frame[k])} must be >= {fmt.first_frame}")
-    boxes = np.stack(fmt.to_center(*box), axis=1)
+    stop, found = first_fault(len(hows), None, [
+        (~np.isfinite(table[:, 2:7]).all(axis=1),
+         lambda k: "box size and confidence must be finite numbers, as must the box position"),
+        ((np.abs(table[:, :2]) >= _INDEX_LIMIT).any(axis=1),
+         lambda k: "frame and id must be below 2**53 in magnitude"),
+        (frame < fmt.first_frame,
+         lambda k: f"frame index {int(frame[k])} must be >= {fmt.first_frame}")])
+    # Only the rows of the files before the first faulty one go on: they are
+    # finite.
+    end = np.searchsorted(file_of, stop)
+    boxes = np.stack(fmt.to_center(*(column[:end] for column in box)), axis=1)
     kept = (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
     if track_file:
-        fail_at(kept & (track_id < 0),
-                lambda k: f"track id {int(track_id[k])} invalid in a track file")
-    if not kept.all():
-        log.warning("%s: rejected %d records with non-positive size", path,
-                    np.count_nonzero(~kept))
-    if unknown:
-        log.warning("%s: skipped %d rows with unknown class strings", path, unknown)
-    out = BoxTable((frame[kept] + (1 - fmt.first_frame)).astype(np.int64),
-                   track_id[kept].astype(np.int64), np.clip(score[kept], 0.0, 1.0),
-                   class_id[kept].astype(np.int64), boxes[kept])
+        stop, found = first_fault(stop, found, [
+            (kept & (track_id[:end] < 0),
+             lambda k: f"track id {int(track_id[k])} invalid in a track file")])
+        end = np.searchsorted(file_of, stop)
+    rejected = np.bincount(file_of[:end][~kept[:end]], minlength=stop)
+    rows = np.flatnonzero(kept[:end])
+    out = BoxTable((frame[rows] + (1 - fmt.first_frame)).astype(np.int64),
+                   track_id[rows].astype(np.int64), np.clip(score[rows], 0.0, 1.0),
+                   class_id[rows].astype(np.int64), boxes[rows])
+    repeats: dict[int, str] = {}
     if track_file:
-        # In (track, frame) order the first repeat fails at its later row.
-        order = np.lexsort((out.frame, out.id))  # stable: ties keep file order
-        f, t = out.frame[order], out.id[order]
-        repeats = np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]))
-        if repeats.size:
-            k = repeats[0]
-            raise ValueError(f"{path}:{int(lineno[kept][order[k + 1]])}: "
-                             f"track {t[k]} has two boxes at frame {f[k]}")
-    log.info("read %s: %d lines, %d rows kept, %s", path, len(lines), out.frame.size, how)
-    return out
+        # In (file, track, frame) order a file's first repeat fails at its later row.
+        order = np.lexsort((out.frame, out.id, file_of[rows]))  # stable: ties keep file order
+        f, t, k = out.frame[order], out.id[order], file_of[rows][order]
+        for j in np.flatnonzero((t[1:] == t[:-1]) & (f[1:] == f[:-1]) & (k[1:] == k[:-1])):
+            repeats.setdefault(int(k[j]), f"{paths[k[j]]}:{int(lineno[rows[order[j + 1]]])}: "
+                                     f"track {t[j]} has two boxes at frame {f[j]}")
+    bounds = np.searchsorted(file_of[rows], np.arange(stop + 1)).tolist()
+    tables = []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if rejected[k]:
+            log.warning("%s: rejected %d records with non-positive size", paths[k], rejected[k])
+        if unknown[k]:
+            log.warning("%s: skipped %d rows with unknown class strings", paths[k], unknown[k])
+        if k in repeats:
+            raise ValueError(repeats[k])
+        log.info("read %s: %d lines, %d rows kept, %s", paths[k], len(texts[k]), hi - lo, hows[k])
+        tables.append(out.take(slice(lo, hi)))
+    if found:
+        raise ValueError(found)
+    if fault:
+        raise fault
+    return tables
 
 
 def numbered(table: BoxTable) -> BoxTable:
@@ -248,17 +316,30 @@ def numbered(table: BoxTable) -> BoxTable:
     return table._replace(id=np.arange(1, table.frame.size + 1))
 
 
+def read_detection_tables(paths: Sequence[PathLike], fmt: str = "mot",
+                          class_filter: Optional[Sequence[str]] = None) -> list[BoxTable]:
+    """Read detection files in one batch, each one's `id` its det_ids;
+    `class_filter` keeps only the named KITTI classes."""
+    return [numbered(t) for t in _read(paths, _format(fmt, class_filter), track_file=False)]
+
+
+def read_track_tables(paths: Sequence[PathLike], fmt: str = "mot",
+                      class_filter: Optional[Sequence[str]] = None) -> list[BoxTable]:
+    """Read result/ground-truth files in one batch, each in file order; `id`
+    is the track id."""
+    return _read(paths, _format(fmt, class_filter), track_file=True)
+
+
 def read_detection_table(path: PathLike, fmt: str = "mot",
                          class_filter: Optional[Sequence[str]] = None) -> BoxTable:
-    """Read a detection file, `id` its det_ids; `class_filter` keeps only the
-    named KITTI classes."""
-    return numbered(_read(path, _format(fmt, class_filter), track_file=False))
+    """`read_detection_tables` of one file."""
+    return read_detection_tables([path], fmt, class_filter)[0]
 
 
 def read_track_table(path: PathLike, fmt: str = "mot",
                      class_filter: Optional[Sequence[str]] = None) -> BoxTable:
-    """Read a result/ground-truth file in file order; `id` is the track id."""
-    return _read(path, _format(fmt, class_filter), track_file=True)
+    """`read_track_tables` of one file."""
+    return read_track_tables([path], fmt, class_filter)[0]
 
 
 def read_mot_tracks(path: PathLike) -> list[Trajectory]:

@@ -10,11 +10,12 @@ from unittest import mock
 
 import pytest
 
-from intertrack import cli, synth
+from intertrack import cli, metrics, synth
 from intertrack.model import (BoundingBox, ConfigError, Detection, Strategy, TrackerConfig,
                               Trajectory)
 from intertrack.mot_io import (
     read_mot_tracks,
+    read_track_table,
     write_mot_detections,
     write_mot_results,
 )
@@ -477,6 +478,53 @@ class TestEval:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eval:")]
         # Candidates: gt 1 x pred 9 in frames 1-5, gt 2 x pred 9 in frames 3-5.
         assert lines == ["eval: 5 frames, 8 candidate pairs, 2 forced, 3 conflict frames stepped"]
+
+    @staticmethod
+    def _shared_id_dirs(tmp_path):
+        """Three sequences of gt tracks 1 and 2 over frames 1-6 under gt/, and
+        their predictions under pred/: a conflict, a switch, and none."""
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        gt = [traj(1, range(1, 7), 100.0), traj(2, range(1, 7), 400.0)]
+        preds = {"a": [traj(1, range(1, 7), 100.0), traj(2, range(3, 7), 105.0)],
+                 "b": [traj(1, range(1, 4), 100.0), traj(2, range(4, 7), 100.0),
+                       traj(3, range(1, 7), 400.0)],
+                 "c": []}
+        for name, pred in preds.items():
+            write_mot_results(gt, gt_dir / f"{name}.txt")
+            write_mot_results(pred, pred_dir / f"{name}.txt")
+        return gt_dir, pred_dir, sorted(preds)
+
+    def test_directory_lines_are_each_sequences_alone(self, tmp_path, capsys, caplog):
+        gt_dir, pred_dir, names = self._shared_id_dirs(tmp_path)
+        want_kv, want_info = [], []
+        for name in names:
+            gt, pred = (read_track_table(d / f"{name}.txt") for d in (gt_dir, pred_dir))
+            report = metrics.evaluate(gt, pred)
+            want_kv += [f"seq.{name}.mota={report.mota:.6f}",
+                        f"seq.{name}.idf1={report.idf1:.6f}", f"seq.{name}.idsw={report.idsw}"]
+            caplog.clear()
+            with caplog.at_level("INFO"):
+                metrics.eval_counts(metrics.frame_sorted(gt), metrics.frame_sorted(pred), 0.5)
+            want_info += [r.getMessage() for r in caplog.records]
+        assert want_kv[2::3] == ["seq.a.idsw=0", "seq.b.idsw=1", "seq.c.idsw=0"]
+        assert "4 conflict frames" in want_info[0]
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            assert cli.main(["--verbose", "eval", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                             "--kv"]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("seq.")] == want_kv
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("eval:")] == want_info
+
+    def test_directory_eval_sweeps_once(self, tmp_path, capsys):
+        gt_dir, pred_dir, _ = self._shared_id_dirs(tmp_path)
+        with mock.patch("intertrack.metrics.overlap_cells",
+                        wraps=metrics.overlap_cells) as sweep:
+            assert cli.main(["eval", "--gt", str(gt_dir), "--pred", str(pred_dir)]) == 0
+        assert sweep.call_count == 1
 
     def test_verbose_logs_each_file_read(self, tmp_path, capsys, caplog):
         gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"

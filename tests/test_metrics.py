@@ -20,6 +20,7 @@ from intertrack.metrics import (
     format_report,
     frame_sorted,
     report_kv_lines,
+    sequence_counts,
 )
 
 
@@ -468,3 +469,40 @@ class TestColumnCounts:
         # One switch (gt 2 at frame 3); both pairs then persist.  Matching
         # frame 3 optimally instead would switch gt 1 there and both at frame 4.
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 1)
+
+
+# Ids that every sequence may reuse, some near the top of the exact range.
+_SHARED_IDS = st.one_of(st.integers(1, 6), st.integers(2 ** 53 - 4, 2 ** 53 - 1))
+
+
+class TestBatchCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_grid_tracks(_SHARED_IDS), _grid_tracks(_SHARED_IDS)),
+                          min_size=1, max_size=4),
+           iou_threshold=st.sampled_from(_GRID_THRESHOLDS))
+    @example(pairs=[_SHARED_HYPOTHESIS, (_SHARED_HYPOTHESIS[0], []), ([], _SHARED_ID[1]),
+                    _SHARED_ID], iou_threshold=0.5)
+    @example(pairs=[_TIED_PICK, _TIED_PICK], iou_threshold=1.0)
+    def test_each_sequence_counts_as_alone(self, pairs, iou_threshold):
+        """The sequences reuse track ids and frames 1-8, yet each one's counts
+        in the batch are those it gets alone, from `eval_counts` and from the
+        frame-by-frame reference on the same solver."""
+        tables = [(tracks_table(gt), tracks_table(pred)) for gt, pred in pairs]
+        batch = sequence_counts(tables, iou_threshold)
+        assert len(batch) == len(tables)
+        for counts, (gt, pred) in zip(batch, tables):
+            gt, pred = frame_sorted(gt), frame_sorted(pred)
+            assert counts == eval_counts(gt, pred, iou_threshold)
+            assert counts == reference.eval_counts(gt, pred, iou_threshold,
+                                                   lambda s: solve(s, -np.inf))[0]
+
+    def test_no_sequences_count_nothing(self):
+        assert sequence_counts([], 0.5) == []
+        assert evaluate_sequences({}).gt_count == 0
+
+    def test_one_sweep_scores_a_batch(self):
+        gt = tracks_table([track(1, range(1, 6), 100.0)])
+        with mock.patch("intertrack.metrics.overlap_cells",
+                        wraps=assignment.overlap_cells) as sweep:
+            sequence_counts([(gt, gt)] * 3, 0.5)
+        assert sweep.call_count == 1

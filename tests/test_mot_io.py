@@ -533,3 +533,107 @@ class TestBulkRead:
             assert read_track_table(p).frame.tolist() == [want]
         assert [r.getMessage() for r in caplog.records] == [
             f"read {p}: 1 lines, 1 rows kept, line by line"]
+
+
+def _read_alone(reader, paths):
+    """What reading `paths` one after another gives: each file's outcome up to
+    the first that fails, whose message ends the list."""
+    out = []
+    for path in paths:
+        out.append(_outcome(reader, path))
+        if isinstance(out[-1], str):
+            break
+    return out
+
+
+class TestBatchRead:
+    """A batch of files read in one parse, each file as if alone."""
+
+    @staticmethod
+    def _files(tmp_path, texts):
+        paths = [tmp_path / f"f{k}.txt" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        return paths
+
+    @staticmethod
+    def _batch(reader, paths):
+        try:
+            tables = reader(paths)
+        except ValueError as exc:
+            return [str(exc)]
+        return [[(column.dtype.str, column.shape, column.tobytes()) for column in table]
+                for table in tables]
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(mot_texts(), min_size=1, max_size=3))
+    @example(texts=["1,1,0,0,10,10,1\n", "1,1,0,0,10,10,1,-1,-1,-1\n"])
+    @example(texts=["1,1,0,0,10,10,1\n", "", "2,1,0,0,10,10,1\n2,1,nan,0,10,10,1\n"])
+    @example(texts=["1,1,0,0,10,10,1", "1,1,0,0,10,10,1\n"])
+    def test_batch_equals_each_file_alone(self, tmp_path_factory, texts):
+        paths = self._files(tmp_path_factory.mktemp("batch"), texts)
+        for batch, alone in ((mot_io.read_track_tables, read_track_table),
+                             (mot_io.read_detection_tables, read_detection_table)):
+            got = self._batch(batch, paths)
+            want = _read_alone(alone, paths)
+            # A batch that fails gives its fault alone.
+            assert got == (want[-1:] if isinstance(want[-1], str) else want)
+
+    def test_fault_in_the_second_of_three_files_names_it(self, tmp_path, caplog):
+        a, b, c = self._files(tmp_path, ["1,1,0,0,10,10,1\n",
+                                         "1,1,0,0,10,10,1\n2,1,nan,0,10,10,1\n",
+                                         "1,1,0,0,10,10,1\n"])
+        with caplog.at_level("INFO"), \
+                pytest.raises(ValueError, match=r"^.*f1\.txt:2: box size and confidence"):
+            mot_io.read_track_tables([a, b, c])
+        # The files before it are read; the file after it is not.
+        assert [r.getMessage() for r in caplog.records] == [f"read {a}: 1 lines, 1 rows kept, bulk"]
+
+    def test_files_of_7_and_10_fields_each_read_in_bulk(self, tmp_path, caplog):
+        paths = self._files(tmp_path, ["1,1,0,0,10,10,1\n2,1,0,0,10,10,1\n",
+                                       "1,2,0,0,10,10,1,-1,-1,-1\n"])
+        with caplog.at_level("INFO"):
+            tables = mot_io.read_track_tables(paths)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"read {paths[0]}: 2 lines, 2 rows kept, bulk",
+            f"read {paths[1]}: 1 lines, 1 rows kept, bulk"]
+        assert [t.id.tolist() for t in tables] == [[1, 1], [2]]
+
+    def test_a_blank_line_sends_only_its_file_to_the_line_parser(self, tmp_path, caplog):
+        paths = self._files(tmp_path, ["1,1,0,0,10,10,1\n", "1,1,0,0,10,10,1\n\n",
+                                       "1,1,0,0,10,10,1\n"])
+        with caplog.at_level("INFO"):
+            mot_io.read_track_tables(paths)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"read {paths[0]}: 1 lines, 1 rows kept, bulk",
+            f"read {paths[1]}: 2 lines, 1 rows kept, line by line",
+            f"read {paths[2]}: 1 lines, 1 rows kept, bulk"]
+
+    def test_line_numbers_count_from_each_files_first_line(self, tmp_path):
+        paths = self._files(tmp_path, ["1,1,0,0,10,10,1\n2,1,0,0,10,10,1\n",
+                                       "1,1,0,0,10,10,1\n1,1,5,0,10,10,1\n"])
+        with pytest.raises(ValueError, match=r"f1\.txt:2: track 1 has two boxes at frame 1"):
+            mot_io.read_track_tables(paths)
+
+    def test_non_positive_size_warns_once_per_file_in_file_order(self, tmp_path, caplog):
+        paths = self._files(tmp_path, ["1,1,0,0,0,10,1\n2,1,0,0,10,10,1\n",
+                                       "1,1,0,0,10,10,1\n",
+                                       "1,1,0,0,10,-1,1\n2,1,0,0,0,0,1\n3,1,0,0,10,10,1\n"])
+        with caplog.at_level("INFO"):
+            tables = mot_io.read_track_tables(paths)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{paths[0]}: rejected 1 records with non-positive size"),
+            ("INFO", f"read {paths[0]}: 2 lines, 1 rows kept, bulk"),
+            ("INFO", f"read {paths[1]}: 1 lines, 1 rows kept, bulk"),
+            ("WARNING", f"{paths[2]}: rejected 2 records with non-positive size"),
+            ("INFO", f"read {paths[2]}: 3 lines, 1 rows kept, bulk")]
+        assert [t.frame.tolist() for t in tables] == [[2], [1], [3]]
+
+    def test_unreadable_file_fails_after_the_files_before_it(self, tmp_path, caplog):
+        a, b = self._files(tmp_path, ["1,1,0,0,0,10,1\n1,1,0,0,10,10,1\n",
+                                      "1,1,0,0,10,10,1\n"])
+        with caplog.at_level("INFO"), pytest.raises(FileNotFoundError):
+            mot_io.read_track_tables([a, tmp_path / "missing.txt", b])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{a}: rejected 1 records with non-positive size",
+            f"read {a}: 2 lines, 1 rows kept, bulk"]

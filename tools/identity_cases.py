@@ -56,12 +56,14 @@ The cases:
   bounds; interval with its own bounds and final overlap), four files with
   a schedule fault (decreasing bounds, window with a final overlap, a
   negative final overlap, an unknown strategy) and four bad flag values.
-- 3 `eval` cases: `refine` on the crowd scene's foreign output, scored with
+- 4 `eval` cases: `refine` on the crowd scene's foreign output, scored with
   `--iou-threshold 1.0` against that input and with `--iou-threshold 0.05`
-  (many frames where hits conflict) against the ground truth; and `track` on
+  (many frames where hits conflict) against the ground truth; `track` on
   a directory of two sequences, scored against a ground-truth directory that
   holds a third sequence as well, so the pooled report leaves it out with a
-  warning.
+  warning; and `track` on a directory of three sequences with the same track
+  ids over the same frames, the third's detection file empty, so its
+  prediction file is empty too.  The last also runs `eval --verbose`.
 - 8 directory cases on one KITTI directory of four sequences, too little
   input for a second batch: the panning scene, the crowd-like
   scene, the two-class file and the two-class file with its Pedestrians
@@ -94,7 +96,7 @@ The cases:
   `twin/` and `twin.json`, and `twin.txt` names every output of the two
   runs that differs.
 
-106 cases in all.
+107 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -102,7 +104,8 @@ Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `eval --kv` against the scene's ground truth); a seed-1 workload case, the
 two multi-class cases and the recovery case above also write
 `verbose.txt`, the same for their `--verbose` pass, and a seed-1 workload
-case and the two `eval-crowd-*` cases write `eval_verbose.txt`, the same
+case, the two `eval-crowd-*` cases and `eval-dirs-shared-ids` write
+`eval_verbose.txt`, the same
 for `eval --verbose`, whose INFO lines hold the evaluator's counts.  Every command
 runs in a fresh process with the case directory as working directory and
 relative paths, so no absolute path reaches the outputs.
@@ -213,7 +216,8 @@ WORKLOAD_VERBOSE = {f"{name}-seed1" for name in WORKLOADS}
 VERBOSE_CASES = WORKLOAD_VERBOSE | {"kitti-track-interval-default",
                                     "dir-track-interval-workers1", "dips-track"}
 # The cases whose eval also runs under --verbose.
-EVAL_VERBOSE_CASES = WORKLOAD_VERBOSE | {"eval-crowd-iou1.0", "eval-crowd-iou0.05"}
+EVAL_VERBOSE_CASES = WORKLOAD_VERBOSE | {"eval-crowd-iou1.0", "eval-crowd-iou0.05",
+                                          "eval-dirs-shared-ids"}
 # The cases whose pass also runs under --workers 1, into twin/.
 TWIN_CASES = {"multiseq240-workers2"}
 BAD_FLAGS = {"match-threshold-abc": ["--match-threshold", "abc"],
@@ -343,8 +347,21 @@ def _write_sequences() -> None:
             mot_io.write_mot_detections(dets, f"det/seq{k}.txt")
 
 
+def _write_shared_ids() -> None:
+    """Three sequences of targets 1-5 over frames 1-60 under gt/, and their
+    detections under det/, the third's file empty."""
+    for kind in ("gt", "det"):
+        Path(kind).mkdir(exist_ok=True)
+    for k in range(3):
+        gt, dets = synth.generate(ScenarioSpec(
+            n_targets=5, n_frames=60, seed=21 + k, arena=(1280.0, 720.0),
+            box_size=(30.0, 70.0), max_speed=2.0, miss_prob=0.05, noise_sigma=0.5))
+        mot_io.write_mot_results(gt, f"gt/seq{k}.txt")
+        mot_io.write_mot_detections(dets if k < 2 else [], f"det/seq{k}.txt")
+
+
 def _eval_cases():
-    """(name, prepare) of the 3 eval cases."""
+    """(name, prepare) of the 4 eval cases."""
     refine = ["refine", "--in", "theirs.txt", "--out", "out.txt"]
     for threshold, gt in (("1.0", "theirs.txt"), ("0.05", "gt.txt")):
         yield (f"eval-crowd-iou{threshold}",
@@ -353,6 +370,9 @@ def _eval_cases():
                           "--iou-threshold", threshold]))
     yield ("eval-dirs-one-sided",
            _cli_case(_write_sequences, ["track", "--det", "det", "--out", "out"],
+                     ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
+    yield ("eval-dirs-shared-ids",
+           _cli_case(_write_shared_ids, ["track", "--det", "det", "--out", "out"],
                      ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
 
 
