@@ -32,7 +32,7 @@ ids they reuse, and no key grows with the ids' values.  One sweep, one
 conflict-frame loop and one IDTP `solve_pairs` call then serve the batch:
 no hit, frame or matching component spans two sequences, so each
 sequence's counts are those it gets alone.  Each sequence's counts, and its
-INFO line, are bincounts over the sequence of each row, track, frame and
+INFO line, are tallies over the sequence of each row, track, frame and
 scored candidate.  `eval_counts` is a batch of one.  The public functions
 other than `eval_counts` take tables in any row order; sequences pool by
 summing their counts.
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,9 +99,9 @@ def _laid_out(tables: list[BoxTable]) -> tuple[BoxTable, np.ndarray]:
     """The rows of `tables` as one table sorted by (table, frame, id), and
     each row's table."""
     seq = np.repeat(np.arange(len(tables)), [t.frame.size for t in tables])
-    # An empty table first, so that no tables lay out as an empty table.
-    table = BoxTable(*map(np.concatenate, zip(table_of([]), *tables)))
-    return table.take(np.lexsort((table.id, table.frame, seq))), seq
+    # Each table sorts alone: cheaper than one lexsort with the table as a key.
+    tables = [frame_sorted(t) for t in tables] or [table_of([])]
+    return tables[0] if len(tables) == 1 else BoxTable(*map(np.concatenate, zip(*tables))), seq
 
 
 def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarray,
@@ -121,7 +121,7 @@ def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarr
     candidates = np.zeros(sequences, np.intp)
 
     def score(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        candidates[:] += np.bincount(gt_seq[r], minlength=sequences)
+        candidates[:] += np.bincount(gt_seq[r], minlength=sequences) if sequences > 1 else r.size
         return iou_kernel(gt.boxes[r], pred.boxes[c])
 
     # Every hit as (gt row, pred row, IoU).
@@ -162,13 +162,13 @@ def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarr
     found = solve_pairs(pair // pred_track_seq.size, pair % pred_track_seq.size,
                         potential.astype(float), 1.0)
     idtp = potential[np.searchsorted(pair, found.a * pred_track_seq.size + found.b)]
-    # Per sequence: gt rows, pred rows, matches, switches, IDTP, frames and
-    # conflict frames.
-    len_gt, len_pred, matched, idsw, idtp, frames, conflicts = np.array([
-        np.bincount(seq, weights, sequences) for seq, weights in (
-            (gt_seq, None), (pred_seq, None), (gt_track_seq[mg], None),
-            (gt_track_seq[switched], None), (gt_track_seq[found.a], idtp),
-            (frame_seq, None), (frame_seq[conflict], None))]).astype(np.int64).tolist()
+    # Per sequence: gt rows, pred rows, matches, switches, frames and conflict
+    # frames, each counted on its items' sequences, which run in order, and IDTP.
+    len_gt, len_pred, matched, idsw, frames, conflicts = (
+        np.diff(np.searchsorted(seq, np.arange(sequences + 1))).tolist() for seq in (
+            gt_seq, pred_seq, gt_track_seq[mg], gt_track_seq[switched], frame_seq,
+            frame_seq[conflict]))
+    idtp = np.bincount(gt_track_seq[found.a], idtp, sequences).astype(np.int64).tolist()
     for k in range(sequences):
         log.info("eval: %d frames, %d candidate pairs, %d forced, %d conflict frames stepped",
                  frames[k], candidates[k], frames[k] - conflicts[k], conflicts[k])

@@ -1,5 +1,6 @@
 import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,7 +548,7 @@ def _read_alone(reader, paths):
 
 
 class TestBatchRead:
-    """A batch of files read in one parse, each file as if alone."""
+    """A batch of files read and checked together, each file as if alone."""
 
     @staticmethod
     def _files(tmp_path, texts):
@@ -566,24 +567,33 @@ class TestBatchRead:
                 for table in tables]
 
     @settings(max_examples=200, deadline=None)
-    @given(texts=st.lists(mot_texts(), min_size=1, max_size=3))
-    @example(texts=["1,1,0,0,10,10,1\n", "1,1,0,0,10,10,1,-1,-1,-1\n"])
-    @example(texts=["1,1,0,0,10,10,1\n", "", "2,1,0,0,10,10,1\n2,1,nan,0,10,10,1\n"])
-    @example(texts=["1,1,0,0,10,10,1", "1,1,0,0,10,10,1\n"])
-    def test_batch_equals_each_file_alone(self, tmp_path_factory, texts):
+    @given(texts=st.lists(mot_texts(), min_size=1, max_size=3),
+           batch_rows=st.sampled_from([1, 3, 8, mot_io._BATCH_ROWS]))
+    @example(texts=["1,1,0,0,10,10,1\n", "1,1,0,0,10,10,1,-1,-1,-1\n"],
+             batch_rows=mot_io._BATCH_ROWS)
+    @example(texts=["1,1,0,0,10,10,1\n", "", "2,1,0,0,10,10,1\n2,1,nan,0,10,10,1\n"],
+             batch_rows=mot_io._BATCH_ROWS)
+    @example(texts=["1,1,0,0,10,10,1", "1,1,0,0,10,10,1\n"], batch_rows=mot_io._BATCH_ROWS)
+    def test_batch_equals_each_file_alone(self, tmp_path_factory, texts, batch_rows):
+        """Whatever the files and however they fall into batches."""
         paths = self._files(tmp_path_factory.mktemp("batch"), texts)
         for batch, alone in ((mot_io.read_track_tables, read_track_table),
                              (mot_io.read_detection_tables, read_detection_table)):
-            got = self._batch(batch, paths)
+            with mock.patch.object(mot_io, "_BATCH_ROWS", batch_rows):
+                got = self._batch(batch, paths)
             want = _read_alone(alone, paths)
             # A batch that fails gives its fault alone.
             assert got == (want[-1:] if isinstance(want[-1], str) else want)
 
-    def test_fault_in_the_second_of_three_files_names_it(self, tmp_path, caplog):
+    # Each file a batch, a batch across files, all in one batch.
+    BATCH_ROWS = pytest.mark.parametrize("batch_rows", [1, 3, mot_io._BATCH_ROWS])
+
+    @BATCH_ROWS
+    def test_fault_in_the_second_of_three_files_names_it(self, tmp_path, caplog, batch_rows):
         a, b, c = self._files(tmp_path, ["1,1,0,0,10,10,1\n",
                                          "1,1,0,0,10,10,1\n2,1,nan,0,10,10,1\n",
                                          "1,1,0,0,10,10,1\n"])
-        with caplog.at_level("INFO"), \
+        with caplog.at_level("INFO"), mock.patch.object(mot_io, "_BATCH_ROWS", batch_rows), \
                 pytest.raises(ValueError, match=r"^.*f1\.txt:2: box size and confidence"):
             mot_io.read_track_tables([a, b, c])
         # The files before it are read; the file after it is not.
@@ -615,11 +625,13 @@ class TestBatchRead:
         with pytest.raises(ValueError, match=r"f1\.txt:2: track 1 has two boxes at frame 1"):
             mot_io.read_track_tables(paths)
 
-    def test_non_positive_size_warns_once_per_file_in_file_order(self, tmp_path, caplog):
+    @BATCH_ROWS
+    def test_non_positive_size_warns_once_per_file_in_file_order(self, tmp_path, caplog,
+                                                                 batch_rows):
         paths = self._files(tmp_path, ["1,1,0,0,0,10,1\n2,1,0,0,10,10,1\n",
                                        "1,1,0,0,10,10,1\n",
                                        "1,1,0,0,10,-1,1\n2,1,0,0,0,0,1\n3,1,0,0,10,10,1\n"])
-        with caplog.at_level("INFO"):
+        with caplog.at_level("INFO"), mock.patch.object(mot_io, "_BATCH_ROWS", batch_rows):
             tables = mot_io.read_track_tables(paths)
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("WARNING", f"{paths[0]}: rejected 1 records with non-positive size"),
@@ -629,10 +641,12 @@ class TestBatchRead:
             ("INFO", f"read {paths[2]}: 3 lines, 1 rows kept, bulk")]
         assert [t.frame.tolist() for t in tables] == [[2], [1], [3]]
 
-    def test_unreadable_file_fails_after_the_files_before_it(self, tmp_path, caplog):
+    @BATCH_ROWS
+    def test_unreadable_file_fails_after_the_files_before_it(self, tmp_path, caplog, batch_rows):
         a, b = self._files(tmp_path, ["1,1,0,0,0,10,1\n1,1,0,0,10,10,1\n",
                                       "1,1,0,0,10,10,1\n"])
-        with caplog.at_level("INFO"), pytest.raises(FileNotFoundError):
+        with caplog.at_level("INFO"), mock.patch.object(mot_io, "_BATCH_ROWS", batch_rows), \
+                pytest.raises(FileNotFoundError):
             mot_io.read_track_tables([a, tmp_path / "missing.txt", b])
         assert [r.getMessage() for r in caplog.records] == [
             f"{a}: rejected 1 records with non-positive size",
