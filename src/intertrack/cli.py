@@ -32,8 +32,8 @@ or configuration.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -141,22 +141,13 @@ def build_config(args: argparse.Namespace) -> TrackerConfig:
     return validate_config(TrackerConfig(**{**overrides, **flags}))
 
 
-def _resolve_workers(args: argparse.Namespace) -> int:
-    value = getattr(args, "workers", None)
-    if value is None:
-        return 1
-    if value < 1:
-        raise ConfigError([f"worker count must be >= 1, got {value}"])
-    return value
-
-
 # ---------------------------------------------------------------------------
 # I/O helpers
 # ---------------------------------------------------------------------------
 
 
 def _class_filter(args) -> Optional[tuple[str, ...]]:
-    raw = getattr(args, "class_filter", None)
+    raw = args.class_filter
     names = tuple(tok for tok in raw.split(",") if tok) if raw else None
     mot_io.check_class_filter(args.format, names)
     return names
@@ -249,34 +240,33 @@ def _batch_count(workers: int, input_bytes: int) -> int:
     return max(1, min(workers, input_bytes // _MIN_BATCH_BYTES, _usable_cpus()))
 
 
-# One batch of consecutive sequences of a `track` or `refine` run, as a pool
-# worker gets it.
-_Job = collections.namedtuple("_Job",
-                              "command names srcs cfg fmt class_filter interp smooth dump")
-
-
-def _run_job(job: _Job) -> list[tuple[str, BoxTable, list[str], Optional[dict]]]:
-    """Read a batch of sequences, run it through the engine at once and
-    post-process each sequence: its name, output table and summary lines,
-    and its dump payload, None when no dump was asked for, so that a pool
-    worker pickles it back only when it is needed."""
-    if job.command == "track":
-        tables = mot_io.read_detection_tables(job.srcs, job.fmt, job.class_filter)
-        results = hierarchy.run_tables(tables, job.cfg)
+def _run_job(args: argparse.Namespace, cfg: TrackerConfig,
+             class_filter: Optional[tuple[str, ...]],
+             sequences: list[tuple[str, Path, Optional[Path]]]
+             ) -> list[tuple[str, BoxTable, list[str], Optional[dict]]]:
+    """Read a batch of consecutive `_sequence_jobs` of a `track` or `refine`
+    run, run it through the engine at once and post-process each sequence:
+    its name, output table and summary lines, and its dump payload, None when
+    no dump was asked for, so that a pool worker pickles it back only when it
+    is needed."""
+    srcs = [src for _, src, _ in sequences]
+    if args.command == "track":
+        tables = mot_io.read_detection_tables(srcs, args.format, class_filter)
+        results = hierarchy.run_tables(tables, cfg)
     else:
-        tables = mot_io.read_track_tables(job.srcs, job.fmt, job.class_filter)
+        tables = mot_io.read_track_tables(srcs, args.format, class_filter)
         # The engine's det_ids number the rows in file order.
-        results = hierarchy.run_tables([mot_io.numbered(t) for t in tables], job.cfg,
+        results = hierarchy.run_tables([mot_io.numbered(t) for t in tables], cfg,
                                        [split_rows(t) for t in tables])
     done = []
-    for name, table, result in zip(job.names, tables, results):
+    for (name, _, _), table, result in zip(sequences, tables, results):
         out = result.output()
-        if job.interp:
-            out = interpolate_rows(out, job.cfg.interpolation_max_gap)
-        if job.smooth:
-            out = smooth_rows(out, job.cfg.smoothing_sigma)
+        if args.interp:
+            out = interpolate_rows(out, cfg.interpolation_max_gap)
+        if args.smooth:
+            out = smooth_rows(out, cfg.smoothing_sigma)
         done.append((name, out, _summary_lines(name, result, table.frame.size),
-                     _dump_payload(result) if job.dump else None))
+                     _dump_payload(result) if args.dump_hierarchy is not None else None))
     return done
 
 
@@ -284,21 +274,19 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """`track` or `refine`: each sequence of `--det`/`--in` to `--out`, in at
     most `--workers` batches of consecutive sequences (`_batch_count`)."""
     cfg = build_config(args)
-    workers = _resolve_workers(args)
-    class_filter = _class_filter(args)
-    dump_path = getattr(args, "dump_hierarchy", None)
+    if args.workers < 1:
+        raise ConfigError([f"worker count must be >= 1, got {args.workers}"])
+    run = functools.partial(_run_job, args, cfg, _class_filter(args))
     sequences = _sequence_jobs(args.src, args.out)
     input_bytes = sum(src.stat().st_size for _, src, _ in sequences)
-    jobs = [_Job(args.command, [name for name, _, _ in part], [src for _, src, _ in part], cfg,
-                 args.format, class_filter, args.interp, args.smooth, dump_path is not None)
-            for part in _consecutive(sequences, _batch_count(workers, input_bytes))]
-    if len(jobs) > 1:
+    batches = _consecutive(sequences, _batch_count(args.workers, input_bytes))
+    if len(batches) > 1:
         # Only here, so that a one-batch run does not import multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = [seq for batch in pool.map(_run_job, jobs) for seq in batch]
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+            results = [seq for batch in pool.map(run, batches) for seq in batch]
     else:
-        results = _run_job(jobs[0])
+        results = run(batches[0])
     dump: dict = {}
     for (_, _, dst), (name, out, summary, payload) in zip(sequences, results):
         if dst is not None:
@@ -306,9 +294,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         for line in summary:
             print(line)
         dump[name] = payload
-    if dump_path is not None:
-        dump_path.parent.mkdir(parents=True, exist_ok=True)
-        dump_path.write_text(
+    if args.dump_hierarchy is not None:
+        args.dump_hierarchy.parent.mkdir(parents=True, exist_ok=True)
+        args.dump_hierarchy.write_text(
             json.dumps(dump, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
@@ -319,13 +307,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou_threshold <= 1.0:
         raise ConfigError([f"--iou-threshold must be in (0, 1], got {args.iou_threshold}"])
     class_filter = _class_filter(args)
-    gt_jobs = _sequence_jobs(args.gt, None)
-    pred_jobs = _sequence_jobs(args.pred, None)
+    gt_by_name, pred_by_name = ({name: path for name, path, _ in _sequence_jobs(side, None)}
+                                for side in (args.gt, args.pred))
     if args.gt.is_dir() != args.pred.is_dir():
         raise ValueError("--gt and --pred must both be files or both directories")
     if args.gt.is_dir():
-        gt_by_name = {name: path for name, path, _ in gt_jobs}
-        pred_by_name = {name: path for name, path, _ in pred_jobs}
         names = sorted(set(gt_by_name) & set(pred_by_name))
         if not names:
             raise ValueError("no sequence names shared between --gt and --pred")
@@ -391,29 +377,11 @@ _SWITCHES = {
 }
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    grp = p.add_argument_group("tracker configuration")
-    grp.add_argument("--config", type=Path, metavar="FILE",
-                     help="key = value config file (TrackerConfig fields)")
-    for flag, (name, help_text) in _VALUE_FLAGS.items():
-        grp.add_argument(flag, dest=name, help=help_text)
-    for flag, (name, value, help_text) in _SWITCHES.items():
-        grp.add_argument(flag, dest=name, action="store_const", const=value, help=help_text)
-    grp.add_argument("--workers", type=int,
-                     help="at most N batches of consecutive sequences, run in parallel "
-                          "processes when each holds 512 KiB of input")
-
-
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
+def _add_format_flags(p: argparse.ArgumentParser) -> None:
+    """The input format flags of `track`, `refine` and `eval`."""
     p.add_argument("--format", choices=["mot", "kitti"], default="mot")
     p.add_argument("--class-filter", dest="class_filter", metavar="NAME,...",
                    help="keep only these KITTI class names (kitti input only)")
-    p.add_argument("--interp", action="store_true",
-                   help="fill trajectory gaps by linear interpolation")
-    p.add_argument("--smooth", action="store_true",
-                   help="smooth box centers and sizes with a Gaussian kernel")
-    p.add_argument("--dump-hierarchy", dest="dump_hierarchy", type=Path,
-                   metavar="FILE", help="write per-level tracklet snapshots (JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,30 +392,39 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_track = sub.add_parser("track", help="associate detections into trajectories")
-    p_track.add_argument("--det", dest="src", metavar="DET", type=Path, required=True,
-                         help="detection file or directory of sequences")
-    p_track.add_argument("--out", type=Path, required=True,
-                         help="output file or directory")
-    _add_io_flags(p_track)
-    _add_config_flags(p_track)
-    p_track.set_defaults(func=cmd_pipeline)
-
-    p_refine = sub.add_parser("refine",
-                              help="recombine and polish existing tracker output")
-    p_refine.add_argument("--in", dest="src", metavar="IN_PATH", type=Path, required=True,
-                          help="tracker result file or directory")
-    p_refine.add_argument("--out", type=Path, required=True)
-    _add_io_flags(p_refine)
-    _add_config_flags(p_refine)
-    p_refine.set_defaults(func=cmd_pipeline)
+    # track and refine differ only in their input flag and help texts.
+    for command, help_text, src_flag, metavar, src_help, out_help in (
+            ("track", "associate detections into trajectories", "--det", "DET",
+             "detection file or directory of sequences", "output file or directory"),
+            ("refine", "recombine and polish existing tracker output", "--in", "IN_PATH",
+             "tracker result file or directory", None)):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument(src_flag, dest="src", metavar=metavar, type=Path, required=True,
+                       help=src_help)
+        p.add_argument("--out", type=Path, required=True, help=out_help)
+        _add_format_flags(p)
+        p.add_argument("--interp", action="store_true",
+                       help="fill trajectory gaps by linear interpolation")
+        p.add_argument("--smooth", action="store_true",
+                       help="smooth box centers and sizes with a Gaussian kernel")
+        p.add_argument("--dump-hierarchy", dest="dump_hierarchy", type=Path,
+                       metavar="FILE", help="write per-level tracklet snapshots (JSON)")
+        grp = p.add_argument_group("tracker configuration")
+        grp.add_argument("--config", type=Path, metavar="FILE",
+                         help="key = value config file (TrackerConfig fields)")
+        for flag, (name, flag_help) in _VALUE_FLAGS.items():
+            grp.add_argument(flag, dest=name, help=flag_help)
+        for flag, (name, value, flag_help) in _SWITCHES.items():
+            grp.add_argument(flag, dest=name, action="store_const", const=value, help=flag_help)
+        grp.add_argument("--workers", type=int, default=1,
+                         help="at most N batches of consecutive sequences, run in parallel "
+                              "processes when each holds 512 KiB of input")
+        p.set_defaults(func=cmd_pipeline)
 
     p_eval = sub.add_parser("eval", help="score predictions against ground truth")
     p_eval.add_argument("--gt", type=Path, required=True)
     p_eval.add_argument("--pred", type=Path, required=True)
-    p_eval.add_argument("--format", choices=["mot", "kitti"], default="mot")
-    p_eval.add_argument("--class-filter", dest="class_filter", metavar="NAME,...",
-                        help="keep only these KITTI class names (kitti input only)")
+    _add_format_flags(p_eval)
     p_eval.add_argument("--iou-threshold", dest="iou_threshold", type=float,
                         default=0.5, help="overlap a match needs, in (0, 1]")
     p_eval.add_argument("--kv", action="store_true",

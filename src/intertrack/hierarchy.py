@@ -385,20 +385,23 @@ def hierarchy_pass(table: BoxTable, tracklets: TrackletTable,
 # ---------------------------------------------------------------------------
 
 
-def _link_frames(frame: np.ndarray, earlier: np.ndarray, later: np.ndarray,
+def _link_frames(table: BoxTable, rows: np.ndarray, earlier: np.ndarray, later: np.ndarray,
                  score: Callable[[np.ndarray, np.ndarray], np.ndarray], gate: float) -> Runs:
-    """Match every frame t against frame t+1 and chain the links into runs of
-    consecutive frames (`_chain_layout` of positions into `frame`).  `score`
-    scores the pairs (a, b), b in the frame after a's, whose supports overlap,
-    a's in `earlier` and b's in `later`; those above 0 go to one `solve_pairs`
-    call.  Logs, at INFO, the counts of both."""
+    """Match every frame t of `rows` (in table order) against frame t+1 and
+    chain the links into runs of rows in consecutive frames (`_chain_layout`).
+    `score` scores the pairs (a, b) of positions into `rows`, b in the frame
+    after a's, whose supports overlap, a's in `earlier` and b's in `later`;
+    those above 0 go to one `solve_pairs` call.  Logs, at INFO, the counts
+    of both."""
+    frame = table.frame[rows]
     a, b, scores, candidates = overlap_cells(*np.split(distinct(np.r_[frame + 1, frame])[1], 2),
                                              earlier, later, score, lambda s: s > 0)
     found = solve_pairs(a, b, scores, gate)
     log.info("first level: %d candidate pairs, %d cells above 0, %d components solved "
              "(largest %d nodes), %d by augmenting paths, %d links", candidates, scores.size,
              found.components, found.largest, found.exact, found.a.size)
-    return _chain_layout(len(frame), found.a, found.b)
+    order, size = _chain_layout(rows.size, found.a, found.b)
+    return rows[order], size
 
 
 def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
@@ -411,9 +414,8 @@ def adjacent_pass(table: BoxTable, rows: np.ndarray, kernel: SimilarityKernel,
     """
     boxes = table.boxes[rows]
     support = kernel.support(boxes)
-    order, size = _link_frames(table.frame[rows], support, support,
-                               lambda a, b: kernel(boxes[a], boxes[b]), gate)
-    return rows[order], size
+    return _link_frames(table, rows, support, support, lambda a, b: kernel(boxes[a], boxes[b]),
+                        gate)
 
 
 def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains: Runs,
@@ -452,8 +454,7 @@ def consistent_motion_pass(table: BoxTable, rows: np.ndarray, preliminary_chains
 
     def score(a, b):
         return 0.5 * (kernel(ahead[a], boxes[b]) + kernel(boxes[a], behind[b]))
-    order, size = _link_frames(table.frame[rows], earlier, later, score, cfg.match_threshold)
-    return rows[order], size
+    return _link_frames(table, rows, earlier, later, score, cfg.match_threshold)
 
 
 def byte_recovery(table: BoxTable, tracklets: TrackletTable, low: np.ndarray,

@@ -1,13 +1,15 @@
 """Tracking evaluation on columns: CLEAR accuracy and identity metrics.
 
-`eval_counts` scores two (frame, id)-sorted `BoxTable`s, ground truth and
-prediction, `id` the track id.  A gt row and a prediction in one frame hit
-when their IoU reaches the threshold.  CLEAR goes frame by frame: a
-correspondence persists while it is still a hit (gt tracks in id order, each
-prediction kept once), the rest is matched optimally over the hits, and a gt
-track whose hypothesis changes counts an identity switch.  Identity: each hit
-adds one to its (gt, pred) track pair's potential, and one global one-to-one
-assignment on it gives IDTP, behind IDF1/IDP/IDR.
+`sequence_counts` scores pairs of `BoxTable`s, ground truth and prediction,
+`id` the track id.  A gt row and a prediction in one frame hit when they
+share a class and their IoU reaches the threshold, so a match never crosses
+classes (KITTI and TrackEval score Car and Pedestrian apart; here the
+classes' counts pool).  CLEAR goes frame by frame: a correspondence persists
+while it is still a hit (gt tracks in id order, each prediction kept once),
+the rest is matched optimally over the hits, and a gt track whose hypothesis
+changes counts an identity switch.  Identity: each hit adds one to its (gt,
+pred) track pair's potential, and one global one-to-one assignment on it
+gives IDTP, behind IDF1/IDP/IDR.
 
 The hits, as (gt row, pred row, IoU), come from one `assignment.overlap_cells`
 sweep over the gt and pred rows of each frame whose extents overlap, since
@@ -33,9 +35,8 @@ conflict-frame loop and one IDTP `solve_pairs` call then serve the batch:
 no hit, frame or matching component spans two sequences, so each
 sequence's counts are those it gets alone.  Each sequence's counts, and its
 INFO line, are tallies over the sequence of each row, track, frame and
-scored candidate.  `eval_counts` is a batch of one.  The public functions
-other than `eval_counts` take tables in any row order; sequences pool by
-summing their counts.
+scored candidate.  The public functions take tables in any row order;
+sequences pool by summing their counts.
 """
 
 from __future__ import annotations
@@ -76,41 +77,19 @@ class EvalReport:
     per_sequence: dict = field(default_factory=dict)
 
 
-def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float) -> EvalCounts:
-    """CLEAR and identity counts of one sequence whose tables are sorted by
-    (frame, id), all frames scored at once: a batch of one sequence.
-
-    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).  Logs, at
-    INFO, the sequence's frames, candidates, and forced and conflict frames."""
-    return _counts(gt, pred, np.zeros(gt.frame.size, np.intp), np.zeros(pred.frame.size, np.intp),
-                   1, iou_threshold)[0]
-
-
 def sequence_counts(pairs: Sequence[tuple[BoxTable, BoxTable]],
                     iou_threshold: float) -> list[EvalCounts]:
-    """`eval_counts` of each (gt, pred) pair of tables in any row order, the
-    sequences laid out as one batch."""
-    (gt, gt_seq), (pred, pred_seq) = (_laid_out([pair[side] for pair in pairs])
-                                      for side in (0, 1))
-    return _counts(gt, pred, gt_seq, pred_seq, len(pairs), iou_threshold)
+    """The CLEAR and identity counts of each (gt, pred) pair of tables, in
+    any row order, the sequences laid out as one batch and all their frames
+    scored at once.
 
-
-def _laid_out(tables: list[BoxTable]) -> tuple[BoxTable, np.ndarray]:
-    """The rows of `tables` as one table sorted by (table, frame, id), and
-    each row's table."""
-    seq = np.repeat(np.arange(len(tables)), [t.frame.size for t in tables])
-    # Each table sorts alone: cheaper than one lexsort with the table as a key.
-    tables = [frame_sorted(t) for t in tables] or [table_of([])]
-    return tables[0] if len(tables) == 1 else BoxTable(*map(np.concatenate, zip(*tables))), seq
-
-
-def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarray,
-            sequences: int, iou_threshold: float) -> list[EvalCounts]:
-    """The counts of each of `sequences` sequences, the rows of sequence k
-    those where gt_seq or pred_seq is k, sorted by (sequence, frame, id), and
-    its INFO line (see `eval_counts`)."""
+    Raises ValueError unless 0 < iou_threshold <= 1 (NaN included).  Logs, at
+    INFO, each sequence's frames, candidates, and forced and conflict frames."""
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    sequences = len(pairs)
+    (gt, gt_seq), (pred, pred_seq) = (_laid_out([pair[side] for pair in pairs])
+                                      for side in (0, 1))
     # Frames and track ids are ranked within their sequence, so no two
     # sequences share one.
     gt_track_seq, gt_of = _by_sequence(gt_seq, sequences, *np.unique(gt.id, return_inverse=True))
@@ -122,7 +101,8 @@ def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarr
 
     def score(r: np.ndarray, c: np.ndarray) -> np.ndarray:
         candidates[:] += np.bincount(gt_seq[r], minlength=sequences) if sequences > 1 else r.size
-        return iou_kernel(gt.boxes[r], pred.boxes[c])
+        # A pair of two classes scores 0, below every threshold: no hit.
+        return iou_kernel(gt.boxes[r], pred.boxes[c]) * (gt.class_id[r] == pred.class_id[c])
 
     # Every hit as (gt row, pred row, IoU).
     r, c, iou, _ = overlap_cells(
@@ -174,6 +154,15 @@ def _counts(gt: BoxTable, pred: BoxTable, gt_seq: np.ndarray, pred_seq: np.ndarr
                  frames[k], candidates[k], frames[k] - conflicts[k], conflicts[k])
     return [EvalCounts(fp=n_pred - m, fn=n_gt - m, idsw=sw, idtp=tp, len_gt=n_gt, len_pred=n_pred)
             for n_gt, n_pred, m, sw, tp in zip(len_gt, len_pred, matched, idsw, idtp)]
+
+
+def _laid_out(tables: list[BoxTable]) -> tuple[BoxTable, np.ndarray]:
+    """The rows of `tables` as one table sorted by (table, frame, id), and
+    each row's table."""
+    seq = np.repeat(np.arange(len(tables)), [t.frame.size for t in tables])
+    # Each table sorts alone: cheaper than one lexsort with the table as a key.
+    tables = [frame_sorted(t) for t in tables] or [table_of([])]
+    return tables[0] if len(tables) == 1 else BoxTable(*map(np.concatenate, zip(*tables))), seq
 
 
 def _by_sequence(seq: np.ndarray, sequences: int, values: np.ndarray, rank: np.ndarray

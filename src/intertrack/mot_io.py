@@ -227,22 +227,19 @@ def _read(paths: Sequence[PathLike], fmt: _Format, track_file: bool) -> list[Box
     """Parse and check files in order, each as if alone (see the module
     notes); `id` is each file's id column.  The first file with a fault fails,
     after the files before it have logged their lines."""
-    tables, batch, rows, fault = [], [], 0, None
+    tables, batch, rows = [], [], 0
     for path in paths:
         try:
             parsed = _parsed(path, fmt)
-        except (OSError, ValueError) as exc:
-            fault = exc
-            break
+        except (OSError, ValueError):
+            _checked(batch, fmt, track_file)  # its files log, or fail first
+            raise
         rows += len(parsed[1])
         if batch and rows >= _BATCH_ROWS:
             tables += _checked(batch, fmt, track_file)
             batch, rows = [], len(parsed[1])
         batch.append(parsed)
-    tables += _checked(batch, fmt, track_file)
-    if fault:
-        raise fault
-    return tables
+    return tables + _checked(batch, fmt, track_file)
 
 
 def _checked(batch: list[tuple[PathLike, np.ndarray, int, str]], fmt: _Format,

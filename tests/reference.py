@@ -2,7 +2,8 @@
 `mot_io` writers: one loop per trajectory entry or output row.  The tests
 require the column code to match them bit for bit, on the trajectories that
 `trajectories()` draws.  `eval_counts` is the frame-by-frame form of
-`metrics.eval_counts`, one IoU block and one CLEAR step per frame.
+`metrics.sequence_counts` on one sequence, one IoU block and one CLEAR step
+per frame.
 `solve` matches a dense matrix by `assignment.solve_pairs` of its cells,
 `scipy_matching` is the square Hungarian form of the ungated `solve`, by
 scipy's `linear_sum_assignment`, and `unique_optimum` tells whether a matrix
@@ -315,7 +316,9 @@ def eval_counts(gt: BoxTable, pred: BoxTable, iou_threshold: float,
         if n and m:
             gi, pj = gt_of[g0:g1], pred_of[p0:p1]
             overlap = iou_kernel(gt.boxes[g0:g1, None], pred.boxes[None, p0:p1])
-            hit = overlap >= iou_threshold
+            # A match never crosses classes.
+            same_class = gt.class_id[g0:g1, None] == pred.class_id[None, p0:p1]
+            hit = (overlap >= iou_threshold) & same_class
             np.add.at(potential, (gi[:, None], pj), hit)
             # Keep alive each correspondence that still overlaps; a prediction
             # claimed by several gt tracks stays with the lowest gt id.

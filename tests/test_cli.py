@@ -462,6 +462,17 @@ class TestEval:
         assert "s1" in stdout and "s2" in stdout
         assert "MOTA  1.0000" in stdout
 
+    def test_kitti_match_never_crosses_classes(self, tmp_path, capsys):
+        # Each Pedestrian box lies exactly on a Car ground-truth box.
+        gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+        gt.write_text("".join(f"{f} 1 Car 0 0 0 {x} 100 {x + 50} 200 -1 -1 -1 -1 -1 -1 -1\n"
+                              for f, x in ((0, 100), (1, 102))))
+        pred.write_text("".join(f"{f} 7 Pedestrian 0 0 0 {x} 100 {x + 50} 200 "
+                                "-1 -1 -1 -1 -1 -1 -1 0.9\n" for f, x in ((0, 100), (1, 102))))
+        assert cli.main(["eval", "--gt", str(gt), "--pred", str(pred), "--format", "kitti",
+                         "--kv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"fp=2", "fn=2", "mota=-1.000000", "idf1=0.000000"} <= set(lines)
 
     def test_verbose_logs_forced_and_conflict_frames_outside_stdout(self, tmp_path, capsys,
                                                                     caplog):
@@ -506,7 +517,7 @@ class TestEval:
                         f"seq.{name}.idf1={report.idf1:.6f}", f"seq.{name}.idsw={report.idsw}"]
             caplog.clear()
             with caplog.at_level("INFO"):
-                metrics.eval_counts(metrics.frame_sorted(gt), metrics.frame_sorted(pred), 0.5)
+                metrics.sequence_counts([(gt, pred)], 0.5)
             want_info += [r.getMessage() for r in caplog.records]
         assert want_kv[2::3] == ["seq.a.idsw=0", "seq.b.idsw=1", "seq.c.idsw=0"]
         assert "4 conflict frames" in want_info[0]
@@ -720,7 +731,7 @@ class TestConfigAssembly:
 
     def test_environment_sets_no_workers(self, monkeypatch):
         monkeypatch.setenv("INTERTRACK_WORKERS", "three")
-        assert cli._resolve_workers(self.parse()) == 1
+        assert self.parse().workers == 1
         assert cli.build_config(self.parse()) == TrackerConfig()
 
 
@@ -742,6 +753,40 @@ def config_flags(command="track"):
                  if g.title == "tracker configuration")
     return {a.option_strings[0]: a for a in group._group_actions
             if a.dest not in ("config", "workers")}
+
+
+def subcommands():
+    """{command: parser} of the CLI's subcommands."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    """Each option is declared once: `track` and `refine` take the same
+    options apart from their input flag, and `eval` takes their format
+    flags."""
+
+    def test_track_and_refine_share_every_option_but_the_input(self):
+        options = {command: {flag for a in p._actions for flag in a.option_strings}
+                   for command, p in subcommands().items()}
+        assert {"--det", "--workers", "--interp"} <= options["track"]
+        assert options["track"] - {"--det"} == options["refine"] - {"--in"}
+
+    @pytest.mark.parametrize("flag", ["--format", "--class-filter"])
+    def test_eval_format_flags_equal_the_pipeline_ones(self, flag):
+        def action(command):
+            a = next(a for a in subcommands()[command]._actions if flag in a.option_strings)
+            return a.choices, a.default, a.dest, a.help, a.metavar
+
+        assert action("eval") == action("track") == action("refine")
+
+    def test_zero_workers_is_a_usage_error(self, tmp_path, capsys):
+        det = write_dets(tmp_path / "det.txt", linear_dets(n_frames=3))
+        out = tmp_path / "o.txt"
+        assert cli.main(["track", "--det", str(det), "--out", str(out), "--workers", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: invalid config: worker count must be >= 1, got 0\n")
+        assert not out.exists()
 
 
 class TestOneNamespace:

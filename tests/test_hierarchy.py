@@ -795,14 +795,14 @@ def test_chunked_first_level_matches_per_frame_pairs(dets, cfg):
     for budget in (1, 7, 64):
         calls = []
 
-        def recording(frame, earlier, later, score, gate):
+        def recording(table, rows, earlier, later, score, gate):
             def scored(a, b):
                 out = score(a, b)
                 assert out.shape == a.shape == b.shape
                 assert np.isfinite(out).all()
                 calls.append(out.size)
                 return out
-            return link_frames(frame, earlier, later, scored, gate)
+            return link_frames(table, rows, earlier, later, scored, gate)
 
         with mock.patch.object(assignment, "_CHUNK_CELLS", budget), \
                 mock.patch.object(hierarchy, "_link_frames", recording):
@@ -856,9 +856,9 @@ def test_first_level_candidates_hold_every_pair_above_zero(table, cfg):
     row a frame before it."""
     kernel, calls, link_frames = SimilarityKernel(cfg), [], hierarchy._link_frames
 
-    def recording(frame, earlier, later, score, gate):
-        calls.append((frame, earlier, later, score))
-        return link_frames(frame, earlier, later, score, gate)
+    def recording(table, rows, earlier, later, score, gate):
+        calls.append((table.frame[rows], earlier, later, score))
+        return link_frames(table, rows, earlier, later, score, gate)
     rows = np.arange(table.frame.size)
     with mock.patch.object(hierarchy, "_link_frames", recording):
         chains = adjacent_pass(table, rows, kernel, cfg.match_threshold)

@@ -14,7 +14,7 @@ from intertrack.geometry import iou_kernel
 from intertrack.model import (BoundingBox, BoxTable, Detection, Trajectory, stack_boxes,
                               tracks_table)
 from intertrack.metrics import (
-    eval_counts,
+    EvalCounts,
     evaluate,
     evaluate_sequences,
     format_report,
@@ -199,8 +199,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, 1.5])
     @pytest.mark.parametrize("score", [
         lambda c, t: evaluate(c, c, t), lambda c, t: evaluate_sequences({"a": (c, c)}, t),
-        lambda c, t: eval_counts(frame_sorted(c), frame_sorted(c), t)],
-        ids=["evaluate", "evaluate_sequences", "eval_counts"])
+        lambda c, t: sequence_counts([(c, c)], t)],
+        ids=["evaluate", "evaluate_sequences", "sequence_counts"])
     def test_threshold_outside_unit_interval_rejected(self, score, threshold):
         with pytest.raises(ValueError, match="iou_threshold"):
             score(tracks_table([track(1, range(1, 6), 100.0)]), threshold)
@@ -211,7 +211,7 @@ class TestEvaluate:
 
 
 # Per-track-pair reference for the column counts: the CLEAR and identity
-# counting that scored Trajectory lists before `eval_counts`, kept verbatim.
+# counting that scored Trajectory lists before the column counts, kept verbatim.
 
 def _frame_index(tracks):
     index = {}
@@ -359,7 +359,7 @@ def _frame_table(draw):
                                st.floats(0.0, 1.0, exclude_min=True)),
        budget=st.sampled_from([1, 5, assignment._CHUNK_CELLS]))
 def test_eval_hits_are_the_brute_force_hits(gt, pred, iou_threshold, budget):
-    """The hits `eval_counts` takes from the sweep are exactly the gt x pred
+    """The hits `sequence_counts` takes from the sweep are exactly the gt x pred
     pairs of each frame whose IoU, as a per-frame call scores it, reaches
     the threshold, each once."""
     calls = []
@@ -369,7 +369,7 @@ def test_eval_hits_are_the_brute_force_hits(gt, pred, iou_threshold, budget):
         return calls[-1]
     with mock.patch.object(assignment, "_CHUNK_CELLS", budget), \
             mock.patch("intertrack.metrics.overlap_cells", recording):
-        eval_counts(gt, pred, iou_threshold)
+        sequence_counts([(gt, pred)], iou_threshold)
     r, c, iou, _ = calls[0]
     want = []
     for f in sorted(set(gt.frame.tolist()) & set(pred.frame.tolist())):
@@ -389,8 +389,7 @@ class TestColumnCounts:
     @example(gt=_SHARED_HYPOTHESIS[0], pred=[], iou_threshold=0.5)
     @example(gt=[], pred=_SHARED_HYPOTHESIS[1], iou_threshold=0.5)
     def test_matches_per_track_pair_reference(self, gt, pred, iou_threshold):
-        counts = eval_counts(frame_sorted(tracks_table(gt)), frame_sorted(tracks_table(pred)),
-                             iou_threshold)
+        counts = sequence_counts([(tracks_table(gt), tracks_table(pred))], iou_threshold)[0]
         fp, fn, idsw, gt_count = reference_clear_counts(gt, pred, iou_threshold)
         idtp, len_gt, len_pred = reference_id_counts(gt, pred, iou_threshold)
         assert (counts.fp, counts.fn, counts.idsw) == (fp, fn, idsw)
@@ -411,7 +410,7 @@ class TestColumnCounts:
     def test_matches_frame_by_frame_reference(self, gt, pred, iou_threshold, budget):
         gt, pred = frame_sorted(tracks_table(gt)), frame_sorted(tracks_table(pred))
         with mock.patch.object(assignment, "_CHUNK_CELLS", budget):
-            counts = eval_counts(gt, pred, iou_threshold)
+            counts = sequence_counts([(gt, pred)], iou_threshold)[0]
         want, tied = reference.eval_counts(gt, pred, iou_threshold)
         if tied:
             # Some frame's optimal step ties, and idsw, fp and fn follow the
@@ -428,24 +427,24 @@ class TestColumnCounts:
         # Frame 2 holds two rows of gt 1, each with one hit: stepped, pred 5
         # stays alive on the second row and the first switches to pred 6,
         # which frame 3's pred 5 then switches back from.
-        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_ID), 0.5)
+        counts = sequence_counts([tuple(map(tracks_table, _SHARED_ID))], 0.5)[0]
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 2)
 
     def test_a_hypothesis_lives_on_its_first_row_in_a_frame(self):
         gt, pred = (frame_sorted(tracks_table(t)) for t in _SPLIT_HYPOTHESIS)
-        counts = eval_counts(gt, pred, 0.5)
+        counts = sequence_counts([(gt, pred)], 0.5)[0]
         assert (counts.fp, counts.fn, counts.idsw) == (2, 0, 1)
         assert counts == reference.eval_counts(gt, pred, 0.5)[0]
 
     def test_hit_at_a_tiny_threshold_is_matched(self):
-        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _TINY_HIT), 1e-12)
+        counts = sequence_counts([tuple(map(tracks_table, _TINY_HIT))], 1e-12)[0]
         boxes = stack_boxes([_TINY_HIT[0][1].entries[0].box, _TINY_HIT[1][0].entries[0].box])
         assert 1e-12 <= iou_kernel(*boxes) < 1e-10
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (0, 1, 0, 1)
 
     def test_tied_frame_keeps_the_solvers_first_matching(self):
         gt, pred = (frame_sorted(tracks_table(t)) for t in _TIED_PICK)
-        counts = eval_counts(gt, pred, 1.0)
+        counts = sequence_counts([(gt, pred)], 1.0)[0]
         assert (counts.fp, counts.fn, counts.idsw, counts.idtp) == (1, 0, 1, 3)
         assert reference.eval_counts(gt, pred, 1.0)[1]
 
@@ -457,7 +456,7 @@ class TestColumnCounts:
                          np.tile([10.0, 10.0, 4.0, 4.0], (n, 1)))
         tracemalloc.start()
         try:
-            counts = eval_counts(table, table, 0.5)
+            counts = sequence_counts([(table, table)], 0.5)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,7 +464,7 @@ class TestColumnCounts:
         assert peak < 8 * n * n / 8
 
     def test_kept_alive_prediction_goes_to_the_lower_gt_id(self):
-        counts = eval_counts(*(frame_sorted(tracks_table(t)) for t in _SHARED_HYPOTHESIS), 0.5)
+        counts = sequence_counts([tuple(map(tracks_table, _SHARED_HYPOTHESIS))], 0.5)[0]
         # One switch (gt 2 at frame 3); both pairs then persist.  Matching
         # frame 3 optimally instead would switch gt 1 there and both at frame 4.
         assert (counts.fp, counts.fn, counts.idsw) == (0, 0, 1)
@@ -485,14 +484,14 @@ class TestBatchCounts:
     @example(pairs=[_TIED_PICK, _TIED_PICK], iou_threshold=1.0)
     def test_each_sequence_counts_as_alone(self, pairs, iou_threshold):
         """The sequences reuse track ids and frames 1-8, yet each one's counts
-        in the batch are those it gets alone, from `eval_counts` and from the
+        in the batch are those it gets alone, in a batch of one and from the
         frame-by-frame reference on the same solver."""
         tables = [(tracks_table(gt), tracks_table(pred)) for gt, pred in pairs]
         batch = sequence_counts(tables, iou_threshold)
         assert len(batch) == len(tables)
         for counts, (gt, pred) in zip(batch, tables):
             gt, pred = frame_sorted(gt), frame_sorted(pred)
-            assert counts == eval_counts(gt, pred, iou_threshold)
+            assert counts == sequence_counts([(gt, pred)], iou_threshold)[0]
             assert counts == reference.eval_counts(gt, pred, iou_threshold,
                                                    lambda s: solve(s, -np.inf))[0]
 
@@ -506,3 +505,40 @@ class TestBatchCounts:
                         wraps=assignment.overlap_cells) as sweep:
             sequence_counts([(gt, gt)] * 3, 0.5)
         assert sweep.call_count == 1
+
+
+def _of_class(tracks, class_id):
+    """`tracks_table` of `tracks` as tracks of class `class_id`, their ids
+    moved by 100 a class, so that no two classes share a track id."""
+    table = tracks_table(tracks)
+    return table._replace(id=table.id + 100 * class_id,
+                          class_id=np.full_like(table.class_id, class_id))
+
+
+def _kitti_box(frame, left):
+    """A 50 x 100 box at `left`, on KITTI's frame `frame` (0-based)."""
+    return Detection(frame=frame + 1, box=BoundingBox(left + 25.0, 150.0, 50.0, 100.0),
+                     score=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(car=st.tuples(_grid_tracks(st.integers(1, 6)), _grid_tracks(st.integers(3, 9))),
+       pedestrian=st.tuples(_grid_tracks(st.integers(1, 6)), _grid_tracks(st.integers(3, 9))),
+       iou_threshold=st.sampled_from(_GRID_THRESHOLDS))
+# A Pedestrian prediction lying exactly on a Car ground truth hits nothing.
+@example(car=([Trajectory(1, (_kitti_box(0, 100), _kitti_box(1, 102)))], []),
+         pedestrian=([], [Trajectory(7, (_kitti_box(0, 100), _kitti_box(1, 102)))]),
+         iou_threshold=0.5)
+def test_classes_count_as_apart(car, pedestrian, iou_threshold):
+    """The counts of a (gt, pred) pair of two classes, each track of one
+    class, are the sums of each class's own pair's counts: no hit crosses
+    classes."""
+    per_class = [tuple(_of_class(tracks, class_id) for tracks in pair)
+                 for class_id, pair in ((0, car), (3, pedestrian))]  # KITTI's Car, Pedestrian
+    both = tuple(BoxTable(*map(np.concatenate, zip(*side))) for side in zip(*per_class))
+    alone = sequence_counts(per_class, iou_threshold)
+    (counts,) = sequence_counts([both], iou_threshold)
+    assert counts == EvalCounts(*map(sum, zip(*alone)))
+    gt, pred = (frame_sorted(side) for side in both)
+    assert counts == reference.eval_counts(gt, pred, iou_threshold,
+                                           lambda s: solve(s, -np.inf))[0]

@@ -56,14 +56,17 @@ The cases:
   bounds; interval with its own bounds and final overlap), four files with
   a schedule fault (decreasing bounds, window with a final overlap, a
   negative final overlap, an unknown strategy) and four bad flag values.
-- 4 `eval` cases: `refine` on the crowd scene's foreign output, scored with
+- 5 `eval` cases: `refine` on the crowd scene's foreign output, scored with
   `--iou-threshold 1.0` against that input and with `--iou-threshold 0.05`
   (many frames where hits conflict) against the ground truth; `track` on
   a directory of two sequences, scored against a ground-truth directory that
   holds a third sequence as well, so the pooled report leaves it out with a
   warning; and `track` on a directory of three sequences with the same track
   ids over the same frames, the third's detection file empty, so its
-  prediction file is empty too.  The last also runs `eval --verbose`.
+  prediction file is empty too.  The last also runs `eval --verbose`.  The
+  fifth scores a KITTI prediction of one Pedestrian track lying exactly on
+  a two-frame Car ground-truth track, under `--format kitti`: a match never
+  crosses classes.  Its pass is `refine` on that prediction file.
 - 8 directory cases on one KITTI directory of four sequences, too little
   input for a second batch: the panning scene, the crowd-like
   scene, the two-class file and the two-class file with its Pedestrians
@@ -96,7 +99,7 @@ The cases:
   `twin/` and `twin.json`, and `twin.txt` names every output of the two
   runs that differs.
 
-107 cases in all.
+108 cases in all.
 
 Each case writes, in `OUT_DIR/<case>/`: its inputs, the pass output file(s),
 `pass.txt` (exit code, stdout and stderr of the pass), `dump.json`
@@ -360,8 +363,20 @@ def _write_shared_ids() -> None:
         mot_io.write_mot_detections(dets if k < 2 else [], f"det/seq{k}.txt")
 
 
+def _write_cross_class() -> None:
+    """A Car ground-truth track over KITTI frames 0-1, and a Pedestrian
+    prediction track on the same boxes."""
+    rows = [(0, 100), (1, 102)]
+    Path("gt.txt").write_text("".join(
+        f"{f} 1 Car 0 0 0 {x} 100 {x + 50} 200 -1 -1 -1 -1 -1 -1 -1\n" for f, x in rows),
+        encoding="utf-8")
+    Path("pred.txt").write_text("".join(
+        f"{f} 7 Pedestrian 0 0 0 {x} 100 {x + 50} 200 -1 -1 -1 -1 -1 -1 -1 0.9\n"
+        for f, x in rows), encoding="utf-8")
+
+
 def _eval_cases():
-    """(name, prepare) of the 4 eval cases."""
+    """(name, prepare) of the 5 eval cases."""
     refine = ["refine", "--in", "theirs.txt", "--out", "out.txt"]
     for threshold, gt in (("1.0", "theirs.txt"), ("0.05", "gt.txt")):
         yield (f"eval-crowd-iou{threshold}",
@@ -374,6 +389,10 @@ def _eval_cases():
     yield ("eval-dirs-shared-ids",
            _cli_case(_write_shared_ids, ["track", "--det", "det", "--out", "out"],
                      ["eval", "--gt", "gt", "--pred", "out", "--kv"]))
+    kitti = ["--format", "kitti"]
+    yield ("eval-kitti-cross-class",
+           _cli_case(_write_cross_class, ["refine", "--in", "pred.txt", "--out", "out.txt", *kitti],
+                     ["eval", "--gt", "gt.txt", "--pred", "pred.txt", "--kv", *kitti]))
 
 
 def _write_directory() -> None:
